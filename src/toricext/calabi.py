@@ -14,14 +14,17 @@ conditions at t = a and t = b,
 
 which say that p*t^n - alpha has simple roots at both endpoints with exactly
 the residues that cancel the Guillemin log singularities of the boundary
-facets.  The 4x4 linear solve of that system is the authoritative coefficient
-path here; the explicit closed forms are kept only as a cross-check (see
-``closed_form_coefficients``).
+facets.  That 4x4 system is solved exactly, in rational arithmetic, and the
+result rounded to float once; it is the only coefficient path.  Calabi's
+explicit closed forms, also evaluated exactly, are a hard cross-check of it
+(see ``coefficient_cross_check``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +48,16 @@ POLE_REL_TOL = 1e-13
 _DEFLATION_REL_TOL = 1e-8
 
 
+def _check_geometry(n: int, a: float, b: float) -> None:
+    """The (n, a, b) preconditions shared by every coefficient entry point."""
+    if n < 1:
+        raise InvalidParameters("n must be >= 1")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidParameters("a and b must be finite")
+    if not 0.0 < a < b:
+        raise InvalidParameters(f"need 0 < a < b, got a={a}, b={b}")
+
+
 @dataclass(frozen=True)
 class ExtremalCoefficients:
     """Coefficients (A, B, C, D) of alpha for the (n, a, b) blow-up family.
@@ -62,14 +75,7 @@ class ExtremalCoefficients:
     D: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidParameters("n must be >= 1")
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise InvalidParameters("a and b must be finite")
-        if not 0.0 < self.a < self.b:
-            raise InvalidParameters(
-                f"need 0 < a < b, got a={self.a}, b={self.b}"
-            )
+        _check_geometry(self.n, self.a, self.b)
 
     @property
     def c(self) -> float:
@@ -80,101 +86,81 @@ class ExtremalCoefficients:
         return float(self.n * (self.n + 1) * (self.n + 2))
 
 
+def _boundary_rows(n: int, a, b) -> list:
+    """Augmented rows [coefficients of (A, B, C, D) | target] of the endpoint
+    conditions alpha(a), alpha'(a), alpha(b), alpha'(b), in the number type
+    of a and b."""
+    p = n * (n + 1) * (n + 2)
+
+    def value_row(e) -> list:
+        return [n * e ** (n + 2), (n + 2) * e ** (n + 1), p * e, p]
+
+    def slope_row(e) -> list:
+        return [n * (n + 2) * e ** (n + 1), (n + 1) * (n + 2) * e**n, p, 0]
+
+    return [
+        value_row(a) + [p * a**n],
+        slope_row(a) + [(n - 1) * p * a ** (n - 1)],
+        value_row(b) + [p * b**n],
+        slope_row(b) + [(n + 1) * p * b ** (n - 1)],
+    ]
+
+
 def boundary_system(n: int, a: float, b: float):
     """Matrix and right-hand side of the endpoint conditions on alpha.
 
     Rows are the coefficient vectors of (A, B, C, D) in alpha(a), alpha'(a),
     alpha(b), alpha'(b); the rhs carries the four endpoint targets.
     """
-    if n < 1:
-        raise InvalidParameters("n must be >= 1")
-    if not 0.0 < a < b:
-        raise InvalidParameters(f"need 0 < a < b, got a={a}, b={b}")
-    p = float(n * (n + 1) * (n + 2))
-
-    def value_row(e: float) -> list[float]:
-        return [n * e ** (n + 2), (n + 2) * e ** (n + 1), p * e, p]
-
-    def slope_row(e: float) -> list[float]:
-        return [n * (n + 2) * e ** (n + 1), (n + 1) * (n + 2) * e**n, p, 0.0]
-
-    M = np.array([value_row(a), slope_row(a), value_row(b), slope_row(b)])
-    rhs = np.array(
-        [
-            p * a**n,
-            (n - 1) * p * a ** (n - 1),
-            p * b**n,
-            (n + 1) * p * b ** (n - 1),
-        ]
-    )
-    return M, rhs
+    _check_geometry(n, a, b)
+    rows = np.array(_boundary_rows(n, float(a), float(b)), dtype=float)
+    return rows[:, :4], rows[:, 4]
 
 
 def solve_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
-    """Authoritative coefficients: direct dense solve of the boundary system.
+    """Authoritative coefficients: the boundary system solved exactly.
 
-    Rows are scaled to unit max-abs first; entries span a^(n+2) .. p and the
-    raw system conditions badly for extreme (a, b).
+    The float (a, b) are exact rationals, so Gauss-Jordan elimination over
+    ``Fraction`` gives the exact solution, rounded to float once at the end.
+    A float solve loses digits as a/b -> 1, where the system degenerates.
     """
-    M, rhs = boundary_system(n, a, b)
-    scale = np.max(np.abs(M), axis=1)
-    try:
-        coeffs = np.linalg.solve(M / scale[:, None], rhs / scale)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(M))
-        raise SingularSystem(
-            f"boundary system unsolvable for (n={n}, a={a}, b={b}); "
-            f"condition estimate {cond:.3e}"
-        ) from exc
-    A, B, C, D = (float(v) for v in coeffs)
+    _check_geometry(n, a, b)
+    rows = [
+        [Fraction(x) for x in row]
+        for row in _boundary_rows(n, Fraction(float(a)), Fraction(float(b)))
+    ]
+    for col in range(4):
+        pivot = next((r for r in range(col, 4) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise SingularSystem(
+                f"boundary system singular for (n={n}, a={a}, b={b})"
+            )
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(4):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    A, B, C, D = (float(rows[k][4] / rows[k][k]) for k in range(4))
     return ExtremalCoefficients(n=n, a=float(a), b=float(b), A=A, B=B, C=C, D=D)
 
 
 def closed_form_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
-    """Explicit coefficient formulas, kept as a cross-check surface only.
+    """Calabi's explicit coefficient formulas, the cross-check of the solve.
 
-    For n = 2, b = 1 this evaluates the single-parameter forms
-
-        A = -24a/q, B = 6(3a^2-1)/q, C = (3a^2-1)a/q, D = -2a^3/q,
-        q = a^3 + 3a^2 - 3a - 1,
-
-    which are exact against the linear solve.  Elsewhere it evaluates the
-    general four-coefficient expressions verbatim; their D term does not
-    reproduce the solved coefficients (the discrepancy is surfaced by
-    ``coefficient_cross_check``), so the linear solve stays authoritative.
+    Evaluated over ``Fraction`` and rounded once: the shared denominator has a
+    fourth-order root at a = b, so float evaluation drifts as a/b -> 1.
     """
-    if n < 1:
-        raise InvalidParameters("n must be >= 1")
-    if not 0.0 < a < b:
-        raise InvalidParameters(f"need 0 < a < b, got a={a}, b={b}")
-
-    if n == 2 and b == 1.0:
-        q = a**3 + 3.0 * a**2 - 3.0 * a - 1.0
-        if abs(q) <= 1e-14 * (abs(a) ** 3 + 3.0 * a**2 + 3.0 * a + 1.0):
-            raise ZeroDenominator(f"shared denominator vanishes at a={a}")
-        return ExtremalCoefficients(
-            n=2,
-            a=float(a),
-            b=1.0,
-            A=-24.0 * a / q,
-            B=6.0 * (3.0 * a**2 - 1.0) / q,
-            C=(3.0 * a**2 - 1.0) * a / q,
-            D=-2.0 * a**3 / q,
-        )
+    _check_geometry(n, a, b)
+    a, b = Fraction(float(a)), Fraction(float(b))
 
     den = (
         (a * b) ** n * (2 * n * (n + 2) * a * b - (a**2 + b**2) * (n + 1) ** 2)
         + a ** (2 * (n + 1))
         + b ** (2 * (n + 1))
     )
-    den_scale = (
-        (a * b) ** n * (2 * n * (n + 2) * a * b + (a**2 + b**2) * (n + 1) ** 2)
-        + a ** (2 * (n + 1))
-        + b ** (2 * (n + 1))
-    )
-    if abs(den) <= 1e-14 * den_scale:
+    if den == 0:
         raise ZeroDenominator(
-            f"shared denominator vanishes for (n={n}, a={a}, b={b})"
+            f"shared denominator vanishes for (n={n}, a={float(a)}, b={float(b)})"
         )
 
     A = (
@@ -212,7 +198,7 @@ def closed_form_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients
     D = (
         (a * b) ** n
         * (
-            b ** (n + 1) * (n - b * (n - 2))
+            b ** (n + 1) * (n * a - b * (n - 2))
             - 2 * a**n * b**2 * (n + 1)
             - n * a ** (n + 1) * (a - 3 * b)
         )

@@ -202,7 +202,6 @@ def _verify_battery(cfg: RunConfig) -> dict:
         for vals in (near_a, near_b)
     )
 
-    closed_form_is_hard = n == 2 and b == 1.0
     checks = {
         "boundary_identities": max(boundary) <= cfg.tolerance_hard,
         "closed_form": cross.status == "ok",
@@ -211,12 +210,6 @@ def _verify_battery(cfg: RunConfig) -> dict:
         "extremality": scaled_residual <= cfg.tolerance_soft,
         "endpoint_limits": drift <= _ENDPOINT_DRIFT_TOL,
     }
-    hard_names = [k for k in checks if k != "closed_form" or closed_form_is_hard]
-    warnings = []
-    if not checks["closed_form"] and not closed_form_is_hard:
-        warnings.append(
-            f"closed-form discrepancy: max scaled delta {cross.max_delta:.3e}"
-        )
 
     return {
         "schema": 1,
@@ -257,8 +250,7 @@ def _verify_battery(cfg: RunConfig) -> dict:
             "max_drift": drift,
         },
         "checks": checks,
-        "warnings": warnings,
-        "passed": all(checks[k] for k in hard_names),
+        "passed": all(checks.values()),
     }
 
 
@@ -266,14 +258,10 @@ def run_verify(cfg: RunConfig) -> tuple[str, int, str]:
     _require_json(cfg)
     report = _verify_battery(cfg)
     out = _render_json(report)
-    if report["passed"]:
+    failing = [k for k, ok in report["checks"].items() if not ok]
+    if not failing:
         return out, 0, ""
-    hard_fail = [
-        k
-        for k, ok in report["checks"].items()
-        if not ok and (k != "closed_form" or (cfg.n == 2 and cfg.b == 1.0))
-    ]
-    return out, 1, "verification failed: " + ", ".join(hard_fail)
+    return out, 1, "verification failed: " + ", ".join(failing)
 
 
 def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:

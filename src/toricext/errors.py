@@ -46,8 +46,11 @@ class ZeroDenominator(GeometryError, ArithmeticError):
 
 
 class SingularSystem(GeometryError, ArithmeticError):
-    """The boundary linear system could not be solved; carries a condition
-    estimate in the message when one is available."""
+    """The boundary linear system is exactly singular.
+
+    Its determinant is a nonzero multiple of the closed forms' shared
+    denominator, which has no root for 0 < a < b (checked for n <= 16), so
+    valid geometries never raise this."""
 
 
 class SingularHessian(GeometryError, ArithmeticError):

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +82,7 @@ def test_solved_coefficients_satisfy_boundary_system(params):
     resid = M @ np.array([E.A, E.B, E.C, E.D]) - rhs
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(resid)) <= 1e-9 * scale
+    assert coefficient_cross_check(n, a, b).status == "ok"
 
 
 def test_alpha_eval_interpolates_boundary_data():
@@ -172,15 +176,39 @@ def test_cross_check_agrees_on_surface_case():
     assert r.status == "ok"
 
 
-def test_cross_check_reports_discrepancy_for_higher_dimension():
-    # the general closed-form expression disagrees with the solved values in
-    # its constant coefficient; the comparator must surface that honestly
-    r = coefficient_cross_check(3, 0.5, 1.0)
-    assert r.deltas["A"] <= 1e-9
-    assert r.deltas["B"] <= 1e-9
-    assert r.deltas["C"] <= 1e-9
-    assert r.deltas["D"] > 1e-3
-    assert r.status == "discrepancy"
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("a,b", [(0.5, 1.0), (0.25, 2.0), (0.05, 0.1), (9.0, 10.0)])
+def test_cross_check_agrees_in_every_dimension(n, a, b):
+    r = coefficient_cross_check(n, a, b)
+    assert r.max_delta <= 1e-12
+    assert r.status == "ok"
+
+
+def _sympy_coefficients(n, a, b):
+    """(A, B, C, D) from a sympy Rational solve of the endpoint conditions,
+    built from the definition of alpha, each rounded to the nearest float."""
+    t, A, B, C, D = sympy.symbols("t A B C D")
+    p = n * (n + 1) * (n + 2)
+    alpha = n * A * t ** (n + 2) + (n + 2) * B * t ** (n + 1) + p * (C * t + D)
+    d_alpha = sympy.diff(alpha, t)
+    ea, eb = sympy.Rational(a), sympy.Rational(b)
+    eqs = [
+        alpha.subs(t, ea) - p * ea**n,
+        d_alpha.subs(t, ea) - (n - 1) * p * ea ** (n - 1),
+        alpha.subs(t, eb) - p * eb**n,
+        d_alpha.subs(t, eb) - (n + 1) * p * eb ** (n - 1),
+    ]
+    M, rhs = sympy.linear_eq_to_matrix(eqs, [A, B, C, D])
+    return tuple(float(Fraction(int(v.p), int(v.q))) for v in M.LUsolve(rhs))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("ratio", [0.05, 0.5, 0.999])
+@pytest.mark.parametrize("b", [0.1, 1.0, 10.0])
+def test_solve_is_exact_rounding_of_rational_solve(n, ratio, b):
+    a = ratio * b
+    E = solve_coefficients(n, a, b)
+    assert (E.A, E.B, E.C, E.D) == _sympy_coefficients(n, a, b)
 
 
 def test_closed_form_surface_values():

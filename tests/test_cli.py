@@ -90,7 +90,7 @@ def test_verify_reference_case():
     assert doc["checks"]["extremality"] is True
     assert doc["checks"]["endpoint_limits"] is True
     assert doc["validity"]["minimum"] > 0.0
-    assert doc["warnings"] == []
+    assert "warnings" not in doc
 
 
 def test_verify_is_byte_deterministic():
@@ -102,14 +102,13 @@ def test_verify_is_byte_deterministic():
     assert first.stdout == second.stdout
 
 
-def test_verify_higher_dimension_closed_form_is_soft():
-    # the general closed form disagrees in D; must warn, not fail
+def test_verify_higher_dimension_closed_form_is_hard():
     r = run_cli("verify", "--n", "3", "--a", "0.5", "--b", "1", "--points", "20")
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert doc["passed"] is True
-    assert doc["closed_form"]["status"] == "discrepancy"
-    assert any("closed-form" in w for w in doc["warnings"])
+    assert doc["checks"]["closed_form"] is True
+    assert doc["closed_form"]["status"] == "ok"
 
 
 def test_verify_second_geometry():
@@ -149,6 +148,14 @@ def test_example_command():
     assert doc["h_second_midpoint"] == pytest.approx(-64 / 57, rel=1e-12)
     assert doc["closed_form_max_delta"] <= 1e-12
     assert doc["quadratic_form_max_delta"] <= 1e-12
+
+
+def test_example_near_degenerate_geometry():
+    # a/b -> 1: the boundary system degenerates, the exact solve does not
+    r = run_cli("example", "--a", "0.999")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["checks"] == {"closed_form": True, "quadratic_form": True}
 
 
 def test_example_rejects_unsupported_geometry():
