@@ -22,16 +22,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-from scipy.optimize import brentq
-
 from .errors import (
     DomainViolation,
     NonpositiveDerivative,
     NotInvertible,
     OutOfRange,
 )
-from .numdiff import EPS, STEP_FIRST, richardson_first, richardson_second
+from .numdiff import EPS, richardson_first, richardson_second
 from .radial import TPotential, radial_scalar_curvature
 
 # base step (in s~) for the v and t' difference stencils: these functions are
@@ -39,7 +36,14 @@ from .radial import TPotential, radial_scalar_curvature
 # a rounding-limited fine step by several digits
 _LOG_STEP = 2.0**-6
 
+# base steps (relative to max(1, s)) for derivative-free potentials: one
+# Richardson level makes the first- and second-derivative stencils O(h^4), so
+# truncation balances rounding (eps/h and eps/h^2) at eps^(1/5) and eps^(1/6)
+_STEP_DF = EPS**0.2
+_STEP_D2F = EPS ** (1.0 / 6.0)
+
 _MAX_BRACKET_DOUBLINGS = 200
+_MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ PRESETS: dict[str, Callable[[int], KahlerPotential]] = {
 def _df(K: KahlerPotential, s: float) -> float:
     if K.df is not None:
         return K.df(s)
-    h = STEP_FIRST * max(1.0, abs(s))
+    h = _STEP_DF * max(1.0, abs(s))
     h = min(h, 0.5 * s)  # keep the stencil on s > 0
     return richardson_first(K.f, s, h)
 
@@ -88,7 +92,7 @@ def _df(K: KahlerPotential, s: float) -> float:
 def _d2f(K: KahlerPotential, s: float) -> float:
     if K.d2f is not None:
         return K.d2f(s)
-    h = EPS**0.25 * max(1.0, abs(s))
+    h = _STEP_D2F * max(1.0, abs(s))
     h = min(h, 0.5 * s)
     return richardson_second(K.f, s, h)
 
@@ -109,9 +113,14 @@ def s_of_t(K: KahlerPotential, t: float) -> float:
     """Invert the moment map: the s > 0 with 2*s*f'(s) = t.
 
     Brackets by geometric expansion from the initial guess s = t, then runs
-    a bracketed hybrid root-find to ~4 ulp relative.  Raises out-of-range
-    when the expansion cannot straddle t, not-invertible when the moment map
-    is not increasing on the bracket.
+    a safeguarded Newton iteration from the bracket midpoint (Numerical
+    Recipes' rtsafe): each residual r shrinks the bracket by its sign, and
+    the Newton step s - r*s/(dt/ds~) is taken unless it leaves the bracket
+    or the rate is not positive, in which case the bracket is bisected.  It
+    stops once the bracket is ~4 ulp wide relative and returns the end with
+    the smaller residual.  Raises out-of-range when the expansion cannot
+    straddle t, not-invertible when the moment map is not increasing at the
+    bracket ends or the iteration does not converge.
     """
     if not t > 0.0:
         raise OutOfRange(f"t must be positive, got {t}")
@@ -145,7 +154,26 @@ def s_of_t(K: KahlerPotential, t: float) -> float:
             raise NotInvertible(
                 f"moment map not increasing at s = {end}; bracket invalid"
             )
-    root = float(brentq(residual, lo, hi, xtol=1e-300, rtol=4.0 * EPS))
+    s = 0.5 * (lo + hi)
+    for _ in range(_MAX_NEWTON_STEPS):
+        r = residual(s)
+        if r == 0.0:
+            return s
+        if r < 0.0:
+            lo = s
+        else:
+            hi = s
+        if hi - lo <= 4.0 * EPS * hi:
+            break
+        rate = _moment_rate(K, s)
+        # dt/ds = rate/s; the rate is tested before it divides
+        if rate > 0.0 and lo < s - r * s / rate < hi:
+            s -= r * s / rate
+        else:
+            s = 0.5 * (lo + hi)
+    else:
+        raise NotInvertible(f"no convergence inverting t = {t}")
+    root = min((lo, hi), key=lambda end: abs(residual(end)))
     if abs(residual(root)) > 1e-12 * max(1.0, abs(t)):
         raise NotInvertible(f"root finding stalled inverting t = {t}")
     return root

@@ -37,7 +37,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .polytope import MomentPolytope, build_blowup_polytope
-from .radial import TPotential
+from .radial import TPotential, validity_check
 
 # p*t^n - alpha legitimately vanishes only at the endpoints; anything this
 # close to zero in the interior is treated as a pole hit
@@ -227,10 +227,10 @@ class CoefficientCrossCheck:
 
 
 def coefficient_cross_check(
-    n: int, a: float, b: float, tolerance: float = 1e-9
+    solved: ExtremalCoefficients, tolerance: float = 1e-9
 ) -> CoefficientCrossCheck:
-    solved = solve_coefficients(n, a, b)
-    closed = closed_form_coefficients(n, a, b)
+    """Compare solved coefficients against the closed forms at their (n, a, b)."""
+    closed = closed_form_coefficients(solved.n, solved.a, solved.b)
     scale = max(
         1.0, max(abs(v) for v in (solved.A, solved.B, solved.C, solved.D))
     )
@@ -384,22 +384,12 @@ def build_extremal_metric(
     """Polytope, extremal profile, and coefficients for one (n, a, b).
 
     The returned TPotential carries analytic third and fourth derivatives, so
-    the radial curvature pipeline runs on its exact path; positivity of
-    p*t^n - alpha is spot-checked on a uniform interior grid first.
+    the radial curvature pipeline runs on its exact path.  The metric is
+    checked on ``validity_check``'s interior grid first: 1 + t*F'' =
+    p*t^n/(p*t^n - alpha) is positive exactly where p*t^n - alpha is.
     """
     P = build_blowup_polytope(n, a, b)
     E = solve_coefficients(n, a, b)
-
-    ts = a + (b - a) * (np.arange(validation_samples) + 1.0) / (
-        validation_samples + 1.0
-    )
-    for t in ts:
-        alpha, _ = alpha_eval(E, float(t))
-        beta = E.p * float(t) ** n - alpha
-        if beta <= 0.0:
-            raise PositivityViolation(
-                f"p*t^n - alpha = {beta:.3e} at t = {t}; no valid metric"
-            )
 
     T = TPotential(
         n=n,
@@ -409,4 +399,10 @@ def build_extremal_metric(
         d3F=lambda t: _profile_derivatives(E, t)[0],
         d4F=lambda t: _profile_derivatives(E, t)[1],
     )
+    validity = validity_check(T, validation_samples)
+    if not validity.passed:
+        raise PositivityViolation(
+            f"1 + t*F'' = {validity.minimum:.3e} at t = {validity.t_at_minimum};"
+            " no valid metric"
+        )
     return P, T, E

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import bridge as bridge_mod
-from .abreu import SymplecticPotential, abreu_scalar_curvature, extremality_residual
+from .abreu import SymplecticPotential, extremality_residual
 from .calabi import (
     alpha_eval,
     build_extremal_metric,
@@ -173,21 +173,18 @@ def _verify_battery(cfg: RunConfig) -> dict:
     ]
     boundary = [abs(got - want) / max(1.0, abs(want)) for got, want in targets]
 
-    cross = coefficient_cross_check(n, a, b, tolerance=cfg.tolerance_hard)
+    cross = coefficient_cross_check(E, tolerance=cfg.tolerance_hard)
 
     margin = _SAMPLING_MARGIN_FACTOR * (b - a)
     pts = sample_interior(P, cfg.points, margin=margin, seed=cfg.seed)
     pot = SymplecticPotential.from_radial(P, T)
+    fit = extremality_residual(pot, pts)
     curvature_disc = 0.0
     s_scale = 1.0
-    for x in pts:
-        t = float(np.sum(x))
-        rad = radial_scalar_curvature(T, t)
-        gen = abreu_scalar_curvature(pot, x)
-        curvature_disc = max(curvature_disc, abs(gen - rad) / max(1.0, abs(rad)))
+    for sample in fit.samples:
+        rad = radial_scalar_curvature(T, float(np.sum(sample.x)))
+        curvature_disc = max(curvature_disc, abs(sample.S - rad) / max(1.0, abs(rad)))
         s_scale = max(s_scale, abs(rad))
-
-    fit = extremality_residual(pot, pts)
     scaled_residual = fit.max_residual / s_scale
 
     validity = validity_check(T, validity_samples)
@@ -317,8 +314,8 @@ def run_example(cfg: RunConfig) -> tuple[str, int, str]:
     if cfg.n != 2 or cfg.b != 1.0:
         raise InvalidParameters("the worked example is the n=2, b=1 family")
     a = cfg.a
-    cross = coefficient_cross_check(2, a, 1.0, tolerance=cfg.tolerance_hard)
-    E = cross.solved
+    E = solve_coefficients(2, a, 1.0)
+    cross = coefficient_cross_check(E, tolerance=cfg.tolerance_hard)
 
     def quadratic_form(t: float) -> float:
         den = 2 * a * t**2 + t - a**2 * t + 2 * a * t + 2 * a**2

@@ -7,10 +7,9 @@ from typing import Callable
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
-# classic step exponents: h ~ eps^(1/4) balances rounding vs truncation for
-# second derivatives, eps^(1/3) for first derivatives
+# classic step exponent: h ~ eps^(1/4) balances rounding vs truncation for
+# plain second differences
 STEP_SECOND = EPS ** 0.25
-STEP_FIRST = EPS ** (1.0 / 3.0)
 
 
 def central_first(f: Callable[[float], float], x: float, h: float) -> float:

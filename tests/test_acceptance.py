@@ -207,7 +207,7 @@ def test_criterion_10_closed_form_cross_check_is_hard_in_every_dimension():
     worst, where = 0.0, None
     for n in range(1, 9):
         for a, b in ((0.3, 1.0), (0.5, 1.0), (0.7, 1.0), (0.25, 2.0)):
-            r = coefficient_cross_check(n, a, b)
+            r = coefficient_cross_check(solve_coefficients(n, a, b))
             assert set(r.deltas) == {"A", "B", "C", "D"}
             if r.max_delta >= worst:
                 worst, where = r.max_delta, (n, a, b)

@@ -165,6 +165,10 @@ def test_numeric_only_potential_agrees_with_analytic():
     K_ref = fubini_study_potential(1)
     for s in (0.5, 1.0, 2.0):
         assert t_of_s(K, s) == pytest.approx(t_of_s(K_ref, s), rel=1e-9)
+    for s in np.geomspace(0.01, 100.0, 400):
+        s = float(s)
+        assert s_of_t(K, t_of_s(K, s)) == pytest.approx(s, rel=1e-9)
+    assert bridge_cross_check(K, np.linspace(0.25, 4.0, 10)).max_discrepancy <= 1e-3
     # curvature needs four derivatives of f; stacking differences on
     # differences costs ~2 digits, so only ask for the right neighborhood
     assert calabi_scalar_curvature(K, 1.0) == pytest.approx(2.0, abs=0.1)

@@ -82,7 +82,7 @@ def test_solved_coefficients_satisfy_boundary_system(params):
     resid = M @ np.array([E.A, E.B, E.C, E.D]) - rhs
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(resid)) <= 1e-9 * scale
-    assert coefficient_cross_check(n, a, b).status == "ok"
+    assert coefficient_cross_check(E).status == "ok"
 
 
 def test_alpha_eval_interpolates_boundary_data():
@@ -171,7 +171,7 @@ def test_h_second_one_dimensional_case(a, b):
 
 
 def test_cross_check_agrees_on_surface_case():
-    r = coefficient_cross_check(2, 0.5, 1.0)
+    r = coefficient_cross_check(solve_coefficients(2, 0.5, 1.0))
     assert r.max_delta <= 1e-12
     assert r.status == "ok"
 
@@ -179,7 +179,7 @@ def test_cross_check_agrees_on_surface_case():
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("a,b", [(0.5, 1.0), (0.25, 2.0), (0.05, 0.1), (9.0, 10.0)])
 def test_cross_check_agrees_in_every_dimension(n, a, b):
-    r = coefficient_cross_check(n, a, b)
+    r = coefficient_cross_check(solve_coefficients(n, a, b))
     assert r.max_delta <= 1e-12
     assert r.status == "ok"
 

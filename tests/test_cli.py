@@ -13,6 +13,18 @@ def run_cli(*args):
     )
 
 
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, toricext; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=240
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_derive_reference_case():
     r = run_cli("derive", "--n", "2", "--a", "0.5", "--b", "1")
     assert r.returncode == 0, r.stderr
