@@ -7,9 +7,11 @@ The curvature of the metric defined by a potential g with Hessian G is
 with G^{ij} the entries of the inverse Hessian.  Here the inner layer
 (Hessian, then dense inversion) is exact up to rounding whenever an analytic
 Hessian oracle is available, and the outer second derivatives are always
-central finite differences on the polytope interior.  Extremality of a metric
-means S is affine in x; ``extremality_residual`` measures the distance to
-that.
+central finite differences on the polytope interior.  Both layers run on
+whole stacks of points: a Hessian oracle maps (m, n) points to (m, n, n)
+Hessians, and the stencil evaluates every point at once.  Extremality of a
+metric means S is affine in x; ``extremality_residual`` measures the distance
+to that.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ MAX_DIMENSION = 16
 
 @dataclass(frozen=True)
 class SymplecticPotential:
-    """A potential on a polytope, exposed through its Hessian oracle."""
+    """A potential on a polytope, exposed through its Hessian oracle.
+
+    The oracle maps an (m, n) array of points to their (m, n, n) Hessians.
+    """
 
     polytope: MomentPolytope
     hessian_oracle: Callable[[np.ndarray], np.ndarray]
@@ -47,8 +52,7 @@ class SymplecticPotential:
         """Analytic Hessian of the radial potential with profile T."""
 
         def oracle(x: np.ndarray) -> np.ndarray:
-            t = float(np.sum(x))
-            return radial_hessian(x, T.d2F(t))
+            return radial_hessian(x, T.d2F(np.sum(x, axis=-1)))
 
         return cls(polytope=polytope, hessian_oracle=oracle)
 
@@ -62,7 +66,8 @@ class SymplecticPotential:
         """Finite-difference Hessian over a value oracle with inner step h."""
 
         def oracle(x: np.ndarray) -> np.ndarray:
-            return numeric_hessian(g, x, h, polytope=polytope)
+            return np.array([numeric_hessian(g, row, h, polytope=polytope)
+                             for row in x])
 
         return cls(polytope=polytope, hessian_oracle=oracle)
 
@@ -130,24 +135,30 @@ def numeric_hessian(
     return H
 
 
-def _inverse_hessian(P: SymplecticPotential, x: np.ndarray) -> np.ndarray:
+def _inverse_hessians(P: SymplecticPotential, x: np.ndarray) -> np.ndarray:
+    """Stacked inverse Hessians at the (m, n) points x."""
     H = P.hessian_oracle(x)
     try:
         return np.linalg.inv(H)
     except np.linalg.LinAlgError as exc:
-        raise SingularHessian(f"Hessian not invertible at {x}") from exc
+        worst = int(np.argmin(np.linalg.matrix_rank(H)))
+        raise SingularHessian(f"Hessian not invertible at {x[worst]}") from exc
 
 
 def abreu_scalar_curvature(
     P: SymplecticPotential, x, h: Optional[float] = None
-) -> float:
+) -> float | np.ndarray:
     """S(x) = -(1/2) sum_ij d^2 G^{ij}/dx_i dx_j by central differences.
 
-    Default step: eps^(1/4)*max(1, |x|_inf), clamped to a third of the
-    distance to the nearest facet and to 1e-3 outright.  The clamp keeps the
-    stencil interior; the floor-free scale keeps rounding noise (which grows
-    like 1/h^2 through the inversion) from swamping the estimate near the
-    boundary.
+    x is one point (n,), answered with a float, or a stack (m, n), answered
+    with an (m,) array.  Each stencil term inverts the Hessians of all m
+    shifted points at once, so memory is O(m n^2).
+
+    Default step, per point: eps^(1/4)*max(1, |x|_inf), clamped to a third
+    of the distance to the nearest facet and to 1e-3 outright.  The clamp
+    keeps the stencil interior; the floor-free scale keeps rounding noise
+    (which grows like 1/h^2 through the inversion) from swamping the
+    estimate near the boundary.
     """
     x = np.asarray(x, dtype=float)
     n = P.polytope.dimension
@@ -155,41 +166,55 @@ def abreu_scalar_curvature(
         raise InvalidParameters(
             f"dense inversion limited to n <= {MAX_DIMENSION}, got {n}"
         )
-    if x.shape != (n,):
-        raise InvalidParameters(f"point shape {x.shape} != ({n},)")
+    if x.shape[-1:] != (n,) or x.ndim > 2:
+        raise InvalidParameters(
+            f"point shape {x.shape} is neither ({n},) nor (m, {n})"
+        )
+    pts = x.reshape(-1, n)
 
-    dmin = interior_distance(P.polytope, x)
-    if dmin <= 0.0:
-        raise NonInteriorPoint(f"{x} is not interior (min facet value {dmin})")
+    dmin = interior_distance(P.polytope, pts)
+    outside = dmin <= 0.0
+    if np.any(outside):
+        raise NonInteriorPoint(
+            f"{pts[outside][0]} is not interior (min facet value {dmin[outside][0]})"
+        )
     if h is None:
-        h = min(STEP_SECOND * max(1.0, float(np.max(np.abs(x)))), dmin / 3.0, 1e-3)
-    if dmin < 3.0 * h * _max_normal_entry(P.polytope):
+        scale = np.maximum(1.0, np.max(np.abs(pts), axis=1))
+        h = np.minimum(np.minimum(STEP_SECOND * scale, dmin / 3.0), 1e-3)
+    else:
+        h = np.full(len(pts), float(h))
+    exits = dmin < 3.0 * h * _max_normal_entry(P.polytope)
+    if np.any(exits):
         raise StencilExitsDomain(
-            f"outer stencil with step {h:.3e} exits the domain at {x}"
+            f"outer stencil with step {h[exits][0]:.3e} exits the domain at "
+            f"{pts[exits][0]}"
         )
 
-    center = _inverse_hessian(P, x)
-    total = 0.0
+    def shifted(*steps: tuple[int, float]) -> np.ndarray:
+        """The points moved by sign*h along each (axis, sign) of steps."""
+        moved = pts.copy()
+        for axis, sign in steps:
+            moved[:, axis] += sign * h
+        return moved
+
+    hh = h * h
+    center = _inverse_hessians(P, pts)
+    total = np.zeros(len(pts))
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        plus = _inverse_hessian(P, x + ei)
-        minus = _inverse_hessian(P, x - ei)
-        total += (plus[i, i] - 2.0 * center[i, i] + minus[i, i]) / (h * h)
+        plus = _inverse_hessians(P, shifted((i, 1.0)))
+        minus = _inverse_hessians(P, shifted((i, -1.0)))
+        total += (plus[:, i, i] - 2.0 * center[:, i, i] + minus[:, i, i]) / hh
     for i in range(n):
         for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
             mixed = (
-                _inverse_hessian(P, x + ei + ej)[i, j]
-                - _inverse_hessian(P, x + ei - ej)[i, j]
-                - _inverse_hessian(P, x - ei + ej)[i, j]
-                + _inverse_hessian(P, x - ei - ej)[i, j]
-            ) / (4.0 * h * h)
+                _inverse_hessians(P, shifted((i, 1.0), (j, 1.0)))[:, i, j]
+                - _inverse_hessians(P, shifted((i, 1.0), (j, -1.0)))[:, i, j]
+                - _inverse_hessians(P, shifted((i, -1.0), (j, 1.0)))[:, i, j]
+                + _inverse_hessians(P, shifted((i, -1.0), (j, -1.0)))[:, i, j]
+            ) / (4.0 * hh)
             total += 2.0 * mixed  # (i,j) and (j,i) contribute equally
-    return float(-0.5 * total)
+    S = -0.5 * total
+    return float(S[0]) if x.ndim == 1 else S
 
 
 def extremality_residual(
@@ -210,7 +235,7 @@ def extremality_residual(
     if m < n + 1:
         raise DegeneratePointSet(f"need >= {n + 1} points, got {m}")
 
-    S = np.array([abreu_scalar_curvature(P, x, h) for x in pts])
+    S = abreu_scalar_curvature(P, pts, h)
     design = np.hstack([pts, np.ones((m, 1))])
     col_scale = np.max(np.abs(design), axis=0)
     col_scale[col_scale == 0.0] = 1.0

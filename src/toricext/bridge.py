@@ -22,13 +22,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     DomainViolation,
     NonpositiveDerivative,
     NotInvertible,
     OutOfRange,
 )
-from .numdiff import EPS, richardson_first, richardson_second
+from .numdiff import EPS, power, richardson_first, richardson_second
 from .radial import TPotential, radial_scalar_curvature
 
 # base step (in s~) for the v and t' difference stencils: these functions are
@@ -227,31 +229,58 @@ def induced_t_potential(
     differences.  Evaluating the relation exactly instead of differencing
     F values keeps the induced profile at analytic accuracy, which the
     downstream curvature formula needs.
+
+    The derivatives honour the TPotential array contract by mapping the
+    scalar moment-map inversion over the elements of t.  The curvature asks
+    for F'', F''' and F'''' in turn at the same t, so all three come from
+    one jet per t (one inversion, one pair of rate slopes), and the jets of
+    the t asked for last are kept.
     """
 
-    def rate_at(t: float) -> tuple[float, float]:
+    def jet(t: float) -> tuple[float, float, float]:
+        """dt/ds~ and its first two s~-derivatives at the s~ of t."""
         st = math.log(s_of_t(K, t))
         u2 = _moment_rate(K, math.exp(st))
         if u2 <= 0.0:
             raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
-        return st, u2
+        h = _LOG_STEP * max(1.0, abs(st))
 
-    def d2F(t: float) -> float:
-        _, u2 = rate_at(t)
+        def rate(z: float) -> float:
+            return _moment_rate(K, math.exp(z))
+
+        return u2, richardson_first(rate, st, h), richardson_second(rate, st, h)
+
+    # (key, jets) of the t asked for last, replaced in one assignment
+    last: list = [None]
+
+    def jets(t: np.ndarray) -> np.ndarray:
+        """The jet of every element of t, stacked on a new first axis."""
+        key = (t.shape, t.tobytes())
+        entry = last[0]
+        if entry is None or entry[0] != key:
+            rows = [jet(tk) for tk in t.ravel().tolist()]
+            entry = (key, np.array(rows, dtype=float).reshape(t.shape + (3,)))
+            last[0] = entry
+        return np.moveaxis(entry[1], -1, 0)
+
+    def d2F(t):
+        t = np.asarray(t, dtype=float)
+        u2, _, _ = jets(t)
         return 1.0 / u2 - 1.0 / t
 
-    def d3F(t: float) -> float:
-        st, u2 = rate_at(t)
-        h = _LOG_STEP * max(1.0, abs(st))
-        du2 = richardson_first(lambda z: _moment_rate(K, math.exp(z)), st, h)
-        return -du2 / u2**3 + 1.0 / t**2
+    def d3F(t):
+        t = np.asarray(t, dtype=float)
+        u2, du2, _ = jets(t)
+        return -du2 / power(u2, 3) + 1.0 / power(t, 2)
 
-    def d4F(t: float) -> float:
-        st, u2 = rate_at(t)
-        h = _LOG_STEP * max(1.0, abs(st))
-        du2 = richardson_first(lambda z: _moment_rate(K, math.exp(z)), st, h)
-        ddu2 = richardson_second(lambda z: _moment_rate(K, math.exp(z)), st, h)
-        return -ddu2 / u2**4 + 3.0 * du2**2 / u2**5 - 2.0 / t**3
+    def d4F(t):
+        t = np.asarray(t, dtype=float)
+        u2, du2, ddu2 = jets(t)
+        return (
+            -ddu2 / power(u2, 4)
+            + 3.0 * power(du2, 2) / power(u2, 5)
+            - 2.0 / power(t, 3)
+        )
 
     return TPotential(
         n=K.n,
@@ -287,7 +316,8 @@ def bridge_cross_check(
     """Compare the Kahler-side curvature against the radial pipeline.
 
     Each sample s is pushed to t = t_of_s(s); the radial formula then runs
-    on the induced TPotential at t while Calabi's formula runs at s.
+    on the induced TPotential at all the t at once, while Calabi's formula
+    runs at each s.
     """
     s_values = [float(s) for s in s_samples]
     if not s_values:
@@ -295,11 +325,12 @@ def bridge_cross_check(
     ts = [t_of_s(K, s) for s in s_values]
     T = induced_t_potential(K, 0.0, 2.0 * max(ts) + 1.0)
 
+    polytope_side = radial_scalar_curvature(T, np.array(ts)).tolist()
+
     rows = []
     worst = 0.0
-    for s, t in zip(s_values, ts):
+    for s, t, rad in zip(s_values, ts, polytope_side):
         kah = calabi_scalar_curvature(K, s)
-        rad = radial_scalar_curvature(T, t)
         diff = abs(kah - rad)
         worst = max(worst, diff)
         rows.append(

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .errors import (
     SingularSystem,
     ZeroDenominator,
 )
+from .numdiff import power
 from .polytope import MomentPolytope, build_blowup_polytope
 from .radial import TPotential, validity_check
 
@@ -84,6 +87,24 @@ class ExtremalCoefficients:
     @property
     def p(self) -> float:
         return float(self.n * (self.n + 1) * (self.n + 2))
+
+    # polynomial data of the profile, built once per coefficient set; the
+    # arrays are read-only because every evaluation shares them
+    @cached_property
+    def _alpha(self) -> np.ndarray:
+        return _read_only(_alpha_coeffs(self))
+
+    @cached_property
+    def _d_alpha(self) -> np.ndarray:
+        return _read_only(np.polyder(self._alpha))
+
+    @cached_property
+    def _d2_alpha(self) -> np.ndarray:
+        return _read_only(np.polyder(self._d_alpha))
+
+    @cached_property
+    def _deflated(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        return _deflation(self)
 
 
 def _boundary_rows(n: int, a, b) -> list:
@@ -250,6 +271,11 @@ def coefficient_cross_check(
     )
 
 
+def _read_only(coeffs: np.ndarray) -> np.ndarray:
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def _alpha_coeffs(E: ExtremalCoefficients) -> np.ndarray:
     """Descending coefficients of alpha (degree n+2)."""
     n, p = E.n, E.p
@@ -263,59 +289,60 @@ def _alpha_coeffs(E: ExtremalCoefficients) -> np.ndarray:
 
 def _beta_coeffs(E: ExtremalCoefficients) -> np.ndarray:
     """Descending coefficients of beta = p*t^n - alpha (degree n+2)."""
-    coeffs = -_alpha_coeffs(E)
+    coeffs = -E._alpha
     coeffs[2] += E.p  # the p*t^n term sits two slots below the leading one
     return coeffs
 
 
 def alpha_eval(E: ExtremalCoefficients, t: float) -> tuple[float, float]:
     """(alpha(t), alpha'(t)) by Horner evaluation."""
-    coeffs = _alpha_coeffs(E)
-    return float(np.polyval(coeffs, t)), float(np.polyval(np.polyder(coeffs), t))
+    return float(np.polyval(E._alpha, t)), float(np.polyval(E._d_alpha, t))
 
 
-def _check_profile_domain(E: ExtremalCoefficients, t: float) -> None:
-    if not E.a < t < E.b:
-        raise DomainViolation(f"t = {t} outside ({E.a}, {E.b})")
+def _check_profile_domain(E: ExtremalCoefficients, t: np.ndarray) -> None:
+    outside = ~((E.a < t) & (t < E.b))
+    if np.any(outside):
+        raise DomainViolation(f"t = {t[outside][0]} outside ({E.a}, {E.b})")
 
 
-def _beta_guarded(E: ExtremalCoefficients, t: float) -> float:
-    """beta(t) with the interior pole guard."""
-    alpha, _ = alpha_eval(E, t)
-    ptn = E.p * t**E.n
-    beta = ptn - alpha
-    if abs(beta) <= POLE_REL_TOL * abs(ptn):
-        raise PotentialPole(f"p*t^n - alpha vanishes at t = {t}")
+def _beta_guarded(E: ExtremalCoefficients, t: np.ndarray) -> np.ndarray:
+    """beta(t) with the interior pole guard, elementwise."""
+    ptn = E.p * power(t, E.n)
+    beta = ptn - np.polyval(E._alpha, t)
+    pole = np.abs(beta) <= POLE_REL_TOL * np.abs(ptn)
+    if np.any(pole):
+        raise PotentialPole(f"p*t^n - alpha vanishes at t = {t[pole][0]}")
     return beta
 
 
-def extremal_F_second(E: ExtremalCoefficients, t: float) -> float:
+def extremal_F_second(E: ExtremalCoefficients, t):
     """F''(t) = p*t^(n-1)/(p*t^n - alpha(t)) - 1/t on (a, b).
 
-    Validity of the metric is exactly positivity of the denominator.
+    Takes a scalar or an array of t.  Validity of the metric is exactly
+    positivity of the denominator.
     """
+    t = np.asarray(t, dtype=float)
     _check_profile_domain(E, t)
     beta = _beta_guarded(E, t)
-    return E.p * t ** (E.n - 1) / beta - 1.0 / t
+    return E.p * power(t, E.n - 1) / beta - 1.0 / t
 
 
-def _profile_derivatives(E: ExtremalCoefficients, t: float) -> tuple[float, float]:
+def _profile_derivatives(E: ExtremalCoefficients, t):
     """(F''', F'''') at t, differentiating r = p*t^(n-1)/beta analytically."""
     n, p = E.n, E.p
+    t = np.asarray(t, dtype=float)
     beta = _beta_guarded(E, t)
-    alpha_c = _alpha_coeffs(E)
-    d_alpha = np.polyder(alpha_c)
-    d2_alpha = np.polyder(d_alpha)
-    beta1 = n * p * t ** (n - 1) - float(np.polyval(d_alpha, t))
-    beta2 = n * (n - 1) * p * t ** (n - 2) - float(np.polyval(d2_alpha, t))
-    r1 = p * ((n - 1) * t ** (n - 2) / beta - t ** (n - 1) * beta1 / beta**2)
+    beta1 = n * p * power(t, n - 1) - np.polyval(E._d_alpha, t)
+    beta2 = n * (n - 1) * p * power(t, n - 2) - np.polyval(E._d2_alpha, t)
+    beta_sq = power(beta, 2)
+    r1 = p * ((n - 1) * power(t, n - 2) / beta - power(t, n - 1) * beta1 / beta_sq)
     r2 = p * (
-        (n - 1) * (n - 2) * t ** (n - 3) / beta
-        - 2.0 * (n - 1) * t ** (n - 2) * beta1 / beta**2
-        - t ** (n - 1) * beta2 / beta**2
-        + 2.0 * t ** (n - 1) * beta1**2 / beta**3
+        (n - 1) * (n - 2) * power(t, n - 3) / beta
+        - 2.0 * (n - 1) * power(t, n - 2) * beta1 / beta_sq
+        - power(t, n - 1) * beta2 / beta_sq
+        + 2.0 * power(t, n - 1) * power(beta1, 2) / power(beta, 3)
     )
-    return r1 + 1.0 / t**2, r2 - 2.0 / t**3
+    return r1 + 1.0 / power(t, 2), r2 - 2.0 / power(t, 3)
 
 
 def _deflate(coeffs: np.ndarray, root: float) -> tuple[np.ndarray, float]:
@@ -328,24 +355,10 @@ def _deflate(coeffs: np.ndarray, root: float) -> tuple[np.ndarray, float]:
     return quot, float(acc)
 
 
-def h_second(E: ExtremalCoefficients, t: float) -> float:
-    """h''(t) = F''(t) - (b-a)/((t-a)(b-t)), the facet-regular remainder.
-
-    Near the endpoints the two terms are individually singular with exactly
-    cancelling poles, so the naive difference loses up to four digits to
-    cancellation in beta.  When the boundary identities hold, the combined
-    numerator P = p*t^(n-1)*(t-a)*(b-t) - (b-a)*beta has double roots at both
-    endpoints and beta has simple ones; dividing them out once and for all
-    gives the cancellation-free form
-
-        h''(t) = -V(t)/Q(t) - 1/t,
-        V = P / ((t-a)^2 (t-b)^2),   Q = beta / ((t-a)(t-b)),
-
-    evaluated here via synthetic division.  Coefficient sets that violate the
-    identities (large deflation remainders) fall back to the naive formula.
-    """
-    _check_profile_domain(E, t)
-    n, p, a, b, c = E.n, E.p, E.a, E.b, E.c
+def _deflation(E: ExtremalCoefficients) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(V, Q) of the cancellation-free form of ``h_second``, or None when the
+    deflation remainders are too large for the boundary identities to hold."""
+    p, a, b, c = E.p, E.a, E.b, E.c
 
     beta_c = _beta_coeffs(E)
     P = -c * beta_c
@@ -362,15 +375,41 @@ def h_second(E: ExtremalCoefficients, t: float) -> float:
     Q, rem_a = _deflate(beta_c, a)
     Q, rem_b = _deflate(Q, b)
     rems += [abs(rem_a) / b_scale, abs(rem_b) / b_scale]
-
     if max(rems) > _DEFLATION_REL_TOL:
-        # boundary identities fail for this coefficient set
-        return extremal_F_second(E, t) - c / ((t - a) * (b - t))
+        return None
+    return _read_only(V), _read_only(Q)
 
-    q_val = float(np.polyval(Q, t))
-    if q_val == 0.0:
-        raise PotentialPole(f"deflated denominator vanishes at t = {t}")
-    return -float(np.polyval(V, t)) / q_val - 1.0 / t
+
+def h_second(E: ExtremalCoefficients, t):
+    """h''(t) = F''(t) - (b-a)/((t-a)(b-t)), the facet-regular remainder.
+
+    Near the endpoints the two terms are individually singular with exactly
+    cancelling poles, so the naive difference loses up to four digits to
+    cancellation in beta.  When the boundary identities hold, the combined
+    numerator P = p*t^(n-1)*(t-a)*(b-t) - (b-a)*beta has double roots at both
+    endpoints and beta has simple ones; dividing them out once and for all
+    gives the cancellation-free form
+
+        h''(t) = -V(t)/Q(t) - 1/t,
+        V = P / ((t-a)^2 (t-b)^2),   Q = beta / ((t-a)(t-b)),
+
+    with V and Q found once per coefficient set by synthetic division.
+    Coefficient sets that violate the identities (large deflation
+    remainders) fall back to the naive formula.  Takes a scalar or an array
+    of t.
+    """
+    t = np.asarray(t, dtype=float)
+    _check_profile_domain(E, t)
+    if E._deflated is None:
+        # boundary identities fail for this coefficient set
+        return extremal_F_second(E, t) - E.c / ((t - E.a) * (E.b - t))
+
+    V, Q = E._deflated
+    q_val = np.polyval(Q, t)
+    zero = q_val == 0.0
+    if np.any(zero):
+        raise PotentialPole(f"deflated denominator vanishes at t = {t[zero][0]}")
+    return -np.polyval(V, t) / q_val - 1.0 / t
 
 
 def extremal_scalar_curvature(E: ExtremalCoefficients, t: float) -> float:

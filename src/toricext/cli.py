@@ -35,6 +35,7 @@ from .calabi import (
     solve_coefficients,
 )
 from .errors import DimensionMismatch, GeometryError, InvalidParameters
+from .numdiff import power
 from .polytope import sample_interior
 from .radial import radial_scalar_curvature, validity_check
 
@@ -131,11 +132,8 @@ def run_profile(cfg: RunConfig) -> str:
     if not 0.0 < margin < 0.5 * (cfg.b - cfg.a):
         raise InvalidParameters(f"margin {margin} leaves no interior grid")
     ts = np.linspace(cfg.a + margin, cfg.b - margin, rows_n)
-    table = [
-        (float(t), extremal_F_second(E, float(t)), h_second(E, float(t)),
-         E.A * float(t) + E.B)
-        for t in ts
-    ]
+    columns = (ts, extremal_F_second(E, ts), h_second(E, ts), E.A * ts + E.B)
+    table = list(zip(*(column.tolist() for column in columns)))
     if cfg.fmt in (None, "csv"):
         lines = ["t,F_second,h_second,S"]
         lines += [",".join(_fmt_float(v) for v in row) for row in table]
@@ -179,12 +177,10 @@ def _verify_battery(cfg: RunConfig) -> dict:
     pts = sample_interior(P, cfg.points, margin=margin, seed=cfg.seed)
     pot = SymplecticPotential.from_radial(P, T)
     fit = extremality_residual(pot, pts)
-    curvature_disc = 0.0
-    s_scale = 1.0
-    for sample in fit.samples:
-        rad = radial_scalar_curvature(T, float(np.sum(sample.x)))
-        curvature_disc = max(curvature_disc, abs(sample.S - rad) / max(1.0, abs(rad)))
-        s_scale = max(s_scale, abs(rad))
+    abreu_S = np.array([sample.S for sample in fit.samples])
+    rad = radial_scalar_curvature(T, np.sum(pts, axis=1))
+    curvature_disc = float(np.max(np.abs(abreu_S - rad) / np.maximum(1.0, np.abs(rad))))
+    s_scale = max(1.0, float(np.max(np.abs(rad))))
     scaled_residual = fit.max_residual / s_scale
 
     validity = validity_check(T, validity_samples)
@@ -317,17 +313,16 @@ def run_example(cfg: RunConfig) -> tuple[str, int, str]:
     E = solve_coefficients(2, a, 1.0)
     cross = coefficient_cross_check(E, tolerance=cfg.tolerance_hard)
 
-    def quadratic_form(t: float) -> float:
-        den = 2 * a * t**2 + t - a**2 * t + 2 * a * t + 2 * a**2
+    def quadratic_form(t: np.ndarray) -> np.ndarray:
+        den = 2 * a * power(t, 2) + t - a**2 * t + 2 * a * t + 2 * a**2
         return 2 * a * (1 - a) / den - 1.0 / t
 
     count = cfg.samples if cfg.samples is not None else 50
     margin = (1.0 - a) * 1e-3
     ts = np.linspace(a + margin, 1.0 - margin, count)
-    form_delta = max(
-        abs(h_second(E, float(t)) - quadratic_form(float(t)))
-        / max(1.0, abs(quadratic_form(float(t))))
-        for t in ts
+    form = quadratic_form(ts)
+    form_delta = float(
+        np.max(np.abs(h_second(E, ts) - form) / np.maximum(1.0, np.abs(form)))
     )
     midpoint = 0.5 * (a + 1.0)
     checks = {

@@ -1,4 +1,9 @@
-"""Central-difference stencils shared by the curvature pipelines."""
+"""Central-difference stencils and the integer power shared by the curvature
+pipelines.
+
+Profile and curvature primitives take a scalar or an ndarray of t and answer
+in kind, and a value is the same whichever way it was asked for.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,16 @@ EPS = float(np.finfo(float).eps)
 # classic step exponent: h ~ eps^(1/4) balances rounding vs truncation for
 # plain second differences
 STEP_SECOND = EPS ** 0.25
+
+
+def power(x, k: int):
+    """x**k elementwise through the C library's pow, as Python's float ** does.
+
+    numpy's own ** on arrays uses a SIMD pow that rounds differently in the
+    last bit, so the same formula evaluated at a float and inside an array
+    would disagree; np.float_power keeps every evaluation bit for bit equal.
+    """
+    return np.float_power(x, k)
 
 
 def central_first(f: Callable[[float], float], x: float, h: float) -> float:

@@ -98,20 +98,28 @@ def build_blowup_polytope(n: int, a: float, b: float) -> MomentPolytope:
 
 
 def facet_values(P: MomentPolytope, x) -> np.ndarray:
-    """All facet values (l_1(x), ..., l_k(x)) in facet order."""
+    """All facet values (l_1(x), ..., l_k(x)) in facet order.
+
+    x is one point (n,) or a stack (..., n); the facet values run along the
+    last axis of the result.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (P.dimension,):
+    if x.shape[-1:] != (P.dimension,):
         raise DimensionMismatch(
-            f"point has shape {x.shape}, expected ({P.dimension},)"
+            f"point has shape {x.shape}, expected (..., {P.dimension})"
         )
     normals = np.array([f.normal for f in P.facets], dtype=float)
     offsets = np.array([f.offset for f in P.facets])
-    return normals @ x + offsets
+    return x @ normals.T + offsets
 
 
-def interior_distance(P: MomentPolytope, x) -> float:
-    """Distance to the boundary in facet-value units (min facet value)."""
-    return float(np.min(facet_values(P, x)))
+def interior_distance(P: MomentPolytope, x):
+    """Distance to the boundary in facet-value units (min facet value).
+
+    A float for one point (n,), an array of shape (...) for a stack (..., n).
+    """
+    d = np.min(facet_values(P, x), axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def sample_interior(

@@ -11,13 +11,14 @@ curvature collapses to a one-variable expression
     S(t) = t^(1-n) * u''(t),    u(t) = t^(n+1) * F''(t) / (1 + t*F''(t)),
 
 which this module evaluates either analytically (when F''' and F'''' are
-supplied) or by central differences on u.
+supplied) or by central differences on u.  The curvature, the Hessian and
+the validity grid all work on whole arrays of points at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -27,13 +28,14 @@ from .errors import (
     InvalidParameters,
     NonInteriorPoint,
 )
-from .numdiff import STEP_SECOND, central_second, richardson_second
+from .numdiff import EPS, STEP_SECOND, central_second, power, richardson_second
 
 # 1 + t*F'' at or below this is treated as a degenerate metric: the rank-one
 # inverse divides by it, and anything this small is cancellation noise anyway
 DEGENERACY_TOL = 1e-14
 
-ScalarFn = Callable[[float], float]
+# a profile derivative: t array in, values of the same shape (or a constant) out
+ProfileFn = Callable[[np.ndarray], Union[np.ndarray, float]]
 
 
 @dataclass(frozen=True)
@@ -44,15 +46,19 @@ class TPotential:
     Hessian, so F itself is kept optional and used solely by the Kahler-side
     round trips.  When d3F and d4F are present the curvature pipeline uses
     them; otherwise it falls back to finite differences.
+
+    Array contract: d2F, d3F and d4F receive an ndarray of t (0-d for a
+    single point) and return values of the same shape; a constant return
+    value broadcasts.  F is only ever called with a float.
     """
 
     n: int
     t_min: float
     t_max: float
-    d2F: ScalarFn
-    d3F: Optional[ScalarFn] = None
-    d4F: Optional[ScalarFn] = None
-    F: Optional[ScalarFn] = None
+    d2F: ProfileFn
+    d3F: Optional[ProfileFn] = None
+    d4F: Optional[ProfileFn] = None
+    F: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -76,19 +82,34 @@ class ValidityResult:
 
 
 def _check_interior(x: np.ndarray) -> None:
-    if np.any(x <= 0.0):
-        raise NonInteriorPoint(f"point {x} has a nonpositive coordinate")
+    bad = np.any(x <= 0.0, axis=-1)
+    if np.any(bad):
+        raise NonInteriorPoint(f"point {x[bad][0]} has a nonpositive coordinate")
 
 
-def radial_hessian(x, d2F_value: float) -> np.ndarray:
+def _check_nondegenerate(den, t) -> None:
+    """Refuse every t where den = 1 + t*F'' is not safely positive."""
+    den, t = np.broadcast_arrays(den, t)
+    bad = den <= DEGENERACY_TOL
+    if np.any(bad):
+        raise DegenerateMetric(f"1 + t*F'' = {den[bad][0]:.3e} at t = {t[bad][0]}")
+
+
+def radial_hessian(x, d2F_value) -> np.ndarray:
     """Hessian of the radial potential at x: G_ij = (delta_ij/x_i + F'')/2.
 
-    Positive definite exactly when 1 + t*F'' > 0 (with t = sum x).
+    x is one point (n,) with a scalar F'', or a stack (..., n) with F''
+    values of shape (...); the result is (n, n) or (..., n, n).  Positive
+    definite exactly when 1 + t*F'' > 0 (with t = sum x).
     """
     x = np.asarray(x, dtype=float)
     _check_interior(x)
-    n = x.size
-    return 0.5 * np.diag(1.0 / x) + 0.5 * d2F_value * np.ones((n, n))
+    n = x.shape[-1]
+    radial = 0.5 * np.asarray(d2F_value, dtype=float)
+    G = np.broadcast_to(radial[..., None, None], x.shape[:-1] + (n, n)).copy()
+    diag = np.arange(n)
+    G[..., diag, diag] += 0.5 * (1.0 / x)
+    return G
 
 
 def radial_hessian_inverse(x, d2F_value: float) -> np.ndarray:
@@ -101,42 +122,43 @@ def radial_hessian_inverse(x, d2F_value: float) -> np.ndarray:
     _check_interior(x)
     t = float(np.sum(x))
     den = 1.0 + t * d2F_value
-    if den <= DEGENERACY_TOL:
-        raise DegenerateMetric(f"1 + t*F'' = {den:.3e} at t = {t}")
+    _check_nondegenerate(den, t)
     return 2.0 * (np.diag(x) - d2F_value * np.outer(x, x) / den)
 
 
-def _w(T: TPotential, t: float) -> float:
+def _w(T: TPotential, t: np.ndarray):
     """W = F''/(1 + t*F''), guarded against the degenerate locus."""
     f2 = T.d2F(t)
     den = 1.0 + t * f2
-    if den <= DEGENERACY_TOL:
-        raise DegenerateMetric(f"1 + t*F'' = {den:.3e} at t = {t}")
+    _check_nondegenerate(den, t)
     return f2 / den
 
 
-def _check_domain(T: TPotential, t: float) -> None:
-    if not T.t_min < t < T.t_max:
+def _check_domain(T: TPotential, t: np.ndarray) -> None:
+    outside = ~((T.t_min < t) & (t < T.t_max))
+    if np.any(outside):
         raise DomainViolation(
-            f"t = {t} outside ({T.t_min}, {T.t_max})"
+            f"t = {t[outside][0]} outside ({T.t_min}, {T.t_max})"
         )
 
 
 def radial_scalar_curvature(
     T: TPotential,
-    t: float,
+    t,
     method: str = "auto",
     step: Optional[float] = None,
     use_richardson: bool = True,
-) -> float:
+):
     """Scalar curvature S(t) = t^(1-n) * u''(t) of the radial metric.
 
-    method="analytic" differentiates u symbolically through F''..F'''' and
-    requires d3F/d4F on the potential; method="fd" runs central differences
-    on u with step ``step or eps^(1/4)*max(1,|t|)`` (shrunk to fit the
-    domain), plus one Richardson level unless ``use_richardson`` is off.
-    "auto" picks analytic when the derivatives are available.
+    Takes a scalar or an array of t and answers in kind.  method="analytic"
+    differentiates u symbolically through F''..F'''' and requires d3F/d4F
+    on the potential; method="fd" runs central differences on u with step
+    ``step or eps^(1/4)*max(1,|t|)`` (shrunk to fit the domain), plus one
+    Richardson level unless ``use_richardson`` is off.  "auto" picks
+    analytic when the derivatives are available.
     """
+    t = np.asarray(t, dtype=float)
     _check_domain(T, t)
     if method == "auto":
         method = "analytic" if T.has_analytic_derivatives() else "fd"
@@ -149,39 +171,39 @@ def radial_scalar_curvature(
     raise InvalidParameters(f"unknown method {method!r}")
 
 
-def _curvature_analytic(T: TPotential, t: float) -> float:
+def _curvature_analytic(T: TPotential, t: np.ndarray):
     f2 = T.d2F(t)
     f3 = T.d3F(t)
     f4 = T.d4F(t)
     den = 1.0 + t * f2
-    if den <= DEGENERACY_TOL:
-        raise DegenerateMetric(f"1 + t*F'' = {den:.3e} at t = {t}")
+    _check_nondegenerate(den, t)
     # W = F''/den and its t-derivatives; den' = F'' + t*F'''
     dden = f2 + t * f3
     w = f2 / den
-    w1 = (f3 - f2 * f2) / den**2
-    w2 = ((f4 - 2.0 * f2 * f3) * den - 2.0 * (f3 - f2 * f2) * dden) / den**3
+    w1 = (f3 - f2 * f2) / power(den, 2)
+    w2 = ((f4 - 2.0 * f2 * f3) * den - 2.0 * (f3 - f2 * f2) * dden) / power(den, 3)
     # t^(1-n) * d^2/dt^2 [t^(n+1) W] with the power prefactors cancelled
     n = T.n
     return n * (n + 1) * w + 2.0 * (n + 1) * t * w1 + t * t * w2
 
 
 def _curvature_fd(
-    T: TPotential, t: float, step: Optional[float], use_richardson: bool
-) -> float:
-    h = step if step is not None else STEP_SECOND * max(1.0, abs(t))
-    room = min(t - T.t_min, T.t_max - t)
-    h = min(h, 0.5 * room)
-    if h <= 16.0 * np.finfo(float).eps * max(1.0, abs(t)):
+    T: TPotential, t: np.ndarray, step: Optional[float], use_richardson: bool
+):
+    h = step if step is not None else STEP_SECOND * np.maximum(1.0, np.abs(t))
+    room = np.minimum(t - T.t_min, T.t_max - t)
+    h = np.minimum(h, 0.5 * room)
+    cramped = h <= 16.0 * EPS * np.maximum(1.0, np.abs(t))
+    if np.any(cramped):
         raise DomainViolation(
-            f"no room for a difference stencil at t = {t}"
+            f"no room for a difference stencil at t = {t[cramped][0]}"
         )
 
-    def u(tau: float) -> float:
-        return tau ** (T.n + 1) * _w(T, tau)
+    def u(tau: np.ndarray):
+        return power(tau, T.n + 1) * _w(T, tau)
 
     diff = richardson_second if use_richardson else central_second
-    return t ** (1 - T.n) * diff(u, t, h)
+    return power(t, 1 - T.n) * diff(u, t, h)
 
 
 def validity_check(T: TPotential, samples: int) -> ValidityResult:
@@ -189,7 +211,7 @@ def validity_check(T: TPotential, samples: int) -> ValidityResult:
     if samples < 1:
         raise InvalidParameters("samples must be >= 1")
     ts = T.t_min + (T.t_max - T.t_min) * (np.arange(samples) + 1.0) / (samples + 1.0)
-    values = np.array([1.0 + t * T.d2F(t) for t in ts])
+    values = 1.0 + ts * T.d2F(ts)
     k = int(np.argmin(values))
     return ValidityResult(
         passed=bool(values[k] > 0.0),

@@ -4,8 +4,11 @@ import pytest
 from toricext import (
     AffineFacet,
     DegeneratePointSet,
+    DomainViolation,
     InvalidParameters,
     MomentPolytope,
+    NonInteriorPoint,
+    SingularHessian,
     StencilExitsDomain,
     SymplecticPotential,
     TPotential,
@@ -14,9 +17,11 @@ from toricext import (
     build_extremal_metric,
     extremal_F_second,
     extremality_residual,
+    interior_distance,
     numeric_hessian,
     sample_interior,
 )
+from toricext.numdiff import STEP_SECOND
 from util import cpn_profile, flat_profile, simplex_polytope
 
 
@@ -165,3 +170,128 @@ def test_extremality_residual_rejects_collinear_points():
     pts = np.array([[0.3, 0.35], [0.33, 0.38], [0.36, 0.41], [0.39, 0.44]])
     with pytest.raises(DegeneratePointSet):
         extremality_residual(S, pts)
+
+
+# --- batched stencil against the per-point reference -----------------------
+
+
+def _reference_abreu(P, x, h=None):
+    """Abreu's stencil one point at a time, as the package evaluated it
+    before the stencil was batched: the reference the batched form must
+    reproduce."""
+    x = np.asarray(x, dtype=float)
+    n = P.polytope.dimension
+    dmin = interior_distance(P.polytope, x)
+    if h is None:
+        h = min(STEP_SECOND * max(1.0, float(np.max(np.abs(x)))), dmin / 3.0, 1e-3)
+
+    def inv(y):
+        return np.linalg.inv(P.hessian_oracle(y[None, :])[0])
+
+    center = inv(x)
+    total = 0.0
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        total += (inv(x + ei)[i, i] - 2.0 * center[i, i] + inv(x - ei)[i, i]) / (h * h)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ei = np.zeros(n)
+            ej = np.zeros(n)
+            ei[i] = h
+            ej[j] = h
+            mixed = (
+                inv(x + ei + ej)[i, j]
+                - inv(x + ei - ej)[i, j]
+                - inv(x - ei + ej)[i, j]
+                + inv(x - ei - ej)[i, j]
+            ) / (4.0 * h * h)
+            total += 2.0 * mixed
+    return -0.5 * total
+
+
+def _points_between(n, a, b, m, seed):
+    """m points well inside the (n, a, b) blow-up polytope, any dimension."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(a + 0.1 * (b - a), b - 0.1 * (b - a), m)
+    w = rng.uniform(0.5, 1.0, (m, n))
+    return t[:, None] * w / np.sum(w, axis=1, keepdims=True)
+
+
+def _guillemin_value(b):
+    """Value oracle of a Guillemin-type potential on the size-b simplex."""
+
+    def g(x):
+        rest = b - np.sum(x)
+        return 0.5 * float(np.sum(x * np.log(x)) + rest * np.log(rest))
+
+    return g
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_stencil_matches_per_point_reference(n):
+    a, b = 0.5, 1.0
+    P, T, _ = build_extremal_metric(n, a, b)
+    radial = SymplecticPotential.from_radial(P, T)
+    pts = _points_between(n, a, b, 10, seed=n)
+    want = [_reference_abreu(radial, x) for x in pts]
+    np.testing.assert_allclose(abreu_scalar_curvature(radial, pts), want, rtol=1e-8)
+
+    valued = SymplecticPotential.from_value_oracle(P, _guillemin_value(b), h=1e-3)
+    few = pts[:2]
+    want = [_reference_abreu(valued, x) for x in few]
+    np.testing.assert_allclose(abreu_scalar_curvature(valued, few), want, rtol=1e-8)
+
+
+def test_single_point_answers_with_a_float():
+    P, T, _ = build_extremal_metric(2, 0.5, 1.0)
+    S = SymplecticPotential.from_radial(P, T)
+    x = np.array([0.35, 0.4])
+    one = abreu_scalar_curvature(S, x)
+    assert isinstance(one, float)
+    stacked = abreu_scalar_curvature(S, x[None, :])
+    assert stacked.shape == (1,) and stacked[0] == one
+
+
+@pytest.mark.parametrize(
+    "bad, h, error",
+    [
+        ([0.0, 0.6], None, NonInteriorPoint),  # on a coordinate facet
+        ([0.002, 0.6], 1e-3, StencilExitsDomain),  # stencil reaches past x_0 = 0
+        ([0.27, 0.28], None, DomainViolation),  # t = 0.55 below the profile's a
+    ],
+)
+def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
+    # the profile lives on (0.6, 1), the polytope on (0.5, 1)
+    _, T, _ = build_extremal_metric(2, 0.6, 1.0)
+    S = SymplecticPotential.from_radial(build_blowup_polytope(2, 0.5, 1.0), T)
+    good = np.array([[0.35, 0.4], [0.3, 0.5], [0.45, 0.35]])
+    with pytest.raises(error):
+        abreu_scalar_curvature(S, np.array(bad), h=h)
+    batch = np.insert(good, 1, bad, axis=0)
+    with pytest.raises(error):
+        abreu_scalar_curvature(S, batch, h=h)
+    abreu_scalar_curvature(S, good, h=h)  # the rest of the batch is fine
+
+
+def test_point_shape_is_checked():
+    P = build_blowup_polytope(2, 0.5, 1.0)
+    S = SymplecticPotential.from_radial(P, flat_profile(2))
+    for shape in [(3,), (4, 3), (2, 2, 2)]:
+        with pytest.raises(InvalidParameters):
+            abreu_scalar_curvature(S, np.full(shape, 0.3))
+
+
+def test_singular_hessian_in_a_batch_names_its_point():
+    P = build_blowup_polytope(2, 0.5, 1.0)
+
+    def oracle(x):
+        H = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
+        H[np.isclose(x[:, 0], 0.3)] = 0.0  # singular on the line x_0 = 0.3
+        return H
+
+    S = SymplecticPotential(P, oracle)
+    with pytest.raises(SingularHessian, match=r"0\.3"):
+        abreu_scalar_curvature(S, np.array([0.3, 0.4]))
+    with pytest.raises(SingularHessian, match=r"0\.3"):
+        abreu_scalar_curvature(S, np.array([[0.4, 0.4], [0.3, 0.4]]))

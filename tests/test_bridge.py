@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricext import bridge as bridge_mod
 from toricext import (
     DomainViolation,
     F_of_t,
@@ -172,3 +173,28 @@ def test_numeric_only_potential_agrees_with_analytic():
     # curvature needs four derivatives of f; stacking differences on
     # differences costs ~2 digits, so only ask for the right neighborhood
     assert calabi_scalar_curvature(K, 1.0) == pytest.approx(2.0, abs=0.1)
+
+
+def test_cross_check_inverts_the_moment_map_once_per_sample(monkeypatch):
+    # the three profile derivatives are asked for at the same t and share
+    # one inversion
+    inverted = []
+    real = bridge_mod.s_of_t
+
+    def counting(K, t):
+        inverted.append(t)
+        return real(K, t)
+
+    monkeypatch.setattr(bridge_mod, "s_of_t", counting)
+    samples = np.geomspace(0.25, 4.0, 10)
+    bridge_cross_check(fubini_study_potential(2), samples)
+    assert len(inverted) == len(samples)
+
+
+def test_induced_potential_takes_arrays():
+    T = induced_t_potential(fubini_study_potential(2), 0.0, 1.0)
+    ts = np.linspace(0.1, 0.9, 7)
+    for d in (T.d2F, T.d3F, T.d4F):
+        got = d(ts)
+        assert got.shape == ts.shape
+        assert np.array_equal(got, [d(float(t)) for t in ts])

@@ -3,12 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricext import (
     DomainViolation,
     ExtremalCoefficients,
+    GeometryError,
     InvalidParameters,
     PotentialPole,
     alpha_eval,
@@ -22,6 +23,7 @@ from toricext import (
     radial_scalar_curvature,
     solve_coefficients,
 )
+from toricext.calabi import _profile_derivatives
 
 nab = st.tuples(
     st.integers(min_value=1, max_value=5),
@@ -253,3 +255,55 @@ def test_invalid_construction_parameters():
         solve_coefficients(2, 1.0, 0.5)
     with pytest.raises(InvalidParameters):
         solve_coefficients(2, -0.1, 1.0)
+
+
+# --- array calls -------------------------------------------------------------
+
+
+def _profile_jet(E, t):
+    return np.stack(_profile_derivatives(E, t), axis=-1)
+
+
+@given(
+    nab,
+    st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@settings(max_examples=80)
+def test_array_calls_equal_elementwise_scalar_calls(params, fractions):
+    n, a, b = params
+    E = solve_coefficients(n, a, b)
+    ts = np.array([a + (b - a) * f for f in fractions])
+    ts = ts[(a < ts) & (ts < b)]  # rounding can land a fraction on an endpoint
+    assume(ts.size > 0)
+    for fn in (extremal_F_second, h_second, _profile_jet):
+        try:
+            want = np.array([fn(E, float(t)) for t in ts])
+        except GeometryError as exc:  # the pole guard, next to an endpoint
+            with pytest.raises(type(exc)):
+                fn(E, ts)
+            continue
+        got = fn(E, ts)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(0.4, DomainViolation), (1.0, DomainViolation), (0.5 + 1e-15, PotentialPole)],
+)
+def test_bad_t_in_an_array_raises_like_the_scalar_call(bad, error):
+    E = solve_coefficients(2, 0.5, 1.0)
+    batch = np.array([0.6, bad, 0.75])
+    for fn in (extremal_F_second, h_second, _profile_jet):
+        if error is DomainViolation and fn is _profile_jet:
+            continue  # the derivatives guard only the pole
+        if error is PotentialPole and fn is h_second:
+            continue  # the deflated form is regular at the endpoints
+        with pytest.raises(error):
+            fn(E, bad)
+        with pytest.raises(error):
+            fn(E, batch)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -93,7 +91,7 @@ GENERIC_S = {
 
 
 def _generic_profile():
-    d = lambda t: 0.3 * math.exp(t)
+    d = lambda t: 0.3 * np.exp(t)
     return TPotential(n=2, t_min=0.0, t_max=10.0, d2F=d, d3F=d, d4F=d)
 
 
@@ -173,6 +171,8 @@ def test_curvature_rejects_exterior_t():
         radial_scalar_curvature(T, 1.5)
     with pytest.raises(DomainViolation):
         radial_scalar_curvature(T, -0.1)
+    with pytest.raises(DomainViolation):
+        radial_scalar_curvature(T, np.array([0.2, 1.5, 0.7]))
 
 
 def test_validity_check_flat_profile():
@@ -188,3 +188,23 @@ def test_validity_check_detects_degeneracy():
     assert not res.passed
     assert res.minimum == pytest.approx(-1.0, abs=1e-12)
     assert T.t_min < res.t_at_minimum < T.t_max
+
+
+def test_curvature_of_an_array_is_elementwise():
+    T = _generic_profile()
+    ts = np.array(sorted(GENERIC_S))
+    for method in ("analytic", "fd"):
+        got = radial_scalar_curvature(T, ts, method=method)
+        want = [radial_scalar_curvature(T, float(t), method=method) for t in ts]
+        assert np.array_equal(got, want)
+
+
+def test_stacked_hessians_match_single_ones():
+    x = np.array([[0.3, 0.4], [1.0, 1.0], [2.0, 0.5]])
+    f2 = np.array([0.5, 1.0, -0.1])
+    G = radial_hessian(x, f2)
+    assert G.shape == (3, 2, 2)
+    for k in range(3):
+        assert np.array_equal(G[k], radial_hessian(x[k], f2[k]))
+    with pytest.raises(NonInteriorPoint):
+        radial_hessian(np.array([[0.3, 0.4], [0.0, 1.0]]), np.zeros(2))
