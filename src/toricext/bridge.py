@@ -14,23 +14,24 @@ be positive),
 
 which this module evaluates as a third, symplectic-free curvature oracle.
 The flat and Fubini-Study model potentials are built in as named presets.
+Every function of s or t takes a scalar or an array and answers in kind.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     DomainViolation,
+    GeometryError,
     NonpositiveDerivative,
     NotInvertible,
     OutOfRange,
 )
-from .numdiff import EPS, power, richardson_first, richardson_second
+from .numdiff import EPS, keep_last, power, richardson_first, richardson_second
 from .radial import TPotential, radial_scalar_curvature
 
 # base step (in s~) for the v and t' difference stencils: these functions are
@@ -47,15 +48,24 @@ _STEP_D2F = EPS ** (1.0 / 6.0)
 _MAX_BRACKET_DOUBLINGS = 200
 _MAX_NEWTON_STEPS = 100
 
+# a potential or one of its derivatives: s array in, values of the same shape
+# (or a constant) out
+PotentialFn = Callable[[np.ndarray], Union[np.ndarray, float]]
+
 
 @dataclass(frozen=True)
 class KahlerPotential:
-    """Radial Kahler potential f(s) on s > 0, with optional derivatives."""
+    """Radial Kahler potential f(s) on s > 0, with optional derivatives.
+
+    Array contract, as for TPotential: f, df and d2f receive an ndarray of s
+    (0-d for a single s) and return values of the same shape; a constant
+    return value broadcasts.
+    """
 
     n: int
-    f: Callable[[float], float]
-    df: Optional[Callable[[float], float]] = None
-    d2f: Optional[Callable[[float], float]] = None
+    f: PotentialFn
+    df: Optional[PotentialFn] = None
+    d2f: Optional[PotentialFn] = None
     label: str = ""
 
 
@@ -70,9 +80,9 @@ def fubini_study_potential(n: int) -> KahlerPotential:
     """f = ln(1+s)/2: Fubini-Study type (t = s/(1+s), S = n(n+1))."""
     return KahlerPotential(
         n=n,
-        f=lambda s: 0.5 * math.log1p(s),
+        f=lambda s: 0.5 * np.log1p(s),
         df=lambda s: 0.5 / (1.0 + s),
-        d2f=lambda s: -0.5 / (1.0 + s) ** 2,
+        d2f=lambda s: -0.5 / power(1.0 + s, 2),
         label="fubini-study",
     )
 
@@ -83,35 +93,49 @@ PRESETS: dict[str, Callable[[int], KahlerPotential]] = {
 }
 
 
-def _df(K: KahlerPotential, s: float) -> float:
+def _first(bad, *values) -> tuple:
+    """The first element of each of values (broadcast to bad) where bad holds."""
+    bad = np.asarray(bad)
+    return tuple(np.broadcast_to(v, bad.shape)[bad][0] for v in values)
+
+
+def _positive_s(s) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    bad = ~(s > 0.0)
+    if np.any(bad):
+        raise DomainViolation(f"s must be positive, got {s[bad][0]}")
+    return s
+
+
+def _df(K: KahlerPotential, s: np.ndarray):
     if K.df is not None:
         return K.df(s)
-    h = _STEP_DF * max(1.0, abs(s))
-    h = min(h, 0.5 * s)  # keep the stencil on s > 0
+    h = _STEP_DF * np.maximum(1.0, np.abs(s))
+    h = np.minimum(h, 0.5 * s)  # keep the stencil on s > 0
     return richardson_first(K.f, s, h)
 
 
-def _d2f(K: KahlerPotential, s: float) -> float:
+def _d2f(K: KahlerPotential, s: np.ndarray):
     if K.d2f is not None:
         return K.d2f(s)
-    h = _STEP_D2F * max(1.0, abs(s))
-    h = min(h, 0.5 * s)
+    h = _STEP_D2F * np.maximum(1.0, np.abs(s))
+    h = np.minimum(h, 0.5 * s)
     return richardson_second(K.f, s, h)
 
 
-def t_of_s(K: KahlerPotential, s: float) -> float:
+def t_of_s(K: KahlerPotential, s):
     """Moment coordinate t = 2*s*f'(s)."""
-    if not s > 0.0:
-        raise DomainViolation(f"s must be positive, got {s}")
+    s = _positive_s(s)
     return 2.0 * s * _df(K, s)
 
 
-def _moment_rate(K: KahlerPotential, s: float) -> float:
+def _moment_rate(K: KahlerPotential, s):
     """dt/ds~ = 2*(s*f' + s^2*f''), the s~-derivative of the moment map."""
+    s = np.asarray(s, dtype=float)
     return 2.0 * (s * _df(K, s) + s * s * _d2f(K, s))
 
 
-def s_of_t(K: KahlerPotential, t: float) -> float:
+def s_of_t(K: KahlerPotential, t):
     """Invert the moment map: the s > 0 with 2*s*f'(s) = t.
 
     Brackets by geometric expansion from the initial guess s = t, then runs
@@ -123,95 +147,140 @@ def s_of_t(K: KahlerPotential, t: float) -> float:
     the smaller residual.  Raises out-of-range when the expansion cannot
     straddle t, not-invertible when the moment map is not increasing at the
     bracket ends or the iteration does not converge.
+
+    Every element of t runs its own bracket and iteration, on arrays masked
+    down to the elements still running.  The error raised is the one the
+    first failing t, asked for alone, would raise.
     """
-    if not t > 0.0:
-        raise OutOfRange(f"t must be positive, got {t}")
+    t = np.asarray(t, dtype=float)
+    tf = t.ravel()
+    positive = tf > 0.0
+    failed: dict[int, GeometryError] = {
+        j: OutOfRange(f"t must be positive, got {tf[j]}")
+        for j in np.flatnonzero(~positive)
+    }
 
-    def residual(s: float) -> float:
-        return t_of_s(K, s) - t
+    def residual(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return t_of_s(K, s) - tf[k]
 
-    lo = hi = float(t)
-    r0 = residual(lo)
-    if r0 == 0.0:
-        return lo
-    if r0 < 0.0:
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            hi *= 2.0
-            if residual(hi) >= 0.0:
-                break
-        else:
-            raise OutOfRange(f"t = {t} not reached by the moment map")
-        lo = hi / 2.0
-    else:
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            lo *= 0.5
-            if residual(lo) <= 0.0:
-                break
-        else:
-            raise OutOfRange(f"t = {t} below the image of the moment map")
-        hi = lo * 2.0
+    # bracket: double hi while the residual at s = t is negative, halve lo
+    # while it is positive; a t with residual 0 is its own root
+    k = np.flatnonzero(positive)
+    lo, hi, root = tf.copy(), tf.copy(), tf.copy()
+    r0 = residual(lo[k], k)
+    up, down = k[r0 < 0.0], k[~(r0 <= 0.0)]
+    running = k[r0 != 0.0]
 
-    for end in (lo, hi):
-        if _moment_rate(K, end) / end <= 0.0:  # dt/ds = (dt/ds~)/s
-            raise NotInvertible(
-                f"moment map not increasing at s = {end}; bracket invalid"
-            )
-    s = 0.5 * (lo + hi)
-    for _ in range(_MAX_NEWTON_STEPS):
-        r = residual(s)
-        if r == 0.0:
-            return s
-        if r < 0.0:
-            lo = s
-        else:
-            hi = s
-        if hi - lo <= 4.0 * EPS * hi:
+    k = up
+    for _ in range(_MAX_BRACKET_DOUBLINGS):
+        if not k.size:
             break
-        rate = _moment_rate(K, s)
-        # dt/ds = rate/s; the rate is tested before it divides
-        if rate > 0.0 and lo < s - r * s / rate < hi:
-            s -= r * s / rate
-        else:
-            s = 0.5 * (lo + hi)
-    else:
-        raise NotInvertible(f"no convergence inverting t = {t}")
-    root = min((lo, hi), key=lambda end: abs(residual(end)))
-    if abs(residual(root)) > 1e-12 * max(1.0, abs(t)):
-        raise NotInvertible(f"root finding stalled inverting t = {t}")
-    return root
+        hi[k] *= 2.0
+        k = k[~(residual(hi[k], k) >= 0.0)]
+    for j in k:
+        failed[j] = OutOfRange(f"t = {tf[j]} not reached by the moment map")
+    lo[up] = hi[up] / 2.0
+    k = down
+    for _ in range(_MAX_BRACKET_DOUBLINGS):
+        if not k.size:
+            break
+        lo[k] *= 0.5
+        k = k[~(residual(lo[k], k) <= 0.0)]
+    for j in k:
+        failed[j] = OutOfRange(f"t = {tf[j]} below the image of the moment map")
+    hi[down] = lo[down] * 2.0
+
+    # the moment map must be increasing at both ends, lo checked first
+    alive = np.ones(tf.size, dtype=bool)
+    alive[list(failed)] = False
+    k = running[alive[running]]
+    for ends in (lo, hi):
+        end = ends[k]
+        falling = _moment_rate(K, end) / end <= 0.0  # dt/ds = (dt/ds~)/s
+        for j, e in zip(k[falling], end[falling]):
+            failed[j] = NotInvertible(
+                f"moment map not increasing at s = {e}; bracket invalid"
+            )
+        k = k[~falling]
+
+    # safeguarded Newton on the t still running; settled collects the t
+    # whose bracket closed without an exact root
+    s = 0.5 * (lo + hi)
+    settled = [k[:0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_NEWTON_STEPS):
+            if not k.size:
+                break
+            sk = s[k]
+            r = residual(sk, k)
+            exact = r == 0.0
+            root[k[exact]] = sk[exact]
+            below = r < 0.0
+            lo[k[below]] = sk[below]
+            hi[k[~below]] = sk[~below]
+            lo_k, hi_k = lo[k], hi[k]
+            narrow = hi_k - lo_k <= 4.0 * EPS * hi_k
+            settled.append(k[narrow & ~exact])
+            going = ~(narrow | exact)
+            k, sk, r = k[going], sk[going], r[going]
+            lo_k, hi_k = lo_k[going], hi_k[going]
+            rate = _moment_rate(K, sk)
+            # dt/ds = rate/s; a rate that is not positive bisects
+            step = sk - r * sk / rate
+            newton = (rate > 0.0) & (lo_k < step) & (step < hi_k)
+            s[k] = np.where(newton, step, 0.5 * (lo_k + hi_k))
+    for j in k:
+        failed[j] = NotInvertible(f"no convergence inverting t = {tf[j]}")
+
+    # the end with the smaller residual, which must be small
+    k = np.concatenate(settled)
+    r_lo = np.abs(residual(lo[k], k))
+    r_hi = np.abs(residual(hi[k], k))
+    take_hi = r_hi < r_lo
+    root[k] = np.where(take_hi, hi[k], lo[k])
+    stalled = np.where(take_hi, r_hi, r_lo) > 1e-12 * np.maximum(1.0, np.abs(tf[k]))
+    for j in k[stalled]:
+        failed[j] = NotInvertible(f"root finding stalled inverting t = {tf[j]}")
+    if failed:
+        raise failed[min(failed)]
+    return root.reshape(t.shape)[()]
 
 
-def F_of_t(K: KahlerPotential, t: float) -> float:
+def F_of_t(K: KahlerPotential, t):
     """t-potential value F(t) = t*ln(s(t)/t) - 2*f(s(t))."""
+    t = np.asarray(t, dtype=float)
     s = s_of_t(K, t)
-    return t * math.log(s / t) - 2.0 * K.f(s)
+    return t * np.log(s / t) - 2.0 * K.f(s)
 
 
-def _v(K: KahlerPotential, st: float) -> float:
-    s = math.exp(st)
+def _v(K: KahlerPotential, st):
+    s = np.exp(st)
     u1 = t_of_s(K, s)
     u2 = _moment_rate(K, s)
-    if u1 <= 0.0 or u2 <= 0.0:
+    bad = (u1 <= 0.0) | (u2 <= 0.0)
+    if np.any(bad):
+        st, u1, u2 = _first(bad, st, u1, u2)
         raise NonpositiveDerivative(
             f"moment data not positive at s~ = {st}: t = {u1}, dt/ds~ = {u2}"
         )
-    return K.n * st - (K.n - 1) * math.log(u1) - math.log(u2)
+    return K.n * st - (K.n - 1) * np.log(u1) - np.log(u2)
 
 
-def calabi_scalar_curvature(K: KahlerPotential, s: float) -> float:
+def calabi_scalar_curvature(K: KahlerPotential, s):
     """Curvature from the Kahler side: S = (n-1)*v'/t + v''/t'.
 
     v', v'' are Richardson-extrapolated central differences in s~ = ln s.
     """
-    if not s > 0.0:
-        raise DomainViolation(f"s must be positive, got {s}")
-    st = math.log(s)
-    h = _LOG_STEP * max(1.0, abs(st))
+    s = _positive_s(s)
+    st = np.log(s)
+    h = _LOG_STEP * np.maximum(1.0, np.abs(st))
     v1 = richardson_first(lambda z: _v(K, z), st, h)
     v2 = richardson_second(lambda z: _v(K, z), st, h)
     u1 = t_of_s(K, s)
     u2 = _moment_rate(K, s)
-    if u1 <= 0.0 or u2 <= 0.0:
+    bad = (u1 <= 0.0) | (u2 <= 0.0)
+    if np.any(bad):
+        s, u1, u2 = _first(bad, s, u1, u2)
         raise NonpositiveDerivative(
             f"moment data not positive at s = {s}: t = {u1}, dt/ds~ = {u2}"
         )
@@ -230,38 +299,26 @@ def induced_t_potential(
     F values keeps the induced profile at analytic accuracy, which the
     downstream curvature formula needs.
 
-    The derivatives honour the TPotential array contract by mapping the
-    scalar moment-map inversion over the elements of t.  The curvature asks
-    for F'', F''' and F'''' in turn at the same t, so all three come from
-    one jet per t (one inversion, one pair of rate slopes), and the jets of
-    the t asked for last are kept.
+    The curvature asks for F'', F''' and F'''' in turn at the same t, so all
+    three come from one jet evaluation per array of t (one inversion, one
+    pair of rate slopes), and the jets of the t asked for last are kept.
     """
 
-    def jet(t: float) -> tuple[float, float, float]:
-        """dt/ds~ and its first two s~-derivatives at the s~ of t."""
-        st = math.log(s_of_t(K, t))
-        u2 = _moment_rate(K, math.exp(st))
-        if u2 <= 0.0:
-            raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
-        h = _LOG_STEP * max(1.0, abs(st))
+    @keep_last
+    def jets(t: np.ndarray) -> tuple:
+        """dt/ds~ and its first two s~-derivatives at the s~ of every t."""
+        st = np.log(s_of_t(K, t))
+        u2 = _moment_rate(K, np.exp(st))
+        bad = u2 <= 0.0
+        if np.any(bad):
+            u2_bad, t_bad = _first(bad, u2, t)
+            raise NonpositiveDerivative(f"dt/ds~ = {u2_bad} at t = {t_bad}")
+        h = _LOG_STEP * np.maximum(1.0, np.abs(st))
 
-        def rate(z: float) -> float:
-            return _moment_rate(K, math.exp(z))
+        def rate(z):
+            return _moment_rate(K, np.exp(z))
 
         return u2, richardson_first(rate, st, h), richardson_second(rate, st, h)
-
-    # (key, jets) of the t asked for last, replaced in one assignment
-    last: list = [None]
-
-    def jets(t: np.ndarray) -> np.ndarray:
-        """The jet of every element of t, stacked on a new first axis."""
-        key = (t.shape, t.tobytes())
-        entry = last[0]
-        if entry is None or entry[0] != key:
-            rows = [jet(tk) for tk in t.ravel().tolist()]
-            entry = (key, np.array(rows, dtype=float).reshape(t.shape + (3,)))
-            last[0] = entry
-        return np.moveaxis(entry[1], -1, 0)
 
     def d2F(t):
         t = np.asarray(t, dtype=float)
@@ -315,29 +372,23 @@ def bridge_cross_check(
 ) -> BridgeCheckReport:
     """Compare the Kahler-side curvature against the radial pipeline.
 
-    Each sample s is pushed to t = t_of_s(s); the radial formula then runs
-    on the induced TPotential at all the t at once, while Calabi's formula
-    runs at each s.
+    The samples s are pushed to t = t_of_s(s); the radial formula then runs
+    on the induced TPotential at all the t at once, and Calabi's formula at
+    all the s at once.
     """
-    s_values = [float(s) for s in s_samples]
-    if not s_values:
+    s = np.asarray(s_samples, dtype=float).reshape(-1)
+    if not s.size:
         raise DomainViolation("need at least one sample")
-    ts = [t_of_s(K, s) for s in s_values]
-    T = induced_t_potential(K, 0.0, 2.0 * max(ts) + 1.0)
-
-    polytope_side = radial_scalar_curvature(T, np.array(ts)).tolist()
-
-    rows = []
-    worst = 0.0
-    for s, t, rad in zip(s_values, ts, polytope_side):
-        kah = calabi_scalar_curvature(K, s)
-        diff = abs(kah - rad)
-        worst = max(worst, diff)
-        rows.append(
-            BridgeSample(
-                s=s, t=t, kahler_side=kah, polytope_side=rad, difference=diff
-            )
-        )
+    t = t_of_s(K, s)
+    T = induced_t_potential(K, 0.0, 2.0 * float(np.max(t)) + 1.0)
+    polytope_side = radial_scalar_curvature(T, t)
+    kahler_side = calabi_scalar_curvature(K, s)
+    difference = np.abs(kahler_side - polytope_side)
+    columns = (s, t, kahler_side, polytope_side, difference)
+    rows = tuple(BridgeSample(*row) for row in zip(*(c.tolist() for c in columns)))
     return BridgeCheckReport(
-        preset=K.label, n=K.n, samples=tuple(rows), max_discrepancy=worst
+        preset=K.label,
+        n=K.n,
+        samples=rows,
+        max_discrepancy=float(np.max(difference)),
     )

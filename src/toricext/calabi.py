@@ -38,9 +38,9 @@ from .errors import (
     SingularSystem,
     ZeroDenominator,
 )
-from .numdiff import power
+from .numdiff import keep_last, power
 from .polytope import MomentPolytope, build_blowup_polytope
-from .radial import TPotential, validity_check
+from .radial import TPotential, ValidityResult, validity_check
 
 # p*t^n - alpha legitimately vanishes only at the endpoints; anything this
 # close to zero in the interior is treated as a pole hit
@@ -417,6 +417,38 @@ def extremal_scalar_curvature(E: ExtremalCoefficients, t: float) -> float:
     return E.A * t + E.B
 
 
+def extremal_profile(E: ExtremalCoefficients) -> TPotential:
+    """The extremal profile of E on (a, b), with analytic F''' and F''''.
+
+    The radial curvature asks for F''' and F'''' in turn at the same t; both
+    come from one ``_profile_derivatives`` evaluation per array of t.
+    """
+    derivatives = keep_last(lambda t: _profile_derivatives(E, t))
+    return TPotential(
+        n=E.n,
+        t_min=E.a,
+        t_max=E.b,
+        d2F=lambda t: extremal_F_second(E, t),
+        d3F=lambda t: derivatives(t)[0],
+        d4F=lambda t: derivatives(t)[1],
+    )
+
+
+def checked_validity(T: TPotential, samples: int) -> ValidityResult:
+    """``validity_check`` on T's grid, raising when the metric is not valid.
+
+    For an extremal profile 1 + t*F'' = p*t^n/(p*t^n - alpha) is positive
+    exactly where p*t^n - alpha is.
+    """
+    validity = validity_check(T, samples)
+    if not validity.passed:
+        raise PositivityViolation(
+            f"1 + t*F'' = {validity.minimum:.3e} at t = {validity.t_at_minimum};"
+            " no valid metric"
+        )
+    return validity
+
+
 def build_extremal_metric(
     n: int, a: float, b: float, validation_samples: int = 1000
 ) -> tuple[MomentPolytope, TPotential, ExtremalCoefficients]:
@@ -424,24 +456,10 @@ def build_extremal_metric(
 
     The returned TPotential carries analytic third and fourth derivatives, so
     the radial curvature pipeline runs on its exact path.  The metric is
-    checked on ``validity_check``'s interior grid first: 1 + t*F'' =
-    p*t^n/(p*t^n - alpha) is positive exactly where p*t^n - alpha is.
+    checked on ``validity_check``'s interior grid first (``checked_validity``).
     """
     P = build_blowup_polytope(n, a, b)
     E = solve_coefficients(n, a, b)
-
-    T = TPotential(
-        n=n,
-        t_min=float(a),
-        t_max=float(b),
-        d2F=lambda t: extremal_F_second(E, t),
-        d3F=lambda t: _profile_derivatives(E, t)[0],
-        d4F=lambda t: _profile_derivatives(E, t)[1],
-    )
-    validity = validity_check(T, validation_samples)
-    if not validity.passed:
-        raise PositivityViolation(
-            f"1 + t*F'' = {validity.minimum:.3e} at t = {validity.t_at_minimum};"
-            " no valid metric"
-        )
+    T = extremal_profile(E)
+    checked_validity(T, validation_samples)
     return P, T, E

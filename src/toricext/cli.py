@@ -9,7 +9,9 @@ bridge-check  Kahler-side vs radial curvature on the built-in presets
 example       the n=2, b=1 slice: closed forms and the quadratic h'' form
 
 All numeric output is rendered at 17 significant digits through a single
-formatter, so identical inputs produce identical bytes.  Exit codes: 0 pass,
+formatter, so identical inputs produce identical bytes: a document becomes
+one %-template, in which every run of same-shaped rows shares one rendered
+row, and its floats are filled in with one % operation.  Exit codes: 0 pass,
 1 tolerance/verification failure (the failing check is named on stderr),
 2 invalid input.
 """
@@ -17,7 +19,9 @@ formatter, so identical inputs produce identical bytes.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -28,16 +32,17 @@ from . import bridge as bridge_mod
 from .abreu import SymplecticPotential, extremality_residual
 from .calabi import (
     alpha_eval,
-    build_extremal_metric,
+    checked_validity,
     coefficient_cross_check,
     extremal_F_second,
+    extremal_profile,
     h_second,
     solve_coefficients,
 )
 from .errors import DimensionMismatch, GeometryError, InvalidParameters
 from .numdiff import power
-from .polytope import sample_interior
-from .radial import radial_scalar_curvature, validity_check
+from .polytope import build_blowup_polytope, sample_interior
+from .radial import radial_scalar_curvature
 
 PRNG_NAME = "numpy-pcg64"
 
@@ -65,40 +70,90 @@ class RunConfig:
     preset: Optional[str] = None
 
 
-def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise InvalidParameters(f"non-finite value {x} in output")
-    return f"{float(x):.16e}"
+# every float is printed at 17 significant digits through this one conversion
+_FLOAT = "%.16e"
+_FLOATS = (float, np.floating)
 
 
-def _render_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: floats at 17 significant digits, insertion order."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _fill(template: str, values: list) -> str:
+    """Put values into template's %.16e fields; refuse non-finite values.
+
+    Literal text in the template has its % doubled.  Finiteness is checked
+    once for the whole document, and the first offending value is named.
+    """
+    if not all(map(math.isfinite, values)):
+        bad = next(float(v) for v in values if not math.isfinite(v))
+        raise InvalidParameters(f"non-finite value {bad} in output")
+    return template % tuple(values)
+
+
+def _literal(text: str) -> str:
+    return text.replace("%", "%%")
+
+
+def _row_shape(obj):
+    """Length (list, tuple) or keys (dict) of a flat, non-empty row of floats.
+
+    None for anything else: such a value is rendered on its own.
+    """
+    if isinstance(obj, dict):
+        values, shape = obj.values(), tuple(map(str, obj))
+    elif isinstance(obj, (list, tuple)):
+        values, shape = obj, len(obj)
+    else:
+        return None
+    if values and all(map(isinstance, values, itertools.repeat(_FLOATS))):
+        return shape
+    return None
+
+
+def _template(obj, indent: int, values: list) -> str:
+    """obj as a JSON template, its floats appended to values in order.
+
+    Consecutive list items of one row shape share one rendered row template,
+    so a table of any length costs one template and one fill.
+    """
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+    if isinstance(obj, _FLOATS):
+        values.append(obj)
+        return _FLOAT
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _literal(json.dumps(obj))
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(k))}: {_render_json(v, indent + 1)}"
+        items = [
+            f"{inner}{_literal(json.dumps(str(k)))}: {_template(v, indent + 1, values)}"
             for k, v in obj.items()
         ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        rows = [f"{inner}{_render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        items = []
+        for shape, run in itertools.groupby(obj, _row_shape):
+            if shape is None:
+                items += [inner + _template(v, indent + 1, values) for v in run]
+                continue
+            first, *rest = run
+            items += [inner + _template(first, indent + 1, values)] * (1 + len(rest))
+            for row in rest:
+                values.extend(row.values() if isinstance(row, dict) else row)
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise InvalidParameters(f"unserializable value of type {type(obj)!r}")
+
+
+def _render_json(obj) -> str:
+    """Deterministic JSON: floats at 17 significant digits, insertion order."""
+    values: list = []
+    return _fill(_template(obj, 0, values), values)
 
 
 def _require_json(cfg: RunConfig) -> None:
@@ -133,12 +188,12 @@ def run_profile(cfg: RunConfig) -> str:
         raise InvalidParameters(f"margin {margin} leaves no interior grid")
     ts = np.linspace(cfg.a + margin, cfg.b - margin, rows_n)
     columns = (ts, extremal_F_second(E, ts), h_second(E, ts), E.A * ts + E.B)
-    table = list(zip(*(column.tolist() for column in columns)))
     if cfg.fmt in (None, "csv"):
-        lines = ["t,F_second,h_second,S"]
-        lines += [",".join(_fmt_float(v) for v in row) for row in table]
-        return "\n".join(lines)
+        row = ",".join([_FLOAT] * len(columns))
+        template = "\n".join(["t,F_second,h_second,S"] + [row] * rows_n)
+        return _fill(template, np.column_stack(columns).ravel().tolist())
     if cfg.fmt == "json":
+        table = np.column_stack(columns).tolist()
         doc = {
             "schema": 1,
             "command": "profile",
@@ -146,7 +201,7 @@ def run_profile(cfg: RunConfig) -> str:
             "a": E.a,
             "b": E.b,
             "columns": ["t", "F_second", "h_second", "S"],
-            "rows": [list(row) for row in table],
+            "rows": table,
         }
         return _render_json(doc)
     raise InvalidParameters(f"unknown format {cfg.fmt!r}")
@@ -158,7 +213,10 @@ def _verify_battery(cfg: RunConfig) -> dict:
         raise InvalidParameters(f"need points >= {n + 2}, got {cfg.points}")
     validity_samples = cfg.samples if cfg.samples is not None else 1000
 
-    P, T, E = build_extremal_metric(n, a, b, validation_samples=validity_samples)
+    P = build_blowup_polytope(n, a, b)
+    E = solve_coefficients(n, a, b)
+    T = extremal_profile(E)
+    validity = checked_validity(T, validity_samples)
     p = E.p
 
     alpha_a, slope_a = alpha_eval(E, a)
@@ -182,8 +240,6 @@ def _verify_battery(cfg: RunConfig) -> dict:
     curvature_disc = float(np.max(np.abs(abreu_S - rad) / np.maximum(1.0, np.abs(rad))))
     s_scale = max(1.0, float(np.max(np.abs(rad))))
     scaled_residual = fit.max_residual / s_scale
-
-    validity = validity_check(T, validity_samples)
 
     offs = [_ENDPOINT_OFFSET, _ENDPOINT_OFFSET / 2, _ENDPOINT_OFFSET / 4]
     if offs[0] >= (b - a) / 8.0:

@@ -27,6 +27,28 @@ def power(x, k: int):
     return np.float_power(x, k)
 
 
+def keep_last(fn: Callable[[np.ndarray], object]) -> Callable:
+    """fn of an array of t, remembering its answer for the t asked for last.
+
+    The curvature asks for F'', F''' and F'''' in turn at the same t; a
+    profile whose derivatives share one costly evaluation per t wraps that
+    evaluation here, so the three calls make one.  The answer is shared
+    between those calls: callers must not write to it.
+    """
+    last: list = [None]
+
+    def cached(t):
+        t = np.asarray(t, dtype=float)
+        key = (t.shape, t.tobytes())
+        entry = last[0]
+        if entry is None or entry[0] != key:
+            entry = (key, fn(t))
+            last[0] = entry
+        return entry[1]
+
+    return cached
+
+
 def central_first(f: Callable[[float], float], x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

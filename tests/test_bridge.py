@@ -23,6 +23,17 @@ from toricext import (
 )
 
 
+def _sine_potential():
+    # 2*s*f'(s) = 2*s*cos(s) rises, turns over near s = 0.86 and goes negative
+    return KahlerPotential(
+        n=1, f=np.sin, df=np.cos, d2f=lambda s: -np.sin(s), label="sine"
+    )
+
+
+def _numeric_potential():
+    return KahlerPotential(n=1, f=lambda s: 0.5 * np.log1p(s), label="fs-numeric")
+
+
 def test_flat_moment_map_is_identity():
     K = flat_potential(1)
     for s in (0.1, 1.0, 7.5):
@@ -70,9 +81,7 @@ def test_inversion_outside_moment_image():
 
 def test_inversion_detects_non_monotone_potential():
     # f = sin(s) has 2 s f'(s) turning over; inversion must refuse
-    K = KahlerPotential(
-        n=1, f=math.sin, df=math.cos, d2f=lambda s: -math.sin(s), label="sine"
-    )
+    K = _sine_potential()
     with pytest.raises((NotInvertible, NonpositiveDerivative)):
         s_of_t(K, 1.0806046117362795)
 
@@ -162,13 +171,12 @@ def test_induced_potential_higher_derivatives():
 
 def test_numeric_only_potential_agrees_with_analytic():
     # drop the supplied derivative callbacks; differences must take over
-    K = KahlerPotential(n=1, f=lambda s: 0.5 * math.log1p(s), label="fs-numeric")
+    K = _numeric_potential()
     K_ref = fubini_study_potential(1)
     for s in (0.5, 1.0, 2.0):
         assert t_of_s(K, s) == pytest.approx(t_of_s(K_ref, s), rel=1e-9)
-    for s in np.geomspace(0.01, 100.0, 400):
-        s = float(s)
-        assert s_of_t(K, t_of_s(K, s)) == pytest.approx(s, rel=1e-9)
+    s = np.geomspace(0.01, 100.0, 400)
+    np.testing.assert_allclose(s_of_t(K, t_of_s(K, s)), s, rtol=1e-9)
     assert bridge_cross_check(K, np.linspace(0.25, 4.0, 10)).max_discrepancy <= 1e-3
     # curvature needs four derivatives of f; stacking differences on
     # differences costs ~2 digits, so only ask for the right neighborhood
@@ -182,7 +190,7 @@ def test_cross_check_inverts_the_moment_map_once_per_sample(monkeypatch):
     real = bridge_mod.s_of_t
 
     def counting(K, t):
-        inverted.append(t)
+        inverted.extend(np.ravel(t))
         return real(K, t)
 
     monkeypatch.setattr(bridge_mod, "s_of_t", counting)
@@ -198,3 +206,63 @@ def test_induced_potential_takes_arrays():
         got = d(ts)
         assert got.shape == ts.shape
         assert np.array_equal(got, [d(float(t)) for t in ts])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: flat_potential(3),
+        lambda: fubini_study_potential(3),
+        _numeric_potential,
+    ],
+)
+def test_array_calls_equal_elementwise_scalar_calls(make):
+    K = make()
+    s = np.geomspace(0.05, 20.0, 40)
+    t = t_of_s(K, s)
+    for fn, xs in (
+        (t_of_s, s),
+        (bridge_mod._moment_rate, s),
+        (s_of_t, t),
+        (calabi_scalar_curvature, s),
+    ):
+        got = fn(K, xs)
+        assert got.shape == xs.shape
+        one_by_one = [fn(K, float(x)) for x in xs]
+        assert all(np.ndim(v) == 0 for v in one_by_one)
+        assert np.array_equal(got, one_by_one), fn.__name__
+        assert np.array_equal(fn(K, xs.reshape(5, 8)), got.reshape(5, 8))
+
+
+@pytest.mark.parametrize(
+    "fn, make, batch, bad",
+    [
+        (s_of_t, lambda: fubini_study_potential(1), [0.2, 1.5, 0.7], 1.5),
+        (s_of_t, lambda: fubini_study_potential(1), [0.2, 0.7, -0.1], -0.1),
+        (s_of_t, _sine_potential, [0.5, 1.0806046117362795, 0.6], 1.0806046117362795),
+        (calabi_scalar_curvature, _sine_potential, [0.3, 2.0, 0.4], 2.0),
+    ],
+)
+def test_bad_value_in_a_batch_raises_like_the_scalar_call(fn, make, batch, bad):
+    K = make()
+    with pytest.raises((OutOfRange, NotInvertible, NonpositiveDerivative)) as alone:
+        fn(K, bad)
+    for x in batch:
+        if x != bad:
+            fn(K, x)  # the rest of the batch is fine on its own
+    with pytest.raises(type(alone.value)) as batched:
+        fn(K, np.array(batch))
+    assert str(batched.value) == str(alone.value)
+
+
+def test_first_failing_t_decides_the_error():
+    # the non-monotone t fails in a later stage than the negative t, but
+    # comes first in the batch, so its error is the one raised
+    K = _sine_potential()
+    with pytest.raises(NotInvertible) as alone:
+        s_of_t(K, 1.0806046117362795)
+    with pytest.raises(NotInvertible) as batched:
+        s_of_t(K, np.array([0.5, 1.0806046117362795, -0.1, 1.5]))
+    assert str(batched.value) == str(alone.value)
+    with pytest.raises(OutOfRange, match="1.5 not reached"):
+        s_of_t(fubini_study_potential(1), np.array([0.5, 1.5, 2.5]))

@@ -307,3 +307,26 @@ def test_bad_t_in_an_array_raises_like_the_scalar_call(bad, error):
             fn(E, bad)
         with pytest.raises(error):
             fn(E, batch)
+
+
+def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):
+    from toricext import calabi as calabi_mod
+
+    calls = []
+    real = calabi_mod._profile_derivatives
+
+    def counting(E, t):
+        calls.append(np.shape(t))
+        return real(E, t)
+
+    monkeypatch.setattr(calabi_mod, "_profile_derivatives", counting)
+    _, T, E = build_extremal_metric(2, 0.5, 1.0)
+    ts = np.linspace(0.55, 0.95, 100)
+    S = radial_scalar_curvature(T, ts)
+    assert calls == [(100,)]
+    np.testing.assert_allclose(S, E.A * ts + E.B, rtol=1e-9)
+    radial_scalar_curvature(T, ts[:10])
+    assert len(calls) == 2
+    # both derivatives are those of one evaluation at the t asked for
+    f3, f4 = real(E, ts[:10])
+    assert np.array_equal(T.d3F(ts[:10]), f3) and np.array_equal(T.d4F(ts[:10]), f4)

@@ -2,7 +2,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from toricext import InvalidParameters
+from toricext import calabi as calabi_mod
+from toricext import cli
+from toricext import radial as radial_mod
 
 CMD = [sys.executable, "-m", "toricext"]
 
@@ -185,3 +193,169 @@ def test_missing_command_shows_usage():
     r = run_cli()
     assert r.returncode == 2
     assert "usage" in r.stderr.lower()
+
+
+def _reference_render(obj, indent: int = 0) -> str:
+    """The per-value recursive renderer the template renderer replaced."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not np.isfinite(x):
+            raise InvalidParameters(f"non-finite value {x} in output")
+        return f"{x:.16e}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = [
+            f"{inner}{json.dumps(str(k))}: {_reference_render(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not len(obj):
+            return "[]"
+        rows = [f"{inner}{_reference_render(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    raise InvalidParameters(f"unserializable value of type {type(obj)!r}")
+
+
+def _outcome(render, doc):
+    try:
+        return render(doc)
+    except InvalidParameters:
+        return InvalidParameters
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1]
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from(_EDGE_FLOATS).map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+)
+_text = st.one_of(
+    st.text(alphabet='a%"\\\u00e9\u2202 \n{', max_size=6), st.text(max_size=4)
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    _floats,
+    _text,
+)
+# 1, 1.0 and True are one dict key but print as three different ones
+_keys = st.sampled_from(["s", "t", "%d", 'q"', "\u00e9", 1, 1.0, True])
+# rows of a few fixed shapes, so that runs form and break
+_rows = st.one_of(
+    st.lists(_floats, min_size=2, max_size=2),
+    st.lists(_floats, min_size=4, max_size=4).map(tuple),
+    st.fixed_dictionaries({"s": _floats, "t": _floats}),
+    st.dictionaries(_keys, _floats, min_size=1, max_size=3),
+    st.sampled_from([1, 1.0, True]).map(lambda k: {k: 0.5}),
+    st.lists(_scalars, max_size=3),
+    st.dictionaries(_keys, _scalars, max_size=2),
+    _scalars,
+)
+_documents = st.recursive(
+    st.one_of(_scalars, st.lists(_rows, max_size=12)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.one_of(_text, st.integers()), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_documents)
+@example([{1: 0.5}, {1.0: 0.5}, {True: 0.5}])
+@example({"rows": [[1.0, 2.0], [3.0, 4.0], [5, 6.0], [7.0, 8.0], (9.0, 1.0), [2.0]]})
+@example(
+    [-0.0, 5e-324, 1.7e308, -1.7e308, np.float64(0.1), np.int64(3),
+     np.bool_(True), "100%", {"%s": 1.0}, [], {}, [[]], "\u00e9\"\\"]
+)
+@settings(max_examples=300, deadline=None)
+def test_renderer_matches_reference(doc):
+    assert _outcome(cli._render_json, doc) == _outcome(_reference_render, doc)
+
+
+@given(
+    _documents,
+    st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+         np.float32("inf"), np.array(1.0), np.array(2, dtype=np.int64)]
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_renderer_refuses_what_the_reference_refuses(doc, bad, where):
+    # a bad value alone, inside a row of a run, in a dict row, or after doc
+    rows = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    placed = [
+        bad,
+        {"rows": rows[:1] + [[bad, 2.5]] + rows[1:]},
+        [{"s": 1.0, "t": 2.0}, {"s": 3.0, "t": bad}],
+        [doc, bad],
+    ][where]
+    assert _outcome(_reference_render, placed) is InvalidParameters
+    assert _outcome(cli._render_json, placed) is InvalidParameters
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_profile_matches_per_value_rendering(fmt):
+    cfg = cli.RunConfig(
+        command="profile", n=3, a=0.25, b=2.0, samples=300, fmt=fmt
+    )
+    E = calabi_mod.solve_coefficients(3, 0.25, 2.0)
+    ts = np.linspace(0.25 + 1.75e-4, 2.0 - 1.75e-4, 300)
+    rows = [
+        [t, f2, h2, E.A * t + E.B]
+        for t, f2, h2 in zip(
+            ts.tolist(),
+            calabi_mod.extremal_F_second(E, ts).tolist(),
+            calabi_mod.h_second(E, ts).tolist(),
+        )
+    ]
+    if fmt == "csv":
+        want = "\n".join(
+            ["t,F_second,h_second,S"]
+            + [",".join(_reference_render(v) for v in row) for row in rows]
+        )
+    else:
+        want = _reference_render(
+            {"schema": 1, "command": "profile", "n": 3, "a": 0.25, "b": 2.0,
+             "columns": ["t", "F_second", "h_second", "S"], "rows": rows}
+        )
+    assert cli.run_profile(cfg) == want
+
+
+def test_renderer_names_the_first_non_finite_value():
+    with pytest.raises(InvalidParameters, match="non-finite value -inf"):
+        cli._render_json({"a": [[1.0, -float("inf")], [float("nan"), 2.0]]})
+
+
+def test_verify_evaluates_the_validity_grid_once(monkeypatch, capsys):
+    real = calabi_mod.validity_check
+    grids = []
+
+    def counting(T, samples):
+        grids.append(samples)
+        return real(T, samples)
+
+    for mod in (calabi_mod, cli, radial_mod):
+        monkeypatch.setattr(mod, "validity_check", counting, raising=False)
+    code = cli.main(["verify", "--n", "2", "--points", "20", "--samples", "300"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["passed"] is True
+    assert grids == [300]
+    assert doc["validity"]["minimum"] > 0.0

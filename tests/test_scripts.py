@@ -32,3 +32,16 @@ def test_script_exits_cleanly(script, args, tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("# n=")
+
+
+def test_bench_pairs_help():
+    # the paired benchmark itself takes minutes; only its interface is smoked
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--help"],
+        capture_output=True,
+        text=True,
+        timeout=240,
+    )
+    assert r.returncode == 0, r.stderr
+    for flag in ("--base", "--workload", "--seeds"):
+        assert flag in r.stdout
