@@ -4,11 +4,12 @@
     python3 scripts/bench_pairs.py --base HEAD~1 --workload tables --seeds 1-6
 
 Extracts the base revision with ``git archive`` into ``.bench_build/<rev>/``
-and runs each checkout's own ``perfbench/run.py --trace 0`` once per seed,
-alternating which of the two goes first from one seed to the next so that a
-drift in machine load hits both sides alike.  Prints every seed's pair, the
-medians and quartiles of both sides, and per metric the number of seeds on
-which the working tree did better, as ``BENCHMARK.json`` defines better.
+and runs each checkout's own ``perfbench/run.py --trace 0`` once per seed for
+``BENCHMARK.json``'s ``run_seconds``, alternating which of the two goes first
+from one seed to the next so that a drift in machine load hits both sides
+alike.  Prints every seed's pair, the medians and quartiles of both sides,
+and per metric the number of seeds on which the working tree did better, as
+``BENCHMARK.json`` defines better.
 """
 
 from __future__ import annotations
@@ -78,12 +79,10 @@ def main() -> int:
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
     ap.add_argument("--seeds", default="1-6", help="e.g. 1-6 or 1,3,5 (default 1-6)")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="per run (default: BENCHMARK.json's run_seconds)")
     args = ap.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     base = _extract(args.base)
     sides = {"base": base, "change": ROOT}

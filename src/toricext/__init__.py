@@ -33,11 +33,9 @@ from .calabi import (
     alpha_eval,
     boundary_system,
     build_extremal_metric,
-    checked_validity,
     closed_form_coefficients,
     coefficient_cross_check,
     extremal_F_second,
-    extremal_profile,
     extremal_scalar_curvature,
     h_second,
     solve_coefficients,

@@ -417,36 +417,34 @@ def extremal_scalar_curvature(E: ExtremalCoefficients, t: float) -> float:
     return E.A * t + E.B
 
 
-def extremal_profile(E: ExtremalCoefficients) -> TPotential:
-    """The extremal profile of E on (a, b), with analytic F''' and F''''.
+def _checked_extremal_metric(
+    n: int, a: float, b: float, validation_samples: int
+) -> tuple[MomentPolytope, TPotential, ExtremalCoefficients, ValidityResult]:
+    """``build_extremal_metric`` together with its validity grid's result.
 
     The radial curvature asks for F''' and F'''' in turn at the same t; both
-    come from one ``_profile_derivatives`` evaluation per array of t.
+    come from one ``_profile_derivatives`` evaluation per array of t.  For an
+    extremal profile 1 + t*F'' = p*t^n/(p*t^n - alpha) is positive exactly
+    where p*t^n - alpha is.
     """
+    P = build_blowup_polytope(n, a, b)
+    E = solve_coefficients(n, a, b)
     derivatives = keep_last(lambda t: _profile_derivatives(E, t))
-    return TPotential(
-        n=E.n,
-        t_min=E.a,
-        t_max=E.b,
+    T = TPotential(
+        n=n,
+        t_min=float(a),
+        t_max=float(b),
         d2F=lambda t: extremal_F_second(E, t),
         d3F=lambda t: derivatives(t)[0],
         d4F=lambda t: derivatives(t)[1],
     )
-
-
-def checked_validity(T: TPotential, samples: int) -> ValidityResult:
-    """``validity_check`` on T's grid, raising when the metric is not valid.
-
-    For an extremal profile 1 + t*F'' = p*t^n/(p*t^n - alpha) is positive
-    exactly where p*t^n - alpha is.
-    """
-    validity = validity_check(T, samples)
+    validity = validity_check(T, validation_samples)
     if not validity.passed:
         raise PositivityViolation(
             f"1 + t*F'' = {validity.minimum:.3e} at t = {validity.t_at_minimum};"
             " no valid metric"
         )
-    return validity
+    return P, T, E, validity
 
 
 def build_extremal_metric(
@@ -456,10 +454,7 @@ def build_extremal_metric(
 
     The returned TPotential carries analytic third and fourth derivatives, so
     the radial curvature pipeline runs on its exact path.  The metric is
-    checked on ``validity_check``'s interior grid first (``checked_validity``).
+    checked on ``validity_check``'s interior grid first.
     """
-    P = build_blowup_polytope(n, a, b)
-    E = solve_coefficients(n, a, b)
-    T = extremal_profile(E)
-    checked_validity(T, validation_samples)
+    P, T, E, _ = _checked_extremal_metric(n, a, b, validation_samples)
     return P, T, E

@@ -31,17 +31,16 @@ import numpy as np
 from . import bridge as bridge_mod
 from .abreu import SymplecticPotential, extremality_residual
 from .calabi import (
+    _checked_extremal_metric,
     alpha_eval,
-    checked_validity,
     coefficient_cross_check,
     extremal_F_second,
-    extremal_profile,
     h_second,
     solve_coefficients,
 )
 from .errors import DimensionMismatch, GeometryError, InvalidParameters
 from .numdiff import power
-from .polytope import build_blowup_polytope, sample_interior
+from .polytope import sample_interior
 from .radial import radial_scalar_curvature
 
 PRNG_NAME = "numpy-pcg64"
@@ -213,10 +212,7 @@ def _verify_battery(cfg: RunConfig) -> dict:
         raise InvalidParameters(f"need points >= {n + 2}, got {cfg.points}")
     validity_samples = cfg.samples if cfg.samples is not None else 1000
 
-    P = build_blowup_polytope(n, a, b)
-    E = solve_coefficients(n, a, b)
-    T = extremal_profile(E)
-    validity = checked_validity(T, validity_samples)
+    P, T, E, validity = _checked_extremal_metric(n, a, b, validity_samples)
     p = E.p
 
     alpha_a, slope_a = alpha_eval(E, a)

@@ -27,13 +27,14 @@ def power(x, k: int):
     return np.float_power(x, k)
 
 
-def keep_last(fn: Callable[[np.ndarray], object]) -> Callable:
+def keep_last(fn: Callable[[np.ndarray], tuple]) -> Callable:
     """fn of an array of t, remembering its answer for the t asked for last.
 
     The curvature asks for F'', F''' and F'''' in turn at the same t; a
     profile whose derivatives share one costly evaluation per t wraps that
-    evaluation here, so the three calls make one.  The answer is shared
-    between those calls: callers must not write to it.
+    evaluation here, so the three calls make one.  fn answers with a tuple
+    of arrays; they are shared between those calls, so they are made
+    read-only and a write raises instead of changing later answers.
     """
     last: list = [None]
 
@@ -42,7 +43,11 @@ def keep_last(fn: Callable[[np.ndarray], object]) -> Callable:
         key = (t.shape, t.tobytes())
         entry = last[0]
         if entry is None or entry[0] != key:
-            entry = (key, fn(t))
+            answer = fn(t)
+            for value in answer:
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            entry = (key, answer)
             last[0] = entry
         return entry[1]
 

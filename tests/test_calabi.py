@@ -330,3 +330,15 @@ def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):
     # both derivatives are those of one evaluation at the t asked for
     f3, f4 = real(E, ts[:10])
     assert np.array_equal(T.d3F(ts[:10]), f3) and np.array_equal(T.d4F(ts[:10]), f4)
+
+
+def test_shared_profile_derivatives_are_read_only():
+    # d3F and d4F share one cached evaluation; writing into it would change
+    # every later answer at the same t
+    _, T, E = build_extremal_metric(2, 0.5, 1.0)
+    ts = np.linspace(0.55, 0.95, 7)
+    for d in (T.d3F, T.d4F):
+        with pytest.raises(ValueError, match="read-only"):
+            d(ts)[0] = 0.0
+    f3, f4 = _profile_derivatives(E, ts)
+    assert np.array_equal(T.d3F(ts), f3) and np.array_equal(T.d4F(ts), f4)
