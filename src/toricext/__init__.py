@@ -15,7 +15,6 @@ from .abreu import (
 )
 from .bridge import (
     BridgeCheckReport,
-    BridgeSample,
     KahlerPotential,
     PRESETS,
     F_of_t,

@@ -154,9 +154,9 @@ def abreu_scalar_curvature(
     with an (m,) array.  Each stencil term inverts the Hessians of all m
     shifted points at once, so memory is O(m n^2).
 
-    Default step, per point: eps^(1/4)*max(1, |x|_inf), clamped to a third
-    of the distance to the nearest facet and to 1e-3 outright.  The clamp
-    keeps the stencil interior; the floor-free scale keeps rounding noise
+    Default step, per point: eps^(1/4)*max(1, |x|_inf), clamped to 1e-3 and
+    to the limit past which the outer stencil leaves the domain (an explicit
+    step past it raises).  The floor-free scale keeps rounding noise
     (which grows like 1/h^2 through the inversion) from swamping the
     estimate near the boundary.
     """
@@ -178,12 +178,13 @@ def abreu_scalar_curvature(
         raise NonInteriorPoint(
             f"{pts[outside][0]} is not interior (min facet value {dmin[outside][0]})"
         )
+    limit = dmin / (3.0 * _max_normal_entry(P.polytope))
     if h is None:
         scale = np.maximum(1.0, np.max(np.abs(pts), axis=1))
-        h = np.minimum(np.minimum(STEP_SECOND * scale, dmin / 3.0), 1e-3)
+        h = np.minimum(np.minimum(STEP_SECOND * scale, limit), 1e-3)
     else:
         h = np.full(len(pts), float(h))
-    exits = dmin < 3.0 * h * _max_normal_entry(P.polytope)
+    exits = h > limit
     if np.any(exits):
         raise StencilExitsDomain(
             f"outer stencil with step {h[exits][0]:.3e} exits the domain at "

@@ -351,19 +351,16 @@ def induced_t_potential(
 
 
 @dataclass(frozen=True)
-class BridgeSample:
-    s: float
-    t: float
-    kahler_side: float
-    polytope_side: float
-    difference: float
-
-
-@dataclass(frozen=True)
 class BridgeCheckReport:
+    """Per-sample columns (read-only arrays) and their worst difference."""
+
     preset: str
     n: int
-    samples: tuple
+    s: np.ndarray
+    t: np.ndarray
+    kahler_side: np.ndarray
+    polytope_side: np.ndarray
+    difference: np.ndarray
     max_discrepancy: float
 
 
@@ -376,7 +373,7 @@ def bridge_cross_check(
     on the induced TPotential at all the t at once, and Calabi's formula at
     all the s at once.
     """
-    s = np.asarray(s_samples, dtype=float).reshape(-1)
+    s = np.array(s_samples, dtype=float).reshape(-1)
     if not s.size:
         raise DomainViolation("need at least one sample")
     t = t_of_s(K, s)
@@ -385,10 +382,6 @@ def bridge_cross_check(
     kahler_side = calabi_scalar_curvature(K, s)
     difference = np.abs(kahler_side - polytope_side)
     columns = (s, t, kahler_side, polytope_side, difference)
-    rows = tuple(BridgeSample(*row) for row in zip(*(c.tolist() for c in columns)))
-    return BridgeCheckReport(
-        preset=K.label,
-        n=K.n,
-        samples=rows,
-        max_discrepancy=float(np.max(difference)),
-    )
+    for column in columns:
+        column.flags.writeable = False
+    return BridgeCheckReport(K.label, K.n, *columns, float(np.max(difference)))

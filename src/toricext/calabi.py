@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -45,10 +44,6 @@ from .radial import TPotential, ValidityResult, validity_check
 # p*t^n - alpha legitimately vanishes only at the endpoints; anything this
 # close to zero in the interior is treated as a pole hit
 POLE_REL_TOL = 1e-13
-
-# deflation remainders above this (relative to the coefficient scale) mean
-# the boundary identities do not hold and the stable h'' path must not be used
-_DEFLATION_REL_TOL = 1e-8
 
 
 def _check_geometry(n: int, a: float, b: float) -> None:
@@ -92,7 +87,8 @@ class ExtremalCoefficients:
     # arrays are read-only because every evaluation shares them
     @cached_property
     def _alpha(self) -> np.ndarray:
-        return _read_only(_alpha_coeffs(self))
+        coeffs = _alpha_coeffs(self.n, self.A, self.B, self.C, self.D)
+        return _read_only(np.array(coeffs, dtype=float))
 
     @cached_property
     def _d_alpha(self) -> np.ndarray:
@@ -103,8 +99,12 @@ class ExtremalCoefficients:
         return _read_only(np.polyder(self._d_alpha))
 
     @cached_property
-    def _deflated(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    def _exact_deflation(self) -> tuple[list, list]:
         return _deflation(self)
+
+    @cached_property
+    def _deflated(self) -> tuple[np.ndarray, ...]:
+        return tuple(_read_only(np.array(c, float)) for c in self._exact_deflation)
 
 
 def _boundary_rows(n: int, a, b) -> list:
@@ -138,14 +138,12 @@ def boundary_system(n: int, a: float, b: float):
     return rows[:, :4], rows[:, 4]
 
 
-def solve_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
-    """Authoritative coefficients: the boundary system solved exactly.
+def _exact_solution(n: int, a: float, b: float) -> tuple[Fraction, ...]:
+    """(A, B, C, D) of the boundary system, exactly.
 
     The float (a, b) are exact rationals, so Gauss-Jordan elimination over
-    ``Fraction`` gives the exact solution, rounded to float once at the end.
-    A float solve loses digits as a/b -> 1, where the system degenerates.
+    ``Fraction`` gives the exact solution.
     """
-    _check_geometry(n, a, b)
     rows = [
         [Fraction(x) for x in row]
         for row in _boundary_rows(n, Fraction(float(a)), Fraction(float(b)))
@@ -161,7 +159,16 @@ def solve_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
             if r != col and rows[r][col] != 0:
                 f = rows[r][col] / rows[col][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    A, B, C, D = (float(rows[k][4] / rows[k][k]) for k in range(4))
+    return tuple(rows[k][4] / rows[k][k] for k in range(4))
+
+
+def solve_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
+    """Authoritative coefficients: the boundary system solved exactly and
+    rounded to float once.  A float solve loses digits as a/b -> 1, where the
+    system degenerates.
+    """
+    _check_geometry(n, a, b)
+    A, B, C, D = map(float, _exact_solution(n, a, b))
     return ExtremalCoefficients(n=n, a=float(a), b=float(b), A=A, B=B, C=C, D=D)
 
 
@@ -276,21 +283,15 @@ def _read_only(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _alpha_coeffs(E: ExtremalCoefficients) -> np.ndarray:
-    """Descending coefficients of alpha (degree n+2)."""
-    n, p = E.n, E.p
-    coeffs = np.zeros(n + 3)
-    coeffs[0] = n * E.A
-    coeffs[1] = (n + 2) * E.B
-    coeffs[n + 1] += p * E.C
-    coeffs[n + 2] += p * E.D
-    return coeffs
-
-
-def _beta_coeffs(E: ExtremalCoefficients) -> np.ndarray:
-    """Descending coefficients of beta = p*t^n - alpha (degree n+2)."""
-    coeffs = -E._alpha
-    coeffs[2] += E.p  # the p*t^n term sits two slots below the leading one
+def _alpha_coeffs(n: int, A, B, C, D) -> list:
+    """Descending coefficients of alpha (degree n+2), in the number type of
+    (A, B, C, D)."""
+    p = n * (n + 1) * (n + 2)
+    coeffs = [0] * (n + 3)
+    coeffs[0] = n * A
+    coeffs[1] = (n + 2) * B
+    coeffs[n + 1] += p * C
+    coeffs[n + 2] += p * D
     return coeffs
 
 
@@ -345,71 +346,93 @@ def _profile_derivatives(E: ExtremalCoefficients, t):
     return r1 + 1.0 / power(t, 2), r2 - 2.0 / power(t, 3)
 
 
-def _deflate(coeffs: np.ndarray, root: float) -> tuple[np.ndarray, float]:
-    """Synthetic division by (t - root): quotient coefficients and remainder."""
-    quot = np.empty(len(coeffs) - 1)
-    acc = coeffs[0]
-    for k in range(len(coeffs) - 1):
-        quot[k] = acc
-        acc = coeffs[k + 1] + root * acc
-    return quot, float(acc)
+def _deflate(coeffs: list, root) -> tuple[list, object]:
+    """Synthetic division by (t - root): quotient and remainder ([] is 0)."""
+    quot, acc = [], 0
+    for coeff in coeffs:
+        quot.append(acc)
+        acc = coeff + root * acc
+    return quot[1:], acc
 
 
-def _deflation(E: ExtremalCoefficients) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(V, Q) of the cancellation-free form of ``h_second``, or None when the
-    deflation remainders are too large for the boundary identities to hold."""
-    p, a, b, c = E.p, E.a, E.b, E.c
+def _deflation(E: ExtremalCoefficients) -> tuple[list, list]:
+    """Exact (V, Q) of the cancellation-free form of ``h_second``.
 
-    beta_c = _beta_coeffs(E)
-    P = -c * beta_c
-    P[1] += -p
+    Built over ``Fraction`` from the exact solution of the boundary system,
+    which must round to the record's own (A, B, C, D): only then do the
+    boundary identities hold and every remainder vanish exactly.
+    """
+    n, p = E.n, E.n * (E.n + 1) * (E.n + 2)
+    exact = _exact_solution(n, E.a, E.b)
+    if tuple(map(float, exact)) != (E.A, E.B, E.C, E.D):
+        raise InvalidParameters(f"not the extremal coefficients of {E}")
+    a, b = Fraction(E.a), Fraction(E.b)
+
+    beta = [-x for x in _alpha_coeffs(n, *exact)]  # p*t^n - alpha
+    beta[2] += p  # the p*t^n term sits two slots below the leading one
+    P = [-(b - a) * x for x in beta]
+    P[1] -= p
     P[2] += (a + b) * p
-    P[3] += -a * b * p
+    P[3] -= a * b * p
 
-    p_scale = 1.0 + float(np.max(np.abs(P)))
-    b_scale = 1.0 + float(np.max(np.abs(beta_c)))
-    V, rems = P, []
+    V, Q, rems = P, beta, []
     for root in (a, a, b, b):
         V, rem = _deflate(V, root)
-        rems.append(abs(rem) / p_scale)
-    Q, rem_a = _deflate(beta_c, a)
-    Q, rem_b = _deflate(Q, b)
-    rems += [abs(rem_a) / b_scale, abs(rem_b) / b_scale]
-    if max(rems) > _DEFLATION_REL_TOL:
-        return None
-    return _read_only(V), _read_only(Q)
+        rems.append(rem)
+    for root in (a, b):
+        Q, rem = _deflate(Q, root)
+        rems.append(rem)
+    assert not any(rems), f"nonzero exact deflation remainder in {rems}"
+    return V, Q
 
 
 def h_second(E: ExtremalCoefficients, t):
     """h''(t) = F''(t) - (b-a)/((t-a)(b-t)), the facet-regular remainder.
 
-    Near the endpoints the two terms are individually singular with exactly
-    cancelling poles, so the naive difference loses up to four digits to
-    cancellation in beta.  When the boundary identities hold, the combined
+    The two terms have exactly cancelling poles at the endpoints, so h'' is
+    never taken as their difference.  By the boundary identities the combined
     numerator P = p*t^(n-1)*(t-a)*(b-t) - (b-a)*beta has double roots at both
-    endpoints and beta has simple ones; dividing them out once and for all
-    gives the cancellation-free form
+    endpoints and beta has simple ones; dividing them out gives
 
         h''(t) = -V(t)/Q(t) - 1/t,
         V = P / ((t-a)^2 (t-b)^2),   Q = beta / ((t-a)(t-b)),
 
-    with V and Q found once per coefficient set by synthetic division.
-    Coefficient sets that violate the identities (large deflation
-    remainders) fall back to the naive formula.  Takes a scalar or an array
-    of t.
+    with V and Q found once per coefficient set by exact synthetic division
+    in rationals and rounded once.  A record that is not the extremal
+    solution of its (n, a, b) raises ``InvalidParameters``.  Takes a scalar
+    or an array of t.
     """
     t = np.asarray(t, dtype=float)
     _check_profile_domain(E, t)
-    if E._deflated is None:
-        # boundary identities fail for this coefficient set
-        return extremal_F_second(E, t) - E.c / ((t - E.a) * (E.b - t))
-
     V, Q = E._deflated
     q_val = np.polyval(Q, t)
     zero = q_val == 0.0
     if np.any(zero):
         raise PotentialPole(f"deflated denominator vanishes at t = {t[zero][0]}")
     return -np.polyval(V, t) / q_val - 1.0 / t
+
+
+def _endpoint_limits(E: ExtremalCoefficients, tolerance: float) -> tuple[bool, dict]:
+    """Verdict and report: h'' is finite at both ends, and ``h_second`` is
+    right next to them.  Exact part: Q(a), Q(b) != 0 in rationals, so
+    h'' = -V/Q - 1/t has finite limits (the deflation remainders are 0).
+    Float part: ``h_second`` at a + c*delta and b - c*delta against the exact
+    h'' at the same float t, relative to max(1, |h''|).
+    """
+    V, Q = E._exact_deflation
+    q_ends = [_deflate(Q, Fraction(E.a))[1], _deflate(Q, Fraction(E.b))[1]]
+    offsets = [1e-6, 5e-7, 2.5e-7]
+    ts = [E.a + E.c * d for d in offsets] + [E.b - E.c * d for d in offsets]
+    got = h_second(E, ts).tolist()
+    exact = [-_deflate(V, t)[1] / _deflate(Q, t)[1] - 1 / t for t in map(Fraction, ts)]
+    error = max(abs(Fraction(g) - w) / max(1, abs(w)) for g, w in zip(got, exact))
+    return all(q_ends) and error <= tolerance, {
+        "offsets": offsets,
+        "near_a": got[:3],
+        "near_b": got[3:],
+        "denominator_at_ends": [float(q) for q in q_ends],
+        "max_error": float(error),
+    }
 
 
 def extremal_scalar_curvature(E: ExtremalCoefficients, t: float) -> float:

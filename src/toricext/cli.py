@@ -32,6 +32,7 @@ from . import bridge as bridge_mod
 from .abreu import SymplecticPotential, extremality_residual
 from .calabi import (
     _checked_extremal_metric,
+    _endpoint_limits,
     alpha_eval,
     coefficient_cross_check,
     extremal_F_second,
@@ -49,8 +50,7 @@ PRNG_NAME = "numpy-pcg64"
 # units relative to the interval length
 _SAMPLING_MARGIN_FACTOR = 0.05
 
-_ENDPOINT_OFFSET = 1e-6
-_ENDPOINT_DRIFT_TOL = 1e-4
+_BRIDGE_COLUMNS = ("s", "t", "kahler_side", "polytope_side", "difference")
 
 
 @dataclass(frozen=True)
@@ -237,15 +237,7 @@ def _verify_battery(cfg: RunConfig) -> dict:
     s_scale = max(1.0, float(np.max(np.abs(rad))))
     scaled_residual = fit.max_residual / s_scale
 
-    offs = [_ENDPOINT_OFFSET, _ENDPOINT_OFFSET / 2, _ENDPOINT_OFFSET / 4]
-    if offs[0] >= (b - a) / 8.0:
-        offs = [(b - a) / 8.0 / 2**k for k in range(3)]
-    near_a = [h_second(E, a + off) for off in offs]
-    near_b = [h_second(E, b - off) for off in offs]
-    drift = max(
-        max(abs(v2 - v1) for v1, v2 in zip(vals, vals[1:]))
-        for vals in (near_a, near_b)
-    )
+    endpoints_ok, endpoints = _endpoint_limits(E, cfg.tolerance_hard)
 
     checks = {
         "boundary_identities": max(boundary) <= cfg.tolerance_hard,
@@ -253,7 +245,7 @@ def _verify_battery(cfg: RunConfig) -> dict:
         "validity": validity.passed,
         "curvature_agreement": curvature_disc <= cfg.tolerance_soft,
         "extremality": scaled_residual <= cfg.tolerance_soft,
-        "endpoint_limits": drift <= _ENDPOINT_DRIFT_TOL,
+        "endpoint_limits": endpoints_ok,
     }
 
     return {
@@ -289,11 +281,7 @@ def _verify_battery(cfg: RunConfig) -> dict:
             "minimum": validity.minimum,
             "t_at_minimum": validity.t_at_minimum,
         },
-        "endpoint_limits": {
-            "near_a": near_a,
-            "near_b": near_b,
-            "max_drift": drift,
-        },
+        "endpoint_limits": endpoints,
         "checks": checks,
         "passed": all(checks.values()),
     }
@@ -324,6 +312,7 @@ def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
     for name in names:
         K = bridge_mod.PRESETS[name](cfg.n)
         rep = bridge_mod.bridge_cross_check(K, s_grid)
+        columns = [getattr(rep, column).tolist() for column in _BRIDGE_COLUMNS]
         ok = rep.max_discrepancy <= cfg.tolerance_soft
         if not ok:
             failing.append(name)
@@ -332,16 +321,7 @@ def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
                 "preset": name,
                 "max_discrepancy": rep.max_discrepancy,
                 "passed": ok,
-                "rows": [
-                    {
-                        "s": r.s,
-                        "t": r.t,
-                        "kahler_side": r.kahler_side,
-                        "polytope_side": r.polytope_side,
-                        "difference": r.difference,
-                    }
-                    for r in rep.samples
-                ],
+                "rows": [dict(zip(_BRIDGE_COLUMNS, row)) for row in zip(*columns)],
             }
         )
     doc = {

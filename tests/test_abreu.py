@@ -130,6 +130,16 @@ def test_explicit_step_must_fit():
         abreu_scalar_curvature(S, np.array([0.3, 0.4]), h=0.3)
 
 
+def test_default_step_clamped_at_the_facet_fits():
+    # the clamp binds here and 3*(d/3) rounds above d = the facet distance
+    P = build_blowup_polytope(2, 0.5, 1.0)
+    S = SymplecticPotential.from_radial(P, flat_profile(2))
+    x = np.array([np.nextafter(1.1329e-4, 1.0), 0.6])
+    d = interior_distance(P, x[None])[0]
+    assert 3.0 * (d / 3.0) > d
+    assert abs(abreu_scalar_curvature(S, x)) <= 1e-6
+
+
 def test_extremality_residual_on_extremal_metric():
     Pm, T, E = build_extremal_metric(2, 0.5, 1.0)
     S = SymplecticPotential.from_radial(Pm, T)

@@ -139,17 +139,17 @@ def test_curvature_rejects_decreasing_potential():
 def test_cross_check_fubini_study():
     r = bridge_cross_check(fubini_study_potential(2), np.geomspace(0.25, 4.0, 10))
     assert r.max_discrepancy <= 1e-5
-    assert len(r.samples) == 10
-    for smp in r.samples:
-        assert smp.difference <= r.max_discrepancy + 1e-15
+    assert len(r.s) == 10
+    for difference in r.difference:
+        assert difference <= r.max_discrepancy + 1e-15
 
 
 def test_cross_check_flat():
     r = bridge_cross_check(flat_potential(2), [0.5, 1.0, 2.0, 4.0])
     assert r.max_discrepancy <= 1e-8
-    for smp in r.samples:
-        assert abs(smp.kahler_side) <= 1e-8
-        assert abs(smp.polytope_side) <= 1e-8
+    for kahler_side, polytope_side in zip(r.kahler_side, r.polytope_side):
+        assert abs(kahler_side) <= 1e-8
+        assert abs(polytope_side) <= 1e-8
 
 
 def test_induced_potential_matches_projective_profile():

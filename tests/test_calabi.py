@@ -1,9 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricext import (
@@ -150,17 +151,51 @@ def test_h_second_eliminates_prescribed_pole():
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-@pytest.mark.parametrize("n,a,b", [(2, 0.5, 1.0), (3, 0.25, 2.0), (4, 0.5, 1.0)])
+@pytest.mark.parametrize(
+    "n,a,b",
+    [(2, 0.5, 1.0), (3, 0.25, 2.0), (4, 0.5, 1.0), (4, 1e-3, 1e3), (10, 0.5, 10.0)],
+)
 def test_h_second_bounded_at_interval_ends(n, a, b):
-    """h'' must stay finite as t -> a, b even though F'' blows up there."""
+    """h'' stays finite as t -> a, b even though F'' blows up there, and
+    h_second gets it right there."""
     E = solve_coefficients(n, a, b)
     for base, sgn in ((a, +1.0), (b, -1.0)):
-        vals = [
-            h_second(E, base + sgn * off * (b - a))
-            for off in (1e-6, 5e-7, 2.5e-7)
-        ]
-        drift = max(vals) - min(vals)
-        assert drift <= 1e-4 * max(1.0, abs(vals[-1]))
+        for off in (1e-6, 5e-7, 2.5e-7, 1e-9):
+            t = base + sgn * off * (b - a)
+            want = _exact_h_second(n, a, b, t)
+            assert abs(h_second(E, t) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    b=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+    ratio=st.one_of(
+        st.floats(min_value=-8.0, max_value=-0.3).map(lambda e: 10.0**e),
+        st.floats(min_value=-9.0, max_value=-0.3).map(lambda e: 1.0 - 10.0**e),
+    ),
+    offset=st.floats(min_value=-9.0, max_value=-0.3).map(lambda e: 10.0**e),
+    near_a=st.booleans(),
+)
+@example(n=10, b=10.0, ratio=0.05, offset=1e-6, near_a=True)
+@example(n=4, b=1e3, ratio=1e-6, offset=1e-6, near_a=False)
+@settings(max_examples=200)
+def test_h_second_matches_exact_rational_value(n, b, ratio, offset, near_a):
+    a = ratio * b
+    t = a + offset * (b - a) if near_a else b - offset * (b - a)
+    assume(a < t < b)
+    want = _exact_h_second(n, a, b, t)
+    got = h_second(solve_coefficients(n, a, b), t)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_h_second_refuses_a_non_extremal_record():
+    # only the extremal coefficients of (n, a, b) make h'' regular at the ends
+    flat = ExtremalCoefficients(n=2, a=0.5, b=1.0, A=0.0, B=0.0, C=0.0, D=0.0)
+    E = solve_coefficients(3, 0.25, 2.0)
+    off_by_one_ulp = dataclasses.replace(E, D=float(np.nextafter(E.D, 1.0)))
+    for record in (flat, off_by_one_ulp):
+        with pytest.raises(InvalidParameters):
+            h_second(record, 0.75)
 
 
 @pytest.mark.parametrize("a,b", [(0.3, 1.0), (0.9, 1.7)])
@@ -186,9 +221,9 @@ def test_cross_check_agrees_in_every_dimension(n, a, b):
     assert r.status == "ok"
 
 
-def _sympy_coefficients(n, a, b):
-    """(A, B, C, D) from a sympy Rational solve of the endpoint conditions,
-    built from the definition of alpha, each rounded to the nearest float."""
+def _sympy_solution(n, a, b):
+    """(A, B, C, D) as Fractions, from a sympy Rational solve of the endpoint
+    conditions built from the definition of alpha."""
     t, A, B, C, D = sympy.symbols("t A B C D")
     p = n * (n + 1) * (n + 2)
     alpha = n * A * t ** (n + 2) + (n + 2) * B * t ** (n + 1) + p * (C * t + D)
@@ -201,7 +236,23 @@ def _sympy_coefficients(n, a, b):
         d_alpha.subs(t, eb) - (n + 1) * p * eb ** (n - 1),
     ]
     M, rhs = sympy.linear_eq_to_matrix(eqs, [A, B, C, D])
-    return tuple(float(Fraction(int(v.p), int(v.q))) for v in M.LUsolve(rhs))
+    return tuple(Fraction(int(v.p), int(v.q)) for v in M.LUsolve(rhs))
+
+
+def _sympy_coefficients(n, a, b):
+    """The exact solution, each coefficient rounded to the nearest float."""
+    return tuple(map(float, _sympy_solution(n, a, b)))
+
+
+def _exact_h_second(n, a, b, t):
+    """h''(t) = F''(t) - (b-a)/((t-a)(b-t)) by its definition, in rationals,
+    at the float t."""
+    A, B, C, D = _sympy_solution(n, a, b)
+    a, b, t = Fraction(a), Fraction(b), Fraction(t)
+    p = n * (n + 1) * (n + 2)
+    alpha = n * A * t ** (n + 2) + (n + 2) * B * t ** (n + 1) + p * (C * t + D)
+    F2 = p * t ** (n - 1) / (p * t**n - alpha) - 1 / t
+    return float(F2 - (b - a) / ((t - a) * (b - t)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -137,6 +137,25 @@ def test_verify_second_geometry():
     assert json.loads(r.stdout)["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "n,a,b",
+    [(5, 0.25, 2.0), (6, 0.25, 2.0)]
+    + [(n, a, 1.0) for a in (1e-3, 1e-6) for n in range(1, 6)],
+)
+def test_verify_passes_where_h_second_is_right_at_the_ends(n, a, b, capsys):
+    # h'' next to the ends moves like its slope times the offset; only its
+    # error against the exact value counts
+    code = cli.main(["verify", "--n", str(n), "--a", str(a), "--b", str(b)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["passed"] is True
+    limits = doc["endpoint_limits"]
+    assert limits["max_error"] <= 1e-13
+    # Q(a) = -p*a^(n-1)/c and Q(b) = -p*b^(n-1)/c, nonzero
+    p = n * (n + 1) * (n + 2)
+    want = [-p * a ** (n - 1) / (b - a), -p * b ** (n - 1) / (b - a)]
+    assert limits["denominator_at_ends"] == pytest.approx(want, rel=1e-14)
+
+
 def test_verify_impossible_tolerance_names_the_check():
     r = run_cli(
         "verify", "--n", "2", "--a", "0.5", "--b", "1",
