@@ -7,7 +7,6 @@ formula, and Calabi's Kahler-side formula) used to cross-check each other.
 
 from .abreu import (
     AffineFit,
-    ScalarCurvatureSample,
     SymplecticPotential,
     abreu_scalar_curvature,
     extremality_residual,

@@ -73,19 +73,16 @@ class SymplecticPotential:
 
 
 @dataclass(frozen=True)
-class ScalarCurvatureSample:
-    x: tuple
-    S: float
-
-
-@dataclass(frozen=True)
 class AffineFit:
-    """Least-squares affine model S(x) ~ <gradient, x> + constant."""
+    """Least-squares affine model S(x) ~ <gradient, x> + constant.
+
+    ``S`` is the read-only column of fitted curvatures, one per input point.
+    """
 
     gradient: tuple
     constant: float
     max_residual: float
-    samples: tuple
+    S: np.ndarray
 
 
 def _max_normal_entry(P: MomentPolytope) -> float:
@@ -247,13 +244,10 @@ def extremality_residual(
         )
     coef = coef / col_scale
     predicted = design @ coef
-    samples = tuple(
-        ScalarCurvatureSample(x=tuple(float(v) for v in x), S=float(s))
-        for x, s in zip(pts, S)
-    )
+    S.flags.writeable = False
     return AffineFit(
         gradient=tuple(float(v) for v in coef[:n]),
         constant=float(coef[n]),
         max_residual=float(np.max(np.abs(S - predicted))),
-        samples=samples,
+        S=S,
     )

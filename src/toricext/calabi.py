@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -138,11 +138,13 @@ def boundary_system(n: int, a: float, b: float):
     return rows[:, :4], rows[:, 4]
 
 
+@lru_cache
 def _exact_solution(n: int, a: float, b: float) -> tuple[Fraction, ...]:
     """(A, B, C, D) of the boundary system, exactly.
 
     The float (a, b) are exact rationals, so Gauss-Jordan elimination over
-    ``Fraction`` gives the exact solution.
+    ``Fraction`` gives the exact solution.  Cached: ``solve_coefficients``
+    and the record's deflation both need it for the same geometry.
     """
     rows = [
         [Fraction(x) for x in row]

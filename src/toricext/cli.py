@@ -231,9 +231,8 @@ def _verify_battery(cfg: RunConfig) -> dict:
     pts = sample_interior(P, cfg.points, margin=margin, seed=cfg.seed)
     pot = SymplecticPotential.from_radial(P, T)
     fit = extremality_residual(pot, pts)
-    abreu_S = np.array([sample.S for sample in fit.samples])
     rad = radial_scalar_curvature(T, np.sum(pts, axis=1))
-    curvature_disc = float(np.max(np.abs(abreu_S - rad) / np.maximum(1.0, np.abs(rad))))
+    curvature_disc = float(np.max(np.abs(fit.S - rad) / np.maximum(1.0, np.abs(rad))))
     s_scale = max(1.0, float(np.max(np.abs(rad))))
     scaled_residual = fit.max_residual / s_scale
 

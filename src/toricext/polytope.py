@@ -24,9 +24,6 @@ from .errors import DimensionMismatch, EmptyRegion, InvalidParameters
 
 FACET_TOL = 1e-12
 
-# sample_interior draws this many box points per rejection round
-_BATCH = 4096
-
 
 @dataclass(frozen=True)
 class AffineFacet:
@@ -39,28 +36,17 @@ class AffineFacet:
         if not any(self.normal):
             raise InvalidParameters("facet normal must be nonzero")
 
-    def value(self, x: np.ndarray) -> float:
-        return float(np.dot(self.normal, x) + self.offset)
-
 
 @dataclass(frozen=True)
 class MomentPolytope:
-    """A polytope cut out by facet functions, plus a sampling box.
-
-    ``bounding_box`` is a per-axis (lo, hi) pair enclosing the polytope; it
-    only steers rejection sampling and never participates in membership
-    tests.
-    """
+    """A polytope cut out by facet functions."""
 
     dimension: int
     facets: tuple[AffineFacet, ...]
-    bounding_box: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise InvalidParameters("dimension must be >= 1")
-        if len(self.bounding_box) != self.dimension:
-            raise InvalidParameters("bounding box must have one (lo, hi) per axis")
         for facet in self.facets:
             if len(facet.normal) != self.dimension:
                 raise DimensionMismatch(
@@ -93,8 +79,7 @@ def build_blowup_polytope(n: int, a: float, b: float) -> MomentPolytope:
     ones = tuple(1 for _ in range(n))
     minus_ones = tuple(-1 for _ in range(n))
     facets = coords + (AffineFacet(ones, -a), AffineFacet(minus_ones, b))
-    box = tuple((0.0, b) for _ in range(n))
-    return MomentPolytope(dimension=n, facets=facets, bounding_box=box)
+    return MomentPolytope(dimension=n, facets=facets)
 
 
 def facet_values(P: MomentPolytope, x) -> np.ndarray:
@@ -122,42 +107,58 @@ def interior_distance(P: MomentPolytope, x):
     return float(d) if d.ndim == 0 else d
 
 
+def _sum_bounds(P: MomentPolytope) -> tuple[float, float]:
+    """(a, b) such that P = {x_i >= 0, a <= sum(x) <= b}, read off the facets.
+
+    P must have a facet x_i >= 0 for every axis, at most one sum(x) >= a
+    (a = 0 without one: the simplex of CP^n) and exactly one sum(x) <= b.
+    """
+    n = P.dimension
+    units = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    axes = {f.normal for f in P.facets if f.normal in units and f.offset == 0.0}
+    rest = [f for f in P.facets if not (f.normal in units and f.offset == 0.0)]
+    lower = [-f.offset for f in rest if f.normal == (1,) * n]
+    upper = [f.offset for f in rest if f.normal == (-1,) * n]
+    shape_ok = len(axes) == n and len(lower) <= 1 and len(upper) == 1
+    if not shape_ok or len(rest) != len(lower) + len(upper):
+        raise InvalidParameters(f"cannot sample a polytope with facets {P.facets}")
+    return (lower[0] if lower else 0.0), upper[0]
+
+
 def sample_interior(
-    P: MomentPolytope,
-    count: int,
-    margin: float,
-    seed: int = 0,
-    max_draws: int = 1_000_000,
+    P: MomentPolytope, count: int, margin: float, seed: int = 0
 ) -> np.ndarray:
     """Deterministic interior points with every facet value >= margin.
 
-    Rejection sampling over the bounding box with numpy's default PCG64
-    generator; identical (P, count, margin, seed) always return identical
-    points.  Raises EmptyRegion once ``max_draws`` box points have been
-    tried, which is how an over-large margin surfaces.
+    The points are uniform on {x_i >= m, sum(x) - a >= m, b - sum(x) >= m}
+    (m = margin, a and b from ``_sum_bounds``).  With y = x - m the region is
+    {y >= 0, lo <= sum(y) <= hi}, lo = max(a + m - n*m, 0), hi = b - m - n*m,
+    so one exact draw per point does it (uniform spacings, Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, ch. V): a direction
+    uniform on the simplex sum(d) = 1 from normalised exponentials, and a
+    radius s with density proportional to s^(n-1) on [lo, hi], by inverse
+    CDF in the scale-free form hi*(r^n + u*(1 - r^n))^(1/n), r = lo/hi.
+    numpy's default PCG64 generator makes identical (P, count, margin, seed)
+    return identical points.  Raises EmptyRegion when lo >= hi.
     """
     if count < 1:
         raise InvalidParameters("count must be >= 1")
     if not margin > 0.0:
         raise InvalidParameters("margin must be positive")
 
-    rng = np.random.default_rng(seed)
-    lo = np.array([lo for lo, _ in P.bounding_box])
-    hi = np.array([hi for _, hi in P.bounding_box])
-    normals = np.array([f.normal for f in P.facets], dtype=float)
-    offsets = np.array([f.offset for f in P.facets])
+    n = P.dimension
+    a, b = _sum_bounds(P)
+    lo = max(a + margin - n * margin, 0.0)
+    hi = b - margin - n * margin
+    if not lo < hi:
+        raise EmptyRegion(
+            f"no interior point with margin {margin}: sum(x - margin) would "
+            f"have to lie in [{lo}, {hi}]"
+        )
 
-    accepted: list[np.ndarray] = []
-    drawn = 0
-    while len(accepted) < count:
-        if drawn >= max_draws:
-            raise EmptyRegion(
-                f"no interior point with margin {margin} found after "
-                f"{drawn} draws"
-            )
-        batch = rng.uniform(lo, hi, size=(_BATCH, P.dimension))
-        drawn += _BATCH
-        values = batch @ normals.T + offsets
-        good = batch[np.min(values, axis=1) >= margin]
-        accepted.extend(good)
-    return np.array(accepted[:count])
+    rng = np.random.default_rng(seed)
+    spacings = rng.exponential(size=(count, n))
+    directions = spacings / np.sum(spacings, axis=1, keepdims=True)
+    r_n = (lo / hi) ** n
+    radii = hi * (r_n + rng.random(count) * (1.0 - r_n)) ** (1.0 / n)
+    return margin + radii[:, None] * directions

@@ -117,7 +117,7 @@ def test_dimension_cap():
         AffineFacet(tuple(1 if j == i else 0 for j in range(17)), 0.0)
         for i in range(17)
     )
-    P = MomentPolytope(17, facets, tuple((0.0, 1.0) for _ in range(17)))
+    P = MomentPolytope(17, facets)
     S = SymplecticPotential(P, lambda x: np.eye(17))
     with pytest.raises(InvalidParameters):
         abreu_scalar_curvature(S, np.full(17, 0.5))
@@ -150,6 +150,9 @@ def test_extremality_residual_on_extremal_metric():
     assert fit.gradient[1] == pytest.approx(E.A, abs=1e-4)
     assert fit.constant == pytest.approx(E.B, abs=1e-4)
     assert fit.max_residual <= 1e-5
+    # one read-only curvature per point, in the order of the points
+    np.testing.assert_array_equal(fit.S, abreu_scalar_curvature(S, pts))
+    assert not fit.S.flags.writeable
 
 
 def test_extremality_residual_detects_non_extremal_metric():

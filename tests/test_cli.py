@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,34 @@ def test_verify_passes_where_h_second_is_right_at_the_ends(n, a, b, capsys):
     p = n * (n + 1) * (n + 2)
     want = [-p * a ** (n - 1) / (b - a), -p * b ** (n - 1) / (b - a)]
     assert limits["denominator_at_ends"] == pytest.approx(want, rel=1e-14)
+
+
+# the four (a, b) cover a/b -> 0, a/b -> 1 and b != 1; every dimension up to
+# MAX_DIMENSION runs, all four geometries only where verify is cheap or the
+# dimension is the largest
+_SPREAD = [(1e-3, 1.0), (0.5, 1.0), (0.999, 1.0), (0.25, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "n,a,b",
+    [(n, a, b) for n in range(1, 9) for a, b in _SPREAD]
+    + [(n, *_SPREAD[n % 4]) for n in range(9, 16)]
+    + [(16, a, b) for a, b in _SPREAD],
+)
+def test_verify_passes_across_the_dimension_range(n, a, b, capsys):
+    code = cli.main(["verify", "--n", str(n), "--a", str(a), "--b", str(b),
+                     "--points", "40"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["passed"] is True
+
+
+def test_verify_is_byte_deterministic_at_the_largest_dimension(capsys):
+    argv = ["verify", "--n", "16", "--a", "0.999", "--b", "1", "--points", "40"]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_impossible_tolerance_names_the_check():
@@ -378,3 +407,19 @@ def test_verify_evaluates_the_validity_grid_once(monkeypatch, capsys):
     assert code == 0 and doc["passed"] is True
     assert grids == [300]
     assert doc["validity"]["minimum"] > 0.0
+
+
+def test_verify_solves_the_exact_system_once(monkeypatch, capsys):
+    real = calabi_mod._boundary_rows
+    eliminations = []
+
+    def counting(n, a, b):
+        if isinstance(a, Fraction):
+            eliminations.append((n, a, b))
+        return real(n, a, b)
+
+    monkeypatch.setattr(calabi_mod, "_boundary_rows", counting)
+    calabi_mod._exact_solution.cache_clear()
+    code = cli.main(["verify", "--n", "2", "--points", "20"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["passed"] is True
+    assert len(eliminations) == 1

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricext import (
+    AffineFacet,
     DimensionMismatch,
     EmptyRegion,
     InvalidParameters,
+    MomentPolytope,
     build_blowup_polytope,
     facet_values,
     interior_distance,
@@ -14,7 +16,14 @@ from toricext import (
 )
 
 # (n, a, b) triples used across the parameterized tests
-CONFIGS = [(1, 0.25, 0.75), (2, 0.5, 1.0), (3, 0.25, 2.0)]
+CONFIGS = [
+    (1, 0.25, 0.75),
+    (2, 0.5, 1.0),
+    (3, 0.25, 2.0),
+    (7, 0.5, 1.0),
+    (12, 1e-3, 1.0),
+    (16, 0.999, 1.0),
+]
 
 params = st.tuples(
     st.integers(min_value=1, max_value=5),
@@ -125,7 +134,51 @@ def test_sample_interior_deterministic():
 def test_sample_interior_margin_exceeds_inradius():
     P = build_blowup_polytope(2, 0.5, 1.0)
     with pytest.raises(EmptyRegion):
-        sample_interior(P, 1, margin=0.5, seed=0, max_draws=50_000)
+        sample_interior(P, 1, margin=0.5, seed=0)
+
+
+def _coordinate_facets(n: int) -> tuple:
+    return tuple(
+        AffineFacet(tuple(1 if j == i else 0 for j in range(n)), 0.0)
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        _coordinate_facets(17),  # the orthant: no sum(x) <= b facet
+        _coordinate_facets(2) + (AffineFacet((-1, -1), 1.0),) * 2,
+        _coordinate_facets(2) + (AffineFacet((-1, -2), 1.0),),
+        _coordinate_facets(2)
+        + (AffineFacet((-1, -1), 1.0), AffineFacet((1, -1), 0.5)),
+        _coordinate_facets(2)[:1] + (AffineFacet((-1, -1), 1.0),),
+    ],
+)
+def test_sample_interior_refuses_other_facet_sets(facets):
+    P = MomentPolytope(len(facets[0].normal), facets)
+    with pytest.raises(InvalidParameters):
+        sample_interior(P, 5, margin=0.01)
+
+
+@pytest.mark.parametrize(
+    "n,a,b,seed",
+    [(1, 0.25, 0.75, 1), (3, 0.5, 1.0, 2), (8, 0.25, 2.0, 3), (16, 0.5, 1.0, 4)],
+)
+def test_sample_interior_is_uniform(n, a, b, seed):
+    """y = x - m is uniform on {y >= 0, lo <= sum(y) <= hi}: sum(y) has CDF
+    (s^n - lo^n)/(hi^n - lo^n), and every coordinate takes a 1/n share."""
+    count, m = 20_000, 0.05 * (b - a)
+    P = build_blowup_polytope(n, a, b)
+    y = sample_interior(P, count, margin=m, seed=seed) - m
+    lo, hi = max(a + m - n * m, 0.0), b - m - n * m
+    s = np.sort(np.sum(y, axis=1))
+    cdf = ((s / hi) ** n - (lo / hi) ** n) / (1.0 - (lo / hi) ** n)
+    rank = np.arange(1, count + 1) / count
+    kolmogorov = max(np.max(rank - cdf), np.max(cdf - (rank - 1.0 / count)))
+    assert kolmogorov <= 0.02
+    shares = np.mean(y / np.sum(y, axis=1, keepdims=True), axis=0)
+    np.testing.assert_allclose(shares, 1.0 / n, atol=0.01)
 
 
 def test_sample_interior_rejects_bad_arguments():

@@ -31,8 +31,4 @@ def simplex_polytope(n: int) -> MomentPolytope:
         for i in range(n)
     )
     top = AffineFacet(tuple(-1 for _ in range(n)), 1.0)
-    return MomentPolytope(
-        dimension=n,
-        facets=coords + (top,),
-        bounding_box=tuple((0.0, 1.0) for _ in range(n)),
-    )
+    return MomentPolytope(dimension=n, facets=coords + (top,))
