@@ -69,7 +69,6 @@ from .radial import (
     TPotential,
     ValidityResult,
     radial_hessian,
-    radial_hessian_inverse,
     radial_scalar_curvature,
     validity_check,
 )

@@ -29,7 +29,7 @@ from .errors import (
     StencilExitsDomain,
 )
 from .numdiff import STEP_SECOND
-from .polytope import MomentPolytope, interior_distance
+from .polytope import MomentPolytope, _sum_bounds, interior_distance
 from .radial import TPotential, radial_hessian
 
 # dense direct inversion is plenty for the sizes this family produces;
@@ -151,11 +151,12 @@ def abreu_scalar_curvature(
     with an (m,) array.  Each stencil term inverts the Hessians of all m
     shifted points at once, so memory is O(m n^2).
 
-    Default step, per point: eps^(1/4)*max(1, |x|_inf), clamped to 1e-3 and
-    to the limit past which the outer stencil leaves the domain (an explicit
-    step past it raises).  The floor-free scale keeps rounding noise
-    (which grows like 1/h^2 through the inversion) from swamping the
-    estimate near the boundary.
+    Default step, per point: eps^(1/4)*b, with b read off facets of the
+    shape {x_i >= 0, a <= sum(x) <= b}, clamped to the limit past which the
+    outer stencil leaves the domain.  One length per geometry keeps the
+    result covariant under rescaling (a, b).  With the default step any
+    other facet set raises InvalidParameters; an explicit h works on any
+    facet set, and one past the limit raises StencilExitsDomain.
     """
     x = np.asarray(x, dtype=float)
     n = P.polytope.dimension
@@ -177,8 +178,7 @@ def abreu_scalar_curvature(
         )
     limit = dmin / (3.0 * _max_normal_entry(P.polytope))
     if h is None:
-        scale = np.maximum(1.0, np.max(np.abs(pts), axis=1))
-        h = np.minimum(np.minimum(STEP_SECOND * scale, limit), 1e-3)
+        h = np.minimum(STEP_SECOND * _sum_bounds(P.polytope)[1], limit)
     else:
         h = np.full(len(pts), float(h))
     exits = h > limit

@@ -31,7 +31,7 @@ from .errors import (
     NotInvertible,
     OutOfRange,
 )
-from .numdiff import EPS, keep_last, power, richardson_first, richardson_second
+from .numdiff import EPS, keep_last, power, richardson
 from .radial import TPotential, radial_scalar_curvature
 
 # base step (in s~) for the v and t' difference stencils: these functions are
@@ -112,7 +112,7 @@ def _df(K: KahlerPotential, s: np.ndarray):
         return K.df(s)
     h = _STEP_DF * np.maximum(1.0, np.abs(s))
     h = np.minimum(h, 0.5 * s)  # keep the stencil on s > 0
-    return richardson_first(K.f, s, h)
+    return richardson(K.f, s, h)[0]
 
 
 def _d2f(K: KahlerPotential, s: np.ndarray):
@@ -120,7 +120,7 @@ def _d2f(K: KahlerPotential, s: np.ndarray):
         return K.d2f(s)
     h = _STEP_D2F * np.maximum(1.0, np.abs(s))
     h = np.minimum(h, 0.5 * s)
-    return richardson_second(K.f, s, h)
+    return richardson(K.f, s, h)[1]
 
 
 def t_of_s(K: KahlerPotential, s):
@@ -274,8 +274,7 @@ def calabi_scalar_curvature(K: KahlerPotential, s):
     s = _positive_s(s)
     st = np.log(s)
     h = _LOG_STEP * np.maximum(1.0, np.abs(st))
-    v1 = richardson_first(lambda z: _v(K, z), st, h)
-    v2 = richardson_second(lambda z: _v(K, z), st, h)
+    v1, v2 = richardson(lambda z: _v(K, z), st, h)
     u1 = t_of_s(K, s)
     u2 = _moment_rate(K, s)
     bad = (u1 <= 0.0) | (u2 <= 0.0)
@@ -318,7 +317,7 @@ def induced_t_potential(
         def rate(z):
             return _moment_rate(K, np.exp(z))
 
-        return u2, richardson_first(rate, st, h), richardson_second(rate, st, h)
+        return (u2, *richardson(rate, st, h))
 
     def d2F(t):
         t = np.asarray(t, dtype=float)

@@ -232,9 +232,9 @@ def _verify_battery(cfg: RunConfig) -> dict:
     pot = SymplecticPotential.from_radial(P, T)
     fit = extremality_residual(pot, pts)
     rad = radial_scalar_curvature(T, np.sum(pts, axis=1))
-    curvature_disc = float(np.max(np.abs(fit.S - rad) / np.maximum(1.0, np.abs(rad))))
-    s_scale = max(1.0, float(np.max(np.abs(rad))))
-    scaled_residual = fit.max_residual / s_scale
+    # both soft checks are relative to the curvature itself (|S| >= 2/b > 0)
+    curvature_disc = float(np.max(np.abs(fit.S - rad) / np.abs(rad)))
+    scaled_residual = fit.max_residual / float(np.max(np.abs(rad)))
 
     endpoints_ok, endpoints = _endpoint_limits(E, cfg.tolerance_hard)
 

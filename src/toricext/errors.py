@@ -22,7 +22,7 @@ class DimensionMismatch(GeometryError, ValueError):
 
 
 class EmptyRegion(GeometryError, RuntimeError):
-    """Rejection sampling exhausted its retry budget without a hit."""
+    """The sampling margin leaves no interior region to draw points from."""
 
 
 class NonInteriorPoint(GeometryError, ValueError):

@@ -1,5 +1,5 @@
-"""Central-difference stencils and the integer power shared by the curvature
-pipelines.
+"""The Richardson difference stencil and the integer power shared by the
+curvature pipelines.
 
 Profile and curvature primitives take a scalar or an ndarray of t and answer
 in kind, and a value is the same whichever way it was asked for.
@@ -54,23 +54,19 @@ def keep_last(fn: Callable[[np.ndarray], tuple]) -> Callable:
     return cached
 
 
-def central_first(f: Callable[[float], float], x: float, h: float) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+def richardson(f: Callable, x, h) -> tuple:
+    """f' and f'' at x, one Richardson level on central differences (O(h^4)).
 
-
-def central_second(f: Callable[[float], float], x: float, h: float) -> float:
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
-def richardson_first(f: Callable[[float], float], x: float, h: float) -> float:
-    """One Richardson level on the centered first difference (O(h^4))."""
-    coarse = central_first(f, x, h)
-    fine = central_first(f, x, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
-
-
-def richardson_second(f: Callable[[float], float], x: float, h: float) -> float:
-    """One Richardson level on the centered second difference (O(h^4))."""
-    coarse = central_second(f, x, h)
-    fine = central_second(f, x, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    f is evaluated once at each of x +- h, x +- h/2 and x; both derivatives
+    combine the coarse (step h) and fine (step h/2) centered differences as
+    (4*fine - coarse)/3.
+    """
+    up, down = f(x + h), f(x - h)
+    half = 0.5 * h
+    up_half, down_half = f(x + half), f(x - half)
+    mid = f(x)
+    first = (4.0 * ((up_half - down_half) / (2.0 * half))
+             - (up - down) / (2.0 * h)) / 3.0
+    second = (4.0 * ((up_half - 2.0 * mid + down_half) / (half * half))
+              - (up - 2.0 * mid + down) / (h * h)) / 3.0
+    return first, second

@@ -9,9 +9,8 @@ nonnegative exactly on the polytope:
     l_{n+1}(x) = t - a      (t = sum of the x_i)
     l_{n+2}(x) = b - t
 
-All facet data is floating point; comparisons against it use a 1e-12
-tolerance.  Facet values double as boundary distances "in facet-value units",
-which is the natural gauge for the log singularities of the potentials.
+Facet values double as boundary distances "in facet-value units", which is
+the natural gauge for the log singularities of the potentials.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyRegion, InvalidParameters
-
-FACET_TOL = 1e-12
 
 
 @dataclass(frozen=True)

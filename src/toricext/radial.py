@@ -28,10 +28,10 @@ from .errors import (
     InvalidParameters,
     NonInteriorPoint,
 )
-from .numdiff import EPS, STEP_SECOND, central_second, power, richardson_second
+from .numdiff import EPS, STEP_SECOND, power, richardson
 
-# 1 + t*F'' at or below this is treated as a degenerate metric: the rank-one
-# inverse divides by it, and anything this small is cancellation noise anyway
+# 1 + t*F'' at or below this is treated as a degenerate metric: the curvature
+# divides by it, and anything this small is cancellation noise anyway
 DEGENERACY_TOL = 1e-14
 
 # a profile derivative: t array in, values of the same shape (or a constant) out
@@ -112,20 +112,6 @@ def radial_hessian(x, d2F_value) -> np.ndarray:
     return G
 
 
-def radial_hessian_inverse(x, d2F_value: float) -> np.ndarray:
-    """Closed-form inverse of radial_hessian via a rank-one update.
-
-    G = (D + F'' e e^T)/2 with D = diag(1/x), so Sherman-Morrison gives
-    G^{-1} = 2*(diag(x) - F'' x x^T / (1 + t*F'')).
-    """
-    x = np.asarray(x, dtype=float)
-    _check_interior(x)
-    t = float(np.sum(x))
-    den = 1.0 + t * d2F_value
-    _check_nondegenerate(den, t)
-    return 2.0 * (np.diag(x) - d2F_value * np.outer(x, x) / den)
-
-
 def _w(T: TPotential, t: np.ndarray):
     """W = F''/(1 + t*F''), guarded against the degenerate locus."""
     f2 = T.d2F(t)
@@ -142,21 +128,15 @@ def _check_domain(T: TPotential, t: np.ndarray) -> None:
         )
 
 
-def radial_scalar_curvature(
-    T: TPotential,
-    t,
-    method: str = "auto",
-    step: Optional[float] = None,
-    use_richardson: bool = True,
-):
+def radial_scalar_curvature(T: TPotential, t, method: str = "auto"):
     """Scalar curvature S(t) = t^(1-n) * u''(t) of the radial metric.
 
     Takes a scalar or an array of t and answers in kind.  method="analytic"
     differentiates u symbolically through F''..F'''' and requires d3F/d4F
-    on the potential; method="fd" runs central differences on u with step
-    ``step or eps^(1/4)*max(1,|t|)`` (shrunk to fit the domain), plus one
-    Richardson level unless ``use_richardson`` is off.  "auto" picks
-    analytic when the derivatives are available.
+    on the potential; method="fd" runs central differences on u, with one
+    Richardson level and step eps^(1/4)*t_max (the profile's own length,
+    shrunk to fit the domain).  "auto" picks analytic when the derivatives
+    are available.
     """
     t = np.asarray(t, dtype=float)
     _check_domain(T, t)
@@ -167,7 +147,7 @@ def radial_scalar_curvature(
             raise InvalidParameters("analytic path requires d3F and d4F")
         return _curvature_analytic(T, t)
     if method == "fd":
-        return _curvature_fd(T, t, step, use_richardson)
+        return _curvature_fd(T, t)
     raise InvalidParameters(f"unknown method {method!r}")
 
 
@@ -187,13 +167,11 @@ def _curvature_analytic(T: TPotential, t: np.ndarray):
     return n * (n + 1) * w + 2.0 * (n + 1) * t * w1 + t * t * w2
 
 
-def _curvature_fd(
-    T: TPotential, t: np.ndarray, step: Optional[float], use_richardson: bool
-):
-    h = step if step is not None else STEP_SECOND * np.maximum(1.0, np.abs(t))
+def _curvature_fd(T: TPotential, t: np.ndarray):
     room = np.minimum(t - T.t_min, T.t_max - t)
-    h = np.minimum(h, 0.5 * room)
-    cramped = h <= 16.0 * EPS * np.maximum(1.0, np.abs(t))
+    h = np.minimum(STEP_SECOND * T.t_max, 0.5 * room)
+    # t +- h must be resolvable from t
+    cramped = h <= 16.0 * EPS * t
     if np.any(cramped):
         raise DomainViolation(
             f"no room for a difference stencil at t = {t[cramped][0]}"
@@ -202,8 +180,7 @@ def _curvature_fd(
     def u(tau: np.ndarray):
         return power(tau, T.n + 1) * _w(T, tau)
 
-    diff = richardson_second if use_richardson else central_second
-    return power(t, 1 - T.n) * diff(u, t, h)
+    return power(t, 1 - T.n) * richardson(u, t, h)[1]
 
 
 def validity_check(T: TPotential, samples: int) -> ValidityResult:

@@ -130,6 +130,23 @@ def test_explicit_step_must_fit():
         abreu_scalar_curvature(S, np.array([0.3, 0.4]), h=0.3)
 
 
+def test_default_step_needs_the_blowup_facet_shape():
+    # the default step is relative to b, read off {x_i >= 0, a <= sum <= b};
+    # the unit square has no such b, and only an explicit step runs there
+    square = MomentPolytope(2, (
+        AffineFacet((1, 0), 0.0),
+        AffineFacet((0, 1), 0.0),
+        AffineFacet((-1, 0), 1.0),
+        AffineFacet((0, -1), 1.0),
+    ))
+    identity = lambda x: np.broadcast_to(np.eye(2), x.shape + (2,))
+    S = SymplecticPotential(square, identity)
+    x = np.array([0.3, 0.4])
+    with pytest.raises(InvalidParameters):
+        abreu_scalar_curvature(S, x)
+    assert abreu_scalar_curvature(S, x, h=1e-3) == 0.0
+
+
 def test_default_step_clamped_at_the_facet_fits():
     # the clamp binds here and 3*(d/3) rounds above d = the facet distance
     P = build_blowup_polytope(2, 0.5, 1.0)

@@ -199,6 +199,20 @@ def test_cross_check_inverts_the_moment_map_once_per_sample(monkeypatch):
     assert len(inverted) == len(samples)
 
 
+def test_calabi_curvature_evaluates_v_once_per_stencil_point(monkeypatch):
+    # v' and v'' share one five-point stencil: s~ +- h, s~ +- h/2 and s~
+    calls = []
+    real = bridge_mod._v
+
+    def counting(K, st):
+        calls.append(st)
+        return real(K, st)
+
+    monkeypatch.setattr(bridge_mod, "_v", counting)
+    calabi_scalar_curvature(fubini_study_potential(2), np.geomspace(0.25, 4.0, 10))
+    assert len(calls) == 5
+
+
 def test_induced_potential_takes_arrays():
     T = induced_t_potential(fubini_study_potential(2), 0.0, 1.0)
     ts = np.linspace(0.1, 0.9, 7)

@@ -10,7 +10,6 @@ from toricext import (
     NonInteriorPoint,
     TPotential,
     radial_hessian,
-    radial_hessian_inverse,
     radial_scalar_curvature,
     validity_check,
 )
@@ -35,31 +34,6 @@ def test_hessian_with_radial_part():
 def test_hessian_anisotropic_point():
     G = radial_hessian(np.array([2.0, 1.0]), 0.0)
     np.testing.assert_allclose(G, np.diag([0.25, 0.5]), atol=1e-15)
-
-
-def test_inverse_hessian_closed_form_value():
-    # x=(1,1), F''=1: 2*(I - [[1,1],[1,1]]/3) = [[4/3,-2/3],[-2/3,4/3]]
-    Ginv = radial_hessian_inverse(np.array([1.0, 1.0]), 1.0)
-    np.testing.assert_allclose(
-        Ginv, [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]], rtol=1e-14
-    )
-
-
-@given(interior_x, st.floats(min_value=-0.2, max_value=5.0))
-def test_inverse_is_inverse(x, f2):
-    t = float(np.sum(x))
-    if 1.0 + t * f2 <= 1e-3:
-        return
-    G = radial_hessian(x, f2)
-    Ginv = radial_hessian_inverse(x, f2)
-    np.testing.assert_allclose(G @ Ginv, np.eye(len(x)), atol=1e-12)
-    np.testing.assert_allclose(Ginv, np.linalg.inv(G), rtol=1e-9, atol=1e-12)
-
-
-def test_inverse_degenerate_direction_raises():
-    # t = 2, F'' = -1/2 makes 1 + t F'' = 0
-    with pytest.raises(DegenerateMetric):
-        radial_hessian_inverse(np.array([1.0, 1.0]), -0.5)
 
 
 @given(interior_x, st.floats(min_value=-3.0, max_value=5.0))
@@ -163,6 +137,16 @@ def test_fd_step_must_fit_in_domain():
     T = TPotential(n=1, t_min=0.0, t_max=1.0, d2F=lambda t: 1.0)
     with pytest.raises(DomainViolation):
         radial_scalar_curvature(T, 1.0 - 1e-15, method="fd")
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd"])
+def test_curvature_refuses_a_degenerate_metric(method):
+    # F'' = -1/2 makes 1 + t F'' = 0 at t = 2
+    half = lambda t: -0.5
+    zero = lambda t: 0.0
+    T = TPotential(n=2, t_min=0.0, t_max=4.0, d2F=half, d3F=zero, d4F=zero)
+    with pytest.raises(DegenerateMetric):
+        radial_scalar_curvature(T, 2.0, method=method)
 
 
 def test_curvature_rejects_exterior_t():

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("curvature_consistency.py", "--n 2 --points 10 --step-scan"),
         ("curvature_consistency.py", "--n 3 --a 0.25 --b 2 --points 10"),
         ("curvature_consistency.py", "--n 8 --points 20"),
+        ("curvature_consistency.py", "--n 3 --a 2.5e-4 --b 1e-3 --step-scan"),
         ("coefficient_sweep.py", "--n 3 --steps 5 --csv {tmp}/sweep.csv"),
     ],
 )
