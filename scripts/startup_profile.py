@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Where one CLI call's wall time goes, stage by stage, as medians over runs.
+
+    python3 scripts/startup_profile.py --command "derive --n 3" --runs 20
+
+Each run starts a fresh ``python -X importtime -c WRAPPER <command>``, where
+the wrapper calls the installed script's entry point,
+``toricext.__main__.main``, and prints wall-clock timestamps on stderr as it
+starts and after ``main`` returns.  With the time taken just before the spawn
+and just after the process is reaped, and the ``-X importtime`` lines printed
+between the two stamps, one call splits into:
+
+    interpreter + site   spawn to the wrapper's first line
+    numpy                import time of numpy, its lazily loaded submodules
+                         (``numpy.random``) included
+    toricext.*           each package module's own (self) import time
+    other imports        the remaining imports: stdlib, and the wrapper's own
+    command              the rest of the time until ``main`` returns
+    teardown             ``main`` returning to the process being reaped
+    total                spawn to reaped
+
+Nothing in the program is instrumented.  ``-X importtime`` adds its own
+small cost to the import rows.  The environment (``PYTHONDONTWRITEBYTECODE``,
+BLAS settings) is the caller's; ``src/`` of this checkout is put first on
+``PYTHONPATH``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shlex
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_MARK = "@@startup_profile"
+_WRAPPER = f"""
+import sys, time
+print("{_MARK} start", time.time(), file=sys.stderr, flush=True)
+from toricext.__main__ import main
+code = main(sys.argv[1:])
+print("{_MARK} main", time.time(), file=sys.stderr, flush=True)
+sys.exit(code)
+"""
+
+
+def _imports(lines: list[str]) -> list[tuple[str, float, bool]]:
+    """(module, self s, inside numpy) of each ``-X importtime`` line.
+
+    Inside numpy means a ``numpy.*`` module, or any module a ``numpy.*``
+    import loaded.  The lines come children first, two spaces of indent per
+    level, so a backward walk meets each parent before its children.
+    """
+    rows = []
+    numpy_depths: list[int] = []  # indents of the enclosing numpy imports
+    for line in reversed(lines):
+        if not line.startswith("import time:"):
+            continue
+        self_us, _, raw = line[len("import time:"):].split("|")
+        try:
+            self_s = float(self_us) * 1e-6
+        except ValueError:  # the header line
+            continue
+        name, depth = raw.strip(), len(raw) - len(raw.lstrip(" "))
+        while numpy_depths and numpy_depths[-1] >= depth:
+            numpy_depths.pop()
+        if not numpy_depths and (name == "numpy" or name.startswith("numpy.")):
+            numpy_depths.append(depth)
+        rows.append((name, self_s, bool(numpy_depths)))
+    return rows
+
+
+def profile_once(argv: list[str], env: dict) -> dict[str, float]:
+    """One call's stages in seconds, in the order of the module docstring."""
+    spawned = time.time()
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", _WRAPPER, *argv],
+        capture_output=True, text=True, env=env,
+    )
+    reaped = time.time()
+    if proc.returncode not in (0, 1):
+        sys.exit(f"toricext {shlex.join(argv)} exited {proc.returncode}:\n"
+                 f"{proc.stderr[-2000:]}")
+    lines = proc.stderr.splitlines()
+    stamps = {}
+    for k, line in enumerate(lines):
+        if line.startswith(_MARK):
+            _, stage, when = line.split()
+            stamps[stage] = (k, float(when))
+    (first, started), (_, returned) = stamps["start"], stamps["main"]
+    imports = _imports(lines[first:])
+    numpy = sum(self_s for _, self_s, inside in imports if inside)
+    own = {}
+    for name, self_s, _ in imports:
+        if name == "toricext" or name.startswith("toricext."):
+            own[name] = own.get(name, 0.0) + self_s
+    all_imports = sum(self_s for _, self_s, _ in imports)
+    return {
+        "interpreter + site": started - spawned,
+        "numpy": numpy,
+        **dict(sorted(own.items())),
+        "other imports": all_imports - numpy - sum(own.values()),
+        "command": returned - started - all_imports,
+        "teardown": reaped - returned,
+        "total": reaped - spawned,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--command", required=True,
+                    help='the CLI arguments, e.g. "derive --n 3"')
+    ap.add_argument("--runs", type=int, default=20, help="calls to take medians over")
+    args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be >= 1")
+
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    command = shlex.split(args.command)
+    runs = [profile_once(command, env) for _ in range(args.runs)]
+    stages = list(dict.fromkeys(stage for run in runs for stage in run))
+
+    print(f"# toricext {args.command}: median of {args.runs} runs")
+    print(f"{'stage':<24} {'ms':>8}")
+    for stage in stages:
+        # a module a run did not load counts as 0 ms in it
+        ms = 1e3 * statistics.median(run.get(stage, 0.0) for run in runs)
+        print(f"{stage:<24} {ms:8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,33 @@
+"""Process entry point: ``python -m toricext`` and the installed ``toricext``.
+
+Two things here concern the process, not the CLI, so ``cli.main`` (which tests
+and in-process callers use) does neither:
+
+* OpenBLAS runs on one thread.  The CLI's largest LAPACK operands, (100, 16,
+  16) stacked inverses and one (points, n + 1) least-squares fit, stay below
+  OpenBLAS's threading thresholds, so its thread pool only costs start-up
+  time; output is the same either way.  It must be set before numpy is first
+  imported, and it is a constant, not a default.
+* After the command, every object is moved to the GC's permanent generation,
+  so interpreter shutdown does not walk the whole heap (numpy's included) in
+  a final collection.  Atexit handlers and stdio shutdown still run.
+"""
+
+import gc
+import os
 import sys
 
-from .cli import main
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import cli  # noqa: E402  (imports numpy, so after the pin)
+
+
+def main(argv=None) -> int:
+    try:
+        return cli.main(argv)
+    finally:  # also when argparse exits (--help, a bad argument)
+        gc.freeze()
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,8 +39,10 @@ from .errors import (
     ZeroDenominator,
 )
 from .numdiff import keep_last, power
-from .polytope import MomentPolytope, build_blowup_polytope
-from .radial import TPotential, ValidityResult, validity_check
+
+if TYPE_CHECKING:
+    from .polytope import MomentPolytope
+    from .radial import TPotential, ValidityResult
 
 # p*t^n - alpha legitimately vanishes only at the endpoints; anything this
 # close to zero in the interior is treated as a pole hit
@@ -450,8 +453,12 @@ def _checked_extremal_metric(
     The radial curvature asks for F''' and F'''' in turn at the same t; both
     come from one ``_profile_derivatives`` evaluation per array of t.  For an
     extremal profile 1 + t*F'' = p*t^n/(p*t^n - alpha) is positive exactly
-    where p*t^n - alpha is.
+    where p*t^n - alpha is.  Of the CLI commands only ``verify`` runs this, so
+    the polytope and radial modules are imported here, not with calabi.
     """
+    from .polytope import build_blowup_polytope
+    from .radial import TPotential, validity_check
+
     P = build_blowup_polytope(n, a, b)
     E = solve_coefficients(n, a, b)
     derivatives = keep_last(lambda t: _profile_derivatives(E, t))

@@ -14,6 +14,10 @@ one %-template, in which every run of same-shaped rows shares one rendered
 row, and its floats are filled in with one % operation.  Exit codes: 0 pass,
 1 tolerance/verification failure (the failing check is named on stderr),
 2 invalid input.
+
+Each command imports the modules it runs when it runs, so a call loads only
+those: derive, profile and example load ``calabi``; bridge-check loads
+``bridge`` and ``radial``; verify loads every module but ``bridge``.
 """
 
 from __future__ import annotations
@@ -28,21 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bridge as bridge_mod
-from .abreu import SymplecticPotential, extremality_residual
-from .calabi import (
-    _checked_extremal_metric,
-    _endpoint_limits,
-    alpha_eval,
-    coefficient_cross_check,
-    extremal_F_second,
-    h_second,
-    solve_coefficients,
-)
 from .errors import DimensionMismatch, GeometryError, InvalidParameters
-from .numdiff import power
-from .polytope import sample_interior
-from .radial import radial_scalar_curvature
 
 PRNG_NAME = "numpy-pcg64"
 
@@ -51,6 +41,9 @@ PRNG_NAME = "numpy-pcg64"
 _SAMPLING_MARGIN_FACTOR = 0.05
 
 _BRIDGE_COLUMNS = ("s", "t", "kahler_side", "polytope_side", "difference")
+# sorted(bridge.PRESETS), written out so that building the parser does not
+# import bridge; a test keeps the two equal
+_PRESET_CHOICES = ("flat", "fubini-study")
 
 
 @dataclass(frozen=True)
@@ -161,6 +154,8 @@ def _require_json(cfg: RunConfig) -> None:
 
 
 def run_derive(cfg: RunConfig) -> str:
+    from .calabi import solve_coefficients
+
     _require_json(cfg)
     E = solve_coefficients(cfg.n, cfg.a, cfg.b)
     doc = {
@@ -178,6 +173,8 @@ def run_derive(cfg: RunConfig) -> str:
 
 
 def run_profile(cfg: RunConfig) -> str:
+    from .calabi import extremal_F_second, h_second, solve_coefficients
+
     E = solve_coefficients(cfg.n, cfg.a, cfg.b)
     rows_n = cfg.samples if cfg.samples is not None else 50
     if rows_n < 1:
@@ -207,6 +204,16 @@ def run_profile(cfg: RunConfig) -> str:
 
 
 def _verify_battery(cfg: RunConfig) -> dict:
+    from .abreu import SymplecticPotential, extremality_residual
+    from .calabi import (
+        _checked_extremal_metric,
+        _endpoint_limits,
+        alpha_eval,
+        coefficient_cross_check,
+    )
+    from .polytope import sample_interior
+    from .radial import radial_scalar_curvature
+
     n, a, b = cfg.n, cfg.a, cfg.b
     if cfg.points < n + 2:
         raise InvalidParameters(f"need points >= {n + 2}, got {cfg.points}")
@@ -297,10 +304,10 @@ def run_verify(cfg: RunConfig) -> tuple[str, int, str]:
 
 
 def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
+    from .bridge import PRESETS, bridge_cross_check
+
     _require_json(cfg)
-    if cfg.preset is not None and cfg.preset not in bridge_mod.PRESETS:
-        raise InvalidParameters(f"unknown preset {cfg.preset!r}")
-    names = [cfg.preset] if cfg.preset else sorted(bridge_mod.PRESETS)
+    names = [cfg.preset] if cfg.preset else _PRESET_CHOICES
     count = cfg.samples if cfg.samples is not None else 10
     if count < 1:
         raise InvalidParameters("samples must be >= 1")
@@ -309,8 +316,8 @@ def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
     blocks = []
     failing = []
     for name in names:
-        K = bridge_mod.PRESETS[name](cfg.n)
-        rep = bridge_mod.bridge_cross_check(K, s_grid)
+        K = PRESETS[name](cfg.n)
+        rep = bridge_cross_check(K, s_grid)
         columns = [getattr(rep, column).tolist() for column in _BRIDGE_COLUMNS]
         ok = rep.max_discrepancy <= cfg.tolerance_soft
         if not ok:
@@ -337,6 +344,9 @@ def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
 
 
 def run_example(cfg: RunConfig) -> tuple[str, int, str]:
+    from .calabi import coefficient_cross_check, h_second, solve_coefficients
+    from .numdiff import power
+
     _require_json(cfg)
     if cfg.n != 2 or cfg.b != 1.0:
         raise InvalidParameters("the worked example is the n=2, b=1 family")
@@ -397,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default=None)
     common.add_argument("--tolerance-hard", type=float, default=1e-9)
     common.add_argument("--tolerance-soft", type=float, default=1e-5)
-    common.add_argument("--preset", choices=sorted(bridge_mod.PRESETS), default=None)
+    common.add_argument("--preset", choices=_PRESET_CHOICES, default=None)
 
     parser = argparse.ArgumentParser(
         prog="toricext",

@@ -23,18 +23,6 @@ def run_cli(*args):
     )
 
 
-def test_import_loads_no_scipy():
-    code = (
-        "import sys, toricext; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    )
-    r = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=240
-    )
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
-
-
 def test_derive_reference_case():
     r = run_cli("derive", "--n", "2", "--a", "0.5", "--b", "1")
     assert r.returncode == 0, r.stderr
@@ -207,6 +195,29 @@ def test_bridge_check_both_presets():
     for p in doc["presets"]:
         assert p["passed"] is True
         assert len(p["rows"]) == 6
+
+
+def test_preset_choices_are_the_bridge_presets():
+    from toricext import bridge as bridge_mod
+
+    assert list(cli._PRESET_CHOICES) == sorted(bridge_mod.PRESETS)
+
+
+@pytest.mark.parametrize("preset", ["flat", "fubini-study"])
+def test_bridge_check_one_preset(preset):
+    r = run_cli("bridge-check", "--n", "3", "--samples", "4", "--preset", preset)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert [p["preset"] for p in doc["presets"]] == [preset]
+    assert doc["presets"][0]["passed"] is True
+    assert len(doc["presets"][0]["rows"]) == 4
+
+
+def test_bridge_check_rejects_an_unknown_preset():
+    r = run_cli("bridge-check", "--preset", "fubini_study")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "invalid choice" in r.stderr
 
 
 def test_example_command():
@@ -394,7 +405,7 @@ def test_renderer_names_the_first_non_finite_value():
 
 
 def test_verify_evaluates_the_validity_grid_once(monkeypatch, capsys):
-    real = calabi_mod.validity_check
+    real = radial_mod.validity_check
     grids = []
 
     def counting(T, samples):

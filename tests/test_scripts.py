@@ -51,6 +51,25 @@ def test_bench_pairs_help():
         assert flag in r.stdout
 
 
+def test_startup_profile_reports_every_stage():
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "startup_profile.py"),
+         "--command", "derive --n 3", "--runs", "2"],
+        capture_output=True,
+        text=True,
+        timeout=240,
+    )
+    assert r.returncode == 0, r.stderr
+    rows = dict(line.rsplit(None, 1) for line in r.stdout.splitlines()[2:])
+    stages = list(rows)
+    assert stages[:2] == ["interpreter + site", "numpy"]
+    assert stages[-4:] == ["other imports", "command", "teardown", "total"]
+    assert {"toricext", "toricext.cli", "toricext.calabi"} <= set(stages)
+    assert "toricext.bridge" not in stages
+    ms = {stage: float(value) for stage, value in rows.items()}
+    assert ms["total"] > ms["interpreter + site"] > 0 and ms["numpy"] > 0
+
+
 def _load_bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
