@@ -35,19 +35,18 @@ _EXPORTS = {
         "t_of_s",
     ),
     "calabi": (
-        "CoefficientCrossCheck",
         "ExtremalCoefficients",
-        "alpha_eval",
-        "boundary_system",
         "build_extremal_metric",
         "closed_form_coefficients",
         "coefficient_cross_check",
         "extremal_F_second",
         "extremal_scalar_curvature",
         "h_second",
+        "positivity_certificate",
         "solve_coefficients",
     ),
     "errors": (
+        "BoundaryIdentityViolation",
         "DegenerateMetric",
         "DegeneratePointSet",
         "DimensionMismatch",
@@ -76,10 +75,8 @@ _EXPORTS = {
     ),
     "radial": (
         "TPotential",
-        "ValidityResult",
         "radial_hessian",
         "radial_scalar_curvature",
-        "validity_check",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

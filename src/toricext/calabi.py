@@ -15,9 +15,10 @@ conditions at t = a and t = b,
 which say that p*t^n - alpha has simple roots at both endpoints with exactly
 the residues that cancel the Guillemin log singularities of the boundary
 facets.  That 4x4 system is solved exactly, in rational arithmetic, and the
-result rounded to float once; it is the only coefficient path.  Calabi's
-explicit closed forms, also evaluated exactly, are a hard cross-check of it
-(see ``coefficient_cross_check``).
+result rounded to float once; it is the only coefficient path.  Its checks
+are exact: Calabi's closed forms equal it as rationals
+(``coefficient_cross_check``), and Bernstein coefficients prove the metric
+valid on all of (a, b) (``positivity_certificate``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
+    BoundaryIdentityViolation,
     DomainViolation,
     InvalidParameters,
     PositivityViolation,
@@ -42,7 +44,7 @@ from .numdiff import keep_last, power
 
 if TYPE_CHECKING:
     from .polytope import MomentPolytope
-    from .radial import TPotential, ValidityResult
+    from .radial import TPotential
 
 # p*t^n - alpha legitimately vanishes only at the endpoints; anything this
 # close to zero in the interior is treated as a pole hit
@@ -109,6 +111,11 @@ class ExtremalCoefficients:
     def _deflated(self) -> tuple[np.ndarray, ...]:
         return tuple(_read_only(np.array(c, float)) for c in self._exact_deflation)
 
+    @cached_property
+    def _bernstein(self) -> list:
+        Q = self._exact_deflation[1]
+        return _bernstein_certificate(Q, Fraction(self.a), Fraction(self.b))
+
 
 def _boundary_rows(n: int, a, b) -> list:
     """Augmented rows [coefficients of (A, B, C, D) | target] of the endpoint
@@ -128,17 +135,6 @@ def _boundary_rows(n: int, a, b) -> list:
         value_row(b) + [p * b**n],
         slope_row(b) + [(n + 1) * p * b ** (n - 1)],
     ]
-
-
-def boundary_system(n: int, a: float, b: float):
-    """Matrix and right-hand side of the endpoint conditions on alpha.
-
-    Rows are the coefficient vectors of (A, B, C, D) in alpha(a), alpha'(a),
-    alpha(b), alpha'(b); the rhs carries the four endpoint targets.
-    """
-    _check_geometry(n, a, b)
-    rows = np.array(_boundary_rows(n, float(a), float(b)), dtype=float)
-    return rows[:, :4], rows[:, 4]
 
 
 @lru_cache
@@ -177,13 +173,13 @@ def solve_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
     return ExtremalCoefficients(n=n, a=float(a), b=float(b), A=A, B=B, C=C, D=D)
 
 
-def closed_form_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
-    """Calabi's explicit coefficient formulas, the cross-check of the solve.
+@lru_cache
+def _closed_form(n: int, a: float, b: float) -> tuple[Fraction, ...]:
+    """Calabi's explicit (A, B, C, D), exactly.
 
-    Evaluated over ``Fraction`` and rounded once: the shared denominator has a
-    fourth-order root at a = b, so float evaluation drifts as a/b -> 1.
+    Evaluated over ``Fraction``: the shared denominator has a fourth-order
+    root at a = b, so float evaluation drifts as a/b -> 1.
     """
-    _check_geometry(n, a, b)
     a, b = Fraction(float(a)), Fraction(float(b))
 
     den = (
@@ -237,50 +233,25 @@ def closed_form_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients
         )
         / den
     )
-    return ExtremalCoefficients(
-        n=n, a=float(a), b=float(b), A=float(A), B=float(B), C=float(C), D=float(D)
-    )
+    return A, B, C, D
 
 
-@dataclass(frozen=True)
-class CoefficientCrossCheck:
-    """Solve-vs-closed-form comparison, scale-aware.
-
-    Deltas are |closed - solved| / max(1, max|solved coefficient|); the
-    blanket scale keeps near-zero coefficients (A vanishes identically for
-    n = 1) from turning rounding noise into spurious relative blowups.
-    """
-
-    solved: ExtremalCoefficients
-    closed: ExtremalCoefficients
-    deltas: dict
-    max_delta: float
-    tolerance: float
-    status: str  # "ok" | "discrepancy"
+def closed_form_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
+    """Calabi's explicit coefficient formulas, evaluated exactly and rounded
+    to float once."""
+    _check_geometry(n, a, b)
+    A, B, C, D = map(float, _closed_form(n, a, b))
+    return ExtremalCoefficients(n=n, a=float(a), b=float(b), A=A, B=B, C=C, D=D)
 
 
-def coefficient_cross_check(
-    solved: ExtremalCoefficients, tolerance: float = 1e-9
-) -> CoefficientCrossCheck:
-    """Compare solved coefficients against the closed forms at their (n, a, b)."""
-    closed = closed_form_coefficients(solved.n, solved.a, solved.b)
-    scale = max(
-        1.0, max(abs(v) for v in (solved.A, solved.B, solved.C, solved.D))
-    )
-    deltas = {
-        name: abs(getattr(closed, name) - getattr(solved, name)) / scale
-        for name in ("A", "B", "C", "D")
-    }
-    max_delta = max(deltas.values())
-    status = "ok" if max_delta <= tolerance else "discrepancy"
-    return CoefficientCrossCheck(
-        solved=solved,
-        closed=closed,
-        deltas=deltas,
-        max_delta=max_delta,
-        tolerance=tolerance,
-        status=status,
-    )
+def coefficient_cross_check(solved: ExtremalCoefficients) -> bool:
+    """True when Calabi's closed forms and the solve of the boundary system
+    are the same four rationals at the record's (n, a, b), and the record is
+    their rounding."""
+    closed = _closed_form(solved.n, solved.a, solved.b)
+    return closed == _exact_solution(solved.n, solved.a, solved.b) and tuple(
+        map(float, closed)
+    ) == (solved.A, solved.B, solved.C, solved.D)
 
 
 def _read_only(coeffs: np.ndarray) -> np.ndarray:
@@ -298,11 +269,6 @@ def _alpha_coeffs(n: int, A, B, C, D) -> list:
     coeffs[n + 1] += p * C
     coeffs[n + 2] += p * D
     return coeffs
-
-
-def alpha_eval(E: ExtremalCoefficients, t: float) -> tuple[float, float]:
-    """(alpha(t), alpha'(t)) by Horner evaluation."""
-    return float(np.polyval(E._alpha, t)), float(np.polyval(E._d_alpha, t))
 
 
 def _check_profile_domain(E: ExtremalCoefficients, t: np.ndarray) -> None:
@@ -364,8 +330,9 @@ def _deflation(E: ExtremalCoefficients) -> tuple[list, list]:
     """Exact (V, Q) of the cancellation-free form of ``h_second``.
 
     Built over ``Fraction`` from the exact solution of the boundary system,
-    which must round to the record's own (A, B, C, D): only then do the
-    boundary identities hold and every remainder vanish exactly.
+    which must round to the record's own (A, B, C, D).  The six remainders
+    are 0 exactly when the boundary identities hold; any other value raises
+    ``BoundaryIdentityViolation``.
     """
     n, p = E.n, E.n * (E.n + 1) * (E.n + 2)
     exact = _exact_solution(n, E.a, E.b)
@@ -387,7 +354,9 @@ def _deflation(E: ExtremalCoefficients) -> tuple[list, list]:
     for root in (a, b):
         Q, rem = _deflate(Q, root)
         rems.append(rem)
-    assert not any(rems), f"nonzero exact deflation remainder in {rems}"
+    if any(rems):
+        rems = [float(r) for r in rems]
+        raise BoundaryIdentityViolation(f"deflation remainders {rems} of {E}")
     return V, Q
 
 
@@ -417,25 +386,60 @@ def h_second(E: ExtremalCoefficients, t):
     return -np.polyval(V, t) / q_val - 1.0 / t
 
 
+def _bernstein_certificate(Q: list, a: Fraction, b: Fraction) -> list:
+    """The Bernstein coefficients b_k of Q (descending coefficients) on
+    [a, b], exactly: Q(a + c*u) by a Horner Taylor shift, then
+    b_k = sum_j C(k, j)/C(d, j) * q_j.  Q on [a, b] lies in their convex hull
+    (Farouki, CAGD 2012), so all b_k < 0 proves Q < 0 there; b_0 = Q(a) and
+    b_d = Q(b).  Raises ``PositivityViolation`` at the first b_k >= 0.
+    """
+    q = Q[::-1]
+    d = len(q) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            q[j] += a * q[j + 1]
+    c = b - a
+    w = [x * c**j / math.comb(d, j) for j, x in enumerate(q)]
+    bern = [sum(math.comb(k, j) * w[j] for j in range(k + 1)) for k in range(d + 1)]
+    for k, x in enumerate(bern):
+        if x >= 0:
+            raise PositivityViolation(
+                f"Bernstein coefficient b_{k} = {float(x):.3e} of Q on"
+                f" [{float(a)}, {float(b)}] is not negative; no valid metric"
+            )
+    return bern
+
+
+def positivity_certificate(E: ExtremalCoefficients) -> float:
+    """Prove 1 + t*F'' > 0 on all of (a, b); return the margin in [-1, 0).
+
+    p*t^n - alpha = (t-a)(t-b)*Q with the exact Q of ``h_second``, so Q < 0
+    on [a, b], proved by its Bernstein coefficients, makes 1 + t*F'' =
+    p*t^n/(p*t^n - alpha) positive at every t.  Raises ``PositivityViolation``
+    otherwise.  The margin max b_k / max |b_k| is the only rounded part.
+    """
+    bern = E._bernstein
+    return float(max(bern) / max(map(abs, bern)))
+
+
 def _endpoint_limits(E: ExtremalCoefficients, tolerance: float) -> tuple[bool, dict]:
     """Verdict and report: h'' is finite at both ends, and ``h_second`` is
-    right next to them.  Exact part: Q(a), Q(b) != 0 in rationals, so
-    h'' = -V/Q - 1/t has finite limits (the deflation remainders are 0).
-    Float part: ``h_second`` at a + c*delta and b - c*delta against the exact
-    h'' at the same float t, relative to max(1, |h''|).
+    right next to them.  Exact part: Q(a), Q(b) < 0 are the end Bernstein
+    coefficients, so h'' = -V/Q - 1/t has finite limits.  Float part:
+    ``h_second`` at a + c*delta and b - c*delta against the exact h'' at the
+    same float t, relative to the largest of those six |h''|.
     """
     V, Q = E._exact_deflation
-    q_ends = [_deflate(Q, Fraction(E.a))[1], _deflate(Q, Fraction(E.b))[1]]
     offsets = [1e-6, 5e-7, 2.5e-7]
     ts = [E.a + E.c * d for d in offsets] + [E.b - E.c * d for d in offsets]
     got = h_second(E, ts).tolist()
     exact = [-_deflate(V, t)[1] / _deflate(Q, t)[1] - 1 / t for t in map(Fraction, ts)]
-    error = max(abs(Fraction(g) - w) / max(1, abs(w)) for g, w in zip(got, exact))
-    return all(q_ends) and error <= tolerance, {
+    error = max(abs(Fraction(g) - w) for g, w in zip(got, exact)) / max(map(abs, exact))
+    return error <= tolerance, {
         "offsets": offsets,
         "near_a": got[:3],
         "near_b": got[3:],
-        "denominator_at_ends": [float(q) for q in q_ends],
+        "denominator_at_ends": [float(E._bernstein[0]), float(E._bernstein[-1])],
         "max_error": float(error),
     }
 
@@ -445,22 +449,22 @@ def extremal_scalar_curvature(E: ExtremalCoefficients, t: float) -> float:
     return E.A * t + E.B
 
 
-def _checked_extremal_metric(
-    n: int, a: float, b: float, validation_samples: int
-) -> tuple[MomentPolytope, TPotential, ExtremalCoefficients, ValidityResult]:
-    """``build_extremal_metric`` together with its validity grid's result.
+def build_extremal_metric(
+    n: int, a: float, b: float
+) -> tuple[MomentPolytope, TPotential, ExtremalCoefficients]:
+    """Polytope, extremal profile, and coefficients for one (n, a, b), after
+    ``positivity_certificate`` has proved the metric valid.
 
-    The radial curvature asks for F''' and F'''' in turn at the same t; both
-    come from one ``_profile_derivatives`` evaluation per array of t.  For an
-    extremal profile 1 + t*F'' = p*t^n/(p*t^n - alpha) is positive exactly
-    where p*t^n - alpha is.  Of the CLI commands only ``verify`` runs this, so
-    the polytope and radial modules are imported here, not with calabi.
+    F''' and F'''' at the same t come from one ``_profile_derivatives``
+    evaluation.  Of the CLI commands only ``verify`` runs this, so the
+    polytope and radial modules are imported here, not with calabi.
     """
     from .polytope import build_blowup_polytope
-    from .radial import TPotential, validity_check
+    from .radial import TPotential
 
     P = build_blowup_polytope(n, a, b)
     E = solve_coefficients(n, a, b)
+    positivity_certificate(E)
     derivatives = keep_last(lambda t: _profile_derivatives(E, t))
     T = TPotential(
         n=n,
@@ -470,23 +474,4 @@ def _checked_extremal_metric(
         d3F=lambda t: derivatives(t)[0],
         d4F=lambda t: derivatives(t)[1],
     )
-    validity = validity_check(T, validation_samples)
-    if not validity.passed:
-        raise PositivityViolation(
-            f"1 + t*F'' = {validity.minimum:.3e} at t = {validity.t_at_minimum};"
-            " no valid metric"
-        )
-    return P, T, E, validity
-
-
-def build_extremal_metric(
-    n: int, a: float, b: float, validation_samples: int = 1000
-) -> tuple[MomentPolytope, TPotential, ExtremalCoefficients]:
-    """Polytope, extremal profile, and coefficients for one (n, a, b).
-
-    The returned TPotential carries analytic third and fourth derivatives, so
-    the radial curvature pipeline runs on its exact path.  The metric is
-    checked on ``validity_check``'s interior grid first.
-    """
-    P, T, E, _ = _checked_extremal_metric(n, a, b, validation_samples)
     return P, T, E

@@ -53,6 +53,11 @@ class SingularSystem(GeometryError, ArithmeticError):
     valid geometries never raise this."""
 
 
+class BoundaryIdentityViolation(GeometryError, ArithmeticError):
+    """Dividing p*t^n - alpha, or the numerator of h'', exactly by an endpoint
+    root leaves a remainder: the coefficients miss a boundary condition."""
+
+
 class SingularHessian(GeometryError, ArithmeticError):
     """Matrix inversion failed at a stencil point."""
 
@@ -66,7 +71,8 @@ class DegeneratePointSet(GeometryError, ValueError):
 
 
 class PositivityViolation(GeometryError, ArithmeticError):
-    """p*t^n - alpha(t) <= 0 somewhere on the validation grid."""
+    """A Bernstein coefficient of Q on [a, b] is not negative, where
+    p*t^n - alpha(t) = (t-a)(t-b)*Q(t); no proof that the metric is valid."""
 
 
 class NotInvertible(GeometryError, ArithmeticError):

@@ -11,8 +11,8 @@ curvature collapses to a one-variable expression
     S(t) = t^(1-n) * u''(t),    u(t) = t^(n+1) * F''(t) / (1 + t*F''(t)),
 
 which this module evaluates either analytically (when F''' and F'''' are
-supplied) or by central differences on u.  The curvature, the Hessian and
-the validity grid all work on whole arrays of points at once.
+supplied) or by central differences on u.  The curvature and the Hessian
+work on whole arrays of points at once.
 """
 
 from __future__ import annotations
@@ -70,15 +70,6 @@ class TPotential:
 
     def has_analytic_derivatives(self) -> bool:
         return self.d3F is not None and self.d4F is not None
-
-
-@dataclass(frozen=True)
-class ValidityResult:
-    """Outcome of sampling 1 + t*F'' on a grid."""
-
-    passed: bool
-    minimum: float
-    t_at_minimum: float
 
 
 def _check_interior(x: np.ndarray) -> None:
@@ -181,17 +172,3 @@ def _curvature_fd(T: TPotential, t: np.ndarray):
         return power(tau, T.n + 1) * _w(T, tau)
 
     return power(t, 1 - T.n) * richardson(u, t, h)[1]
-
-
-def validity_check(T: TPotential, samples: int) -> ValidityResult:
-    """Evaluate 1 + t*F'' on a uniform interior grid; report the minimum."""
-    if samples < 1:
-        raise InvalidParameters("samples must be >= 1")
-    ts = T.t_min + (T.t_max - T.t_min) * (np.arange(samples) + 1.0) / (samples + 1.0)
-    values = 1.0 + ts * T.d2F(ts)
-    k = int(np.argmin(values))
-    return ValidityResult(
-        passed=bool(values[k] > 0.0),
-        minimum=float(values[k]),
-        t_at_minimum=float(ts[k]),
-    )

@@ -1,4 +1,6 @@
 import dataclasses
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,23 +10,33 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricext import (
+    BoundaryIdentityViolation,
     DomainViolation,
     ExtremalCoefficients,
     GeometryError,
     InvalidParameters,
+    PositivityViolation,
     PotentialPole,
-    alpha_eval,
-    boundary_system,
     build_extremal_metric,
     closed_form_coefficients,
     coefficient_cross_check,
     extremal_F_second,
     extremal_scalar_curvature,
     h_second,
+    positivity_certificate,
     radial_scalar_curvature,
     solve_coefficients,
 )
-from toricext.calabi import _profile_derivatives
+from toricext import calabi as calabi_mod
+from toricext.calabi import (
+    _alpha_coeffs,
+    _bernstein_certificate,
+    _boundary_rows,
+    _closed_form,
+    _endpoint_limits,
+    _exact_solution,
+    _profile_derivatives,
+)
 
 nab = st.tuples(
     st.integers(min_value=1, max_value=5),
@@ -42,11 +54,11 @@ COEFFS_N2_B1 = {
 
 
 def test_boundary_system_frozen_rows():
-    M, rhs = boundary_system(2, 0.5, 1.0)
-    np.testing.assert_allclose(rhs, [6.0, 12.0, 24.0, 72.0], rtol=1e-15)
-    np.testing.assert_allclose(M[0], [0.125, 0.5, 12.0, 24.0], rtol=1e-15)
-    np.testing.assert_allclose(M[2], [2.0, 4.0, 24.0, 24.0], rtol=1e-15)
-    assert M.shape == (4, 4)
+    rows = _boundary_rows(2, Fraction(1, 2), Fraction(1))
+    assert [row[4] for row in rows] == [6, 12, 24, 72]
+    assert rows[0][:4] == [Fraction(1, 8), Fraction(1, 2), 12, 24]
+    assert rows[2][:4] == [2, 4, 24, 24]
+    assert all(len(row) == 5 for row in rows) and len(rows) == 4
 
 
 @pytest.mark.parametrize("a", sorted(COEFFS_N2_B1))
@@ -79,30 +91,41 @@ def test_scaling_covariance(params, lam):
 @given(nab)
 @settings(max_examples=80)
 def test_solved_coefficients_satisfy_boundary_system(params):
+    # exactly: every row of the rational system has residual 0, and the
+    # record is the rounding of that solution
     n, a, b = params
-    M, rhs = boundary_system(n, a, b)
+    exact = _exact_solution(n, a, b)
+    for row in _boundary_rows(n, Fraction(a), Fraction(b)):
+        assert sum(m * x for m, x in zip(row, exact)) == row[4]
+    assert _closed_form(n, a, b) == exact
     E = solve_coefficients(n, a, b)
-    resid = M @ np.array([E.A, E.B, E.C, E.D]) - rhs
-    scale = np.max(np.abs(rhs))
-    assert np.max(np.abs(resid)) <= 1e-9 * scale
-    assert coefficient_cross_check(E).status == "ok"
+    assert (E.A, E.B, E.C, E.D) == tuple(map(float, exact))
+    assert coefficient_cross_check(E) is True
+
+
+def _horner(coeffs, t):
+    value = 0
+    for c in coeffs:
+        value = value * t + c
+    return value
 
 
 def test_alpha_eval_interpolates_boundary_data():
-    E = solve_coefficients(2, 0.5, 1.0)
-    val_a, slope_a = alpha_eval(E, 0.5)
-    assert val_a == pytest.approx(6.0, rel=1e-13)
-    assert slope_a == pytest.approx(12.0, rel=1e-13)
-    val_b, slope_b = alpha_eval(E, 1.0)
-    assert val_b == pytest.approx(24.0, rel=1e-13)
-    assert slope_b == pytest.approx(72.0, rel=1e-13)
+    # alpha and alpha' of the exact solution at the ends, in rationals
+    exact = _exact_solution(2, 0.5, 1.0)
+    alpha = _alpha_coeffs(2, *exact)
+    d_alpha = [c * k for c, k in zip(alpha, range(len(alpha) - 1, 0, -1))]
+    half = Fraction(1, 2)
+    assert (_horner(alpha, half), _horner(d_alpha, half)) == (6, 12)
+    assert (_horner(alpha, 1), _horner(d_alpha, 1)) == (24, 72)
 
 
-def test_alpha_eval_constant_coefficients():
+def test_F_second_constant_coefficients():
+    # alpha = p*D = p, so F'' = p*t/(p*t^2 - p) - 1/t at n = 2
     E = ExtremalCoefficients(n=2, a=0.5, b=1.0, A=0.0, B=0.0, C=0.0, D=1.0)
-    val, slope = alpha_eval(E, 0.7)
-    assert val == pytest.approx(E.p, rel=1e-15)
-    assert slope == 0.0
+    assert extremal_F_second(E, 0.7) == pytest.approx(
+        0.7 / (0.49 - 1.0) - 1.0 / 0.7, rel=1e-15
+    )
 
 
 def test_F_second_frozen_midpoint():
@@ -208,17 +231,32 @@ def test_h_second_one_dimensional_case(a, b):
 
 
 def test_cross_check_agrees_on_surface_case():
-    r = coefficient_cross_check(solve_coefficients(2, 0.5, 1.0))
-    assert r.max_delta <= 1e-12
-    assert r.status == "ok"
+    assert _closed_form(2, 0.5, 1.0) == tuple(
+        Fraction(k, 13) for k in (96, 12, 1, 2)
+    )
+    assert coefficient_cross_check(solve_coefficients(2, 0.5, 1.0)) is True
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("a,b", [(0.5, 1.0), (0.25, 2.0), (0.05, 0.1), (9.0, 10.0)])
 def test_cross_check_agrees_in_every_dimension(n, a, b):
-    r = coefficient_cross_check(solve_coefficients(n, a, b))
-    assert r.max_delta <= 1e-12
-    assert r.status == "ok"
+    assert _closed_form(n, a, b) == _exact_solution(n, a, b)
+    assert coefficient_cross_check(solve_coefficients(n, a, b)) is True
+
+
+def test_cross_check_refuses_a_record_that_is_not_the_rounding():
+    E = solve_coefficients(3, 0.25, 2.0)
+    off_by_one_ulp = dataclasses.replace(E, D=float(np.nextafter(E.D, 1.0)))
+    assert coefficient_cross_check(off_by_one_ulp) is False
+
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_closed_form_equals_the_exact_solve_in_a_thin_shell(n):
+    a = 1.0 - 1e-9
+    assert _closed_form(n, a, 1.0) == _exact_solution(n, a, 1.0)
+    assert coefficient_cross_check(solve_coefficients(n, a, 1.0)) is True
+
 
 
 def _sympy_solution(n, a, b):
@@ -393,3 +431,125 @@ def test_shared_profile_derivatives_are_read_only():
             d(ts)[0] = 0.0
     f3, f4 = _profile_derivatives(E, ts)
     assert np.array_equal(T.d3F(ts), f3) and np.array_equal(T.d4F(ts), f4)
+
+
+# --- exact proofs: Bernstein certificate, boundary identities, endpoints -----
+
+
+def test_bernstein_certificate_refuses_a_simple_interior_root():
+    # Q = t - 3/2 changes sign inside [1, 2]
+    with pytest.raises(PositivityViolation, match="b_1"):
+        _bernstein_certificate([1, Fraction(-3, 2)], Fraction(1), Fraction(2))
+
+
+def test_bernstein_certificate_refuses_a_double_interior_root():
+    # Q = -(t - 3/2)^2 <= 0 on [1, 2] but touches 0 at 3/2
+    Q = [-1, 3, Fraction(-9, 4)]
+    with pytest.raises(PositivityViolation, match="b_1"):
+        _bernstein_certificate(Q, Fraction(1), Fraction(2))
+
+
+def test_bernstein_certificate_accepts_a_negative_constant():
+    assert _bernstein_certificate([-3], Fraction(1), Fraction(2)) == [-3]
+
+
+def _q_value(E, t):
+    return _horner(E._exact_deflation[1], Fraction(t))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("ratio", [1e-9, 0.5, 1 - 1e-9])
+@pytest.mark.parametrize("b", [1e-3, 1.0, 1e3])
+def test_certificate_ends_are_the_exact_endpoint_values(n, ratio, b):
+    E = solve_coefficients(n, ratio * b, b)
+    margin = positivity_certificate(E)
+    assert -1.0 <= margin < 0.0
+    assert E._bernstein[0] == _q_value(E, E.a)
+    assert E._bernstein[-1] == _q_value(E, E.b)
+    assert all(x < 0 for x in E._bernstein)
+
+
+@pytest.mark.parametrize(
+    "n,b", [(1, 1.0), (4, 1.0), (8, 1.0), (4, 1e-3), (4, 1e3)]
+)
+def test_build_extremal_metric_in_a_thin_shell(n, b):
+    # a/b = 1 - 1e-9: a float grid of 1 + t*F'' reads large negative values
+    # here by cancellation, the exact certificate proves the metric valid
+    a = (1.0 - 1e-9) * b
+    P, T, E = build_extremal_metric(n, a, b)
+    assert P.dimension == n and (T.t_min, T.t_max) == (a, b)
+    assert positivity_certificate(E) < 0.0
+
+
+def _perturb_D(monkeypatch):
+    # D moves by far less than half an ulp, so the record rounds as before
+    real = calabi_mod._exact_solution
+
+    def perturbed(n, a, b):
+        A, B, C, D = real(n, a, b)
+        return A, B, C, D + Fraction(1e-40)
+
+    monkeypatch.setattr(calabi_mod, "_exact_solution", perturbed)
+
+
+def test_nonzero_deflation_remainder_raises(monkeypatch):
+    _perturb_D(monkeypatch)
+    E = solve_coefficients(2, 0.5, 1.0)
+    assert E == calabi_mod.ExtremalCoefficients(
+        n=2, a=0.5, b=1.0, A=96 / 13, B=12 / 13, C=1 / 13, D=2 / 13
+    )
+    with pytest.raises(BoundaryIdentityViolation):
+        positivity_certificate(E)
+    with pytest.raises(BoundaryIdentityViolation):
+        h_second(solve_coefficients(2, 0.5, 1.0), 0.75)
+
+
+_PERTURBED_CHILD = """
+import sys
+from fractions import Fraction
+from toricext import BoundaryIdentityViolation, calabi
+real = calabi._exact_solution
+def perturbed(n, a, b):
+    A, B, C, D = real(n, a, b)
+    return A, B, C, D + Fraction(1e-40)
+calabi._exact_solution = perturbed
+try:
+    calabi.positivity_certificate(calabi.solve_coefficients(2, 0.5, 1.0))
+except BoundaryIdentityViolation:
+    print("raised", sys.flags.optimize)
+"""
+
+
+def test_nonzero_deflation_remainder_raises_under_optimize():
+    # python -O strips assert statements; the check must survive it
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", _PERTURBED_CHILD],
+        capture_output=True, text=True, timeout=240,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["raised", "1"]
+
+
+@pytest.mark.parametrize(
+    "n,a,b", [(2, 0.5, 1.0), (3, 0.25, 2.0), (5, 1e-3, 1.0), (8, 0.999, 1.0),
+              (2, 500.0, 1000.0), (16, 0.3, 1.0)],
+)
+def test_endpoint_error_is_scale_free(n, a, b):
+    # h'' scales like 1/t; an error relative to max(1, |h''|) would not
+    base = _endpoint_limits(solve_coefficients(n, a, b), 1e-9)[1]["max_error"]
+    for k in (-10, 10):
+        lam = 2.0**k
+        E = solve_coefficients(n, lam * a, lam * b)
+        assert _endpoint_limits(E, 1e-9)[1]["max_error"] == pytest.approx(
+            base, rel=1e-12
+        )
+
+
+def test_endpoint_limits_refuse_a_relative_error_of_1e_7(monkeypatch):
+    # max |h''| = 1.7e-3 here: a floor of 1 would let a 1e-7 error pass
+    E = solve_coefficients(2, 500.0, 1000.0)
+    assert _endpoint_limits(E, 1e-9)[0] is True
+    real = calabi_mod.h_second
+    monkeypatch.setattr(calabi_mod, "h_second", lambda E, t: real(E, t) * (1 + 1e-7))
+    ok, report = _endpoint_limits(E, 1e-9)
+    assert ok is False and report["max_error"] == pytest.approx(1e-7, rel=1e-6)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from toricext import InvalidParameters
 from toricext import calabi as calabi_mod
 from toricext import cli
-from toricext import radial as radial_mod
 
 CMD = [sys.executable, "-m", "toricext"]
 
@@ -90,7 +89,12 @@ def test_verify_reference_case():
     r = run_cli("verify", "--n", "2", "--a", "0.5", "--b", "1", "--points", "40")
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
+    assert list(doc) == [
+        "schema", "command", "inputs", "prng", "coefficients", "curvature",
+        "extremality", "validity", "endpoint_limits", "checks", "passed",
+    ]
+    assert "validity_samples" not in doc["inputs"]
     assert doc["prng"] == "numpy-pcg64"
     assert doc["passed"] is True
     assert doc["checks"]["boundary_identities"] is True
@@ -99,7 +103,8 @@ def test_verify_reference_case():
     assert doc["checks"]["curvature_agreement"] is True
     assert doc["checks"]["extremality"] is True
     assert doc["checks"]["endpoint_limits"] is True
-    assert doc["validity"]["minimum"] > 0.0
+    assert list(doc["validity"]) == ["bernstein_margin"]
+    assert -1.0 <= doc["validity"]["bernstein_margin"] < 0.0
     assert "warnings" not in doc
 
 
@@ -118,7 +123,6 @@ def test_verify_higher_dimension_closed_form_is_hard():
     doc = json.loads(r.stdout)
     assert doc["passed"] is True
     assert doc["checks"]["closed_form"] is True
-    assert doc["closed_form"]["status"] == "ok"
 
 
 def test_verify_second_geometry():
@@ -225,8 +229,10 @@ def test_example_command():
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert doc["passed"] is True
+    assert doc["schema"] == 2
     assert doc["h_second_midpoint"] == pytest.approx(-64 / 57, rel=1e-12)
-    assert doc["closed_form_max_delta"] <= 1e-12
+    assert doc["checks"]["closed_form"] is True
+    assert "closed_form_max_delta" not in doc
     assert doc["quadratic_form_max_delta"] <= 1e-12
 
 
@@ -404,21 +410,36 @@ def test_renderer_names_the_first_non_finite_value():
         cli._render_json({"a": [[1.0, -float("inf")], [float("nan"), 2.0]]})
 
 
-def test_verify_evaluates_the_validity_grid_once(monkeypatch, capsys):
-    real = radial_mod.validity_check
-    grids = []
+def test_verify_computes_the_certificate_once(monkeypatch, capsys):
+    real = calabi_mod._bernstein_certificate
+    certificates = []
 
-    def counting(T, samples):
-        grids.append(samples)
-        return real(T, samples)
+    def counting(Q, a, b):
+        certificates.append((a, b))
+        return real(Q, a, b)
 
-    for mod in (calabi_mod, cli, radial_mod):
-        monkeypatch.setattr(mod, "validity_check", counting, raising=False)
-    code = cli.main(["verify", "--n", "2", "--points", "20", "--samples", "300"])
+    monkeypatch.setattr(calabi_mod, "_bernstein_certificate", counting)
+    code = cli.main(["verify", "--n", "2", "--points", "20"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["passed"] is True
-    assert grids == [300]
-    assert doc["validity"]["minimum"] > 0.0
+    assert certificates == [(Fraction(1, 2), Fraction(1))]
+    assert doc["validity"]["bernstein_margin"] < 0.0
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--n", "3", "--points", "20"], ["example"]]
+)
+def test_output_does_not_depend_on_assert_statements(argv):
+    # python -O strips assert statements: no check may live in one
+    runs = [
+        subprocess.run([sys.executable, *flags, "-m", "toricext", *argv],
+                       capture_output=True, timeout=240)
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = ((r.stdout, r.stderr, r.returncode) for r in runs)
+    assert plain == optimized
+    assert plain[2] == 0
+
 
 
 def test_verify_solves_the_exact_system_once(monkeypatch, capsys):

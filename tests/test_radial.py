@@ -11,7 +11,6 @@ from toricext import (
     TPotential,
     radial_hessian,
     radial_scalar_curvature,
-    validity_check,
 )
 from util import cpn_profile, flat_profile
 
@@ -158,20 +157,6 @@ def test_curvature_rejects_exterior_t():
     with pytest.raises(DomainViolation):
         radial_scalar_curvature(T, np.array([0.2, 1.5, 0.7]))
 
-
-def test_validity_check_flat_profile():
-    res = validity_check(flat_profile(2, t_max=3.0), samples=500)
-    assert res.passed
-    assert res.minimum == pytest.approx(1.0, abs=1e-12)
-
-
-def test_validity_check_detects_degeneracy():
-    # F'' = -2/t gives 1 + t F'' = -1 < 0 everywhere
-    T = TPotential(n=2, t_min=0.0, t_max=2.0, d2F=lambda t: -2.0 / t)
-    res = validity_check(T, samples=200)
-    assert not res.passed
-    assert res.minimum == pytest.approx(-1.0, abs=1e-12)
-    assert T.t_min < res.t_at_minimum < T.t_max
 
 
 def test_curvature_of_an_array_is_elementwise():

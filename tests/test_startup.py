@@ -25,14 +25,15 @@ PUBLIC = {
         "fubini_study_potential", "induced_t_potential", "s_of_t", "t_of_s",
     ],
     "calabi": [
-        "CoefficientCrossCheck", "ExtremalCoefficients", "alpha_eval",
-        "boundary_system", "build_extremal_metric", "closed_form_coefficients",
-        "coefficient_cross_check", "extremal_F_second",
-        "extremal_scalar_curvature", "h_second", "solve_coefficients",
+        "ExtremalCoefficients", "build_extremal_metric",
+        "closed_form_coefficients", "coefficient_cross_check",
+        "extremal_F_second", "extremal_scalar_curvature", "h_second",
+        "positivity_certificate", "solve_coefficients",
     ],
     "errors": [
-        "DegenerateMetric", "DegeneratePointSet", "DimensionMismatch",
-        "DomainViolation", "EmptyRegion", "GeometryError", "InvalidParameters",
+        "BoundaryIdentityViolation", "DegenerateMetric", "DegeneratePointSet",
+        "DimensionMismatch", "DomainViolation", "EmptyRegion", "GeometryError",
+        "InvalidParameters",
         "NonInteriorPoint", "NonpositiveDerivative", "NotInvertible",
         "OutOfRange", "PositivityViolation", "PotentialPole", "SingularHessian",
         "SingularSystem", "StencilExitsDomain", "ZeroDenominator",
@@ -41,10 +42,8 @@ PUBLIC = {
         "AffineFacet", "MomentPolytope", "build_blowup_polytope",
         "facet_values", "interior_distance", "sample_interior",
     ],
-    "radial": [
-        "TPotential", "ValidityResult", "radial_hessian",
-        "radial_scalar_curvature", "validity_check",
-    ],
+    "radial": ["TPotential", "radial_hessian", "radial_scalar_curvature"],
+
 }
 
 
