@@ -11,13 +11,19 @@ and just after the process is reaped, and the ``-X importtime`` lines printed
 between the two stamps, one call splits into:
 
     interpreter + site   spawn to the wrapper's first line
-    numpy                import time of numpy, its lazily loaded submodules
-                         (``numpy.random``) included
+    numpy                import time of numpy, submodules that load lazily
+                         during the command included
     toricext.*           each package module's own (self) import time
     other imports        the remaining imports: stdlib, and the wrapper's own
     command              the rest of the time until ``main`` returns
     teardown             ``main`` returning to the process being reaped
     total                spawn to reaped
+    peak RSS (MB)        the child's ``ru_maxrss``, read with ``os.wait4``
+                         when it is reaped
+
+On Linux a child's maxrss also counts the parent's high-water mark from
+before the exec, so the peak RSS row is the larger of the call's own peak
+and this script's (small: it loads no numpy).
 
 Nothing in the program is instrumented.  ``-X importtime`` adds its own
 small cost to the import rows.  The environment (``PYTHONDONTWRITEBYTECODE``,
@@ -75,18 +81,22 @@ def _imports(lines: list[str]) -> list[tuple[str, float, bool]]:
     return rows
 
 
-def profile_once(argv: list[str], env: dict) -> dict[str, float]:
-    """One call's stages in seconds, in the order of the module docstring."""
+def profile_once(argv: list[str], env: dict) -> tuple[dict[str, float], float]:
+    """One call's stages in seconds, in the order of the module docstring,
+    and its peak RSS in MB."""
     spawned = time.time()
-    proc = subprocess.run(
+    with subprocess.Popen(
         [sys.executable, "-X", "importtime", "-c", _WRAPPER, *argv],
-        capture_output=True, text=True, env=env,
-    )
-    reaped = time.time()
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+    ) as proc:
+        stderr = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        reaped = time.time()
+        proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode not in (0, 1):
         sys.exit(f"toricext {shlex.join(argv)} exited {proc.returncode}:\n"
-                 f"{proc.stderr[-2000:]}")
-    lines = proc.stderr.splitlines()
+                 f"{stderr[-2000:]}")
+    lines = stderr.splitlines()
     stamps = {}
     for k, line in enumerate(lines):
         if line.startswith(_MARK):
@@ -108,7 +118,7 @@ def profile_once(argv: list[str], env: dict) -> dict[str, float]:
         "command": returned - started - all_imports,
         "teardown": reaped - returned,
         "total": reaped - spawned,
-    }
+    }, usage.ru_maxrss * 1024 / 1e6  # Linux reports KiB
 
 
 def main(argv=None) -> int:
@@ -123,7 +133,7 @@ def main(argv=None) -> int:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     command = shlex.split(args.command)
-    runs = [profile_once(command, env) for _ in range(args.runs)]
+    runs, peaks = zip(*(profile_once(command, env) for _ in range(args.runs)))
     stages = list(dict.fromkeys(stage for run in runs for stage in run))
 
     print(f"# toricext {args.command}: median of {args.runs} runs")
@@ -132,6 +142,7 @@ def main(argv=None) -> int:
         # a module a run did not load counts as 0 ms in it
         ms = 1e3 * statistics.median(run.get(stage, 0.0) for run in runs)
         print(f"{stage:<24} {ms:8.2f}")
+    print(f"{'peak RSS (MB)':<24} {statistics.median(peaks):8.2f}")
     return 0
 
 

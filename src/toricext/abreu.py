@@ -5,7 +5,7 @@ The curvature of the metric defined by a potential g with Hessian G is
     S(x) = -(1/2) * sum_ij  d^2 G^{ij} / dx_i dx_j,
 
 with G^{ij} the entries of the inverse Hessian.  Here the inner layer
-(Hessian, then dense inversion) is exact up to rounding whenever an analytic
+(Hessian, then a dense solve) is exact up to rounding whenever an analytic
 Hessian oracle is available, and the outer second derivatives are always
 central finite differences on the polytope interior.  Both layers run on
 whole stacks of points: a Hessian oracle maps (m, n) points to (m, n, n)
@@ -132,11 +132,21 @@ def numeric_hessian(
     return H
 
 
-def _inverse_hessians(P: SymplecticPotential, x: np.ndarray) -> np.ndarray:
-    """Stacked inverse Hessians at the (m, n) points x."""
+def _inverse_hessians(
+    P: SymplecticPotential, x: np.ndarray, column: Optional[int] = None
+) -> np.ndarray:
+    """Stacked inverse Hessians G^{-1} at the (m, n) points x, (m, n, n).
+
+    With a column index, only that column of each, (m, n), from one stacked
+    solve against the unit vector instead of a whole inversion.
+    """
     H = P.hessian_oracle(x)
     try:
-        return np.linalg.inv(H)
+        if column is None:
+            return np.linalg.inv(H)
+        unit = np.zeros((H.shape[-1], 1))
+        unit[column] = 1.0
+        return np.linalg.solve(H, unit)[..., 0]
     except np.linalg.LinAlgError as exc:
         worst = int(np.argmin(np.linalg.matrix_rank(H)))
         raise SingularHessian(f"Hessian not invertible at {x[worst]}") from exc
@@ -148,8 +158,9 @@ def abreu_scalar_curvature(
     """S(x) = -(1/2) sum_ij d^2 G^{ij}/dx_i dx_j by central differences.
 
     x is one point (n,), answered with a float, or a stack (m, n), answered
-    with an (m,) array.  Each stencil term inverts the Hessians of all m
-    shifted points at once, so memory is O(m n^2).
+    with an (m,) array.  Each shifted stencil term reads one entry of G^{-1}
+    at all m shifted points, from one stacked solve; only the centre, which
+    needs every diagonal entry, inverts whole Hessians.  Memory is O(m n^2).
 
     Default step, per point: eps^(1/4)*b, with b read off facets of the
     shape {x_i >= 0, a <= sum(x) <= b}, clamped to the limit past which the
@@ -188,27 +199,26 @@ def abreu_scalar_curvature(
             f"{pts[exits][0]}"
         )
 
-    def shifted(*steps: tuple[int, float]) -> np.ndarray:
-        """The points moved by sign*h along each (axis, sign) of steps."""
+    def entry(i: int, j: int, *steps: tuple[int, float]) -> np.ndarray:
+        """G^{ij} at the points moved by sign*h along each (axis, sign)."""
         moved = pts.copy()
         for axis, sign in steps:
             moved[:, axis] += sign * h
-        return moved
+        return _inverse_hessians(P, moved, column=j)[:, i]
 
     hh = h * h
-    center = _inverse_hessians(P, pts)
+    center = np.diagonal(_inverse_hessians(P, pts), axis1=1, axis2=2)
     total = np.zeros(len(pts))
     for i in range(n):
-        plus = _inverse_hessians(P, shifted((i, 1.0)))
-        minus = _inverse_hessians(P, shifted((i, -1.0)))
-        total += (plus[:, i, i] - 2.0 * center[:, i, i] + minus[:, i, i]) / hh
+        plus, minus = entry(i, i, (i, 1.0)), entry(i, i, (i, -1.0))
+        total += (plus - 2.0 * center[:, i] + minus) / hh
     for i in range(n):
         for j in range(i + 1, n):
             mixed = (
-                _inverse_hessians(P, shifted((i, 1.0), (j, 1.0)))[:, i, j]
-                - _inverse_hessians(P, shifted((i, 1.0), (j, -1.0)))[:, i, j]
-                - _inverse_hessians(P, shifted((i, -1.0), (j, 1.0)))[:, i, j]
-                + _inverse_hessians(P, shifted((i, -1.0), (j, -1.0)))[:, i, j]
+                entry(i, j, (i, 1.0), (j, 1.0))
+                - entry(i, j, (i, 1.0), (j, -1.0))
+                - entry(i, j, (i, -1.0), (j, 1.0))
+                + entry(i, j, (i, -1.0), (j, -1.0))
             ) / (4.0 * hh)
             total += 2.0 * mixed  # (i,j) and (j,i) contribute equally
     S = -0.5 * total

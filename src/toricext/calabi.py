@@ -392,22 +392,33 @@ def _bernstein_certificate(Q: list, a: Fraction, b: Fraction) -> list:
     b_k = sum_j C(k, j)/C(d, j) * q_j.  Q on [a, b] lies in their convex hull
     (Farouki, CAGD 2012), so all b_k < 0 proves Q < 0 there; b_0 = Q(a) and
     b_d = Q(b).  Raises ``PositivityViolation`` at the first b_k >= 0.
+
+    Both steps run in integers over one positive scale: with s the common
+    denominator of a and b (a power of two for floats) and L that of Q,
+    s^d * L * Q(v/s) has integer coefficients, its Taylor shift by s*a and
+    the substitution v = s*c*u keep them integers, and d!/C(d, j) = j!(d-j)!
+    clears the Bernstein weights, so d! * s^d * L * b_k is an integer.
     """
-    q = Q[::-1]
-    d = len(q) - 1
+    Q = [Fraction(x) for x in Q]
+    d = len(Q) - 1
+    L = math.lcm(*(x.denominator for x in Q))
+    s = math.lcm(a.denominator, b.denominator)
+    shift, c = int(a * s), int((b - a) * s)
+    # ascending integer coefficients of s^d * L * Q(v/s)
+    q = [x.numerator * (L // x.denominator) * s**i for i, x in enumerate(Q)][::-1]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            q[j] += a * q[j + 1]
-    c = b - a
-    w = [x * c**j / math.comb(d, j) for j, x in enumerate(q)]
+            q[j] += shift * q[j + 1]
+    w = [x * c**j * math.factorial(j) * math.factorial(d - j) for j, x in enumerate(q)]
+    scale = math.factorial(d) * s**d * L
     bern = [sum(math.comb(k, j) * w[j] for j in range(k + 1)) for k in range(d + 1)]
     for k, x in enumerate(bern):
         if x >= 0:
             raise PositivityViolation(
-                f"Bernstein coefficient b_{k} = {float(x):.3e} of Q on"
+                f"Bernstein coefficient b_{k} = {x / scale:.3e} of Q on"
                 f" [{float(a)}, {float(b)}] is not negative; no valid metric"
             )
-    return bern
+    return [Fraction(x, scale) for x in bern]
 
 
 def positivity_certificate(E: ExtremalCoefficients) -> float:

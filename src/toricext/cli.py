@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GeometryError, InvalidParameters
 
-PRNG_NAME = "numpy-pcg64"
+PRNG_NAME = "python-mt19937"
 
 # curvature points are sampled this deep into the polytope, in facet-value
 # units relative to the interval length

@@ -15,6 +15,7 @@ the natural gauge for the log singularities of the potentials.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,13 +136,21 @@ def sample_interior(
     uniform on the simplex sum(d) = 1 from normalised exponentials, and a
     radius s with density proportional to s^(n-1) on [lo, hi], by inverse
     CDF in the scale-free form hi*(r^n + u*(1 - r^n))^(1/n), r = lo/hi.
-    numpy's default PCG64 generator makes identical (P, count, margin, seed)
-    return identical points.  Raises EmptyRegion when lo >= hi.
+
+    The variates come from the standard library's Mersenne Twister,
+    ``random.Random(seed).random()``, whose stream Python keeps fixed for a
+    seed across versions: count*(n+1) draws fill a (count, n+1) array row by
+    row, the first n columns giving the spacings -log1p(-u) and the last the
+    radius variate u.  Identical (P, count, margin, seed) return identical
+    points.  Raises InvalidParameters for a negative seed and EmptyRegion
+    when lo >= hi.
     """
     if count < 1:
         raise InvalidParameters("count must be >= 1")
     if not margin > 0.0:
         raise InvalidParameters("margin must be positive")
+    if seed < 0:
+        raise InvalidParameters("seed must be >= 0")
 
     n = P.dimension
     a, b = _sum_bounds(P)
@@ -153,9 +162,10 @@ def sample_interior(
             f"have to lie in [{lo}, {hi}]"
         )
 
-    rng = np.random.default_rng(seed)
-    spacings = rng.exponential(size=(count, n))
+    draw = random.Random(seed).random
+    u = np.array([draw() for _ in range(count * (n + 1))]).reshape(count, n + 1)
+    spacings = -np.log1p(-u[:, :n])
     directions = spacings / np.sum(spacings, axis=1, keepdims=True)
     r_n = (lo / hi) ** n
-    radii = hi * (r_n + rng.random(count) * (1.0 - r_n)) ** (1.0 / n)
+    radii = hi * (r_n + u[:, n] * (1.0 - r_n)) ** (1.0 / n)
     return margin + radii[:, None] * directions

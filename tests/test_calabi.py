@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -451,6 +452,30 @@ def test_bernstein_certificate_refuses_a_double_interior_root():
 
 def test_bernstein_certificate_accepts_a_negative_constant():
     assert _bernstein_certificate([-3], Fraction(1), Fraction(2)) == [-3]
+
+
+def _reference_bernstein(Q, a, b):
+    """The Bernstein coefficients in ``Fraction`` throughout, as the package
+    computed them before the integer form: the reference it must equal."""
+    q = list(Q[::-1])
+    d = len(q) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            q[j] += a * q[j + 1]
+    c = b - a
+    w = [x * c**j / math.comb(d, j) for j, x in enumerate(q)]
+    return [sum(math.comb(k, j) * w[j] for j in range(k + 1)) for k in range(d + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16])
+@pytest.mark.parametrize(
+    "a,b", [(0.5, 1.0), (0.31, 1.3), (1e-12, 1e-3), (0.999e3, 1e3)]
+)
+def test_integer_bernstein_equals_the_rational_reference(n, a, b):
+    E = solve_coefficients(n, a, b)
+    Q = E._exact_deflation[1]
+    expected = _reference_bernstein(Q, Fraction(E.a), Fraction(E.b))
+    assert _bernstein_certificate(Q, Fraction(E.a), Fraction(E.b)) == expected
 
 
 def _q_value(E, t):

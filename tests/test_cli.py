@@ -95,7 +95,7 @@ def test_verify_reference_case():
         "extremality", "validity", "endpoint_limits", "checks", "passed",
     ]
     assert "validity_samples" not in doc["inputs"]
-    assert doc["prng"] == "numpy-pcg64"
+    assert doc["prng"] == "python-mt19937"
     assert doc["passed"] is True
     assert doc["checks"]["boundary_identities"] is True
     assert doc["checks"]["closed_form"] is True
@@ -187,6 +187,14 @@ def test_verify_impossible_tolerance_names_the_check():
     assert "curvature_agreement" in r.stderr or "extremality" in r.stderr
     doc = json.loads(r.stdout)
     assert doc["passed"] is False
+
+
+def test_verify_rejects_a_negative_seed():
+    # random.Random(-1) would silently draw seed 1's points
+    r = run_cli("verify", "--points", "10", "--seed", "-1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: seed must be >= 0\n"
 
 
 def test_bridge_check_both_presets():

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +134,23 @@ def test_sample_interior_deterministic():
     assert not np.array_equal(first, other)
 
 
+@pytest.mark.parametrize("n,a,b,seed", [(1, 0.25, 0.75, 0), (3, 0.5, 1.0, 5)])
+def test_sample_interior_is_the_documented_stream(n, a, b, seed):
+    """count*(n+1) draws of random.Random(seed).random(), row by row: n
+    spacings -log1p(-u), then the radius variate."""
+    count, m = 4, 0.01
+    lo, hi = max(a + m - n * m, 0.0), b - m - n * m
+    r_n = (lo / hi) ** n
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(count):
+        spacings = [-math.log1p(-rng.random()) for _ in range(n)]
+        radius = hi * (r_n + rng.random() * (1.0 - r_n)) ** (1.0 / n)
+        expected.append([m + radius * (s / sum(spacings)) for s in spacings])
+    got = sample_interior(build_blowup_polytope(n, a, b), count, m, seed=seed)
+    np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+
+
 def test_sample_interior_margin_exceeds_inradius():
     P = build_blowup_polytope(2, 0.5, 1.0)
     with pytest.raises(EmptyRegion):
@@ -187,6 +207,8 @@ def test_sample_interior_rejects_bad_arguments():
         sample_interior(P, 0, margin=0.01)
     with pytest.raises(InvalidParameters):
         sample_interior(P, 5, margin=0.0)
+    with pytest.raises(InvalidParameters, match="seed must be >= 0"):
+        sample_interior(P, 5, margin=0.01, seed=-1)
 
 
 def test_interior_distance_is_min_facet_value():

@@ -63,11 +63,16 @@ def test_startup_profile_reports_every_stage():
     rows = dict(line.rsplit(None, 1) for line in r.stdout.splitlines()[2:])
     stages = list(rows)
     assert stages[:2] == ["interpreter + site", "numpy"]
-    assert stages[-4:] == ["other imports", "command", "teardown", "total"]
+    assert stages[-5:] == [
+        "other imports", "command", "teardown", "total", "peak RSS (MB)"
+    ]
     assert {"toricext", "toricext.cli", "toricext.calabi"} <= set(stages)
     assert "toricext.bridge" not in stages
     ms = {stage: float(value) for stage, value in rows.items()}
     assert ms["total"] > ms["interpreter + site"] > 0 and ms["numpy"] > 0
+    # a process that has imported numpy holds well over 10 MB; under 1 GB
+    # rules out a unit slip (bytes or KiB read as MB)
+    assert 10.0 < ms["peak RSS (MB)"] < 1000.0
 
 
 def _load_bench_pairs():
