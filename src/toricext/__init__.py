@@ -35,15 +35,10 @@ _EXPORTS = {
         "t_of_s",
     ),
     "calabi": (
-        "ExtremalCoefficients",
         "build_extremal_metric",
-        "closed_form_coefficients",
-        "coefficient_cross_check",
         "extremal_F_second",
         "extremal_scalar_curvature",
         "h_second",
-        "positivity_certificate",
-        "solve_coefficients",
     ),
     "errors": (
         "BoundaryIdentityViolation",
@@ -64,6 +59,13 @@ _EXPORTS = {
         "SingularSystem",
         "StencilExitsDomain",
         "ZeroDenominator",
+    ),
+    "exact": (
+        "ExtremalCoefficients",
+        "closed_form_coefficients",
+        "coefficient_cross_check",
+        "positivity_certificate",
+        "solve_coefficients",
     ),
     "polytope": (
         "AffineFacet",

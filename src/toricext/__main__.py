@@ -7,7 +7,8 @@ and in-process callers use) does neither:
   16) stacked inverses and one (points, n + 1) least-squares fit, stay below
   OpenBLAS's threading thresholds, so its thread pool only costs start-up
   time; output is the same either way.  It must be set before numpy is first
-  imported, and it is a constant, not a default.
+  imported, and it is a constant, not a default.  derive and example load no
+  numpy, so for them it has no effect.
 * After the command, every object is moved to the GC's permanent generation,
   so interpreter shutdown does not walk the whole heap (numpy's included) in
   a final collection.  Atexit handlers and stdio shutdown still run.
@@ -19,7 +20,9 @@ import sys
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import cli  # noqa: E402  (imports numpy, so after the pin)
+# cli imports no numpy; the commands that use it import it inside main, so
+# after the pin
+from . import cli  # noqa: E402
 
 
 def main(argv=None) -> int:

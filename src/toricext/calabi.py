@@ -1,44 +1,32 @@
-"""Extremal t-potentials on the blow-up polytope.
+"""Extremal t-potentials on the blow-up polytope: the float profile.
 
-The construction: with p = n(n+1)(n+2) and the quartic family
+The coefficients (A, B, C, D), their exact checks and the deflated (V, Q)
+come from ``exact``, in rational arithmetic; this module evaluates the
+profile they define on float arrays,
 
-    alpha(t) = n*A*t^(n+2) + (n+2)*B*t^(n+1) + p*(C*t + D),
+    F''(t) = p*t^(n-1)/(p*t^n - alpha(t)) - 1/t,      h''(t) = -V/Q - 1/t,
 
-the profile F''(t) = p*t^(n-1)/(p*t^n - alpha(t)) - 1/t is the second
-derivative of an extremal symplectic potential whose scalar curvature is the
-affine function S(t) = A*t + B.  The four coefficients are pinned by boundary
-conditions at t = a and t = b,
-
-    alpha(a) = p*a^n,        alpha'(a) = (n-1)*p*a^(n-1),
-    alpha(b) = p*b^n,        alpha'(b) = (n+1)*p*b^(n-1),
-
-which say that p*t^n - alpha has simple roots at both endpoints with exactly
-the residues that cancel the Guillemin log singularities of the boundary
-facets.  That 4x4 system is solved exactly, in rational arithmetic, and the
-result rounded to float once; it is the only coefficient path.  Its checks
-are exact: Calabi's closed forms equal it as rationals
-(``coefficient_cross_check``), and Bernstein coefficients prove the metric
-valid on all of (a, b) (``positivity_certificate``).
+with F''' and F'''' for the curvature, and builds the metric ``verify``
+checks.  The public names of ``exact`` are re-exported, so
+``toricext.calabi.solve_coefficients`` keeps working.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import (
-    BoundaryIdentityViolation,
-    DomainViolation,
-    InvalidParameters,
-    PositivityViolation,
-    PotentialPole,
-    SingularSystem,
-    ZeroDenominator,
+from .errors import DomainViolation, PotentialPole
+from .exact import (  # the public names are re-exported
+    ExtremalCoefficients,
+    _alpha_coeffs,
+    _h_second_exact,
+    closed_form_coefficients,
+    coefficient_cross_check,
+    positivity_certificate,
+    solve_coefficients,
 )
 from .numdiff import keep_last, power
 
@@ -51,224 +39,38 @@ if TYPE_CHECKING:
 POLE_REL_TOL = 1e-13
 
 
-def _check_geometry(n: int, a: float, b: float) -> None:
-    """The (n, a, b) preconditions shared by every coefficient entry point."""
-    if n < 1:
-        raise InvalidParameters("n must be >= 1")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidParameters("a and b must be finite")
-    if not 0.0 < a < b:
-        raise InvalidParameters(f"need 0 < a < b, got a={a}, b={b}")
-
-
-@dataclass(frozen=True)
-class ExtremalCoefficients:
-    """Coefficients (A, B, C, D) of alpha for the (n, a, b) blow-up family.
-
-    The implied scalar curvature is S(t) = A*t + B; c = b - a and
-    p = n(n+1)(n+2) are derived.
-    """
-
-    n: int
-    a: float
-    b: float
-    A: float
-    B: float
-    C: float
-    D: float
-
-    def __post_init__(self) -> None:
-        _check_geometry(self.n, self.a, self.b)
-
-    @property
-    def c(self) -> float:
-        return self.b - self.a
-
-    @property
-    def p(self) -> float:
-        return float(self.n * (self.n + 1) * (self.n + 2))
-
-    # polynomial data of the profile, built once per coefficient set; the
-    # arrays are read-only because every evaluation shares them
-    @cached_property
-    def _alpha(self) -> np.ndarray:
-        coeffs = _alpha_coeffs(self.n, self.A, self.B, self.C, self.D)
-        return _read_only(np.array(coeffs, dtype=float))
-
-    @cached_property
-    def _d_alpha(self) -> np.ndarray:
-        return _read_only(np.polyder(self._alpha))
-
-    @cached_property
-    def _d2_alpha(self) -> np.ndarray:
-        return _read_only(np.polyder(self._d_alpha))
-
-    @cached_property
-    def _exact_deflation(self) -> tuple[list, list]:
-        return _deflation(self)
-
-    @cached_property
-    def _deflated(self) -> tuple[np.ndarray, ...]:
-        return tuple(_read_only(np.array(c, float)) for c in self._exact_deflation)
-
-    @cached_property
-    def _bernstein(self) -> list:
-        Q = self._exact_deflation[1]
-        return _bernstein_certificate(Q, Fraction(self.a), Fraction(self.b))
-
-
-def _boundary_rows(n: int, a, b) -> list:
-    """Augmented rows [coefficients of (A, B, C, D) | target] of the endpoint
-    conditions alpha(a), alpha'(a), alpha(b), alpha'(b), in the number type
-    of a and b."""
-    p = n * (n + 1) * (n + 2)
-
-    def value_row(e) -> list:
-        return [n * e ** (n + 2), (n + 2) * e ** (n + 1), p * e, p]
-
-    def slope_row(e) -> list:
-        return [n * (n + 2) * e ** (n + 1), (n + 1) * (n + 2) * e**n, p, 0]
-
-    return [
-        value_row(a) + [p * a**n],
-        slope_row(a) + [(n - 1) * p * a ** (n - 1)],
-        value_row(b) + [p * b**n],
-        slope_row(b) + [(n + 1) * p * b ** (n - 1)],
-    ]
-
-
-@lru_cache
-def _exact_solution(n: int, a: float, b: float) -> tuple[Fraction, ...]:
-    """(A, B, C, D) of the boundary system, exactly.
-
-    The float (a, b) are exact rationals, so Gauss-Jordan elimination over
-    ``Fraction`` gives the exact solution.  Cached: ``solve_coefficients``
-    and the record's deflation both need it for the same geometry.
-    """
-    rows = [
-        [Fraction(x) for x in row]
-        for row in _boundary_rows(n, Fraction(float(a)), Fraction(float(b)))
-    ]
-    for col in range(4):
-        pivot = next((r for r in range(col, 4) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystem(
-                f"boundary system singular for (n={n}, a={a}, b={b})"
-            )
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(4):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col] / rows[col][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[k][4] / rows[k][k] for k in range(4))
-
-
-def solve_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
-    """Authoritative coefficients: the boundary system solved exactly and
-    rounded to float once.  A float solve loses digits as a/b -> 1, where the
-    system degenerates.
-    """
-    _check_geometry(n, a, b)
-    A, B, C, D = map(float, _exact_solution(n, a, b))
-    return ExtremalCoefficients(n=n, a=float(a), b=float(b), A=A, B=B, C=C, D=D)
-
-
-@lru_cache
-def _closed_form(n: int, a: float, b: float) -> tuple[Fraction, ...]:
-    """Calabi's explicit (A, B, C, D), exactly.
-
-    Evaluated over ``Fraction``: the shared denominator has a fourth-order
-    root at a = b, so float evaluation drifts as a/b -> 1.
-    """
-    a, b = Fraction(float(a)), Fraction(float(b))
-
-    den = (
-        (a * b) ** n * (2 * n * (n + 2) * a * b - (a**2 + b**2) * (n + 1) ** 2)
-        + a ** (2 * (n + 1))
-        + b ** (2 * (n + 1))
-    )
-    if den == 0:
-        raise ZeroDenominator(
-            f"shared denominator vanishes for (n={n}, a={float(a)}, b={float(b)})"
-        )
-
-    A = (
-        (n + 1)
-        * (n + 2)
-        * (
-            (a * b) ** (n - 1)
-            * (n * a**2 * (n + 1) + n * b**2 * (n - 1) - 2 * a * b * (n**2 - 1))
-            - 2 * a ** (2 * n)
-        )
-        / den
-    )
-    B = (
-        n
-        * (n + 1)
-        * (
-            (a * b) ** (n - 1)
-            * (
-                a**2 * (n * b * (n + 2) - a * (n + 1) ** 2)
-                + b**2 * (b * (1 - n**2) + a * (n**2 - 4))
-            )
-            + 3 * a ** (2 * n + 1)
-            + b ** (2 * n + 1)
-        )
-        / den
-    )
-    C = (
-        (a * b) ** (n - 1)
-        * (
-            (n + 1) * (a ** (n + 3) - a * b ** (n + 2) - 3 * b * a ** (n + 2))
-            + ((n - 1) * b ** (n + 3) + 2 * (n + 2) * b**2 * a ** (n + 1))
-        )
-        / den
-    )
-    D = (
-        (a * b) ** n
-        * (
-            b ** (n + 1) * (n * a - b * (n - 2))
-            - 2 * a**n * b**2 * (n + 1)
-            - n * a ** (n + 1) * (a - 3 * b)
-        )
-        / den
-    )
-    return A, B, C, D
-
-
-def closed_form_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
-    """Calabi's explicit coefficient formulas, evaluated exactly and rounded
-    to float once."""
-    _check_geometry(n, a, b)
-    A, B, C, D = map(float, _closed_form(n, a, b))
-    return ExtremalCoefficients(n=n, a=float(a), b=float(b), A=A, B=B, C=C, D=D)
-
-
-def coefficient_cross_check(solved: ExtremalCoefficients) -> bool:
-    """True when Calabi's closed forms and the solve of the boundary system
-    are the same four rationals at the record's (n, a, b), and the record is
-    their rounding."""
-    closed = _closed_form(solved.n, solved.a, solved.b)
-    return closed == _exact_solution(solved.n, solved.a, solved.b) and tuple(
-        map(float, closed)
-    ) == (solved.A, solved.B, solved.C, solved.D)
-
-
 def _read_only(coeffs: np.ndarray) -> np.ndarray:
     coeffs.flags.writeable = False
     return coeffs
 
 
-def _alpha_coeffs(n: int, A, B, C, D) -> list:
-    """Descending coefficients of alpha (degree n+2), in the number type of
-    (A, B, C, D)."""
-    p = n * (n + 1) * (n + 2)
-    coeffs = [0] * (n + 3)
-    coeffs[0] = n * A
-    coeffs[1] = (n + 2) * B
-    coeffs[n + 1] += p * C
-    coeffs[n + 2] += p * D
-    return coeffs
+def _per_record(build: Callable[[ExtremalCoefficients], tuple]) -> Callable:
+    """build(E), run once per record and kept on the record itself, as a
+    ``cached_property`` would be.  Every evaluation shares the arrays, so
+    build makes them read-only; an equal record built later starts afresh."""
+    key = build.__name__
+
+    def cached(E: ExtremalCoefficients) -> tuple:
+        store = vars(E)
+        if key not in store:
+            store[key] = build(E)
+        return store[key]
+
+    return cached
+
+
+@_per_record
+def _alpha_polys(E: ExtremalCoefficients) -> tuple[np.ndarray, ...]:
+    """alpha, alpha' and alpha'' as descending float coefficients."""
+    alpha = np.array(_alpha_coeffs(E.n, E.A, E.B, E.C, E.D), dtype=float)
+    d_alpha = np.polyder(alpha)
+    return tuple(map(_read_only, (alpha, d_alpha, np.polyder(d_alpha))))
+
+
+@_per_record
+def _deflated(E: ExtremalCoefficients) -> tuple[np.ndarray, ...]:
+    """The exact (V, Q) of ``h_second``, rounded once."""
+    return tuple(_read_only(np.array(c, float)) for c in E._exact_deflation)
 
 
 def _check_profile_domain(E: ExtremalCoefficients, t: np.ndarray) -> None:
@@ -280,7 +82,7 @@ def _check_profile_domain(E: ExtremalCoefficients, t: np.ndarray) -> None:
 def _beta_guarded(E: ExtremalCoefficients, t: np.ndarray) -> np.ndarray:
     """beta(t) with the interior pole guard, elementwise."""
     ptn = E.p * power(t, E.n)
-    beta = ptn - np.polyval(E._alpha, t)
+    beta = ptn - np.polyval(_alpha_polys(E)[0], t)
     pole = np.abs(beta) <= POLE_REL_TOL * np.abs(ptn)
     if np.any(pole):
         raise PotentialPole(f"p*t^n - alpha vanishes at t = {t[pole][0]}")
@@ -303,9 +105,10 @@ def _profile_derivatives(E: ExtremalCoefficients, t):
     """(F''', F'''') at t, differentiating r = p*t^(n-1)/beta analytically."""
     n, p = E.n, E.p
     t = np.asarray(t, dtype=float)
+    _, d_alpha, d2_alpha = _alpha_polys(E)
     beta = _beta_guarded(E, t)
-    beta1 = n * p * power(t, n - 1) - np.polyval(E._d_alpha, t)
-    beta2 = n * (n - 1) * p * power(t, n - 2) - np.polyval(E._d2_alpha, t)
+    beta1 = n * p * power(t, n - 1) - np.polyval(d_alpha, t)
+    beta2 = n * (n - 1) * p * power(t, n - 2) - np.polyval(d2_alpha, t)
     beta_sq = power(beta, 2)
     r1 = p * ((n - 1) * power(t, n - 2) / beta - power(t, n - 1) * beta1 / beta_sq)
     r2 = p * (
@@ -317,120 +120,23 @@ def _profile_derivatives(E: ExtremalCoefficients, t):
     return r1 + 1.0 / power(t, 2), r2 - 2.0 / power(t, 3)
 
 
-def _deflate(coeffs: list, root) -> tuple[list, object]:
-    """Synthetic division by (t - root): quotient and remainder ([] is 0)."""
-    quot, acc = [], 0
-    for coeff in coeffs:
-        quot.append(acc)
-        acc = coeff + root * acc
-    return quot[1:], acc
-
-
-def _deflation(E: ExtremalCoefficients) -> tuple[list, list]:
-    """Exact (V, Q) of the cancellation-free form of ``h_second``.
-
-    Built over ``Fraction`` from the exact solution of the boundary system,
-    which must round to the record's own (A, B, C, D).  The six remainders
-    are 0 exactly when the boundary identities hold; any other value raises
-    ``BoundaryIdentityViolation``.
-    """
-    n, p = E.n, E.n * (E.n + 1) * (E.n + 2)
-    exact = _exact_solution(n, E.a, E.b)
-    if tuple(map(float, exact)) != (E.A, E.B, E.C, E.D):
-        raise InvalidParameters(f"not the extremal coefficients of {E}")
-    a, b = Fraction(E.a), Fraction(E.b)
-
-    beta = [-x for x in _alpha_coeffs(n, *exact)]  # p*t^n - alpha
-    beta[2] += p  # the p*t^n term sits two slots below the leading one
-    P = [-(b - a) * x for x in beta]
-    P[1] -= p
-    P[2] += (a + b) * p
-    P[3] -= a * b * p
-
-    V, Q, rems = P, beta, []
-    for root in (a, a, b, b):
-        V, rem = _deflate(V, root)
-        rems.append(rem)
-    for root in (a, b):
-        Q, rem = _deflate(Q, root)
-        rems.append(rem)
-    if any(rems):
-        rems = [float(r) for r in rems]
-        raise BoundaryIdentityViolation(f"deflation remainders {rems} of {E}")
-    return V, Q
-
-
 def h_second(E: ExtremalCoefficients, t):
     """h''(t) = F''(t) - (b-a)/((t-a)(b-t)), the facet-regular remainder.
 
     The two terms have exactly cancelling poles at the endpoints, so h'' is
-    never taken as their difference.  By the boundary identities the combined
-    numerator P = p*t^(n-1)*(t-a)*(b-t) - (b-a)*beta has double roots at both
-    endpoints and beta has simple ones; dividing them out gives
-
-        h''(t) = -V(t)/Q(t) - 1/t,
-        V = P / ((t-a)^2 (t-b)^2),   Q = beta / ((t-a)(t-b)),
-
-    with V and Q found once per coefficient set by exact synthetic division
-    in rationals and rounded once.  A record that is not the extremal
-    solution of its (n, a, b) raises ``InvalidParameters``.  Takes a scalar
-    or an array of t.
+    never taken as their difference: h'' = -V(t)/Q(t) - 1/t with the exact
+    (V, Q) of the deflation in ``exact``, rounded once per coefficient set.
+    A record that is not the extremal solution of its (n, a, b) raises
+    ``InvalidParameters``.  Takes a scalar or an array of t.
     """
     t = np.asarray(t, dtype=float)
     _check_profile_domain(E, t)
-    V, Q = E._deflated
+    V, Q = _deflated(E)
     q_val = np.polyval(Q, t)
     zero = q_val == 0.0
     if np.any(zero):
         raise PotentialPole(f"deflated denominator vanishes at t = {t[zero][0]}")
     return -np.polyval(V, t) / q_val - 1.0 / t
-
-
-def _bernstein_certificate(Q: list, a: Fraction, b: Fraction) -> list:
-    """The Bernstein coefficients b_k of Q (descending coefficients) on
-    [a, b], exactly: Q(a + c*u) by a Horner Taylor shift, then
-    b_k = sum_j C(k, j)/C(d, j) * q_j.  Q on [a, b] lies in their convex hull
-    (Farouki, CAGD 2012), so all b_k < 0 proves Q < 0 there; b_0 = Q(a) and
-    b_d = Q(b).  Raises ``PositivityViolation`` at the first b_k >= 0.
-
-    Both steps run in integers over one positive scale: with s the common
-    denominator of a and b (a power of two for floats) and L that of Q,
-    s^d * L * Q(v/s) has integer coefficients, its Taylor shift by s*a and
-    the substitution v = s*c*u keep them integers, and d!/C(d, j) = j!(d-j)!
-    clears the Bernstein weights, so d! * s^d * L * b_k is an integer.
-    """
-    Q = [Fraction(x) for x in Q]
-    d = len(Q) - 1
-    L = math.lcm(*(x.denominator for x in Q))
-    s = math.lcm(a.denominator, b.denominator)
-    shift, c = int(a * s), int((b - a) * s)
-    # ascending integer coefficients of s^d * L * Q(v/s)
-    q = [x.numerator * (L // x.denominator) * s**i for i, x in enumerate(Q)][::-1]
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            q[j] += shift * q[j + 1]
-    w = [x * c**j * math.factorial(j) * math.factorial(d - j) for j, x in enumerate(q)]
-    scale = math.factorial(d) * s**d * L
-    bern = [sum(math.comb(k, j) * w[j] for j in range(k + 1)) for k in range(d + 1)]
-    for k, x in enumerate(bern):
-        if x >= 0:
-            raise PositivityViolation(
-                f"Bernstein coefficient b_{k} = {x / scale:.3e} of Q on"
-                f" [{float(a)}, {float(b)}] is not negative; no valid metric"
-            )
-    return [Fraction(x, scale) for x in bern]
-
-
-def positivity_certificate(E: ExtremalCoefficients) -> float:
-    """Prove 1 + t*F'' > 0 on all of (a, b); return the margin in [-1, 0).
-
-    p*t^n - alpha = (t-a)(t-b)*Q with the exact Q of ``h_second``, so Q < 0
-    on [a, b], proved by its Bernstein coefficients, makes 1 + t*F'' =
-    p*t^n/(p*t^n - alpha) positive at every t.  Raises ``PositivityViolation``
-    otherwise.  The margin max b_k / max |b_k| is the only rounded part.
-    """
-    bern = E._bernstein
-    return float(max(bern) / max(map(abs, bern)))
 
 
 def _endpoint_limits(E: ExtremalCoefficients, tolerance: float) -> tuple[bool, dict]:
@@ -440,11 +146,10 @@ def _endpoint_limits(E: ExtremalCoefficients, tolerance: float) -> tuple[bool, d
     ``h_second`` at a + c*delta and b - c*delta against the exact h'' at the
     same float t, relative to the largest of those six |h''|.
     """
-    V, Q = E._exact_deflation
     offsets = [1e-6, 5e-7, 2.5e-7]
     ts = [E.a + E.c * d for d in offsets] + [E.b - E.c * d for d in offsets]
     got = h_second(E, ts).tolist()
-    exact = [-_deflate(V, t)[1] / _deflate(Q, t)[1] - 1 / t for t in map(Fraction, ts)]
+    exact = [_h_second_exact(E, t) for t in map(Fraction, ts)]
     error = max(abs(Fraction(g) - w) for g, w in zip(got, exact)) / max(map(abs, exact))
     return error <= tolerance, {
         "offsets": offsets,

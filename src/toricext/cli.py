@@ -16,8 +16,10 @@ row, and its floats are filled in with one % operation.  Exit codes: 0 pass,
 2 invalid input.
 
 Each command imports the modules it runs when it runs, so a call loads only
-those: derive, profile and example load ``calabi``; bridge-check loads
-``bridge`` and ``radial``; verify loads every module but ``bridge``.
+those: derive and example load ``exact`` and no numpy; profile loads
+``calabi``; bridge-check loads ``bridge`` and ``radial``; verify loads every
+module but ``bridge``.  This module itself imports no numpy: the renderer
+takes Python scalars (numpy's float64 is a float).
 """
 
 from __future__ import annotations
@@ -30,9 +32,13 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .errors import DimensionMismatch, GeometryError, InvalidParameters
+from .errors import (
+    BoundaryIdentityViolation,
+    DimensionMismatch,
+    GeometryError,
+    InvalidParameters,
+    PositivityViolation,
+)
 
 PRNG_NAME = "python-mt19937"
 
@@ -61,10 +67,17 @@ class RunConfig:
     tolerance_soft: float = 1e-5
     preset: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        for flag, value in (
+            ("--tolerance-hard", self.tolerance_hard),
+            ("--tolerance-soft", self.tolerance_soft),
+        ):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InvalidParameters(f"{flag} must be finite and >= 0, got {value}")
+
 
 # every float is printed at 17 significant digits through this one conversion
 _FLOAT = "%.16e"
-_FLOATS = (float, np.floating)
 
 
 def _fill(template: str, values: list) -> str:
@@ -94,7 +107,7 @@ def _row_shape(obj):
         values, shape = obj, len(obj)
     else:
         return None
-    if values and all(map(isinstance, values, itertools.repeat(_FLOATS))):
+    if values and all(map(isinstance, values, itertools.repeat(float))):
         return shape
     return None
 
@@ -107,11 +120,11 @@ def _template(obj, indent: int, values: list) -> str:
     """
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, _FLOATS):
+    if isinstance(obj, float):
         values.append(obj)
         return _FLOAT
     if isinstance(obj, str):
@@ -154,7 +167,7 @@ def _require_json(cfg: RunConfig) -> None:
 
 
 def run_derive(cfg: RunConfig) -> str:
-    from .calabi import solve_coefficients
+    from .exact import solve_coefficients
 
     _require_json(cfg)
     E = solve_coefficients(cfg.n, cfg.a, cfg.b)
@@ -173,6 +186,8 @@ def run_derive(cfg: RunConfig) -> str:
 
 
 def run_profile(cfg: RunConfig) -> str:
+    import numpy as np
+
     from .calabi import extremal_F_second, h_second, solve_coefficients
 
     E = solve_coefficients(cfg.n, cfg.a, cfg.b)
@@ -203,7 +218,16 @@ def run_profile(cfg: RunConfig) -> str:
     raise InvalidParameters(f"unknown format {cfg.fmt!r}")
 
 
+# the report key of each proof that raises instead of failing
+_PROOF_CHECKS = {
+    BoundaryIdentityViolation: "boundary_identities",
+    PositivityViolation: "validity",
+}
+
+
 def _verify_battery(cfg: RunConfig) -> dict:
+    import numpy as np
+
     from .abreu import SymplecticPotential, extremality_residual
     from .calabi import (
         _endpoint_limits,
@@ -218,7 +242,12 @@ def _verify_battery(cfg: RunConfig) -> dict:
     if cfg.points < n + 2:
         raise InvalidParameters(f"need points >= {n + 2}, got {cfg.points}")
 
-    P, T, E = build_extremal_metric(n, a, b)
+    try:
+        P, T, E = build_extremal_metric(n, a, b)
+    except (BoundaryIdentityViolation, PositivityViolation) as exc:
+        # a failed proof prints no report; name the check it would have failed
+        key = _PROOF_CHECKS[type(exc)]
+        raise type(exc)(f"{key}: {exc}") from exc
     margin = _SAMPLING_MARGIN_FACTOR * (b - a)
     pts = sample_interior(P, cfg.points, margin=margin, seed=cfg.seed)
     pot = SymplecticPotential.from_radial(P, T)
@@ -230,7 +259,8 @@ def _verify_battery(cfg: RunConfig) -> dict:
 
     endpoints_ok, endpoints = _endpoint_limits(E, cfg.tolerance_hard)
 
-    # the exact deflation and the certificate raise instead of failing
+    # the exact deflation and the certificate raise instead of failing, so
+    # these two are true in every report printed
     checks = {
         "boundary_identities": True,
         "closed_form": coefficient_cross_check(E),
@@ -280,6 +310,8 @@ def run_verify(cfg: RunConfig) -> tuple[str, int, str]:
 
 
 def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
+    import numpy as np
+
     from .bridge import PRESETS, bridge_cross_check
 
     _require_json(cfg)
@@ -319,9 +351,16 @@ def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
     return _render_json(doc), 0 if not failing else 1, err
 
 
+def _quadratic_form(a) -> tuple:
+    """The n = 2, b = 1 closed form h''(t) = num/den(t) - 1/t at a rational
+    a: num and the descending coefficients of the quadratic den, exactly."""
+    return 2 * a * (1 - a), [2 * a, 1 - a**2 + 2 * a, 2 * a**2]
+
+
 def run_example(cfg: RunConfig) -> tuple[str, int, str]:
-    from .calabi import coefficient_cross_check, h_second, solve_coefficients
-    from .numdiff import power
+    from fractions import Fraction
+
+    from .exact import _h_second_exact, coefficient_cross_check, solve_coefficients
 
     _require_json(cfg)
     if cfg.n != 2 or cfg.b != 1.0:
@@ -329,29 +368,21 @@ def run_example(cfg: RunConfig) -> tuple[str, int, str]:
     a = cfg.a
     E = solve_coefficients(2, a, 1.0)
 
-    def quadratic_form(t: np.ndarray) -> np.ndarray:
-        den = 2 * a * power(t, 2) + t - a**2 * t + 2 * a * t + 2 * a**2
-        return 2 * a * (1 - a) / den - 1.0 / t
-
-    count = cfg.samples if cfg.samples is not None else 50
-    margin = (1.0 - a) * 1e-3
-    ts = np.linspace(a + margin, 1.0 - margin, count)
-    form = quadratic_form(ts)
-    form_delta = float(
-        np.max(np.abs(h_second(E, ts) - form) / np.maximum(1.0, np.abs(form)))
-    )
+    # h'' = -V/Q - 1/t, and V is a constant at n = 2: the closed form is h''
+    # exactly when -V*den and num*Q are one polynomial
+    (v,), Q = E._exact_deflation
+    num, den = _quadratic_form(Fraction(a))
     midpoint = 0.5 * (a + 1.0)
     checks = {
         "closed_form": coefficient_cross_check(E),
-        "quadratic_form": form_delta <= cfg.tolerance_hard,
+        "quadratic_form": [-v * d for d in den] == [num * q for q in Q],
     }
     doc = {
-        "schema": 2,
+        "schema": 3,
         "command": "example",
         "a": a,
         "coefficients": {"A": E.A, "B": E.B, "C": E.C, "D": E.D},
-        "quadratic_form_max_delta": form_delta,
-        "h_second_midpoint": h_second(E, midpoint),
+        "h_second_midpoint": float(_h_second_exact(E, Fraction(midpoint))),
         "checks": checks,
         "passed": all(checks.values()),
     }
@@ -372,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=None,
-        help="grid size: profile rows / bridge samples / example rows",
+        help="grid size: profile rows / bridge samples",
     )
     common.add_argument("--seed", type=int, default=0, help="sampling seed")
     common.add_argument(
@@ -420,8 +451,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
+        cfg = _config_from_args(args)
         if cfg.command == "derive":
             out, code, err = run_derive(cfg), 0, ""
         elif cfg.command == "profile":

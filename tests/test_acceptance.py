@@ -29,7 +29,7 @@ from toricext import (
     sample_interior,
     solve_coefficients,
 )
-from toricext.calabi import _boundary_rows, _closed_form, _exact_solution
+from toricext.exact import _boundary_rows, _closed_form, _exact_solution
 from util import cpn_profile, flat_profile, simplex_polytope
 
 CMD = [sys.executable, "-m", "toricext"]

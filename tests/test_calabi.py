@@ -29,14 +29,14 @@ from toricext import (
     solve_coefficients,
 )
 from toricext import calabi as calabi_mod
-from toricext.calabi import (
+from toricext import exact as exact_mod
+from toricext.calabi import _endpoint_limits, _profile_derivatives
+from toricext.exact import (
     _alpha_coeffs,
     _bernstein_certificate,
     _boundary_rows,
     _closed_form,
-    _endpoint_limits,
     _exact_solution,
-    _profile_derivatives,
 )
 
 nab = st.tuples(
@@ -347,6 +347,21 @@ def test_invalid_construction_parameters():
         solve_coefficients(2, -0.1, 1.0)
 
 
+@pytest.mark.parametrize("build", [solve_coefficients, closed_form_coefficients])
+@pytest.mark.parametrize("n", [2.5, 2.0, True, False, "2", None])
+def test_dimension_must_be_an_integer(build, n):
+    # as build_blowup_polytope does for the same inputs
+    with pytest.raises(InvalidParameters, match="n must be an integer"):
+        build(n, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("build", [solve_coefficients, closed_form_coefficients])
+def test_dimension_may_be_a_numpy_integer(build):
+    E = build(np.int64(2), 0.5, 1.0)
+    assert type(E.n) is int
+    assert E == build(2, 0.5, 1.0)
+
+
 # --- array calls -------------------------------------------------------------
 
 
@@ -508,19 +523,19 @@ def test_build_extremal_metric_in_a_thin_shell(n, b):
 
 def _perturb_D(monkeypatch):
     # D moves by far less than half an ulp, so the record rounds as before
-    real = calabi_mod._exact_solution
+    real = exact_mod._exact_solution
 
     def perturbed(n, a, b):
         A, B, C, D = real(n, a, b)
         return A, B, C, D + Fraction(1e-40)
 
-    monkeypatch.setattr(calabi_mod, "_exact_solution", perturbed)
+    monkeypatch.setattr(exact_mod, "_exact_solution", perturbed)
 
 
 def test_nonzero_deflation_remainder_raises(monkeypatch):
     _perturb_D(monkeypatch)
     E = solve_coefficients(2, 0.5, 1.0)
-    assert E == calabi_mod.ExtremalCoefficients(
+    assert E == exact_mod.ExtremalCoefficients(
         n=2, a=0.5, b=1.0, A=96 / 13, B=12 / 13, C=1 / 13, D=2 / 13
     )
     with pytest.raises(BoundaryIdentityViolation):
@@ -532,14 +547,14 @@ def test_nonzero_deflation_remainder_raises(monkeypatch):
 _PERTURBED_CHILD = """
 import sys
 from fractions import Fraction
-from toricext import BoundaryIdentityViolation, calabi
-real = calabi._exact_solution
+from toricext import BoundaryIdentityViolation, exact
+real = exact._exact_solution
 def perturbed(n, a, b):
     A, B, C, D = real(n, a, b)
     return A, B, C, D + Fraction(1e-40)
-calabi._exact_solution = perturbed
+exact._exact_solution = perturbed
 try:
-    calabi.positivity_certificate(calabi.solve_coefficients(2, 0.5, 1.0))
+    exact.positivity_certificate(exact.solve_coefficients(2, 0.5, 1.0))
 except BoundaryIdentityViolation:
     print("raised", sys.flags.optimize)
 """

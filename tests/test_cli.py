@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from toricext import InvalidParameters
 from toricext import calabi as calabi_mod
 from toricext import cli
+from toricext import exact as exact_mod
 
 CMD = [sys.executable, "-m", "toricext"]
 
@@ -189,6 +190,53 @@ def test_verify_impossible_tolerance_names_the_check():
     assert doc["passed"] is False
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--tolerance-hard", "--tolerance-soft"])
+@pytest.mark.parametrize("command", ["verify", "bridge-check"])
+def test_bad_tolerance_is_invalid_input(command, flag, value, capsys):
+    # a negative tolerance would read as a failed verdict (exit 1)
+    assert cli.main([command, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {flag} must be finite and >= 0, got {float(value)}\n"
+    )
+
+
+def _perturbed_D(real):
+    # D moves by far less than half an ulp, so the record rounds as before
+    def perturbed(n, a, b):
+        A, B, C, D = real(n, a, b)
+        return A, B, C, D + Fraction(1e-40)
+
+    return perturbed
+
+
+def _positive_Q(real):
+    def deflation(E):
+        V, Q = real(E)
+        return V, [-q for q in Q]
+
+    return deflation
+
+
+@pytest.mark.parametrize(
+    "name, patch, key",
+    [
+        ("_exact_solution", _perturbed_D, "boundary_identities"),
+        ("_deflation", _positive_Q, "validity"),
+    ],
+)
+def test_failed_proof_names_its_report_key(monkeypatch, capsys, name, patch, key):
+    # a failed proof ends the call before any report is printed
+    monkeypatch.setattr(exact_mod, name, patch(getattr(exact_mod, name)))
+    assert cli.main(["verify", "--n", "2", "--points", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_rejects_a_negative_seed():
     # random.Random(-1) would silently draw seed 1's points
     r = run_cli("verify", "--points", "10", "--seed", "-1")
@@ -237,11 +285,52 @@ def test_example_command():
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert doc["passed"] is True
-    assert doc["schema"] == 2
-    assert doc["h_second_midpoint"] == pytest.approx(-64 / 57, rel=1e-12)
-    assert doc["checks"]["closed_form"] is True
-    assert "closed_form_max_delta" not in doc
-    assert doc["quadratic_form_max_delta"] <= 1e-12
+    assert doc["schema"] == 3
+    assert list(doc) == [
+        "schema", "command", "a", "coefficients", "h_second_midpoint",
+        "checks", "passed",
+    ]
+    # h'' at t = 3/4, exact and rounded once
+    assert doc["h_second_midpoint"] == float(Fraction(-64, 57))
+    assert doc["checks"] == {"closed_form": True, "quadratic_form": True}
+
+
+def _example_doc(a):
+    out, code, err = cli.run_example(cli.RunConfig(command="example", a=a))
+    return json.loads(out), code, err
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@example(1e-12)
+@example(1 - 1e-12)
+@example(0.5)
+@settings(max_examples=60, deadline=None)
+def test_example_quadratic_form_is_an_identity(a):
+    doc, code, err = _example_doc(a)
+    assert (code, err) == (0, "")
+    assert doc["checks"] == {"closed_form": True, "quadratic_form": True}
+    # the closed form itself at the midpoint, exactly, rounded once
+    t, q = Fraction(0.5 * (a + 1.0)), Fraction(a)
+    form = 2 * q * (1 - q) / (2 * q * t**2 + (1 - q**2 + 2 * q) * t + 2 * q**2) - 1 / t
+    assert doc["h_second_midpoint"] == float(form)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_example_refuses_a_form_one_ulp_off(monkeypatch, capsys, slot):
+    real = cli._quadratic_form
+
+    def nudged(a):
+        num, den = real(a)
+        den[slot] = Fraction(math.nextafter(float(den[slot]), math.inf))
+        return num, den
+
+    monkeypatch.setattr(cli, "_quadratic_form", nudged)
+    assert cli.main(["example", "--a", "0.5"]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["checks"] == {"closed_form": True, "quadratic_form": False}
+    assert doc["passed"] is False
+    assert captured.err == "example check failed: quadratic_form\n"
 
 
 def test_example_near_degenerate_geometry():
@@ -270,16 +359,19 @@ def test_missing_command_shows_usage():
 
 
 def _reference_render(obj, indent: int = 0) -> str:
-    """The per-value recursive renderer the template renderer replaced."""
+    """The per-value recursive renderer the template renderer replaced.
+
+    Python scalars only: numpy's float64 is a float, and every other numpy
+    scalar is refused."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         x = float(obj)
         if not np.isfinite(x):
             raise InvalidParameters(f"non-finite value {x} in output")
@@ -419,14 +511,14 @@ def test_renderer_names_the_first_non_finite_value():
 
 
 def test_verify_computes_the_certificate_once(monkeypatch, capsys):
-    real = calabi_mod._bernstein_certificate
+    real = exact_mod._bernstein_certificate
     certificates = []
 
     def counting(Q, a, b):
         certificates.append((a, b))
         return real(Q, a, b)
 
-    monkeypatch.setattr(calabi_mod, "_bernstein_certificate", counting)
+    monkeypatch.setattr(exact_mod, "_bernstein_certificate", counting)
     code = cli.main(["verify", "--n", "2", "--points", "20"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["passed"] is True
@@ -451,7 +543,7 @@ def test_output_does_not_depend_on_assert_statements(argv):
 
 
 def test_verify_solves_the_exact_system_once(monkeypatch, capsys):
-    real = calabi_mod._boundary_rows
+    real = exact_mod._boundary_rows
     eliminations = []
 
     def counting(n, a, b):
@@ -459,8 +551,8 @@ def test_verify_solves_the_exact_system_once(monkeypatch, capsys):
             eliminations.append((n, a, b))
         return real(n, a, b)
 
-    monkeypatch.setattr(calabi_mod, "_boundary_rows", counting)
-    calabi_mod._exact_solution.cache_clear()
+    monkeypatch.setattr(exact_mod, "_boundary_rows", counting)
+    exact_mod._exact_solution.cache_clear()
     code = cli.main(["verify", "--n", "2", "--points", "20"])
     assert code == 0 and json.loads(capsys.readouterr().out)["passed"] is True
     assert len(eliminations) == 1

@@ -51,16 +51,21 @@ def test_bench_pairs_help():
         assert flag in r.stdout
 
 
-def test_startup_profile_reports_every_stage():
+def _startup_profile(command: str) -> dict:
+    """Stage -> median of ``scripts/startup_profile.py`` over two runs."""
     r = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "startup_profile.py"),
-         "--command", "derive --n 3", "--runs", "2"],
+         "--command", command, "--runs", "2"],
         capture_output=True,
         text=True,
         timeout=240,
     )
     assert r.returncode == 0, r.stderr
-    rows = dict(line.rsplit(None, 1) for line in r.stdout.splitlines()[2:])
+    return dict(line.rsplit(None, 1) for line in r.stdout.splitlines()[2:])
+
+
+def test_startup_profile_reports_every_stage():
+    rows = _startup_profile("profile --n 3 --samples 5")
     stages = list(rows)
     assert stages[:2] == ["interpreter + site", "numpy"]
     assert stages[-5:] == [
@@ -73,6 +78,13 @@ def test_startup_profile_reports_every_stage():
     # a process that has imported numpy holds well over 10 MB; under 1 GB
     # rules out a unit slip (bytes or KiB read as MB)
     assert 10.0 < ms["peak RSS (MB)"] < 1000.0
+
+
+def test_startup_profile_of_a_call_without_numpy():
+    rows = _startup_profile("derive --n 3 --a 0.3 --b 1.2")
+    assert rows["numpy"] == "0.00"
+    assert {"toricext", "toricext.cli", "toricext.exact"} <= set(rows)
+    assert "toricext.calabi" not in rows
 
 
 def _load_bench_pairs():
