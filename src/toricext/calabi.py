@@ -14,7 +14,8 @@ checks.  The public names of ``exact`` are re-exported, so
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,26 +41,12 @@ POLE_REL_TOL = 1e-13
 
 
 def _read_only(coeffs: np.ndarray) -> np.ndarray:
+    # the cached arrays of a record are shared by all of its evaluations
     coeffs.flags.writeable = False
     return coeffs
 
 
-def _per_record(build: Callable[[ExtremalCoefficients], tuple]) -> Callable:
-    """build(E), run once per record and kept on the record itself, as a
-    ``cached_property`` would be.  Every evaluation shares the arrays, so
-    build makes them read-only; an equal record built later starts afresh."""
-    key = build.__name__
-
-    def cached(E: ExtremalCoefficients) -> tuple:
-        store = vars(E)
-        if key not in store:
-            store[key] = build(E)
-        return store[key]
-
-    return cached
-
-
-@_per_record
+@lru_cache
 def _alpha_polys(E: ExtremalCoefficients) -> tuple[np.ndarray, ...]:
     """alpha, alpha' and alpha'' as descending float coefficients."""
     alpha = np.array(_alpha_coeffs(E.n, E.A, E.B, E.C, E.D), dtype=float)
@@ -67,7 +54,7 @@ def _alpha_polys(E: ExtremalCoefficients) -> tuple[np.ndarray, ...]:
     return tuple(map(_read_only, (alpha, d_alpha, np.polyder(d_alpha))))
 
 
-@_per_record
+@lru_cache
 def _deflated(E: ExtremalCoefficients) -> tuple[np.ndarray, ...]:
     """The exact (V, Q) of ``h_second``, rounded once."""
     return tuple(_read_only(np.array(c, float)) for c in E._exact_deflation)

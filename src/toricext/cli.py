@@ -351,31 +351,25 @@ def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
     return _render_json(doc), 0 if not failing else 1, err
 
 
-def _quadratic_form(a) -> tuple:
-    """The n = 2, b = 1 closed form h''(t) = num/den(t) - 1/t at a rational
-    a: num and the descending coefficients of the quadratic den, exactly."""
-    return 2 * a * (1 - a), [2 * a, 1 - a**2 + 2 * a, 2 * a**2]
-
-
 def run_example(cfg: RunConfig) -> tuple[str, int, str]:
     from fractions import Fraction
 
-    from .exact import _h_second_exact, coefficient_cross_check, solve_coefficients
+    from .exact import (
+        _h_second_exact,
+        _quadratic_form_identity,
+        coefficient_cross_check,
+        solve_coefficients,
+    )
 
     _require_json(cfg)
     if cfg.n != 2 or cfg.b != 1.0:
         raise InvalidParameters("the worked example is the n=2, b=1 family")
     a = cfg.a
     E = solve_coefficients(2, a, 1.0)
-
-    # h'' = -V/Q - 1/t, and V is a constant at n = 2: the closed form is h''
-    # exactly when -V*den and num*Q are one polynomial
-    (v,), Q = E._exact_deflation
-    num, den = _quadratic_form(Fraction(a))
     midpoint = 0.5 * (a + 1.0)
     checks = {
         "closed_form": coefficient_cross_check(E),
-        "quadratic_form": [-v * d for d in den] == [num * q for q in Q],
+        "quadratic_form": _quadratic_form_identity(E),
     }
     doc = {
         "schema": 3,

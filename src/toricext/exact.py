@@ -309,6 +309,23 @@ def _h_second_exact(E: ExtremalCoefficients, t: Fraction) -> Fraction:
     return -_deflate(V, t)[1] / q_val - 1 / t
 
 
+def _quadratic_form(a) -> tuple:
+    """The n = 2, b = 1 closed form h''(t) = num/den(t) - 1/t at a rational
+    a: num and the descending coefficients of the quadratic den, exactly."""
+    return 2 * a * (1 - a), [2 * a, 1 - a**2 + 2 * a, 2 * a**2]
+
+
+def _quadratic_form_identity(E: ExtremalCoefficients) -> bool:
+    """Whether the h'' of an n = 2, b = 1 record is the closed form, exactly.
+
+    h'' = -V/Q - 1/t and V is a constant at n = 2, so the closed form is h''
+    exactly when -V*den and num*Q are one polynomial.
+    """
+    (v,), Q = E._exact_deflation
+    num, den = _quadratic_form(Fraction(E.a))
+    return [-v * d for d in den] == [num * q for q in Q]
+
+
 def _bernstein_certificate(Q: list, a: Fraction, b: Fraction) -> list:
     """The Bernstein coefficients b_k of Q (descending coefficients) on
     [a, b], exactly: Q(a + c*u) by a Horner Taylor shift, then

@@ -317,14 +317,14 @@ def test_example_quadratic_form_is_an_identity(a):
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
 def test_example_refuses_a_form_one_ulp_off(monkeypatch, capsys, slot):
-    real = cli._quadratic_form
+    real = exact_mod._quadratic_form
 
     def nudged(a):
         num, den = real(a)
         den[slot] = Fraction(math.nextafter(float(den[slot]), math.inf))
         return num, den
 
-    monkeypatch.setattr(cli, "_quadratic_form", nudged)
+    monkeypatch.setattr(exact_mod, "_quadratic_form", nudged)
     assert cli.main(["example", "--a", "0.5"]) == 1
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
@@ -362,7 +362,7 @@ def _reference_render(obj, indent: int = 0) -> str:
     """The per-value recursive renderer the template renderer replaced.
 
     Python scalars only: numpy's float64 is a float, and every other numpy
-    scalar is refused."""
+    scalar is refused (``test_renderer_refuses_what_the_reference_refuses``)."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -406,7 +406,6 @@ _floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(_EDGE_FLOATS),
     st.sampled_from(_EDGE_FLOATS).map(np.float64),
-    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
 )
 _text = st.one_of(
     st.text(alphabet='a%"\\\u00e9\u2202 \n{', max_size=6), st.text(max_size=4)
@@ -414,9 +413,7 @@ _text = st.one_of(
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
-    st.booleans().map(np.bool_),
     st.integers(),
-    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
     _floats,
     _text,
 )
@@ -447,19 +444,23 @@ _documents = st.recursive(
 @example([{1: 0.5}, {1.0: 0.5}, {True: 0.5}])
 @example({"rows": [[1.0, 2.0], [3.0, 4.0], [5, 6.0], [7.0, 8.0], (9.0, 1.0), [2.0]]})
 @example(
-    [-0.0, 5e-324, 1.7e308, -1.7e308, np.float64(0.1), np.int64(3),
-     np.bool_(True), "100%", {"%s": 1.0}, [], {}, [[]], "\u00e9\"\\"]
+    [-0.0, 5e-324, 1.7e308, -1.7e308, np.float64(0.1), 3, True, "100%",
+     {"%s": 1.0}, [], {}, [[]], "\u00e9\"\\"]
 )
 @settings(max_examples=300, deadline=None)
 def test_renderer_matches_reference(doc):
-    assert _outcome(cli._render_json, doc) == _outcome(_reference_render, doc)
+    # every document drawn here renders, so rendered bytes are compared
+    want = _outcome(_reference_render, doc)
+    assert want is not InvalidParameters
+    assert _outcome(cli._render_json, doc) == want
 
 
 @given(
     _documents,
     st.sampled_from(
         [float("nan"), float("inf"), -float("inf"), np.float64("nan"),
-         np.float32("inf"), np.array(1.0), np.array(2, dtype=np.int64)]
+         np.float32("inf"), np.array(1.0), np.array(2, dtype=np.int64),
+         np.bool_(True), np.int64(3), np.float32(1.0)]
     ),
     st.integers(min_value=0, max_value=3),
 )
