@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""One sha256 per CLI call over a fixed argv list, to compare two checkouts.
+
+    python3 scripts/output_digest.py > this.txt
+    python3 scripts/output_digest.py --src ../other/src > other.txt
+    diff this.txt other.txt
+
+Each line is ``<sha256>  <argv>``.  The digest covers the call's exit code,
+stdout and stderr, so two checkouts print the same line exactly when the call
+behaves byte for byte alike.  The calls run in this process through
+``toricext.cli.main``, with OpenBLAS pinned to one thread as the entry point
+pins it.  ``--dump DIR`` also writes each call's exit code, stdout and stderr
+to ``DIR/<index>.txt``, to diff the calls whose digests differ.
+
+The list covers every command; n in {1, 2, 3, 5, 8, 9, 12, 16}; a/b from
+1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; failing tolerances and invalid
+input.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DIMENSIONS = (1, 2, 3, 5, 8, 9, 12, 16)
+RATIOS = (1e-3, 0.1, 0.5, 0.9, 0.99, 0.995, 0.999)
+
+
+def _geometry(n: int, ratio: float, b: float = 1.0) -> list[str]:
+    return ["--n", str(n), "--a", repr(ratio * b), "--b", repr(b)]
+
+
+def argv_list() -> list[list[str]]:
+    calls = [["example", "--a", a] for a in ("0.001", "0.5", "0.999")]
+    for n in DIMENSIONS:
+        calls += [["derive", *_geometry(n, r)] for r in (1e-3, 0.5, 0.999)]
+        calls += [["profile", *_geometry(n, 0.5), "--samples", "7"],
+                  ["profile", *_geometry(n, 0.25), "--samples", "5",
+                   "--format", "csv"]]
+        calls += [["bridge-check", "--n", str(n), "--samples", "6",
+                   "--preset", preset] for preset in ("flat", "fubini-study")]
+        calls += [["verify", *_geometry(n, r), "--points", "40"] for r in RATIOS]
+    for b in (1e-3, 1e3):
+        for n in (1, 4, 8):
+            calls += [["verify", *_geometry(n, r, b), "--points", "40"]
+                      for r in (0.5, 0.999)]
+        calls.append(["derive", *_geometry(3, 0.25, b)])
+        calls.append(["profile", *_geometry(3, 0.25, b), "--samples", "5"])
+    calls += [
+        ["verify", "--n", "3", "--points", "40", "--tolerance-soft", "1e-12"],
+        ["verify", "--n", "2", "--points", "40", "--seed", "7"],
+        ["verify", "--n", "17"],
+        ["verify", "--n", "4", "--points", "5"],
+        ["verify", "--n", "2", "--a", "1.0", "--b", "0.5"],
+        ["derive", "--n", "0"],
+        ["example", "--n", "3"],
+    ]
+    return calls
+
+
+def run(argv: list[str]) -> bytes:
+    """Exit code, stdout and stderr of one in-process call, as one record."""
+    from toricext import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}".encode()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="the src directory of the checkout to run")
+    ap.add_argument("--dump", type=Path, default=None,
+                    help="also write each call's record to DIR/<index>.txt")
+    args = ap.parse_args()
+
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    sys.path.insert(0, str(args.src.resolve()))
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
+    for index, argv in enumerate(argv_list()):
+        record = run(argv)
+        if args.dump is not None:
+            (args.dump / f"{index:03d}.txt").write_bytes(record)
+        print(f"{hashlib.sha256(record).hexdigest()}  {' '.join(argv)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

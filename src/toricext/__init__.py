@@ -19,7 +19,6 @@ _EXPORTS = {
         "SymplecticPotential",
         "abreu_scalar_curvature",
         "extremality_residual",
-        "numeric_hessian",
     ),
     "bridge": (
         "BridgeCheckReport",
@@ -68,8 +67,7 @@ _EXPORTS = {
         "solve_coefficients",
     ),
     "polytope": (
-        "AffineFacet",
-        "MomentPolytope",
+        "BlowupPolytope",
         "build_blowup_polytope",
         "facet_values",
         "interior_distance",

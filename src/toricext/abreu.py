@@ -4,14 +4,13 @@ The curvature of the metric defined by a potential g with Hessian G is
 
     S(x) = -(1/2) * sum_ij  d^2 G^{ij} / dx_i dx_j,
 
-with G^{ij} the entries of the inverse Hessian.  Here the inner layer
-(Hessian, then a dense solve) is exact up to rounding whenever an analytic
-Hessian oracle is available, and the outer second derivatives are always
-central finite differences on the polytope interior.  Both layers run on
-whole stacks of points: a Hessian oracle maps (m, n) points to (m, n, n)
-Hessians, and the stencil evaluates every point at once.  Extremality of a
-metric means S is affine in x; ``extremality_residual`` measures the distance
-to that.
+with G^{ij} the entries of the inverse Hessian.  Here the inner layer (the
+analytic Hessian of the potential, then a dense solve) is exact up to
+rounding, and the outer second derivatives are central finite differences on
+the polytope interior.  Both layers run on whole stacks of points: a Hessian
+oracle maps (m, n) points to (m, n, n) Hessians, and the stencil evaluates
+every point at once.  Extremality of a metric means S is affine in x;
+``extremality_residual`` measures the distance to that.
 """
 
 from __future__ import annotations
@@ -29,12 +28,20 @@ from .errors import (
     StencilExitsDomain,
 )
 from .numdiff import STEP_SECOND
-from .polytope import MomentPolytope, _sum_bounds, interior_distance
+from .polytope import BlowupPolytope, interior_distance
 from .radial import TPotential, radial_hessian
 
 # dense direct inversion is plenty for the sizes this family produces;
 # refuse anything bigger so a misuse fails loudly instead of slowly
 MAX_DIMENSION = 16
+
+
+def _check_dimension(n: int) -> None:
+    """Refuse an n past ``MAX_DIMENSION`` as invalid input."""
+    if n > MAX_DIMENSION:
+        raise InvalidParameters(
+            f"dense inversion limited to n <= {MAX_DIMENSION}, got {n}"
+        )
 
 
 @dataclass(frozen=True)
@@ -44,30 +51,15 @@ class SymplecticPotential:
     The oracle maps an (m, n) array of points to their (m, n, n) Hessians.
     """
 
-    polytope: MomentPolytope
+    polytope: BlowupPolytope
     hessian_oracle: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
-    def from_radial(cls, polytope: MomentPolytope, T: TPotential) -> "SymplecticPotential":
+    def from_radial(cls, polytope: BlowupPolytope, T: TPotential) -> "SymplecticPotential":
         """Analytic Hessian of the radial potential with profile T."""
 
         def oracle(x: np.ndarray) -> np.ndarray:
             return radial_hessian(x, T.d2F(np.sum(x, axis=-1)))
-
-        return cls(polytope=polytope, hessian_oracle=oracle)
-
-    @classmethod
-    def from_value_oracle(
-        cls,
-        polytope: MomentPolytope,
-        g: Callable[[np.ndarray], float],
-        h: float,
-    ) -> "SymplecticPotential":
-        """Finite-difference Hessian over a value oracle with inner step h."""
-
-        def oracle(x: np.ndarray) -> np.ndarray:
-            return np.array([numeric_hessian(g, row, h, polytope=polytope)
-                             for row in x])
 
         return cls(polytope=polytope, hessian_oracle=oracle)
 
@@ -83,53 +75,6 @@ class AffineFit:
     constant: float
     max_residual: float
     S: np.ndarray
-
-
-def _max_normal_entry(P: MomentPolytope) -> float:
-    return max(max(abs(v) for v in f.normal) for f in P.facets)
-
-
-def numeric_hessian(
-    value_oracle: Callable[[np.ndarray], float],
-    x,
-    h: float,
-    polytope: Optional[MomentPolytope] = None,
-) -> np.ndarray:
-    """Symmetric FD Hessian: central diagonal stencils, 4-point cross mixed.
-
-    When a polytope is supplied, refuses stencils whose corners could leave
-    the interior (worst-case facet-value drop is 2h per unit normal entry).
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if polytope is not None:
-        reach = 2.0 * h * _max_normal_entry(polytope)
-        if interior_distance(polytope, x) < reach:
-            raise StencilExitsDomain(
-                f"inner stencil (reach {reach:.3e}) exits the domain at {x}"
-            )
-
-    H = np.empty((n, n))
-    g0 = value_oracle(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        H[i, i] = (value_oracle(x + ei) - 2.0 * g0 + value_oracle(x - ei)) / (h * h)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            mixed = (
-                value_oracle(x + ei + ej)
-                - value_oracle(x + ei - ej)
-                - value_oracle(x - ei + ej)
-                + value_oracle(x - ei - ej)
-            ) / (4.0 * h * h)
-            H[i, j] = mixed
-            H[j, i] = mixed
-    return H
 
 
 def _inverse_hessians(
@@ -162,19 +107,15 @@ def abreu_scalar_curvature(
     at all m shifted points, from one stacked solve; only the centre, which
     needs every diagonal entry, inverts whole Hessians.  Memory is O(m n^2).
 
-    Default step, per point: eps^(1/4)*b, with b read off facets of the
-    shape {x_i >= 0, a <= sum(x) <= b}, clamped to the limit past which the
-    outer stencil leaves the domain.  One length per geometry keeps the
-    result covariant under rescaling (a, b).  With the default step any
-    other facet set raises InvalidParameters; an explicit h works on any
-    facet set, and one past the limit raises StencilExitsDomain.
+    Default step, per point: eps^(1/4)*b, the polytope's own length,
+    clamped to dmin/3 (dmin the point's least facet value): a stencil corner
+    moves each facet value by at most 2h, so the clamp keeps every corner
+    inside.  One length per geometry keeps the result covariant under
+    rescaling (a, b).  An explicit h past dmin/3 raises StencilExitsDomain.
     """
     x = np.asarray(x, dtype=float)
-    n = P.polytope.dimension
-    if n > MAX_DIMENSION:
-        raise InvalidParameters(
-            f"dense inversion limited to n <= {MAX_DIMENSION}, got {n}"
-        )
+    n = P.polytope.n
+    _check_dimension(n)
     if x.shape[-1:] != (n,) or x.ndim > 2:
         raise InvalidParameters(
             f"point shape {x.shape} is neither ({n},) nor (m, {n})"
@@ -187,9 +128,9 @@ def abreu_scalar_curvature(
         raise NonInteriorPoint(
             f"{pts[outside][0]} is not interior (min facet value {dmin[outside][0]})"
         )
-    limit = dmin / (3.0 * _max_normal_entry(P.polytope))
+    limit = dmin / 3.0
     if h is None:
-        h = np.minimum(STEP_SECOND * _sum_bounds(P.polytope)[1], limit)
+        h = np.minimum(STEP_SECOND * P.polytope.b, limit)
     else:
         h = np.full(len(pts), float(h))
     exits = h > limit
@@ -236,7 +177,7 @@ def extremality_residual(
     least n+1 affinely independent points.
     """
     pts = np.asarray(points, dtype=float)
-    n = P.polytope.dimension
+    n = P.polytope.n
     if pts.ndim != 2 or pts.shape[1] != n:
         raise InvalidParameters(f"points must be (m, {n}), got {pts.shape}")
     m = pts.shape[0]

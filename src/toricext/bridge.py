@@ -20,7 +20,7 @@ Every function of s or t takes a scalar or an array and answers in kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -39,12 +39,6 @@ from .radial import TPotential, radial_scalar_curvature
 # a rounding-limited fine step by several digits
 _LOG_STEP = 2.0**-6
 
-# base steps (relative to max(1, s)) for derivative-free potentials: one
-# Richardson level makes the first- and second-derivative stencils O(h^4), so
-# truncation balances rounding (eps/h and eps/h^2) at eps^(1/5) and eps^(1/6)
-_STEP_DF = EPS**0.2
-_STEP_D2F = EPS ** (1.0 / 6.0)
-
 _MAX_BRACKET_DOUBLINGS = 200
 _MAX_NEWTON_STEPS = 100
 
@@ -55,7 +49,7 @@ PotentialFn = Callable[[np.ndarray], Union[np.ndarray, float]]
 
 @dataclass(frozen=True)
 class KahlerPotential:
-    """Radial Kahler potential f(s) on s > 0, with optional derivatives.
+    """Radial Kahler potential f(s) on s > 0, with its first two derivatives.
 
     Array contract, as for TPotential: f, df and d2f receive an ndarray of s
     (0-d for a single s) and return values of the same shape; a constant
@@ -64,8 +58,8 @@ class KahlerPotential:
 
     n: int
     f: PotentialFn
-    df: Optional[PotentialFn] = None
-    d2f: Optional[PotentialFn] = None
+    df: PotentialFn
+    d2f: PotentialFn
     label: str = ""
 
 
@@ -107,32 +101,16 @@ def _positive_s(s) -> np.ndarray:
     return s
 
 
-def _df(K: KahlerPotential, s: np.ndarray):
-    if K.df is not None:
-        return K.df(s)
-    h = _STEP_DF * np.maximum(1.0, np.abs(s))
-    h = np.minimum(h, 0.5 * s)  # keep the stencil on s > 0
-    return richardson(K.f, s, h)[0]
-
-
-def _d2f(K: KahlerPotential, s: np.ndarray):
-    if K.d2f is not None:
-        return K.d2f(s)
-    h = _STEP_D2F * np.maximum(1.0, np.abs(s))
-    h = np.minimum(h, 0.5 * s)
-    return richardson(K.f, s, h)[1]
-
-
 def t_of_s(K: KahlerPotential, s):
     """Moment coordinate t = 2*s*f'(s)."""
     s = _positive_s(s)
-    return 2.0 * s * _df(K, s)
+    return 2.0 * s * K.df(s)
 
 
 def _moment_rate(K: KahlerPotential, s):
     """dt/ds~ = 2*(s*f' + s^2*f''), the s~-derivative of the moment map."""
     s = np.asarray(s, dtype=float)
-    return 2.0 * (s * _df(K, s) + s * s * _d2f(K, s))
+    return 2.0 * (s * K.df(s) + s * s * K.d2f(s))
 
 
 def s_of_t(K: KahlerPotential, t):
@@ -338,15 +316,7 @@ def induced_t_potential(
             - 2.0 / power(t, 3)
         )
 
-    return TPotential(
-        n=K.n,
-        t_min=t_min,
-        t_max=t_max,
-        d2F=d2F,
-        d3F=d3F,
-        d4F=d4F,
-        F=lambda t: F_of_t(K, t),
-    )
+    return TPotential(n=K.n, t_min=t_min, t_max=t_max, d2F=d2F, d3F=d3F, d4F=d4F)
 
 
 @dataclass(frozen=True)

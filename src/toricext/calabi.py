@@ -32,7 +32,7 @@ from .exact import (  # the public names are re-exported
 from .numdiff import keep_last, power
 
 if TYPE_CHECKING:
-    from .polytope import MomentPolytope
+    from .polytope import BlowupPolytope
     from .radial import TPotential
 
 # p*t^n - alpha legitimately vanishes only at the endpoints; anything this
@@ -154,7 +154,7 @@ def extremal_scalar_curvature(E: ExtremalCoefficients, t: float) -> float:
 
 def build_extremal_metric(
     n: int, a: float, b: float
-) -> tuple[MomentPolytope, TPotential, ExtremalCoefficients]:
+) -> tuple[BlowupPolytope, TPotential, ExtremalCoefficients]:
     """Polytope, extremal profile, and coefficients for one (n, a, b), after
     ``positivity_certificate`` has proved the metric valid.
 

@@ -228,7 +228,7 @@ _PROOF_CHECKS = {
 def _verify_battery(cfg: RunConfig) -> dict:
     import numpy as np
 
-    from .abreu import SymplecticPotential, extremality_residual
+    from .abreu import SymplecticPotential, _check_dimension, extremality_residual
     from .calabi import (
         _endpoint_limits,
         build_extremal_metric,
@@ -241,6 +241,8 @@ def _verify_battery(cfg: RunConfig) -> dict:
     n, a, b = cfg.n, cfg.a, cfg.b
     if cfg.points < n + 2:
         raise InvalidParameters(f"need points >= {n + 2}, got {cfg.points}")
+    # before the solve and the sampler, which can fail first at large n
+    _check_dimension(n)
 
     try:
         P, T, E = build_extremal_metric(n, a, b)

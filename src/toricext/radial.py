@@ -10,15 +10,14 @@ curvature collapses to a one-variable expression
 
     S(t) = t^(1-n) * u''(t),    u(t) = t^(n+1) * F''(t) / (1 + t*F''(t)),
 
-which this module evaluates either analytically (when F''' and F'''' are
-supplied) or by central differences on u.  The curvature and the Hessian
-work on whole arrays of points at once.
+which this module evaluates analytically through F'', F''' and F''''.  The
+curvature and the Hessian work on whole arrays of points at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     InvalidParameters,
     NonInteriorPoint,
 )
-from .numdiff import EPS, STEP_SECOND, power, richardson
+from .numdiff import power
 
 # 1 + t*F'' at or below this is treated as a degenerate metric: the curvature
 # divides by it, and anything this small is cancellation noise anyway
@@ -40,25 +39,22 @@ ProfileFn = Callable[[np.ndarray], Union[np.ndarray, float]]
 
 @dataclass(frozen=True)
 class TPotential:
-    """Radial profile F on (t_min, t_max), stored through its derivatives.
+    """Radial profile F on (t_min, t_max), stored through F'', F''', F''''.
 
-    Only F'' is required: affine additions to the potential never touch the
-    Hessian, so F itself is kept optional and used solely by the Kahler-side
-    round trips.  When d3F and d4F are present the curvature pipeline uses
-    them; otherwise it falls back to finite differences.
+    Affine additions to the potential never touch the Hessian, so F itself
+    is not kept: F'' gives the metric, F''' and F'''' its curvature.
 
     Array contract: d2F, d3F and d4F receive an ndarray of t (0-d for a
     single point) and return values of the same shape; a constant return
-    value broadcasts.  F is only ever called with a float.
+    value broadcasts.
     """
 
     n: int
     t_min: float
     t_max: float
     d2F: ProfileFn
-    d3F: Optional[ProfileFn] = None
-    d4F: Optional[ProfileFn] = None
-    F: Optional[Callable[[float], float]] = None
+    d3F: ProfileFn
+    d4F: ProfileFn
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -67,9 +63,6 @@ class TPotential:
             raise InvalidParameters("t_min must be >= 0")
         if not self.t_max > self.t_min:
             raise InvalidParameters("need t_min < t_max")
-
-    def has_analytic_derivatives(self) -> bool:
-        return self.d3F is not None and self.d4F is not None
 
 
 def _check_interior(x: np.ndarray) -> None:
@@ -103,14 +96,6 @@ def radial_hessian(x, d2F_value) -> np.ndarray:
     return G
 
 
-def _w(T: TPotential, t: np.ndarray):
-    """W = F''/(1 + t*F''), guarded against the degenerate locus."""
-    f2 = T.d2F(t)
-    den = 1.0 + t * f2
-    _check_nondegenerate(den, t)
-    return f2 / den
-
-
 def _check_domain(T: TPotential, t: np.ndarray) -> None:
     outside = ~((T.t_min < t) & (t < T.t_max))
     if np.any(outside):
@@ -119,30 +104,14 @@ def _check_domain(T: TPotential, t: np.ndarray) -> None:
         )
 
 
-def radial_scalar_curvature(T: TPotential, t, method: str = "auto"):
+def radial_scalar_curvature(T: TPotential, t):
     """Scalar curvature S(t) = t^(1-n) * u''(t) of the radial metric.
 
-    Takes a scalar or an array of t and answers in kind.  method="analytic"
-    differentiates u symbolically through F''..F'''' and requires d3F/d4F
-    on the potential; method="fd" runs central differences on u, with one
-    Richardson level and step eps^(1/4)*t_max (the profile's own length,
-    shrunk to fit the domain).  "auto" picks analytic when the derivatives
-    are available.
+    Takes a scalar or an array of t and answers in kind; u is differentiated
+    symbolically through F'', F''' and F''''.
     """
     t = np.asarray(t, dtype=float)
     _check_domain(T, t)
-    if method == "auto":
-        method = "analytic" if T.has_analytic_derivatives() else "fd"
-    if method == "analytic":
-        if not T.has_analytic_derivatives():
-            raise InvalidParameters("analytic path requires d3F and d4F")
-        return _curvature_analytic(T, t)
-    if method == "fd":
-        return _curvature_fd(T, t)
-    raise InvalidParameters(f"unknown method {method!r}")
-
-
-def _curvature_analytic(T: TPotential, t: np.ndarray):
     f2 = T.d2F(t)
     f3 = T.d3F(t)
     f4 = T.d4F(t)
@@ -157,18 +126,3 @@ def _curvature_analytic(T: TPotential, t: np.ndarray):
     n = T.n
     return n * (n + 1) * w + 2.0 * (n + 1) * t * w1 + t * t * w2
 
-
-def _curvature_fd(T: TPotential, t: np.ndarray):
-    room = np.minimum(t - T.t_min, T.t_max - t)
-    h = np.minimum(STEP_SECOND * T.t_max, 0.5 * room)
-    # t +- h must be resolvable from t
-    cramped = h <= 16.0 * EPS * t
-    if np.any(cramped):
-        raise DomainViolation(
-            f"no room for a difference stencil at t = {t[cramped][0]}"
-        )
-
-    def u(tau: np.ndarray):
-        return power(tau, T.n + 1) * _w(T, tau)
-
-    return power(t, 1 - T.n) * richardson(u, t, h)[1]

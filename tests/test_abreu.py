@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from toricext import (
-    AffineFacet,
+    BlowupPolytope,
     DegeneratePointSet,
     DomainViolation,
     InvalidParameters,
-    MomentPolytope,
     NonInteriorPoint,
     SingularHessian,
     StencilExitsDomain,
@@ -18,49 +17,10 @@ from toricext import (
     extremal_F_second,
     extremality_residual,
     interior_distance,
-    numeric_hessian,
     sample_interior,
 )
 from toricext.numdiff import STEP_SECOND
 from util import cpn_profile, flat_profile, simplex_polytope
-
-
-def _log_potential(x):
-    return 0.5 * float(np.sum(x * np.log(x)))
-
-
-def test_numeric_hessian_log_potential():
-    x = np.array([1.0, 1.0])
-    H = numeric_hessian(_log_potential, x, 1e-4)
-    np.testing.assert_allclose(H, 0.5 * np.eye(2), atol=1e-7)
-
-
-def test_numeric_hessian_bilinear():
-    H = numeric_hessian(lambda x: float(x[0] * x[1]), np.array([0.7, 0.2]), 1e-4)
-    np.testing.assert_allclose(H, [[0.0, 1.0], [1.0, 0.0]], atol=1e-7)
-
-
-def test_numeric_hessian_quadratic():
-    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
-    f = lambda x: 0.5 * float(x @ Q @ x)
-    H = numeric_hessian(f, np.array([0.3, -0.4]), 1e-4)
-    np.testing.assert_allclose(H, Q, atol=1e-7)
-
-
-def test_numeric_hessian_affine_part_is_invisible():
-    # adding <m,x> + c must not change any second difference
-    x = np.array([0.3, 0.4])
-    g_aff = lambda x: _log_potential(x) + 3.0 * x[0] - 2.0 * x[1] + 7.0
-    H0 = numeric_hessian(_log_potential, x, 1e-3)
-    H1 = numeric_hessian(g_aff, x, 1e-3)
-    assert np.max(np.abs(H0 - H1)) <= 1e-8
-    assert np.max(np.abs(H0 - np.diag(0.5 / x))) <= 1e-5
-
-
-def test_numeric_hessian_stencil_reach_is_checked():
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    with pytest.raises(StencilExitsDomain):
-        numeric_hessian(_log_potential, np.array([0.3, 0.4]), 0.2, polytope=P)
 
 
 def test_flat_curvature_default_step():
@@ -103,21 +63,8 @@ def test_curvature_permutation_invariance():
     assert abs(v1 - v2) <= 1e-8
 
 
-def test_value_oracle_roundtrip_is_noisy_but_sane():
-    # double differentiation: S needs 4th derivatives of g, so an oracle
-    # that only exposes values costs ~5 digits; keep tolerances honest
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential.from_value_oracle(P, _log_potential, h=1e-3)
-    got = abreu_scalar_curvature(S, np.array([0.3, 0.4]))
-    assert abs(got) <= 1e-2
-
-
 def test_dimension_cap():
-    facets = tuple(
-        AffineFacet(tuple(1 if j == i else 0 for j in range(17)), 0.0)
-        for i in range(17)
-    )
-    P = MomentPolytope(17, facets)
+    P = BlowupPolytope(17, 0.5, 1.0)
     S = SymplecticPotential(P, lambda x: np.eye(17))
     with pytest.raises(InvalidParameters):
         abreu_scalar_curvature(S, np.full(17, 0.5))
@@ -128,23 +75,6 @@ def test_explicit_step_must_fit():
     S = SymplecticPotential.from_radial(P, flat_profile(2))
     with pytest.raises(StencilExitsDomain):
         abreu_scalar_curvature(S, np.array([0.3, 0.4]), h=0.3)
-
-
-def test_default_step_needs_the_blowup_facet_shape():
-    # the default step is relative to b, read off {x_i >= 0, a <= sum <= b};
-    # the unit square has no such b, and only an explicit step runs there
-    square = MomentPolytope(2, (
-        AffineFacet((1, 0), 0.0),
-        AffineFacet((0, 1), 0.0),
-        AffineFacet((-1, 0), 1.0),
-        AffineFacet((0, -1), 1.0),
-    ))
-    identity = lambda x: np.broadcast_to(np.eye(2), x.shape + (2,))
-    S = SymplecticPotential(square, identity)
-    x = np.array([0.3, 0.4])
-    with pytest.raises(InvalidParameters):
-        abreu_scalar_curvature(S, x)
-    assert abreu_scalar_curvature(S, x, h=1e-3) == 0.0
 
 
 def test_default_step_clamped_at_the_facet_fits():
@@ -181,6 +111,8 @@ def test_extremality_residual_detects_non_extremal_metric():
     bumped = TPotential(
         n=2, t_min=0.5, t_max=1.0,
         d2F=lambda t: extremal_F_second(E, t) + 0.1 * np.sin(10.0 * t),
+        d3F=lambda t: T.d3F(t) + np.cos(10.0 * t),
+        d4F=lambda t: T.d4F(t) - 10.0 * np.sin(10.0 * t),
     )
     S_bad = SymplecticPotential.from_radial(Pm, bumped)
     assert extremality_residual(S_bad, pts).max_residual > 10.0 * max(base, 1e-6)
@@ -210,7 +142,7 @@ def _reference_abreu(P, x, h=None):
     before the stencil was batched: the reference the batched form must
     reproduce."""
     x = np.asarray(x, dtype=float)
-    n = P.polytope.dimension
+    n = P.polytope.n
     dmin = interior_distance(P.polytope, x)
     if h is None:
         h = min(STEP_SECOND * max(1.0, float(np.max(np.abs(x)))), dmin / 3.0, 1e-3)
@@ -248,14 +180,16 @@ def _points_between(n, a, b, m, seed):
     return t[:, None] * w / np.sum(w, axis=1, keepdims=True)
 
 
-def _guillemin_value(b):
-    """Value oracle of a Guillemin-type potential on the size-b simplex."""
+def _guillemin_hessian(b):
+    """Hessian oracle of Guillemin's potential on the size-b simplex,
+    G = (diag(1/x) + 11^T/(b - t))/2, written out in full."""
 
-    def g(x):
-        rest = b - np.sum(x)
-        return 0.5 * float(np.sum(x * np.log(x)) + rest * np.log(rest))
+    def oracle(x):
+        n = x.shape[-1]
+        rest = b - np.sum(x, axis=-1)
+        return 0.5 * (np.eye(n) / x[:, None, :] + 1.0 / rest[:, None, None])
 
-    return g
+    return oracle
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -267,10 +201,11 @@ def test_batched_stencil_matches_per_point_reference(n):
     want = [_reference_abreu(radial, x) for x in pts]
     np.testing.assert_allclose(abreu_scalar_curvature(radial, pts), want, rtol=1e-8)
 
-    valued = SymplecticPotential.from_value_oracle(P, _guillemin_value(b), h=1e-3)
-    few = pts[:2]
-    want = [_reference_abreu(valued, x) for x in few]
-    np.testing.assert_allclose(abreu_scalar_curvature(valued, few), want, rtol=1e-8)
+    guillemin = SymplecticPotential(P, _guillemin_hessian(b))
+    want = [_reference_abreu(guillemin, x) for x in pts]
+    np.testing.assert_allclose(abreu_scalar_curvature(guillemin, pts), want, rtol=1e-8)
+    # the Fubini-Study metric of the size-b simplex: S = n(n+1)/b
+    np.testing.assert_allclose(want, n * (n + 1) / b, rtol=1e-5)
 
 
 def test_single_point_answers_with_a_float():

@@ -30,7 +30,7 @@ from toricext import (
     solve_coefficients,
 )
 from toricext.exact import _boundary_rows, _closed_form, _exact_solution
-from util import cpn_profile, flat_profile, simplex_polytope
+from util import cpn_profile, fd_curvature_reference, flat_profile, simplex_polytope
 
 CMD = [sys.executable, "-m", "toricext"]
 
@@ -124,7 +124,7 @@ def test_criterion_05_projective_profile_gives_constant_curvature():
         T = cpn_profile(n)
         want = n * (n + 1)
         for t in np.linspace(0.05, 0.95, 25):
-            got = radial_scalar_curvature(T, float(t), method="analytic")
+            got = radial_scalar_curvature(T, float(t))
             worst_radial = max(worst_radial, abs(got - want) / want)
         S = SymplecticPotential.from_radial(simplex_polytope(n), T)
         pts = sample_interior(simplex_polytope(n), 10, margin=0.05, seed=1)
@@ -142,8 +142,8 @@ def test_criterion_06_flat_profile_gives_zero_curvature():
     worst = 0.0
     T = flat_profile(2)
     for t in np.linspace(0.55, 0.95, 9):
-        worst = max(worst, abs(radial_scalar_curvature(T, float(t))))
-        worst = max(worst, abs(radial_scalar_curvature(T, float(t), method="fd")))
+        got = radial_scalar_curvature(T, float(t))
+        worst = max(worst, abs(got), abs(got - fd_curvature_reference(T, float(t))))
     P = build_blowup_polytope(2, 0.5, 1.0)
     S = SymplecticPotential.from_radial(P, T)
     # h=1e-3: the default step's noise floor sits at ~1.1e-8, just over the

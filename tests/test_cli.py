@@ -237,6 +237,18 @@ def test_failed_proof_names_its_report_key(monkeypatch, capsys, name, patch, key
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "n, a", [(17, "0.5"), (60, "0.5"), (19, "1e-6"), (20, "1e-6")]
+)
+def test_verify_refuses_a_dimension_past_the_cap(n, a, capsys):
+    # from n = 39 at a = 0.5, and from n = 20 as a -> 0, the sampler's region
+    # is empty, so checking later would read as a failed verdict (exit 1)
+    assert cli.main(["verify", "--n", str(n), "--a", a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dense inversion limited to n <= 16, got {n}\n"
+
+
 def test_verify_rejects_a_negative_seed():
     # random.Random(-1) would silently draw seed 1's points
     r = run_cli("verify", "--points", "10", "--seed", "-1")

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricext import (
-    AffineFacet,
+    BlowupPolytope,
     DimensionMismatch,
     EmptyRegion,
     InvalidParameters,
-    MomentPolytope,
     build_blowup_polytope,
     facet_values,
     interior_distance,
@@ -37,12 +36,13 @@ params = st.tuples(
 
 def test_facet_count_and_normals():
     P = build_blowup_polytope(2, 0.5, 1.0)
-    assert P.dimension == 2
-    assert len(P.facets) == 4
-    assert P.facets[0].normal == (1, 0) and P.facets[0].offset == 0.0
-    assert P.facets[1].normal == (0, 1) and P.facets[1].offset == 0.0
-    assert P.facets[2].normal == (1, 1) and P.facets[2].offset == -0.5
-    assert P.facets[3].normal == (-1, -1) and P.facets[3].offset == 1.0
+    assert P == BlowupPolytope(2, 0.5, 1.0)
+    # the facet functions are affine: l(0) is the offset, l(e_j) - l(0) the
+    # j-th normal entry
+    offsets = facet_values(P, [0.0, 0.0])
+    normals = facet_values(P, np.eye(2)) - offsets
+    np.testing.assert_array_equal(offsets, [0.0, 0.0, -0.5, 1.0])
+    np.testing.assert_array_equal(normals.T, [[1, 0], [0, 1], [1, 1], [-1, -1]])
 
 
 def test_facet_values_square_point():
@@ -61,7 +61,6 @@ def test_facet_values_orthant_vertex_is_outside():
 
 def test_facet_values_interval_midpoint():
     P = build_blowup_polytope(1, 0.25, 0.75)
-    assert len(P.facets) == 3
     np.testing.assert_allclose(
         facet_values(P, [0.5]), [0.5, 0.25, 0.25], atol=1e-15
     )
@@ -155,30 +154,6 @@ def test_sample_interior_margin_exceeds_inradius():
     P = build_blowup_polytope(2, 0.5, 1.0)
     with pytest.raises(EmptyRegion):
         sample_interior(P, 1, margin=0.5, seed=0)
-
-
-def _coordinate_facets(n: int) -> tuple:
-    return tuple(
-        AffineFacet(tuple(1 if j == i else 0 for j in range(n)), 0.0)
-        for i in range(n)
-    )
-
-
-@pytest.mark.parametrize(
-    "facets",
-    [
-        _coordinate_facets(17),  # the orthant: no sum(x) <= b facet
-        _coordinate_facets(2) + (AffineFacet((-1, -1), 1.0),) * 2,
-        _coordinate_facets(2) + (AffineFacet((-1, -2), 1.0),),
-        _coordinate_facets(2)
-        + (AffineFacet((-1, -1), 1.0), AffineFacet((1, -1), 0.5)),
-        _coordinate_facets(2)[:1] + (AffineFacet((-1, -1), 1.0),),
-    ],
-)
-def test_sample_interior_refuses_other_facet_sets(facets):
-    P = MomentPolytope(len(facets[0].normal), facets)
-    with pytest.raises(InvalidParameters):
-        sample_interior(P, 5, margin=0.01)
 
 
 @pytest.mark.parametrize(

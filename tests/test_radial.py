@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from toricext import (
     DegenerateMetric,
     DomainViolation,
-    InvalidParameters,
     NonInteriorPoint,
     TPotential,
     radial_hessian,
     radial_scalar_curvature,
 )
-from util import cpn_profile, flat_profile
+from util import cpn_profile, fd_curvature_reference, flat_profile
 
 interior_x = st.lists(
     st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=5
@@ -70,14 +69,21 @@ def _generic_profile():
 
 @pytest.mark.parametrize("t", sorted(GENERIC_S))
 def test_generic_profile_analytic_matches_symbolic(t):
-    got = radial_scalar_curvature(_generic_profile(), t, method="analytic")
+    got = radial_scalar_curvature(_generic_profile(), t)
     assert got == pytest.approx(GENERIC_S[t], rel=1e-13)
 
 
 @pytest.mark.parametrize("t", sorted(GENERIC_S))
 def test_generic_profile_fd_matches_symbolic(t):
-    got = radial_scalar_curvature(_generic_profile(), t, method="fd")
-    assert got == pytest.approx(GENERIC_S[t], rel=1e-7)
+    reference = fd_curvature_reference(_generic_profile(), t)
+    assert reference == pytest.approx(GENERIC_S[t], rel=1e-7)
+    got = radial_scalar_curvature(_generic_profile(), t)
+    assert got == pytest.approx(reference, rel=1e-7)
+
+
+def test_profile_needs_all_three_derivatives():
+    with pytest.raises(TypeError):
+        TPotential(n=2, t_min=0.0, t_max=1.0, d2F=lambda t: 1.0 / (1.0 - t))
 
 
 def test_constant_second_derivative_curvature():
@@ -88,12 +94,9 @@ def test_constant_second_derivative_curvature():
     )
     for t in [0.3, 1.0, 2.5]:
         want = 2.0 / (1.0 + t) ** 3
-        assert radial_scalar_curvature(T, t, method="analytic") == pytest.approx(
-            want, rel=1e-12
-        )
-        assert radial_scalar_curvature(T, t, method="fd") == pytest.approx(
-            want, rel=1e-6, abs=1e-9
-        )
+        got = radial_scalar_curvature(T, t)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(fd_curvature_reference(T, t), rel=1e-6, abs=1e-9)
     assert radial_scalar_curvature(T, 1.0) == pytest.approx(0.25, rel=1e-12)
 
 
@@ -102,50 +105,27 @@ def test_fubini_study_curvature_is_constant(n):
     T = cpn_profile(n)
     want = n * (n + 1)
     for t in np.linspace(0.02, 0.98, 50):
-        got = radial_scalar_curvature(T, float(t), method="analytic")
+        got = radial_scalar_curvature(T, float(t))
         assert abs(got - want) <= 1e-9 * want
-        got_fd = radial_scalar_curvature(T, float(t), method="fd")
-        assert abs(got_fd - want) <= 1e-6 * want
+        assert abs(got - fd_curvature_reference(T, float(t))) <= 1e-6 * want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flat_curvature_vanishes(n):
     T = flat_profile(n)
     for t in np.linspace(0.1, 5.0, 20):
-        assert abs(radial_scalar_curvature(T, float(t), method="analytic")) <= 1e-12
-        assert abs(radial_scalar_curvature(T, float(t), method="fd")) <= 1e-8
+        got = radial_scalar_curvature(T, float(t))
+        assert abs(got) <= 1e-12
+        assert abs(got - fd_curvature_reference(T, float(t))) <= 1e-8
 
 
-def test_auto_method_prefers_analytic():
-    T = cpn_profile(2)
-    auto = radial_scalar_curvature(T, 0.5)
-    ana = radial_scalar_curvature(T, 0.5, method="analytic")
-    assert auto == ana
-
-
-def test_fd_without_analytic_derivatives():
-    T = TPotential(n=2, t_min=0.0, t_max=1.0, d2F=lambda t: 1.0 / (1.0 - t))
-    assert not T.has_analytic_derivatives()
-    got = radial_scalar_curvature(T, 0.4)  # auto falls back to fd
-    assert got == pytest.approx(6.0, rel=1e-6)
-    with pytest.raises(InvalidParameters):
-        radial_scalar_curvature(T, 0.4, method="analytic")
-
-
-def test_fd_step_must_fit_in_domain():
-    T = TPotential(n=1, t_min=0.0, t_max=1.0, d2F=lambda t: 1.0)
-    with pytest.raises(DomainViolation):
-        radial_scalar_curvature(T, 1.0 - 1e-15, method="fd")
-
-
-@pytest.mark.parametrize("method", ["analytic", "fd"])
-def test_curvature_refuses_a_degenerate_metric(method):
+def test_curvature_refuses_a_degenerate_metric():
     # F'' = -1/2 makes 1 + t F'' = 0 at t = 2
     half = lambda t: -0.5
     zero = lambda t: 0.0
     T = TPotential(n=2, t_min=0.0, t_max=4.0, d2F=half, d3F=zero, d4F=zero)
     with pytest.raises(DegenerateMetric):
-        radial_scalar_curvature(T, 2.0, method=method)
+        radial_scalar_curvature(T, 2.0)
 
 
 def test_curvature_rejects_exterior_t():
@@ -162,10 +142,9 @@ def test_curvature_rejects_exterior_t():
 def test_curvature_of_an_array_is_elementwise():
     T = _generic_profile()
     ts = np.array(sorted(GENERIC_S))
-    for method in ("analytic", "fd"):
-        got = radial_scalar_curvature(T, ts, method=method)
-        want = [radial_scalar_curvature(T, float(t), method=method) for t in ts]
-        assert np.array_equal(got, want)
+    got = radial_scalar_curvature(T, ts)
+    want = [radial_scalar_curvature(T, float(t)) for t in ts]
+    assert np.array_equal(got, want)
 
 
 def test_stacked_hessians_match_single_ones():

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end at small sizes."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -87,10 +88,8 @@ def test_startup_profile_of_a_call_without_numpy():
     assert "toricext.calabi" not in rows
 
 
-def _load_bench_pairs():
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
-    )
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -105,7 +104,7 @@ def _runs(p50s, rss, failed):
 
 
 def test_bench_pairs_summary():
-    summarize = _load_bench_pairs().summarize
+    summarize = _load_script("bench_pairs").summarize
     base = _runs([0.30, 0.20, 0.40, 0.50], [40.0, 41.0, 40.0, 40.0], [7, 6, 6, 7])
     change = _runs([0.25, 0.20, 0.30, 0.60], [40.0, 40.5, 40.5, 39.0], [6, 6, 6, 7])
     change[2]["correct"] = False
@@ -130,10 +129,43 @@ def test_bench_pairs_summary():
 
 
 def test_bench_pairs_summary_of_one_pair():
-    summarize = _load_bench_pairs().summarize
+    summarize = _load_script("bench_pairs").summarize
     doc = summarize([5], _runs([0.3], [40.0], [0]), _runs([0.2], [41.0], [0]),
                     {"call_s.p50": "lower", "peak_rss_mb": "lower"})
     assert doc["metrics"]["call_s.p50"]["change"] == {
         "median": 0.2, "q1": 0.2, "q3": 0.2}
     assert doc["metrics"]["call_s.p50"]["wins"] == 1
     assert doc["metrics"]["peak_rss_mb"]["wins"] == 0
+
+
+def test_output_digest_covers_every_command_and_dimension():
+    calls = _load_script("output_digest").argv_list()
+    assert {argv[0] for argv in calls} == {
+        "derive", "profile", "verify", "bridge-check", "example"}
+    verified = {int(argv[argv.index("--n") + 1]) for argv in calls
+                if argv[0] == "verify" and "--n" in argv}
+    assert {1, 2, 3, 5, 8, 9, 12, 16} <= verified
+
+
+def test_output_digest_records_what_the_cli_prints(tmp_path):
+    digest = _load_script("output_digest")
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digest.py"),
+         "--dump", str(tmp_path)],
+        capture_output=True, text=True, timeout=240,
+    )
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    calls = digest.argv_list()
+    assert [line[66:] for line in lines] == [" ".join(argv) for argv in calls]
+    # each record is the exit code, stdout and stderr of a CLI process
+    index = calls.index(["verify", "--n", "17"])
+    cli = subprocess.run(
+        [sys.executable, "-m", "toricext", *calls[index]],
+        capture_output=True, text=True, timeout=240,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    record = (tmp_path / f"{index:03d}.txt").read_text()
+    assert record == (
+        f"exit {cli.returncode}\n--- stdout\n{cli.stdout}--- stderr\n{cli.stderr}")
+    assert hashlib.sha256(record.encode()).hexdigest() == lines[index][:64]

@@ -12,12 +12,11 @@ import pytest
 
 import toricext
 
-# the public names of the package and the submodule defining each, as the
-# eager namespace of every earlier release bound them
+# the public names of the package and the submodule defining each
 PUBLIC = {
     "abreu": [
         "AffineFit", "SymplecticPotential", "abreu_scalar_curvature",
-        "extremality_residual", "numeric_hessian",
+        "extremality_residual",
     ],
     "bridge": [
         "BridgeCheckReport", "KahlerPotential", "PRESETS", "F_of_t",
@@ -42,8 +41,8 @@ PUBLIC = {
         "solve_coefficients",
     ],
     "polytope": [
-        "AffineFacet", "MomentPolytope", "build_blowup_polytope",
-        "facet_values", "interior_distance", "sample_interior",
+        "BlowupPolytope", "build_blowup_polytope", "facet_values",
+        "interior_distance", "sample_interior",
     ],
     "radial": ["TPotential", "radial_hessian", "radial_scalar_curvature"],
 

@@ -1,9 +1,11 @@
-"""Shared model potentials and polytopes for the test suite."""
+"""Shared model potentials, polytopes and the radial curvature reference
+for the test suite."""
 
 from __future__ import annotations
 
 from toricext import TPotential
-from toricext.polytope import AffineFacet, MomentPolytope
+from toricext.numdiff import STEP_SECOND, richardson
+from toricext.polytope import BlowupPolytope
 
 
 def cpn_profile(n: int) -> TPotential:
@@ -24,11 +26,21 @@ def flat_profile(n: int, t_max: float = 10.0) -> TPotential:
     return TPotential(n=n, t_min=0.0, t_max=t_max, d2F=zero, d3F=zero, d4F=zero)
 
 
-def simplex_polytope(n: int) -> MomentPolytope:
+def simplex_polytope(n: int) -> BlowupPolytope:
     """The unit simplex {x_i >= 0, sum x <= 1}: moment polytope of CP^n."""
-    coords = tuple(
-        AffineFacet(tuple(1 if j == i else 0 for j in range(n)), 0.0)
-        for i in range(n)
-    )
-    top = AffineFacet(tuple(-1 for _ in range(n)), 1.0)
-    return MomentPolytope(dimension=n, facets=coords + (top,))
+    return BlowupPolytope(n, 0.0, 1.0)
+
+
+def fd_curvature_reference(T, t):
+    """S = t^(1-n) * u''(t) by central differences on u = t^(n+1) W,
+    W = F''/(1 + t*F''), from F'' alone: one Richardson level, step
+    eps^(1/4)*t_max shrunk to half the room left in (t_min, t_max).  The
+    reference the analytic ``radial_scalar_curvature`` must reproduce."""
+    n = T.n
+    h = min(STEP_SECOND * T.t_max, 0.5 * min(t - T.t_min, T.t_max - t))
+
+    def u(tau):
+        f2 = T.d2F(tau)
+        return tau ** (n + 1) * f2 / (1.0 + tau * f2)
+
+    return t ** (1 - n) * richardson(u, t, h)[1]
