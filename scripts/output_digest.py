@@ -14,7 +14,10 @@ to ``DIR/<index>.txt``, to diff the calls whose digests differ.
 
 The list covers every command; n in {1, 2, 3, 5, 8, 9, 12, 16}; a/b from
 1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; failing tolerances and invalid
-input.
+input; profile's edge cases (one and two rows, a zero grid step, 20 000 rows
+at n = 16, a/b = 1 - 1e-9) and input whose floats overflow.  A call that
+ends in an uncaught exception is recorded as exit 1 with the exception's type
+and message on stderr, as a process would end (less the traceback).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -62,6 +66,19 @@ def argv_list() -> list[list[str]]:
         ["derive", "--n", "0"],
         ["example", "--n", "3"],
     ]
+    # a margin just under (b - a)/2 puts both grid ends on 0.75: a zero step
+    calls += [
+        ["profile", "--n", "3", "--samples", "1"],
+        ["profile", "--n", "3", "--samples", "2", "--format", "json"],
+        ["profile", "--step", repr(math.nextafter(0.25, 0.0)), "--samples", "5"],
+        ["profile", *_geometry(16, 0.5), "--samples", "20000"],
+        ["profile", *_geometry(16, 0.5), "--samples", "20000", "--format", "json"],
+        ["profile", *_geometry(4, 1 - 1e-9), "--samples", "9"],
+    ]
+    # coefficient A ~ 1/b^2 overflows; t^400 overflows inside the grid
+    overflow = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
+    calls += [[command, *overflow] for command in ("derive", "profile", "verify")]
+    calls.append(["profile", "--n", "400", "--a", "1", "--b", "10", "--samples", "5"])
     return calls
 
 
@@ -75,6 +92,9 @@ def run(argv: list[str]) -> bytes:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse refusing the argv
             code = exc.code
+        except Exception as exc:  # a process would print a traceback, exit 1
+            code = 1
+            print(f"uncaught {type(exc).__name__}: {exc}", file=sys.stderr)
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}".encode()
 
 

@@ -81,7 +81,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 # the submodules, readable as attributes of the package as after an eager import
-_SUBMODULES = frozenset(_EXPORTS) | {"numdiff"}
+_SUBMODULES = frozenset(_EXPORTS) | {"numdiff", "table"}
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"

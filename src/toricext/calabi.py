@@ -7,8 +7,10 @@ profile they define on float arrays,
     F''(t) = p*t^(n-1)/(p*t^n - alpha(t)) - 1/t,      h''(t) = -V/Q - 1/t,
 
 with F''' and F'''' for the curvature, and builds the metric ``verify``
-checks.  The public names of ``exact`` are re-exported, so
-``toricext.calabi.solve_coefficients`` keeps working.
+checks.  ``verify`` evaluates F'' thousands of times per call, where arrays
+pay for numpy; ``profile`` tabulates F'' and h'' once, in plain floats, with
+``table``, which gives the same bits.  The public names of ``exact`` are
+re-exported, so ``toricext.calabi.solve_coefficients`` keeps working.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 
 from .errors import DomainViolation, PotentialPole
 from .exact import (  # the public names are re-exported
+    POLE_REL_TOL,
     ExtremalCoefficients,
-    _alpha_coeffs,
     _h_second_exact,
     closed_form_coefficients,
     coefficient_cross_check,
@@ -35,10 +37,6 @@ if TYPE_CHECKING:
     from .polytope import BlowupPolytope
     from .radial import TPotential
 
-# p*t^n - alpha legitimately vanishes only at the endpoints; anything this
-# close to zero in the interior is treated as a pole hit
-POLE_REL_TOL = 1e-13
-
 
 def _read_only(coeffs: np.ndarray) -> np.ndarray:
     # the cached arrays of a record are shared by all of its evaluations
@@ -49,15 +47,15 @@ def _read_only(coeffs: np.ndarray) -> np.ndarray:
 @lru_cache
 def _alpha_polys(E: ExtremalCoefficients) -> tuple[np.ndarray, ...]:
     """alpha, alpha' and alpha'' as descending float coefficients."""
-    alpha = np.array(_alpha_coeffs(E.n, E.A, E.B, E.C, E.D), dtype=float)
+    alpha = np.array(E._float_alpha, dtype=float)
     d_alpha = np.polyder(alpha)
     return tuple(map(_read_only, (alpha, d_alpha, np.polyder(d_alpha))))
 
 
 @lru_cache
 def _deflated(E: ExtremalCoefficients) -> tuple[np.ndarray, ...]:
-    """The exact (V, Q) of ``h_second``, rounded once."""
-    return tuple(_read_only(np.array(c, float)) for c in E._exact_deflation)
+    """The record's float (V, Q) of ``h_second`` as arrays."""
+    return tuple(_read_only(np.array(c, float)) for c in E._float_deflation)
 
 
 def _check_profile_domain(E: ExtremalCoefficients, t: np.ndarray) -> None:

@@ -17,8 +17,9 @@ row, and its floats are filled in with one % operation.  Exit codes: 0 pass,
 
 Each command imports the modules it runs when it runs, so a call loads only
 those: derive and example load ``exact`` and no numpy; profile loads
-``calabi``; bridge-check loads ``bridge`` and ``radial``; verify loads every
-module but ``bridge``.  This module itself imports no numpy: the renderer
+``exact`` and ``table``, which tabulates in plain floats, and no numpy;
+bridge-check loads ``bridge`` and ``radial``; verify loads every module but
+``bridge`` and ``table``.  This module itself imports no numpy: the renderer
 takes Python scalars (numpy's float64 is a float).
 """
 
@@ -186,9 +187,8 @@ def run_derive(cfg: RunConfig) -> str:
 
 
 def run_profile(cfg: RunConfig) -> str:
-    import numpy as np
-
-    from .calabi import extremal_F_second, h_second, solve_coefficients
+    from .exact import solve_coefficients
+    from .table import F_second, grid, h_second
 
     E = solve_coefficients(cfg.n, cfg.a, cfg.b)
     rows_n = cfg.samples if cfg.samples is not None else 50
@@ -197,14 +197,14 @@ def run_profile(cfg: RunConfig) -> str:
     margin = cfg.step if cfg.step is not None else (cfg.b - cfg.a) * 1e-4
     if not 0.0 < margin < 0.5 * (cfg.b - cfg.a):
         raise InvalidParameters(f"margin {margin} leaves no interior grid")
-    ts = np.linspace(cfg.a + margin, cfg.b - margin, rows_n)
-    columns = (ts, extremal_F_second(E, ts), h_second(E, ts), E.A * ts + E.B)
+    ts = grid(cfg.a + margin, cfg.b - margin, rows_n)
+    columns = (ts, F_second(E, ts), h_second(E, ts), [E.A * t + E.B for t in ts])
+    table = list(zip(*columns))
     if cfg.fmt in (None, "csv"):
         row = ",".join([_FLOAT] * len(columns))
         template = "\n".join(["t,F_second,h_second,S"] + [row] * rows_n)
-        return _fill(template, np.column_stack(columns).ravel().tolist())
+        return _fill(template, list(itertools.chain.from_iterable(table)))
     if cfg.fmt == "json":
-        table = np.column_stack(columns).tolist()
         doc = {
             "schema": 1,
             "command": "profile",

@@ -21,8 +21,9 @@ are exact: Calabi's closed forms equal it as rationals
 valid on all of (a, b) (``positivity_certificate``).
 
 Everything here runs on the standard library (``fractions``, ``math``), so a
-command that needs only exact data loads no numpy; the float evaluation of the
-profile lives in ``calabi``.
+command that needs only exact data loads no numpy.  The record also rounds
+the polynomials of the profile, alpha and the deflated (V, Q), to float once;
+``calabi`` evaluates them on arrays and ``table`` in plain floats.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ from .errors import (
     SingularSystem,
     ZeroDenominator,
 )
+
+# p*t^n - alpha legitimately vanishes only at the endpoints; anything this
+# close to zero in the interior is treated as a pole hit, by both evaluators
+# of the record's float polynomials (calabi's and table's)
+POLE_REL_TOL = 1e-13
 
 
 def _check_geometry(n: int, a: float, b: float) -> None:
@@ -90,6 +96,19 @@ class ExtremalCoefficients:
     @cached_property
     def _exact_deflation(self) -> tuple[list, list]:
         return _deflation(self)
+
+    # the float polynomials of the profile, the only rounding of alpha, V and
+    # Q: calabi's arrays and table's Horner loops both read these
+    @cached_property
+    def _float_alpha(self) -> tuple[float, ...]:
+        """alpha's descending coefficients from the record's (A, B, C, D)."""
+        alpha = _alpha_coeffs(self.n, self.A, self.B, self.C, self.D)
+        return tuple(map(float, alpha))
+
+    @cached_property
+    def _float_deflation(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The exact (V, Q) of h'', each coefficient rounded to float."""
+        return tuple(tuple(map(float, c)) for c in self._exact_deflation)
 
     @cached_property
     def _bernstein(self) -> list:
@@ -143,6 +162,23 @@ def _exact_solution(n: int, a: float, b: float) -> tuple[Fraction, ...]:
     return tuple(rows[k][4] / rows[k][k] for k in range(4))
 
 
+def _rounded(n: int, a: float, b: float, exact: tuple) -> ExtremalCoefficients:
+    """The record of exact (A, B, C, D), each rounded to float once.
+
+    A coefficient past the float range, as at (n, a, b) = (2, 1e-200, 2e-200)
+    where A ~ 1/b^2, is invalid input, not an ``OverflowError``.
+    """
+    coeffs = {}
+    for name, x in zip("ABCD", exact):
+        try:
+            coeffs[name] = float(x)
+        except OverflowError:
+            raise InvalidParameters(
+                f"coefficient {name} overflows a float for (n={n}, a={a}, b={b})"
+            ) from None
+    return ExtremalCoefficients(n=n, a=float(a), b=float(b), **coeffs)
+
+
 def solve_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
     """Authoritative coefficients: the boundary system solved exactly and
     rounded to float once.  A float solve loses digits as a/b -> 1, where the
@@ -150,8 +186,7 @@ def solve_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
     """
     _check_geometry(n, a, b)
     n = int(n)
-    A, B, C, D = map(float, _exact_solution(n, a, b))
-    return ExtremalCoefficients(n=n, a=float(a), b=float(b), A=A, B=B, C=C, D=D)
+    return _rounded(n, a, b, _exact_solution(n, a, b))
 
 
 @lru_cache
@@ -222,8 +257,7 @@ def closed_form_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients
     to float once."""
     _check_geometry(n, a, b)
     n = int(n)
-    A, B, C, D = map(float, _closed_form(n, a, b))
-    return ExtremalCoefficients(n=n, a=float(a), b=float(b), A=A, B=B, C=C, D=D)
+    return _rounded(n, a, b, _closed_form(n, a, b))
 
 
 def coefficient_cross_check(solved: ExtremalCoefficients) -> bool:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -31,6 +32,7 @@ from toricext import (
 )
 from toricext import calabi as calabi_mod
 from toricext import exact as exact_mod
+from toricext import table
 from toricext.calabi import _endpoint_limits, _profile_derivatives
 from toricext.exact import (
     _alpha_coeffs,
@@ -357,6 +359,17 @@ def test_dimension_must_be_an_integer(build, n):
         build(n, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("build", [solve_coefficients, closed_form_coefficients])
+def test_overflowing_coefficient_is_invalid_input(build):
+    # A ~ 1/b^2 is past the float range; float(Fraction) would raise
+    # OverflowError, which no caller handles
+    with pytest.raises(
+        InvalidParameters,
+        match=r"coefficient A overflows a float for \(n=2, a=1e-200, b=2e-200\)",
+    ):
+        build(2, 1e-200, 2e-200)
+
+
 @pytest.mark.parametrize("build", _BUILDERS)
 def test_dimension_may_be_a_numpy_integer(build):
     E = build(np.int64(2), 0.5, 1.0)
@@ -398,6 +411,10 @@ def test_array_calls_equal_elementwise_scalar_calls(params, fractions):
         assert np.array_equal(got, want)
 
 
+# the plain-float twin of each array function, for profile's table
+_PLAIN_FLOAT = {extremal_F_second: table.F_second, h_second: table.h_second}
+
+
 @pytest.mark.parametrize(
     "bad, error",
     [(0.4, DomainViolation), (1.0, DomainViolation), (0.5 + 1e-15, PotentialPole)],
@@ -412,8 +429,28 @@ def test_bad_t_in_an_array_raises_like_the_scalar_call(bad, error):
             continue  # the deflated form is regular at the endpoints
         with pytest.raises(error):
             fn(E, bad)
-        with pytest.raises(error):
+        with pytest.raises(error) as raised:
             fn(E, batch)
+        if fn in _PLAIN_FLOAT:  # profile's table fails with the same message
+            with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
+                _PLAIN_FLOAT[fn](E, batch.tolist())
+
+
+def test_zero_deflated_denominator_raises_alike():
+    # a valid record has Q < 0 on [a, b] (the certificate); give one record a
+    # rounded (V, Q) with Q(0.75) = 0 to reach the guard on both paths
+    E = ExtremalCoefficients(n=1, a=0.5, b=1.0, A=1.0, B=2.0, C=3.0, D=4.0)
+    E.__dict__["_float_deflation"] = ((1.0,), (1.0, -0.75))
+    calabi_mod._deflated.cache_clear()
+    try:
+        for ts in ([0.6, 0.75], np.array([0.6, 0.75])):
+            fn = h_second if isinstance(ts, np.ndarray) else table.h_second
+            with pytest.raises(
+                PotentialPole, match=r"^deflated denominator vanishes at t = 0\.75$"
+            ):
+                fn(E, ts)
+    finally:
+        calabi_mod._deflated.cache_clear()
 
 
 def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):

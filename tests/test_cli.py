@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricext import InvalidParameters
+from toricext import GeometryError, InvalidParameters
 from toricext import calabi as calabi_mod
 from toricext import cli
 from toricext import exact as exact_mod
+from toricext import table as table_mod
 
 CMD = [sys.executable, "-m", "toricext"]
 
@@ -56,6 +58,28 @@ def test_derive_invalid_parameters(args):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.strip()
+
+
+_COEFFICIENT_OVERFLOW = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            ([command, *_COEFFICIENT_OVERFLOW],
+             "coefficient A overflows a float for (n=2, a=1e-200, b=2e-200)")
+            for command in ("derive", "profile", "verify")
+        ),
+        (["profile", "--n", "400", "--a", "1", "--b", "10", "--samples", "5"],
+         "t^400 overflows a float at t = 7.74955"),
+    ],
+    ids=["derive", "profile", "verify", "profile t^n"],
+)
+def test_overflow_is_one_error_line(argv, message):
+    # a process, so that a traceback or a numpy warning on stderr would show
+    r = run_cli(*argv)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_profile_csv():
@@ -490,13 +514,33 @@ def test_renderer_refuses_what_the_reference_refuses(doc, bad, where):
     assert _outcome(cli._render_json, placed) is InvalidParameters
 
 
+def _answer(fn, *args):
+    """fn(*args) as a list, or the type and message of the error it raised."""
+    try:
+        return list(fn(*args))
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_profile_matches_per_value_rendering(fmt):
-    cfg = cli.RunConfig(
-        command="profile", n=3, a=0.25, b=2.0, samples=300, fmt=fmt
-    )
-    E = calabi_mod.solve_coefficients(3, 0.25, 2.0)
-    ts = np.linspace(0.25 + 1.75e-4, 2.0 - 1.75e-4, 300)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    b=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+    ratio=st.one_of(
+        st.sampled_from([1e-3, 0.999]), st.floats(min_value=1e-3, max_value=0.999)
+    ),
+    samples=st.sampled_from([1, 2, 3, 300]),
+)
+@example(n=3, b=2.0, ratio=0.125, samples=300)
+@settings(max_examples=100, deadline=None)
+def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
+    """profile's plain-float table is calabi's array functions, bit for bit,
+    rendered one value at a time; off the extremal solution both paths raise
+    alike."""
+    a = ratio * b
+    E = calabi_mod.solve_coefficients(n, a, b)
+    margin = (b - a) * 1e-4
+    ts = np.linspace(a + margin, b - margin, samples)
     rows = [
         [t, f2, h2, E.A * t + E.B]
         for t, f2, h2 in zip(
@@ -512,10 +556,19 @@ def test_profile_matches_per_value_rendering(fmt):
         )
     else:
         want = _reference_render(
-            {"schema": 1, "command": "profile", "n": 3, "a": 0.25, "b": 2.0,
+            {"schema": 1, "command": "profile", "n": n, "a": a, "b": b,
              "columns": ["t", "F_second", "h_second", "S"], "rows": rows}
         )
+    cfg = cli.RunConfig(command="profile", n=n, a=a, b=b, samples=samples, fmt=fmt)
     assert cli.run_profile(cfg) == want
+
+    off = dataclasses.replace(E, D=math.nextafter(E.D, math.inf))
+    for arrays, plain in (
+        (calabi_mod.extremal_F_second, table_mod.F_second),
+        (calabi_mod.h_second, table_mod.h_second),
+    ):
+        assert _answer(plain, off, ts.tolist()) == _answer(arrays, off, ts)
+    assert _answer(table_mod.h_second, off, ts.tolist())[0] is InvalidParameters
 
 
 def test_renderer_names_the_first_non_finite_value():

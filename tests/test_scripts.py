@@ -66,14 +66,14 @@ def _startup_profile(command: str) -> dict:
 
 
 def test_startup_profile_reports_every_stage():
-    rows = _startup_profile("profile --n 3 --samples 5")
+    rows = _startup_profile("bridge-check --samples 3")
     stages = list(rows)
     assert stages[:2] == ["interpreter + site", "numpy"]
     assert stages[-5:] == [
         "other imports", "command", "teardown", "total", "peak RSS (MB)"
     ]
-    assert {"toricext", "toricext.cli", "toricext.calabi"} <= set(stages)
-    assert "toricext.bridge" not in stages
+    assert {"toricext", "toricext.cli", "toricext.bridge"} <= set(stages)
+    assert "toricext.calabi" not in stages
     ms = {stage: float(value) for stage, value in rows.items()}
     assert ms["total"] > ms["interpreter + site"] > 0 and ms["numpy"] > 0
     # a process that has imported numpy holds well over 10 MB; under 1 GB

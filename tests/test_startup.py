@@ -74,9 +74,11 @@ else:
 print("\\n" + json.dumps(sorted(sys.modules)), file=sys.stderr)
 """
 
-_CALABI_ONLY = {"toricext.abreu", "toricext.bridge", "toricext.polytope", "toricext.radial"}
-# derive and example run on the exact layer alone
-_EXACT_ONLY = _CALABI_ONLY | {"numpy", "toricext.calabi", "toricext.numdiff"}
+# derive and example run on the exact layer alone, profile on it and table
+_EXACT_ONLY = {
+    "numpy", "toricext.abreu", "toricext.bridge", "toricext.calabi",
+    "toricext.numdiff", "toricext.polytope", "toricext.radial",
+}
 # numpy.random and the OpenSSL-backed hashing it pulls in; no command uses them
 _NEVER = {"numpy.random", "secrets", "hashlib", "_hashlib"}
 
@@ -84,16 +86,17 @@ _NEVER = {"numpy.random", "secrets", "hashlib", "_hashlib"}
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (None, {"numpy", "scipy", *(f"toricext.{m}" for m in [*PUBLIC, "cli", "numdiff"])}),
-        (["derive"], _EXACT_ONLY),
-        (["example"], _EXACT_ONLY),
-        (["profile"], _CALABI_ONLY),
-        (["profile", "--format", "json"], _CALABI_ONLY),
+        (None, {"numpy", "scipy",
+                *(f"toricext.{m}" for m in [*PUBLIC, "cli", "numdiff", "table"])}),
+        (["derive"], _EXACT_ONLY | {"toricext.table"}),
+        (["example"], _EXACT_ONLY | {"toricext.table"}),
+        (["profile"], _EXACT_ONLY),
+        (["profile", "--format", "json"], _EXACT_ONLY),
         (
             ["bridge-check", "--samples", "3"],
             {"toricext.calabi", "toricext.abreu", "toricext.polytope", "fractions"},
         ),
-        (["verify", "--points", "10"], {"toricext.bridge"}),
+        (["verify", "--points", "10"], {"toricext.bridge", "toricext.table"}),
     ],
     ids=["import toricext", "derive", "example", "profile", "profile json",
          "bridge-check", "verify"],
@@ -118,7 +121,8 @@ def test_public_namespace_is_the_eager_one():
         assert getattr(toricext, module) is mod
         for name in names:
             assert getattr(toricext, name) is getattr(mod, name), name
-    assert toricext.numdiff is importlib.import_module("toricext.numdiff")
+    for module in ("numdiff", "table"):
+        assert getattr(toricext, module) is importlib.import_module(f"toricext.{module}")
     # calabi still answers for the names that moved to exact
     for name in PUBLIC["exact"]:
         assert getattr(toricext.calabi, name) is getattr(toricext.exact, name)
@@ -128,8 +132,8 @@ def test_public_namespace_is_the_eager_one():
 
 
 # the value of OPENBLAS_NUM_THREADS each time numpy is looked up, recorded by a
-# meta-path finder installed before the entry point is imported; profile is a
-# command that loads numpy
+# meta-path finder installed before the entry point is imported; bridge-check
+# is a command that loads numpy
 _SPY = """
 import contextlib, io, json, os, sys
 seen = []
@@ -140,7 +144,7 @@ class Spy:
 sys.meta_path.insert(0, Spy())
 from toricext.__main__ import main
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["profile", "--samples", "3"]) == 0
+    assert main(["bridge-check", "--samples", "3"]) == 0
 print(json.dumps(seen))
 """
 
