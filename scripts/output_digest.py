@@ -13,9 +13,10 @@ pins it.  ``--dump DIR`` also writes each call's exit code, stdout and stderr
 to ``DIR/<index>.txt``, to diff the calls whose digests differ.
 
 The list covers every command; n in {1, 2, 3, 5, 8, 9, 12, 16}; a/b from
-1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; failing tolerances and invalid
-input; profile's edge cases (one and two rows, a zero grid step, 20 000 rows
-at n = 16, a/b = 1 - 1e-9) and input whose floats overflow.  A call that
+1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the thin shell
+a/b = 0.9999; failing tolerances and invalid input; profile's edge cases (one
+and two rows, a zero grid step, a margin that rounds away, 20 000 rows at
+n = 16, a/b = 1 - 1e-9) and input whose floats overflow.  A call that
 ends in an uncaught exception is recorded as exit 1 with the exception's type
 and message on stderr, as a process would end (less the traceback).
 """
@@ -63,6 +64,7 @@ def argv_list() -> list[list[str]]:
         ["verify", "--n", "17"],
         ["verify", "--n", "4", "--points", "5"],
         ["verify", "--n", "2", "--a", "1.0", "--b", "0.5"],
+        *(["verify", *_geometry(n, 0.9999), "--points", "40"] for n in (1, 2, 8, 16)),
         ["derive", "--n", "0"],
         ["example", "--n", "3"],
     ]
@@ -71,6 +73,7 @@ def argv_list() -> list[list[str]]:
         ["profile", "--n", "3", "--samples", "1"],
         ["profile", "--n", "3", "--samples", "2", "--format", "json"],
         ["profile", "--step", repr(math.nextafter(0.25, 0.0)), "--samples", "5"],
+        ["profile", "--step", "1e-20"],
         ["profile", *_geometry(16, 0.5), "--samples", "20000"],
         ["profile", *_geometry(16, 0.5), "--samples", "20000", "--format", "json"],
         ["profile", *_geometry(4, 1 - 1e-9), "--samples", "9"],

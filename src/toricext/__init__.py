@@ -54,7 +54,6 @@ _EXPORTS = {
         "OutOfRange",
         "PositivityViolation",
         "PotentialPole",
-        "SingularHessian",
         "SingularSystem",
         "StencilExitsDomain",
         "ZeroDenominator",
@@ -75,7 +74,7 @@ _EXPORTS = {
     ),
     "radial": (
         "TPotential",
-        "radial_hessian",
+        "inverse_hessian",
         "radial_scalar_curvature",
     ),
 }

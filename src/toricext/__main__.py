@@ -3,12 +3,11 @@
 Two things here concern the process, not the CLI, so ``cli.main`` (which tests
 and in-process callers use) does neither:
 
-* OpenBLAS runs on one thread.  The CLI's largest LAPACK operands, (100, 16,
-  16) stacked inverses and one (points, n + 1) least-squares fit, stay below
-  OpenBLAS's threading thresholds, so its thread pool only costs start-up
-  time; output is the same either way.  It must be set before numpy is first
-  imported, and it is a constant, not a default.  derive and example load no
-  numpy, so for them it has no effect.
+* OpenBLAS runs on one thread.  Only bridge-check loads numpy, and it hands
+  OpenBLAS no LAPACK operand at all, so the thread pool would only cost
+  start-up time; output is the same either way.  It must be set before numpy
+  is first imported, and it is a constant, not a default.  The other
+  commands load no numpy, so for them it has no effect.
 * After the command, every object is moved to the GC's permanent generation,
   so interpreter shutdown does not walk the whole heap (numpy's included) in
   a final collection.  Atexit handlers and stdio shutdown still run.

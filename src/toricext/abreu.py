@@ -1,38 +1,47 @@
-"""Scalar curvature of a general toric metric from its symplectic potential.
+"""Scalar curvature of a radial toric metric by Abreu's formula.
 
 The curvature of the metric defined by a potential g with Hessian G is
 
     S(x) = -(1/2) * sum_ij  d^2 G^{ij} / dx_i dx_j,
 
-with G^{ij} the entries of the inverse Hessian.  Here the inner layer (the
-analytic Hessian of the potential, then a dense solve) is exact up to
-rounding, and the outer second derivatives are central finite differences on
-the polytope interior.  Both layers run on whole stacks of points: a Hessian
-oracle maps (m, n) points to (m, n, n) Hessians, and the stencil evaluates
-every point at once.  Extremality of a metric means S is affine in x;
-``extremality_residual`` measures the distance to that.
+with G^{ij} the entries of the inverse Hessian.  For the radial potentials of
+``radial`` the inner layer is the closed form
+
+    G^{-1} = 2 * (diag(x) - w * x x^T),    w = F''/(1 + t*F''),
+
+exact up to rounding (``radial.inverse_hessian``), and the outer second
+derivatives are central finite differences on the polytope interior.  Every
+corner of a point's stencil lies at t + k*h for k in {-2..2}, so a point
+costs five F'' values and O(n^2) entries of O(1) each.  Extremality of a
+metric means S is affine in x; ``extremality_residual`` measures the
+distance to that.  Everything runs in plain floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+import math
+import numbers
+from operator import mul
+from typing import Optional, Sequence
 
 from .errors import (
     DegeneratePointSet,
     InvalidParameters,
     NonInteriorPoint,
-    SingularHessian,
     StencilExitsDomain,
 )
-from .numdiff import STEP_SECOND
+from .numdiff import EPS, STEP_SECOND
 from .polytope import BlowupPolytope, interior_distance
-from .radial import TPotential, radial_hessian
+from .radial import (
+    TPotential,
+    inverse_diagonal,
+    inverse_off_diagonal,
+    validity_factor,
+)
+from .record import Record
 
-# dense direct inversion is plenty for the sizes this family produces;
-# refuse anything bigger so a misuse fails loudly instead of slowly
+# the dimensions verify is checked for; refuse anything bigger so a misuse
+# fails loudly instead of slowly
 MAX_DIMENSION = 16
 
 
@@ -44,68 +53,85 @@ def _check_dimension(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SymplecticPotential:
-    """A potential on a polytope, exposed through its Hessian oracle.
+class SymplecticPotential(Record):
+    """The radial potential g = (sum_i x_i ln x_i + F(t))/2 with profile T,
+    on the polytope P."""
 
-    The oracle maps an (m, n) array of points to their (m, n, n) Hessians.
-    """
+    _fields = ("polytope", "profile")
 
-    polytope: BlowupPolytope
-    hessian_oracle: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def from_radial(cls, polytope: BlowupPolytope, T: TPotential) -> "SymplecticPotential":
-        """Analytic Hessian of the radial potential with profile T."""
-
-        def oracle(x: np.ndarray) -> np.ndarray:
-            return radial_hessian(x, T.d2F(np.sum(x, axis=-1)))
-
-        return cls(polytope=polytope, hessian_oracle=oracle)
+    def __init__(self, polytope: BlowupPolytope, profile: TPotential) -> None:
+        super().__init__(polytope, profile)
 
 
-@dataclass(frozen=True)
-class AffineFit:
+class AffineFit(Record):
     """Least-squares affine model S(x) ~ <gradient, x> + constant.
 
-    ``S`` is the read-only column of fitted curvatures, one per input point.
+    ``S`` is the tuple of fitted curvatures, one per input point.
     """
 
-    gradient: tuple
-    constant: float
-    max_residual: float
-    S: np.ndarray
+    _fields = ("gradient", "constant", "max_residual", "S")
+
+    def __init__(
+        self, gradient: tuple, constant: float, max_residual: float, S: tuple
+    ) -> None:
+        super().__init__(gradient, constant, max_residual, S)
 
 
-def _inverse_hessians(
-    P: SymplecticPotential, x: np.ndarray, column: Optional[int] = None
-) -> np.ndarray:
-    """Stacked inverse Hessians G^{-1} at the (m, n) points x, (m, n, n).
+def _points(x, n: int) -> tuple[list[list[float]], bool]:
+    """The points of x, one point of n coordinates or a sequence of them, as
+    lists of floats; and whether x was one point."""
+    single = all(isinstance(v, numbers.Real) for v in x)
+    rows = [x] if single else list(x)
+    for row in rows:
+        if len(row) != n or not all(isinstance(v, numbers.Real) for v in row):
+            raise InvalidParameters(
+                f"points are neither one point of {n} coordinates nor a "
+                f"sequence of such points"
+            )
+    return [[float(v) for v in row] for row in rows], single
 
-    With a column index, only that column of each, (m, n), from one stacked
-    solve against the unit vector instead of a whole inversion.
-    """
-    H = P.hessian_oracle(x)
-    try:
-        if column is None:
-            return np.linalg.inv(H)
-        unit = np.zeros((H.shape[-1], 1))
-        unit[column] = 1.0
-        return np.linalg.solve(H, unit)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        worst = int(np.argmin(np.linalg.matrix_rank(H)))
-        raise SingularHessian(f"Hessian not invertible at {x[worst]}") from exc
+
+def _curvature_at(T: TPotential, x: list[float], h: float) -> float:
+    """The stencil at one point x with step h, on closed-form entries."""
+    t = sum(x)
+    # F'', 1 + t*F'' and w = F''/(1 + t*F'') at t + k*h, indexed by k + 2
+    f2, den, w = [], [], []
+    for k in (-2, -1, 0, 1, 2):
+        tk = t + k * h
+        f = T.d2F(tk)
+        d = validity_factor(tk, f)
+        f2.append(f)
+        den.append(d)
+        w.append(f / d)
+    hh = h * h
+    total = 0.0
+    for i, xi in enumerate(x):
+        rest = t - xi  # the same at x and at x +- h*e_i
+        plus = inverse_diagonal(xi + h, rest, f2[3], den[3])
+        centre = inverse_diagonal(xi, rest, f2[2], den[2])
+        minus = inverse_diagonal(xi - h, rest, f2[1], den[1])
+        total += (plus - 2.0 * centre + minus) / hh
+    up = [xi + h for xi in x]
+    down = [xi - h for xi in x]
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            mixed = (
+                inverse_off_diagonal(up[i], up[j], w[4])
+                - inverse_off_diagonal(up[i], down[j], w[2])
+                - inverse_off_diagonal(down[i], up[j], w[2])
+                + inverse_off_diagonal(down[i], down[j], w[0])
+            ) / (4.0 * hh)
+            total += 2.0 * mixed  # (i,j) and (j,i) contribute equally
+    return -0.5 * total
 
 
 def abreu_scalar_curvature(
     P: SymplecticPotential, x, h: Optional[float] = None
-) -> float | np.ndarray:
+) -> float | list[float]:
     """S(x) = -(1/2) sum_ij d^2 G^{ij}/dx_i dx_j by central differences.
 
-    x is one point (n,), answered with a float, or a stack (m, n), answered
-    with an (m,) array.  Each shifted stencil term reads one entry of G^{-1}
-    at all m shifted points, from one stacked solve; only the centre, which
-    needs every diagonal entry, inverts whole Hessians.  Memory is O(m n^2).
+    x is one point of n coordinates, answered with a float, or a sequence of
+    points, answered with a list of floats in their order.
 
     Default step, per point: eps^(1/4)*b, the polytope's own length,
     clamped to dmin/3 (dmin the point's least facet value): a stencil corner
@@ -113,57 +139,62 @@ def abreu_scalar_curvature(
     inside.  One length per geometry keeps the result covariant under
     rescaling (a, b).  An explicit h past dmin/3 raises StencilExitsDomain.
     """
-    x = np.asarray(x, dtype=float)
     n = P.polytope.n
     _check_dimension(n)
-    if x.shape[-1:] != (n,) or x.ndim > 2:
-        raise InvalidParameters(
-            f"point shape {x.shape} is neither ({n},) nor (m, {n})"
-        )
-    pts = x.reshape(-1, n)
+    pts, single = _points(x, n)
 
-    dmin = interior_distance(P.polytope, pts)
-    outside = dmin <= 0.0
-    if np.any(outside):
-        raise NonInteriorPoint(
-            f"{pts[outside][0]} is not interior (min facet value {dmin[outside][0]})"
-        )
-    limit = dmin / 3.0
+    dmin = [interior_distance(P.polytope, p) for p in pts]
+    for p, d in zip(pts, dmin):
+        if d <= 0.0:
+            raise NonInteriorPoint(f"{p} is not interior (min facet value {d})")
     if h is None:
-        h = np.minimum(STEP_SECOND * P.polytope.b, limit)
+        steps = [min(STEP_SECOND * P.polytope.b, d / 3.0) for d in dmin]
     else:
-        h = np.full(len(pts), float(h))
-    exits = h > limit
-    if np.any(exits):
-        raise StencilExitsDomain(
-            f"outer stencil with step {h[exits][0]:.3e} exits the domain at "
-            f"{pts[exits][0]}"
-        )
+        steps = [float(h)] * len(pts)
+    for p, step, d in zip(pts, steps, dmin):
+        if step > d / 3.0:
+            raise StencilExitsDomain(
+                f"outer stencil with step {step:.3e} exits the domain at {p}"
+            )
 
-    def entry(i: int, j: int, *steps: tuple[int, float]) -> np.ndarray:
-        """G^{ij} at the points moved by sign*h along each (axis, sign)."""
-        moved = pts.copy()
-        for axis, sign in steps:
-            moved[:, axis] += sign * h
-        return _inverse_hessians(P, moved, column=j)[:, i]
+    S = [_curvature_at(P.profile, p, step) for p, step in zip(pts, steps)]
+    return S[0] if single else S
 
-    hh = h * h
-    center = np.diagonal(_inverse_hessians(P, pts), axis1=1, axis2=2)
-    total = np.zeros(len(pts))
-    for i in range(n):
-        plus, minus = entry(i, i, (i, 1.0)), entry(i, i, (i, -1.0))
-        total += (plus - 2.0 * center[:, i] + minus) / hh
-    for i in range(n):
-        for j in range(i + 1, n):
-            mixed = (
-                entry(i, j, (i, 1.0), (j, 1.0))
-                - entry(i, j, (i, 1.0), (j, -1.0))
-                - entry(i, j, (i, -1.0), (j, 1.0))
-                + entry(i, j, (i, -1.0), (j, -1.0))
-            ) / (4.0 * hh)
-            total += 2.0 * mixed  # (i,j) and (j,i) contribute equally
-    S = -0.5 * total
-    return float(S[0]) if x.ndim == 1 else S
+
+def _least_squares(design: list[list[float]], values: list[float]) -> list[float]:
+    """c minimising |design @ c - values|, by Householder QR on the
+    column-scaled design.
+
+    A column whose part orthogonal to the columns before it is below
+    max(m, k)*eps of its norm makes the design rank deficient, which raises
+    DegeneratePointSet.
+    """
+    m, k = len(design), len(design[0])
+    scale = [max(abs(row[j]) for row in design) or 1.0 for j in range(k)]
+    cols = [[row[j] / s for row in design] for j, s in enumerate(scale)]
+    rhs = list(values)
+    for j, col in enumerate(cols):
+        v = col[j:]
+        norm = math.hypot(*v)
+        # reflections keep the column's norm, so hypot(*col) is its own
+        if norm <= max(m, k) * EPS * math.hypot(*col):
+            raise DegeneratePointSet(
+                f"affine fit underdetermined: design rank < {k}"
+            )
+        # H = I - v v^T/(norm*(norm + |v_0|)) maps v to alpha*e_0
+        alpha = -math.copysign(norm, v[0])
+        denom = norm * (norm + abs(v[0]))
+        v[0] -= alpha
+        for target in (*cols[j + 1:], rhs):
+            tail = target[j:]
+            f = sum(map(mul, v, tail)) / denom
+            target[j:] = [c - f * vi for c, vi in zip(tail, v)]
+        col[j] = alpha
+    coef = [0.0] * k
+    for j in reversed(range(k)):
+        known = sum(cols[i][j] * coef[i] for i in range(j + 1, k))
+        coef[j] = (rhs[j] - known) / cols[j][j]
+    return [c / s for c, s in zip(coef, scale)]
 
 
 def extremality_residual(
@@ -176,29 +207,21 @@ def extremality_residual(
     Ordinary least squares on the column-scaled design [X | 1]; needs at
     least n+1 affinely independent points.
     """
-    pts = np.asarray(points, dtype=float)
     n = P.polytope.n
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise InvalidParameters(f"points must be (m, {n}), got {pts.shape}")
-    m = pts.shape[0]
+    pts, single = _points(points, n)
+    if single:
+        raise InvalidParameters(f"points must be a sequence of points, got {pts[0]}")
+    m = len(pts)
     if m < n + 1:
         raise DegeneratePointSet(f"need >= {n + 1} points, got {m}")
 
     S = abreu_scalar_curvature(P, pts, h)
-    design = np.hstack([pts, np.ones((m, 1))])
-    col_scale = np.max(np.abs(design), axis=0)
-    col_scale[col_scale == 0.0] = 1.0
-    coef, _, rank, _ = np.linalg.lstsq(design / col_scale, S, rcond=None)
-    if rank < n + 1:
-        raise DegeneratePointSet(
-            f"affine fit underdetermined: design rank {rank} < {n + 1}"
-        )
-    coef = coef / col_scale
-    predicted = design @ coef
-    S.flags.writeable = False
+    design = [[*x, 1.0] for x in pts]
+    coef = _least_squares(design, S)
+    predicted = [sum(map(mul, row, coef)) for row in design]
     return AffineFit(
-        gradient=tuple(float(v) for v in coef[:n]),
-        constant=float(coef[n]),
-        max_residual=float(np.max(np.abs(S - predicted))),
-        S=S,
+        gradient=tuple(coef[:n]),
+        constant=coef[n],
+        max_residual=max(abs(s - f) for s, f in zip(S, predicted)),
+        S=tuple(S),
     )

@@ -31,8 +31,8 @@ from .errors import (
     NotInvertible,
     OutOfRange,
 )
-from .numdiff import EPS, keep_last, power, richardson
-from .radial import TPotential, radial_scalar_curvature
+from .numdiff import EPS, richardson
+from .radial import TPotential, curvature_of_jet
 
 # base step (in s~) for the v and t' difference stencils: these functions are
 # smooth on logarithmic scale, so a fat step plus one Richardson level beats
@@ -47,13 +47,49 @@ _MAX_NEWTON_STEPS = 100
 PotentialFn = Callable[[np.ndarray], Union[np.ndarray, float]]
 
 
+def _power(x, k: int):
+    """x**k elementwise through the C library's pow, as Python's float ** does.
+
+    numpy's own ** on arrays uses a SIMD pow that rounds differently in the
+    last bit, so the same formula evaluated at a float and inside an array
+    would disagree; np.float_power keeps every evaluation bit for bit equal.
+    """
+    return np.float_power(x, k)
+
+
+def _keep_last(fn: Callable[[np.ndarray], tuple]) -> Callable:
+    """fn of an array of t, remembering its answer for the t asked for last.
+
+    F'', F''' and F'''' are asked for in turn at the same t; their shared
+    evaluation is wrapped here, so the three calls make one.  fn answers
+    with a tuple of arrays; they are shared between those calls, so they are
+    made read-only and a write raises instead of changing later answers.
+    """
+    last: list = [None]
+
+    def cached(t):
+        t = np.asarray(t, dtype=float)
+        key = (t.shape, t.tobytes())
+        entry = last[0]
+        if entry is None or entry[0] != key:
+            answer = fn(t)
+            for value in answer:
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            entry = (key, answer)
+            last[0] = entry
+        return entry[1]
+
+    return cached
+
+
 @dataclass(frozen=True)
 class KahlerPotential:
     """Radial Kahler potential f(s) on s > 0, with its first two derivatives.
 
-    Array contract, as for TPotential: f, df and d2f receive an ndarray of s
-    (0-d for a single s) and return values of the same shape; a constant
-    return value broadcasts.
+    Array contract: f, df and d2f receive an ndarray of s (0-d for a single
+    s) and return values of the same shape; a constant return value
+    broadcasts.
     """
 
     n: int
@@ -76,7 +112,7 @@ def fubini_study_potential(n: int) -> KahlerPotential:
         n=n,
         f=lambda s: 0.5 * np.log1p(s),
         df=lambda s: 0.5 / (1.0 + s),
-        d2f=lambda s: -0.5 / power(1.0 + s, 2),
+        d2f=lambda s: -0.5 / _power(1.0 + s, 2),
         label="fubini-study",
     )
 
@@ -276,12 +312,13 @@ def induced_t_potential(
     F values keeps the induced profile at analytic accuracy, which the
     downstream curvature formula needs.
 
-    The curvature asks for F'', F''' and F'''' in turn at the same t, so all
-    three come from one jet evaluation per array of t (one inversion, one
-    pair of rate slopes), and the jets of the t asked for last are kept.
+    Its d2F, d3F and d4F take a float or an array of t and answer in kind.
+    They are asked for in turn at the same t, so all three come from one jet
+    evaluation per array of t (one inversion, one pair of rate slopes), and
+    the jets of the t asked for last are kept.
     """
 
-    @keep_last
+    @_keep_last
     def jets(t: np.ndarray) -> tuple:
         """dt/ds~ and its first two s~-derivatives at the s~ of every t."""
         st = np.log(s_of_t(K, t))
@@ -305,15 +342,15 @@ def induced_t_potential(
     def d3F(t):
         t = np.asarray(t, dtype=float)
         u2, du2, _ = jets(t)
-        return -du2 / power(u2, 3) + 1.0 / power(t, 2)
+        return -du2 / _power(u2, 3) + 1.0 / _power(t, 2)
 
     def d4F(t):
         t = np.asarray(t, dtype=float)
         u2, du2, ddu2 = jets(t)
         return (
-            -ddu2 / power(u2, 4)
-            + 3.0 * power(du2, 2) / power(u2, 5)
-            - 2.0 / power(t, 3)
+            -ddu2 / _power(u2, 4)
+            + 3.0 * _power(du2, 2) / _power(u2, 5)
+            - 2.0 / _power(t, 3)
         )
 
     return TPotential(n=K.n, t_min=t_min, t_max=t_max, d2F=d2F, d3F=d3F, d4F=d4F)
@@ -338,16 +375,20 @@ def bridge_cross_check(
 ) -> BridgeCheckReport:
     """Compare the Kahler-side curvature against the radial pipeline.
 
-    The samples s are pushed to t = t_of_s(s); the radial formula then runs
-    on the induced TPotential at all the t at once, and Calabi's formula at
-    all the s at once.
+    The samples s are pushed to t = t_of_s(s); the induced TPotential's
+    F'', F''' and F'''' are evaluated at all the t at once, the radial
+    curvature formula runs on each t and those three values in turn, and
+    Calabi's formula at all the s at once.  Every t is below the end
+    2*max(t) + 1 of the induced interval, and ``s_of_t`` refuses a t <= 0,
+    so the interval needs no check of its own.
     """
     s = np.array(s_samples, dtype=float).reshape(-1)
     if not s.size:
         raise DomainViolation("need at least one sample")
     t = t_of_s(K, s)
     T = induced_t_potential(K, 0.0, 2.0 * float(np.max(t)) + 1.0)
-    polytope_side = radial_scalar_curvature(T, t)
+    jets = zip(t.tolist(), T.d2F(t).tolist(), T.d3F(t).tolist(), T.d4F(t).tolist())
+    polytope_side = np.array([curvature_of_jet(K.n, *jet) for jet in jets])
     kahler_side = calabi_scalar_curvature(K, s)
     difference = np.abs(kahler_side - polytope_side)
     columns = (s, t, kahler_side, polytope_side, difference)

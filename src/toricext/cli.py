@@ -16,11 +16,13 @@ row, and its floats are filled in with one % operation.  Exit codes: 0 pass,
 2 invalid input.
 
 Each command imports the modules it runs when it runs, so a call loads only
-those: derive and example load ``exact`` and no numpy; profile loads
-``exact`` and ``table``, which tabulates in plain floats, and no numpy;
-bridge-check loads ``bridge`` and ``radial``; verify loads every module but
-``bridge`` and ``table``.  This module itself imports no numpy: the renderer
-takes Python scalars (numpy's float64 is a float).
+those: derive and example load ``exact``; profile loads ``exact`` and
+``table``, which tabulates in plain floats; verify loads every module but
+``bridge``, all of them on the standard library; bridge-check loads
+``bridge`` and ``radial``, and is the only command that loads numpy.  This
+module itself imports no numpy: the renderer takes Python scalars (numpy's
+float64 is a float), and its records are plain classes, since
+``dataclasses`` would load ``inspect``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -40,6 +41,7 @@ from .errors import (
     InvalidParameters,
     PositivityViolation,
 )
+from .record import Record
 
 PRNG_NAME = "python-mt19937"
 
@@ -53,28 +55,37 @@ _BRIDGE_COLUMNS = ("s", "t", "kahler_side", "polytope_side", "difference")
 _PRESET_CHOICES = ("flat", "fubini-study")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int = 2
-    a: float = 0.5
-    b: float = 1.0
-    points: int = 100
-    samples: Optional[int] = None
-    seed: int = 0
-    step: Optional[float] = None
-    fmt: Optional[str] = None
-    tolerance_hard: float = 1e-9
-    tolerance_soft: float = 1e-5
-    preset: Optional[str] = None
+class RunConfig(Record):
+    _fields = (
+        "command", "n", "a", "b", "points", "samples", "seed", "step", "fmt",
+        "tolerance_hard", "tolerance_soft", "preset",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        command: str,
+        n: int = 2,
+        a: float = 0.5,
+        b: float = 1.0,
+        points: int = 100,
+        samples: Optional[int] = None,
+        seed: int = 0,
+        step: Optional[float] = None,
+        fmt: Optional[str] = None,
+        tolerance_hard: float = 1e-9,
+        tolerance_soft: float = 1e-5,
+        preset: Optional[str] = None,
+    ) -> None:
         for flag, value in (
-            ("--tolerance-hard", self.tolerance_hard),
-            ("--tolerance-soft", self.tolerance_soft),
+            ("--tolerance-hard", tolerance_hard),
+            ("--tolerance-soft", tolerance_soft),
         ):
             if not (math.isfinite(value) and value >= 0.0):
                 raise InvalidParameters(f"{flag} must be finite and >= 0, got {value}")
+        super().__init__(
+            command, n, a, b, points, samples, seed, step, fmt,
+            tolerance_hard, tolerance_soft, preset,
+        )
 
 
 # every float is printed at 17 significant digits through this one conversion
@@ -197,7 +208,12 @@ def run_profile(cfg: RunConfig) -> str:
     margin = cfg.step if cfg.step is not None else (cfg.b - cfg.a) * 1e-4
     if not 0.0 < margin < 0.5 * (cfg.b - cfg.a):
         raise InvalidParameters(f"margin {margin} leaves no interior grid")
-    ts = grid(cfg.a + margin, cfg.b - margin, rows_n)
+    lo, hi = cfg.a + margin, cfg.b - margin
+    if lo == cfg.a or hi == cfg.b:
+        raise InvalidParameters(
+            f"margin {margin} rounds away next to a = {cfg.a} or b = {cfg.b}"
+        )
+    ts = grid(lo, hi, rows_n)
     columns = (ts, F_second(E, ts), h_second(E, ts), [E.A * t + E.B for t in ts])
     table = list(zip(*columns))
     if cfg.fmt in (None, "csv"):
@@ -226,15 +242,9 @@ _PROOF_CHECKS = {
 
 
 def _verify_battery(cfg: RunConfig) -> dict:
-    import numpy as np
-
     from .abreu import SymplecticPotential, _check_dimension, extremality_residual
-    from .calabi import (
-        _endpoint_limits,
-        build_extremal_metric,
-        coefficient_cross_check,
-        positivity_certificate,
-    )
+    from .calabi import _endpoint_limits, build_extremal_metric
+    from .exact import coefficient_cross_check, positivity_certificate
     from .polytope import sample_interior
     from .radial import radial_scalar_curvature
 
@@ -252,12 +262,11 @@ def _verify_battery(cfg: RunConfig) -> dict:
         raise type(exc)(f"{key}: {exc}") from exc
     margin = _SAMPLING_MARGIN_FACTOR * (b - a)
     pts = sample_interior(P, cfg.points, margin=margin, seed=cfg.seed)
-    pot = SymplecticPotential.from_radial(P, T)
-    fit = extremality_residual(pot, pts)
-    rad = radial_scalar_curvature(T, np.sum(pts, axis=1))
+    fit = extremality_residual(SymplecticPotential(P, T), pts)
+    rad = [radial_scalar_curvature(T, sum(x)) for x in pts]
     # both soft checks are relative to the curvature itself (|S| >= 2/b > 0)
-    curvature_disc = float(np.max(np.abs(fit.S - rad) / np.abs(rad)))
-    scaled_residual = fit.max_residual / float(np.max(np.abs(rad)))
+    curvature_disc = max(abs(s - r) / abs(r) for s, r in zip(fit.S, rad))
+    scaled_residual = fit.max_residual / max(map(abs, rad))
 
     endpoints_ok, endpoints = _endpoint_limits(E, cfg.tolerance_hard)
 

@@ -34,7 +34,8 @@ class DomainViolation(GeometryError, ValueError):
 
 
 class DegenerateMetric(GeometryError, ArithmeticError):
-    """The validity condition 1 + t*F''(t) > 0 fails at the query point."""
+    """The validity condition 1 + t*F''(t) > 0 fails at the query point, where
+    the curvature and the inverse Hessian divide by it."""
 
 
 class PotentialPole(GeometryError, ArithmeticError):
@@ -56,10 +57,6 @@ class SingularSystem(GeometryError, ArithmeticError):
 class BoundaryIdentityViolation(GeometryError, ArithmeticError):
     """Dividing p*t^n - alpha, or the numerator of h'', exactly by an endpoint
     root leaves a remainder: the coefficients miss a boundary condition."""
-
-
-class SingularHessian(GeometryError, ArithmeticError):
-    """Matrix inversion failed at a stencil point."""
 
 
 class StencilExitsDomain(GeometryError, ValueError):

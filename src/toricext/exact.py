@@ -23,14 +23,13 @@ valid on all of (a, b) (``positivity_certificate``).
 Everything here runs on the standard library (``fractions``, ``math``), so a
 command that needs only exact data loads no numpy.  The record also rounds
 the polynomials of the profile, alpha and the deflated (V, Q), to float once;
-``calabi`` evaluates them on arrays and ``table`` in plain floats.
+``table`` evaluates them in plain floats.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -42,10 +41,11 @@ from .errors import (
     SingularSystem,
     ZeroDenominator,
 )
+from .record import Record
 
 # p*t^n - alpha legitimately vanishes only at the endpoints; anything this
-# close to zero in the interior is treated as a pole hit, by both evaluators
-# of the record's float polynomials (calabi's and table's)
+# close to zero in the interior is treated as a pole hit by table, which
+# evaluates the record's float polynomials
 POLE_REL_TOL = 1e-13
 
 
@@ -65,24 +65,20 @@ def _check_geometry(n: int, a: float, b: float) -> None:
         raise InvalidParameters(f"need 0 < a < b, got a={a}, b={b}")
 
 
-@dataclass(frozen=True)
-class ExtremalCoefficients:
+class ExtremalCoefficients(Record):
     """Coefficients (A, B, C, D) of alpha for the (n, a, b) blow-up family.
 
     The implied scalar curvature is S(t) = A*t + B; c = b - a and
     p = n(n+1)(n+2) are derived.
     """
 
-    n: int
-    a: float
-    b: float
-    A: float
-    B: float
-    C: float
-    D: float
+    _fields = ("n", "a", "b", "A", "B", "C", "D")
 
-    def __post_init__(self) -> None:
-        _check_geometry(self.n, self.a, self.b)
+    def __init__(
+        self, n: int, a: float, b: float, A: float, B: float, C: float, D: float
+    ) -> None:
+        _check_geometry(n, a, b)
+        super().__init__(n, a, b, A, B, C, D)
 
     @property
     def c(self) -> float:
@@ -98,7 +94,7 @@ class ExtremalCoefficients:
         return _deflation(self)
 
     # the float polynomials of the profile, the only rounding of alpha, V and
-    # Q: calabi's arrays and table's Horner loops both read these
+    # Q: table's Horner loops read these
     @cached_property
     def _float_alpha(self) -> tuple[float, ...]:
         """alpha's descending coefficients from the record's (A, B, C, D)."""

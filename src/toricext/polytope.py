@@ -14,22 +14,22 @@ the natural gauge for the log singularities of the potentials.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .errors import DimensionMismatch, EmptyRegion, InvalidParameters
 from .exact import _check_geometry
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BlowupPolytope:
+class BlowupPolytope(Record):
     """{x_i >= 0, a <= sum(x) <= b} in R^n."""
 
-    n: int
-    a: float
-    b: float
+    _fields = ("n", "a", "b")
+
+    def __init__(self, n: int, a: float, b: float) -> None:
+        super().__init__(n, a, b)
 
 
 def build_blowup_polytope(n: int, a: float, b: float) -> BlowupPolytope:
@@ -43,31 +43,23 @@ def build_blowup_polytope(n: int, a: float, b: float) -> BlowupPolytope:
     return BlowupPolytope(int(n), a, b)
 
 
-def facet_values(P: BlowupPolytope, x) -> np.ndarray:
-    """All facet values (x_1, ..., x_n, t - a, b - t).
-
-    x is one point (n,) or a stack (..., n); the facet values run along the
-    last axis of the result.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (P.n,):
-        raise DimensionMismatch(f"point has shape {x.shape}, expected (..., {P.n})")
-    t = np.sum(x, axis=-1, keepdims=True)
-    return np.concatenate([x, t - P.a, P.b - t], axis=-1)
+def facet_values(P: BlowupPolytope, x: Sequence[float]) -> list:
+    """All facet values (x_1, ..., x_n, t - a, b - t) at one point x."""
+    if len(x) != P.n:
+        raise DimensionMismatch(f"point has {len(x)} coordinates, expected {P.n}")
+    t = sum(x)
+    return [*x, t - P.a, P.b - t]
 
 
-def interior_distance(P: BlowupPolytope, x):
-    """Distance to the boundary in facet-value units (min facet value).
-
-    A float for one point (n,), an array of shape (...) for a stack (..., n).
-    """
-    d = np.min(facet_values(P, x), axis=-1)
-    return float(d) if d.ndim == 0 else d
+def interior_distance(P: BlowupPolytope, x: Sequence[float]) -> float:
+    """Distance of one point x to the boundary in facet-value units (min
+    facet value)."""
+    return min(facet_values(P, x))
 
 
 def sample_interior(
     P: BlowupPolytope, count: int, margin: float, seed: int = 0
-) -> np.ndarray:
+) -> list[list[float]]:
     """Deterministic interior points with every facet value >= margin.
 
     The points are uniform on {x_i >= m, sum(x) - a >= m, b - sum(x) >= m}
@@ -81,11 +73,11 @@ def sample_interior(
 
     The variates come from the standard library's Mersenne Twister,
     ``random.Random(seed).random()``, whose stream Python keeps fixed for a
-    seed across versions: count*(n+1) draws fill a (count, n+1) array row by
-    row, the first n columns giving the spacings -log1p(-u) and the last the
-    radius variate u.  Identical (P, count, margin, seed) return identical
-    points.  Raises InvalidParameters for a negative seed and EmptyRegion
-    when lo >= hi.
+    seed across versions: each point takes n + 1 draws in turn, the first n
+    giving the spacings -log1p(-u) and the last the radius variate u.
+    Identical (P, count, margin, seed) return identical points, count lists
+    of n floats.  Raises InvalidParameters for a negative seed and
+    EmptyRegion when lo >= hi.
     """
     if count < 1:
         raise InvalidParameters("count must be >= 1")
@@ -104,9 +96,11 @@ def sample_interior(
         )
 
     draw = random.Random(seed).random
-    u = np.array([draw() for _ in range(count * (n + 1))]).reshape(count, n + 1)
-    spacings = -np.log1p(-u[:, :n])
-    directions = spacings / np.sum(spacings, axis=1, keepdims=True)
     r_n = (lo / hi) ** n
-    radii = hi * (r_n + u[:, n] * (1.0 - r_n)) ** (1.0 / n)
-    return margin + radii[:, None] * directions
+    points = []
+    for _ in range(count):
+        spacings = [-math.log1p(-draw()) for _ in range(n)]
+        total = sum(spacings)
+        radius = hi * (r_n + draw() * (1.0 - r_n)) ** (1.0 / n)
+        points.append([margin + radius * (s / total) for s in spacings])
+    return points

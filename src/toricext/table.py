@@ -1,14 +1,15 @@
-"""The profile table in plain floats: F'' and h'' over a grid, on the standard
-library only.
+"""The float evaluation of the extremal profile, on the standard library only:
+F'' and h'' over a grid for ``profile``, and F''' and F'''' at one t for the
+metric ``verify`` checks.
 
-``profile`` evaluates each polynomial once per row, and up to tens of
-thousands of rows cost less in Python floats than importing numpy does, so it
-evaluates the record's float polynomials (rounded once in ``exact``) by
-Horner's rule.  The formulas, the order of operations and the guards are
-those of ``calabi.extremal_F_second`` and ``calabi.h_second``, which evaluate
-the same polynomials on arrays for ``verify``, so the two give the same bits:
-``np.polyval`` is Horner from 0.0, ``numdiff.power`` is C ``pow`` as float
-``**`` is, and ``grid`` is ``np.linspace``.
+A call evaluates each polynomial at most tens of thousands of times, which
+costs less in Python floats than importing numpy does, so the record's float
+polynomials (rounded once in ``exact``) are evaluated by Horner's rule.  The
+formulas, their order of operations and the guards are those of the numpy
+array evaluation the package used before, which the test suite keeps as its
+reference, and the two give the same bits: ``np.polyval`` is Horner from 0.0,
+``np.float_power`` is C ``pow`` as float ``**`` is, ``np.polyder`` multiplies
+each coefficient by its degree, and ``grid`` is ``np.linspace``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,14 @@ def _horner(coeffs: tuple[float, ...], t: float) -> float:
     return value
 
 
+def _derivative(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """Descending coefficients of the derivative: each times its degree."""
+    degree = len(coeffs) - 1
+    return tuple(c * (degree - i) for i, c in enumerate(coeffs[:-1]))
+
+
 def _power(t: float, k: int) -> float:
-    # C pow, as numdiff.power; where numpy answers inf, float ** raises
+    # C pow, as np.float_power; where numpy answers inf, float ** raises
     try:
         return t**k
     except OverflowError:
@@ -79,3 +86,27 @@ def h_second(E: ExtremalCoefficients, ts: list[float]) -> list[float]:
         if q == 0.0:
             raise PotentialPole(f"deflated denominator vanishes at t = {t}")
     return [-_horner(V, t) / q - 1.0 / t for t, q in zip(ts, qs)]
+
+
+def F_derivatives(E: ExtremalCoefficients, t: float) -> tuple[float, float]:
+    """(F''', F'''') at t, differentiating r = p*t^(n-1)/beta analytically.
+
+    Only the pole is guarded; the caller keeps t inside (a, b).
+    """
+    n, p, alpha = E.n, E.p, E._float_alpha
+    d_alpha = _derivative(alpha)
+    ptn = p * _power(t, n)
+    beta = ptn - _horner(alpha, t)
+    if abs(beta) <= POLE_REL_TOL * abs(ptn):
+        raise PotentialPole(f"p*t^n - alpha vanishes at t = {t}")
+    beta1 = n * p * _power(t, n - 1) - _horner(d_alpha, t)
+    beta2 = n * (n - 1) * p * _power(t, n - 2) - _horner(_derivative(d_alpha), t)
+    beta_sq = _power(beta, 2)
+    r1 = p * ((n - 1) * _power(t, n - 2) / beta - _power(t, n - 1) * beta1 / beta_sq)
+    r2 = p * (
+        (n - 1) * (n - 2) * _power(t, n - 3) / beta
+        - 2.0 * (n - 1) * _power(t, n - 2) * beta1 / beta_sq
+        - _power(t, n - 1) * beta2 / beta_sq
+        + 2.0 * _power(t, n - 1) * _power(beta1, 2) / _power(beta, 3)
+    )
+    return r1 + 1.0 / _power(t, 2), r2 - 2.0 / _power(t, 3)

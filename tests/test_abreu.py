@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricext import (
     BlowupPolytope,
     DegeneratePointSet,
     DomainViolation,
     InvalidParameters,
+    DegenerateMetric,
     NonInteriorPoint,
-    SingularHessian,
     StencilExitsDomain,
     SymplecticPotential,
     TPotential,
@@ -19,13 +23,14 @@ from toricext import (
     interior_distance,
     sample_interior,
 )
+from toricext.abreu import _least_squares
 from toricext.numdiff import STEP_SECOND
-from util import cpn_profile, flat_profile, simplex_polytope
+from util import cpn_profile, flat_profile, radial_hessian, simplex_polytope
 
 
 def test_flat_curvature_default_step():
     P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(P, flat_profile(2))
+    S = SymplecticPotential(P, flat_profile(2))
     for x in ([0.3, 0.4], [0.2, 0.5], [0.45, 0.35]):
         assert abs(abreu_scalar_curvature(S, np.array(x))) <= 1e-7
 
@@ -33,12 +38,12 @@ def test_flat_curvature_default_step():
 def test_flat_curvature_coarse_step_is_cleaner():
     # h=1e-3 sits at the flat-profile noise/truncation sweet spot
     P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(P, flat_profile(2))
+    S = SymplecticPotential(P, flat_profile(2))
     assert abs(abreu_scalar_curvature(S, np.array([0.3, 0.4]), h=1e-3)) <= 1e-9
 
 
 def test_projective_space_curvature():
-    S = SymplecticPotential.from_radial(simplex_polytope(2), cpn_profile(2))
+    S = SymplecticPotential(simplex_polytope(2), cpn_profile(2))
     got = abreu_scalar_curvature(S, np.array([0.2, 0.3]))
     assert got == pytest.approx(6.0, abs=1e-5)
 
@@ -46,7 +51,7 @@ def test_projective_space_curvature():
 def test_extremal_curvature_is_affine_in_t():
     _, T, E = build_extremal_metric(2, 0.5, 1.0)
     P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(P, T)
+    S = SymplecticPotential(P, T)
     for x in ([0.35, 0.40], [0.2, 0.55], [0.6, 0.15]):
         x = np.array(x)
         want = E.A * float(np.sum(x)) + E.B
@@ -56,7 +61,7 @@ def test_extremal_curvature_is_affine_in_t():
 def test_curvature_permutation_invariance():
     _, T, _ = build_extremal_metric(2, 0.5, 1.0)
     P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(P, T)
+    S = SymplecticPotential(P, T)
     x = np.array([0.25, 0.45])
     v1 = abreu_scalar_curvature(S, x)
     v2 = abreu_scalar_curvature(S, x[::-1].copy())
@@ -65,14 +70,14 @@ def test_curvature_permutation_invariance():
 
 def test_dimension_cap():
     P = BlowupPolytope(17, 0.5, 1.0)
-    S = SymplecticPotential(P, lambda x: np.eye(17))
+    S = SymplecticPotential(P, flat_profile(17))
     with pytest.raises(InvalidParameters):
         abreu_scalar_curvature(S, np.full(17, 0.5))
 
 
 def test_explicit_step_must_fit():
     P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(P, flat_profile(2))
+    S = SymplecticPotential(P, flat_profile(2))
     with pytest.raises(StencilExitsDomain):
         abreu_scalar_curvature(S, np.array([0.3, 0.4]), h=0.3)
 
@@ -80,16 +85,16 @@ def test_explicit_step_must_fit():
 def test_default_step_clamped_at_the_facet_fits():
     # the clamp binds here and 3*(d/3) rounds above d = the facet distance
     P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(P, flat_profile(2))
+    S = SymplecticPotential(P, flat_profile(2))
     x = np.array([np.nextafter(1.1329e-4, 1.0), 0.6])
-    d = interior_distance(P, x[None])[0]
+    d = interior_distance(P, x)
     assert 3.0 * (d / 3.0) > d
     assert abs(abreu_scalar_curvature(S, x)) <= 1e-6
 
 
 def test_extremality_residual_on_extremal_metric():
     Pm, T, E = build_extremal_metric(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(Pm, T)
+    S = SymplecticPotential(Pm, T)
     pts = sample_interior(Pm, 30, margin=0.025, seed=11)
     fit = extremality_residual(S, pts)
     # S(x) = A t + B means gradient (A, A) and constant B
@@ -97,50 +102,82 @@ def test_extremality_residual_on_extremal_metric():
     assert fit.gradient[1] == pytest.approx(E.A, abs=1e-4)
     assert fit.constant == pytest.approx(E.B, abs=1e-4)
     assert fit.max_residual <= 1e-5
-    # one read-only curvature per point, in the order of the points
-    np.testing.assert_array_equal(fit.S, abreu_scalar_curvature(S, pts))
-    assert not fit.S.flags.writeable
+    # one curvature per point, in the order of the points, in a tuple
+    assert fit.S == tuple(abreu_scalar_curvature(S, pts))
 
 
 def test_extremality_residual_detects_non_extremal_metric():
     Pm, T, E = build_extremal_metric(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(Pm, T)
+    S = SymplecticPotential(Pm, T)
     pts = sample_interior(Pm, 30, margin=0.025, seed=11)
     base = extremality_residual(S, pts).max_residual
 
     bumped = TPotential(
         n=2, t_min=0.5, t_max=1.0,
-        d2F=lambda t: extremal_F_second(E, t) + 0.1 * np.sin(10.0 * t),
-        d3F=lambda t: T.d3F(t) + np.cos(10.0 * t),
-        d4F=lambda t: T.d4F(t) - 10.0 * np.sin(10.0 * t),
+        d2F=lambda t: extremal_F_second(E, t) + 0.1 * math.sin(10.0 * t),
+        d3F=lambda t: T.d3F(t) + math.cos(10.0 * t),
+        d4F=lambda t: T.d4F(t) - 10.0 * math.sin(10.0 * t),
     )
-    S_bad = SymplecticPotential.from_radial(Pm, bumped)
+    S_bad = SymplecticPotential(Pm, bumped)
     assert extremality_residual(S_bad, pts).max_residual > 10.0 * max(base, 1e-6)
 
 
 def test_extremality_residual_needs_enough_points():
     Pm, T, _ = build_extremal_metric(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(Pm, T)
+    S = SymplecticPotential(Pm, T)
     with pytest.raises(DegeneratePointSet):
         extremality_residual(S, np.array([[0.3, 0.4], [0.35, 0.45]]))
 
 
 def test_extremality_residual_rejects_collinear_points():
     Pm, T, _ = build_extremal_metric(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(Pm, T)
+    S = SymplecticPotential(Pm, T)
     # all on the segment x1 = x0 + 0.05: affine fit is rank deficient
     pts = np.array([[0.3, 0.35], [0.33, 0.38], [0.36, 0.41], [0.39, 0.44]])
     with pytest.raises(DegeneratePointSet):
         extremality_residual(S, pts)
 
 
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    extra=st.integers(min_value=0, max_value=40),
+    log_b=st.floats(min_value=-3.0, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100)
+def test_qr_fit_matches_lstsq(n, extra, log_b, seed):
+    # the design of verify: interior points of a size-b polytope, and a 1
+    b = 10.0**log_b
+    P = build_blowup_polytope(n, 0.5 * b, b)
+    pts = np.array(sample_interior(P, n + 1 + extra, margin=0.05 * b, seed=seed % 1000))
+    values = np.random.default_rng(seed).normal(size=len(pts)) / b
+    design = np.hstack([pts, np.ones((len(pts), 1))])
+    scale = np.max(np.abs(design), axis=0)
+    want = np.linalg.lstsq(design / scale, values, rcond=None)[0] / scale
+    got = _least_squares(design.tolist(), values.tolist())
+    # the residuals, not the coefficients: those are what the fit reports
+    np.testing.assert_allclose(design @ got, design @ want, rtol=0, atol=1e-10 / b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_extremality_residual_rejects_affinely_dependent_points(n):
+    Pm, T, _ = build_extremal_metric(n, 0.5, 1.0)
+    S = SymplecticPotential(Pm, T)
+    pts = np.array(sample_interior(Pm, 3 * n + 3, margin=0.025, seed=n))
+    # every point moved along its ray to t = 0.75: on one hyperplane
+    flat = pts * (0.75 / np.sum(pts, axis=1, keepdims=True))
+    with pytest.raises(DegeneratePointSet):
+        extremality_residual(S, flat)
+    extremality_residual(S, pts)  # the points themselves are fine
+
+
 # --- batched stencil against the per-point reference -----------------------
 
 
-def _reference_abreu(P, x, h=None):
-    """Abreu's stencil one point at a time, as the package evaluated it
-    before the stencil was batched: the reference the batched form must
-    reproduce."""
+def _reference_abreu(P, hessian, x, h=None):
+    """Abreu's stencil one point at a time on LAPACK inverses of the full
+    Hessian, hessian(y) at a point y: the reference the closed-form stencil
+    must reproduce."""
     x = np.asarray(x, dtype=float)
     n = P.polytope.n
     dmin = interior_distance(P.polytope, x)
@@ -148,7 +185,7 @@ def _reference_abreu(P, x, h=None):
         h = min(STEP_SECOND * max(1.0, float(np.max(np.abs(x)))), dmin / 3.0, 1e-3)
 
     def inv(y):
-        return np.linalg.inv(P.hessian_oracle(y[None, :])[0])
+        return np.linalg.inv(hessian(y))
 
     center = inv(x)
     total = 0.0
@@ -181,28 +218,28 @@ def _points_between(n, a, b, m, seed):
 
 
 def _guillemin_hessian(b):
-    """Hessian oracle of Guillemin's potential on the size-b simplex,
+    """Hessian of Guillemin's potential on the size-b simplex,
     G = (diag(1/x) + 11^T/(b - t))/2, written out in full."""
 
-    def oracle(x):
-        n = x.shape[-1]
-        rest = b - np.sum(x, axis=-1)
-        return 0.5 * (np.eye(n) / x[:, None, :] + 1.0 / rest[:, None, None])
+    def hessian(x):
+        return 0.5 * (np.diag(1.0 / x) + 1.0 / (b - np.sum(x)))
 
-    return oracle
+    return hessian
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_batched_stencil_matches_per_point_reference(n):
     a, b = 0.5, 1.0
     P, T, _ = build_extremal_metric(n, a, b)
-    radial = SymplecticPotential.from_radial(P, T)
+    radial = SymplecticPotential(P, T)
     pts = _points_between(n, a, b, 10, seed=n)
-    want = [_reference_abreu(radial, x) for x in pts]
+    want = [_reference_abreu(radial, lambda y: radial_hessian(y, T.d2F(np.sum(y))), x)
+            for x in pts]
     np.testing.assert_allclose(abreu_scalar_curvature(radial, pts), want, rtol=1e-8)
 
-    guillemin = SymplecticPotential(P, _guillemin_hessian(b))
-    want = [_reference_abreu(guillemin, x) for x in pts]
+    # Guillemin's potential is the radial one with F'' = 1/(b - t)
+    guillemin = SymplecticPotential(P, cpn_profile(n, b))
+    want = [_reference_abreu(guillemin, _guillemin_hessian(b), x) for x in pts]
     np.testing.assert_allclose(abreu_scalar_curvature(guillemin, pts), want, rtol=1e-8)
     # the Fubini-Study metric of the size-b simplex: S = n(n+1)/b
     np.testing.assert_allclose(want, n * (n + 1) / b, rtol=1e-5)
@@ -210,12 +247,11 @@ def test_batched_stencil_matches_per_point_reference(n):
 
 def test_single_point_answers_with_a_float():
     P, T, _ = build_extremal_metric(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(P, T)
+    S = SymplecticPotential(P, T)
     x = np.array([0.35, 0.4])
     one = abreu_scalar_curvature(S, x)
     assert isinstance(one, float)
-    stacked = abreu_scalar_curvature(S, x[None, :])
-    assert stacked.shape == (1,) and stacked[0] == one
+    assert abreu_scalar_curvature(S, x[None, :]) == [one]
 
 
 @pytest.mark.parametrize(
@@ -229,7 +265,7 @@ def test_single_point_answers_with_a_float():
 def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
     # the profile lives on (0.6, 1), the polytope on (0.5, 1)
     _, T, _ = build_extremal_metric(2, 0.6, 1.0)
-    S = SymplecticPotential.from_radial(build_blowup_polytope(2, 0.5, 1.0), T)
+    S = SymplecticPotential(build_blowup_polytope(2, 0.5, 1.0), T)
     good = np.array([[0.35, 0.4], [0.3, 0.5], [0.45, 0.35]])
     with pytest.raises(error):
         abreu_scalar_curvature(S, np.array(bad), h=h)
@@ -241,22 +277,23 @@ def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
 
 def test_point_shape_is_checked():
     P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(P, flat_profile(2))
+    S = SymplecticPotential(P, flat_profile(2))
     for shape in [(3,), (4, 3), (2, 2, 2)]:
         with pytest.raises(InvalidParameters):
             abreu_scalar_curvature(S, np.full(shape, 0.3))
 
 
-def test_singular_hessian_in_a_batch_names_its_point():
+def test_degenerate_metric_in_a_batch_names_its_t():
+    # F'' = -1/0.8: 1 + t*F'' vanishes at t = 0.8, where the Hessian is
+    # singular, and is negative past it
     P = build_blowup_polytope(2, 0.5, 1.0)
-
-    def oracle(x):
-        H = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
-        H[np.isclose(x[:, 0], 0.3)] = 0.0  # singular on the line x_0 = 0.3
-        return H
-
-    S = SymplecticPotential(P, oracle)
-    with pytest.raises(SingularHessian, match=r"0\.3"):
-        abreu_scalar_curvature(S, np.array([0.3, 0.4]))
-    with pytest.raises(SingularHessian, match=r"0\.3"):
-        abreu_scalar_curvature(S, np.array([[0.4, 0.4], [0.3, 0.4]]))
+    f2 = lambda t: -1.25
+    zero = lambda t: 0.0
+    S = SymplecticPotential(P, TPotential(2, 0.5, 1.0, f2, zero, zero))
+    x = [0.45, 0.45]  # t = 0.9, every stencil t past 0.8
+    with pytest.raises(DegenerateMetric, match=r"at t = 0\.8\d*$") as alone:
+        abreu_scalar_curvature(S, x)
+    with pytest.raises(DegenerateMetric) as batched:
+        abreu_scalar_curvature(S, [[0.3, 0.3], x])
+    assert str(batched.value) == str(alone.value)
+    abreu_scalar_curvature(S, [0.3, 0.3])  # t = 0.6 is fine

@@ -98,7 +98,7 @@ def test_criterion_04_three_curvature_routes_agree_at_interior_points():
     for n in (2, 3):
         for a, b in ((0.5, 1.0), (0.25, 2.0)):
             P, T, E = build_extremal_metric(n, a, b)
-            S = SymplecticPotential.from_radial(P, T)
+            S = SymplecticPotential(P, T)
             pts = sample_interior(P, 100, margin=0.05 * (b - a), seed=0)
             for x in pts:
                 t = float(np.sum(x))
@@ -126,7 +126,7 @@ def test_criterion_05_projective_profile_gives_constant_curvature():
         for t in np.linspace(0.05, 0.95, 25):
             got = radial_scalar_curvature(T, float(t))
             worst_radial = max(worst_radial, abs(got - want) / want)
-        S = SymplecticPotential.from_radial(simplex_polytope(n), T)
+        S = SymplecticPotential(simplex_polytope(n), T)
         pts = sample_interior(simplex_polytope(n), 10, margin=0.05, seed=1)
         for x in pts:
             got = abreu_scalar_curvature(S, x)
@@ -145,7 +145,7 @@ def test_criterion_06_flat_profile_gives_zero_curvature():
         got = radial_scalar_curvature(T, float(t))
         worst = max(worst, abs(got), abs(got - fd_curvature_reference(T, float(t))))
     P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential.from_radial(P, T)
+    S = SymplecticPotential(P, T)
     # h=1e-3: the default step's noise floor sits at ~1.1e-8, just over the
     # line; the coarser step is well inside it without losing truncation
     for x in sample_interior(P, 10, margin=0.025, seed=2):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import subprocess
@@ -33,7 +32,7 @@ from toricext import (
 from toricext import calabi as calabi_mod
 from toricext import exact as exact_mod
 from toricext import table
-from toricext.calabi import _endpoint_limits, _profile_derivatives
+from toricext.calabi import _endpoint_limits
 from toricext.exact import (
     _alpha_coeffs,
     _bernstein_certificate,
@@ -41,6 +40,7 @@ from toricext.exact import (
     _closed_form,
     _exact_solution,
 )
+from util import array_F_derivatives, array_F_second, array_h_second
 
 nab = st.tuples(
     st.integers(min_value=1, max_value=5),
@@ -219,7 +219,9 @@ def test_h_second_refuses_a_non_extremal_record():
     # only the extremal coefficients of (n, a, b) make h'' regular at the ends
     flat = ExtremalCoefficients(n=2, a=0.5, b=1.0, A=0.0, B=0.0, C=0.0, D=0.0)
     E = solve_coefficients(3, 0.25, 2.0)
-    off_by_one_ulp = dataclasses.replace(E, D=float(np.nextafter(E.D, 1.0)))
+    off_by_one_ulp = ExtremalCoefficients(
+        E.n, E.a, E.b, E.A, E.B, E.C, math.nextafter(E.D, 1.0)
+    )
     for record in (flat, off_by_one_ulp):
         with pytest.raises(InvalidParameters):
             h_second(record, 0.75)
@@ -250,7 +252,9 @@ def test_cross_check_agrees_in_every_dimension(n, a, b):
 
 def test_cross_check_refuses_a_record_that_is_not_the_rounding():
     E = solve_coefficients(3, 0.25, 2.0)
-    off_by_one_ulp = dataclasses.replace(E, D=float(np.nextafter(E.D, 1.0)))
+    off_by_one_ulp = ExtremalCoefficients(
+        E.n, E.a, E.b, E.A, E.B, E.C, math.nextafter(E.D, 1.0)
+    )
     assert coefficient_cross_check(off_by_one_ulp) is False
 
 
@@ -377,11 +381,25 @@ def test_dimension_may_be_a_numpy_integer(build):
     assert E == build(2, 0.5, 1.0)
 
 
-# --- array calls -------------------------------------------------------------
+# --- the plain-float profile against the numpy array evaluation --------------
 
 
-def _profile_jet(E, t):
-    return np.stack(_profile_derivatives(E, t), axis=-1)
+def _array_jet(E, t):
+    return np.stack(array_F_derivatives(E, t), axis=-1)
+
+
+def _float_jet(E, ts):
+    return [table.F_derivatives(E, t) for t in ts]
+
+
+# the numpy array reference and the plain-float evaluation of each quantity
+_PAIRS = [
+    (array_F_second, lambda E, ts: table.F_second(E, ts)),
+    (array_F_second, lambda E, ts: [extremal_F_second(E, t) for t in ts]),
+    (array_h_second, lambda E, ts: table.h_second(E, ts)),
+    (array_h_second, lambda E, ts: [h_second(E, t) for t in ts]),
+    (_array_jet, _float_jet),
+]
 
 
 @given(
@@ -394,25 +412,23 @@ def _profile_jet(E, t):
 )
 @settings(max_examples=80)
 def test_array_calls_equal_elementwise_scalar_calls(params, fractions):
+    """Bit for bit: F'', h'' and the pair (F''', F'''') in plain floats equal
+    the numpy array evaluation, or both raise the same error."""
     n, a, b = params
     E = solve_coefficients(n, a, b)
     ts = np.array([a + (b - a) * f for f in fractions])
     ts = ts[(a < ts) & (ts < b)]  # rounding can land a fraction on an endpoint
     assume(ts.size > 0)
-    for fn in (extremal_F_second, h_second, _profile_jet):
+    for array_fn, float_fn in _PAIRS:
         try:
-            want = np.array([fn(E, float(t)) for t in ts])
+            want = array_fn(E, ts)
         except GeometryError as exc:  # the pole guard, next to an endpoint
-            with pytest.raises(type(exc)):
-                fn(E, ts)
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                float_fn(E, ts.tolist())
             continue
-        got = fn(E, ts)
+        got = np.array(float_fn(E, ts.tolist()))
         assert got.shape == want.shape
         assert np.array_equal(got, want)
-
-
-# the plain-float twin of each array function, for profile's table
-_PLAIN_FLOAT = {extremal_F_second: table.F_second, h_second: table.h_second}
 
 
 @pytest.mark.parametrize(
@@ -422,18 +438,18 @@ _PLAIN_FLOAT = {extremal_F_second: table.F_second, h_second: table.h_second}
 def test_bad_t_in_an_array_raises_like_the_scalar_call(bad, error):
     E = solve_coefficients(2, 0.5, 1.0)
     batch = np.array([0.6, bad, 0.75])
-    for fn in (extremal_F_second, h_second, _profile_jet):
-        if error is DomainViolation and fn is _profile_jet:
+    for array_fn, float_fn in _PAIRS:
+        if error is DomainViolation and array_fn is _array_jet:
             continue  # the derivatives guard only the pole
-        if error is PotentialPole and fn is h_second:
+        if error is PotentialPole and array_fn is array_h_second:
             continue  # the deflated form is regular at the endpoints
         with pytest.raises(error):
-            fn(E, bad)
+            float_fn(E, [bad])
         with pytest.raises(error) as raised:
-            fn(E, batch)
-        if fn in _PLAIN_FLOAT:  # profile's table fails with the same message
-            with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
-                _PLAIN_FLOAT[fn](E, batch.tolist())
+            array_fn(E, batch)
+        # the plain-float evaluation fails with the same message
+        with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
+            float_fn(E, batch.tolist())
 
 
 def test_zero_deflated_denominator_raises_alike():
@@ -441,51 +457,43 @@ def test_zero_deflated_denominator_raises_alike():
     # rounded (V, Q) with Q(0.75) = 0 to reach the guard on both paths
     E = ExtremalCoefficients(n=1, a=0.5, b=1.0, A=1.0, B=2.0, C=3.0, D=4.0)
     E.__dict__["_float_deflation"] = ((1.0,), (1.0, -0.75))
-    calabi_mod._deflated.cache_clear()
-    try:
-        for ts in ([0.6, 0.75], np.array([0.6, 0.75])):
-            fn = h_second if isinstance(ts, np.ndarray) else table.h_second
-            with pytest.raises(
-                PotentialPole, match=r"^deflated denominator vanishes at t = 0\.75$"
-            ):
-                fn(E, ts)
-    finally:
-        calabi_mod._deflated.cache_clear()
+    for ts in ([0.6, 0.75], np.array([0.6, 0.75])):
+        fn = array_h_second if isinstance(ts, np.ndarray) else table.h_second
+        with pytest.raises(
+            PotentialPole, match=r"^deflated denominator vanishes at t = 0\.75$"
+        ):
+            fn(E, ts)
 
 
 def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):
-    from toricext import calabi as calabi_mod
-
     calls = []
-    real = calabi_mod._profile_derivatives
+    real = table.F_derivatives
 
     def counting(E, t):
-        calls.append(np.shape(t))
+        calls.append(t)
         return real(E, t)
 
-    monkeypatch.setattr(calabi_mod, "_profile_derivatives", counting)
+    monkeypatch.setattr(table, "F_derivatives", counting)
     _, T, E = build_extremal_metric(2, 0.5, 1.0)
-    ts = np.linspace(0.55, 0.95, 100)
-    S = radial_scalar_curvature(T, ts)
-    assert calls == [(100,)]
-    np.testing.assert_allclose(S, E.A * ts + E.B, rtol=1e-9)
-    radial_scalar_curvature(T, ts[:10])
-    assert len(calls) == 2
+    ts = np.linspace(0.55, 0.95, 100).tolist()
+    S = [radial_scalar_curvature(T, t) for t in ts]
+    assert calls == ts  # one evaluation per t serves F''' and F''''
+    np.testing.assert_allclose(S, [E.A * t + E.B for t in ts], rtol=1e-9)
     # both derivatives are those of one evaluation at the t asked for
-    f3, f4 = real(E, ts[:10])
-    assert np.array_equal(T.d3F(ts[:10]), f3) and np.array_equal(T.d4F(ts[:10]), f4)
+    t = ts[3]
+    assert (T.d3F(t), T.d4F(t)) == real(E, t)
+    assert len(calls) == 101
 
 
 def test_shared_profile_derivatives_are_read_only():
-    # d3F and d4F share one cached evaluation; writing into it would change
-    # every later answer at the same t
+    # d3F and d4F share one cached evaluation per t; it holds floats, which
+    # no caller can write into, so every later answer at that t is the same
     _, T, E = build_extremal_metric(2, 0.5, 1.0)
-    ts = np.linspace(0.55, 0.95, 7)
-    for d in (T.d3F, T.d4F):
-        with pytest.raises(ValueError, match="read-only"):
-            d(ts)[0] = 0.0
-    f3, f4 = _profile_derivatives(E, ts)
-    assert np.array_equal(T.d3F(ts), f3) and np.array_equal(T.d4F(ts), f4)
+    for t in np.linspace(0.55, 0.95, 7).tolist():
+        f3, f4 = table.F_derivatives(E, t)
+        for _ in range(2):
+            assert type(T.d3F(t)) is float and T.d3F(t) == f3
+            assert type(T.d4F(t)) is float and T.d4F(t) == f4
 
 
 # --- exact proofs: Bernstein certificate, boundary identities, endpoints -----
@@ -569,9 +577,6 @@ def _perturb_D(monkeypatch):
         return A, B, C, D + Fraction(1e-40)
 
     monkeypatch.setattr(exact_mod, "_exact_solution", perturbed)
-    # the record equals the true one, so calabi's per-record cache may still
-    # hold the (V, Q) an earlier test rounded from the true deflation
-    calabi_mod._deflated.cache_clear()
 
 
 def test_nonzero_deflation_remainder_raises(monkeypatch):

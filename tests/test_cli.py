@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import subprocess
@@ -15,6 +14,7 @@ from toricext import calabi as calabi_mod
 from toricext import cli
 from toricext import exact as exact_mod
 from toricext import table as table_mod
+from util import array_F_second, array_h_second
 
 CMD = [sys.executable, "-m", "toricext"]
 
@@ -95,6 +95,17 @@ def test_profile_csv():
     for row in lines[1:]:
         t, _, _, s = map(float, row.split(","))
         assert s == pytest.approx(96 / 13 * t + 12 / 13, rel=1e-12)
+
+
+@pytest.mark.parametrize("step", ["1e-20", "5e-17"])
+def test_profile_margin_that_rounds_away_is_invalid_input(step):
+    # 0.5 + 1e-20 == 0.5: the first grid point would sit on a itself, and
+    # 1.0 - 5e-17 == 1.0 puts the last one on b
+    r = run_cli("profile", "--step", step)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == (
+        f"error: margin {float(step)} rounds away next to a = 0.5 or b = 1.0\n"
+    )
 
 
 def test_profile_json():
@@ -534,9 +545,9 @@ def _answer(fn, *args):
 @example(n=3, b=2.0, ratio=0.125, samples=300)
 @settings(max_examples=100, deadline=None)
 def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
-    """profile's plain-float table is calabi's array functions, bit for bit,
-    rendered one value at a time; off the extremal solution both paths raise
-    alike."""
+    """profile's plain-float table is the numpy array evaluation, bit for
+    bit, rendered one value at a time; off the extremal solution both paths
+    raise alike."""
     a = ratio * b
     E = calabi_mod.solve_coefficients(n, a, b)
     margin = (b - a) * 1e-4
@@ -545,8 +556,8 @@ def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
         [t, f2, h2, E.A * t + E.B]
         for t, f2, h2 in zip(
             ts.tolist(),
-            calabi_mod.extremal_F_second(E, ts).tolist(),
-            calabi_mod.h_second(E, ts).tolist(),
+            array_F_second(E, ts).tolist(),
+            array_h_second(E, ts).tolist(),
         )
     ]
     if fmt == "csv":
@@ -562,10 +573,12 @@ def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
     cfg = cli.RunConfig(command="profile", n=n, a=a, b=b, samples=samples, fmt=fmt)
     assert cli.run_profile(cfg) == want
 
-    off = dataclasses.replace(E, D=math.nextafter(E.D, math.inf))
+    off = calabi_mod.ExtremalCoefficients(
+        E.n, E.a, E.b, E.A, E.B, E.C, math.nextafter(E.D, math.inf)
+    )
     for arrays, plain in (
-        (calabi_mod.extremal_F_second, table_mod.F_second),
-        (calabi_mod.h_second, table_mod.h_second),
+        (array_F_second, table_mod.F_second),
+        (array_h_second, table_mod.h_second),
     ):
         assert _answer(plain, off, ts.tolist()) == _answer(arrays, off, ts)
     assert _answer(table_mod.h_second, off, ts.tolist())[0] is InvalidParameters

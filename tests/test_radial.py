@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricext import (
@@ -8,48 +10,80 @@ from toricext import (
     DomainViolation,
     NonInteriorPoint,
     TPotential,
-    radial_hessian,
+    build_extremal_metric,
+    inverse_hessian,
     radial_scalar_curvature,
+    sample_interior,
 )
-from util import cpn_profile, fd_curvature_reference, flat_profile
+from util import cpn_profile, fd_curvature_reference, flat_profile, radial_hessian
 
-interior_x = st.lists(
-    st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=5
-).map(np.array)
+interior_x = st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=5)
+
+# the Hessian of the radial potential is G_ij = (delta_ij/x_i + F'')/2; its
+# closed-form inverse is 2*(diag(x) - w*x x^T), w = F''/(1 + t*F'')
 
 
 def test_hessian_flat_unit_point():
     np.testing.assert_allclose(
-        radial_hessian(np.array([1.0, 1.0]), 0.0), 0.5 * np.eye(2), atol=1e-15
+        inverse_hessian([1.0, 1.0], 0.0), 2.0 * np.eye(2), atol=1e-15
     )
 
 
 def test_hessian_with_radial_part():
-    G = radial_hessian(np.array([1.0, 1.0]), 1.0)
-    np.testing.assert_allclose(G, [[1.0, 0.5], [0.5, 1.0]], atol=1e-15)
+    # G = [[1, 1/2], [1/2, 1]]
+    G_inv = inverse_hessian([1.0, 1.0], 1.0)
+    np.testing.assert_allclose(G_inv, [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]], rtol=1e-15)
 
 
 def test_hessian_anisotropic_point():
-    G = radial_hessian(np.array([2.0, 1.0]), 0.0)
-    np.testing.assert_allclose(G, np.diag([0.25, 0.5]), atol=1e-15)
+    # G = diag(1/4, 1/2)
+    np.testing.assert_allclose(
+        inverse_hessian([2.0, 1.0], 0.0), np.diag([4.0, 2.0]), atol=1e-15
+    )
 
 
 @given(interior_x, st.floats(min_value=-3.0, max_value=5.0))
 def test_positive_definite_iff_conformal_factor_positive(x, f2):
-    t = float(np.sum(x))
+    # the closed form answers exactly where the Hessian is positive definite
+    t = sum(x)
     gate = 1.0 + t * f2
     if abs(gate) < 1e-6:
         return
     eigs = np.linalg.eigvalsh(radial_hessian(x, f2))
     if gate > 0:
         assert np.all(eigs > 0)
+        assert np.all(np.linalg.eigvalsh(inverse_hessian(x, f2)) > 0)
     else:
         assert np.min(eigs) < 0
+        with pytest.raises(DegenerateMetric, match="1 \\+ t\\*F''"):
+            inverse_hessian(x, f2)
 
 
 def test_hessian_rejects_boundary_point():
     with pytest.raises(NonInteriorPoint):
-        radial_hessian(np.array([0.0, 1.0]), 0.0)
+        inverse_hessian([0.0, 1.0], 0.0)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    b=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+    ratio=st.one_of(
+        st.sampled_from([1e-3, 0.999]), st.floats(min_value=1e-3, max_value=0.999)
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=100)
+def test_closed_form_inverse_equals_linalg_inverse(n, b, ratio, seed):
+    """At points of the polytope, with the extremal F'' there, the closed
+    form is LAPACK's inverse of the radial Hessian, relative to its largest
+    entry."""
+    a = ratio * b
+    P, T, _ = build_extremal_metric(n, a, b)
+    for x in sample_interior(P, 5, margin=0.05 * (b - a), seed=seed):
+        f2 = T.d2F(sum(x))
+        want = np.linalg.inv(radial_hessian(x, f2))
+        got = np.array(inverse_hessian(x, f2))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --- scalar curvature ---------------------------------------------------
@@ -63,7 +97,7 @@ GENERIC_S = {
 
 
 def _generic_profile():
-    d = lambda t: 0.3 * np.exp(t)
+    d = lambda t: 0.3 * math.exp(t)
     return TPotential(n=2, t_min=0.0, t_max=10.0, d2F=d, d3F=d, d4F=d)
 
 
@@ -134,25 +168,5 @@ def test_curvature_rejects_exterior_t():
         radial_scalar_curvature(T, 1.5)
     with pytest.raises(DomainViolation):
         radial_scalar_curvature(T, -0.1)
-    with pytest.raises(DomainViolation):
-        radial_scalar_curvature(T, np.array([0.2, 1.5, 0.7]))
-
-
-
-def test_curvature_of_an_array_is_elementwise():
-    T = _generic_profile()
-    ts = np.array(sorted(GENERIC_S))
-    got = radial_scalar_curvature(T, ts)
-    want = [radial_scalar_curvature(T, float(t)) for t in ts]
-    assert np.array_equal(got, want)
-
-
-def test_stacked_hessians_match_single_ones():
-    x = np.array([[0.3, 0.4], [1.0, 1.0], [2.0, 0.5]])
-    f2 = np.array([0.5, 1.0, -0.1])
-    G = radial_hessian(x, f2)
-    assert G.shape == (3, 2, 2)
-    for k in range(3):
-        assert np.array_equal(G[k], radial_hessian(x[k], f2[k]))
-    with pytest.raises(NonInteriorPoint):
-        radial_hessian(np.array([[0.3, 0.4], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(DomainViolation, match=r"^t = 1\.0 outside \(0\.0, 1\.0\)$"):
+        radial_scalar_curvature(T, 1.0)  # before F'' = 1/(1 - t) divides by 0

@@ -1,22 +1,27 @@
-"""Shared model potentials, polytopes and the radial curvature reference
-for the test suite."""
+"""Shared model potentials, polytopes, the radial curvature reference and the
+numpy array evaluation of the extremal profile, for the test suite."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from toricext import TPotential
+from toricext.errors import DomainViolation, PotentialPole
+from toricext.exact import POLE_REL_TOL
 from toricext.numdiff import STEP_SECOND, richardson
 from toricext.polytope import BlowupPolytope
 
 
-def cpn_profile(n: int) -> TPotential:
-    """Guillemin profile of CP^n: F'' = 1/(1-t) on (0, 1), S = n(n+1)."""
+def cpn_profile(n: int, b: float = 1.0) -> TPotential:
+    """Guillemin profile of the size-b simplex: F'' = 1/(b-t) on (0, b), the
+    Fubini-Study metric with S = n(n+1)/b."""
     return TPotential(
         n=n,
         t_min=0.0,
-        t_max=1.0,
-        d2F=lambda t: 1.0 / (1.0 - t),
-        d3F=lambda t: 1.0 / (1.0 - t) ** 2,
-        d4F=lambda t: 2.0 / (1.0 - t) ** 3,
+        t_max=b,
+        d2F=lambda t: 1.0 / (b - t),
+        d3F=lambda t: 1.0 / (b - t) ** 2,
+        d4F=lambda t: 2.0 / (b - t) ** 3,
     )
 
 
@@ -29,6 +34,13 @@ def flat_profile(n: int, t_max: float = 10.0) -> TPotential:
 def simplex_polytope(n: int) -> BlowupPolytope:
     """The unit simplex {x_i >= 0, sum x <= 1}: moment polytope of CP^n."""
     return BlowupPolytope(n, 0.0, 1.0)
+
+
+def radial_hessian(x, d2F_value) -> np.ndarray:
+    """The radial potential's Hessian G_ij = (delta_ij/x_i + F'')/2 at one
+    point x, written out in full: what the closed-form inverse inverts."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * (np.diag(1.0 / x) + d2F_value)
 
 
 def fd_curvature_reference(T, t):
@@ -44,3 +56,72 @@ def fd_curvature_reference(T, t):
         return tau ** (n + 1) * f2 / (1.0 + tau * f2)
 
     return t ** (1 - n) * richardson(u, t, h)[1]
+
+
+# --- the extremal profile on numpy arrays -------------------------------------
+# The evaluation the package ran on arrays before its float layer moved to
+# plain floats (``toricext.table``): the same formulas in the same order, on
+# the record's float polynomials, with ``np.polyval`` and ``np.float_power``.
+# The plain-float evaluation must give the same bits.
+
+
+def _alpha_polys(E) -> tuple[np.ndarray, ...]:
+    """alpha, alpha' and alpha'' as descending float coefficients."""
+    alpha = np.array(E._float_alpha, dtype=float)
+    d_alpha = np.polyder(alpha)
+    return alpha, d_alpha, np.polyder(d_alpha)
+
+
+def _check_profile_domain(E, t: np.ndarray) -> None:
+    outside = ~((E.a < t) & (t < E.b))
+    if np.any(outside):
+        raise DomainViolation(f"t = {t[outside][0]} outside ({E.a}, {E.b})")
+
+
+def _beta_guarded(E, t: np.ndarray) -> np.ndarray:
+    """beta(t) with the interior pole guard, elementwise."""
+    ptn = E.p * np.float_power(t, E.n)
+    beta = ptn - np.polyval(_alpha_polys(E)[0], t)
+    pole = np.abs(beta) <= POLE_REL_TOL * np.abs(ptn)
+    if np.any(pole):
+        raise PotentialPole(f"p*t^n - alpha vanishes at t = {t[pole][0]}")
+    return beta
+
+
+def array_F_second(E, t):
+    """F''(t) = p*t^(n-1)/(p*t^n - alpha(t)) - 1/t on an array of t."""
+    t = np.asarray(t, dtype=float)
+    _check_profile_domain(E, t)
+    beta = _beta_guarded(E, t)
+    return E.p * np.float_power(t, E.n - 1) / beta - 1.0 / t
+
+
+def array_F_derivatives(E, t):
+    """(F''', F'''') on an array of t, differentiating r = p*t^(n-1)/beta."""
+    n, p, power = E.n, E.p, np.float_power
+    t = np.asarray(t, dtype=float)
+    _, d_alpha, d2_alpha = _alpha_polys(E)
+    beta = _beta_guarded(E, t)
+    beta1 = n * p * power(t, n - 1) - np.polyval(d_alpha, t)
+    beta2 = n * (n - 1) * p * power(t, n - 2) - np.polyval(d2_alpha, t)
+    beta_sq = power(beta, 2)
+    r1 = p * ((n - 1) * power(t, n - 2) / beta - power(t, n - 1) * beta1 / beta_sq)
+    r2 = p * (
+        (n - 1) * (n - 2) * power(t, n - 3) / beta
+        - 2.0 * (n - 1) * power(t, n - 2) * beta1 / beta_sq
+        - power(t, n - 1) * beta2 / beta_sq
+        + 2.0 * power(t, n - 1) * power(beta1, 2) / power(beta, 3)
+    )
+    return r1 + 1.0 / power(t, 2), r2 - 2.0 / power(t, 3)
+
+
+def array_h_second(E, t):
+    """h''(t) = -V(t)/Q(t) - 1/t on an array of t, with the record's (V, Q)."""
+    t = np.asarray(t, dtype=float)
+    _check_profile_domain(E, t)
+    V, Q = (np.array(c, float) for c in E._float_deflation)
+    q_val = np.polyval(Q, t)
+    zero = q_val == 0.0
+    if np.any(zero):
+        raise PotentialPole(f"deflated denominator vanishes at t = {t[zero][0]}")
+    return -np.polyval(V, t) / q_val - 1.0 / t
