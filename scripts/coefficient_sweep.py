@@ -9,9 +9,8 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from toricext import solve_coefficients
+from toricext.numdiff import grid
 
 
 def main() -> int:
@@ -25,9 +24,9 @@ def main() -> int:
     args = ap.parse_args()
 
     rows = []
-    for a in np.linspace(args.a_min * args.b, args.a_max * args.b, args.steps):
-        E = solve_coefficients(args.n, float(a), args.b)
-        rows.append((float(a), E.A, E.B, E.C, E.D))
+    for a in grid(args.a_min * args.b, args.a_max * args.b, args.steps):
+        E = solve_coefficients(args.n, a, args.b)
+        rows.append((a, E.A, E.B, E.C, E.D))
 
     print(f"# n={args.n} b={args.b}  (S = A t + B on a < t < b)")
     print(f"{'a':>8} {'A':>14} {'B':>14} {'C':>14} {'D':>14}")

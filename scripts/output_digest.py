@@ -8,17 +8,18 @@
 Each line is ``<sha256>  <argv>``.  The digest covers the call's exit code,
 stdout and stderr, so two checkouts print the same line exactly when the call
 behaves byte for byte alike.  The calls run in this process through
-``toricext.cli.main``, with OpenBLAS pinned to one thread as the entry point
-pins it.  ``--dump DIR`` also writes each call's exit code, stdout and stderr
-to ``DIR/<index>.txt``, to diff the calls whose digests differ.
+``toricext.cli.main``.  ``--dump DIR`` also writes each call's exit code,
+stdout and stderr to ``DIR/<index>.txt``, to diff the calls whose digests
+differ.
 
 The list covers every command; n in {1, 2, 3, 5, 8, 9, 12, 16}; a/b from
 1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the thin shell
 a/b = 0.9999; failing tolerances and invalid input; profile's edge cases (one
 and two rows, a zero grid step, a margin that rounds away, 20 000 rows at
-n = 16, a/b = 1 - 1e-9) and input whose floats overflow.  A call that
-ends in an uncaught exception is recorded as exit 1 with the exception's type
-and message on stderr, as a process would end (less the traceback).
+n = 16, a/b = 1 - 1e-9); bridge-check at 5 000 samples and at n = 0; and
+input whose floats overflow.  A call that ends in an uncaught exception is
+recorded as exit 1 with the exception's type and message on stderr, as a
+process would end (less the traceback).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import contextlib
 import hashlib
 import io
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -78,6 +78,8 @@ def argv_list() -> list[list[str]]:
         ["profile", *_geometry(16, 0.5), "--samples", "20000", "--format", "json"],
         ["profile", *_geometry(4, 1 - 1e-9), "--samples", "9"],
     ]
+    calls += [["bridge-check", "--n", str(n), "--samples", "5000"] for n in (1, 6, 16)]
+    calls.append(["bridge-check", "--n", "0"])
     # coefficient A ~ 1/b^2 overflows; t^400 overflows inside the grid
     overflow = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
     calls += [[command, *overflow] for command in ("derive", "profile", "verify")]
@@ -109,7 +111,6 @@ def main() -> int:
                     help="also write each call's record to DIR/<index>.txt")
     args = ap.parse_args()
 
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, str(args.src.resolve()))
     if args.dump is not None:
         args.dump.mkdir(parents=True, exist_ok=True)

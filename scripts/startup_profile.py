@@ -27,7 +27,7 @@ and this script's (small: it loads no numpy).
 
 Nothing in the program is instrumented.  ``-X importtime`` adds its own
 small cost to the import rows.  The environment (``PYTHONDONTWRITEBYTECODE``,
-BLAS settings) is the caller's; ``src/`` of this checkout is put first on
+say) is the caller's; ``src/`` of this checkout is put first on
 ``PYTHONPATH``.
 """
 

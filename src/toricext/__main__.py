@@ -3,30 +3,36 @@
 Two things here concern the process, not the CLI, so ``cli.main`` (which tests
 and in-process callers use) does neither:
 
-* OpenBLAS runs on one thread.  Only bridge-check loads numpy, and it hands
-  OpenBLAS no LAPACK operand at all, so the thread pool would only cost
-  start-up time; output is the same either way.  It must be set before numpy
-  is first imported, and it is a constant, not a default.  The other
-  commands load no numpy, so for them it has no effect.
+* A reader that closes stdout early (``toricext ... | head``) ends the call
+  with exit 141, as a shell reports a process killed by SIGPIPE, and nothing
+  on stderr.  Exit 1 would read as a failed verification.
 * After the command, every object is moved to the GC's permanent generation,
-  so interpreter shutdown does not walk the whole heap (numpy's included) in
-  a final collection.  Atexit handlers and stdio shutdown still run.
+  so interpreter shutdown does not walk the whole heap in a final
+  collection.  Atexit handlers and stdio shutdown still run.
 """
 
 import gc
 import os
 import sys
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+from . import cli
 
-# cli imports no numpy; the commands that use it import it inside main, so
-# after the pin
-from . import cli  # noqa: E402
+# 128 + SIGPIPE, the status of a process that SIGPIPE ended
+_BROKEN_PIPE = 141
 
 
 def main(argv=None) -> int:
     try:
-        return cli.main(argv)
+        code = cli.main(argv)
+        sys.stdout.flush()  # a small output would otherwise fail at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; point it at
+        # devnull so that flush cannot raise again (Python docs, "Note on
+        # SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _BROKEN_PIPE
     finally:  # also when argparse exits (--help, a bad argument)
         gc.freeze()
 

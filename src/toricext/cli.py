@@ -16,13 +16,12 @@ row, and its floats are filled in with one % operation.  Exit codes: 0 pass,
 2 invalid input.
 
 Each command imports the modules it runs when it runs, so a call loads only
-those: derive and example load ``exact``; profile loads ``exact`` and
-``table``, which tabulates in plain floats; verify loads every module but
-``bridge``, all of them on the standard library; bridge-check loads
-``bridge`` and ``radial``, and is the only command that loads numpy.  This
-module itself imports no numpy: the renderer takes Python scalars (numpy's
-float64 is a float), and its records are plain classes, since
-``dataclasses`` would load ``inspect``.
+those: derive and example load ``exact``; profile loads ``exact``,
+``numdiff`` and ``table``, which tabulates in plain floats; verify loads
+every module but ``bridge``; bridge-check loads ``bridge``, ``radial`` and
+``numdiff``.  Every module runs on the standard library, so no command loads
+numpy; the renderer takes Python scalars, and the records are plain classes,
+since ``dataclasses`` would load ``inspect``.
 """
 
 from __future__ import annotations
@@ -199,7 +198,8 @@ def run_derive(cfg: RunConfig) -> str:
 
 def run_profile(cfg: RunConfig) -> str:
     from .exact import solve_coefficients
-    from .table import F_second, grid, h_second
+    from .numdiff import grid
+    from .table import F_second, h_second
 
     E = solve_coefficients(cfg.n, cfg.a, cfg.b)
     rows_n = cfg.samples if cfg.samples is not None else 50
@@ -321,23 +321,22 @@ def run_verify(cfg: RunConfig) -> tuple[str, int, str]:
 
 
 def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
-    import numpy as np
-
     from .bridge import PRESETS, bridge_cross_check
+    from .numdiff import grid
 
     _require_json(cfg)
     names = [cfg.preset] if cfg.preset else _PRESET_CHOICES
     count = cfg.samples if cfg.samples is not None else 10
     if count < 1:
         raise InvalidParameters("samples must be >= 1")
-    s_grid = np.linspace(0.25, 4.0, count)
+    s_grid = grid(0.25, 4.0, count)
 
     blocks = []
     failing = []
     for name in names:
         K = PRESETS[name](cfg.n)
         rep = bridge_cross_check(K, s_grid)
-        columns = [getattr(rep, column).tolist() for column in _BRIDGE_COLUMNS]
+        columns = [getattr(rep, column) for column in _BRIDGE_COLUMNS]
         ok = rep.max_discrepancy <= cfg.tolerance_soft
         if not ok:
             failing.append(name)

@@ -1,5 +1,6 @@
-"""Difference steps and the Richardson stencil shared by the curvature
-pipelines, on the standard library alone."""
+"""Difference steps, the Richardson stencil shared by the curvature
+pipelines, and the evenly spaced grid of ``profile`` and ``bridge-check``, on
+the standard library alone."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ def richardson(f: Callable, x, h) -> tuple:
 
     f is evaluated once at each of x +- h, x +- h/2 and x; both derivatives
     combine the coarse (step h) and fine (step h/2) centered differences as
-    (4*fine - coarse)/3.  x and h are floats or arrays, as f takes them.
+    (4*fine - coarse)/3.  x and h are floats.
     """
     up, down = f(x + h), f(x - h)
     half = 0.5 * h
@@ -28,3 +29,21 @@ def richardson(f: Callable, x, h) -> tuple:
     second = (4.0 * ((up_half - 2.0 * mid + down_half) / (half * half))
               - (up - 2.0 * mid + down) / (h * h)) / 3.0
     return first, second
+
+
+def grid(lo: float, hi: float, num: int) -> list[float]:
+    """``np.linspace(lo, hi, num)``: i*step + lo, the last point set to hi.
+
+    A step that underflows to 0 is taken as (i/div)*delta, as numpy does.
+    """
+    div = num - 1
+    delta = hi - lo
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    if step == 0:
+        ts = [i / div * delta + lo for i in range(num)]
+    else:
+        ts = [i * step + lo for i in range(num)]
+    ts[-1] = hi
+    return ts

@@ -1,8 +1,8 @@
 """Immutable records on the standard library alone.
 
 ``dataclasses`` imports ``inspect`` and with it ``ast``, ``dis`` and
-``tokenize``: ~11 ms of start-up for a CLI call that loads no numpy (numpy
-loads them anyway).  The records of such calls derive from ``Record``.
+``tokenize``: ~11 ms of start-up for a CLI call.  Every record of the
+package derives from ``Record`` instead, so no command loads them.
 """
 
 from __future__ import annotations

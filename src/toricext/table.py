@@ -9,31 +9,13 @@ formulas, their order of operations and the guards are those of the numpy
 array evaluation the package used before, which the test suite keeps as its
 reference, and the two give the same bits: ``np.polyval`` is Horner from 0.0,
 ``np.float_power`` is C ``pow`` as float ``**`` is, ``np.polyder`` multiplies
-each coefficient by its degree, and ``grid`` is ``np.linspace``.
+each coefficient by its degree, and ``numdiff.grid`` is ``np.linspace``.
 """
 
 from __future__ import annotations
 
 from .errors import DomainViolation, InvalidParameters, PotentialPole
 from .exact import POLE_REL_TOL, ExtremalCoefficients
-
-
-def grid(lo: float, hi: float, num: int) -> list[float]:
-    """``np.linspace(lo, hi, num)``: i*step + lo, the last point set to hi.
-
-    A step that underflows to 0 is taken as (i/div)*delta, as numpy does.
-    """
-    div = num - 1
-    delta = hi - lo
-    if div == 0:
-        return [0.0 * delta + lo]
-    step = delta / div
-    if step == 0:
-        ts = [i / div * delta + lo for i in range(num)]
-    else:
-        ts = [i * step + lo for i in range(num)]
-    ts[-1] = hi
-    return ts
 
 
 def _horner(coeffs: tuple[float, ...], t: float) -> float:

@@ -26,7 +26,15 @@ from toricext import (
 def _sine_potential():
     # 2*s*f'(s) = 2*s*cos(s) rises, turns over near s = 0.86 and goes negative
     return KahlerPotential(
-        n=1, f=np.sin, df=np.cos, d2f=lambda s: -np.sin(s), label="sine"
+        n=1, f=math.sin, df=math.cos, d2f=lambda s: -math.sin(s), label="sine"
+    )
+
+
+def _shifted_potential():
+    # f = (s + ln s)/2: t = s + 1, so the moment image is (1, inf)
+    return KahlerPotential(
+        n=1, f=lambda s: 0.5 * (s + math.log(s)), df=lambda s: 0.5 * (1.0 + 1.0 / s),
+        d2f=lambda s: -0.5 / (s * s),
     )
 
 
@@ -175,13 +183,13 @@ def test_cross_check_inverts_the_moment_map_once_per_sample(monkeypatch):
     real = bridge_mod.s_of_t
 
     def counting(K, t):
-        inverted.extend(np.ravel(t))
+        inverted.append(t)
         return real(K, t)
 
     monkeypatch.setattr(bridge_mod, "s_of_t", counting)
-    samples = np.geomspace(0.25, 4.0, 10)
-    bridge_cross_check(fubini_study_potential(2), samples)
-    assert len(inverted) == len(samples)
+    samples = np.geomspace(0.25, 4.0, 10).tolist()
+    report = bridge_cross_check(fubini_study_potential(2), samples)
+    assert inverted == list(report.t)
 
 
 def test_calabi_curvature_evaluates_v_once_per_stencil_point(monkeypatch):
@@ -194,73 +202,62 @@ def test_calabi_curvature_evaluates_v_once_per_stencil_point(monkeypatch):
         return real(K, st)
 
     monkeypatch.setattr(bridge_mod, "_v", counting)
-    calabi_scalar_curvature(fubini_study_potential(2), np.geomspace(0.25, 4.0, 10))
-    assert len(calls) == 5
-
-
-def test_induced_potential_takes_arrays():
-    T = induced_t_potential(fubini_study_potential(2), 0.0, 1.0)
-    ts = np.linspace(0.1, 0.9, 7)
-    for d in (T.d2F, T.d3F, T.d4F):
-        got = d(ts)
-        assert got.shape == ts.shape
-        assert np.array_equal(got, [d(float(t)) for t in ts])
+    samples = np.geomspace(0.25, 4.0, 10).tolist()
+    for s in samples:
+        calabi_scalar_curvature(fubini_study_potential(2), s)
+    assert len(calls) == 5 * len(samples)
 
 
 @pytest.mark.parametrize(
-    "make",
+    "fn, make, x, error, message",
     [
-        lambda: flat_potential(3),
-        lambda: fubini_study_potential(3),
+        (s_of_t, lambda: fubini_study_potential(1), 1.5, OutOfRange,
+         "t = 1.5 not reached by the moment map"),
+        (s_of_t, lambda: fubini_study_potential(1), -0.1, OutOfRange,
+         "t must be positive, got -0.1"),
+        (s_of_t, _shifted_potential, 0.5, OutOfRange,
+         "t = 0.5 below the image of the moment map"),
+        (s_of_t, _sine_potential, 1.0806046117362795, NotInvertible,
+         "moment map not increasing at s = 34.579347575560945; bracket invalid"),
+        (t_of_s, lambda: fubini_study_potential(1), 0.0, DomainViolation,
+         "s must be positive, got 0.0"),
+        (calabi_scalar_curvature, lambda: fubini_study_potential(1), -1.0,
+         DomainViolation, "s must be positive, got -1.0"),
+        (calabi_scalar_curvature, _sine_potential, 2.0, NonpositiveDerivative,
+         "moment data not positive at s~ = 0.7087721805599453: "
+         "t = -1.8063017940892472, dt/ds~ = -9.19970834991754"),
     ],
+    ids=["above the image", "t <= 0", "below the image", "not monotone",
+         "s <= 0", "curvature at s <= 0", "curvature of a falling t"],
 )
-def test_array_calls_equal_elementwise_scalar_calls(make):
-    K = make()
-    s = np.geomspace(0.05, 20.0, 40)
-    t = t_of_s(K, s)
-    for fn, xs in (
-        (t_of_s, s),
-        (bridge_mod._moment_rate, s),
-        (s_of_t, t),
-        (calabi_scalar_curvature, s),
-    ):
-        got = fn(K, xs)
-        assert got.shape == xs.shape
-        one_by_one = [fn(K, float(x)) for x in xs]
-        assert all(np.ndim(v) == 0 for v in one_by_one)
-        assert np.array_equal(got, one_by_one), fn.__name__
-        assert np.array_equal(fn(K, xs.reshape(5, 8)), got.reshape(5, 8))
+def test_bad_value_raises_a_named_error(fn, make, x, error, message):
+    with pytest.raises(error) as raised:
+        fn(make(), x)
+    assert str(raised.value) == message
 
 
-@pytest.mark.parametrize(
-    "fn, make, batch, bad",
-    [
-        (s_of_t, lambda: fubini_study_potential(1), [0.2, 1.5, 0.7], 1.5),
-        (s_of_t, lambda: fubini_study_potential(1), [0.2, 0.7, -0.1], -0.1),
-        (s_of_t, _sine_potential, [0.5, 1.0806046117362795, 0.6], 1.0806046117362795),
-        (calabi_scalar_curvature, _sine_potential, [0.3, 2.0, 0.4], 2.0),
-    ],
-)
-def test_bad_value_in_a_batch_raises_like_the_scalar_call(fn, make, batch, bad):
-    K = make()
-    with pytest.raises((OutOfRange, NotInvertible, NonpositiveDerivative)) as alone:
-        fn(K, bad)
-    for x in batch:
-        if x != bad:
-            fn(K, x)  # the rest of the batch is fine on its own
-    with pytest.raises(type(alone.value)) as batched:
-        fn(K, np.array(batch))
-    assert str(batched.value) == str(alone.value)
+def test_empty_sample_list_is_refused():
+    with pytest.raises(DomainViolation, match="need at least one sample"):
+        bridge_cross_check(flat_potential(1), [])
 
 
-def test_first_failing_t_decides_the_error():
-    # the non-monotone t fails in a later stage than the negative t, but
-    # comes first in the batch, so its error is the one raised
-    K = _sine_potential()
-    with pytest.raises(NotInvertible) as alone:
-        s_of_t(K, 1.0806046117362795)
-    with pytest.raises(NotInvertible) as batched:
-        s_of_t(K, np.array([0.5, 1.0806046117362795, -0.1, 1.5]))
-    assert str(batched.value) == str(alone.value)
-    with pytest.raises(OutOfRange, match="1.5 not reached"):
-        s_of_t(fubini_study_potential(1), np.array([0.5, 1.5, 2.5]))
+def test_nan_difference_is_the_worst_one():
+    # a NaN difference past the first sample must not hide behind max()
+    K = KahlerPotential(
+        n=2, f=lambda s: 0.5 * s, df=lambda s: 0.5,
+        d2f=lambda s: math.nan if s > 1.5 else 0.0,
+    )
+    report = bridge_cross_check(K, [0.5, 2.0])
+    assert math.isnan(report.difference[1])
+    assert math.isnan(report.max_discrepancy)
+
+
+def test_report_columns_are_tuples_of_floats():
+    report = bridge_cross_check(fubini_study_potential(3), [0.5, 1.0, 2.0])
+    for column in ("s", "t", "kahler_side", "polytope_side", "difference"):
+        values = getattr(report, column)
+        assert type(values) is tuple and len(values) == 3
+        assert all(type(v) is float for v in values)
+    assert report.max_discrepancy == max(report.difference)
+    with pytest.raises(AttributeError):
+        report.max_discrepancy = 0.0

@@ -320,6 +320,26 @@ def test_bridge_check_one_preset(preset):
     assert len(doc["presets"][0]["rows"]) == 4
 
 
+# max_discrepancy per preset, bit for bit as the numpy array implementation of
+# the bridge printed it; every verdict is a pass
+_BRIDGE_VERDICTS = {
+    (1, 5000): {"flat": 3.056978671884477e-09, "fubini-study": 1.8159571624210002e-09},
+    (6, 5000): {"flat": 1.5288382114158396e-08, "fubini-study": 6.236327010356035e-09},
+    (16, 10): {"flat": 5.1995760272047475e-08, "fubini-study": 2.6658426577341743e-08},
+}
+
+
+@pytest.mark.parametrize("n, samples", list(_BRIDGE_VERDICTS))
+def test_bridge_check_verdicts_are_pinned(n, samples):
+    cfg = cli.RunConfig(command="bridge-check", n=n, samples=samples)
+    out, code, err = cli.run_bridge_check(cfg)
+    doc = json.loads(out)
+    assert (code, err, doc["passed"]) == (0, "", True)
+    got = {p["preset"]: (p["max_discrepancy"], p["passed"]) for p in doc["presets"]}
+    want = _BRIDGE_VERDICTS[(n, samples)]
+    assert got == {name: (worst, True) for name, worst in want.items()}
+
+
 def test_bridge_check_rejects_an_unknown_preset():
     r = run_cli("bridge-check", "--preset", "fubini_study")
     assert r.returncode == 2
