@@ -16,10 +16,11 @@ The list covers every command; n in {1, 2, 3, 5, 8, 9, 12, 16}; a/b from
 1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the thin shell
 a/b = 0.9999; failing tolerances and invalid input; profile's edge cases (one
 and two rows, a zero grid step, a margin that rounds away, 20 000 rows at
-n = 16, a/b = 1 - 1e-9); bridge-check at 5 000 samples and at n = 0; and
-input whose floats overflow.  A call that ends in an uncaught exception is
-recorded as exit 1 with the exception's type and message on stderr, as a
-process would end (less the traceback).
+n = 16, a/b = 1 - 1e-9); bridge-check at 5 000 samples and at n = 0;
+input whose floats overflow; and flags that only another command reads.  A
+call that ends in an uncaught exception is recorded as exit 1 with the
+exception's type and message on stderr, as a process would end (less the
+traceback).
 """
 
 from __future__ import annotations
@@ -84,6 +85,17 @@ def argv_list() -> list[list[str]]:
     overflow = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
     calls += [[command, *overflow] for command in ("derive", "profile", "verify")]
     calls.append(["profile", "--n", "400", "--a", "1", "--b", "10", "--samples", "5"])
+    # every t lies in (1e150, 1e151); (p*t^n - alpha)^2 overflows in F'''
+    calls.append(["verify", "--n", "2", "--a", "1e150", "--b", "1e151",
+                  "--points", "10"])
+    # a flag that only another command reads is refused
+    calls += [
+        ["derive", "--seed", "-5"],
+        ["bridge-check", "--tolerance-hard", "nan"],
+        ["verify", "--format", "json"],
+        ["example", "--b", "2"],
+        ["profile", "--points", "3"],
+    ]
     return calls
 
 

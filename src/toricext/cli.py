@@ -8,6 +8,12 @@ verify        full cross-check battery with pass/fail per check
 bridge-check  Kahler-side vs radial curvature on the built-in presets
 example       the n=2, b=1 slice: closed forms and the quadratic h'' form
 
+``_COMMANDS`` is the one table of them: name -> (help, run function, the
+flags it reads with their defaults).  Each subparser declares only its
+command's flags, so any other flag is refused by argparse (exit 2).  ``main``
+calls the run function the subparser selected with the parsed namespace, and
+it returns (stdout, exit code, stderr).
+
 All numeric output is rendered at 17 significant digits through a single
 formatter, so identical inputs produce identical bytes: a document becomes
 one %-template, in which every run of same-shaped rows shares one rendered
@@ -40,7 +46,6 @@ from .errors import (
     InvalidParameters,
     PositivityViolation,
 )
-from .record import Record
 
 PRNG_NAME = "python-mt19937"
 
@@ -52,39 +57,6 @@ _BRIDGE_COLUMNS = ("s", "t", "kahler_side", "polytope_side", "difference")
 # sorted(bridge.PRESETS), written out so that building the parser does not
 # import bridge; a test keeps the two equal
 _PRESET_CHOICES = ("flat", "fubini-study")
-
-
-class RunConfig(Record):
-    _fields = (
-        "command", "n", "a", "b", "points", "samples", "seed", "step", "fmt",
-        "tolerance_hard", "tolerance_soft", "preset",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        n: int = 2,
-        a: float = 0.5,
-        b: float = 1.0,
-        points: int = 100,
-        samples: Optional[int] = None,
-        seed: int = 0,
-        step: Optional[float] = None,
-        fmt: Optional[str] = None,
-        tolerance_hard: float = 1e-9,
-        tolerance_soft: float = 1e-5,
-        preset: Optional[str] = None,
-    ) -> None:
-        for flag, value in (
-            ("--tolerance-hard", tolerance_hard),
-            ("--tolerance-soft", tolerance_soft),
-        ):
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InvalidParameters(f"{flag} must be finite and >= 0, got {value}")
-        super().__init__(
-            command, n, a, b, points, samples, seed, step, fmt,
-            tolerance_hard, tolerance_soft, preset,
-        )
 
 
 # every float is printed at 17 significant digits through this one conversion
@@ -172,16 +144,17 @@ def _render_json(obj) -> str:
     return _fill(_template(obj, 0, values), values)
 
 
-def _require_json(cfg: RunConfig) -> None:
-    if cfg.fmt not in (None, "json"):
-        raise InvalidParameters(f"command {cfg.command!r} only emits json")
+def _tolerance(flag: str, value: float) -> float:
+    # a negative or non-finite tolerance would read as a failed verdict
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InvalidParameters(f"{flag} must be finite and >= 0, got {value}")
+    return value
 
 
-def run_derive(cfg: RunConfig) -> str:
+def run_derive(args: argparse.Namespace) -> tuple[str, int, str]:
     from .exact import solve_coefficients
 
-    _require_json(cfg)
-    E = solve_coefficients(cfg.n, cfg.a, cfg.b)
+    E = solve_coefficients(args.n, args.a, args.b)
     doc = {
         "n": E.n,
         "a": E.a,
@@ -193,45 +166,42 @@ def run_derive(cfg: RunConfig) -> str:
         "D": E.D,
         "S": "A*t+B",
     }
-    return _render_json(doc)
+    return _render_json(doc), 0, ""
 
 
-def run_profile(cfg: RunConfig) -> str:
+def run_profile(args: argparse.Namespace) -> tuple[str, int, str]:
     from .exact import solve_coefficients
     from .numdiff import grid
     from .table import F_second, h_second
 
-    E = solve_coefficients(cfg.n, cfg.a, cfg.b)
-    rows_n = cfg.samples if cfg.samples is not None else 50
-    if rows_n < 1:
+    E = solve_coefficients(args.n, args.a, args.b)
+    if args.samples < 1:
         raise InvalidParameters("samples must be >= 1")
-    margin = cfg.step if cfg.step is not None else (cfg.b - cfg.a) * 1e-4
-    if not 0.0 < margin < 0.5 * (cfg.b - cfg.a):
+    margin = args.step if args.step is not None else (args.b - args.a) * 1e-4
+    if not 0.0 < margin < 0.5 * (args.b - args.a):
         raise InvalidParameters(f"margin {margin} leaves no interior grid")
-    lo, hi = cfg.a + margin, cfg.b - margin
-    if lo == cfg.a or hi == cfg.b:
+    lo, hi = args.a + margin, args.b - margin
+    if lo == args.a or hi == args.b:
         raise InvalidParameters(
-            f"margin {margin} rounds away next to a = {cfg.a} or b = {cfg.b}"
+            f"margin {margin} rounds away next to a = {args.a} or b = {args.b}"
         )
-    ts = grid(lo, hi, rows_n)
+    ts = grid(lo, hi, args.samples)
     columns = (ts, F_second(E, ts), h_second(E, ts), [E.A * t + E.B for t in ts])
     table = list(zip(*columns))
-    if cfg.fmt in (None, "csv"):
+    if args.format == "csv":
         row = ",".join([_FLOAT] * len(columns))
-        template = "\n".join(["t,F_second,h_second,S"] + [row] * rows_n)
-        return _fill(template, list(itertools.chain.from_iterable(table)))
-    if cfg.fmt == "json":
-        doc = {
-            "schema": 1,
-            "command": "profile",
-            "n": E.n,
-            "a": E.a,
-            "b": E.b,
-            "columns": ["t", "F_second", "h_second", "S"],
-            "rows": table,
-        }
-        return _render_json(doc)
-    raise InvalidParameters(f"unknown format {cfg.fmt!r}")
+        template = "\n".join(["t,F_second,h_second,S"] + [row] * args.samples)
+        return _fill(template, list(itertools.chain.from_iterable(table))), 0, ""
+    doc = {
+        "schema": 1,
+        "command": "profile",
+        "n": E.n,
+        "a": E.a,
+        "b": E.b,
+        "columns": ["t", "F_second", "h_second", "S"],
+        "rows": table,
+    }
+    return _render_json(doc), 0, ""
 
 
 # the report key of each proof that raises instead of failing
@@ -241,16 +211,18 @@ _PROOF_CHECKS = {
 }
 
 
-def _verify_battery(cfg: RunConfig) -> dict:
+def _verify_battery(args: argparse.Namespace) -> dict:
     from .abreu import SymplecticPotential, _check_dimension, extremality_residual
     from .calabi import _endpoint_limits, build_extremal_metric
     from .exact import coefficient_cross_check, positivity_certificate
     from .polytope import sample_interior
     from .radial import radial_scalar_curvature
 
-    n, a, b = cfg.n, cfg.a, cfg.b
-    if cfg.points < n + 2:
-        raise InvalidParameters(f"need points >= {n + 2}, got {cfg.points}")
+    tolerance_hard = _tolerance("--tolerance-hard", args.tolerance_hard)
+    tolerance_soft = _tolerance("--tolerance-soft", args.tolerance_soft)
+    n, a, b = args.n, args.a, args.b
+    if args.points < n + 2:
+        raise InvalidParameters(f"need points >= {n + 2}, got {args.points}")
     # before the solve and the sampler, which can fail first at large n
     _check_dimension(n)
 
@@ -261,14 +233,14 @@ def _verify_battery(cfg: RunConfig) -> dict:
         key = _PROOF_CHECKS[type(exc)]
         raise type(exc)(f"{key}: {exc}") from exc
     margin = _SAMPLING_MARGIN_FACTOR * (b - a)
-    pts = sample_interior(P, cfg.points, margin=margin, seed=cfg.seed)
+    pts = sample_interior(P, args.points, margin=margin, seed=args.seed)
     fit = extremality_residual(SymplecticPotential(P, T), pts)
     rad = [radial_scalar_curvature(T, sum(x)) for x in pts]
     # both soft checks are relative to the curvature itself (|S| >= 2/b > 0)
     curvature_disc = max(abs(s - r) / abs(r) for s, r in zip(fit.S, rad))
     scaled_residual = fit.max_residual / max(map(abs, rad))
 
-    endpoints_ok, endpoints = _endpoint_limits(E, cfg.tolerance_hard)
+    endpoints_ok, endpoints = _endpoint_limits(E, tolerance_hard)
 
     # the exact deflation and the certificate raise instead of failing, so
     # these two are true in every report printed
@@ -276,8 +248,8 @@ def _verify_battery(cfg: RunConfig) -> dict:
         "boundary_identities": True,
         "closed_form": coefficient_cross_check(E),
         "validity": True,
-        "curvature_agreement": curvature_disc <= cfg.tolerance_soft,
-        "extremality": scaled_residual <= cfg.tolerance_soft,
+        "curvature_agreement": curvature_disc <= tolerance_soft,
+        "extremality": scaled_residual <= tolerance_soft,
         "endpoint_limits": endpoints_ok,
     }
 
@@ -288,11 +260,11 @@ def _verify_battery(cfg: RunConfig) -> dict:
             "n": n,
             "a": a,
             "b": b,
-            "points": cfg.points,
-            "seed": cfg.seed,
+            "points": args.points,
+            "seed": args.seed,
             "margin": margin,
-            "tolerance_hard": cfg.tolerance_hard,
-            "tolerance_soft": cfg.tolerance_soft,
+            "tolerance_hard": tolerance_hard,
+            "tolerance_soft": tolerance_soft,
         },
         "prng": PRNG_NAME,
         "coefficients": {"p": E.p, "A": E.A, "B": E.B, "C": E.C, "D": E.D},
@@ -310,9 +282,8 @@ def _verify_battery(cfg: RunConfig) -> dict:
     }
 
 
-def run_verify(cfg: RunConfig) -> tuple[str, int, str]:
-    _require_json(cfg)
-    report = _verify_battery(cfg)
+def run_verify(args: argparse.Namespace) -> tuple[str, int, str]:
+    report = _verify_battery(args)
     out = _render_json(report)
     failing = [k for k, ok in report["checks"].items() if not ok]
     if not failing:
@@ -320,24 +291,23 @@ def run_verify(cfg: RunConfig) -> tuple[str, int, str]:
     return out, 1, "verification failed: " + ", ".join(failing)
 
 
-def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
+def run_bridge_check(args: argparse.Namespace) -> tuple[str, int, str]:
     from .bridge import PRESETS, bridge_cross_check
     from .numdiff import grid
 
-    _require_json(cfg)
-    names = [cfg.preset] if cfg.preset else _PRESET_CHOICES
-    count = cfg.samples if cfg.samples is not None else 10
-    if count < 1:
+    tolerance_soft = _tolerance("--tolerance-soft", args.tolerance_soft)
+    names = [args.preset] if args.preset else _PRESET_CHOICES
+    if args.samples < 1:
         raise InvalidParameters("samples must be >= 1")
-    s_grid = grid(0.25, 4.0, count)
+    s_grid = grid(0.25, 4.0, args.samples)
 
     blocks = []
     failing = []
     for name in names:
-        K = PRESETS[name](cfg.n)
+        K = PRESETS[name](args.n)
         rep = bridge_cross_check(K, s_grid)
         columns = [getattr(rep, column) for column in _BRIDGE_COLUMNS]
-        ok = rep.max_discrepancy <= cfg.tolerance_soft
+        ok = rep.max_discrepancy <= tolerance_soft
         if not ok:
             failing.append(name)
         blocks.append(
@@ -351,9 +321,9 @@ def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
     doc = {
         "schema": 1,
         "command": "bridge-check",
-        "n": cfg.n,
-        "samples": count,
-        "tolerance_soft": cfg.tolerance_soft,
+        "n": args.n,
+        "samples": args.samples,
+        "tolerance_soft": tolerance_soft,
         "presets": blocks,
         "passed": not failing,
     }
@@ -361,7 +331,7 @@ def run_bridge_check(cfg: RunConfig) -> tuple[str, int, str]:
     return _render_json(doc), 0 if not failing else 1, err
 
 
-def run_example(cfg: RunConfig) -> tuple[str, int, str]:
+def run_example(args: argparse.Namespace) -> tuple[str, int, str]:
     from fractions import Fraction
 
     from .exact import (
@@ -371,10 +341,7 @@ def run_example(cfg: RunConfig) -> tuple[str, int, str]:
         solve_coefficients,
     )
 
-    _require_json(cfg)
-    if cfg.n != 2 or cfg.b != 1.0:
-        raise InvalidParameters("the worked example is the n=2, b=1 family")
-    a = cfg.a
+    a = args.a
     E = solve_coefficients(2, a, 1.0)
     midpoint = 0.5 * (a + 1.0)
     checks = {
@@ -395,80 +362,66 @@ def run_example(cfg: RunConfig) -> tuple[str, int, str]:
     return _render_json(doc), 0 if not failing else 1, err
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=2, help="complex dimension n")
-    common.add_argument("--a", type=float, default=0.5, help="inner endpoint a")
-    common.add_argument("--b", type=float, default=1.0, help="outer endpoint b")
-    common.add_argument(
-        "--points", type=int, default=100, help="interior sample count (verify)"
-    )
-    common.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="grid size: profile rows / bridge samples",
-    )
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common.add_argument(
-        "--step", type=float, default=None, help="profile grid margin override"
-    )
-    common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--tolerance-hard", type=float, default=1e-9)
-    common.add_argument("--tolerance-soft", type=float, default=1e-5)
-    common.add_argument("--preset", choices=_PRESET_CHOICES, default=None)
+# each flag's add_argument keywords; its default is the command's
+_FLAGS = {
+    "n": {"type": int, "help": "complex dimension n"},
+    "a": {"type": float, "help": "inner endpoint a"},
+    "b": {"type": float, "help": "outer endpoint b"},
+    "points": {"type": int, "help": "interior sample count"},
+    "samples": {"type": int, "help": "grid size"},
+    "seed": {"type": int, "help": "sampling seed"},
+    "step": {"type": float, "help": "grid margin override"},
+    "format": {"choices": ("csv", "json")},
+    "tolerance-hard": {"type": float},
+    "tolerance-soft": {"type": float},
+    "preset": {"choices": _PRESET_CHOICES},
+}
 
+_GEOMETRY = {"n": 2, "a": 0.5, "b": 1.0}
+
+# command -> (help, run function, {flag: default} of the flags it reads)
+_COMMANDS = {
+    "derive": ("solve the boundary system for (A, B, C, D)", run_derive, _GEOMETRY),
+    "profile": (
+        "tabulate t, F'', h'', S over an interior grid",
+        run_profile,
+        {**_GEOMETRY, "samples": 50, "step": None, "format": "csv"},
+    ),
+    "verify": (
+        "run the full cross-check battery",
+        run_verify,
+        {**_GEOMETRY, "points": 100, "seed": 0,
+         "tolerance-hard": 1e-9, "tolerance-soft": 1e-5},
+    ),
+    "bridge-check": (
+        "compare Kahler-side and radial curvature",
+        run_bridge_check,
+        {"n": 2, "samples": 10, "tolerance-soft": 1e-5, "preset": None},
+    ),
+    "example": ("reproduce the n=2, b=1 closed forms", run_example, {"a": 0.5}),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricext",
         description="extremal toric metrics on blow-ups of CP^n: "
         "derivation and numerical verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("derive", "solve the boundary system for (A, B, C, D)"),
-        ("profile", "tabulate t, F'', h'', S over an interior grid"),
-        ("verify", "run the full cross-check battery"),
-        ("bridge-check", "compare Kahler-side and radial curvature"),
-        ("example", "reproduce the n=2, b=1 closed forms"),
-    ):
-        sub.add_parser(name, parents=[common], help=blurb)
+    for name, (blurb, run, defaults) in _COMMANDS.items():
+        # no prefix spellings: a command takes its flags as written
+        command = sub.add_parser(name, help=blurb, allow_abbrev=False)
+        command.set_defaults(run=run)
+        for flag, default in defaults.items():
+            command.add_argument(f"--{flag}", default=default, **_FLAGS[flag])
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        a=args.a,
-        b=args.b,
-        points=args.points,
-        samples=args.samples,
-        seed=args.seed,
-        step=args.step,
-        fmt=args.format,
-        tolerance_hard=args.tolerance_hard,
-        tolerance_soft=args.tolerance_soft,
-        preset=args.preset,
-    )
-
-
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "derive":
-            out, code, err = run_derive(cfg), 0, ""
-        elif cfg.command == "profile":
-            out, code, err = run_profile(cfg), 0, ""
-        elif cfg.command == "verify":
-            out, code, err = run_verify(cfg)
-        elif cfg.command == "bridge-check":
-            out, code, err = run_bridge_check(cfg)
-        elif cfg.command == "example":
-            out, code, err = run_example(cfg)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise InvalidParameters(f"unknown command {cfg.command!r}")
+        out, code, err = args.run(args)
     except (InvalidParameters, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,12 +31,15 @@ def _derivative(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(c * (degree - i) for i, c in enumerate(coeffs[:-1]))
 
 
-def _power(t: float, k: int) -> float:
-    # C pow, as np.float_power; where numpy answers inf, float ** raises
+def _power(x: float, k: int, name: str = "t", t: float | None = None) -> float:
+    """x**k by C pow, as np.float_power, for the quantity x called name at t
+    (by default x is t itself).  Where numpy answers inf, float ** raises:
+    that is invalid input, and the message names the quantity and the t."""
     try:
-        return t**k
+        return x**k
     except OverflowError:
-        raise InvalidParameters(f"t^{k} overflows a float at t = {t}") from None
+        where = x if t is None else t
+        raise InvalidParameters(f"{name}^{k} overflows a float at t = {where}") from None
 
 
 def _check_domain(E: ExtremalCoefficients, ts: list[float]) -> None:
@@ -70,6 +73,9 @@ def h_second(E: ExtremalCoefficients, ts: list[float]) -> list[float]:
     return [-_horner(V, t) / q - 1.0 / t for t, q in zip(ts, qs)]
 
 
+_BETA, _BETA_PRIME = "(p*t^n - alpha)", "(n*p*t^(n-1) - alpha')"
+
+
 def F_derivatives(E: ExtremalCoefficients, t: float) -> tuple[float, float]:
     """(F''', F'''') at t, differentiating r = p*t^(n-1)/beta analytically.
 
@@ -83,12 +89,13 @@ def F_derivatives(E: ExtremalCoefficients, t: float) -> tuple[float, float]:
         raise PotentialPole(f"p*t^n - alpha vanishes at t = {t}")
     beta1 = n * p * _power(t, n - 1) - _horner(d_alpha, t)
     beta2 = n * (n - 1) * p * _power(t, n - 2) - _horner(_derivative(d_alpha), t)
-    beta_sq = _power(beta, 2)
+    beta_sq = _power(beta, 2, _BETA, t)
     r1 = p * ((n - 1) * _power(t, n - 2) / beta - _power(t, n - 1) * beta1 / beta_sq)
     r2 = p * (
         (n - 1) * (n - 2) * _power(t, n - 3) / beta
         - 2.0 * (n - 1) * _power(t, n - 2) * beta1 / beta_sq
         - _power(t, n - 1) * beta2 / beta_sq
-        + 2.0 * _power(t, n - 1) * _power(beta1, 2) / _power(beta, 3)
+        + 2.0 * _power(t, n - 1) * _power(beta1, 2, _BETA_PRIME, t)
+        / _power(beta, 3, _BETA, t)
     )
     return r1 + 1.0 / _power(t, 2), r2 - 2.0 / _power(t, 3)

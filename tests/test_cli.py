@@ -1,8 +1,11 @@
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,11 @@ def run_cli(*args):
     return subprocess.run(
         CMD + list(args), capture_output=True, text=True, timeout=240
     )
+
+
+def _args(*argv):
+    """The namespace the CLI parses from argv, for calling a run_* directly."""
+    return cli._build_parser().parse_args(argv)
 
 
 def test_derive_reference_case():
@@ -73,8 +81,11 @@ _COEFFICIENT_OVERFLOW = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
         ),
         (["profile", "--n", "400", "--a", "1", "--b", "10", "--samples", "5"],
          "t^400 overflows a float at t = 7.74955"),
+        # every t is in (1e150, 1e151): the square of beta overflows, not t^2
+        (["verify", "--n", "2", "--a", "1e150", "--b", "1e151", "--points", "10"],
+         "(p*t^n - alpha)^2 overflows a float at t = 6.5252550345308405e+150"),
     ],
-    ids=["derive", "profile", "verify", "profile t^n"],
+    ids=["derive", "profile", "verify", "profile t^n", "verify beta^2"],
 )
 def test_overflow_is_one_error_line(argv, message):
     # a process, so that a traceback or a numpy warning on stderr would show
@@ -226,16 +237,32 @@ def test_verify_impossible_tolerance_names_the_check():
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-@pytest.mark.parametrize("flag", ["--tolerance-hard", "--tolerance-soft"])
-@pytest.mark.parametrize("command", ["verify", "bridge-check"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("bridge-check", "--tolerance-hard"),
+        ("bridge-check", "--tolerance-soft"),
+        ("verify", "--tolerance-hard"),
+        ("verify", "--tolerance-soft"),
+    ],
+)
 def test_bad_tolerance_is_invalid_input(command, flag, value, capsys):
     # a negative tolerance would read as a failed verdict (exit 1)
-    assert cli.main([command, flag, value]) == 2
+    if flag in _FLAGS_OF[command]:
+        assert cli.main([command, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag} must be finite and >= 0, got {float(value)}\n"
+        )
+        return
+    # bridge-check never reads --tolerance-hard, so the flag itself is refused
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, value])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"error: {flag} must be finite and >= 0, got {float(value)}\n"
-    )
+    assert captured.err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
 
 def _perturbed_D(real):
@@ -331,8 +358,8 @@ _BRIDGE_VERDICTS = {
 
 @pytest.mark.parametrize("n, samples", list(_BRIDGE_VERDICTS))
 def test_bridge_check_verdicts_are_pinned(n, samples):
-    cfg = cli.RunConfig(command="bridge-check", n=n, samples=samples)
-    out, code, err = cli.run_bridge_check(cfg)
+    args = _args("bridge-check", "--n", str(n), "--samples", str(samples))
+    out, code, err = cli.run_bridge_check(args)
     doc = json.loads(out)
     assert (code, err, doc["passed"]) == (0, "", True)
     got = {p["preset"]: (p["max_discrepancy"], p["passed"]) for p in doc["presets"]}
@@ -363,7 +390,7 @@ def test_example_command():
 
 
 def _example_doc(a):
-    out, code, err = cli.run_example(cli.RunConfig(command="example", a=a))
+    out, code, err = cli.run_example(_args("example", "--a", repr(a)))
     return json.loads(out), code, err
 
 
@@ -409,9 +436,11 @@ def test_example_near_degenerate_geometry():
 
 
 def test_example_rejects_unsupported_geometry():
+    # example is the n = 2, b = 1 slice: it has no --n or --b to set
     r = run_cli("example", "--n", "3", "--a", "0.5")
     assert r.returncode == 2
-    assert r.stderr.strip()
+    assert r.stdout == ""
+    assert "unrecognized arguments: --n 3" in r.stderr
 
 
 def test_unknown_command():
@@ -423,6 +452,77 @@ def test_missing_command_shows_usage():
     r = run_cli()
     assert r.returncode == 2
     assert "usage" in r.stderr.lower()
+
+
+# --- each command takes only the flags it reads -----------------------------
+
+# 21 settable values over the five commands, of 11 distinct flags
+_FLAGS_OF = {
+    "derive": {"--n", "--a", "--b"},
+    "profile": {"--n", "--a", "--b", "--samples", "--step", "--format"},
+    "verify": {"--n", "--a", "--b", "--points", "--seed",
+               "--tolerance-hard", "--tolerance-soft"},
+    "bridge-check": {"--n", "--samples", "--tolerance-soft", "--preset"},
+    "example": {"--a"},
+}
+_ALL_FLAGS = set().union(*_FLAGS_OF.values())
+# a value each flag's own command accepts, so a refusal is of the flag itself
+_VALUE = {"--format": "json", "--preset": "flat"}
+
+
+@pytest.mark.parametrize("command", list(_FLAGS_OF))
+def test_help_lists_exactly_the_flags_the_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert shown == _FLAGS_OF[command] | {"--help"}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in _FLAGS_OF for f in sorted(_ALL_FLAGS - _FLAGS_OF[c])],
+)
+def test_a_flag_of_another_command_is_refused(command, flag, capsys):
+    value = _VALUE.get(flag, "1")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--se", "3"], ["bridge-check", "--tolerance", "1e-3"]]
+)
+def test_a_prefix_of_a_flag_is_refused(argv, capsys):
+    # each prefix is unique within its command, so argparse would expand it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def _readme_sessions():
+    """(argv, stdout) of each README code block that starts with ``$ toricext``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    session = r"^```text\n\$ toricext ([^\n]*)\n(.*?)^```$"
+    return [
+        pytest.param(shlex.split(command), output, id=command.split()[0])
+        for command, output in re.findall(session, readme, re.M | re.S)
+    ]
+
+
+def test_readme_has_cli_sessions():
+    commands = [session.values[0][0] for session in _readme_sessions()]
+    assert {"derive", "profile"} <= set(commands)
+
+
+@pytest.mark.parametrize("argv, output", _readme_sessions())
+def test_readme_session_is_what_the_cli_prints(argv, output, capsys):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == output
 
 
 def _reference_render(obj, indent: int = 0) -> str:
@@ -590,8 +690,9 @@ def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
             {"schema": 1, "command": "profile", "n": n, "a": a, "b": b,
              "columns": ["t", "F_second", "h_second", "S"], "rows": rows}
         )
-    cfg = cli.RunConfig(command="profile", n=n, a=a, b=b, samples=samples, fmt=fmt)
-    assert cli.run_profile(cfg) == want
+    args = _args("profile", "--n", str(n), "--a", repr(a), "--b", repr(b),
+                 "--samples", str(samples), "--format", fmt)
+    assert cli.run_profile(args) == (want, 0, "")
 
     off = calabi_mod.ExtremalCoefficients(
         E.n, E.a, E.b, E.A, E.B, E.C, math.nextafter(E.D, math.inf)
@@ -663,9 +764,9 @@ def test_verify_solves_the_exact_system_once(monkeypatch, capsys):
 
 def _verify_doc(n, a, b, *extra):
     """The verify report for the given geometry and extra CLI options."""
-    argv = ["verify", "--n", str(n), "--a", repr(a), "--b", repr(b), *extra]
-    args = cli._build_parser().parse_args(argv)
-    return cli._verify_battery(cli._config_from_args(args))
+    return cli._verify_battery(
+        _args("verify", "--n", str(n), "--a", repr(a), "--b", repr(b), *extra)
+    )
 
 
 @pytest.mark.parametrize("tolerance", ["1e-5", "1e-7"])
