@@ -24,7 +24,6 @@ _EXPORTS = {
         "BridgeCheckReport",
         "KahlerPotential",
         "PRESETS",
-        "F_of_t",
         "bridge_cross_check",
         "calabi_scalar_curvature",
         "flat_potential",
@@ -33,12 +32,7 @@ _EXPORTS = {
         "s_of_t",
         "t_of_s",
     ),
-    "calabi": (
-        "build_extremal_metric",
-        "extremal_F_second",
-        "extremal_scalar_curvature",
-        "h_second",
-    ),
+    "calabi": ("build_extremal_metric",),
     "errors": (
         "BoundaryIdentityViolation",
         "DegenerateMetric",
@@ -60,7 +54,6 @@ _EXPORTS = {
     ),
     "exact": (
         "ExtremalCoefficients",
-        "closed_form_coefficients",
         "coefficient_cross_check",
         "positivity_certificate",
         "solve_coefficients",
@@ -72,11 +65,7 @@ _EXPORTS = {
         "interior_distance",
         "sample_interior",
     ),
-    "radial": (
-        "TPotential",
-        "inverse_hessian",
-        "radial_scalar_curvature",
-    ),
+    "radial": ("TPotential", "radial_scalar_curvature"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 # the submodules, readable as attributes of the package as after an eager import

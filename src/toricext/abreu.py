@@ -9,20 +9,21 @@ with G^{ij} the entries of the inverse Hessian.  For the radial potentials of
 
     G^{-1} = 2 * (diag(x) - w * x x^T),    w = F''/(1 + t*F''),
 
-exact up to rounding (``radial.inverse_hessian``), and the outer second
-derivatives are central finite differences on the polytope interior.  Every
-corner of a point's stencil lies at t + k*h for k in {-2..2}, so a point
-costs five F'' values and O(n^2) entries of O(1) each.  Extremality of a
-metric means S is affine in x; ``extremality_residual`` measures the
-distance to that.  Everything runs in plain floats.
+exact up to rounding (``radial.inverse_diagonal`` and
+``radial.inverse_off_diagonal``), and the outer second derivatives are
+central finite differences on the polytope interior.  Every corner of a
+point's stencil lies at t + k*h for k in {-2..2}, so a point costs five F''
+values and O(n^2) entries of O(1) each.  Extremality of a metric means S is
+affine in x; ``extremality_residual`` measures the distance to that.
+Everything runs in plain floats.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from operator import mul
-from typing import Optional, Sequence
 
 from .errors import (
     DegeneratePointSet,
@@ -126,7 +127,7 @@ def _curvature_at(T: TPotential, x: list[float], h: float) -> float:
 
 
 def abreu_scalar_curvature(
-    P: SymplecticPotential, x, h: Optional[float] = None
+    P: SymplecticPotential, x, h: float | None = None
 ) -> float | list[float]:
     """S(x) = -(1/2) sum_ij d^2 G^{ij}/dx_i dx_j by central differences.
 
@@ -200,7 +201,7 @@ def _least_squares(design: list[list[float]], values: list[float]) -> list[float
 def extremality_residual(
     P: SymplecticPotential,
     points: Sequence,
-    h: Optional[float] = None,
+    h: float | None = None,
 ) -> AffineFit:
     """Fit S(x) by an affine function over the points; report the worst miss.
 

@@ -21,8 +21,8 @@ standard library alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
-from typing import Callable, Sequence
 
 from .errors import DomainViolation, NonpositiveDerivative, NotInvertible, OutOfRange
 from .numdiff import EPS, richardson
@@ -172,12 +172,6 @@ def s_of_t(K: KahlerPotential, t: float) -> float:
     return root
 
 
-def F_of_t(K: KahlerPotential, t: float) -> float:
-    """t-potential value F(t) = t*ln(s(t)/t) - 2*f(s(t))."""
-    s = s_of_t(K, t)
-    return t * math.log(s / t) - 2.0 * K.f(s)
-
-
 def _v(K: KahlerPotential, st: float) -> float:
     u1, u2 = _moment(K, math.exp(st))
     if u1 <= 0.0 or u2 <= 0.0:
@@ -194,7 +188,7 @@ def calabi_scalar_curvature(K: KahlerPotential, s: float) -> float:
     """
     u1, u2 = _moment(K, s)  # refuses s <= 0 before the logarithm
     st = math.log(s)
-    v1, v2 = richardson(partial(_v, K), st, _LOG_STEP * max(1.0, abs(st)))
+    _, v1, v2 = richardson(partial(_v, K), st, _LOG_STEP * max(1.0, abs(st)))
     if u1 <= 0.0 or u2 <= 0.0:
         raise NonpositiveDerivative(
             f"moment data not positive at s = {s}: t = {u1}, dt/ds~ = {u2}"
@@ -226,10 +220,10 @@ def induced_t_potential(
     def jets(t: float) -> tuple[float, float, float]:
         """dt/ds~ and its first two s~-derivatives at the s~ of t."""
         st = math.log(s_of_t(K, t))
-        u2 = rate(st)
+        u2, du2, ddu2 = richardson(rate, st, _LOG_STEP * max(1.0, abs(st)))
         if u2 <= 0.0:
             raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
-        return (u2, *richardson(rate, st, _LOG_STEP * max(1.0, abs(st))))
+        return u2, du2, ddu2
 
     def d2F(t: float) -> float:
         u2, _, _ = jets(t)

@@ -10,9 +10,9 @@ example       the n=2, b=1 slice: closed forms and the quadratic h'' form
 
 ``_COMMANDS`` is the one table of them: name -> (help, run function, the
 flags it reads with their defaults).  Each subparser declares only its
-command's flags, so any other flag is refused by argparse (exit 2).  ``main``
-calls the run function the subparser selected with the parsed namespace, and
-it returns (stdout, exit code, stderr).
+command's flags, so any other flag is refused (exit 2) under that command's
+usage line.  ``main`` calls the run function the subparser selected with the
+parsed namespace, and it returns (stdout, exit code, stderr).
 
 All numeric output is rendered at 17 significant digits through a single
 formatter, so identical inputs produce identical bytes: a document becomes
@@ -37,7 +37,6 @@ import itertools
 import json
 import math
 import sys
-from typing import Optional
 
 from .errors import (
     BoundaryIdentityViolation,
@@ -412,14 +411,17 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (blurb, run, defaults) in _COMMANDS.items():
         # no prefix spellings: a command takes its flags as written
         command = sub.add_parser(name, help=blurb, allow_abbrev=False)
-        command.set_defaults(run=run)
+        command.set_defaults(run=run, parser=command)
         for flag, default in defaults.items():
             command.add_argument(f"--{flag}", default=default, **_FLAGS[flag])
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
+def main(argv: list | None = None) -> int:
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        # the command's own usage line, not the top-level one
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         out, code, err = args.run(args)
     except (InvalidParameters, DimensionMismatch) as exc:

@@ -248,14 +248,6 @@ def _closed_form(n: int, a: float, b: float) -> tuple[Fraction, ...]:
     return A, B, C, D
 
 
-def closed_form_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
-    """Calabi's explicit coefficient formulas, evaluated exactly and rounded
-    to float once."""
-    _check_geometry(n, a, b)
-    n = int(n)
-    return _rounded(n, a, b, _closed_form(n, a, b))
-
-
 def coefficient_cross_check(solved: ExtremalCoefficients) -> bool:
     """True when Calabi's closed forms and the solve of the boundary system
     are the same four rationals at the record's (n, a, b), and the record is

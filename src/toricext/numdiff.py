@@ -5,7 +5,7 @@ the standard library alone."""
 from __future__ import annotations
 
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 EPS = sys.float_info.epsilon
 # classic step exponent: h ~ eps^(1/4) balances rounding vs truncation for
@@ -14,7 +14,8 @@ STEP_SECOND = EPS ** 0.25
 
 
 def richardson(f: Callable, x, h) -> tuple:
-    """f' and f'' at x, one Richardson level on central differences (O(h^4)).
+    """f(x), f'(x) and f''(x), the derivatives by one Richardson level on
+    central differences (O(h^4)).
 
     f is evaluated once at each of x +- h, x +- h/2 and x; both derivatives
     combine the coarse (step h) and fine (step h/2) centered differences as
@@ -28,7 +29,7 @@ def richardson(f: Callable, x, h) -> tuple:
              - (up - down) / (2.0 * h)) / 3.0
     second = (4.0 * ((up_half - 2.0 * mid + down_half) / (half * half))
               - (up - 2.0 * mid + down) / (h * h)) / 3.0
-    return first, second
+    return mid, first, second
 
 
 def grid(lo: float, hi: float, num: int) -> list[float]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DimensionMismatch, EmptyRegion, InvalidParameters
 from .exact import _check_geometry

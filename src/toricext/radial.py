@@ -23,14 +23,9 @@ Everything here works one point or one t at a time, in plain floats.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections.abc import Callable
 
-from .errors import (
-    DegenerateMetric,
-    DomainViolation,
-    InvalidParameters,
-    NonInteriorPoint,
-)
+from .errors import DegenerateMetric, DomainViolation, InvalidParameters
 from .record import Record
 
 # 1 + t*F'' at or below this is treated as a degenerate metric: the curvature
@@ -88,30 +83,6 @@ def inverse_diagonal(y: float, rest: float, f2: float, den: float) -> float:
 def inverse_off_diagonal(yi: float, yj: float, w: float) -> float:
     """G^{ij} = -2*w*y_i*y_j, i != j, at a point with x_i = yi, x_j = yj."""
     return -2.0 * w * yi * yj
-
-
-def inverse_hessian(x: Sequence[float], d2F_value: float) -> list[list[float]]:
-    """G^{-1} = 2*(diag(x) - w*x x^T), w = F''/(1 + t*F''), at one point x
-    with F'' = d2F_value at t = sum(x).
-
-    Refuses a point with a nonpositive coordinate, and a t where
-    1 + t*F'' is not safely positive: there the Hessian is singular or
-    indefinite.
-    """
-    if any(not v > 0.0 for v in x):
-        raise NonInteriorPoint(f"point {list(x)} has a nonpositive coordinate")
-    t = sum(x)
-    den = validity_factor(t, d2F_value)
-    w = d2F_value / den
-    return [
-        [
-            inverse_diagonal(xi, t - xi, d2F_value, den)
-            if i == j
-            else inverse_off_diagonal(xi, xj, w)
-            for j, xj in enumerate(x)
-        ]
-        for i, xi in enumerate(x)
-    ]
 
 
 def _check_domain(T: TPotential, t: float) -> None:

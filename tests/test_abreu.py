@@ -18,7 +18,6 @@ from toricext import (
     abreu_scalar_curvature,
     build_blowup_polytope,
     build_extremal_metric,
-    extremal_F_second,
     extremality_residual,
     interior_distance,
     sample_interior,
@@ -107,14 +106,14 @@ def test_extremality_residual_on_extremal_metric():
 
 
 def test_extremality_residual_detects_non_extremal_metric():
-    Pm, T, E = build_extremal_metric(2, 0.5, 1.0)
+    Pm, T, _ = build_extremal_metric(2, 0.5, 1.0)
     S = SymplecticPotential(Pm, T)
     pts = sample_interior(Pm, 30, margin=0.025, seed=11)
     base = extremality_residual(S, pts).max_residual
 
     bumped = TPotential(
         n=2, t_min=0.5, t_max=1.0,
-        d2F=lambda t: extremal_F_second(E, t) + 0.1 * math.sin(10.0 * t),
+        d2F=lambda t: T.d2F(t) + 0.1 * math.sin(10.0 * t),
         d3F=lambda t: T.d3F(t) + math.cos(10.0 * t),
         d4F=lambda t: T.d4F(t) - 10.0 * math.sin(10.0 * t),
     )

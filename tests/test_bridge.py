@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from toricext import bridge as bridge_mod
 from toricext import (
     DomainViolation,
-    F_of_t,
     KahlerPotential,
     NonpositiveDerivative,
     NotInvertible,
@@ -21,6 +20,7 @@ from toricext import (
     s_of_t,
     t_of_s,
 )
+from util import legendre_F
 
 
 def _sine_potential():
@@ -94,7 +94,7 @@ def test_flat_legendre_dual():
     K = flat_potential(1)
     # f = s/2 gives F(t) = t ln(t/t) - t = -t
     for t in (0.2, 1.0, 3.0):
-        assert F_of_t(K, t) == pytest.approx(-t, rel=1e-12)
+        assert legendre_F(K, t) == pytest.approx(-t, rel=1e-12)
 
 
 def test_fubini_study_legendre_dual():
@@ -102,7 +102,7 @@ def test_fubini_study_legendre_dual():
     for t in np.linspace(0.1, 0.9, 9):
         t = float(t)
         want = (1.0 - t) * math.log(1.0 - t)
-        assert F_of_t(K, t) == pytest.approx(want, rel=1e-10, abs=1e-12)
+        assert legendre_F(K, t) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_fubini_study_legendre_dual_fine_grid():
@@ -110,7 +110,7 @@ def test_fubini_study_legendre_dual_fine_grid():
     for t in np.linspace(0.02, 0.98, 50):
         t = float(t)
         want = (1.0 - t) * math.log(1.0 - t)
-        assert abs(F_of_t(K, t) - want) <= 1e-9
+        assert abs(legendre_F(K, t) - want) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -206,6 +206,20 @@ def test_calabi_curvature_evaluates_v_once_per_stencil_point(monkeypatch):
     for s in samples:
         calabi_scalar_curvature(fubini_study_potential(2), s)
     assert len(calls) == 5 * len(samples)
+
+
+def test_cross_check_evaluates_d2f_eleven_times_per_sample():
+    # Kahler side: the moment at s and the five v stencil points; polytope
+    # side: the five rate stencil points of the jet, whose centre is also
+    # dt/ds~ itself (the flat inversion is exact at its first guess)
+    calls = []
+    K = KahlerPotential(
+        n=2, f=lambda s: 0.5 * s, df=lambda s: 0.5,
+        d2f=lambda s: calls.append(s) or 0.0, label="counting flat",
+    )
+    samples = np.geomspace(0.25, 4.0, 10).tolist()
+    bridge_cross_check(K, samples)
+    assert len(calls) == 11 * len(samples)
 
 
 @pytest.mark.parametrize(

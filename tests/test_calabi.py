@@ -20,16 +20,11 @@ from toricext import (
     PotentialPole,
     build_blowup_polytope,
     build_extremal_metric,
-    closed_form_coefficients,
     coefficient_cross_check,
-    extremal_F_second,
-    extremal_scalar_curvature,
-    h_second,
     positivity_certificate,
     radial_scalar_curvature,
     solve_coefficients,
 )
-from toricext import calabi as calabi_mod
 from toricext import exact as exact_mod
 from toricext import table
 from toricext.calabi import _endpoint_limits
@@ -40,7 +35,12 @@ from toricext.exact import (
     _closed_form,
     _exact_solution,
 )
-from util import array_F_derivatives, array_F_second, array_h_second
+from util import (
+    array_F_derivatives,
+    array_F_second,
+    array_h_second,
+    closed_form_coefficients,
+)
 
 nab = st.tuples(
     st.integers(min_value=1, max_value=5),
@@ -127,14 +127,14 @@ def test_alpha_eval_interpolates_boundary_data():
 def test_F_second_constant_coefficients():
     # alpha = p*D = p, so F'' = p*t/(p*t^2 - p) - 1/t at n = 2
     E = ExtremalCoefficients(n=2, a=0.5, b=1.0, A=0.0, B=0.0, C=0.0, D=1.0)
-    assert extremal_F_second(E, 0.7) == pytest.approx(
+    assert table.F_second(E, [0.7])[0] == pytest.approx(
         0.7 / (0.49 - 1.0) - 1.0 / 0.7, rel=1e-15
     )
 
 
 def test_F_second_frozen_midpoint():
     E = solve_coefficients(2, 0.5, 1.0)
-    assert extremal_F_second(E, 0.75) == pytest.approx(
+    assert table.F_second(E, [0.75])[0] == pytest.approx(
         6.8771929824561404, rel=1e-12
     )
 
@@ -142,38 +142,38 @@ def test_F_second_frozen_midpoint():
 def test_F_second_pole_at_interval_ends():
     E = solve_coefficients(2, 0.5, 1.0)
     with pytest.raises(PotentialPole):
-        extremal_F_second(E, 0.5 + 1e-15)
+        table.F_second(E, [0.5 + 1e-15])
     with pytest.raises(PotentialPole):
-        extremal_F_second(E, 1.0 - 1e-16)
+        table.F_second(E, [1.0 - 1e-16])
 
 
 def test_F_second_outside_interval():
     E = solve_coefficients(2, 0.5, 1.0)
     with pytest.raises(DomainViolation):
-        extremal_F_second(E, 0.4)
+        table.F_second(E, [0.4])
     with pytest.raises(DomainViolation):
-        extremal_F_second(E, 1.2)
+        table.F_second(E, [1.2])
 
 
 def test_F_second_zero_coefficients_give_flat_profile():
     # alpha = 0 means beta = p t^n, so p t^(n-1)/beta - 1/t vanishes
     E = ExtremalCoefficients(n=2, a=0.5, b=1.0, A=0.0, B=0.0, C=0.0, D=0.0)
-    for t in np.linspace(0.55, 0.95, 9):
-        assert abs(extremal_F_second(E, float(t))) <= 1e-12
+    for f2 in table.F_second(E, np.linspace(0.55, 0.95, 9).tolist()):
+        assert abs(f2) <= 1e-12
 
 
 def test_h_second_frozen_midpoint():
     E = solve_coefficients(2, 0.5, 1.0)
-    assert h_second(E, 0.75) == pytest.approx(-64 / 57, rel=1e-12)
+    assert table.h_second(E, [0.75])[0] == pytest.approx(-64 / 57, rel=1e-12)
 
 
 def test_h_second_eliminates_prescribed_pole():
     # F'' - h'' = c/((t-a)(b-t)) by construction
     E = solve_coefficients(2, 0.5, 1.0)
     a, b, c = E.a, E.b, E.c
-    for t in np.linspace(0.52, 0.98, 20):
-        t = float(t)
-        lhs = extremal_F_second(E, t) - h_second(E, t)
+    ts = np.linspace(0.52, 0.98, 20).tolist()
+    for t, f2, h2 in zip(ts, table.F_second(E, ts), table.h_second(E, ts)):
+        lhs = f2 - h2
         rhs = c / ((t - a) * (b - t))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -184,13 +184,14 @@ def test_h_second_eliminates_prescribed_pole():
 )
 def test_h_second_bounded_at_interval_ends(n, a, b):
     """h'' stays finite as t -> a, b even though F'' blows up there, and
-    h_second gets it right there."""
+    table.h_second gets it right there."""
     E = solve_coefficients(n, a, b)
     for base, sgn in ((a, +1.0), (b, -1.0)):
         for off in (1e-6, 5e-7, 2.5e-7, 1e-9):
             t = base + sgn * off * (b - a)
             want = _exact_h_second(n, a, b, t)
-            assert abs(h_second(E, t) - want) <= 1e-13 * max(1.0, abs(want))
+            got = table.h_second(E, [t])[0]
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 @given(
@@ -211,7 +212,7 @@ def test_h_second_matches_exact_rational_value(n, b, ratio, offset, near_a):
     t = a + offset * (b - a) if near_a else b - offset * (b - a)
     assume(a < t < b)
     want = _exact_h_second(n, a, b, t)
-    got = h_second(solve_coefficients(n, a, b), t)
+    got = table.h_second(solve_coefficients(n, a, b), [t])[0]
     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
@@ -224,16 +225,16 @@ def test_h_second_refuses_a_non_extremal_record():
     )
     for record in (flat, off_by_one_ulp):
         with pytest.raises(InvalidParameters):
-            h_second(record, 0.75)
+            table.h_second(record, [0.75])
 
 
 @pytest.mark.parametrize("a,b", [(0.3, 1.0), (0.9, 1.7)])
 def test_h_second_one_dimensional_case(a, b):
     # at n=1 the residual part of F'' is exactly the pole term, so h'' = -1/t
     E = solve_coefficients(1, a, b)
-    for t in np.linspace(a + 0.01, b - 0.01, 15):
-        t = float(t)
-        assert h_second(E, t) == pytest.approx(-1.0 / t, rel=1e-11)
+    ts = np.linspace(a + 0.01, b - 0.01, 15).tolist()
+    for t, h2 in zip(ts, table.h_second(E, ts)):
+        assert h2 == pytest.approx(-1.0 / t, rel=1e-11)
 
 
 def test_cross_check_agrees_on_surface_case():
@@ -318,13 +319,6 @@ def test_closed_form_surface_values():
     assert E.D == pytest.approx(2 / 13, rel=1e-14)
 
 
-def test_scalar_curvature_is_affine():
-    E = solve_coefficients(2, 0.5, 1.0)
-    assert extremal_scalar_curvature(E, 0.6) == pytest.approx(
-        E.A * 0.6 + E.B, rel=1e-15
-    )
-
-
 def test_build_extremal_metric_roundtrip():
     P, T, E = build_extremal_metric(2, 0.5, 1.0)
     assert P == build_blowup_polytope(2, 0.5, 1.0)
@@ -395,9 +389,9 @@ def _float_jet(E, ts):
 # the numpy array reference and the plain-float evaluation of each quantity
 _PAIRS = [
     (array_F_second, lambda E, ts: table.F_second(E, ts)),
-    (array_F_second, lambda E, ts: [extremal_F_second(E, t) for t in ts]),
+    (array_F_second, lambda E, ts: [table.F_second(E, [t])[0] for t in ts]),
     (array_h_second, lambda E, ts: table.h_second(E, ts)),
-    (array_h_second, lambda E, ts: [h_second(E, t) for t in ts]),
+    (array_h_second, lambda E, ts: [table.h_second(E, [t])[0] for t in ts]),
     (_array_jet, _float_jet),
 ]
 
@@ -588,7 +582,7 @@ def test_nonzero_deflation_remainder_raises(monkeypatch):
     with pytest.raises(BoundaryIdentityViolation):
         positivity_certificate(E)
     with pytest.raises(BoundaryIdentityViolation):
-        h_second(solve_coefficients(2, 0.5, 1.0), 0.75)
+        table.h_second(solve_coefficients(2, 0.5, 1.0), [0.75])
 
 
 _PERTURBED_CHILD = """
@@ -636,7 +630,9 @@ def test_endpoint_limits_refuse_a_relative_error_of_1e_7(monkeypatch):
     # max |h''| = 1.7e-3 here: a floor of 1 would let a 1e-7 error pass
     E = solve_coefficients(2, 500.0, 1000.0)
     assert _endpoint_limits(E, 1e-9)[0] is True
-    real = calabi_mod.h_second
-    monkeypatch.setattr(calabi_mod, "h_second", lambda E, t: real(E, t) * (1 + 1e-7))
+    real = table.h_second
+    monkeypatch.setattr(
+        table, "h_second", lambda E, ts: [h * (1 + 1e-7) for h in real(E, ts)]
+    )
     ok, report = _endpoint_limits(E, 1e-9)
     assert ok is False and report["max_error"] == pytest.approx(1e-7, rel=1e-6)

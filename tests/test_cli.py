@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricext import GeometryError, InvalidParameters
-from toricext import calabi as calabi_mod
 from toricext import cli
 from toricext import exact as exact_mod
 from toricext import table as table_mod
@@ -490,7 +489,22 @@ def test_a_flag_of_another_command_is_refused(command, flag, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+    # under the refusing command's usage line, not the top-level one
+    assert captured.err.startswith(f"usage: toricext {command} [-h] ")
+    assert captured.err.endswith(
+        f"\ntoricext {command}: error: unrecognized arguments: {flag} {value}\n"
+    )
+
+
+def test_a_refused_derive_flag_prints_the_derive_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["derive", "--seed", "-5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "",
+        "usage: toricext derive [-h] [--n N] [--a A] [--b B]\n"
+        "toricext derive: error: unrecognized arguments: --seed -5\n",
+    )
 
 
 @pytest.mark.parametrize(
@@ -501,7 +515,9 @@ def test_a_prefix_of_a_flag_is_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: toricext {argv[0]} [-h] ")
 
 
 def _readme_sessions():
@@ -669,7 +685,7 @@ def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
     bit, rendered one value at a time; off the extremal solution both paths
     raise alike."""
     a = ratio * b
-    E = calabi_mod.solve_coefficients(n, a, b)
+    E = exact_mod.solve_coefficients(n, a, b)
     margin = (b - a) * 1e-4
     ts = np.linspace(a + margin, b - margin, samples)
     rows = [
@@ -694,7 +710,7 @@ def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
                  "--samples", str(samples), "--format", fmt)
     assert cli.run_profile(args) == (want, 0, "")
 
-    off = calabi_mod.ExtremalCoefficients(
+    off = exact_mod.ExtremalCoefficients(
         E.n, E.a, E.b, E.A, E.B, E.C, math.nextafter(E.D, math.inf)
     )
     for arrays, plain in (

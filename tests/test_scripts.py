@@ -1,5 +1,6 @@
 """The experiment scripts run end to end at small sizes."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -171,3 +172,19 @@ def test_output_digest_records_what_the_cli_prints(tmp_path):
     assert record == (
         f"exit {cli.returncode}\n--- stdout\n{cli.stdout}--- stderr\n{cli.stderr}")
     assert hashlib.sha256(record.encode()).hexdigest() == lines[index][:64]
+
+
+def test_every_traced_benchmark_layer_is_a_module():
+    # perfbench's traced run imports toricext.<layer> for each layer of its
+    # TRACED table; read the table from the source, since the module itself
+    # imports numpy
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["TRACED"]
+    )
+    assert "calabi" in traced
+    for layer in traced:
+        importlib.import_module(f"toricext.{layer}")

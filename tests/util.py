@@ -1,15 +1,20 @@
-"""Shared model potentials, polytopes, the radial curvature reference and the
-numpy array evaluation of the extremal profile, for the test suite."""
+"""Shared model potentials, polytopes, the radial curvature reference, the
+references built from the package's parts (the Legendre F, the full inverse
+Hessian, Calabi's closed forms rounded to a record) and the numpy array
+evaluation of the extremal profile, for the test suite."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from toricext import TPotential
+from toricext import TPotential, s_of_t
 from toricext.errors import DomainViolation, PotentialPole
-from toricext.exact import POLE_REL_TOL
+from toricext.exact import POLE_REL_TOL, _check_geometry, _closed_form, _rounded
 from toricext.numdiff import STEP_SECOND, richardson
 from toricext.polytope import BlowupPolytope
+from toricext.radial import inverse_diagonal, inverse_off_diagonal, validity_factor
 
 
 def cpn_profile(n: int, b: float = 1.0) -> TPotential:
@@ -43,6 +48,40 @@ def radial_hessian(x, d2F_value) -> np.ndarray:
     return 0.5 * (np.diag(1.0 / x) + d2F_value)
 
 
+def inverse_hessian(x, d2F_value) -> list[list[float]]:
+    """G^{-1} = 2*(diag(x) - w*x x^T), w = F''/(1 + t*F''), at one point x
+    with F'' = d2F_value at t = sum(x), assembled from the closed-form
+    entries Abreu's stencil reads; refuses a t where 1 + t*F'' is not safely
+    positive."""
+    t = sum(x)
+    den = validity_factor(t, d2F_value)
+    w = d2F_value / den
+    return [
+        [
+            inverse_diagonal(xi, t - xi, d2F_value, den)
+            if i == j
+            else inverse_off_diagonal(xi, xj, w)
+            for j, xj in enumerate(x)
+        ]
+        for i, xi in enumerate(x)
+    ]
+
+
+def legendre_F(K, t: float) -> float:
+    """The t-potential F(t) = t*ln(s(t)/t) - 2*f(s(t)) of a Kahler potential
+    K, through the bridge's moment-map inversion."""
+    s = s_of_t(K, t)
+    return t * math.log(s / t) - 2.0 * K.f(s)
+
+
+def closed_form_coefficients(n: int, a: float, b: float):
+    """Calabi's explicit coefficient formulas, evaluated exactly and rounded
+    to float once, as a record."""
+    _check_geometry(n, a, b)
+    n = int(n)
+    return _rounded(n, a, b, _closed_form(n, a, b))
+
+
 def fd_curvature_reference(T, t):
     """S = t^(1-n) * u''(t) by central differences on u = t^(n+1) W,
     W = F''/(1 + t*F''), from F'' alone: one Richardson level, step
@@ -55,7 +94,7 @@ def fd_curvature_reference(T, t):
         f2 = T.d2F(tau)
         return tau ** (n + 1) * f2 / (1.0 + tau * f2)
 
-    return t ** (1 - n) * richardson(u, t, h)[1]
+    return t ** (1 - n) * richardson(u, t, h)[2]
 
 
 # --- the extremal profile on numpy arrays -------------------------------------
