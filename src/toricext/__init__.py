@@ -16,7 +16,6 @@ import importlib
 _EXPORTS = {
     "abreu": (
         "AffineFit",
-        "SymplecticPotential",
         "abreu_scalar_curvature",
         "extremality_residual",
     ),

@@ -13,9 +13,10 @@ exact up to rounding (``radial.inverse_diagonal`` and
 ``radial.inverse_off_diagonal``), and the outer second derivatives are
 central finite differences on the polytope interior.  Every corner of a
 point's stencil lies at t + k*h for k in {-2..2}, so a point costs five F''
-values and O(n^2) entries of O(1) each.  Extremality of a metric means S is
-affine in x; ``extremality_residual`` measures the distance to that.
-Everything runs in plain floats.
+values, all read from one list call of the profile, and O(n^2) entries of
+O(1) each.  Extremality of a metric means S is affine in x;
+``extremality_residual`` measures the distance to that.  Everything runs in
+plain floats.
 """
 
 from __future__ import annotations
@@ -54,16 +55,6 @@ def _check_dimension(n: int) -> None:
         )
 
 
-class SymplecticPotential(Record):
-    """The radial potential g = (sum_i x_i ln x_i + F(t))/2 with profile T,
-    on the polytope P."""
-
-    _fields = ("polytope", "profile")
-
-    def __init__(self, polytope: BlowupPolytope, profile: TPotential) -> None:
-        super().__init__(polytope, profile)
-
-
 class AffineFit(Record):
     """Least-squares affine model S(x) ~ <gradient, x> + constant.
 
@@ -92,18 +83,11 @@ def _points(x, n: int) -> tuple[list[list[float]], bool]:
     return [[float(v) for v in row] for row in rows], single
 
 
-def _curvature_at(T: TPotential, x: list[float], h: float) -> float:
-    """The stencil at one point x with step h, on closed-form entries."""
+def _curvature_at(x: list[float], h: float, f2: list[float], den: list[float]) -> float:
+    """The stencil at one point x with step h, on closed-form entries; f2 and
+    den are F'' and 1 + t*F'' at t + k*h, t = sum(x), indexed by k + 2."""
     t = sum(x)
-    # F'', 1 + t*F'' and w = F''/(1 + t*F'') at t + k*h, indexed by k + 2
-    f2, den, w = [], [], []
-    for k in (-2, -1, 0, 1, 2):
-        tk = t + k * h
-        f = T.d2F(tk)
-        d = validity_factor(tk, f)
-        f2.append(f)
-        den.append(d)
-        w.append(f / d)
+    w = [f / d for f, d in zip(f2, den)]
     hh = h * h
     total = 0.0
     for i, xi in enumerate(x):
@@ -127,29 +111,34 @@ def _curvature_at(T: TPotential, x: list[float], h: float) -> float:
 
 
 def abreu_scalar_curvature(
-    P: SymplecticPotential, x, h: float | None = None
+    T: TPotential, x, h: float | None = None
 ) -> float | list[float]:
-    """S(x) = -(1/2) sum_ij d^2 G^{ij}/dx_i dx_j by central differences.
+    """S(x) = -(1/2) sum_ij d^2 G^{ij}/dx_i dx_j by central differences, for
+    the radial potential with profile T.
 
     x is one point of n coordinates, answered with a float, or a sequence of
-    points, answered with a list of floats in their order.
+    points, answered with a list of floats in their order.  The potential
+    lives on the polytope {x >= 0, t_min <= sum(x) <= t_max}, whose facets
+    carry its log terms; F'' for every stencil of the call comes from one
+    ``T.d2F`` list.
 
-    Default step, per point: eps^(1/4)*b, the polytope's own length,
+    Default step, per point: eps^(1/4)*t_max, the polytope's own length,
     clamped to dmin/3 (dmin the point's least facet value): a stencil corner
     moves each facet value by at most 2h, so the clamp keeps every corner
     inside.  One length per geometry keeps the result covariant under
     rescaling (a, b).  An explicit h past dmin/3 raises StencilExitsDomain.
     """
-    n = P.polytope.n
+    n = T.n
     _check_dimension(n)
     pts, single = _points(x, n)
+    P = BlowupPolytope(n, T.t_min, T.t_max)
 
-    dmin = [interior_distance(P.polytope, p) for p in pts]
+    dmin = [interior_distance(P, p) for p in pts]
     for p, d in zip(pts, dmin):
         if d <= 0.0:
             raise NonInteriorPoint(f"{p} is not interior (min facet value {d})")
     if h is None:
-        steps = [min(STEP_SECOND * P.polytope.b, d / 3.0) for d in dmin]
+        steps = [min(STEP_SECOND * P.b, d / 3.0) for d in dmin]
     else:
         steps = [float(h)] * len(pts)
     for p, step, d in zip(pts, steps, dmin):
@@ -158,7 +147,14 @@ def abreu_scalar_curvature(
                 f"outer stencil with step {step:.3e} exits the domain at {p}"
             )
 
-    S = [_curvature_at(P.profile, p, step) for p, step in zip(pts, steps)]
+    # every corner of a point's stencil lies at t + k*h for k in {-2..2}
+    ts = [sum(p) + k * step for p, step in zip(pts, steps) for k in (-2, -1, 0, 1, 2)]
+    f2 = T.d2F(ts)
+    den = list(map(validity_factor, ts, f2))
+    S = [
+        _curvature_at(p, step, f2[5 * i:5 * i + 5], den[5 * i:5 * i + 5])
+        for i, (p, step) in enumerate(zip(pts, steps))
+    ]
     return S[0] if single else S
 
 
@@ -199,7 +195,7 @@ def _least_squares(design: list[list[float]], values: list[float]) -> list[float
 
 
 def extremality_residual(
-    P: SymplecticPotential,
+    T: TPotential,
     points: Sequence,
     h: float | None = None,
 ) -> AffineFit:
@@ -208,7 +204,7 @@ def extremality_residual(
     Ordinary least squares on the column-scaled design [X | 1]; needs at
     least n+1 affinely independent points.
     """
-    n = P.polytope.n
+    n = T.n
     pts, single = _points(points, n)
     if single:
         raise InvalidParameters(f"points must be a sequence of points, got {pts[0]}")
@@ -216,7 +212,7 @@ def extremality_residual(
     if m < n + 1:
         raise DegeneratePointSet(f"need >= {n + 1} points, got {m}")
 
-    S = abreu_scalar_curvature(P, pts, h)
+    S = abreu_scalar_curvature(T, pts, h)
     design = [[*x, 1.0] for x in pts]
     coef = _least_squares(design, S)
     predicted = [sum(map(mul, row, coef)) for row in design]

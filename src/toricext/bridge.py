@@ -14,19 +14,19 @@ be positive),
 
 which this module evaluates as a third, symplectic-free curvature oracle.
 The flat and Fubini-Study model potentials are built in as named presets.
-Every function of s or t takes one float and returns one float, on the
-standard library alone.
+Every function of s or t takes one float and returns one float, and the
+induced profile takes a list of t, on the standard library alone.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from functools import lru_cache, partial
+from functools import partial
 
 from .errors import DomainViolation, NonpositiveDerivative, NotInvertible, OutOfRange
 from .numdiff import EPS, richardson
-from .radial import TPotential, curvature_of_jet
+from .radial import TPotential, radial_scalar_curvature
 from .record import Record
 
 # base step (in s~) for the v and t' difference stencils: these functions are
@@ -42,29 +42,27 @@ PotentialFn = Callable[[float], float]
 
 
 class KahlerPotential(Record):
-    """Radial Kahler potential f(s) on s > 0, with its first two derivatives,
-    each a function of one float s."""
+    """Radial Kahler potential f(s) on s > 0, through its first two
+    derivatives, each a function of one float s; the bridge reads nothing
+    of f itself."""
 
-    _fields = ("n", "f", "df", "d2f", "label")
+    _fields = ("n", "df", "d2f", "label")
 
     def __init__(
-        self, n: int, f: PotentialFn, df: PotentialFn, d2f: PotentialFn, label: str = ""
+        self, n: int, df: PotentialFn, d2f: PotentialFn, label: str = ""
     ) -> None:
-        super().__init__(n, f, df, d2f, label)
+        super().__init__(n, df, d2f, label)
 
 
 def flat_potential(n: int) -> KahlerPotential:
     """f = s/2: the flat model (t = s, F'' = 0)."""
-    return KahlerPotential(
-        n=n, f=lambda s: 0.5 * s, df=lambda s: 0.5, d2f=lambda s: 0.0, label="flat"
-    )
+    return KahlerPotential(n=n, df=lambda s: 0.5, d2f=lambda s: 0.0, label="flat")
 
 
 def fubini_study_potential(n: int) -> KahlerPotential:
     """f = ln(1+s)/2: Fubini-Study type (t = s/(1+s), S = n(n+1))."""
     return KahlerPotential(
         n=n,
-        f=lambda s: 0.5 * math.log1p(s),
         df=lambda s: 0.5 / (1.0 + s),
         d2f=lambda s: -0.5 / (1.0 + s) ** 2,
         label="fubini-study",
@@ -196,6 +194,33 @@ def calabi_scalar_curvature(K: KahlerPotential, s: float) -> float:
     return (K.n - 1) * v1 / u1 + v2 / u2
 
 
+def _rate(K: KahlerPotential, st: float) -> float:
+    """dt/ds~ at s~ = st."""
+    return _moment(K, math.exp(st))[1]
+
+
+def _induced_jet(
+    K: KahlerPotential, ts: Sequence[float]
+) -> tuple[list[float], list[float], list[float]]:
+    """The lists (F'', F''', F'''') of the induced profile at the ts, from
+    one inversion and one Richardson stencil of dt/ds~ per t."""
+    f2, f3, f4 = [], [], []
+    for t in ts:
+        st = math.log(s_of_t(K, t))
+        u2, du2, ddu2 = richardson(partial(_rate, K), st, _LOG_STEP * max(1.0, abs(st)))
+        if u2 <= 0.0:
+            raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
+        f2.append(1.0 / u2 - 1.0 / t)
+        f3.append(-du2 / u2**3 + 1.0 / t**2)
+        f4.append(-ddu2 / u2**4 + 3.0 * du2**2 / u2**5 - 2.0 / t**3)
+    return f2, f3, f4
+
+
+def _induced_second(K: KahlerPotential, ts: Sequence[float]) -> list[float]:
+    """F'' of the induced profile at the ts: the first list of its jet."""
+    return _induced_jet(K, ts)[0]
+
+
 def induced_t_potential(
     K: KahlerPotential, t_min: float, t_max: float
 ) -> TPotential:
@@ -207,37 +232,10 @@ def induced_t_potential(
     differences.  Evaluating the relation exactly instead of differencing
     F values keeps the induced profile at analytic accuracy, which the
     downstream curvature formula needs.
-
-    d2F, d3F and d4F are asked for in turn at the same t, so all three read
-    one jet (one inversion, one pair of rate slopes), kept for the t asked
-    for last.
     """
-
-    def rate(z: float) -> float:
-        return _moment(K, math.exp(z))[1]
-
-    @lru_cache(maxsize=1)
-    def jets(t: float) -> tuple[float, float, float]:
-        """dt/ds~ and its first two s~-derivatives at the s~ of t."""
-        st = math.log(s_of_t(K, t))
-        u2, du2, ddu2 = richardson(rate, st, _LOG_STEP * max(1.0, abs(st)))
-        if u2 <= 0.0:
-            raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
-        return u2, du2, ddu2
-
-    def d2F(t: float) -> float:
-        u2, _, _ = jets(t)
-        return 1.0 / u2 - 1.0 / t
-
-    def d3F(t: float) -> float:
-        u2, du2, _ = jets(t)
-        return -du2 / u2**3 + 1.0 / t**2
-
-    def d4F(t: float) -> float:
-        u2, du2, ddu2 = jets(t)
-        return -ddu2 / u2**4 + 3.0 * du2**2 / u2**5 - 2.0 / t**3
-
-    return TPotential(n=K.n, t_min=t_min, t_max=t_max, d2F=d2F, d3F=d3F, d4F=d4F)
+    return TPotential(
+        K.n, t_min, t_max, partial(_induced_second, K), partial(_induced_jet, K)
+    )
 
 
 class BridgeCheckReport(Record):
@@ -255,18 +253,16 @@ def bridge_cross_check(
     """Compare the Kahler-side curvature against the radial pipeline.
 
     Each sample s is pushed to t = t_of_s(s); the radial curvature formula
-    runs on t and the induced TPotential's F'', F''' and F'''' there, and
-    Calabi's formula on s.  Every t is below the end 2*max(t) + 1 of the
-    induced interval, and ``s_of_t`` refuses a t <= 0, so the interval needs
-    no check of its own.
+    runs on the ts and the induced TPotential's jet there, and Calabi's
+    formula on s.  Every t is below the end 2*max(t) + 1 of the induced
+    interval, and the radial formula refuses a t <= 0.
     """
     s = tuple(map(float, s_samples))
     if not s:
         raise DomainViolation("need at least one sample")
     t = tuple(t_of_s(K, x) for x in s)
     T = induced_t_potential(K, 0.0, 2.0 * max(t) + 1.0)
-    d2F, d3F, d4F = T.d2F, T.d3F, T.d4F
-    polytope_side = tuple(curvature_of_jet(K.n, x, d2F(x), d3F(x), d4F(x)) for x in t)
+    polytope_side = tuple(radial_scalar_curvature(T, t))
     kahler_side = tuple(calabi_scalar_curvature(K, x) for x in s)
     difference = tuple(abs(k - p) for k, p in zip(kahler_side, polytope_side))
     # max() skips a NaN that is not first; the worst difference must show it

@@ -7,14 +7,14 @@ they define in plain floats,
 
     F''(t) = p*t^(n-1)/(p*t^n - alpha(t)) - 1/t,      h''(t) = -V/Q - 1/t,
 
-with F''' and F'''' for the curvature.  Of the CLI commands only ``verify``
-imports this module.
+and its jet (F'', F''', F'''') for the curvature.  Of the CLI commands only
+``verify`` imports this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
 from . import exact, table
 from .polytope import BlowupPolytope, build_blowup_polytope
@@ -50,20 +50,13 @@ def build_extremal_metric(
     """Polytope, extremal profile, and coefficients for one (n, a, b), after
     ``positivity_certificate`` has proved the metric valid.
 
-    The curvature asks for F''' and F'''' in turn at the same t; both come
-    from one ``table.F_derivatives`` evaluation, kept for the t asked for
-    last.
+    The profile's two functions are ``table.F_second`` and
+    ``table.F_derivatives`` on the record's coefficients.
     """
     P = build_blowup_polytope(n, a, b)
     E = exact.solve_coefficients(n, a, b)
     exact.positivity_certificate(E)
-    derivatives = lru_cache(maxsize=1)(lambda t: table.F_derivatives(E, t))
     T = TPotential(
-        n=n,
-        t_min=float(a),
-        t_max=float(b),
-        d2F=lambda t: table.F_second(E, [t])[0],
-        d3F=lambda t: derivatives(t)[0],
-        d4F=lambda t: derivatives(t)[1],
+        n, float(a), float(b), partial(table.F_second, E), partial(table.F_derivatives, E)
     )
     return P, T, E

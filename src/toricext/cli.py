@@ -11,8 +11,9 @@ example       the n=2, b=1 slice: closed forms and the quadratic h'' form
 ``_COMMANDS`` is the one table of them: name -> (help, run function, the
 flags it reads with their defaults).  Each subparser declares only its
 command's flags, so any other flag is refused (exit 2) under that command's
-usage line.  ``main`` calls the run function the subparser selected with the
-parsed namespace, and it returns (stdout, exit code, stderr).
+usage line, and a flag before the command under the top-level one.  ``main``
+calls the run function the subparser selected with the parsed namespace, and
+it returns (stdout, exit code, stderr).
 
 All numeric output is rendered at 17 significant digits through a single
 formatter, so identical inputs produce identical bytes: a document becomes
@@ -211,7 +212,7 @@ _PROOF_CHECKS = {
 
 
 def _verify_battery(args: argparse.Namespace) -> dict:
-    from .abreu import SymplecticPotential, _check_dimension, extremality_residual
+    from .abreu import _check_dimension, extremality_residual
     from .calabi import _endpoint_limits, build_extremal_metric
     from .exact import coefficient_cross_check, positivity_certificate
     from .polytope import sample_interior
@@ -233,8 +234,8 @@ def _verify_battery(args: argparse.Namespace) -> dict:
         raise type(exc)(f"{key}: {exc}") from exc
     margin = _SAMPLING_MARGIN_FACTOR * (b - a)
     pts = sample_interior(P, args.points, margin=margin, seed=args.seed)
-    fit = extremality_residual(SymplecticPotential(P, T), pts)
-    rad = [radial_scalar_curvature(T, sum(x)) for x in pts]
+    fit = extremality_residual(T, pts)
+    rad = radial_scalar_curvature(T, [sum(x) for x in pts])
     # both soft checks are relative to the curvature itself (|S| >= 2/b > 0)
     curvature_disc = max(abs(s - r) / abs(r) for s, r in zip(fit.S, rad))
     scaled_residual = fit.max_residual / max(map(abs, rad))
@@ -418,10 +419,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
-    args, unknown = _build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
     if unknown:
-        # the command's own usage line, not the top-level one
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        # every word before the command is one the top-level parser refused;
+        # after it, the command's own usage line names the refusal
+        refusing = parser if argv.index(args.command) else args.parser
+        refusing.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         out, code, err = args.run(args)
     except (InvalidParameters, DimensionMismatch) as exc:

@@ -17,13 +17,14 @@ curvature collapses to a one-variable expression
 
     S(t) = t^(1-n) * u''(t),    u(t) = t^(n+1) * F''(t) / (1 + t*F''(t)),
 
-which this module evaluates analytically through F'', F''' and F''''.
-Everything here works one point or one t at a time, in plain floats.
+which this module evaluates analytically through F'', F''' and F''''.  A
+profile is two functions of a list of t, and the curvature takes a list of t;
+everything runs in plain floats.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import DegenerateMetric, DomainViolation, InvalidParameters
 from .record import Record
@@ -33,28 +34,26 @@ from .record import Record
 # cancellation noise anyway
 DEGENERACY_TOL = 1e-14
 
-# a profile derivative: t in, its value there out
-ProfileFn = Callable[[float], float]
-
 
 class TPotential(Record):
-    """Radial profile F on (t_min, t_max), stored through F'', F''', F''''.
+    """Radial profile F on (t_min, t_max), given by two functions of a list
+    of t in (t_min, t_max).
 
     Affine additions to the potential never touch the Hessian, so F itself
-    is not kept: F'' gives the metric, F''' and F'''' its curvature.  Each
-    of d2F, d3F and d4F takes a float t and returns a float.
+    is not kept: ``d2F(ts)`` is the list of F'' at the ts, which gives the
+    metric, and ``jet(ts)`` the lists (F'', F''', F''''), which give its
+    curvature.
     """
 
-    _fields = ("n", "t_min", "t_max", "d2F", "d3F", "d4F")
+    _fields = ("n", "t_min", "t_max", "d2F", "jet")
 
     def __init__(
         self,
         n: int,
         t_min: float,
         t_max: float,
-        d2F: ProfileFn,
-        d3F: ProfileFn,
-        d4F: ProfileFn,
+        d2F: Callable[[Sequence[float]], list[float]],
+        jet: Callable[[Sequence[float]], tuple[list[float], ...]],
     ) -> None:
         if n < 1:
             raise InvalidParameters("n must be >= 1")
@@ -62,7 +61,7 @@ class TPotential(Record):
             raise InvalidParameters("t_min must be >= 0")
         if not t_max > t_min:
             raise InvalidParameters("need t_min < t_max")
-        super().__init__(n, t_min, t_max, d2F, d3F, d4F)
+        super().__init__(n, t_min, t_max, d2F, jet)
 
 
 def validity_factor(t: float, f2: float) -> float:
@@ -85,26 +84,24 @@ def inverse_off_diagonal(yi: float, yj: float, w: float) -> float:
     return -2.0 * w * yi * yj
 
 
-def _check_domain(T: TPotential, t: float) -> None:
-    if not T.t_min < t < T.t_max:
-        raise DomainViolation(f"t = {t} outside ({T.t_min}, {T.t_max})")
-
-
-def curvature_of_jet(n: int, t: float, f2: float, f3: float, f4: float) -> float:
-    """S(t) = t^(1-n) * u''(t) from F'', F''' and F'''' at t, u differentiated
-    symbolically; refuses a t where 1 + t*F'' is not safely positive."""
-    den = validity_factor(t, f2)
-    # W = F''/den and its t-derivatives; den' = F'' + t*F'''
-    dden = f2 + t * f3
-    w = f2 / den
-    w1 = (f3 - f2 * f2) / den**2
-    w2 = ((f4 - 2.0 * f2 * f3) * den - 2.0 * (f3 - f2 * f2) * dden) / den**3
-    # t^(1-n) * d^2/dt^2 [t^(n+1) W] with the power prefactors cancelled
-    return n * (n + 1) * w + 2.0 * (n + 1) * t * w1 + t * t * w2
-
-
-def radial_scalar_curvature(T: TPotential, t: float) -> float:
-    """Scalar curvature S(t) = t^(1-n) * u''(t) of the radial metric at one t
-    of (t_min, t_max)."""
-    _check_domain(T, t)
-    return curvature_of_jet(T.n, t, T.d2F(t), T.d3F(t), T.d4F(t))
+def radial_scalar_curvature(T: TPotential, ts: Iterable[float]) -> list[float]:
+    """Scalar curvature S(t) = t^(1-n) * u''(t) of the radial metric at each t
+    of ts, all in (t_min, t_max), from one jet of the profile, u
+    differentiated symbolically; refuses a t where 1 + t*F'' is not safely
+    positive."""
+    ts = list(ts)  # read twice: by the domain check and by the jet
+    for t in ts:
+        if not T.t_min < t < T.t_max:
+            raise DomainViolation(f"t = {t} outside ({T.t_min}, {T.t_max})")
+    n = T.n
+    S = []
+    for t, f2, f3, f4 in zip(ts, *T.jet(ts)):
+        den = validity_factor(t, f2)
+        # W = F''/den and its t-derivatives; den' = F'' + t*F'''
+        dden = f2 + t * f3
+        w = f2 / den
+        w1 = (f3 - f2 * f2) / den**2
+        w2 = ((f4 - 2.0 * f2 * f3) * den - 2.0 * (f3 - f2 * f2) * dden) / den**3
+        # t^(1-n) * d^2/dt^2 [t^(n+1) W] with the power prefactors cancelled
+        S.append(n * (n + 1) * w + 2.0 * (n + 1) * t * w1 + t * t * w2)
+    return S

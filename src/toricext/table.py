@@ -1,6 +1,6 @@
 """The float evaluation of the extremal profile, on the standard library only:
-F'' and h'' over a grid for ``profile``, and F''' and F'''' at one t for the
-metric ``verify`` checks.
+F'' and h'' over a grid for ``profile``, and the jet (F'', F''', F'''') over a
+list of t for the metric ``verify`` checks.
 
 A call evaluates each polynomial at most tens of thousands of times, which
 costs less in Python floats than importing numpy does, so the record's float
@@ -48,8 +48,9 @@ def _check_domain(E: ExtremalCoefficients, ts: list[float]) -> None:
             raise DomainViolation(f"t = {t} outside ({E.a}, {E.b})")
 
 
-def F_second(E: ExtremalCoefficients, ts: list[float]) -> list[float]:
-    """F''(t) = p*t^(n-1)/(p*t^n - alpha(t)) - 1/t at each t of ts."""
+def _betas(E: ExtremalCoefficients, ts: list[float]) -> list[float]:
+    """beta(t) = p*t^n - alpha(t) at each t of ts, all inside (a, b); a t
+    where beta vanishes next to p*t^n is a pole of F''."""
     _check_domain(E, ts)
     n, p, alpha = E.n, E.p, E._float_alpha
     ptns = [p * _power(t, n) for t in ts]
@@ -57,7 +58,17 @@ def F_second(E: ExtremalCoefficients, ts: list[float]) -> list[float]:
     for t, ptn, beta in zip(ts, ptns, betas):
         if abs(beta) <= POLE_REL_TOL * abs(ptn):
             raise PotentialPole(f"p*t^n - alpha vanishes at t = {t}")
+    return betas
+
+
+def _second(E: ExtremalCoefficients, ts: list[float], betas: list[float]) -> list[float]:
+    n, p = E.n, E.p
     return [p * _power(t, n - 1) / beta - 1.0 / t for t, beta in zip(ts, betas)]
+
+
+def F_second(E: ExtremalCoefficients, ts: list[float]) -> list[float]:
+    """F''(t) = p*t^(n-1)/(p*t^n - alpha(t)) - 1/t at each t of ts."""
+    return _second(E, ts, _betas(E, ts))
 
 
 def h_second(E: ExtremalCoefficients, ts: list[float]) -> list[float]:
@@ -76,26 +87,28 @@ def h_second(E: ExtremalCoefficients, ts: list[float]) -> list[float]:
 _BETA, _BETA_PRIME = "(p*t^n - alpha)", "(n*p*t^(n-1) - alpha')"
 
 
-def F_derivatives(E: ExtremalCoefficients, t: float) -> tuple[float, float]:
-    """(F''', F'''') at t, differentiating r = p*t^(n-1)/beta analytically.
-
-    Only the pole is guarded; the caller keeps t inside (a, b).
-    """
-    n, p, alpha = E.n, E.p, E._float_alpha
-    d_alpha = _derivative(alpha)
-    ptn = p * _power(t, n)
-    beta = ptn - _horner(alpha, t)
-    if abs(beta) <= POLE_REL_TOL * abs(ptn):
-        raise PotentialPole(f"p*t^n - alpha vanishes at t = {t}")
-    beta1 = n * p * _power(t, n - 1) - _horner(d_alpha, t)
-    beta2 = n * (n - 1) * p * _power(t, n - 2) - _horner(_derivative(d_alpha), t)
-    beta_sq = _power(beta, 2, _BETA, t)
-    r1 = p * ((n - 1) * _power(t, n - 2) / beta - _power(t, n - 1) * beta1 / beta_sq)
-    r2 = p * (
-        (n - 1) * (n - 2) * _power(t, n - 3) / beta
-        - 2.0 * (n - 1) * _power(t, n - 2) * beta1 / beta_sq
-        - _power(t, n - 1) * beta2 / beta_sq
-        + 2.0 * _power(t, n - 1) * _power(beta1, 2, _BETA_PRIME, t)
-        / _power(beta, 3, _BETA, t)
-    )
-    return r1 + 1.0 / _power(t, 2), r2 - 2.0 / _power(t, 3)
+def F_derivatives(
+    E: ExtremalCoefficients, ts: list[float]
+) -> tuple[list[float], list[float], list[float]]:
+    """The lists (F'', F''', F'''') at the ts: F'' as ``F_second`` on the same
+    beta, F''' and F'''' differentiating r = p*t^(n-1)/beta analytically."""
+    n, p = E.n, E.p
+    d_alpha = _derivative(E._float_alpha)
+    d2_alpha = _derivative(d_alpha)
+    betas = _betas(E, ts)
+    f3, f4 = [], []
+    for t, beta in zip(ts, betas):
+        beta1 = n * p * _power(t, n - 1) - _horner(d_alpha, t)
+        beta2 = n * (n - 1) * p * _power(t, n - 2) - _horner(d2_alpha, t)
+        beta_sq = _power(beta, 2, _BETA, t)
+        r1 = p * ((n - 1) * _power(t, n - 2) / beta - _power(t, n - 1) * beta1 / beta_sq)
+        r2 = p * (
+            (n - 1) * (n - 2) * _power(t, n - 3) / beta
+            - 2.0 * (n - 1) * _power(t, n - 2) * beta1 / beta_sq
+            - _power(t, n - 1) * beta2 / beta_sq
+            + 2.0 * _power(t, n - 1) * _power(beta1, 2, _BETA_PRIME, t)
+            / _power(beta, 3, _BETA, t)
+        )
+        f3.append(r1 + 1.0 / _power(t, 2))
+        f4.append(r2 - 2.0 / _power(t, 3))
+    return _second(E, ts, betas), f3, f4

@@ -13,7 +13,6 @@ from toricext import (
     DegenerateMetric,
     NonInteriorPoint,
     StencilExitsDomain,
-    SymplecticPotential,
     TPotential,
     abreu_scalar_curvature,
     build_blowup_polytope,
@@ -24,33 +23,29 @@ from toricext import (
 )
 from toricext.abreu import _least_squares
 from toricext.numdiff import STEP_SECOND
-from util import cpn_profile, flat_profile, radial_hessian, simplex_polytope
+from util import cpn_profile, flat_profile, profile, radial_hessian
 
 
 def test_flat_curvature_default_step():
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential(P, flat_profile(2))
+    S = flat_profile(2, 0.5, 1.0)
     for x in ([0.3, 0.4], [0.2, 0.5], [0.45, 0.35]):
         assert abs(abreu_scalar_curvature(S, np.array(x))) <= 1e-7
 
 
 def test_flat_curvature_coarse_step_is_cleaner():
     # h=1e-3 sits at the flat-profile noise/truncation sweet spot
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential(P, flat_profile(2))
+    S = flat_profile(2, 0.5, 1.0)
     assert abs(abreu_scalar_curvature(S, np.array([0.3, 0.4]), h=1e-3)) <= 1e-9
 
 
 def test_projective_space_curvature():
-    S = SymplecticPotential(simplex_polytope(2), cpn_profile(2))
+    S = cpn_profile(2)
     got = abreu_scalar_curvature(S, np.array([0.2, 0.3]))
     assert got == pytest.approx(6.0, abs=1e-5)
 
 
 def test_extremal_curvature_is_affine_in_t():
-    _, T, E = build_extremal_metric(2, 0.5, 1.0)
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential(P, T)
+    _, S, E = build_extremal_metric(2, 0.5, 1.0)
     for x in ([0.35, 0.40], [0.2, 0.55], [0.6, 0.15]):
         x = np.array(x)
         want = E.A * float(np.sum(x)) + E.B
@@ -58,9 +53,7 @@ def test_extremal_curvature_is_affine_in_t():
 
 
 def test_curvature_permutation_invariance():
-    _, T, _ = build_extremal_metric(2, 0.5, 1.0)
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential(P, T)
+    _, S, _ = build_extremal_metric(2, 0.5, 1.0)
     x = np.array([0.25, 0.45])
     v1 = abreu_scalar_curvature(S, x)
     v2 = abreu_scalar_curvature(S, x[::-1].copy())
@@ -68,15 +61,13 @@ def test_curvature_permutation_invariance():
 
 
 def test_dimension_cap():
-    P = BlowupPolytope(17, 0.5, 1.0)
-    S = SymplecticPotential(P, flat_profile(17))
+    S = flat_profile(17, 0.5, 1.0)
     with pytest.raises(InvalidParameters):
         abreu_scalar_curvature(S, np.full(17, 0.5))
 
 
 def test_explicit_step_must_fit():
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential(P, flat_profile(2))
+    S = flat_profile(2, 0.5, 1.0)
     with pytest.raises(StencilExitsDomain):
         abreu_scalar_curvature(S, np.array([0.3, 0.4]), h=0.3)
 
@@ -84,7 +75,7 @@ def test_explicit_step_must_fit():
 def test_default_step_clamped_at_the_facet_fits():
     # the clamp binds here and 3*(d/3) rounds above d = the facet distance
     P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential(P, flat_profile(2))
+    S = flat_profile(2, 0.5, 1.0)
     x = np.array([np.nextafter(1.1329e-4, 1.0), 0.6])
     d = interior_distance(P, x)
     assert 3.0 * (d / 3.0) > d
@@ -92,8 +83,7 @@ def test_default_step_clamped_at_the_facet_fits():
 
 
 def test_extremality_residual_on_extremal_metric():
-    Pm, T, E = build_extremal_metric(2, 0.5, 1.0)
-    S = SymplecticPotential(Pm, T)
+    Pm, S, E = build_extremal_metric(2, 0.5, 1.0)
     pts = sample_interior(Pm, 30, margin=0.025, seed=11)
     fit = extremality_residual(S, pts)
     # S(x) = A t + B means gradient (A, A) and constant B
@@ -107,30 +97,26 @@ def test_extremality_residual_on_extremal_metric():
 
 def test_extremality_residual_detects_non_extremal_metric():
     Pm, T, _ = build_extremal_metric(2, 0.5, 1.0)
-    S = SymplecticPotential(Pm, T)
     pts = sample_interior(Pm, 30, margin=0.025, seed=11)
-    base = extremality_residual(S, pts).max_residual
+    base = extremality_residual(T, pts).max_residual
 
-    bumped = TPotential(
-        n=2, t_min=0.5, t_max=1.0,
-        d2F=lambda t: T.d2F(t) + 0.1 * math.sin(10.0 * t),
-        d3F=lambda t: T.d3F(t) + math.cos(10.0 * t),
-        d4F=lambda t: T.d4F(t) - 10.0 * math.sin(10.0 * t),
+    bumped = profile(
+        2, 0.5, 1.0,
+        lambda t: T.d2F([t])[0] + 0.1 * math.sin(10.0 * t),
+        lambda t: T.jet([t])[1][0] + math.cos(10.0 * t),
+        lambda t: T.jet([t])[2][0] - 10.0 * math.sin(10.0 * t),
     )
-    S_bad = SymplecticPotential(Pm, bumped)
-    assert extremality_residual(S_bad, pts).max_residual > 10.0 * max(base, 1e-6)
+    assert extremality_residual(bumped, pts).max_residual > 10.0 * max(base, 1e-6)
 
 
 def test_extremality_residual_needs_enough_points():
-    Pm, T, _ = build_extremal_metric(2, 0.5, 1.0)
-    S = SymplecticPotential(Pm, T)
+    _, S, _ = build_extremal_metric(2, 0.5, 1.0)
     with pytest.raises(DegeneratePointSet):
         extremality_residual(S, np.array([[0.3, 0.4], [0.35, 0.45]]))
 
 
 def test_extremality_residual_rejects_collinear_points():
-    Pm, T, _ = build_extremal_metric(2, 0.5, 1.0)
-    S = SymplecticPotential(Pm, T)
+    _, S, _ = build_extremal_metric(2, 0.5, 1.0)
     # all on the segment x1 = x0 + 0.05: affine fit is rank deficient
     pts = np.array([[0.3, 0.35], [0.33, 0.38], [0.36, 0.41], [0.39, 0.44]])
     with pytest.raises(DegeneratePointSet):
@@ -160,8 +146,7 @@ def test_qr_fit_matches_lstsq(n, extra, log_b, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_extremality_residual_rejects_affinely_dependent_points(n):
-    Pm, T, _ = build_extremal_metric(n, 0.5, 1.0)
-    S = SymplecticPotential(Pm, T)
+    Pm, S, _ = build_extremal_metric(n, 0.5, 1.0)
     pts = np.array(sample_interior(Pm, 3 * n + 3, margin=0.025, seed=n))
     # every point moved along its ray to t = 0.75: on one hyperplane
     flat = pts * (0.75 / np.sum(pts, axis=1, keepdims=True))
@@ -173,13 +158,13 @@ def test_extremality_residual_rejects_affinely_dependent_points(n):
 # --- batched stencil against the per-point reference -----------------------
 
 
-def _reference_abreu(P, hessian, x, h=None):
+def _reference_abreu(T, hessian, x, h=None):
     """Abreu's stencil one point at a time on LAPACK inverses of the full
-    Hessian, hessian(y) at a point y: the reference the closed-form stencil
-    must reproduce."""
+    Hessian, hessian(y) at a point y, on the polytope of the profile T: the
+    reference the closed-form stencil must reproduce."""
     x = np.asarray(x, dtype=float)
-    n = P.polytope.n
-    dmin = interior_distance(P.polytope, x)
+    n = T.n
+    dmin = interior_distance(BlowupPolytope(n, T.t_min, T.t_max), x)
     if h is None:
         h = min(STEP_SECOND * max(1.0, float(np.max(np.abs(x)))), dmin / 3.0, 1e-3)
 
@@ -229,15 +214,15 @@ def _guillemin_hessian(b):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_batched_stencil_matches_per_point_reference(n):
     a, b = 0.5, 1.0
-    P, T, _ = build_extremal_metric(n, a, b)
-    radial = SymplecticPotential(P, T)
+    _, radial, _ = build_extremal_metric(n, a, b)
     pts = _points_between(n, a, b, 10, seed=n)
-    want = [_reference_abreu(radial, lambda y: radial_hessian(y, T.d2F(np.sum(y))), x)
-            for x in pts]
+    hessian = lambda y: radial_hessian(y, radial.d2F([float(np.sum(y))])[0])
+    want = [_reference_abreu(radial, hessian, x) for x in pts]
     np.testing.assert_allclose(abreu_scalar_curvature(radial, pts), want, rtol=1e-8)
 
-    # Guillemin's potential is the radial one with F'' = 1/(b - t)
-    guillemin = SymplecticPotential(P, cpn_profile(n, b))
+    # Guillemin's potential is the radial one with F'' = 1/(b - t); its
+    # polytope is the simplex, and every step is eps^(1/4)*b on both
+    guillemin = cpn_profile(n, b)
     want = [_reference_abreu(guillemin, _guillemin_hessian(b), x) for x in pts]
     np.testing.assert_allclose(abreu_scalar_curvature(guillemin, pts), want, rtol=1e-8)
     # the Fubini-Study metric of the size-b simplex: S = n(n+1)/b
@@ -245,8 +230,7 @@ def test_batched_stencil_matches_per_point_reference(n):
 
 
 def test_single_point_answers_with_a_float():
-    P, T, _ = build_extremal_metric(2, 0.5, 1.0)
-    S = SymplecticPotential(P, T)
+    _, S, _ = build_extremal_metric(2, 0.5, 1.0)
     x = np.array([0.35, 0.4])
     one = abreu_scalar_curvature(S, x)
     assert isinstance(one, float)
@@ -262,9 +246,9 @@ def test_single_point_answers_with_a_float():
     ],
 )
 def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
-    # the profile lives on (0.6, 1), the polytope on (0.5, 1)
+    # the profile's functions live on (0.6, 1), its polytope is (0.5, 1)
     _, T, _ = build_extremal_metric(2, 0.6, 1.0)
-    S = SymplecticPotential(build_blowup_polytope(2, 0.5, 1.0), T)
+    S = TPotential(2, 0.5, 1.0, T.d2F, T.jet)
     good = np.array([[0.35, 0.4], [0.3, 0.5], [0.45, 0.35]])
     with pytest.raises(error):
         abreu_scalar_curvature(S, np.array(bad), h=h)
@@ -275,8 +259,7 @@ def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
 
 
 def test_point_shape_is_checked():
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    S = SymplecticPotential(P, flat_profile(2))
+    S = flat_profile(2, 0.5, 1.0)
     for shape in [(3,), (4, 3), (2, 2, 2)]:
         with pytest.raises(InvalidParameters):
             abreu_scalar_curvature(S, np.full(shape, 0.3))
@@ -285,10 +268,9 @@ def test_point_shape_is_checked():
 def test_degenerate_metric_in_a_batch_names_its_t():
     # F'' = -1/0.8: 1 + t*F'' vanishes at t = 0.8, where the Hessian is
     # singular, and is negative past it
-    P = build_blowup_polytope(2, 0.5, 1.0)
     f2 = lambda t: -1.25
     zero = lambda t: 0.0
-    S = SymplecticPotential(P, TPotential(2, 0.5, 1.0, f2, zero, zero))
+    S = profile(2, 0.5, 1.0, f2, zero, zero)
     x = [0.45, 0.45]  # t = 0.9, every stencil t past 0.8
     with pytest.raises(DegenerateMetric, match=r"at t = 0\.8\d*$") as alone:
         abreu_scalar_curvature(S, x)

@@ -22,19 +22,20 @@ from toricext import (
 )
 from util import legendre_F
 
+# the Kahler potentials of the two presets, which the bridge does not keep
+_FLAT_F = lambda s: 0.5 * s
+_FUBINI_STUDY_F = lambda s: 0.5 * math.log1p(s)
+
 
 def _sine_potential():
     # 2*s*f'(s) = 2*s*cos(s) rises, turns over near s = 0.86 and goes negative
-    return KahlerPotential(
-        n=1, f=math.sin, df=math.cos, d2f=lambda s: -math.sin(s), label="sine"
-    )
+    return KahlerPotential(n=1, df=math.cos, d2f=lambda s: -math.sin(s), label="sine")
 
 
 def _shifted_potential():
     # f = (s + ln s)/2: t = s + 1, so the moment image is (1, inf)
     return KahlerPotential(
-        n=1, f=lambda s: 0.5 * (s + math.log(s)), df=lambda s: 0.5 * (1.0 + 1.0 / s),
-        d2f=lambda s: -0.5 / (s * s),
+        n=1, df=lambda s: 0.5 * (1.0 + 1.0 / s), d2f=lambda s: -0.5 / (s * s)
     )
 
 
@@ -94,7 +95,7 @@ def test_flat_legendre_dual():
     K = flat_potential(1)
     # f = s/2 gives F(t) = t ln(t/t) - t = -t
     for t in (0.2, 1.0, 3.0):
-        assert legendre_F(K, t) == pytest.approx(-t, rel=1e-12)
+        assert legendre_F(K, _FLAT_F, t) == pytest.approx(-t, rel=1e-12)
 
 
 def test_fubini_study_legendre_dual():
@@ -102,7 +103,8 @@ def test_fubini_study_legendre_dual():
     for t in np.linspace(0.1, 0.9, 9):
         t = float(t)
         want = (1.0 - t) * math.log(1.0 - t)
-        assert legendre_F(K, t) == pytest.approx(want, rel=1e-10, abs=1e-12)
+        got = legendre_F(K, _FUBINI_STUDY_F, t)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_fubini_study_legendre_dual_fine_grid():
@@ -110,7 +112,7 @@ def test_fubini_study_legendre_dual_fine_grid():
     for t in np.linspace(0.02, 0.98, 50):
         t = float(t)
         want = (1.0 - t) * math.log(1.0 - t)
-        assert abs(legendre_F(K, t) - want) <= 1e-9
+        assert abs(legendre_F(K, _FUBINI_STUDY_F, t) - want) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -135,7 +137,7 @@ def test_fubini_study_curvature_frozen_value():
 
 
 def test_curvature_rejects_decreasing_potential():
-    K = KahlerPotential(n=1, f=lambda s: -s, df=lambda s: -1.0, d2f=lambda s: 0.0)
+    K = KahlerPotential(n=1, df=lambda s: -1.0, d2f=lambda s: 0.0)
     with pytest.raises(NonpositiveDerivative):
         calabi_scalar_curvature(K, 1.0)
 
@@ -158,27 +160,29 @@ def test_cross_check_flat():
 
 def test_induced_potential_matches_projective_profile():
     T = induced_t_potential(fubini_study_potential(2), 0.0, 1.0)
-    for t in np.linspace(0.05, 0.95, 19):
-        t = float(t)
-        assert T.d2F(t) == pytest.approx(1.0 / (1.0 - t), rel=1e-10)
+    ts = np.linspace(0.05, 0.95, 19).tolist()
+    for t, f2 in zip(ts, T.d2F(ts)):
+        assert f2 == pytest.approx(1.0 / (1.0 - t), rel=1e-10)
 
 
 def test_induced_potential_higher_derivatives():
     T = induced_t_potential(fubini_study_potential(2), 0.0, 1.0)
     # d^3F = 1/(1-t)^2, d^4F = 2/(1-t)^3 for the projective profile
-    for t in (0.25, 0.5, 0.75):
-        assert T.d3F(t) == pytest.approx(1.0 / (1.0 - t) ** 2, rel=1e-6)
-        assert T.d4F(t) == pytest.approx(2.0 / (1.0 - t) ** 3, rel=1e-4)
+    ts = [0.25, 0.5, 0.75]
+    f2, f3, f4 = T.jet(ts)
+    assert f2 == T.d2F(ts)
+    for t, d3F, d4F in zip(ts, f3, f4):
+        assert d3F == pytest.approx(1.0 / (1.0 - t) ** 2, rel=1e-6)
+        assert d4F == pytest.approx(2.0 / (1.0 - t) ** 3, rel=1e-4)
 
 
 def test_potential_needs_both_derivatives():
     with pytest.raises(TypeError):
-        KahlerPotential(n=1, f=lambda s: 0.5 * np.log1p(s))
+        KahlerPotential(n=1, df=lambda s: 0.5 / (1.0 + s))
 
 
 def test_cross_check_inverts_the_moment_map_once_per_sample(monkeypatch):
-    # the three profile derivatives are asked for at the same t and share
-    # one inversion
+    # the jet inverts the moment map once per t, in the order of the ts
     inverted = []
     real = bridge_mod.s_of_t
 
@@ -214,8 +218,8 @@ def test_cross_check_evaluates_d2f_eleven_times_per_sample():
     # dt/ds~ itself (the flat inversion is exact at its first guess)
     calls = []
     K = KahlerPotential(
-        n=2, f=lambda s: 0.5 * s, df=lambda s: 0.5,
-        d2f=lambda s: calls.append(s) or 0.0, label="counting flat",
+        n=2, df=lambda s: 0.5, d2f=lambda s: calls.append(s) or 0.0,
+        label="counting flat",
     )
     samples = np.geomspace(0.25, 4.0, 10).tolist()
     bridge_cross_check(K, samples)
@@ -258,8 +262,7 @@ def test_empty_sample_list_is_refused():
 def test_nan_difference_is_the_worst_one():
     # a NaN difference past the first sample must not hide behind max()
     K = KahlerPotential(
-        n=2, f=lambda s: 0.5 * s, df=lambda s: 0.5,
-        d2f=lambda s: math.nan if s > 1.5 else 0.0,
+        n=2, df=lambda s: 0.5, d2f=lambda s: math.nan if s > 1.5 else 0.0
     )
     report = bridge_cross_check(K, [0.5, 2.0])
     assert math.isnan(report.difference[1])

@@ -323,19 +323,21 @@ def test_build_extremal_metric_roundtrip():
     P, T, E = build_extremal_metric(2, 0.5, 1.0)
     assert P == build_blowup_polytope(2, 0.5, 1.0)
     assert T.t_min == 0.5 and T.t_max == 1.0
-    got = radial_scalar_curvature(T, 0.6)
+    [got] = radial_scalar_curvature(T, [0.6])
     assert got == pytest.approx(69.6 / 13, rel=1e-10)
 
 
 def test_build_extremal_metric_derivatives_match_differences():
     _, T, E = build_extremal_metric(2, 0.5, 1.0)
-    # d3F, d4F consistent with finite differences of d2F
+    # the jet's F''' and F'''' consistent with finite differences of d2F
     h = 1e-5
     t = 0.75
-    fd3 = (T.d2F(t + h) - T.d2F(t - h)) / (2 * h)
-    assert T.d3F(t) == pytest.approx(fd3, rel=1e-7)
-    fd4 = (T.d2F(t + h) - 2 * T.d2F(t) + T.d2F(t - h)) / h**2
-    assert T.d4F(t) == pytest.approx(fd4, rel=1e-4)
+    down, mid, up = T.d2F([t - h, t, t + h])
+    _, [f3], [f4] = T.jet([t])
+    fd3 = (up - down) / (2 * h)
+    assert f3 == pytest.approx(fd3, rel=1e-7)
+    fd4 = (up - 2 * mid + down) / h**2
+    assert f4 == pytest.approx(fd4, rel=1e-4)
 
 
 def test_invalid_construction_parameters():
@@ -383,7 +385,7 @@ def _array_jet(E, t):
 
 
 def _float_jet(E, ts):
-    return [table.F_derivatives(E, t) for t in ts]
+    return list(zip(*table.F_derivatives(E, ts)[1:]))
 
 
 # the numpy array reference and the plain-float evaluation of each quantity
@@ -425,6 +427,47 @@ def test_array_calls_equal_elementwise_scalar_calls(params, fractions):
         assert np.array_equal(got, want)
 
 
+# nab over every dimension verify serves
+nab16 = st.tuples(
+    st.integers(min_value=1, max_value=16),
+    st.floats(min_value=0.05, max_value=1.5),
+    st.floats(min_value=0.2, max_value=2.0),
+).map(lambda t: (t[0], t[1], t[1] + t[2]))
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@given(
+    nab16,
+    st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@settings(max_examples=80)
+def test_jet_is_F_second_and_the_array_derivatives(params, fractions):
+    """Bit for bit: the jet's F'' is ``F_second``'s and its F''' and F''''
+    are the numpy array evaluation's, or both raise the same error.  These
+    two keep the bytes of verify's radial curvature."""
+    n, a, b = params
+    E = solve_coefficients(n, a, b)
+    ts = [t for t in (a + (b - a) * f for f in fractions) if a < t < b]
+    assume(ts)
+    try:
+        want = table.F_second(E, ts)
+    except GeometryError as exc:  # the pole guard, next to an endpoint
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            table.F_derivatives(E, ts)
+        return
+    f2, f3, f4 = table.F_derivatives(E, ts)
+    assert _bits(f2) == _bits(want)
+    w3, w4 = array_F_derivatives(E, np.array(ts))
+    assert (_bits(f3), _bits(f4)) == (_bits(w3), _bits(w4))
+
+
 @pytest.mark.parametrize(
     "bad, error",
     [(0.4, DomainViolation), (1.0, DomainViolation), (0.5 + 1e-15, PotentialPole)],
@@ -434,7 +477,7 @@ def test_bad_t_in_an_array_raises_like_the_scalar_call(bad, error):
     batch = np.array([0.6, bad, 0.75])
     for array_fn, float_fn in _PAIRS:
         if error is DomainViolation and array_fn is _array_jet:
-            continue  # the derivatives guard only the pole
+            continue  # the array derivatives guard only the pole
         if error is PotentialPole and array_fn is array_h_second:
             continue  # the deflated form is regular at the endpoints
         with pytest.raises(error):
@@ -463,31 +506,33 @@ def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):
     calls = []
     real = table.F_derivatives
 
-    def counting(E, t):
-        calls.append(t)
-        return real(E, t)
+    def counting(E, ts):
+        calls.append(ts)
+        return real(E, ts)
 
     monkeypatch.setattr(table, "F_derivatives", counting)
     _, T, E = build_extremal_metric(2, 0.5, 1.0)
     ts = np.linspace(0.55, 0.95, 100).tolist()
-    S = [radial_scalar_curvature(T, t) for t in ts]
-    assert calls == ts  # one evaluation per t serves F''' and F''''
+    S = radial_scalar_curvature(T, ts)
+    assert calls == [ts]  # one evaluation of the whole list serves the jet
     np.testing.assert_allclose(S, [E.A * t + E.B for t in ts], rtol=1e-9)
-    # both derivatives are those of one evaluation at the t asked for
-    t = ts[3]
-    assert (T.d3F(t), T.d4F(t)) == real(E, t)
-    assert len(calls) == 101
+    # the jet is that of one evaluation at the ts asked for
+    assert T.jet(ts[3:5]) == real(E, ts[3:5])
+    assert len(calls) == 2
 
 
 def test_shared_profile_derivatives_are_read_only():
-    # d3F and d4F share one cached evaluation per t; it holds floats, which
-    # no caller can write into, so every later answer at that t is the same
+    # each jet call builds new lists of floats, so a caller that writes into
+    # one answer changes no later answer at the same ts
     _, T, E = build_extremal_metric(2, 0.5, 1.0)
-    for t in np.linspace(0.55, 0.95, 7).tolist():
-        f3, f4 = table.F_derivatives(E, t)
-        for _ in range(2):
-            assert type(T.d3F(t)) is float and T.d3F(t) == f3
-            assert type(T.d4F(t)) is float and T.d4F(t) == f4
+    ts = np.linspace(0.55, 0.95, 7).tolist()
+    want = table.F_derivatives(E, ts)
+    for _ in range(2):
+        jet = T.jet(ts)
+        assert jet == want
+        assert all(type(v) is float for column in jet for v in column)
+        for column in jet:
+            column[0] = math.nan
 
 
 # --- exact proofs: Bernstein certificate, boundary identities, endpoints -----

@@ -508,6 +508,31 @@ def test_a_refused_derive_flag_prints_the_derive_usage(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (
+            ["--bogus", "derive"],
+            "usage: toricext [-h] {derive,profile,verify,bridge-check,example} ...\n"
+            "toricext: error: unrecognized arguments: --bogus\n",
+        ),
+        (
+            ["derive", "--bogus"],
+            "usage: toricext derive [-h] [--n N] [--a A] [--b B]\n"
+            "toricext derive: error: unrecognized arguments: --bogus\n",
+        ),
+    ],
+    ids=["before the command", "after the command"],
+)
+def test_an_unknown_flag_is_refused_by_the_parser_it_reached(argv, stderr, capsys):
+    # a flag before the command is the top-level parser's, one after it the
+    # command's
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", stderr)
+
+
+@pytest.mark.parametrize(
     "argv", [["verify", "--se", "3"], ["bridge-check", "--tolerance", "1e-3"]]
 )
 def test_a_prefix_of_a_flag_is_refused(argv, capsys):
@@ -539,6 +564,14 @@ def test_readme_has_cli_sessions():
 def test_readme_session_is_what_the_cli_prints(argv, output, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == output
+
+
+def test_readme_library_block_runs():
+    # its assertions hold the curvature to verify's default tolerance_soft
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def _reference_render(obj, indent: int = 0) -> str:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from util import (
     fd_curvature_reference,
     flat_profile,
     inverse_hessian,
+    profile,
     radial_hessian,
 )
 
@@ -64,6 +66,25 @@ def test_positive_definite_iff_conformal_factor_positive(x, f2):
             inverse_hessian(x, f2)
 
 
+def _refined_inverse(x, f2) -> np.ndarray:
+    """LAPACK's inverse X of the radial Hessian H = (diag(1/x) + F'' 1 1^T)/2,
+    plus one refinement step X R with the residual R = I - H X exact in
+    rationals.  X alone is off the true inverse by up to ~cond(H)*eps
+    relative, which reaches 1e-12 in thin shells (cond(H) ~ 5e4); after the
+    step that error is squared, so X + X R is the inverse to rounding."""
+    X = np.linalg.inv(radial_hessian(x, f2))
+    inv_x = [1 / Fraction(v) for v in x]
+    col_sums = [sum(map(Fraction, column)) for column in X.T.tolist()]
+    R = [
+        [
+            (i == j) - (Fraction(X[i, j]) * inv_x[i] + Fraction(f2) * col_sums[j]) / 2
+            for j in range(len(x))
+        ]
+        for i in range(len(x))
+    ]
+    return X + X @ np.array(R, dtype=float)
+
+
 @given(
     n=st.integers(min_value=1, max_value=16),
     b=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
@@ -75,13 +96,13 @@ def test_positive_definite_iff_conformal_factor_positive(x, f2):
 @settings(max_examples=100)
 def test_closed_form_inverse_equals_linalg_inverse(n, b, ratio, seed):
     """At points of the polytope, with the extremal F'' there, the closed
-    form is LAPACK's inverse of the radial Hessian, relative to its largest
-    entry."""
+    form is LAPACK's inverse of the radial Hessian, refined once against the
+    exact Hessian, relative to its largest entry."""
     a = ratio * b
     P, T, _ = build_extremal_metric(n, a, b)
     for x in sample_interior(P, 5, margin=0.05 * (b - a), seed=seed):
-        f2 = T.d2F(sum(x))
-        want = np.linalg.inv(radial_hessian(x, f2))
+        [f2] = T.d2F([sum(x)])
+        want = _refined_inverse(x, f2)
         got = np.array(inverse_hessian(x, f2))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -98,12 +119,12 @@ GENERIC_S = {
 
 def _generic_profile():
     d = lambda t: 0.3 * math.exp(t)
-    return TPotential(n=2, t_min=0.0, t_max=10.0, d2F=d, d3F=d, d4F=d)
+    return profile(2, 0.0, 10.0, d, d, d)
 
 
 @pytest.mark.parametrize("t", sorted(GENERIC_S))
 def test_generic_profile_analytic_matches_symbolic(t):
-    got = radial_scalar_curvature(_generic_profile(), t)
+    [got] = radial_scalar_curvature(_generic_profile(), [t])
     assert got == pytest.approx(GENERIC_S[t], rel=1e-13)
 
 
@@ -111,62 +132,62 @@ def test_generic_profile_analytic_matches_symbolic(t):
 def test_generic_profile_fd_matches_symbolic(t):
     reference = fd_curvature_reference(_generic_profile(), t)
     assert reference == pytest.approx(GENERIC_S[t], rel=1e-7)
-    got = radial_scalar_curvature(_generic_profile(), t)
+    [got] = radial_scalar_curvature(_generic_profile(), [t])
     assert got == pytest.approx(reference, rel=1e-7)
 
 
 def test_profile_needs_all_three_derivatives():
+    # F'' alone is not a profile: its jet (F'', F''', F'''') is required
     with pytest.raises(TypeError):
-        TPotential(n=2, t_min=0.0, t_max=1.0, d2F=lambda t: 1.0 / (1.0 - t))
+        TPotential(n=2, t_min=0.0, t_max=1.0, d2F=lambda ts: [1.0 / (1.0 - t) for t in ts])
 
 
 def test_constant_second_derivative_curvature():
     # F'' = 1 at n=1 gives S = 2/(1+t)^3 exactly
-    T = TPotential(
-        n=1, t_min=0.0, t_max=10.0,
-        d2F=lambda t: 1.0, d3F=lambda t: 0.0, d4F=lambda t: 0.0,
-    )
-    for t in [0.3, 1.0, 2.5]:
+    T = profile(1, 0.0, 10.0, lambda t: 1.0, lambda t: 0.0, lambda t: 0.0)
+    ts = [0.3, 1.0, 2.5]
+    for t, got in zip(ts, radial_scalar_curvature(T, ts)):
         want = 2.0 / (1.0 + t) ** 3
-        got = radial_scalar_curvature(T, t)
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(fd_curvature_reference(T, t), rel=1e-6, abs=1e-9)
-    assert radial_scalar_curvature(T, 1.0) == pytest.approx(0.25, rel=1e-12)
+    assert radial_scalar_curvature(T, [1.0]) == [pytest.approx(0.25, rel=1e-12)]
+    # any iterable of t, read once
+    assert radial_scalar_curvature(T, iter(ts)) == radial_scalar_curvature(T, ts)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_fubini_study_curvature_is_constant(n):
     T = cpn_profile(n)
     want = n * (n + 1)
-    for t in np.linspace(0.02, 0.98, 50):
-        got = radial_scalar_curvature(T, float(t))
+    ts = np.linspace(0.02, 0.98, 50).tolist()
+    for t, got in zip(ts, radial_scalar_curvature(T, ts)):
         assert abs(got - want) <= 1e-9 * want
-        assert abs(got - fd_curvature_reference(T, float(t))) <= 1e-6 * want
+        assert abs(got - fd_curvature_reference(T, t)) <= 1e-6 * want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flat_curvature_vanishes(n):
     T = flat_profile(n)
-    for t in np.linspace(0.1, 5.0, 20):
-        got = radial_scalar_curvature(T, float(t))
+    ts = np.linspace(0.1, 5.0, 20).tolist()
+    for t, got in zip(ts, radial_scalar_curvature(T, ts)):
         assert abs(got) <= 1e-12
-        assert abs(got - fd_curvature_reference(T, float(t))) <= 1e-8
+        assert abs(got - fd_curvature_reference(T, t)) <= 1e-8
 
 
 def test_curvature_refuses_a_degenerate_metric():
     # F'' = -1/2 makes 1 + t F'' = 0 at t = 2
     half = lambda t: -0.5
     zero = lambda t: 0.0
-    T = TPotential(n=2, t_min=0.0, t_max=4.0, d2F=half, d3F=zero, d4F=zero)
+    T = profile(2, 0.0, 4.0, half, zero, zero)
     with pytest.raises(DegenerateMetric):
-        radial_scalar_curvature(T, 2.0)
+        radial_scalar_curvature(T, [2.0])
 
 
 def test_curvature_rejects_exterior_t():
     T = cpn_profile(2)
     with pytest.raises(DomainViolation):
-        radial_scalar_curvature(T, 1.5)
+        radial_scalar_curvature(T, [1.5])
     with pytest.raises(DomainViolation):
-        radial_scalar_curvature(T, -0.1)
+        radial_scalar_curvature(T, [-0.1])
     with pytest.raises(DomainViolation, match=r"^t = 1\.0 outside \(0\.0, 1\.0\)$"):
-        radial_scalar_curvature(T, 1.0)  # before F'' = 1/(1 - t) divides by 0
+        radial_scalar_curvature(T, [0.5, 1.0])  # before F'' = 1/(1 - t) divides by 0

@@ -16,8 +16,7 @@ import toricext
 # the public names of the package and the submodule defining each
 PUBLIC = {
     "abreu": [
-        "AffineFit", "SymplecticPotential", "abreu_scalar_curvature",
-        "extremality_residual",
+        "AffineFit", "abreu_scalar_curvature", "extremality_residual",
     ],
     "bridge": [
         "BridgeCheckReport", "KahlerPotential", "PRESETS", "bridge_cross_check",

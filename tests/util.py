@@ -17,23 +17,35 @@ from toricext.polytope import BlowupPolytope
 from toricext.radial import inverse_diagonal, inverse_off_diagonal, validity_factor
 
 
-def cpn_profile(n: int, b: float = 1.0) -> TPotential:
-    """Guillemin profile of the size-b simplex: F'' = 1/(b-t) on (0, b), the
-    Fubini-Study metric with S = n(n+1)/b."""
+def profile(n: int, t_min: float, t_max: float, d2F, d3F, d4F) -> TPotential:
+    """The TPotential whose F'', F''' and F'''' at one t are d2F(t), d3F(t)
+    and d4F(t)."""
     return TPotential(
-        n=n,
-        t_min=0.0,
-        t_max=b,
-        d2F=lambda t: 1.0 / (b - t),
-        d3F=lambda t: 1.0 / (b - t) ** 2,
-        d4F=lambda t: 2.0 / (b - t) ** 3,
+        n,
+        t_min,
+        t_max,
+        lambda ts: [d2F(t) for t in ts],
+        lambda ts: tuple([d(t) for t in ts] for d in (d2F, d3F, d4F)),
     )
 
 
-def flat_profile(n: int, t_max: float = 10.0) -> TPotential:
-    """F'' = 0 on (0, t_max): the flat metric, S = 0."""
+def cpn_profile(n: int, b: float = 1.0) -> TPotential:
+    """Guillemin profile of the size-b simplex: F'' = 1/(b-t) on (0, b), the
+    Fubini-Study metric with S = n(n+1)/b."""
+    return profile(
+        n,
+        0.0,
+        b,
+        lambda t: 1.0 / (b - t),
+        lambda t: 1.0 / (b - t) ** 2,
+        lambda t: 2.0 / (b - t) ** 3,
+    )
+
+
+def flat_profile(n: int, t_min: float = 0.0, t_max: float = 10.0) -> TPotential:
+    """F'' = 0 on (t_min, t_max): the flat metric, S = 0."""
     zero = lambda t: 0.0
-    return TPotential(n=n, t_min=0.0, t_max=t_max, d2F=zero, d3F=zero, d4F=zero)
+    return profile(n, t_min, t_max, zero, zero, zero)
 
 
 def simplex_polytope(n: int) -> BlowupPolytope:
@@ -67,11 +79,12 @@ def inverse_hessian(x, d2F_value) -> list[list[float]]:
     ]
 
 
-def legendre_F(K, t: float) -> float:
-    """The t-potential F(t) = t*ln(s(t)/t) - 2*f(s(t)) of a Kahler potential
-    K, through the bridge's moment-map inversion."""
+def legendre_F(K, f, t: float) -> float:
+    """The t-potential F(t) = t*ln(s(t)/t) - 2*f(s(t)) of the Kahler
+    potential f whose derivatives K holds, through the bridge's moment-map
+    inversion."""
     s = s_of_t(K, t)
-    return t * math.log(s / t) - 2.0 * K.f(s)
+    return t * math.log(s / t) - 2.0 * f(s)
 
 
 def closed_form_coefficients(n: int, a: float, b: float):
@@ -91,7 +104,7 @@ def fd_curvature_reference(T, t):
     h = min(STEP_SECOND * T.t_max, 0.5 * min(t - T.t_min, T.t_max - t))
 
     def u(tau):
-        f2 = T.d2F(tau)
+        [f2] = T.d2F([tau])
         return tau ** (n + 1) * f2 / (1.0 + tau * f2)
 
     return t ** (1 - n) * richardson(u, t, h)[2]
