@@ -9,7 +9,7 @@ import argparse
 import csv
 import sys
 
-from toricext import solve_coefficients
+from toricext.exact import solve_coefficients
 from toricext.numdiff import grid
 
 

@@ -10,13 +10,11 @@ expose the noise/truncation trade-off.
 import argparse
 import sys
 
-from toricext import (
-    StencilExitsDomain,
-    abreu_scalar_curvature,
-    build_extremal_metric,
-    radial_scalar_curvature,
-    sample_interior,
-)
+from toricext.abreu import abreu_scalar_curvature
+from toricext.calabi import build_extremal_metric
+from toricext.errors import StencilExitsDomain
+from toricext.polytope import sample_interior
+from toricext.radial import radial_scalar_curvature
 
 
 def main() -> int:

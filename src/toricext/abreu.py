@@ -51,7 +51,8 @@ def _check_dimension(n: int) -> None:
     """Refuse an n past ``MAX_DIMENSION`` as invalid input."""
     if n > MAX_DIMENSION:
         raise InvalidParameters(
-            f"dense inversion limited to n <= {MAX_DIMENSION}, got {n}"
+            f"n must be at most {MAX_DIMENSION}, the range verify is checked "
+            f"for; got {n}"
         )
 
 
@@ -69,18 +70,20 @@ class AffineFit(Record):
         super().__init__(gradient, constant, max_residual, S)
 
 
-def _points(x, n: int) -> tuple[list[list[float]], bool]:
-    """The points of x, one point of n coordinates or a sequence of them, as
-    lists of floats; and whether x was one point."""
-    single = all(isinstance(v, numbers.Real) for v in x)
-    rows = [x] if single else list(x)
+def _points(points: Sequence, n: int) -> list[list[float]]:
+    """The points, a sequence of points of n coordinates each, as lists of
+    floats; a bare point, whose entries are numbers, is refused."""
+    rows = list(points)
     for row in rows:
-        if len(row) != n or not all(isinstance(v, numbers.Real) for v in row):
+        if (
+            isinstance(row, numbers.Real)
+            or len(row) != n
+            or not all(isinstance(v, numbers.Real) for v in row)
+        ):
             raise InvalidParameters(
-                f"points are neither one point of {n} coordinates nor a "
-                f"sequence of such points"
+                f"points must be a sequence of points of {n} coordinates each"
             )
-    return [[float(v) for v in row] for row in rows], single
+    return [[float(v) for v in row] for row in rows]
 
 
 def _curvature_at(x: list[float], h: float, f2: list[float], den: list[float]) -> float:
@@ -111,16 +114,15 @@ def _curvature_at(x: list[float], h: float, f2: list[float], den: list[float]) -
 
 
 def abreu_scalar_curvature(
-    T: TPotential, x, h: float | None = None
-) -> float | list[float]:
+    T: TPotential, points: Sequence, h: float | None = None
+) -> list[float]:
     """S(x) = -(1/2) sum_ij d^2 G^{ij}/dx_i dx_j by central differences, for
-    the radial potential with profile T.
+    the radial potential with profile T, at each of the points.
 
-    x is one point of n coordinates, answered with a float, or a sequence of
-    points, answered with a list of floats in their order.  The potential
-    lives on the polytope {x >= 0, t_min <= sum(x) <= t_max}, whose facets
-    carry its log terms; F'' for every stencil of the call comes from one
-    ``T.d2F`` list.
+    points is a sequence of points of n coordinates each, answered with a
+    list of floats in their order.  The potential lives on the polytope
+    {x >= 0, t_min <= sum(x) <= t_max}, whose facets carry its log terms;
+    F'' for every stencil of the call comes from one ``T.d2F`` list.
 
     Default step, per point: eps^(1/4)*t_max, the polytope's own length,
     clamped to dmin/3 (dmin the point's least facet value): a stencil corner
@@ -130,7 +132,7 @@ def abreu_scalar_curvature(
     """
     n = T.n
     _check_dimension(n)
-    pts, single = _points(x, n)
+    pts = _points(points, n)
     P = BlowupPolytope(n, T.t_min, T.t_max)
 
     dmin = [interior_distance(P, p) for p in pts]
@@ -151,11 +153,10 @@ def abreu_scalar_curvature(
     ts = [sum(p) + k * step for p, step in zip(pts, steps) for k in (-2, -1, 0, 1, 2)]
     f2 = T.d2F(ts)
     den = list(map(validity_factor, ts, f2))
-    S = [
+    return [
         _curvature_at(p, step, f2[5 * i:5 * i + 5], den[5 * i:5 * i + 5])
         for i, (p, step) in enumerate(zip(pts, steps))
     ]
-    return S[0] if single else S
 
 
 def _least_squares(design: list[list[float]], values: list[float]) -> list[float]:
@@ -205,9 +206,7 @@ def extremality_residual(
     least n+1 affinely independent points.
     """
     n = T.n
-    pts, single = _points(points, n)
-    if single:
-        raise InvalidParameters(f"points must be a sequence of points, got {pts[0]}")
+    pts = _points(points, n)
     m = len(pts)
     if m < n + 1:
         raise DegeneratePointSet(f"need >= {n + 1} points, got {m}")

@@ -217,8 +217,16 @@ def _induced_jet(
 
 
 def _induced_second(K: KahlerPotential, ts: Sequence[float]) -> list[float]:
-    """F'' of the induced profile at the ts: the first list of its jet."""
-    return _induced_jet(K, ts)[0]
+    """F'' of the induced profile at the ts, from one inversion and one dt/ds~
+    per t: the jet's first list to the bit, whose F'' reads the stencil's
+    centre value."""
+    f2 = []
+    for t in ts:
+        u2 = _rate(K, math.log(s_of_t(K, t)))
+        if u2 <= 0.0:
+            raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
+        f2.append(1.0 / u2 - 1.0 / t)
+    return f2
 
 
 def induced_t_potential(

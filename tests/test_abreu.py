@@ -5,42 +5,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricext import (
-    BlowupPolytope,
+from toricext.abreu import (
+    _least_squares,
+    abreu_scalar_curvature,
+    extremality_residual,
+)
+from toricext.calabi import build_extremal_metric
+from toricext.errors import (
+    DegenerateMetric,
     DegeneratePointSet,
     DomainViolation,
     InvalidParameters,
-    DegenerateMetric,
     NonInteriorPoint,
     StencilExitsDomain,
-    TPotential,
-    abreu_scalar_curvature,
+)
+from toricext.polytope import (
+    BlowupPolytope,
     build_blowup_polytope,
-    build_extremal_metric,
-    extremality_residual,
     interior_distance,
     sample_interior,
 )
-from toricext.abreu import _least_squares
 from toricext.numdiff import STEP_SECOND
+from toricext.radial import TPotential
 from util import cpn_profile, flat_profile, profile, radial_hessian
 
 
 def test_flat_curvature_default_step():
     S = flat_profile(2, 0.5, 1.0)
     for x in ([0.3, 0.4], [0.2, 0.5], [0.45, 0.35]):
-        assert abs(abreu_scalar_curvature(S, np.array(x))) <= 1e-7
+        [got] = abreu_scalar_curvature(S, [np.array(x)])
+        assert abs(got) <= 1e-7
 
 
 def test_flat_curvature_coarse_step_is_cleaner():
     # h=1e-3 sits at the flat-profile noise/truncation sweet spot
     S = flat_profile(2, 0.5, 1.0)
-    assert abs(abreu_scalar_curvature(S, np.array([0.3, 0.4]), h=1e-3)) <= 1e-9
+    [got] = abreu_scalar_curvature(S, [np.array([0.3, 0.4])], h=1e-3)
+    assert abs(got) <= 1e-9
 
 
 def test_projective_space_curvature():
     S = cpn_profile(2)
-    got = abreu_scalar_curvature(S, np.array([0.2, 0.3]))
+    [got] = abreu_scalar_curvature(S, [np.array([0.2, 0.3])])
     assert got == pytest.approx(6.0, abs=1e-5)
 
 
@@ -49,27 +55,28 @@ def test_extremal_curvature_is_affine_in_t():
     for x in ([0.35, 0.40], [0.2, 0.55], [0.6, 0.15]):
         x = np.array(x)
         want = E.A * float(np.sum(x)) + E.B
-        assert abreu_scalar_curvature(S, x) == pytest.approx(want, abs=1e-5)
+        [got] = abreu_scalar_curvature(S, [x])
+        assert got == pytest.approx(want, abs=1e-5)
 
 
 def test_curvature_permutation_invariance():
     _, S, _ = build_extremal_metric(2, 0.5, 1.0)
     x = np.array([0.25, 0.45])
-    v1 = abreu_scalar_curvature(S, x)
-    v2 = abreu_scalar_curvature(S, x[::-1].copy())
+    [v1] = abreu_scalar_curvature(S, [x])
+    [v2] = abreu_scalar_curvature(S, [x[::-1].copy()])
     assert abs(v1 - v2) <= 1e-8
 
 
 def test_dimension_cap():
     S = flat_profile(17, 0.5, 1.0)
     with pytest.raises(InvalidParameters):
-        abreu_scalar_curvature(S, np.full(17, 0.5))
+        abreu_scalar_curvature(S, np.full((1, 17), 0.5))
 
 
 def test_explicit_step_must_fit():
     S = flat_profile(2, 0.5, 1.0)
     with pytest.raises(StencilExitsDomain):
-        abreu_scalar_curvature(S, np.array([0.3, 0.4]), h=0.3)
+        abreu_scalar_curvature(S, [np.array([0.3, 0.4])], h=0.3)
 
 
 def test_default_step_clamped_at_the_facet_fits():
@@ -79,7 +86,8 @@ def test_default_step_clamped_at_the_facet_fits():
     x = np.array([np.nextafter(1.1329e-4, 1.0), 0.6])
     d = interior_distance(P, x)
     assert 3.0 * (d / 3.0) > d
-    assert abs(abreu_scalar_curvature(S, x)) <= 1e-6
+    [got] = abreu_scalar_curvature(S, [x])
+    assert abs(got) <= 1e-6
 
 
 def test_extremality_residual_on_extremal_metric():
@@ -229,14 +237,6 @@ def test_batched_stencil_matches_per_point_reference(n):
     np.testing.assert_allclose(want, n * (n + 1) / b, rtol=1e-5)
 
 
-def test_single_point_answers_with_a_float():
-    _, S, _ = build_extremal_metric(2, 0.5, 1.0)
-    x = np.array([0.35, 0.4])
-    one = abreu_scalar_curvature(S, x)
-    assert isinstance(one, float)
-    assert abreu_scalar_curvature(S, x[None, :]) == [one]
-
-
 @pytest.mark.parametrize(
     "bad, h, error",
     [
@@ -251,7 +251,7 @@ def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
     S = TPotential(2, 0.5, 1.0, T.d2F, T.jet)
     good = np.array([[0.35, 0.4], [0.3, 0.5], [0.45, 0.35]])
     with pytest.raises(error):
-        abreu_scalar_curvature(S, np.array(bad), h=h)
+        abreu_scalar_curvature(S, [np.array(bad)], h=h)
     batch = np.insert(good, 1, bad, axis=0)
     with pytest.raises(error):
         abreu_scalar_curvature(S, batch, h=h)
@@ -259,10 +259,17 @@ def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
 
 
 def test_point_shape_is_checked():
+    # a bare point, of the right length or not, is not a sequence of points
     S = flat_profile(2, 0.5, 1.0)
-    for shape in [(3,), (4, 3), (2, 2, 2)]:
+    for shape in [(2,), (3,), (4, 3), (2, 2, 2)]:
         with pytest.raises(InvalidParameters):
             abreu_scalar_curvature(S, np.full(shape, 0.3))
+        with pytest.raises(InvalidParameters):
+            extremality_residual(S, np.full(shape, 0.3))
+    with pytest.raises(InvalidParameters):
+        abreu_scalar_curvature(S, [0.3, 0.4])
+    with pytest.raises(InvalidParameters):
+        abreu_scalar_curvature(flat_profile(1, 0.5, 1.0), [0.7])
 
 
 def test_degenerate_metric_in_a_batch_names_its_t():
@@ -273,8 +280,8 @@ def test_degenerate_metric_in_a_batch_names_its_t():
     S = profile(2, 0.5, 1.0, f2, zero, zero)
     x = [0.45, 0.45]  # t = 0.9, every stencil t past 0.8
     with pytest.raises(DegenerateMetric, match=r"at t = 0\.8\d*$") as alone:
-        abreu_scalar_curvature(S, x)
+        abreu_scalar_curvature(S, [x])
     with pytest.raises(DegenerateMetric) as batched:
         abreu_scalar_curvature(S, [[0.3, 0.3], x])
     assert str(batched.value) == str(alone.value)
-    abreu_scalar_curvature(S, [0.3, 0.3])  # t = 0.6 is fine
+    abreu_scalar_curvature(S, [[0.3, 0.3]])  # t = 0.6 is fine

@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricext import bridge as bridge_mod
-from toricext import (
-    DomainViolation,
+from toricext.bridge import (
+    PRESETS,
     KahlerPotential,
-    NonpositiveDerivative,
-    NotInvertible,
-    OutOfRange,
     bridge_cross_check,
     calabi_scalar_curvature,
     flat_potential,
@@ -19,6 +16,12 @@ from toricext import (
     induced_t_potential,
     s_of_t,
     t_of_s,
+)
+from toricext.errors import (
+    DomainViolation,
+    NonpositiveDerivative,
+    NotInvertible,
+    OutOfRange,
 )
 from util import legendre_F
 
@@ -174,6 +177,28 @@ def test_induced_potential_higher_derivatives():
     for t, d3F, d4F in zip(ts, f3, f4):
         assert d3F == pytest.approx(1.0 / (1.0 - t) ** 2, rel=1e-6)
         assert d4F == pytest.approx(2.0 / (1.0 - t) ** 3, rel=1e-4)
+
+
+@pytest.mark.parametrize("preset, t_max", [("flat", 10.0), ("fubini-study", 1.0)])
+def test_induced_second_derivative_is_the_jets_from_one_rate_per_t(preset, t_max):
+    # F'' = 1/t'(s~) - 1/t reads the jet stencil's centre value, so beyond
+    # the inversion it needs one f''(s) per t
+    calls = []
+    model = PRESETS[preset](3)
+    K = KahlerPotential(
+        n=3, df=model.df, d2f=lambda s: calls.append(s) or model.d2f(s),
+        label=f"counting {preset}",
+    )
+    T = induced_t_potential(K, 0.0, t_max)
+    ts = np.random.default_rng(0).uniform(1e-3 * t_max, 0.999 * t_max, 500).tolist()
+    assert T.d2F(ts) == T.jet(ts)[0]
+    calls.clear()
+    for t in ts:
+        s_of_t(K, t)
+    inversions = len(calls)
+    calls.clear()
+    T.d2F(ts)
+    assert len(calls) == inversions + len(ts)
 
 
 def test_potential_needs_both_derivatives():

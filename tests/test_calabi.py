@@ -10,31 +10,30 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricext import (
+from toricext import exact as exact_mod
+from toricext import table
+from toricext.calabi import _endpoint_limits, build_extremal_metric
+from toricext.errors import (
     BoundaryIdentityViolation,
     DomainViolation,
-    ExtremalCoefficients,
     GeometryError,
     InvalidParameters,
     PositivityViolation,
     PotentialPole,
-    build_blowup_polytope,
-    build_extremal_metric,
-    coefficient_cross_check,
-    positivity_certificate,
-    radial_scalar_curvature,
-    solve_coefficients,
 )
-from toricext import exact as exact_mod
-from toricext import table
-from toricext.calabi import _endpoint_limits
 from toricext.exact import (
+    ExtremalCoefficients,
     _alpha_coeffs,
     _bernstein_certificate,
     _boundary_rows,
     _closed_form,
     _exact_solution,
+    coefficient_cross_check,
+    positivity_certificate,
+    solve_coefficients,
 )
+from toricext.polytope import build_blowup_polytope
+from toricext.radial import radial_scalar_curvature
 from util import (
     array_F_derivatives,
     array_F_second,
@@ -633,7 +632,8 @@ def test_nonzero_deflation_remainder_raises(monkeypatch):
 _PERTURBED_CHILD = """
 import sys
 from fractions import Fraction
-from toricext import BoundaryIdentityViolation, exact
+from toricext import exact
+from toricext.errors import BoundaryIdentityViolation
 real = exact._exact_solution
 def perturbed(n, a, b):
     A, B, C, D = real(n, a, b)

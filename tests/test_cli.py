@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricext import GeometryError, InvalidParameters
 from toricext import cli
 from toricext import exact as exact_mod
 from toricext import table as table_mod
+from toricext.errors import GeometryError, InvalidParameters
 from util import array_F_second, array_h_second
 
 CMD = [sys.executable, "-m", "toricext"]
@@ -307,7 +307,9 @@ def test_verify_refuses_a_dimension_past_the_cap(n, a, capsys):
     assert cli.main(["verify", "--n", str(n), "--a", a]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: dense inversion limited to n <= 16, got {n}\n"
+    assert captured.err == (
+        f"error: n must be at most 16, the range verify is checked for; got {n}\n"
+    )
 
 
 def test_verify_rejects_a_negative_seed():
@@ -572,6 +574,18 @@ def test_readme_library_block_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_module_map_names_each_module_once():
+    # the modules are the API, and the map is their index
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = re.search(
+        r"^Module map \(`src/toricext/`\):\n\n((?:(?:- |  ).*\n)+)", readme, re.M
+    ).group(1)
+    named = re.findall(r"^- `(\w+\.py)` ", block, re.M)
+    files = [p.name for p in (root / "src" / "toricext").glob("*.py")]
+    assert sorted(named) == sorted(set(files) - {"__init__.py"})
 
 
 def _reference_render(obj, indent: int = 0) -> str:

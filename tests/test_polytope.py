@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricext import (
+from toricext.errors import DimensionMismatch, EmptyRegion, InvalidParameters
+from toricext.polytope import (
     BlowupPolytope,
-    DimensionMismatch,
-    EmptyRegion,
-    InvalidParameters,
     build_blowup_polytope,
     facet_values,
     interior_distance,

@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricext import (
-    DegenerateMetric,
-    DomainViolation,
-    TPotential,
-    build_extremal_metric,
-    radial_scalar_curvature,
-    sample_interior,
-)
+from toricext.calabi import build_extremal_metric
+from toricext.errors import DegenerateMetric, DomainViolation
+from toricext.polytope import sample_interior
+from toricext.radial import TPotential, radial_scalar_curvature
 from util import (
     cpn_profile,
     fd_curvature_reference,

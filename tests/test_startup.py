@@ -13,35 +13,11 @@ import pytest
 
 import toricext
 
-# the public names of the package and the submodule defining each
-PUBLIC = {
-    "abreu": [
-        "AffineFit", "abreu_scalar_curvature", "extremality_residual",
-    ],
-    "bridge": [
-        "BridgeCheckReport", "KahlerPotential", "PRESETS", "bridge_cross_check",
-        "calabi_scalar_curvature", "flat_potential", "fubini_study_potential",
-        "induced_t_potential", "s_of_t", "t_of_s",
-    ],
-    "calabi": ["build_extremal_metric"],
-    "errors": [
-        "BoundaryIdentityViolation", "DegenerateMetric", "DegeneratePointSet",
-        "DimensionMismatch", "DomainViolation", "EmptyRegion", "GeometryError",
-        "InvalidParameters",
-        "NonInteriorPoint", "NonpositiveDerivative", "NotInvertible",
-        "OutOfRange", "PositivityViolation", "PotentialPole",
-        "SingularSystem", "StencilExitsDomain", "ZeroDenominator",
-    ],
-    "exact": [
-        "ExtremalCoefficients", "coefficient_cross_check",
-        "positivity_certificate", "solve_coefficients",
-    ],
-    "polytope": [
-        "BlowupPolytope", "build_blowup_polytope", "facet_values",
-        "interior_distance", "sample_interior",
-    ],
-    "radial": ["TPotential", "radial_scalar_curvature"],
-}
+# the package's modules, as the files of src/toricext/ name them
+_MODULES = sorted(
+    path.stem for path in Path(toricext.__file__).parent.glob("*.py")
+    if path.stem != "__init__"
+)
 
 
 # the directory the package is imported from: under -S the child reads no
@@ -95,8 +71,7 @@ _NEVER = {
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (None, {"scipy",
-                *(f"toricext.{m}" for m in [*PUBLIC, "cli", "numdiff", "table"])}),
+        (None, {"scipy", *(f"toricext.{m}" for m in _MODULES)}),
         (["derive"], _EXACT_ONLY | {"toricext.numdiff", "toricext.table"}),
         (["example"], _EXACT_ONLY | {"toricext.numdiff", "toricext.table"}),
         (["profile"], _EXACT_ONLY),
@@ -120,19 +95,19 @@ def test_import_footprint(argv, absent):
         assert "toricext.cli" in loaded
 
 
-def test_public_namespace_is_the_eager_one():
-    names = [name for names in PUBLIC.values() for name in names]
-    assert sorted(toricext.__all__) == sorted(names)
+def test_the_package_binds_no_name_but_its_version():
+    # the modules are the API: each name is read from the module defining
+    # it, and the package holds only the submodules an import has bound
     assert toricext.__version__ == "0.1.0"
-    for module, names in PUBLIC.items():
+    assert not hasattr(toricext, "solve_coefficients")
+    for module in _MODULES:
         mod = importlib.import_module(f"toricext.{module}")
-        assert getattr(toricext, module) is mod
-        for name in names:
-            assert getattr(toricext, name) is getattr(mod, name), name
-    for module in ("numdiff", "table"):
-        assert getattr(toricext, module) is importlib.import_module(f"toricext.{module}")
-    assert set(names) | set(PUBLIC) <= set(dir(toricext))
-    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        for name in vars(mod):
+            if not name.startswith("_") and name not in _MODULES:
+                assert not hasattr(toricext, name), f"{module}.{name}"
+    public = {name for name in vars(toricext) if not name.startswith("_")}
+    assert public <= set(_MODULES)
+    with pytest.raises(AttributeError):
         toricext.nonexistent
 
 

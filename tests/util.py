@@ -9,12 +9,17 @@ import math
 
 import numpy as np
 
-from toricext import TPotential, s_of_t
+from toricext.bridge import s_of_t
 from toricext.errors import DomainViolation, PotentialPole
 from toricext.exact import POLE_REL_TOL, _check_geometry, _closed_form, _rounded
 from toricext.numdiff import STEP_SECOND, richardson
 from toricext.polytope import BlowupPolytope
-from toricext.radial import inverse_diagonal, inverse_off_diagonal, validity_factor
+from toricext.radial import (
+    TPotential,
+    inverse_diagonal,
+    inverse_off_diagonal,
+    validity_factor,
+)
 
 
 def profile(n: int, t_min: float, t_max: float, d2F, d3F, d4F) -> TPotential:
