@@ -89,7 +89,7 @@ def _points(points: Sequence, n: int) -> list[list[float]]:
 def _curvature_at(x: list[float], h: float, f2: list[float], den: list[float]) -> float:
     """The stencil at one point x with step h, on closed-form entries; f2 and
     den are F'' and 1 + t*F'' at t + k*h, t = sum(x), indexed by k + 2."""
-    t = sum(x)
+    t = math.fsum(x)
     w = [f / d for f, d in zip(f2, den)]
     hh = h * h
     total = 0.0
@@ -150,7 +150,7 @@ def abreu_scalar_curvature(
             )
 
     # every corner of a point's stencil lies at t + k*h for k in {-2..2}
-    ts = [sum(p) + k * step for p, step in zip(pts, steps) for k in (-2, -1, 0, 1, 2)]
+    ts = [math.fsum(p) + k * step for p, step in zip(pts, steps) for k in (-2, -1, 0, 1, 2)]
     f2 = T.d2F(ts)
     den = list(map(validity_factor, ts, f2))
     return [
@@ -185,12 +185,12 @@ def _least_squares(design: list[list[float]], values: list[float]) -> list[float
         v[0] -= alpha
         for target in (*cols[j + 1:], rhs):
             tail = target[j:]
-            f = sum(map(mul, v, tail)) / denom
+            f = math.fsum(map(mul, v, tail)) / denom
             target[j:] = [c - f * vi for c, vi in zip(tail, v)]
         col[j] = alpha
     coef = [0.0] * k
     for j in reversed(range(k)):
-        known = sum(cols[i][j] * coef[i] for i in range(j + 1, k))
+        known = math.fsum(cols[i][j] * coef[i] for i in range(j + 1, k))
         coef[j] = (rhs[j] - known) / cols[j][j]
     return [c / s for c, s in zip(coef, scale)]
 
@@ -214,7 +214,7 @@ def extremality_residual(
     S = abreu_scalar_curvature(T, pts, h)
     design = [[*x, 1.0] for x in pts]
     coef = _least_squares(design, S)
-    predicted = [sum(map(mul, row, coef)) for row in design]
+    predicted = [math.fsum(map(mul, row, coef)) for row in design]
     return AffineFit(
         gradient=tuple(coef[:n]),
         constant=coef[n],

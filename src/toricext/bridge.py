@@ -13,9 +13,9 @@ be positive),
     S = (n-1)*v'(s~)/t(s~) + v''(s~)/t'(s~),
 
 which this module evaluates as a third, symplectic-free curvature oracle.
-The flat and Fubini-Study model potentials are built in as named presets.
-Every function of s or t takes one float and returns one float, and the
-induced profile takes a list of t, on the standard library alone.
+A potential is its moment map s -> (t, t') and that map's closed-form
+inverse; the flat (s = t) and Fubini-Study (s = t/(1 - t)) presets are
+built in.  All of it runs on floats and the standard library.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import math
 from collections.abc import Callable, Sequence
 from functools import partial
 
-from .errors import DomainViolation, NonpositiveDerivative, NotInvertible, OutOfRange
-from .numdiff import EPS, richardson
+from .errors import DomainViolation, NonpositiveDerivative
+from .numdiff import richardson
 from .radial import TPotential, radial_scalar_curvature
 from .record import Record
 
@@ -34,38 +34,49 @@ from .record import Record
 # a rounding-limited fine step by several digits
 _LOG_STEP = 2.0**-6
 
-_MAX_BRACKET_DOUBLINGS = 200
-_MAX_NEWTON_STEPS = 100
-
-# a potential or one of its derivatives: s in, its value there out
-PotentialFn = Callable[[float], float]
-
 
 class KahlerPotential(Record):
-    """Radial Kahler potential f(s) on s > 0, through its first two
-    derivatives, each a function of one float s; the bridge reads nothing
-    of f itself."""
+    """Radial Kahler potential f(s) on s > 0 as its moment map; the bridge
+    reads nothing of f itself.  moment(s) is (t, dt/ds~) =
+    (2*s*f'(s), 2*(s*f' + s^2*f'')) from one call, and inverse(t) is the
+    s > 0 with t(s) = t; it raises DomainViolation, naming t, for a t outside
+    the image."""
 
-    _fields = ("n", "df", "d2f", "label")
+    _fields = ("n", "moment", "inverse", "label")
 
     def __init__(
-        self, n: int, df: PotentialFn, d2f: PotentialFn, label: str = ""
+        self, n: int, moment: Callable, inverse: Callable, label: str = ""
     ) -> None:
-        super().__init__(n, df, d2f, label)
+        super().__init__(n, moment, inverse, label)
+
+
+def _flat_inverse(t: float) -> float:
+    if not t > 0.0:
+        raise DomainViolation(f"t must be positive, got {t}")
+    return t
 
 
 def flat_potential(n: int) -> KahlerPotential:
     """f = s/2: the flat model (t = s, F'' = 0)."""
-    return KahlerPotential(n=n, df=lambda s: 0.5, d2f=lambda s: 0.0, label="flat")
+    return KahlerPotential(n, lambda s: (s, s), _flat_inverse, "flat")
+
+
+def _fubini_study_moment(s: float) -> tuple[float, float]:
+    df = 0.5 / (1.0 + s)
+    return 2.0 * s * df, 2.0 * (s * df - s * s * (0.5 / (1.0 + s) ** 2))
+
+
+def _fubini_study_inverse(t: float) -> float:
+    # the image is (0, 1); t = 1 would divide by zero
+    if not 0.0 < t < 1.0:
+        raise DomainViolation(f"t must lie in (0, 1), got {t}")
+    return t / (1.0 - t)
 
 
 def fubini_study_potential(n: int) -> KahlerPotential:
     """f = ln(1+s)/2: Fubini-Study type (t = s/(1+s), S = n(n+1))."""
     return KahlerPotential(
-        n=n,
-        df=lambda s: 0.5 / (1.0 + s),
-        d2f=lambda s: -0.5 / (1.0 + s) ** 2,
-        label="fubini-study",
+        n, _fubini_study_moment, _fubini_study_inverse, "fubini-study"
     )
 
 
@@ -75,99 +86,11 @@ PRESETS: dict[str, Callable[[int], KahlerPotential]] = {
 }
 
 
-def t_of_s(K: KahlerPotential, s: float) -> float:
-    """Moment coordinate t = 2*s*f'(s)."""
-    if not s > 0.0:
-        raise DomainViolation(f"s must be positive, got {s}")
-    return 2.0 * s * K.df(s)
-
-
 def _moment(K: KahlerPotential, s: float) -> tuple[float, float]:
-    """t = 2*s*f'(s) and its s~-derivative dt/ds~ = 2*(s*f' + s^2*f''), from
-    one evaluation of f'(s)."""
+    """t and dt/ds~ at s, which must be positive."""
     if not s > 0.0:
         raise DomainViolation(f"s must be positive, got {s}")
-    df_s = K.df(s)
-    return 2.0 * s * df_s, 2.0 * (s * df_s + s * s * K.d2f(s))
-
-
-def s_of_t(K: KahlerPotential, t: float) -> float:
-    """Invert the moment map: the s > 0 with 2*s*f'(s) = t.
-
-    Brackets by geometric expansion from the initial guess s = t, then runs
-    a safeguarded Newton iteration from the bracket midpoint (Numerical
-    Recipes' rtsafe): each residual r shrinks the bracket by its sign, and
-    the Newton step s - r*s/(dt/ds~) is taken unless it leaves the bracket
-    or the rate is not positive, in which case the bracket is bisected.  It
-    stops once the bracket is ~4 ulp wide relative and returns the end with
-    the smaller residual.  Raises out-of-range when the expansion cannot
-    straddle t, not-invertible when the moment map is not increasing at the
-    bracket ends or the iteration does not converge.
-    """
-    if not t > 0.0:
-        raise OutOfRange(f"t must be positive, got {t}")
-
-    # bracket: double hi while the residual at s = t is negative, halve lo
-    # while it is positive; a t with residual 0 is its own root
-    r = t_of_s(K, t) - t
-    if r == 0.0:
-        return t
-    if r < 0.0:
-        hi = t
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            hi *= 2.0
-            if t_of_s(K, hi) - t >= 0.0:
-                break
-        else:
-            raise OutOfRange(f"t = {t} not reached by the moment map")
-        lo = hi / 2.0
-    else:
-        lo = t
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            lo *= 0.5
-            if t_of_s(K, lo) - t <= 0.0:
-                break
-        else:
-            raise OutOfRange(f"t = {t} below the image of the moment map")
-        hi = lo * 2.0
-
-    # the moment map must be increasing at both ends, lo checked first
-    for end in (lo, hi):
-        if _moment(K, end)[1] / end <= 0.0:  # dt/ds = (dt/ds~)/s
-            raise NotInvertible(
-                f"moment map not increasing at s = {end}; bracket invalid"
-            )
-
-    # safeguarded Newton until the bracket closes or a root is exact
-    s = 0.5 * (lo + hi)
-    for _ in range(_MAX_NEWTON_STEPS):
-        t_s, rate = _moment(K, s)
-        r = t_s - t
-        if r == 0.0:
-            return s
-        if r < 0.0:
-            lo = s
-        else:
-            hi = s
-        if hi - lo <= 4.0 * EPS * hi:
-            break
-        # dt/ds = rate/s; a rate that is not positive bisects
-        if rate > 0.0:
-            step = s - r * s / rate
-            if lo < step < hi:
-                s = step
-                continue
-        s = 0.5 * (lo + hi)
-    else:
-        raise NotInvertible(f"no convergence inverting t = {t}")
-
-    # the end with the smaller residual, which must be small
-    r_lo = abs(t_of_s(K, lo) - t)
-    r_hi = abs(t_of_s(K, hi) - t)
-    root, r = (hi, r_hi) if r_hi < r_lo else (lo, r_lo)
-    if r > 1e-12 * max(1.0, abs(t)):
-        raise NotInvertible(f"root finding stalled inverting t = {t}")
-    return root
+    return K.moment(s)
 
 
 def _v(K: KahlerPotential, st: float) -> float:
@@ -199,14 +122,12 @@ def _rate(K: KahlerPotential, st: float) -> float:
     return _moment(K, math.exp(st))[1]
 
 
-def _induced_jet(
-    K: KahlerPotential, ts: Sequence[float]
-) -> tuple[list[float], list[float], list[float]]:
+def _induced_jet(K: KahlerPotential, ts: Sequence[float]) -> tuple[list[float], ...]:
     """The lists (F'', F''', F'''') of the induced profile at the ts, from
-    one inversion and one Richardson stencil of dt/ds~ per t."""
+    one inverse and one Richardson stencil of dt/ds~ per t."""
     f2, f3, f4 = [], [], []
     for t in ts:
-        st = math.log(s_of_t(K, t))
+        st = math.log(K.inverse(t))
         u2, du2, ddu2 = richardson(partial(_rate, K), st, _LOG_STEP * max(1.0, abs(st)))
         if u2 <= 0.0:
             raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
@@ -217,21 +138,19 @@ def _induced_jet(
 
 
 def _induced_second(K: KahlerPotential, ts: Sequence[float]) -> list[float]:
-    """F'' of the induced profile at the ts, from one inversion and one dt/ds~
+    """F'' of the induced profile at the ts, from one inverse and one dt/ds~
     per t: the jet's first list to the bit, whose F'' reads the stencil's
     centre value."""
     f2 = []
     for t in ts:
-        u2 = _rate(K, math.log(s_of_t(K, t)))
+        u2 = _rate(K, math.log(K.inverse(t)))
         if u2 <= 0.0:
             raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
         f2.append(1.0 / u2 - 1.0 / t)
     return f2
 
 
-def induced_t_potential(
-    K: KahlerPotential, t_min: float, t_max: float
-) -> TPotential:
+def induced_t_potential(K: KahlerPotential, t_min: float, t_max: float) -> TPotential:
     """The TPotential the bridge induces on (t_min, t_max).
 
     F'' comes from the exact Legendre relation F''(t) = 1/t'(s~) - 1/t
@@ -260,15 +179,15 @@ def bridge_cross_check(
 ) -> BridgeCheckReport:
     """Compare the Kahler-side curvature against the radial pipeline.
 
-    Each sample s is pushed to t = t_of_s(s); the radial curvature formula
-    runs on the ts and the induced TPotential's jet there, and Calabi's
-    formula on s.  Every t is below the end 2*max(t) + 1 of the induced
-    interval, and the radial formula refuses a t <= 0.
+    Each sample s is pushed to its moment coordinate t; the radial curvature
+    formula runs on the ts and the induced TPotential's jet there, and
+    Calabi's formula on s.  Every t is below the end 2*max(t) + 1 of the
+    induced interval, and the radial formula refuses a t <= 0.
     """
     s = tuple(map(float, s_samples))
     if not s:
         raise DomainViolation("need at least one sample")
-    t = tuple(t_of_s(K, x) for x in s)
+    t = tuple(_moment(K, x)[0] for x in s)
     T = induced_t_potential(K, 0.0, 2.0 * max(t) + 1.0)
     polytope_side = tuple(radial_scalar_curvature(T, t))
     kahler_side = tuple(calabi_scalar_curvature(K, x) for x in s)

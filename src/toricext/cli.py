@@ -235,7 +235,7 @@ def _verify_battery(args: argparse.Namespace) -> dict:
     margin = _SAMPLING_MARGIN_FACTOR * (b - a)
     pts = sample_interior(P, args.points, margin=margin, seed=args.seed)
     fit = extremality_residual(T, pts)
-    rad = radial_scalar_curvature(T, [sum(x) for x in pts])
+    rad = radial_scalar_curvature(T, [math.fsum(x) for x in pts])
     # both soft checks are relative to the curvature itself (|S| >= 2/b > 0)
     curvature_disc = max(abs(s - r) / abs(r) for s, r in zip(fit.S, rad))
     scaled_residual = fit.max_residual / max(map(abs, rad))

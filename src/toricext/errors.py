@@ -72,13 +72,5 @@ class PositivityViolation(GeometryError, ArithmeticError):
     p*t^n - alpha(t) = (t-a)(t-b)*Q(t); no proof that the metric is valid."""
 
 
-class NotInvertible(GeometryError, ArithmeticError):
-    """The moment map s -> 2*s*f'(s) is not monotone on the bracket."""
-
-
-class OutOfRange(GeometryError, ValueError):
-    """The target value lies outside the image of the map being inverted."""
-
-
 class NonpositiveDerivative(GeometryError, ArithmeticError):
     """A logarithmand that must be positive (t or dt/ds~) is not."""

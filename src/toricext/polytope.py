@@ -47,7 +47,7 @@ def facet_values(P: BlowupPolytope, x: Sequence[float]) -> list:
     """All facet values (x_1, ..., x_n, t - a, b - t) at one point x."""
     if len(x) != P.n:
         raise DimensionMismatch(f"point has {len(x)} coordinates, expected {P.n}")
-    t = sum(x)
+    t = math.fsum(x)
     return [*x, t - P.a, P.b - t]
 
 
@@ -100,7 +100,7 @@ def sample_interior(
     points = []
     for _ in range(count):
         spacings = [-math.log1p(-draw()) for _ in range(n)]
-        total = sum(spacings)
+        total = math.fsum(spacings)
         radius = hi * (r_n + draw() * (1.0 - r_n)) ** (1.0 / n)
         points.append([margin + radius * (s / total) for s in spacings])
     return points

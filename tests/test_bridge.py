@@ -14,15 +14,9 @@ from toricext.bridge import (
     flat_potential,
     fubini_study_potential,
     induced_t_potential,
-    s_of_t,
-    t_of_s,
 )
-from toricext.errors import (
-    DomainViolation,
-    NonpositiveDerivative,
-    NotInvertible,
-    OutOfRange,
-)
+from toricext.errors import DomainViolation, NonpositiveDerivative
+from toricext.numdiff import richardson
 from util import legendre_F
 
 # the Kahler potentials of the two presets, which the bridge does not keep
@@ -30,68 +24,108 @@ _FLAT_F = lambda s: 0.5 * s
 _FUBINI_STUDY_F = lambda s: 0.5 * math.log1p(s)
 
 
+def _no_inverse(t):
+    raise AssertionError("the curvature never inverts the moment map")
+
+
 def _sine_potential():
-    # 2*s*f'(s) = 2*s*cos(s) rises, turns over near s = 0.86 and goes negative
-    return KahlerPotential(n=1, df=math.cos, d2f=lambda s: -math.sin(s), label="sine")
+    # f = sin(s): t = 2*s*cos(s) rises, turns over near s = 0.86 and goes
+    # negative, so the map has no inverse
+    def moment(s):
+        df = math.cos(s)
+        return 2.0 * s * df, 2.0 * (s * df + s * s * -math.sin(s))
+
+    return KahlerPotential(n=1, moment=moment, inverse=_no_inverse, label="sine")
 
 
-def _shifted_potential():
-    # f = (s + ln s)/2: t = s + 1, so the moment image is (1, inf)
-    return KahlerPotential(
-        n=1, df=lambda s: 0.5 * (1.0 + 1.0 / s), d2f=lambda s: -0.5 / (s * s)
-    )
+def _invert(K, t):
+    return K.inverse(t)
+
+
+def _cross_check_one(K, s):
+    return bridge_cross_check(K, [s])
+
+
+def _worst_rate_error(moment, n_samples=200):
+    # dt/ds~ against a Richardson derivative of t in s~ at the constant step
+    # 2^-6, relative, over s in [1e-3, 1e3]
+    worst = 0.0
+    for s in np.geomspace(1e-3, 1e3, n_samples).tolist():
+        _, dt, _ = richardson(lambda st: moment(math.exp(st))[0], math.log(s), 2.0**-6)
+        rate = moment(s)[1]
+        worst = max(worst, abs(rate - dt) / abs(rate))
+    return worst
 
 
 def test_flat_moment_map_is_identity():
     K = flat_potential(1)
     for s in (0.1, 1.0, 7.5):
-        assert t_of_s(K, s) == pytest.approx(s, rel=1e-14)
+        assert K.moment(s)[0] == pytest.approx(s, rel=1e-14)
 
 
 def test_fubini_study_moment_map():
     K = fubini_study_potential(1)
     # t = s/(1+s)
-    assert t_of_s(K, 1.0) == pytest.approx(0.5, rel=1e-12)
-    assert abs(t_of_s(K, 1e6) - 1.0) < 2e-6
+    assert K.moment(1.0)[0] == pytest.approx(0.5, rel=1e-12)
+    assert abs(K.moment(1e6)[0] - 1.0) < 2e-6
 
 
 def test_moment_map_rejects_nonpositive_s():
+    # the t column refuses the sample before the moment map sees it
     K = fubini_study_potential(1)
     with pytest.raises(DomainViolation):
-        t_of_s(K, 0.0)
+        bridge_cross_check(K, [0.0])
     with pytest.raises(DomainViolation):
-        t_of_s(K, -1.0)
+        bridge_cross_check(K, [1.0, -1.0])
 
 
 @pytest.mark.parametrize("make", [flat_potential, fubini_study_potential])
 def test_moment_map_round_trip(make):
-    K = make(2)
-    for s in np.geomspace(0.05, 20.0, 12):
-        s = float(s)
-        back = s_of_t(K, t_of_s(K, s))
-        assert back == pytest.approx(s, rel=1e-10)
+    for n in (1, 2, 3):
+        K = make(n)
+        for s in np.geomspace(1e-3, 1e3, 500).tolist():
+            assert K.inverse(K.moment(s)[0]) == pytest.approx(s, rel=1e-12)
 
 
 @given(st.floats(min_value=0.01, max_value=50.0))
 @settings(max_examples=60)
 def test_moment_map_round_trip_property(s):
     K = fubini_study_potential(1)
-    assert s_of_t(K, t_of_s(K, s)) == pytest.approx(s, rel=1e-9)
+    assert K.inverse(K.moment(s)[0]) == pytest.approx(s, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_rate_is_the_derivative_of_its_moment(preset, n):
+    # the two closed forms of a preset, t and dt/ds~, must agree; a t' off by
+    # 1 % must not pass the same check
+    K = PRESETS[preset](n)
+    assert _worst_rate_error(K.moment) <= 1e-8
+    mutant = lambda s: (K.moment(s)[0], 1.01 * K.moment(s)[1])
+    assert _worst_rate_error(mutant) > 1e-8
 
 
 def test_inversion_outside_moment_image():
     K = fubini_study_potential(1)  # image of t is (0, 1)
-    with pytest.raises(OutOfRange):
-        s_of_t(K, 1.5)
-    with pytest.raises(OutOfRange):
-        s_of_t(K, -0.1)
+    with pytest.raises(DomainViolation):
+        K.inverse(1.5)
+    with pytest.raises(DomainViolation):
+        K.inverse(-0.1)
 
 
-def test_inversion_detects_non_monotone_potential():
-    # f = sin(s) has 2 s f'(s) turning over; inversion must refuse
-    K = _sine_potential()
-    with pytest.raises((NotInvertible, NonpositiveDerivative)):
-        s_of_t(K, 1.0806046117362795)
+@pytest.mark.parametrize(
+    "preset, t",
+    [("fubini-study", -0.1), ("fubini-study", 0.0), ("fubini-study", 1.0),
+     ("fubini-study", 1.5), ("flat", -0.1), ("flat", 0.0)],
+)
+def test_induced_profile_refuses_a_t_outside_the_image(preset, t):
+    # a named error naming t, not the ZeroDivisionError of t/(1 - t) at
+    # t = 1 or the ValueError of a logarithm
+    T = induced_t_potential(PRESETS[preset](2), 0.0, 2.0)
+    for evaluate in (T.d2F, T.jet):
+        with pytest.raises(DomainViolation, match=f"got {t}$") as raised:
+            evaluate([0.5, t])
+        assert type(raised.value) is DomainViolation
 
 
 def test_flat_legendre_dual():
@@ -140,7 +174,8 @@ def test_fubini_study_curvature_frozen_value():
 
 
 def test_curvature_rejects_decreasing_potential():
-    K = KahlerPotential(n=1, df=lambda s: -1.0, d2f=lambda s: 0.0)
+    # f = -s: t = dt/ds~ = -2*s
+    K = KahlerPotential(n=1, moment=lambda s: (-2.0 * s, -2.0 * s), inverse=_no_inverse)
     with pytest.raises(NonpositiveDerivative):
         calabi_scalar_curvature(K, 1.0)
 
@@ -181,43 +216,40 @@ def test_induced_potential_higher_derivatives():
 
 @pytest.mark.parametrize("preset, t_max", [("flat", 10.0), ("fubini-study", 1.0)])
 def test_induced_second_derivative_is_the_jets_from_one_rate_per_t(preset, t_max):
-    # F'' = 1/t'(s~) - 1/t reads the jet stencil's centre value, so beyond
-    # the inversion it needs one f''(s) per t
-    calls = []
+    # F'' = 1/t'(s~) - 1/t reads the jet stencil's centre value, so it needs
+    # one inverse and one moment call per t
+    calls, inverted = [], []
     model = PRESETS[preset](3)
     K = KahlerPotential(
-        n=3, df=model.df, d2f=lambda s: calls.append(s) or model.d2f(s),
+        n=3,
+        moment=lambda s: calls.append(s) or model.moment(s),
+        inverse=lambda t: inverted.append(t) or model.inverse(t),
         label=f"counting {preset}",
     )
     T = induced_t_potential(K, 0.0, t_max)
     ts = np.random.default_rng(0).uniform(1e-3 * t_max, 0.999 * t_max, 500).tolist()
     assert T.d2F(ts) == T.jet(ts)[0]
     calls.clear()
-    for t in ts:
-        s_of_t(K, t)
-    inversions = len(calls)
-    calls.clear()
+    inverted.clear()
     T.d2F(ts)
-    assert len(calls) == inversions + len(ts)
+    assert len(calls) == len(ts)
+    assert inverted == ts
 
 
-def test_potential_needs_both_derivatives():
+def test_potential_needs_its_moment_and_inverse():
     with pytest.raises(TypeError):
-        KahlerPotential(n=1, df=lambda s: 0.5 / (1.0 + s))
+        KahlerPotential(n=1, moment=fubini_study_potential(1).moment)
 
 
-def test_cross_check_inverts_the_moment_map_once_per_sample(monkeypatch):
+def test_cross_check_inverts_the_moment_map_once_per_sample():
     # the jet inverts the moment map once per t, in the order of the ts
     inverted = []
-    real = bridge_mod.s_of_t
-
-    def counting(K, t):
-        inverted.append(t)
-        return real(K, t)
-
-    monkeypatch.setattr(bridge_mod, "s_of_t", counting)
+    model = fubini_study_potential(2)
+    K = KahlerPotential(
+        2, model.moment, lambda t: inverted.append(t) or model.inverse(t)
+    )
     samples = np.geomspace(0.25, 4.0, 10).tolist()
-    report = bridge_cross_check(fubini_study_potential(2), samples)
+    report = bridge_cross_check(K, samples)
     assert inverted == list(report.t)
 
 
@@ -237,32 +269,34 @@ def test_calabi_curvature_evaluates_v_once_per_stencil_point(monkeypatch):
     assert len(calls) == 5 * len(samples)
 
 
-def test_cross_check_evaluates_d2f_eleven_times_per_sample():
-    # Kahler side: the moment at s and the five v stencil points; polytope
-    # side: the five rate stencil points of the jet, whose centre is also
-    # dt/ds~ itself (the flat inversion is exact at its first guess)
-    calls = []
+def test_cross_check_makes_twelve_moment_calls_and_one_inverse_per_sample():
+    # the t column: one moment per sample; Kahler side: the moment at s and
+    # the five v stencil points; polytope side: one inverse and the five rate
+    # stencil points of the jet, whose centre is also dt/ds~ itself
+    calls, inverted = [], []
+    model = fubini_study_potential(2)
     K = KahlerPotential(
-        n=2, df=lambda s: 0.5, d2f=lambda s: calls.append(s) or 0.0,
-        label="counting flat",
+        n=2,
+        moment=lambda s: calls.append(s) or model.moment(s),
+        inverse=lambda t: inverted.append(t) or model.inverse(t),
+        label="counting fubini-study",
     )
     samples = np.geomspace(0.25, 4.0, 10).tolist()
     bridge_cross_check(K, samples)
-    assert len(calls) == 11 * len(samples)
+    assert len(calls) == 12 * len(samples)
+    assert len(inverted) == len(samples)
 
 
 @pytest.mark.parametrize(
     "fn, make, x, error, message",
     [
-        (s_of_t, lambda: fubini_study_potential(1), 1.5, OutOfRange,
-         "t = 1.5 not reached by the moment map"),
-        (s_of_t, lambda: fubini_study_potential(1), -0.1, OutOfRange,
-         "t must be positive, got -0.1"),
-        (s_of_t, _shifted_potential, 0.5, OutOfRange,
-         "t = 0.5 below the image of the moment map"),
-        (s_of_t, _sine_potential, 1.0806046117362795, NotInvertible,
-         "moment map not increasing at s = 34.579347575560945; bracket invalid"),
-        (t_of_s, lambda: fubini_study_potential(1), 0.0, DomainViolation,
+        (_invert, lambda: fubini_study_potential(1), 1.5, DomainViolation,
+         "t must lie in (0, 1), got 1.5"),
+        (_invert, lambda: fubini_study_potential(1), -0.1, DomainViolation,
+         "t must lie in (0, 1), got -0.1"),
+        (_invert, lambda: flat_potential(1), 0.0, DomainViolation,
+         "t must be positive, got 0.0"),
+        (_cross_check_one, lambda: fubini_study_potential(1), 0.0, DomainViolation,
          "s must be positive, got 0.0"),
         (calabi_scalar_curvature, lambda: fubini_study_potential(1), -1.0,
          DomainViolation, "s must be positive, got -1.0"),
@@ -270,8 +304,8 @@ def test_cross_check_evaluates_d2f_eleven_times_per_sample():
          "moment data not positive at s~ = 0.7087721805599453: "
          "t = -1.8063017940892472, dt/ds~ = -9.19970834991754"),
     ],
-    ids=["above the image", "t <= 0", "below the image", "not monotone",
-         "s <= 0", "curvature at s <= 0", "curvature of a falling t"],
+    ids=["above the image", "t <= 0", "below the image", "s <= 0",
+         "curvature at s <= 0", "curvature of a falling t"],
 )
 def test_bad_value_raises_a_named_error(fn, make, x, error, message):
     with pytest.raises(error) as raised:
@@ -286,8 +320,11 @@ def test_empty_sample_list_is_refused():
 
 def test_nan_difference_is_the_worst_one():
     # a NaN difference past the first sample must not hide behind max()
+    # the flat potential with a NaN dt/ds~ past s = 1.5
     K = KahlerPotential(
-        n=2, df=lambda s: 0.5, d2f=lambda s: math.nan if s > 1.5 else 0.0
+        n=2,
+        moment=lambda s: (s, math.nan if s > 1.5 else s),
+        inverse=flat_potential(2).inverse,
     )
     report = bridge_cross_check(K, [0.5, 2.0])
     assert math.isnan(report.difference[1])

@@ -64,6 +64,14 @@ def test_facet_values_interval_midpoint():
     )
 
 
+def test_facet_values_sum_is_correctly_rounded():
+    # t = 1e16 + 1 - 1e16 is exactly 1; a left-to-right float sum gives 0,
+    # and Python 3.12's compensated sum() gives 1, so the facet values (and
+    # every verify report) would depend on the interpreter's version
+    P = BlowupPolytope(3, 0.5, 1.0)
+    assert facet_values(P, [1e16, 1.0, -1e16])[3:] == [0.5, 0.0]
+
+
 @pytest.mark.parametrize(
     "n,a,b",
     [(2, 1.0, 0.5), (2, 0.0, 1.0), (2, -0.5, 1.0), (0, 0.5, 1.0), (2, 0.5, 0.5)],

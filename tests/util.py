@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from toricext.bridge import s_of_t
 from toricext.errors import DomainViolation, PotentialPole
 from toricext.exact import POLE_REL_TOL, _check_geometry, _closed_form, _rounded
 from toricext.numdiff import STEP_SECOND, richardson
@@ -86,9 +85,8 @@ def inverse_hessian(x, d2F_value) -> list[list[float]]:
 
 def legendre_F(K, f, t: float) -> float:
     """The t-potential F(t) = t*ln(s(t)/t) - 2*f(s(t)) of the Kahler
-    potential f whose derivatives K holds, through the bridge's moment-map
-    inversion."""
-    s = s_of_t(K, t)
+    potential f whose moment map K holds, through that map's inverse."""
+    s = K.inverse(t)
     return t * math.log(s / t) - 2.0 * f(s)
 
 
