@@ -6,16 +6,21 @@ and the symplectic-side profile are
     t = 2*s*f'(s),        F(t) = t*ln(s(t)/t) - 2*f(s(t)),
 
 and with s~ = ln s the curvature has Calabi's one-variable form.  Writing
-t(s~) for the moment coordinate and t'(s~) for its s~-derivative (both must
-be positive),
+t', t'', t''' for the s~-derivatives of the moment coordinate t (t and t'
+must be positive),
 
-    v(s~) = n*s~ - (n-1)*ln t(s~) - ln t'(s~),
-    S = (n-1)*v'(s~)/t(s~) + v''(s~)/t'(s~),
+    v(s~) = n*s~ - (n-1)*ln t - ln t',
+    v' = n - (n-1)*t'/t - t''/t',
+    v'' = -(n-1)*(t''/t - (t'/t)^2) - t'''/t' + (t''/t')^2,
+    S = (n-1)*v'/t + v''/t',
 
-which this module evaluates as a third, symplectic-free curvature oracle.
-A potential is its moment map s -> (t, t') and that map's closed-form
-inverse; the flat (s = t) and Fubini-Study (s = t/(1 - t)) presets are
-built in.  All of it runs on floats and the standard library.
+which this module evaluates from the closed-form jet (t, t', t'', t''') as a
+third, symplectic-free curvature oracle.  A potential is that jet as a
+function of s and the moment map's closed-form inverse; the flat (s = t) and
+Fubini-Study (s = t/(1 - t)) presets are built in.  The induced profile on
+the polytope side differentiates t' numerically instead, so a jet that
+disagrees with its own moment map fails the cross-check.  All of it runs on
+floats and the standard library.
 """
 
 from __future__ import annotations
@@ -29,18 +34,19 @@ from .numdiff import richardson
 from .radial import TPotential, radial_scalar_curvature
 from .record import Record
 
-# base step (in s~) for the v and t' difference stencils: these functions are
-# smooth on logarithmic scale, so a fat step plus one Richardson level beats
-# a rounding-limited fine step by several digits
+# the polytope side's difference step in s~: t' is smooth on logarithmic
+# scale, so a fat step plus one Richardson level beats a rounding-limited fine
+# step by several digits; a constant step does not depend on the units of s
 _LOG_STEP = 2.0**-6
+# the stencil's abscissae s*e^(k*h) but the centre s itself, as factors of s
+_STENCIL = tuple(math.exp(k * _LOG_STEP) for k in (-1.0, -0.5, 0.5, 1.0))
 
 
 class KahlerPotential(Record):
     """Radial Kahler potential f(s) on s > 0 as its moment map; the bridge
-    reads nothing of f itself.  moment(s) is (t, dt/ds~) =
-    (2*s*f'(s), 2*(s*f' + s^2*f'')) from one call, and inverse(t) is the
-    s > 0 with t(s) = t; it raises DomainViolation, naming t, for a t outside
-    the image."""
+    reads nothing of f itself.  moment(s) is the s~-jet (t, t', t'', t''') of
+    t = 2*s*f'(s) from one call, and inverse(t) is the s > 0 with t(s) = t;
+    it raises DomainViolation, naming t, for a t outside the image."""
 
     _fields = ("n", "moment", "inverse", "label")
 
@@ -58,12 +64,16 @@ def _flat_inverse(t: float) -> float:
 
 def flat_potential(n: int) -> KahlerPotential:
     """f = s/2: the flat model (t = s, F'' = 0)."""
-    return KahlerPotential(n, lambda s: (s, s), _flat_inverse, "flat")
+    return KahlerPotential(n, lambda s: (s, s, s, s), _flat_inverse, "flat")
 
 
-def _fubini_study_moment(s: float) -> tuple[float, float]:
+def _fubini_study_moment(s: float) -> tuple[float, float, float, float]:
     df = 0.5 / (1.0 + s)
-    return 2.0 * s * df, 2.0 * (s * df - s * s * (0.5 / (1.0 + s) ** 2))
+    t = 2.0 * s * df
+    t1 = 2.0 * (s * df - s * s * (0.5 / (1.0 + s) ** 2))
+    # t' = t*(1 - t), so each further s~-derivative is a product rule
+    t2 = t1 * (1.0 - 2.0 * t)
+    return t, t1, t2, t2 * (1.0 - 2.0 * t) - 2.0 * t1 * t1
 
 
 def _fubini_study_inverse(t: float) -> float:
@@ -86,51 +96,40 @@ PRESETS: dict[str, Callable[[int], KahlerPotential]] = {
 }
 
 
-def _moment(K: KahlerPotential, s: float) -> tuple[float, float]:
-    """t and dt/ds~ at s, which must be positive."""
+def _moment(K: KahlerPotential, s: float) -> tuple[float, float, float, float]:
+    """The jet (t, t', t'', t''') at s, which must be positive."""
     if not s > 0.0:
         raise DomainViolation(f"s must be positive, got {s}")
     return K.moment(s)
 
 
-def _v(K: KahlerPotential, st: float) -> float:
-    u1, u2 = _moment(K, math.exp(st))
-    if u1 <= 0.0 or u2 <= 0.0:
-        raise NonpositiveDerivative(
-            f"moment data not positive at s~ = {st}: t = {u1}, dt/ds~ = {u2}"
-        )
-    return K.n * st - (K.n - 1) * math.log(u1) - math.log(u2)
-
-
 def calabi_scalar_curvature(K: KahlerPotential, s: float) -> float:
-    """Curvature from the Kahler side: S = (n-1)*v'/t + v''/t'.
-
-    v', v'' are Richardson-extrapolated central differences in s~ = ln s.
-    """
-    u1, u2 = _moment(K, s)  # refuses s <= 0 before the logarithm
-    st = math.log(s)
-    _, v1, v2 = richardson(partial(_v, K), st, _LOG_STEP * max(1.0, abs(st)))
-    if u1 <= 0.0 or u2 <= 0.0:
+    """Curvature from the Kahler side: S = (n-1)*v'/t + v''/t', with v' and
+    v'' in closed form from the jet at s."""
+    t, t1, t2, t3 = _moment(K, s)
+    if t <= 0.0 or t1 <= 0.0:
         raise NonpositiveDerivative(
-            f"moment data not positive at s = {s}: t = {u1}, dt/ds~ = {u2}"
+            f"moment data not positive at s = {s}: t = {t}, dt/ds~ = {t1}"
         )
-    return (K.n - 1) * v1 / u1 + v2 / u2
-
-
-def _rate(K: KahlerPotential, st: float) -> float:
-    """dt/ds~ at s~ = st."""
-    return _moment(K, math.exp(st))[1]
+    n = K.n
+    r, q = t1 / t, t2 / t1
+    v1 = n - (n - 1) * r - q
+    v2 = -(n - 1) * (t2 / t - r * r) - t3 / t1 + q * q
+    return (n - 1) * v1 / t + v2 / t1
 
 
 def _induced_jet(K: KahlerPotential, ts: Sequence[float]) -> tuple[list[float], ...]:
     """The lists (F'', F''', F'''') of the induced profile at the ts, from
-    one inverse and one Richardson stencil of dt/ds~ per t."""
+    one inverse and one Richardson stencil of t' in s~ per t."""
+    moment = K.moment
     f2, f3, f4 = [], [], []
     for t in ts:
-        st = math.log(K.inverse(t))
-        u2, du2, ddu2 = richardson(partial(_rate, K), st, _LOG_STEP * max(1.0, abs(st)))
+        s = K.inverse(t)
+        u2 = moment(s)[1]
         if u2 <= 0.0:
             raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
+        lo, lo_half, hi_half, hi = [moment(s * k)[1] for k in _STENCIL]
+        du2, ddu2 = richardson(lo, lo_half, u2, hi_half, hi, _LOG_STEP)
         f2.append(1.0 / u2 - 1.0 / t)
         f3.append(-du2 / u2**3 + 1.0 / t**2)
         f4.append(-ddu2 / u2**4 + 3.0 * du2**2 / u2**5 - 2.0 / t**3)
@@ -138,12 +137,12 @@ def _induced_jet(K: KahlerPotential, ts: Sequence[float]) -> tuple[list[float], 
 
 
 def _induced_second(K: KahlerPotential, ts: Sequence[float]) -> list[float]:
-    """F'' of the induced profile at the ts, from one inverse and one dt/ds~
-    per t: the jet's first list to the bit, whose F'' reads the stencil's
-    centre value."""
+    """F'' of the induced profile at the ts, from one inverse and one t' per
+    t: the jet's first list to the bit, since the stencil's centre is the
+    inverse itself."""
     f2 = []
     for t in ts:
-        u2 = _rate(K, math.log(K.inverse(t)))
+        u2 = K.moment(K.inverse(t))[1]
         if u2 <= 0.0:
             raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
         f2.append(1.0 / u2 - 1.0 / t)

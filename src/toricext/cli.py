@@ -17,10 +17,10 @@ it returns (stdout, exit code, stderr).
 
 All numeric output is rendered at 17 significant digits through a single
 formatter, so identical inputs produce identical bytes: a document becomes
-one %-template, in which every run of same-shaped rows shares one rendered
-row, and its floats are filled in with one % operation.  Exit codes: 0 pass,
-1 tolerance/verification failure (the failing check is named on stderr),
-2 invalid input.
+one %-template, in which a table given as its columns (``_Table``) repeats
+one rendered row, and its floats are filled in with one % operation.  Exit
+codes: 0 pass, 1 tolerance/verification failure (the failing check is named
+on stderr), 2 invalid input.
 
 Each command imports the modules it runs when it runs, so a call loads only
 those: derive and example load ``exact``; profile loads ``exact``,
@@ -46,6 +46,7 @@ from .errors import (
     InvalidParameters,
     PositivityViolation,
 )
+from .record import Record
 
 PRNG_NAME = "python-mt19937"
 
@@ -79,27 +80,24 @@ def _literal(text: str) -> str:
     return text.replace("%", "%%")
 
 
-def _row_shape(obj):
-    """Length (list, tuple) or keys (dict) of a flat, non-empty row of floats.
+class _Table(Record):
+    """Rows given as columns of floats: dicts of the keys, or lists if None."""
 
-    None for anything else: such a value is rendered on its own.
-    """
-    if isinstance(obj, dict):
-        values, shape = obj.values(), tuple(map(str, obj))
-    elif isinstance(obj, (list, tuple)):
-        values, shape = obj, len(obj)
-    else:
-        return None
-    if values and all(map(isinstance, values, itertools.repeat(float))):
-        return shape
-    return None
+    _fields = ("keys", "columns")
+
+
+def _block(items: list, pad: str, brackets: str) -> str:
+    """Rendered items one per line between brackets, closing at pad."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + pad + brackets[1]
 
 
 def _template(obj, indent: int, values: list) -> str:
     """obj as a JSON template, its floats appended to values in order.
 
-    Consecutive list items of one row shape share one rendered row template,
-    so a table of any length costs one template and one fill.
+    A _Table's rows share one rendered row template, so a table of any
+    length costs one template, one type check per column and one zip.
     """
     if obj is None:
         return "null"
@@ -114,27 +112,29 @@ def _template(obj, indent: int, values: list) -> str:
         return _literal(json.dumps(obj))
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, _Table):
+        keys, columns = obj.keys, obj.columns
+        rows = len(columns[0]) if columns else 0
+        labels = [""] * len(columns) if keys is None else [
+            _literal(json.dumps(str(k))) + ": " for k in keys]
+        if len(labels) != len(columns) or any(
+            len(c) != rows or not all(map(isinstance, c, itertools.repeat(float)))
+            for c in columns
+        ):
+            raise InvalidParameters("a table needs one key per column and "
+                                    "columns of floats of one length")
+        cell = "  " * (indent + 2)
+        row = inner + _block([cell + label + _FLOAT for label in labels], inner,
+                             "[]" if keys is None else "{}")
+        values.extend(itertools.chain.from_iterable(zip(*columns)))
+        return _block([row] * rows, pad, "[]")
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
+        return _block([
             f"{inner}{_literal(json.dumps(str(k)))}: {_template(v, indent + 1, values)}"
             for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        ], pad, "{}")
     if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = []
-        for shape, run in itertools.groupby(obj, _row_shape):
-            if shape is None:
-                items += [inner + _template(v, indent + 1, values) for v in run]
-                continue
-            first, *rest = run
-            items += [inner + _template(first, indent + 1, values)] * (1 + len(rest))
-            for row in rest:
-                values.extend(row.values() if isinstance(row, dict) else row)
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return _block([inner + _template(v, indent + 1, values) for v in obj], pad, "[]")
     raise InvalidParameters(f"unserializable value of type {type(obj)!r}")
 
 
@@ -187,11 +187,10 @@ def run_profile(args: argparse.Namespace) -> tuple[str, int, str]:
         )
     ts = grid(lo, hi, args.samples)
     columns = (ts, F_second(E, ts), h_second(E, ts), [E.A * t + E.B for t in ts])
-    table = list(zip(*columns))
     if args.format == "csv":
         row = ",".join([_FLOAT] * len(columns))
         template = "\n".join(["t,F_second,h_second,S"] + [row] * args.samples)
-        return _fill(template, list(itertools.chain.from_iterable(table))), 0, ""
+        return _fill(template, list(itertools.chain.from_iterable(zip(*columns)))), 0, ""
     doc = {
         "schema": 1,
         "command": "profile",
@@ -199,7 +198,7 @@ def run_profile(args: argparse.Namespace) -> tuple[str, int, str]:
         "a": E.a,
         "b": E.b,
         "columns": ["t", "F_second", "h_second", "S"],
-        "rows": table,
+        "rows": _Table(None, columns),
     }
     return _render_json(doc), 0, ""
 
@@ -306,7 +305,6 @@ def run_bridge_check(args: argparse.Namespace) -> tuple[str, int, str]:
     for name in names:
         K = PRESETS[name](args.n)
         rep = bridge_cross_check(K, s_grid)
-        columns = [getattr(rep, column) for column in _BRIDGE_COLUMNS]
         ok = rep.max_discrepancy <= tolerance_soft
         if not ok:
             failing.append(name)
@@ -315,7 +313,9 @@ def run_bridge_check(args: argparse.Namespace) -> tuple[str, int, str]:
                 "preset": name,
                 "max_discrepancy": rep.max_discrepancy,
                 "passed": ok,
-                "rows": [dict(zip(_BRIDGE_COLUMNS, row)) for row in zip(*columns)],
+                "rows": _Table(
+                    _BRIDGE_COLUMNS, [getattr(rep, key) for key in _BRIDGE_COLUMNS]
+                ),
             }
         )
     doc = {

@@ -1,11 +1,10 @@
-"""Difference steps, the Richardson stencil shared by the curvature
-pipelines, and the evenly spaced grid of ``profile`` and ``bridge-check``, on
-the standard library alone."""
+"""Difference steps, the Richardson combination of five stencil values, and
+the evenly spaced grid of ``profile`` and ``bridge-check``, on the standard
+library alone."""
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable
 
 EPS = sys.float_info.epsilon
 # classic step exponent: h ~ eps^(1/4) balances rounding vs truncation for
@@ -13,23 +12,19 @@ EPS = sys.float_info.epsilon
 STEP_SECOND = EPS ** 0.25
 
 
-def richardson(f: Callable, x, h) -> tuple:
-    """f(x), f'(x) and f''(x), the derivatives by one Richardson level on
-    central differences (O(h^4)).
+def richardson(down, down_half, mid, up_half, up, h) -> tuple:
+    """f'(x) and f''(x) by one Richardson level on central differences
+    (O(h^4)), from f at x - h, x - h/2, x, x + h/2 and x + h.
 
-    f is evaluated once at each of x +- h, x +- h/2 and x; both derivatives
-    combine the coarse (step h) and fine (step h/2) centered differences as
-    (4*fine - coarse)/3.  x and h are floats.
+    Both derivatives combine the coarse (step h) and fine (step h/2)
+    centred differences as (4*fine - coarse)/3.
     """
-    up, down = f(x + h), f(x - h)
     half = 0.5 * h
-    up_half, down_half = f(x + half), f(x - half)
-    mid = f(x)
     first = (4.0 * ((up_half - down_half) / (2.0 * half))
              - (up - down) / (2.0 * h)) / 3.0
     second = (4.0 * ((up_half - 2.0 * mid + down_half) / (half * half))
               - (up - 2.0 * mid + down) / (h * h)) / 3.0
-    return mid, first, second
+    return first, second
 
 
 def grid(lo: float, hi: float, num: int) -> list[float]:

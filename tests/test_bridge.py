@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricext import bridge as bridge_mod
 from toricext.bridge import (
     PRESETS,
     KahlerPotential,
@@ -16,8 +15,8 @@ from toricext.bridge import (
     induced_t_potential,
 )
 from toricext.errors import DomainViolation, NonpositiveDerivative
-from toricext.numdiff import richardson
-from util import legendre_F
+from toricext.numdiff import grid
+from util import differences, legendre_F
 
 # the Kahler potentials of the two presets, which the bridge does not keep
 _FLAT_F = lambda s: 0.5 * s
@@ -30,10 +29,13 @@ def _no_inverse(t):
 
 def _sine_potential():
     # f = sin(s): t = 2*s*cos(s) rises, turns over near s = 0.86 and goes
-    # negative, so the map has no inverse
+    # negative, so the map has no inverse; each s~-derivative is s*d/ds
     def moment(s):
-        df = math.cos(s)
-        return 2.0 * s * df, 2.0 * (s * df + s * s * -math.sin(s))
+        c, si = math.cos(s), math.sin(s)
+        t1 = 2.0 * s * (c - s * si)
+        t2 = 2.0 * s * (c - 3.0 * s * si - s * s * c)
+        t3 = 2.0 * s * (c - 7.0 * s * si - 6.0 * s * s * c + s**3 * si)
+        return 2.0 * s * c, t1, t2, t3
 
     return KahlerPotential(n=1, moment=moment, inverse=_no_inverse, label="sine")
 
@@ -46,15 +48,23 @@ def _cross_check_one(K, s):
     return bridge_cross_check(K, [s])
 
 
-def _worst_rate_error(moment, n_samples=200):
-    # dt/ds~ against a Richardson derivative of t in s~ at the constant step
-    # 2^-6, relative, over s in [1e-3, 1e3]
-    worst = 0.0
+def _jet_errors(moment, n_samples=200):
+    # the worst errors of t', t'' and t''' against Richardson derivatives in
+    # s~ at the constant step 2^-6 (t' of t; t'' and t''' of t'), relative
+    # to t', over s in [1e-3, 1e3]
+    worst = [0.0, 0.0, 0.0]
     for s in np.geomspace(1e-3, 1e3, n_samples).tolist():
-        _, dt, _ = richardson(lambda st: moment(math.exp(st))[0], math.log(s), 2.0**-6)
-        rate = moment(s)[1]
-        worst = max(worst, abs(rate - dt) / abs(rate))
+        t, t1, t2, t3 = moment(s)
+        dt, _ = differences(lambda st: moment(math.exp(st))[0], math.log(s), 2.0**-6)
+        dt1, ddt1 = differences(lambda st: moment(math.exp(st))[1], math.log(s), 2.0**-6)
+        for k, (got, want) in enumerate([(t1, dt), (t2, dt1), (t3, ddt1)]):
+            worst[k] = max(worst[k], abs(got - want) / abs(t1))
     return worst
+
+
+def _scaled(moment, k):
+    # the jet with its k-th entry off by 1 %
+    return lambda s: tuple(1.01 * x if j == k else x for j, x in enumerate(moment(s)))
 
 
 def test_flat_moment_map_is_identity():
@@ -100,9 +110,48 @@ def test_preset_rate_is_the_derivative_of_its_moment(preset, n):
     # the two closed forms of a preset, t and dt/ds~, must agree; a t' off by
     # 1 % must not pass the same check
     K = PRESETS[preset](n)
-    assert _worst_rate_error(K.moment) <= 1e-8
-    mutant = lambda s: (K.moment(s)[0], 1.01 * K.moment(s)[1])
-    assert _worst_rate_error(mutant) > 1e-8
+    assert _jet_errors(K.moment)[0] <= 1e-8
+    assert _jet_errors(_scaled(K.moment, 1))[0] > 1e-8
+
+
+# t and dt/ds~ of each preset as its moment map computed them before the
+# map returned the whole jet
+_PRESET_T_AND_RATE = {
+    "flat": lambda s: (s, s),
+    "fubini-study": lambda s: (
+        2.0 * s * (0.5 / (1.0 + s)),
+        2.0 * (s * (0.5 / (1.0 + s)) - s * s * (0.5 / (1.0 + s) ** 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_jet_keeps_the_moment_maps_t_and_rate(preset):
+    # the t column and the polytope side read t and t', so their bits stay
+    for n in (1, 3):
+        K = PRESETS[preset](n)
+        for s in np.geomspace(1e-3, 1e3, 500).tolist():
+            assert K.moment(s)[:2] == _PRESET_T_AND_RATE[preset](s)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_jet_is_the_derivative_of_its_rate(preset, n):
+    # t'' and t''' in closed form against Richardson differences of t'
+    _, second, third = _jet_errors(PRESETS[preset](n).moment)
+    assert second <= 1e-7
+    assert third <= 1e-7
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_jet_off_by_one_percent_fails_its_test_and_the_bridge(preset, k):
+    # the Kahler side reads t'' and t''' from the jet, the polytope side
+    # differences t': a jet at odds with its own rate cannot pass bridge-check
+    K = PRESETS[preset](2)
+    mutant = KahlerPotential(2, _scaled(K.moment, k), K.inverse, "mutant")
+    assert _jet_errors(mutant.moment)[k - 1] > 1e-7
+    assert bridge_cross_check(mutant, grid(0.25, 4.0, 10)).max_discrepancy > 1e-5
 
 
 def test_inversion_outside_moment_image():
@@ -168,6 +217,22 @@ def test_fubini_study_curvature_is_constant(n):
         assert abs(got - want) <= 1e-5 * want
 
 
+@pytest.mark.parametrize("n", [1, 3, 6, 16])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_kahler_side_is_exact_to_rounding(preset, n):
+    K = PRESETS[preset](n)
+    exact = 0.0 if preset == "flat" else float(n * (n + 1))
+    scale = max(1.0, exact)
+    for s in grid(0.25, 4.0, 2000):
+        assert abs(calabi_scalar_curvature(K, s) - exact) <= 1e-13 * scale
+    # towards s = 0 and s = oo, t' -> 0: Fubini-Study's (t''/t')^2 and
+    # t'''/t' in v'' cancel down to 2*t', so the jet's rounding over t' sets
+    # the floor (1.7e-13 relative at s = 1e-3)
+    for s in np.geomspace(1e-3, 1e3, 2000).tolist():
+        error = abs(calabi_scalar_curvature(K, s) - exact)
+        assert error <= 1e-15 * scale / K.moment(s)[1]
+
+
 def test_fubini_study_curvature_frozen_value():
     K = fubini_study_potential(2)
     assert calabi_scalar_curvature(K, 1.0) == pytest.approx(6.0, abs=1e-9)
@@ -175,7 +240,7 @@ def test_fubini_study_curvature_frozen_value():
 
 def test_curvature_rejects_decreasing_potential():
     # f = -s: t = dt/ds~ = -2*s
-    K = KahlerPotential(n=1, moment=lambda s: (-2.0 * s, -2.0 * s), inverse=_no_inverse)
+    K = KahlerPotential(n=1, moment=lambda s: (-2.0 * s,) * 4, inverse=_no_inverse)
     with pytest.raises(NonpositiveDerivative):
         calabi_scalar_curvature(K, 1.0)
 
@@ -253,26 +318,10 @@ def test_cross_check_inverts_the_moment_map_once_per_sample():
     assert inverted == list(report.t)
 
 
-def test_calabi_curvature_evaluates_v_once_per_stencil_point(monkeypatch):
-    # v' and v'' share one five-point stencil: s~ +- h, s~ +- h/2 and s~
-    calls = []
-    real = bridge_mod._v
-
-    def counting(K, st):
-        calls.append(st)
-        return real(K, st)
-
-    monkeypatch.setattr(bridge_mod, "_v", counting)
-    samples = np.geomspace(0.25, 4.0, 10).tolist()
-    for s in samples:
-        calabi_scalar_curvature(fubini_study_potential(2), s)
-    assert len(calls) == 5 * len(samples)
-
-
-def test_cross_check_makes_twelve_moment_calls_and_one_inverse_per_sample():
-    # the t column: one moment per sample; Kahler side: the moment at s and
-    # the five v stencil points; polytope side: one inverse and the five rate
-    # stencil points of the jet, whose centre is also dt/ds~ itself
+def test_cross_check_makes_seven_moment_calls_and_one_inverse_per_sample():
+    # the t column: one moment per sample; Kahler side: the jet at s;
+    # polytope side: one inverse and the five rate stencil points of the
+    # jet, whose centre is also dt/ds~ itself
     calls, inverted = [], []
     model = fubini_study_potential(2)
     K = KahlerPotential(
@@ -283,7 +332,7 @@ def test_cross_check_makes_twelve_moment_calls_and_one_inverse_per_sample():
     )
     samples = np.geomspace(0.25, 4.0, 10).tolist()
     bridge_cross_check(K, samples)
-    assert len(calls) == 12 * len(samples)
+    assert len(calls) == 7 * len(samples)
     assert len(inverted) == len(samples)
 
 
@@ -301,8 +350,8 @@ def test_cross_check_makes_twelve_moment_calls_and_one_inverse_per_sample():
         (calabi_scalar_curvature, lambda: fubini_study_potential(1), -1.0,
          DomainViolation, "s must be positive, got -1.0"),
         (calabi_scalar_curvature, _sine_potential, 2.0, NonpositiveDerivative,
-         "moment data not positive at s~ = 0.7087721805599453: "
-         "t = -1.8063017940892472, dt/ds~ = -9.19970834991754"),
+         "moment data not positive at s = 2.0: "
+         "t = -1.6645873461885696, dt/ds~ = -8.938966760794024"),
     ],
     ids=["above the image", "t <= 0", "below the image", "s <= 0",
          "curvature at s <= 0", "curvature of a falling t"],
@@ -323,7 +372,7 @@ def test_nan_difference_is_the_worst_one():
     # the flat potential with a NaN dt/ds~ past s = 1.5
     K = KahlerPotential(
         n=2,
-        moment=lambda s: (s, math.nan if s > 1.5 else s),
+        moment=lambda s: (s, math.nan if s > 1.5 else s, s, s),
         inverse=flat_potential(2).inverse,
     )
     report = bridge_cross_check(K, [0.5, 2.0])

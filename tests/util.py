@@ -98,6 +98,12 @@ def closed_form_coefficients(n: int, a: float, b: float):
     return _rounded(n, a, b, _closed_form(n, a, b))
 
 
+def differences(f, x: float, h: float) -> tuple[float, float]:
+    """f'(x) and f''(x) by ``numdiff.richardson`` on f at x, x +- h/2 and
+    x +- h."""
+    return richardson(*[f(x + k * h) for k in (-1.0, -0.5, 0.0, 0.5, 1.0)], h)
+
+
 def fd_curvature_reference(T, t):
     """S = t^(1-n) * u''(t) by central differences on u = t^(n+1) W,
     W = F''/(1 + t*F''), from F'' alone: one Richardson level, step
@@ -110,7 +116,7 @@ def fd_curvature_reference(T, t):
         [f2] = T.d2F([tau])
         return tau ** (n + 1) * f2 / (1.0 + tau * f2)
 
-    return t ** (1 - n) * richardson(u, t, h)[2]
+    return t ** (1 - n) * differences(u, t, h)[1]
 
 
 # --- the extremal profile on numpy arrays -------------------------------------
