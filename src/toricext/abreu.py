@@ -5,15 +5,15 @@ The curvature of the metric defined by a potential g with Hessian G is
     S(x) = -(1/2) * sum_ij  d^2 G^{ij} / dx_i dx_j,
 
 with G^{ij} the entries of the inverse Hessian.  For the radial potentials of
-``radial`` the inner layer is the closed form
+``radial`` the inner layer is the closed form in the momentum profile phi,
 
-    G^{-1} = 2 * (diag(x) - w * x x^T),    w = F''/(1 + t*F''),
+    G^{-1} = 2 * (diag(x) - w * x x^T),    w = (t - phi)/t^2,
 
 exact up to rounding (``radial.inverse_diagonal`` and
 ``radial.inverse_off_diagonal``), and the outer second derivatives are
 central finite differences on the polytope interior.  Every corner of a
-point's stencil lies at t + k*h for k in {-2..2}, so a point costs five F''
-values, all read from one list call of the profile, and O(n^2) entries of
+point's stencil lies at t + k*h for k in {-2..2}, so a point costs five phi
+values, all read from one jet call of the profile, and O(n^2) entries of
 O(1) each.  Extremality of a metric means S is affine in x;
 ``extremality_residual`` measures the distance to that.  Everything runs in
 plain floats.
@@ -86,18 +86,19 @@ def _points(points: Sequence, n: int) -> list[list[float]]:
     return [[float(v) for v in row] for row in rows]
 
 
-def _curvature_at(x: list[float], h: float, f2: list[float], den: list[float]) -> float:
-    """The stencil at one point x with step h, on closed-form entries; f2 and
-    den are F'' and 1 + t*F'' at t + k*h, t = sum(x), indexed by k + 2."""
-    t = math.fsum(x)
-    w = [f / d for f, d in zip(f2, den)]
+def _curvature_at(x: list[float], h: float, ts: list[float], phi: list[float]) -> float:
+    """The stencil at one point x with step h, on closed-form entries; ts and
+    phi are t + k*h, t = sum(x), and the momentum profile there, indexed by
+    k + 2."""
+    t = ts[2]
+    w = [(s - f) / s / s for s, f in zip(ts, phi)]
     hh = h * h
     total = 0.0
     for i, xi in enumerate(x):
         rest = t - xi  # the same at x and at x +- h*e_i
-        plus = inverse_diagonal(xi + h, rest, f2[3], den[3])
-        centre = inverse_diagonal(xi, rest, f2[2], den[2])
-        minus = inverse_diagonal(xi - h, rest, f2[1], den[1])
+        plus = inverse_diagonal(xi + h, rest, ts[3], phi[3])
+        centre = inverse_diagonal(xi, rest, t, phi[2])
+        minus = inverse_diagonal(xi - h, rest, ts[1], phi[1])
         total += (plus - 2.0 * centre + minus) / hh
     up = [xi + h for xi in x]
     down = [xi - h for xi in x]
@@ -122,7 +123,7 @@ def abreu_scalar_curvature(
     points is a sequence of points of n coordinates each, answered with a
     list of floats in their order.  The potential lives on the polytope
     {x >= 0, t_min <= sum(x) <= t_max}, whose facets carry its log terms;
-    F'' for every stencil of the call comes from one ``T.d2F`` list.
+    phi for every stencil of the call comes from one ``T.jet`` call.
 
     Default step, per point: eps^(1/4)*t_max, the polytope's own length,
     clamped to dmin/3 (dmin the point's least facet value): a stencil corner
@@ -151,10 +152,11 @@ def abreu_scalar_curvature(
 
     # every corner of a point's stencil lies at t + k*h for k in {-2..2}
     ts = [math.fsum(p) + k * step for p, step in zip(pts, steps) for k in (-2, -1, 0, 1, 2)]
-    f2 = T.d2F(ts)
-    den = list(map(validity_factor, ts, f2))
+    phi = T.jet(ts)[0]
+    for t, f in zip(ts, phi):
+        validity_factor(t, f)
     return [
-        _curvature_at(p, step, f2[5 * i:5 * i + 5], den[5 * i:5 * i + 5])
+        _curvature_at(p, step, ts[5 * i:5 * i + 5], phi[5 * i:5 * i + 5])
         for i, (p, step) in enumerate(zip(pts, steps))
     ]
 

@@ -17,10 +17,11 @@ must be positive),
 which this module evaluates from the closed-form jet (t, t', t'', t''') as a
 third, symplectic-free curvature oracle.  A potential is that jet as a
 function of s and the moment map's closed-form inverse; the flat (s = t) and
-Fubini-Study (s = t/(1 - t)) presets are built in.  The induced profile on
-the polytope side differentiates t' numerically instead, so a jet that
-disagrees with its own moment map fails the cross-check.  All of it runs on
-floats and the standard library.
+Fubini-Study (s = t/(1 - t)) presets are built in.  The polytope side reads
+the induced momentum profile, phi(t) = t' as a function of t, and
+differentiates t' numerically instead, so a jet that disagrees with its own
+moment map fails the cross-check.  All of it runs on floats and the standard
+library.
 """
 
 from __future__ import annotations
@@ -119,49 +120,35 @@ def calabi_scalar_curvature(K: KahlerPotential, s: float) -> float:
 
 
 def _induced_jet(K: KahlerPotential, ts: Sequence[float]) -> tuple[list[float], ...]:
-    """The lists (F'', F''', F'''') of the induced profile at the ts, from
-    one inverse and one Richardson stencil of t' in s~ per t."""
+    """The lists (phi, phi', phi'') of the induced profile at the ts, from
+    one inverse and one Richardson stencil of u = t' in s~ per t: phi = u,
+    phi' = du/u and phi'' = (ddu/u - phi'^2)/u, with du and ddu the first
+    two s~-derivatives of u."""
     moment = K.moment
-    f2, f3, f4 = [], [], []
+    phi, dphi, d2phi = [], [], []
     for t in ts:
         s = K.inverse(t)
-        u2 = moment(s)[1]
-        if u2 <= 0.0:
-            raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
+        u = moment(s)[1]
+        if u <= 0.0:
+            raise NonpositiveDerivative(f"dt/ds~ = {u} at t = {t}")
         lo, lo_half, hi_half, hi = [moment(s * k)[1] for k in _STENCIL]
-        du2, ddu2 = richardson(lo, lo_half, u2, hi_half, hi, _LOG_STEP)
-        f2.append(1.0 / u2 - 1.0 / t)
-        f3.append(-du2 / u2**3 + 1.0 / t**2)
-        f4.append(-ddu2 / u2**4 + 3.0 * du2**2 / u2**5 - 2.0 / t**3)
-    return f2, f3, f4
-
-
-def _induced_second(K: KahlerPotential, ts: Sequence[float]) -> list[float]:
-    """F'' of the induced profile at the ts, from one inverse and one t' per
-    t: the jet's first list to the bit, since the stencil's centre is the
-    inverse itself."""
-    f2 = []
-    for t in ts:
-        u2 = K.moment(K.inverse(t))[1]
-        if u2 <= 0.0:
-            raise NonpositiveDerivative(f"dt/ds~ = {u2} at t = {t}")
-        f2.append(1.0 / u2 - 1.0 / t)
-    return f2
+        du, ddu = richardson(lo, lo_half, u, hi_half, hi, _LOG_STEP)
+        slope = du / u
+        phi.append(u)
+        dphi.append(slope)
+        d2phi.append((ddu / u - slope * slope) / u)
+    return phi, dphi, d2phi
 
 
 def induced_t_potential(K: KahlerPotential, t_min: float, t_max: float) -> TPotential:
     """The TPotential the bridge induces on (t_min, t_max).
 
-    F'' comes from the exact Legendre relation F''(t) = 1/t'(s~) - 1/t
-    (differentiating F'(t) = ln s - ln t - 1); the third and fourth
-    derivatives then need only s~-derivatives of t'(s~), taken by Richardson
-    differences.  Evaluating the relation exactly instead of differencing
-    F values keeps the induced profile at analytic accuracy, which the
-    downstream curvature formula needs.
+    Its momentum profile is phi(t) = t'(s~(t)) exactly, read through the
+    closed-form inverse (the Legendre relation F''(t) = 1/t' - 1/t, from
+    differentiating F'(t) = ln s - ln t - 1); phi' and phi'' then need only
+    s~-derivatives of t'(s~), taken by Richardson differences.
     """
-    return TPotential(
-        K.n, t_min, t_max, partial(_induced_second, K), partial(_induced_jet, K)
-    )
+    return TPotential(K.n, t_min, t_max, partial(_induced_jet, K))
 
 
 class BridgeCheckReport(Record):

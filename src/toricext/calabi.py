@@ -3,12 +3,12 @@ endpoint check of its h''.
 
 The coefficients (A, B, C, D), their exact checks and the deflated (V, Q)
 come from ``exact``, in rational arithmetic; ``table`` evaluates the profile
-they define in plain floats,
+they define in plain floats: its momentum profile and the h'' of its ends,
 
-    F''(t) = p*t^(n-1)/(p*t^n - alpha(t)) - 1/t,      h''(t) = -V/Q - 1/t,
+    phi(t) = (t-a)(t-b)*Q(t)/(p*t^(n-1)),      h''(t) = -V/Q - 1/t,
 
-and its jet (F'', F''', F'''') for the curvature.  Of the CLI commands only
-``verify`` imports this module.
+with p*t^n - alpha = (t-a)(t-b)*Q.  Of the CLI commands only ``verify``
+imports this module.
 """
 
 from __future__ import annotations
@@ -50,13 +50,10 @@ def build_extremal_metric(
     """Polytope, extremal profile, and coefficients for one (n, a, b), after
     ``positivity_certificate`` has proved the metric valid.
 
-    The profile's two functions are ``table.F_second`` and
-    ``table.F_derivatives`` on the record's coefficients.
+    The profile's jet is ``table.jet`` on the record's coefficients.
     """
     P = build_blowup_polytope(n, a, b)
     E = exact.solve_coefficients(n, a, b)
     exact.positivity_certificate(E)
-    T = TPotential(
-        n, float(a), float(b), partial(table.F_second, E), partial(table.F_derivatives, E)
-    )
+    T = TPotential(n, float(a), float(b), partial(table.jet, E))
     return P, T, E

@@ -172,7 +172,7 @@ def run_derive(args: argparse.Namespace) -> tuple[str, int, str]:
 def run_profile(args: argparse.Namespace) -> tuple[str, int, str]:
     from .exact import solve_coefficients
     from .numdiff import grid
-    from .table import F_second, h_second
+    from .table import profile_columns
 
     E = solve_coefficients(args.n, args.a, args.b)
     if args.samples < 1:
@@ -186,7 +186,7 @@ def run_profile(args: argparse.Namespace) -> tuple[str, int, str]:
             f"margin {margin} rounds away next to a = {args.a} or b = {args.b}"
         )
     ts = grid(lo, hi, args.samples)
-    columns = (ts, F_second(E, ts), h_second(E, ts), [E.A * t + E.B for t in ts])
+    columns = (ts, *profile_columns(E, ts), [E.A * t + E.B for t in ts])
     if args.format == "csv":
         row = ",".join([_FLOAT] * len(columns))
         template = "\n".join(["t,F_second,h_second,S"] + [row] * args.samples)

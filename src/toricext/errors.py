@@ -34,12 +34,14 @@ class DomainViolation(GeometryError, ValueError):
 
 
 class DegenerateMetric(GeometryError, ArithmeticError):
-    """The validity condition 1 + t*F''(t) > 0 fails at the query point, where
-    the curvature and the inverse Hessian divide by it."""
+    """The validity condition phi(t) > 0 on the momentum profile, that is
+    1 + t*F''(t) = t/phi > 0, fails at the query point, where the Hessian is
+    singular or indefinite."""
 
 
 class PotentialPole(GeometryError, ArithmeticError):
-    """The profile denominator p*t^n - alpha(t) vanishes at the query point."""
+    """The deflated denominator Q(t) of the profile, where
+    p*t^n - alpha(t) = (t-a)(t-b)*Q(t), vanishes at the query point."""
 
 
 class ZeroDenominator(GeometryError, ArithmeticError):

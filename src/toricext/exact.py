@@ -22,8 +22,9 @@ valid on all of (a, b) (``positivity_certificate``).
 
 Everything here runs on the standard library (``fractions``, ``math``), so a
 command that needs only exact data loads no numpy.  The record also rounds
-the polynomials of the profile, alpha and the deflated (V, Q), to float once;
-``table`` evaluates them in plain floats.
+the polynomials of the profile, the deflated (V, Q) with
+p*t^n - alpha = (t-a)(t-b)*Q, to float once; ``table`` evaluates them in
+plain floats.
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ from .errors import (
     ZeroDenominator,
 )
 from .record import Record
-
-# p*t^n - alpha legitimately vanishes only at the endpoints; anything this
-# close to zero in the interior is treated as a pole hit by table, which
-# evaluates the record's float polynomials
-POLE_REL_TOL = 1e-13
 
 
 def _check_geometry(n: int, a: float, b: float) -> None:
@@ -93,14 +89,8 @@ class ExtremalCoefficients(Record):
     def _exact_deflation(self) -> tuple[list, list]:
         return _deflation(self)
 
-    # the float polynomials of the profile, the only rounding of alpha, V and
-    # Q: table's Horner loops read these
-    @cached_property
-    def _float_alpha(self) -> tuple[float, ...]:
-        """alpha's descending coefficients from the record's (A, B, C, D)."""
-        alpha = _alpha_coeffs(self.n, self.A, self.B, self.C, self.D)
-        return tuple(map(float, alpha))
-
+    # the float polynomials of the profile, the only rounding of V and Q:
+    # table's Horner loops read these
     @cached_property
     def _float_deflation(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The exact (V, Q) of h'', each coefficient rounded to float."""

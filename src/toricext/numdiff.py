@@ -1,15 +1,30 @@
-"""Difference steps, the Richardson combination of five stencil values, and
-the evenly spaced grid of ``profile`` and ``bridge-check``, on the standard
-library alone."""
+"""Difference steps, the Richardson combination of five stencil values, the
+evenly spaced grid of ``profile`` and ``bridge-check``, and a power of t
+that refuses to leave the normal floats, on the standard library alone."""
 
 from __future__ import annotations
 
 import sys
 
+from .errors import InvalidParameters
+
 EPS = sys.float_info.epsilon
 # classic step exponent: h ~ eps^(1/4) balances rounding vs truncation for
 # plain second differences
 STEP_SECOND = EPS ** 0.25
+
+
+def power(t: float, k: int) -> float:
+    """t**k by C pow.  Where it overflows, float ** raises, and where it
+    falls below the normal floats it has lost its digits: either is invalid
+    input, and the message names the power and the t."""
+    try:
+        value = t**k
+    except OverflowError:
+        raise InvalidParameters(f"t^{k} overflows a float at t = {t}") from None
+    if abs(value) < sys.float_info.min and t != 0.0:
+        raise InvalidParameters(f"t^{k} underflows a float at t = {t}")
+    return value
 
 
 def richardson(down, down_half, mid, up_half, up, h) -> tuple:

@@ -27,7 +27,7 @@ from toricext.polytope import (
 )
 from toricext.numdiff import STEP_SECOND
 from toricext.radial import TPotential
-from util import cpn_profile, flat_profile, profile, radial_hessian
+from util import F_profile, cpn_profile, flat_profile, profile, radial_hessian
 
 
 def test_flat_curvature_default_step():
@@ -108,12 +108,13 @@ def test_extremality_residual_detects_non_extremal_metric():
     pts = sample_interior(Pm, 30, margin=0.025, seed=11)
     base = extremality_residual(T, pts).max_residual
 
-    bumped = profile(
-        2, 0.5, 1.0,
-        lambda t: T.d2F([t])[0] + 0.1 * math.sin(10.0 * t),
-        lambda t: T.jet([t])[1][0] + math.cos(10.0 * t),
-        lambda t: T.jet([t])[2][0] - 10.0 * math.sin(10.0 * t),
-    )
+    def bumped_at(t):
+        # phi*m with m = 1 + sin(10t)/10, by the product rule
+        [phi], [dphi], [d2phi] = T.jet([t])
+        m, dm, d2m = 1.0 + 0.1 * math.sin(10.0 * t), math.cos(10.0 * t), -10.0 * math.sin(10.0 * t)
+        return phi * m, dphi * m + phi * dm, d2phi * m + 2.0 * dphi * dm + phi * d2m
+
+    bumped = profile(2, 0.5, 1.0, bumped_at)
     assert extremality_residual(bumped, pts).max_residual > 10.0 * max(base, 1e-6)
 
 
@@ -224,7 +225,10 @@ def test_batched_stencil_matches_per_point_reference(n):
     a, b = 0.5, 1.0
     _, radial, _ = build_extremal_metric(n, a, b)
     pts = _points_between(n, a, b, 10, seed=n)
-    hessian = lambda y: radial_hessian(y, radial.d2F([float(np.sum(y))])[0])
+    # the F'' = 1/phi - 1/t of the profile at each stencil point
+    hessian = lambda y: radial_hessian(
+        y, 1.0 / radial.jet([float(np.sum(y))])[0][0] - 1.0 / float(np.sum(y))
+    )
     want = [_reference_abreu(radial, hessian, x) for x in pts]
     np.testing.assert_allclose(abreu_scalar_curvature(radial, pts), want, rtol=1e-8)
 
@@ -248,7 +252,7 @@ def test_batched_stencil_matches_per_point_reference(n):
 def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
     # the profile's functions live on (0.6, 1), its polytope is (0.5, 1)
     _, T, _ = build_extremal_metric(2, 0.6, 1.0)
-    S = TPotential(2, 0.5, 1.0, T.d2F, T.jet)
+    S = TPotential(2, 0.5, 1.0, T.jet)
     good = np.array([[0.35, 0.4], [0.3, 0.5], [0.45, 0.35]])
     with pytest.raises(error):
         abreu_scalar_curvature(S, [np.array(bad)], h=h)
@@ -274,10 +278,10 @@ def test_point_shape_is_checked():
 
 def test_degenerate_metric_in_a_batch_names_its_t():
     # F'' = -1/0.8: 1 + t*F'' vanishes at t = 0.8, where the Hessian is
-    # singular, and is negative past it
+    # singular, and is negative past it: phi = t/(1 - 1.25t) < 0 there
     f2 = lambda t: -1.25
     zero = lambda t: 0.0
-    S = profile(2, 0.5, 1.0, f2, zero, zero)
+    S = F_profile(2, 0.5, 1.0, f2, zero, zero)
     x = [0.45, 0.45]  # t = 0.9, every stencil t past 0.8
     with pytest.raises(DegenerateMetric, match=r"at t = 0\.8\d*$") as alone:
         abreu_scalar_curvature(S, [x])
@@ -285,3 +289,11 @@ def test_degenerate_metric_in_a_batch_names_its_t():
         abreu_scalar_curvature(S, [[0.3, 0.3], x])
     assert str(batched.value) == str(alone.value)
     abreu_scalar_curvature(S, [[0.3, 0.3]])  # t = 0.6 is fine
+    # phi = 0, and phi so large that t/phi = 1 + t*F'' is below
+    # DEGENERACY_TOL: each a named error naming the stencil's first t,
+    # t - 2h, never a ZeroDivisionError
+    vanishing = profile(2, 0.5, 1.0, lambda t: (0.0, 0.0, 0.0))
+    steep = profile(2, 0.5, 1.0, lambda t: (1e20 * t, 1e20, 0.0))
+    for T in (vanishing, steep):
+        with pytest.raises(DegenerateMetric, match=r"at t = 0\.59\d*$"):
+            abreu_scalar_curvature(T, [[0.3, 0.3]])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricext import bridge as bridge_mod
 from toricext.bridge import (
     PRESETS,
     KahlerPotential,
@@ -171,10 +172,9 @@ def test_induced_profile_refuses_a_t_outside_the_image(preset, t):
     # a named error naming t, not the ZeroDivisionError of t/(1 - t) at
     # t = 1 or the ValueError of a logarithm
     T = induced_t_potential(PRESETS[preset](2), 0.0, 2.0)
-    for evaluate in (T.d2F, T.jet):
-        with pytest.raises(DomainViolation, match=f"got {t}$") as raised:
-            evaluate([0.5, t])
-        assert type(raised.value) is DomainViolation
+    with pytest.raises(DomainViolation, match=f"got {t}$") as raised:
+        T.jet([0.5, t])
+    assert type(raised.value) is DomainViolation
 
 
 def test_flat_legendre_dual():
@@ -262,27 +262,27 @@ def test_cross_check_flat():
 
 
 def test_induced_potential_matches_projective_profile():
+    # phi = t*(1 - t), the momentum profile of F'' = 1/(1 - t)
     T = induced_t_potential(fubini_study_potential(2), 0.0, 1.0)
     ts = np.linspace(0.05, 0.95, 19).tolist()
-    for t, f2 in zip(ts, T.d2F(ts)):
-        assert f2 == pytest.approx(1.0 / (1.0 - t), rel=1e-10)
+    for t, phi in zip(ts, T.jet(ts)[0]):
+        assert phi == pytest.approx(t * (1.0 - t), rel=1e-14)
 
 
 def test_induced_potential_higher_derivatives():
     T = induced_t_potential(fubini_study_potential(2), 0.0, 1.0)
-    # d^3F = 1/(1-t)^2, d^4F = 2/(1-t)^3 for the projective profile
+    # phi' = 1 - 2t and phi'' = -2 for the projective profile
     ts = [0.25, 0.5, 0.75]
-    f2, f3, f4 = T.jet(ts)
-    assert f2 == T.d2F(ts)
-    for t, d3F, d4F in zip(ts, f3, f4):
-        assert d3F == pytest.approx(1.0 / (1.0 - t) ** 2, rel=1e-6)
-        assert d4F == pytest.approx(2.0 / (1.0 - t) ** 3, rel=1e-4)
+    _, dphi, d2phi = T.jet(ts)
+    for t, d1, d2 in zip(ts, dphi, d2phi):
+        assert d1 == pytest.approx(1.0 - 2.0 * t, rel=1e-9, abs=1e-9)
+        assert d2 == pytest.approx(-2.0, rel=1e-7)
 
 
 @pytest.mark.parametrize("preset, t_max", [("flat", 10.0), ("fubini-study", 1.0)])
 def test_induced_second_derivative_is_the_jets_from_one_rate_per_t(preset, t_max):
-    # F'' = 1/t'(s~) - 1/t reads the jet stencil's centre value, so it needs
-    # one inverse and one moment call per t
+    # the induced momentum profile is the rate t'(s~) itself, to the bit:
+    # the stencil's centre is the inverse, so the jet inverts once per t
     calls, inverted = [], []
     model = PRESETS[preset](3)
     K = KahlerPotential(
@@ -293,11 +293,9 @@ def test_induced_second_derivative_is_the_jets_from_one_rate_per_t(preset, t_max
     )
     T = induced_t_potential(K, 0.0, t_max)
     ts = np.random.default_rng(0).uniform(1e-3 * t_max, 0.999 * t_max, 500).tolist()
-    assert T.d2F(ts) == T.jet(ts)[0]
-    calls.clear()
-    inverted.clear()
-    T.d2F(ts)
-    assert len(calls) == len(ts)
+    phi = T.jet(ts)[0]
+    assert phi == [model.moment(model.inverse(t))[1] for t in ts]
+    assert len(calls) == 5 * len(ts)
     assert inverted == ts
 
 
@@ -389,3 +387,19 @@ def test_report_columns_are_tuples_of_floats():
     assert report.max_discrepancy == max(report.difference)
     with pytest.raises(AttributeError):
         report.max_discrepancy = 0.0
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_profile_slope_off_by_one_percent_fails_the_bridge(preset, monkeypatch):
+    # the polytope side reads phi' of the induced profile: scaled by 1.01, its
+    # curvature no longer matches the Kahler side's
+    real = bridge_mod._induced_jet
+
+    def mutant(K, ts):
+        phi, dphi, d2phi = real(K, ts)
+        return phi, [1.01 * d for d in dphi], d2phi
+
+    samples = grid(0.25, 4.0, 10)
+    assert bridge_cross_check(PRESETS[preset](2), samples).max_discrepancy <= 1e-5
+    monkeypatch.setattr(bridge_mod, "_induced_jet", mutant)
+    assert bridge_cross_check(PRESETS[preset](2), samples).max_discrepancy > 1e-5

@@ -16,7 +16,6 @@ from toricext.calabi import _endpoint_limits, build_extremal_metric
 from toricext.errors import (
     BoundaryIdentityViolation,
     DomainViolation,
-    GeometryError,
     InvalidParameters,
     PositivityViolation,
     PotentialPole,
@@ -35,10 +34,10 @@ from toricext.exact import (
 from toricext.polytope import build_blowup_polytope
 from toricext.radial import radial_scalar_curvature
 from util import (
-    array_F_derivatives,
-    array_F_second,
     array_h_second,
     closed_form_coefficients,
+    exact_F_second,
+    exact_phi_jet,
 )
 
 nab = st.tuples(
@@ -123,42 +122,44 @@ def test_alpha_eval_interpolates_boundary_data():
     assert (_horner(alpha, 1), _horner(d_alpha, 1)) == (24, 72)
 
 
+def _F_second(E, ts):
+    return table.profile_columns(E, ts)[0]
+
+
 def test_F_second_constant_coefficients():
-    # alpha = p*D = p, so F'' = p*t/(p*t^2 - p) - 1/t at n = 2
-    E = ExtremalCoefficients(n=2, a=0.5, b=1.0, A=0.0, B=0.0, C=0.0, D=1.0)
-    assert table.F_second(E, [0.7])[0] == pytest.approx(
-        0.7 / (0.49 - 1.0) - 1.0 / 0.7, rel=1e-15
-    )
+    # alpha = p*D = p, or alpha = 0, is not the extremal solution of
+    # (2, 0.5, 1): F'' and the momentum profile read the record's deflation,
+    # which refuses it
+    for D in (1.0, 0.0):
+        E = ExtremalCoefficients(n=2, a=0.5, b=1.0, A=0.0, B=0.0, C=0.0, D=D)
+        with pytest.raises(InvalidParameters, match="not the extremal coefficients"):
+            _F_second(E, [0.7])
+        with pytest.raises(InvalidParameters, match="not the extremal coefficients"):
+            table.jet(E, [0.7])
 
 
 def test_F_second_frozen_midpoint():
     E = solve_coefficients(2, 0.5, 1.0)
-    assert table.F_second(E, [0.75])[0] == pytest.approx(
-        6.8771929824561404, rel=1e-12
-    )
+    assert _F_second(E, [0.75])[0] == pytest.approx(6.8771929824561404, rel=1e-12)
 
 
 def test_F_second_pole_at_interval_ends():
+    # F'' has its pole 1/(t - a) at the ends, and the column follows it to
+    # the last float before each end: no cancellation is left to refuse
     E = solve_coefficients(2, 0.5, 1.0)
-    with pytest.raises(PotentialPole):
-        table.F_second(E, [0.5 + 1e-15])
-    with pytest.raises(PotentialPole):
-        table.F_second(E, [1.0 - 1e-16])
+    ts = [0.5 + 1e-15, math.nextafter(0.5, 1.0), 1.0 - 1e-16]
+    for t, got in zip(ts, _F_second(E, ts)):
+        want = exact_F_second(E, t)
+        assert abs(Fraction(got) - want) <= 1e-14 * abs(want)
+        assert abs(got) > 1e14
 
 
 def test_F_second_outside_interval():
     E = solve_coefficients(2, 0.5, 1.0)
     with pytest.raises(DomainViolation):
-        table.F_second(E, [0.4])
+        _F_second(E, [0.4])
     with pytest.raises(DomainViolation):
-        table.F_second(E, [1.2])
-
-
-def test_F_second_zero_coefficients_give_flat_profile():
-    # alpha = 0 means beta = p t^n, so p t^(n-1)/beta - 1/t vanishes
-    E = ExtremalCoefficients(n=2, a=0.5, b=1.0, A=0.0, B=0.0, C=0.0, D=0.0)
-    for f2 in table.F_second(E, np.linspace(0.55, 0.95, 9).tolist()):
-        assert abs(f2) <= 1e-12
+        _F_second(E, [1.2])
 
 
 def test_h_second_frozen_midpoint():
@@ -171,7 +172,7 @@ def test_h_second_eliminates_prescribed_pole():
     E = solve_coefficients(2, 0.5, 1.0)
     a, b, c = E.a, E.b, E.c
     ts = np.linspace(0.52, 0.98, 20).tolist()
-    for t, f2, h2 in zip(ts, table.F_second(E, ts), table.h_second(E, ts)):
+    for t, f2, h2 in zip(ts, *table.profile_columns(E, ts)):
         lhs = f2 - h2
         rhs = c / ((t - a) * (b - t))
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -217,14 +218,16 @@ def test_h_second_matches_exact_rational_value(n, b, ratio, offset, near_a):
 
 def test_h_second_refuses_a_non_extremal_record():
     # only the extremal coefficients of (n, a, b) make h'' regular at the ends
+    # and give a momentum profile (t-a)(t-b)*Q/(p*t^(n-1))
     flat = ExtremalCoefficients(n=2, a=0.5, b=1.0, A=0.0, B=0.0, C=0.0, D=0.0)
     E = solve_coefficients(3, 0.25, 2.0)
     off_by_one_ulp = ExtremalCoefficients(
         E.n, E.a, E.b, E.A, E.B, E.C, math.nextafter(E.D, 1.0)
     )
     for record in (flat, off_by_one_ulp):
-        with pytest.raises(InvalidParameters):
-            table.h_second(record, [0.75])
+        for evaluate in (table.h_second, table.profile_columns, table.jet):
+            with pytest.raises(InvalidParameters):
+                evaluate(record, [0.75])
 
 
 @pytest.mark.parametrize("a,b", [(0.3, 1.0), (0.9, 1.7)])
@@ -328,15 +331,69 @@ def test_build_extremal_metric_roundtrip():
 
 def test_build_extremal_metric_derivatives_match_differences():
     _, T, E = build_extremal_metric(2, 0.5, 1.0)
-    # the jet's F''' and F'''' consistent with finite differences of d2F
+    # the jet's phi' and phi'' consistent with finite differences of phi
     h = 1e-5
     t = 0.75
-    down, mid, up = T.d2F([t - h, t, t + h])
-    _, [f3], [f4] = T.jet([t])
-    fd3 = (up - down) / (2 * h)
-    assert f3 == pytest.approx(fd3, rel=1e-7)
-    fd4 = (up - 2 * mid + down) / h**2
-    assert f4 == pytest.approx(fd4, rel=1e-4)
+    down, mid, up = T.jet([t - h, t, t + h])[0]
+    _, [d1], [d2] = T.jet([t])
+    assert d1 == pytest.approx((up - down) / (2 * h), rel=1e-7)
+    assert d2 == pytest.approx((up - 2 * mid + down) / h**2, rel=1e-4)
+
+
+# (n, a, b) where the boundary conditions were checked exactly by hand
+_BOUNDARY_GEOMETRIES = [(1, 0.5, 1.0), (2, 0.5, 1.0), (5, 0.125, 2.0), (16, 0.999, 1.0)]
+
+
+@pytest.mark.parametrize("n, a, b", _BOUNDARY_GEOMETRIES)
+def test_momentum_profile_meets_the_boundary_conditions_exactly(n, a, b):
+    # phi(a) = phi(b) = 0, phi'(a) = 1, phi'(b) = -1: the four endpoint
+    # conditions on alpha, in the momentum profile's terms
+    E = solve_coefficients(n, a, b)
+    assert exact_phi_jet(E, a)[:2] == (0, 1)
+    assert exact_phi_jet(E, b)[:2] == (0, -1)
+
+
+# nab over every dimension verify serves, and thin shells at every scale
+nab16 = st.tuples(
+    st.integers(min_value=1, max_value=16),
+    st.floats(min_value=0.05, max_value=1.5),
+    st.floats(min_value=0.2, max_value=2.0),
+).map(lambda t: (t[0], t[1], t[1] + t[2]))
+thin16 = st.tuples(
+    st.integers(min_value=1, max_value=16),
+    st.sampled_from([1e-3, 0.5, 0.999, 0.99999, 0.9999999, 1 - 1e-9]),
+    st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+).map(lambda t: (t[0], t[1] * t[2], t[2]))
+
+
+@given(
+    st.one_of(nab16, thin16),
+    st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@example((16, 1e-3, 1.0), [0.00981137805649026])
+@settings(max_examples=100)
+def test_jet_and_F_second_match_the_exact_momentum_profile(params, fractions):
+    """The float jet (phi, phi', phi'') and the F'' column against the exact
+    rational values at the same float t: phi to 1e-14 relative, phi' to
+    5e-14 of max(1, |phi'|), phi'' to 1e-14 of max(|phi''|, (n+1)^2/t), the
+    size of its terms, and F'' = 1/phi - 1/t to 1e-14 of 1/phi + 1/t."""
+    n, a, b = params
+    E = solve_coefficients(n, a, b)
+    ts = [t for t in (a + (b - a) * f for f in fractions) if a < t < b]
+    assume(ts)
+    phi, dphi, d2phi = table.jet(E, ts)
+    for k, t in enumerate(ts):
+        want, want1, want2 = exact_phi_jet(E, t)
+        assert abs(Fraction(phi[k]) - want) <= 1e-14 * abs(want)
+        assert abs(Fraction(dphi[k]) - want1) <= 5e-14 * max(1, abs(want1))
+        scale = max(abs(want2), Fraction((n + 1) ** 2) / Fraction(t))
+        assert abs(Fraction(d2phi[k]) - want2) <= 1e-14 * scale
+        got = Fraction(_F_second(E, [t])[0])
+        assert abs(got - exact_F_second(E, t)) <= 1e-14 * (1 / want + 1 / Fraction(t))
 
 
 def test_invalid_construction_parameters():
@@ -376,24 +433,22 @@ def test_dimension_may_be_a_numpy_integer(build):
     assert E == build(2, 0.5, 1.0)
 
 
-# --- the plain-float profile against the numpy array evaluation --------------
+# --- list calls against elementwise calls, and h'' against numpy arrays -------
 
 
-def _array_jet(E, t):
-    return np.stack(array_F_derivatives(E, t), axis=-1)
+def _each(fn):
+    # fn called on one t at a time, its lists joined
+    return lambda E, ts: [list(c) for c in zip(*(
+        [column[0] for column in fn(E, [t])] for t in ts))]
 
 
-def _float_jet(E, ts):
-    return list(zip(*table.F_derivatives(E, ts)[1:]))
-
-
-# the numpy array reference and the plain-float evaluation of each quantity
+# (reference, plain-float evaluation): every list function of ``table``
+# against itself one t at a time, and h'' against the numpy array evaluation
 _PAIRS = [
-    (array_F_second, lambda E, ts: table.F_second(E, ts)),
-    (array_F_second, lambda E, ts: [table.F_second(E, [t])[0] for t in ts]),
+    (_each(table.profile_columns), table.profile_columns),
+    (_each(table.jet), table.jet),
     (array_h_second, lambda E, ts: table.h_second(E, ts)),
     (array_h_second, lambda E, ts: [table.h_second(E, [t])[0] for t in ts]),
-    (_array_jet, _float_jet),
 ]
 
 
@@ -407,82 +462,30 @@ _PAIRS = [
 )
 @settings(max_examples=80)
 def test_array_calls_equal_elementwise_scalar_calls(params, fractions):
-    """Bit for bit: F'', h'' and the pair (F''', F'''') in plain floats equal
-    the numpy array evaluation, or both raise the same error."""
+    """Bit for bit: the columns (F'', h'') and the jet of a list of t are
+    those of one t at a time, and h'' in plain floats is the numpy array
+    evaluation; or both raise the same error."""
     n, a, b = params
     E = solve_coefficients(n, a, b)
     ts = np.array([a + (b - a) * f for f in fractions])
     ts = ts[(a < ts) & (ts < b)]  # rounding can land a fraction on an endpoint
     assume(ts.size > 0)
     for array_fn, float_fn in _PAIRS:
-        try:
-            want = array_fn(E, ts)
-        except GeometryError as exc:  # the pole guard, next to an endpoint
-            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                float_fn(E, ts.tolist())
-            continue
+        want = np.array(array_fn(E, ts.tolist()))
         got = np.array(float_fn(E, ts.tolist()))
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
 
-# nab over every dimension verify serves
-nab16 = st.tuples(
-    st.integers(min_value=1, max_value=16),
-    st.floats(min_value=0.05, max_value=1.5),
-    st.floats(min_value=0.2, max_value=2.0),
-).map(lambda t: (t[0], t[1], t[1] + t[2]))
-
-
-def _bits(values) -> bytes:
-    return np.array(values, dtype=float).tobytes()
-
-
-@given(
-    nab16,
-    st.lists(
-        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
-        min_size=1,
-        max_size=20,
-    ),
-)
-@settings(max_examples=80)
-def test_jet_is_F_second_and_the_array_derivatives(params, fractions):
-    """Bit for bit: the jet's F'' is ``F_second``'s and its F''' and F''''
-    are the numpy array evaluation's, or both raise the same error.  These
-    two keep the bytes of verify's radial curvature."""
-    n, a, b = params
-    E = solve_coefficients(n, a, b)
-    ts = [t for t in (a + (b - a) * f for f in fractions) if a < t < b]
-    assume(ts)
-    try:
-        want = table.F_second(E, ts)
-    except GeometryError as exc:  # the pole guard, next to an endpoint
-        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            table.F_derivatives(E, ts)
-        return
-    f2, f3, f4 = table.F_derivatives(E, ts)
-    assert _bits(f2) == _bits(want)
-    w3, w4 = array_F_derivatives(E, np.array(ts))
-    assert (_bits(f3), _bits(f4)) == (_bits(w3), _bits(w4))
-
-
-@pytest.mark.parametrize(
-    "bad, error",
-    [(0.4, DomainViolation), (1.0, DomainViolation), (0.5 + 1e-15, PotentialPole)],
-)
+@pytest.mark.parametrize("bad, error", [(0.4, DomainViolation), (1.0, DomainViolation)])
 def test_bad_t_in_an_array_raises_like_the_scalar_call(bad, error):
     E = solve_coefficients(2, 0.5, 1.0)
     batch = np.array([0.6, bad, 0.75])
     for array_fn, float_fn in _PAIRS:
-        if error is DomainViolation and array_fn is _array_jet:
-            continue  # the array derivatives guard only the pole
-        if error is PotentialPole and array_fn is array_h_second:
-            continue  # the deflated form is regular at the endpoints
         with pytest.raises(error):
             float_fn(E, [bad])
         with pytest.raises(error) as raised:
-            array_fn(E, batch)
+            array_fn(E, batch.tolist())
         # the plain-float evaluation fails with the same message
         with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
             float_fn(E, batch.tolist())
@@ -493,23 +496,28 @@ def test_zero_deflated_denominator_raises_alike():
     # rounded (V, Q) with Q(0.75) = 0 to reach the guard on both paths
     E = ExtremalCoefficients(n=1, a=0.5, b=1.0, A=1.0, B=2.0, C=3.0, D=4.0)
     E.__dict__["_float_deflation"] = ((1.0,), (1.0, -0.75))
-    for ts in ([0.6, 0.75], np.array([0.6, 0.75])):
-        fn = array_h_second if isinstance(ts, np.ndarray) else table.h_second
+    for fn, ts in [
+        (array_h_second, np.array([0.6, 0.75])),
+        (table.h_second, [0.6, 0.75]),
+        (table.profile_columns, [0.6, 0.75]),  # the F'' column divides by Q too
+    ]:
         with pytest.raises(
             PotentialPole, match=r"^deflated denominator vanishes at t = 0\.75$"
         ):
             fn(E, ts)
+    # the jet divides by no Q: phi = 0 there, which the metric refuses
+    assert table.jet(E, [0.75])[0] == [0.0]
 
 
 def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):
     calls = []
-    real = table.F_derivatives
+    real = table.jet
 
     def counting(E, ts):
         calls.append(ts)
         return real(E, ts)
 
-    monkeypatch.setattr(table, "F_derivatives", counting)
+    monkeypatch.setattr(table, "jet", counting)
     _, T, E = build_extremal_metric(2, 0.5, 1.0)
     ts = np.linspace(0.55, 0.95, 100).tolist()
     S = radial_scalar_curvature(T, ts)
@@ -525,7 +533,7 @@ def test_shared_profile_derivatives_are_read_only():
     # one answer changes no later answer at the same ts
     _, T, E = build_extremal_metric(2, 0.5, 1.0)
     ts = np.linspace(0.55, 0.95, 7).tolist()
-    want = table.F_derivatives(E, ts)
+    want = table.jet(E, ts)
     for _ in range(2):
         jet = T.jet(ts)
         assert jet == want

@@ -16,7 +16,7 @@ from toricext import cli
 from toricext import exact as exact_mod
 from toricext import table as table_mod
 from toricext.errors import GeometryError, InvalidParameters
-from util import array_F_second, array_h_second
+from util import array_h_second, exact_F_second
 
 CMD = [sys.executable, "-m", "toricext"]
 
@@ -78,13 +78,23 @@ _COEFFICIENT_OVERFLOW = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
              "coefficient A overflows a float for (n=2, a=1e-200, b=2e-200)")
             for command in ("derive", "profile", "verify")
         ),
+        # p*t^(n-1) of the F'' column
         (["profile", "--n", "400", "--a", "1", "--b", "10", "--samples", "5"],
-         "t^400 overflows a float at t = 7.74955"),
-        # every t is in (1e150, 1e151): the square of beta overflows, not t^2
+         "t^399 overflows a float at t = 7.74955"),
+        # every t is in (1e150, 1e151): the radial curvature's t^3 overflows,
+        # not t^2
         (["verify", "--n", "2", "--a", "1e150", "--b", "1e151", "--points", "10"],
-         "(p*t^n - alpha)^2 overflows a float at t = 6.5252550345308405e+150"),
+         "t^3 overflows a float at t = 6.5252550345308405e+150"),
+        # below the normal floats a power has lost its digits: t^3 of the
+        # radial curvature was 0 here, a ZeroDivisionError, and t^(n-1) of
+        # the F'' column read as an interior pole
+        (["verify", "--n", "2", "--a", "5e-111", "--b", "1e-110", "--points", "10"],
+         "t^3 underflows a float at t = 7.504178009755551e-111"),
+        (["profile", "--n", "16", "--a", "5e-23", "--b", "1e-22", "--samples", "5"],
+         "t^15 underflows a float at t = 5.0005e-23"),
     ],
-    ids=["derive", "profile", "verify", "profile t^n", "verify beta^2"],
+    ids=["derive", "profile", "verify", "profile t^n", "verify t^3",
+         "verify t^3 underflow", "profile t^n underflow"],
 )
 def test_overflow_is_one_error_line(argv, message):
     # a process, so that a traceback or a numpy warning on stderr would show
@@ -210,6 +220,46 @@ _SPREAD = [(1e-3, 1.0), (0.5, 1.0), (0.999, 1.0), (0.25, 2.0)]
 )
 def test_verify_passes_across_the_dimension_range(n, a, b, capsys):
     code = cli.main(["verify", "--n", str(n), "--a", str(a), "--b", str(b),
+                     "--points", "40"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["passed"] is True
+
+
+# thin shells: the momentum profile is (t-a)(t-b)*Q/(p*t^(n-1)) with no
+# cancellation as a/b -> 1; 27 of these 36 calls failed while F'' was formed
+# from p*t^n - alpha
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+@pytest.mark.parametrize("ratio", [0.9999, 0.99999, 0.999999])
+@pytest.mark.parametrize("b", [1e-3, 1.0, 1e3])
+def test_verify_passes_in_thin_shells(n, ratio, b, capsys):
+    code = cli.main(["verify", "--n", str(n), "--a", repr(ratio * b), "--b", repr(b),
+                     "--points", "40"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["passed"] is True
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+@pytest.mark.parametrize("ratio", [0.5, 0.999, 0.99999, 0.9999999, 1 - 1e-9])
+def test_profile_F_second_is_the_exact_rational_value(n, ratio, capsys):
+    # the printed F'' on the default grid against the exact F'' at the same
+    # float t (17 digits read back to the float printed); p*t^n - alpha by
+    # cancellation was off by up to 200 % at a/b = 1 - 1e-9
+    assert cli.main(["profile", "--n", str(n), "--a", repr(ratio), "--b", "1.0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 50
+    E = exact_mod.solve_coefficients(n, ratio, 1.0)
+    for row in rows:
+        t, f2, _, _ = map(float, row.split(","))
+        want = exact_F_second(E, t)
+        assert abs(Fraction(f2) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("b", [1e-100, 1e-80, 1e80, 1e100])
+def test_verify_passes_at_extreme_scales(b, capsys):
+    # S scales like 1/b, and the radial curvature's t^2 and t^3 stay inside
+    # the normal floats; while F''' and F'''' were formed from p*t^n - alpha,
+    # the small b ended in a ZeroDivisionError and the large b overflowed
+    code = cli.main(["verify", "--n", "2", "--a", repr(0.5 * b), "--b", repr(b),
                      "--points", "40"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["passed"] is True
@@ -349,11 +399,12 @@ def test_bridge_check_one_preset(preset):
 
 
 # max_discrepancy per preset, bit for bit as the bridge prints it with the
-# presets' closed-form jets on the Kahler side; every verdict is a pass
+# presets' closed-form jets on the Kahler side and the induced momentum
+# profile on the polytope side; every verdict is a pass
 _BRIDGE_VERDICTS = {
-    (1, 5000): {"flat": 8.339018365955977e-10, "fubini-study": 8.824270203433571e-10},
-    (6, 5000): {"flat": 4.135083473285346e-09, "fubini-study": 6.736776470006589e-09},
-    (16, 10): {"flat": 1.4066605657935159e-08, "fubini-study": 1.2992984466109192e-08},
+    (1, 5000): {"flat": 8.339022805614604e-10, "fubini-study": 8.824270203433571e-10},
+    (6, 5000): {"flat": 4.13507598033741e-09, "fubini-study": 6.736783575433947e-09},
+    (16, 10): {"flat": 1.4066605213969297e-08, "fubini-study": 1.2992984466109192e-08},
 }
 
 
@@ -736,20 +787,17 @@ def _answer(fn, *args):
 @example(n=3, b=2.0, ratio=0.125, samples=300)
 @settings(max_examples=100, deadline=None)
 def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
-    """profile's plain-float table is the numpy array evaluation, bit for
-    bit, rendered one value at a time; off the extremal solution both paths
-    raise alike."""
+    """profile's plain-float table, rendered one value at a time: its grid is
+    numpy's, its h'' the numpy array evaluation, bit for bit, and its F''
+    column ``table``'s, one t at a time; off the extremal solution both
+    columns raise alike."""
     a = ratio * b
     E = exact_mod.solve_coefficients(n, a, b)
     margin = (b - a) * 1e-4
     ts = np.linspace(a + margin, b - margin, samples)
     rows = [
-        [t, f2, h2, E.A * t + E.B]
-        for t, f2, h2 in zip(
-            ts.tolist(),
-            array_F_second(E, ts).tolist(),
-            array_h_second(E, ts).tolist(),
-        )
+        [t, table_mod.profile_columns(E, [t])[0][0], h2, E.A * t + E.B]
+        for t, h2 in zip(ts.tolist(), array_h_second(E, ts).tolist())
     ]
     if fmt == "csv":
         want = "\n".join(
@@ -768,12 +816,9 @@ def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
     off = exact_mod.ExtremalCoefficients(
         E.n, E.a, E.b, E.A, E.B, E.C, math.nextafter(E.D, math.inf)
     )
-    for arrays, plain in (
-        (array_F_second, table_mod.F_second),
-        (array_h_second, table_mod.h_second),
-    ):
-        assert _answer(plain, off, ts.tolist()) == _answer(arrays, off, ts)
+    assert _answer(table_mod.h_second, off, ts.tolist()) == _answer(array_h_second, off, ts)
     assert _answer(table_mod.h_second, off, ts.tolist())[0] is InvalidParameters
+    assert _answer(table_mod.profile_columns, off, ts.tolist())[0] is InvalidParameters
 
 
 def test_renderer_names_the_first_non_finite_value():

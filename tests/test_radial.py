@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricext import exact as exact_mod
 from toricext.calabi import build_extremal_metric
 from toricext.errors import DegenerateMetric, DomainViolation
 from toricext.polytope import sample_interior
 from toricext.radial import TPotential, radial_scalar_curvature
 from util import (
+    F_profile,
     cpn_profile,
+    exact_phi_jet,
     fd_curvature_reference,
     flat_profile,
+    hwang_singer_curvature,
     inverse_hessian,
     profile,
     radial_hessian,
@@ -22,26 +26,28 @@ from util import (
 interior_x = st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=5)
 
 # the Hessian of the radial potential is G_ij = (delta_ij/x_i + F'')/2; its
-# closed-form inverse is 2*(diag(x) - w*x x^T), w = F''/(1 + t*F''), here
-# assembled from radial's closed-form entries
+# closed-form inverse is 2*(diag(x) - w*x x^T), w = (t - phi)/t^2 with the
+# momentum profile phi = t/(1 + t*F''), here assembled from radial's
+# closed-form entries
 
 
 def test_hessian_flat_unit_point():
+    # F'' = 0: phi = t = 2
     np.testing.assert_allclose(
-        inverse_hessian([1.0, 1.0], 0.0), 2.0 * np.eye(2), atol=1e-15
+        inverse_hessian([1.0, 1.0], 2.0), 2.0 * np.eye(2), atol=1e-15
     )
 
 
 def test_hessian_with_radial_part():
-    # G = [[1, 1/2], [1/2, 1]]
-    G_inv = inverse_hessian([1.0, 1.0], 1.0)
+    # G = [[1, 1/2], [1/2, 1]]: F'' = 1, phi = 2/3 at t = 2
+    G_inv = inverse_hessian([1.0, 1.0], 2.0 / 3.0)
     np.testing.assert_allclose(G_inv, [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]], rtol=1e-15)
 
 
 def test_hessian_anisotropic_point():
-    # G = diag(1/4, 1/2)
+    # G = diag(1/4, 1/2): F'' = 0, phi = t = 3
     np.testing.assert_allclose(
-        inverse_hessian([2.0, 1.0], 0.0), np.diag([4.0, 2.0]), atol=1e-15
+        inverse_hessian([2.0, 1.0], 3.0), np.diag([4.0, 2.0]), atol=1e-15
     )
 
 
@@ -52,14 +58,15 @@ def test_positive_definite_iff_conformal_factor_positive(x, f2):
     gate = 1.0 + t * f2
     if abs(gate) < 1e-6:
         return
+    phi = t / gate
     eigs = np.linalg.eigvalsh(radial_hessian(x, f2))
     if gate > 0:
         assert np.all(eigs > 0)
-        assert np.all(np.linalg.eigvalsh(inverse_hessian(x, f2)) > 0)
+        assert np.all(np.linalg.eigvalsh(inverse_hessian(x, phi)) > 0)
     else:
         assert np.min(eigs) < 0
         with pytest.raises(DegenerateMetric, match="1 \\+ t\\*F''"):
-            inverse_hessian(x, f2)
+            inverse_hessian(x, phi)
 
 
 def _refined_inverse(x, f2) -> np.ndarray:
@@ -68,7 +75,7 @@ def _refined_inverse(x, f2) -> np.ndarray:
     rationals.  X alone is off the true inverse by up to ~cond(H)*eps
     relative, which reaches 1e-12 in thin shells (cond(H) ~ 5e4); after the
     step that error is squared, so X + X R is the inverse to rounding."""
-    X = np.linalg.inv(radial_hessian(x, f2))
+    X = np.linalg.inv(radial_hessian(x, float(f2)))
     inv_x = [1 / Fraction(v) for v in x]
     col_sums = [sum(map(Fraction, column)) for column in X.T.tolist()]
     R = [
@@ -97,9 +104,11 @@ def test_closed_form_inverse_equals_linalg_inverse(n, b, ratio, seed):
     a = ratio * b
     P, T, _ = build_extremal_metric(n, a, b)
     for x in sample_interior(P, 5, margin=0.05 * (b - a), seed=seed):
-        [f2] = T.d2F([sum(x)])
+        [phi] = T.jet([sum(x)])[0]
+        # the F'' of that phi, exactly: the Hessian the closed form inverts
+        f2 = 1 / Fraction(phi) - 1 / Fraction(sum(x))
         want = _refined_inverse(x, f2)
-        got = np.array(inverse_hessian(x, f2))
+        got = np.array(inverse_hessian(x, phi))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -115,7 +124,7 @@ GENERIC_S = {
 
 def _generic_profile():
     d = lambda t: 0.3 * math.exp(t)
-    return profile(2, 0.0, 10.0, d, d, d)
+    return F_profile(2, 0.0, 10.0, d, d, d)
 
 
 @pytest.mark.parametrize("t", sorted(GENERIC_S))
@@ -133,14 +142,17 @@ def test_generic_profile_fd_matches_symbolic(t):
 
 
 def test_profile_needs_all_three_derivatives():
-    # F'' alone is not a profile: its jet (F'', F''', F'''') is required
+    # a profile is its jet (phi, phi', phi''), one function of a list of t
     with pytest.raises(TypeError):
-        TPotential(n=2, t_min=0.0, t_max=1.0, d2F=lambda ts: [1.0 / (1.0 - t) for t in ts])
+        TPotential(n=2, t_min=0.0, t_max=1.0)
+    phi = lambda ts: [t * (1.0 - t) for t in ts]
+    with pytest.raises(TypeError):
+        TPotential(2, 0.0, 1.0, phi, phi)
 
 
 def test_constant_second_derivative_curvature():
     # F'' = 1 at n=1 gives S = 2/(1+t)^3 exactly
-    T = profile(1, 0.0, 10.0, lambda t: 1.0, lambda t: 0.0, lambda t: 0.0)
+    T = F_profile(1, 0.0, 10.0, lambda t: 1.0, lambda t: 0.0, lambda t: 0.0)
     ts = [0.3, 1.0, 2.5]
     for t, got in zip(ts, radial_scalar_curvature(T, ts)):
         want = 2.0 / (1.0 + t) ** 3
@@ -171,12 +183,18 @@ def test_flat_curvature_vanishes(n):
 
 
 def test_curvature_refuses_a_degenerate_metric():
-    # F'' = -1/2 makes 1 + t F'' = 0 at t = 2
-    half = lambda t: -0.5
-    zero = lambda t: 0.0
-    T = profile(2, 0.0, 4.0, half, zero, zero)
-    with pytest.raises(DegenerateMetric):
-        radial_scalar_curvature(T, [2.0])
+    # phi = 1 - t: zero at t = 1 and negative past it; phi = 1e20*t: t/phi =
+    # 1 + t*F'' is below DEGENERACY_TOL.  A named error naming the t, never
+    # a ZeroDivisionError
+    falling = profile(2, 0.0, 4.0, lambda t: (1.0 - t, -1.0, 0.0))
+    steep = profile(2, 0.0, 4.0, lambda t: (1e20 * t, 1e20, 0.0))
+    for T, ts in [(falling, [0.5, 1.0]), (falling, [0.5, 2.0]), (steep, [2.0])]:
+        with pytest.raises(DegenerateMetric, match=f"at t = {ts[-1]}$"):
+            radial_scalar_curvature(T, ts)
+    with pytest.raises(DegenerateMetric, match=r"phi = 0\.000e\+00, at t = 1\.0$"):
+        radial_scalar_curvature(falling, [1.0])
+    # Hwang-Singer at n = 2: S = 2/t - 2*phi'/t - phi'' = 4/t
+    assert radial_scalar_curvature(falling, [0.5]) == [pytest.approx(8.0, rel=1e-15)]
 
 
 def test_curvature_rejects_exterior_t():
@@ -187,3 +205,35 @@ def test_curvature_rejects_exterior_t():
         radial_scalar_curvature(T, [-0.1])
     with pytest.raises(DomainViolation, match=r"^t = 1\.0 outside \(0\.0, 1\.0\)$"):
         radial_scalar_curvature(T, [0.5, 1.0])  # before F'' = 1/(1 - t) divides by 0
+
+
+# --- the extremal metric against Hwang-Singer's formula -----------------------
+
+_EXTREMAL_GEOMETRIES = [
+    (1, 0.5, 1.0), (2, 0.5, 1.0), (8, 0.25, 1.0), (16, 0.001, 1.0),
+    (5, 0.125, 2.0), (4, 0.3e-3, 1e-3), (4, 0.3e3, 1e3),
+    (2, 0.9999, 1.0), (2, 0.999999, 1.0), (16, 0.999999, 1.0), (8, 1 - 1e-9, 1.0),
+]
+
+
+@pytest.mark.parametrize("n, a, b", _EXTREMAL_GEOMETRIES)
+def test_hwang_singer_on_the_exact_jet_is_the_affine_curvature(n, a, b):
+    # the reference itself: t^(n-1)*phi = (p*t^n - alpha)/p, so Hwang-Singer's
+    # formula gives S = A*t + B exactly on the exact momentum profile
+    _, _, E = build_extremal_metric(n, a, b)
+    A, B, _, _ = exact_mod._exact_solution(n, a, b)
+    for tau in (0.05, 0.5, 0.95):
+        t = Fraction(a + tau * (b - a))
+        assert hwang_singer_curvature(n, t, *exact_phi_jet(E, t)) == A * t + B
+
+
+@pytest.mark.parametrize("n, a, b", _EXTREMAL_GEOMETRIES)
+def test_radial_curvature_is_the_affine_curvature(n, a, b):
+    """The radial route against Hwang-Singer's S = A*t + B, exact at the float
+    t, over tau in [0.05, 0.95]: within 1e-13 relative, thin shells too."""
+    _, T, E = build_extremal_metric(n, a, b)
+    A, B, _, _ = exact_mod._exact_solution(n, a, b)
+    ts = [a + tau * (b - a) for tau in np.linspace(0.05, 0.95, 37).tolist()]
+    for t, got in zip(ts, radial_scalar_curvature(T, ts)):
+        want = A * Fraction(t) + B
+        assert abs(Fraction(got) - want) <= 1e-13 * abs(want)

@@ -1,16 +1,18 @@
-"""Shared model potentials, polytopes, the radial curvature reference, the
+"""Shared model potentials, polytopes, the radial curvature references, the
 references built from the package's parts (the Legendre F, the full inverse
-Hessian, Calabi's closed forms rounded to a record) and the numpy array
-evaluation of the extremal profile, for the test suite."""
+Hessian, Calabi's closed forms rounded to a record), the exact momentum
+profile of the extremal metric and the numpy array evaluation of h'', for
+the test suite."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from toricext.errors import DomainViolation, PotentialPole
-from toricext.exact import POLE_REL_TOL, _check_geometry, _closed_form, _rounded
+from toricext.exact import _check_geometry, _closed_form, _exact_solution, _rounded
 from toricext.numdiff import STEP_SECOND, richardson
 from toricext.polytope import BlowupPolytope
 from toricext.radial import (
@@ -21,35 +23,38 @@ from toricext.radial import (
 )
 
 
-def profile(n: int, t_min: float, t_max: float, d2F, d3F, d4F) -> TPotential:
+def profile(n: int, t_min: float, t_max: float, jet_at) -> TPotential:
+    """The TPotential whose momentum profile (phi, phi', phi'') at one t is
+    jet_at(t)."""
+
+    def jet(ts):
+        return tuple(map(list, zip(*map(jet_at, ts)))) if ts else ([], [], [])
+
+    return TPotential(n, t_min, t_max, jet)
+
+
+def F_profile(n: int, t_min: float, t_max: float, d2F, d3F, d4F) -> TPotential:
     """The TPotential whose F'', F''' and F'''' at one t are d2F(t), d3F(t)
-    and d4F(t)."""
-    return TPotential(
-        n,
-        t_min,
-        t_max,
-        lambda ts: [d2F(t) for t in ts],
-        lambda ts: tuple([d(t) for t in ts] for d in (d2F, d3F, d4F)),
-    )
+    and d4F(t): phi = t/g, g = 1 + t*F'', by the quotient rule."""
+
+    def jet_at(t):
+        g = 1.0 + t * d2F(t)
+        g1 = d2F(t) + t * d3F(t)
+        g2 = 2.0 * d3F(t) + t * d4F(t)
+        return t / g, (g - t * g1) / g**2, -(t * g2 * g + 2.0 * g1 * (g - t * g1)) / g**3
+
+    return profile(n, t_min, t_max, jet_at)
 
 
 def cpn_profile(n: int, b: float = 1.0) -> TPotential:
-    """Guillemin profile of the size-b simplex: F'' = 1/(b-t) on (0, b), the
-    Fubini-Study metric with S = n(n+1)/b."""
-    return profile(
-        n,
-        0.0,
-        b,
-        lambda t: 1.0 / (b - t),
-        lambda t: 1.0 / (b - t) ** 2,
-        lambda t: 2.0 / (b - t) ** 3,
-    )
+    """Guillemin profile of the size-b simplex: phi = t*(b - t)/b on (0, b)
+    (F'' = 1/(b - t)), the Fubini-Study metric with S = n(n+1)/b."""
+    return profile(n, 0.0, b, lambda t: (t * (b - t) / b, (b - 2.0 * t) / b, -2.0 / b))
 
 
 def flat_profile(n: int, t_min: float = 0.0, t_max: float = 10.0) -> TPotential:
-    """F'' = 0 on (t_min, t_max): the flat metric, S = 0."""
-    zero = lambda t: 0.0
-    return profile(n, t_min, t_max, zero, zero, zero)
+    """phi = t (F'' = 0) on (t_min, t_max): the flat metric, S = 0."""
+    return profile(n, t_min, t_max, lambda t: (t, 1.0, 0.0))
 
 
 def simplex_polytope(n: int) -> BlowupPolytope:
@@ -64,19 +69,16 @@ def radial_hessian(x, d2F_value) -> np.ndarray:
     return 0.5 * (np.diag(1.0 / x) + d2F_value)
 
 
-def inverse_hessian(x, d2F_value) -> list[list[float]]:
-    """G^{-1} = 2*(diag(x) - w*x x^T), w = F''/(1 + t*F''), at one point x
-    with F'' = d2F_value at t = sum(x), assembled from the closed-form
-    entries Abreu's stencil reads; refuses a t where 1 + t*F'' is not safely
-    positive."""
+def inverse_hessian(x, phi: float) -> list[list[float]]:
+    """G^{-1} = 2*(diag(x) - w*x x^T), w = (t - phi)/t^2, at one point x with
+    momentum profile phi at t = sum(x), assembled from the closed-form
+    entries Abreu's stencil reads; refuses a t where the metric degenerates."""
     t = sum(x)
-    den = validity_factor(t, d2F_value)
-    w = d2F_value / den
+    validity_factor(t, phi)
+    w = (t - phi) / t / t
     return [
         [
-            inverse_diagonal(xi, t - xi, d2F_value, den)
-            if i == j
-            else inverse_off_diagonal(xi, xj, w)
+            inverse_diagonal(xi, t - xi, t, phi) if i == j else inverse_off_diagonal(xi, xj, w)
             for j, xj in enumerate(x)
         ]
         for i, xi in enumerate(x)
@@ -105,75 +107,67 @@ def differences(f, x: float, h: float) -> tuple[float, float]:
 
 
 def fd_curvature_reference(T, t):
-    """S = t^(1-n) * u''(t) by central differences on u = t^(n+1) W,
-    W = F''/(1 + t*F''), from F'' alone: one Richardson level, step
-    eps^(1/4)*t_max shrunk to half the room left in (t_min, t_max).  The
-    reference the analytic ``radial_scalar_curvature`` must reproduce."""
+    """S = t^(1-n) * u''(t) by central differences on u = t^(n-1)*(t - phi),
+    from phi alone: one Richardson level, step eps^(1/4)*t_max shrunk to half
+    the room left in (t_min, t_max).  The reference the analytic
+    ``radial_scalar_curvature`` must reproduce."""
     n = T.n
     h = min(STEP_SECOND * T.t_max, 0.5 * min(t - T.t_min, T.t_max - t))
 
     def u(tau):
-        [f2] = T.d2F([tau])
-        return tau ** (n + 1) * f2 / (1.0 + tau * f2)
+        [phi] = T.jet([tau])[0]
+        return tau ** (n - 1) * (tau - phi)
 
     return t ** (1 - n) * differences(u, t, h)[1]
 
 
-# --- the extremal profile on numpy arrays -------------------------------------
+def hwang_singer_curvature(n: int, t, phi, dphi, d2phi):
+    """S = n(n-1)/t - t^(1-n) * (t^(n-1)*phi)'' from the momentum profile's
+    jet at t (Hwang-Singer), in the number type of the arguments."""
+    return (
+        n * (n - 1) / t
+        - (n - 1) * (n - 2) * phi / t**2
+        - 2 * (n - 1) * dphi / t
+        - d2phi
+    )
+
+
+# --- the extremal momentum profile in exact rationals -------------------------
+
+
+def exact_phi_jet(E, t) -> tuple[Fraction, Fraction, Fraction]:
+    """(phi, phi', phi'') of the extremal metric of E's (n, a, b), exactly,
+    at the rational t: phi = t - alpha(t)/(p*t^(n-1)) on the exact solution
+    of the boundary system, differentiated term by term."""
+    n = E.n
+    p = n * (n + 1) * (n + 2)
+    A, B, C, D = _exact_solution(n, E.a, E.b)
+    t = Fraction(t)
+    # alpha/(p*t^(n-1)) as coefficients of powers of t
+    terms = [(Fraction(n) * A / p, 3), (Fraction(n + 2) * B / p, 2), (C, 2 - n), (D, 1 - n)]
+    phi = t - sum(c * t**k for c, k in terms)
+    dphi = 1 - sum(c * k * t ** (k - 1) for c, k in terms)
+    d2phi = -sum(c * k * (k - 1) * t ** (k - 2) for c, k in terms)
+    return phi, dphi, d2phi
+
+
+def exact_F_second(E, t) -> Fraction:
+    """F'' = 1/phi - 1/t of the extremal metric, exactly, at the rational t."""
+    t = Fraction(t)
+    return 1 / exact_phi_jet(E, t)[0] - 1 / t
+
+
+# --- h'' on numpy arrays ------------------------------------------------------
 # The evaluation the package ran on arrays before its float layer moved to
-# plain floats (``toricext.table``): the same formulas in the same order, on
-# the record's float polynomials, with ``np.polyval`` and ``np.float_power``.
-# The plain-float evaluation must give the same bits.
-
-
-def _alpha_polys(E) -> tuple[np.ndarray, ...]:
-    """alpha, alpha' and alpha'' as descending float coefficients."""
-    alpha = np.array(E._float_alpha, dtype=float)
-    d_alpha = np.polyder(alpha)
-    return alpha, d_alpha, np.polyder(d_alpha)
+# plain floats (``toricext.table``): the same formula in the same order, on
+# the record's float polynomials, with ``np.polyval``.  The plain-float
+# evaluation must give the same bits.
 
 
 def _check_profile_domain(E, t: np.ndarray) -> None:
     outside = ~((E.a < t) & (t < E.b))
     if np.any(outside):
         raise DomainViolation(f"t = {t[outside][0]} outside ({E.a}, {E.b})")
-
-
-def _beta_guarded(E, t: np.ndarray) -> np.ndarray:
-    """beta(t) with the interior pole guard, elementwise."""
-    ptn = E.p * np.float_power(t, E.n)
-    beta = ptn - np.polyval(_alpha_polys(E)[0], t)
-    pole = np.abs(beta) <= POLE_REL_TOL * np.abs(ptn)
-    if np.any(pole):
-        raise PotentialPole(f"p*t^n - alpha vanishes at t = {t[pole][0]}")
-    return beta
-
-
-def array_F_second(E, t):
-    """F''(t) = p*t^(n-1)/(p*t^n - alpha(t)) - 1/t on an array of t."""
-    t = np.asarray(t, dtype=float)
-    _check_profile_domain(E, t)
-    beta = _beta_guarded(E, t)
-    return E.p * np.float_power(t, E.n - 1) / beta - 1.0 / t
-
-
-def array_F_derivatives(E, t):
-    """(F''', F'''') on an array of t, differentiating r = p*t^(n-1)/beta."""
-    n, p, power = E.n, E.p, np.float_power
-    t = np.asarray(t, dtype=float)
-    _, d_alpha, d2_alpha = _alpha_polys(E)
-    beta = _beta_guarded(E, t)
-    beta1 = n * p * power(t, n - 1) - np.polyval(d_alpha, t)
-    beta2 = n * (n - 1) * p * power(t, n - 2) - np.polyval(d2_alpha, t)
-    beta_sq = power(beta, 2)
-    r1 = p * ((n - 1) * power(t, n - 2) / beta - power(t, n - 1) * beta1 / beta_sq)
-    r2 = p * (
-        (n - 1) * (n - 2) * power(t, n - 3) / beta
-        - 2.0 * (n - 1) * power(t, n - 2) * beta1 / beta_sq
-        - power(t, n - 1) * beta2 / beta_sq
-        + 2.0 * power(t, n - 1) * power(beta1, 2) / power(beta, 3)
-    )
-    return r1 + 1.0 / power(t, 2), r2 - 2.0 / power(t, 3)
 
 
 def array_h_second(E, t):
