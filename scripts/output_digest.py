@@ -107,7 +107,7 @@ def run(argv: list[str]) -> bytes:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse refusing the argv
+        except SystemExit as exc:  # the parser refusing argv, or printing help
             code = exc.code
         except Exception as exc:  # a process would print a traceback, exit 1
             code = 1

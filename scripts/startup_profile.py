@@ -11,19 +11,24 @@ and just after the process is reaped, and the ``-X importtime`` lines printed
 between the two stamps, one call splits into:
 
     interpreter + site   spawn to the wrapper's first line
-    numpy                import time of numpy, submodules that load lazily
-                         during the command included
+    floor                spawn to reaped of ``python -c pass`` in the same
+                         environment, one run before each call
     toricext.*           each package module's own (self) import time
     other imports        the remaining imports: stdlib, and the wrapper's own
+      <module> x 3       the three largest of them, each with what it
+                         imported in turn
     command              the rest of the time until ``main`` returns
     teardown             ``main`` returning to the process being reaped
     total                spawn to reaped
+    program share        total - floor: what the call costs beyond a bare
+                         interpreter, ``-X importtime``'s own cost included
     peak RSS (MB)        the child's ``ru_maxrss``, read with ``os.wait4``
                          when it is reaped
 
 On Linux a child's maxrss also counts the parent's high-water mark from
 before the exec, so the peak RSS row is the larger of the call's own peak
-and this script's (small: it loads no numpy).
+and this script's (small: it loads no numpy).  A module that a run did not
+load counts as 0 ms in it.
 
 Nothing in the program is instrumented.  ``-X importtime`` adds its own
 small cost to the import rows.  The environment (``PYTHONDONTWRITEBYTECODE``,
@@ -55,47 +60,61 @@ sys.exit(code)
 """
 
 
-def _imports(lines: list[str]) -> list[tuple[str, float, bool]]:
-    """(module, self s, inside numpy) of each ``-X importtime`` line.
+def _imports(lines: list[str]) -> list[tuple[str, float, float]]:
+    """(module, self s, outer s) of each ``-X importtime`` line.
 
-    Inside numpy means a ``numpy.*`` module, or any module a ``numpy.*``
-    import loaded.  The lines come children first, two spaces of indent per
+    Outer s is the cumulative time of an import from outside the package
+    that the package or the wrapper made itself, and 0 for every other
+    line: summed, they are the time of every import from outside the
+    package.  The lines come children first, two spaces of indent per
     level, so a backward walk meets each parent before its children.
     """
     rows = []
-    numpy_depths: list[int] = []  # indents of the enclosing numpy imports
+    parents: list[tuple[int, str]] = []  # (indent, module) of enclosing imports
     for line in reversed(lines):
         if not line.startswith("import time:"):
             continue
-        self_us, _, raw = line[len("import time:"):].split("|")
+        self_us, cumulative_us, raw = line[len("import time:"):].split("|")
         try:
-            self_s = float(self_us) * 1e-6
+            self_s, cumulative_s = float(self_us) * 1e-6, float(cumulative_us) * 1e-6
         except ValueError:  # the header line
             continue
         name, depth = raw.strip(), len(raw) - len(raw.lstrip(" "))
-        while numpy_depths and numpy_depths[-1] >= depth:
-            numpy_depths.pop()
-        if not numpy_depths and (name == "numpy" or name.startswith("numpy.")):
-            numpy_depths.append(depth)
-        rows.append((name, self_s, bool(numpy_depths)))
+        while parents and parents[-1][0] >= depth:
+            parents.pop()
+        outer = not _own(name) and (not parents or _own(parents[-1][1]))
+        rows.append((name, self_s, cumulative_s if outer else 0.0))
+        parents.append((depth, name))
     return rows
 
 
-def profile_once(argv: list[str], env: dict) -> tuple[dict[str, float], float]:
-    """One call's stages in seconds, in the order of the module docstring,
-    and its peak RSS in MB."""
+def _own(module: str) -> bool:
+    return module == "toricext" or module.startswith("toricext.")
+
+
+def _spawn(argv: list[str], env: dict) -> tuple:
+    """(spawned, reaped) wall-clock times, stderr, exit code and rusage of
+    one process."""
     spawned = time.time()
-    with subprocess.Popen(
-        [sys.executable, "-X", "importtime", "-c", _WRAPPER, *argv],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
-    ) as proc:
+    with subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, env=env) as proc:
         stderr = proc.stderr.read()
         _, status, usage = os.wait4(proc.pid, 0)
         reaped = time.time()
         proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode not in (0, 1):
-        sys.exit(f"toricext {shlex.join(argv)} exited {proc.returncode}:\n"
-                 f"{stderr[-2000:]}")
+    return spawned, reaped, stderr, proc.returncode, usage
+
+
+def profile_once(argv: list[str], env: dict) -> tuple[dict[str, float], float]:
+    """One call's stages in seconds, in the order of the module docstring
+    (the largest other imports under their module names), and its peak RSS
+    in MB."""
+    bare_spawned, bare_reaped, *_ = _spawn([sys.executable, "-c", "pass"], env)
+    floor = bare_reaped - bare_spawned
+    spawned, reaped, stderr, code, usage = _spawn(
+        [sys.executable, "-X", "importtime", "-c", _WRAPPER, *argv], env)
+    if code not in (0, 1):
+        sys.exit(f"toricext {shlex.join(argv)} exited {code}:\n{stderr[-2000:]}")
     lines = stderr.splitlines()
     stamps = {}
     for k, line in enumerate(lines):
@@ -104,20 +123,23 @@ def profile_once(argv: list[str], env: dict) -> tuple[dict[str, float], float]:
             stamps[stage] = (k, float(when))
     (first, started), (_, returned) = stamps["start"], stamps["main"]
     imports = _imports(lines[first:])
-    numpy = sum(self_s for _, self_s, inside in imports if inside)
-    own = {}
-    for name, self_s, _ in imports:
-        if name == "toricext" or name.startswith("toricext."):
+    own, other = {}, {}
+    for name, self_s, outer_s in imports:
+        if _own(name):
             own[name] = own.get(name, 0.0) + self_s
+        elif outer_s:
+            other[f"  {name}"] = other.get(f"  {name}", 0.0) + outer_s
     all_imports = sum(self_s for _, self_s, _ in imports)
     return {
         "interpreter + site": started - spawned,
-        "numpy": numpy,
+        "floor": floor,
         **dict(sorted(own.items())),
-        "other imports": all_imports - numpy - sum(own.values()),
+        "other imports": all_imports - sum(own.values()),
+        **other,
         "command": returned - started - all_imports,
         "teardown": reaped - returned,
         "total": reaped - spawned,
+        "program share": reaped - spawned - floor,
     }, usage.ru_maxrss * 1024 / 1e6  # Linux reports KiB
 
 
@@ -134,14 +156,20 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=path)
     command = shlex.split(args.command)
     runs, peaks = zip(*(profile_once(command, env) for _ in range(args.runs)))
+    def ms(stage: str) -> float:
+        return 1e3 * statistics.median(run.get(stage, 0.0) for run in runs)
+
+    # the other imports' own rows are indented; only the three largest show
     stages = list(dict.fromkeys(stage for run in runs for stage in run))
+    other = [stage for stage in stages if stage.startswith("  ")]
+    stages = [stage for stage in stages if stage not in other]
+    k = stages.index("other imports") + 1
+    stages[k:k] = sorted(other, key=ms, reverse=True)[:3]
 
     print(f"# toricext {args.command}: median of {args.runs} runs")
     print(f"{'stage':<24} {'ms':>8}")
     for stage in stages:
-        # a module a run did not load counts as 0 ms in it
-        ms = 1e3 * statistics.median(run.get(stage, 0.0) for run in runs)
-        print(f"{stage:<24} {ms:8.2f}")
+        print(f"{stage:<24} {ms(stage):8.2f}")
     print(f"{'peak RSS (MB)':<24} {statistics.median(peaks):8.2f}")
     return 0
 

@@ -9,11 +9,11 @@ bridge-check  Kahler-side vs radial curvature on the built-in presets
 example       the n=2, b=1 slice: closed forms and the quadratic h'' form
 
 ``_COMMANDS`` is the one table of them: name -> (help, run function, the
-flags it reads with their defaults).  Each subparser declares only its
-command's flags, so any other flag is refused (exit 2) under that command's
-usage line, and a flag before the command under the top-level one.  ``main``
-calls the run function the subparser selected with the parsed namespace, and
-it returns (stdout, exit code, stderr).
+flags it reads with their defaults).  ``_parse`` reads argv off it as argparse
+did, without loading argparse: any other flag is refused (exit 2) with its
+message under that command's usage line, a word before the command under the
+top-level one, and never wrapped.  ``main`` calls the command's run function
+with the parsed namespace, and it returns (stdout, exit code, stderr).
 
 All numeric output is rendered at 17 significant digits through a single
 formatter, so identical inputs produce identical bytes: a document becomes
@@ -33,11 +33,11 @@ since ``dataclasses`` would load ``inspect``.
 
 from __future__ import annotations
 
-import argparse
 import itertools
-import json
 import math
 import sys
+import types
+from _json import encode_basestring_ascii as _quote  # json.dumps's own quoter
 
 from .errors import (
     BoundaryIdentityViolation,
@@ -55,8 +55,8 @@ PRNG_NAME = "python-mt19937"
 _SAMPLING_MARGIN_FACTOR = 0.05
 
 _BRIDGE_COLUMNS = ("s", "t", "kahler_side", "polytope_side", "difference")
-# sorted(bridge.PRESETS), written out so that building the parser does not
-# import bridge; a test keeps the two equal
+# sorted(bridge.PRESETS), written out so that parsing does not import bridge;
+# a test keeps the two equal
 _PRESET_CHOICES = ("flat", "fubini-study")
 
 
@@ -109,14 +109,14 @@ def _template(obj, indent: int, values: list) -> str:
         values.append(obj)
         return _FLOAT
     if isinstance(obj, str):
-        return _literal(json.dumps(obj))
+        return _literal(_quote(obj))
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, _Table):
         keys, columns = obj.keys, obj.columns
         rows = len(columns[0]) if columns else 0
         labels = [""] * len(columns) if keys is None else [
-            _literal(json.dumps(str(k))) + ": " for k in keys]
+            _literal(_quote(str(k))) + ": " for k in keys]
         if len(labels) != len(columns) or any(
             len(c) != rows or not all(map(isinstance, c, itertools.repeat(float)))
             for c in columns
@@ -130,7 +130,7 @@ def _template(obj, indent: int, values: list) -> str:
         return _block([row] * rows, pad, "[]")
     if isinstance(obj, dict):
         return _block([
-            f"{inner}{_literal(json.dumps(str(k)))}: {_template(v, indent + 1, values)}"
+            f"{inner}{_literal(_quote(str(k)))}: {_template(v, indent + 1, values)}"
             for k, v in obj.items()
         ], pad, "{}")
     if isinstance(obj, (list, tuple)):
@@ -151,7 +151,7 @@ def _tolerance(flag: str, value: float) -> float:
     return value
 
 
-def run_derive(args: argparse.Namespace) -> tuple[str, int, str]:
+def run_derive(args: types.SimpleNamespace) -> tuple[str, int, str]:
     from .exact import solve_coefficients
 
     E = solve_coefficients(args.n, args.a, args.b)
@@ -169,7 +169,7 @@ def run_derive(args: argparse.Namespace) -> tuple[str, int, str]:
     return _render_json(doc), 0, ""
 
 
-def run_profile(args: argparse.Namespace) -> tuple[str, int, str]:
+def run_profile(args: types.SimpleNamespace) -> tuple[str, int, str]:
     from .exact import solve_coefficients
     from .numdiff import grid
     from .table import profile_columns
@@ -210,7 +210,7 @@ _PROOF_CHECKS = {
 }
 
 
-def _verify_battery(args: argparse.Namespace) -> dict:
+def _verify_battery(args: types.SimpleNamespace) -> dict:
     from .abreu import _check_dimension, extremality_residual
     from .calabi import _endpoint_limits, build_extremal_metric
     from .exact import coefficient_cross_check, positivity_certificate
@@ -281,7 +281,7 @@ def _verify_battery(args: argparse.Namespace) -> dict:
     }
 
 
-def run_verify(args: argparse.Namespace) -> tuple[str, int, str]:
+def run_verify(args: types.SimpleNamespace) -> tuple[str, int, str]:
     report = _verify_battery(args)
     out = _render_json(report)
     failing = [k for k, ok in report["checks"].items() if not ok]
@@ -290,7 +290,7 @@ def run_verify(args: argparse.Namespace) -> tuple[str, int, str]:
     return out, 1, "verification failed: " + ", ".join(failing)
 
 
-def run_bridge_check(args: argparse.Namespace) -> tuple[str, int, str]:
+def run_bridge_check(args: types.SimpleNamespace) -> tuple[str, int, str]:
     from .bridge import PRESETS, bridge_cross_check
     from .numdiff import grid
 
@@ -331,7 +331,7 @@ def run_bridge_check(args: argparse.Namespace) -> tuple[str, int, str]:
     return _render_json(doc), 0 if not failing else 1, err
 
 
-def run_example(args: argparse.Namespace) -> tuple[str, int, str]:
+def run_example(args: types.SimpleNamespace) -> tuple[str, int, str]:
     from fractions import Fraction
 
     from .exact import (
@@ -370,11 +370,11 @@ _FLAGS = {
     "points": {"type": int, "help": "interior sample count"},
     "samples": {"type": int, "help": "grid size"},
     "seed": {"type": int, "help": "sampling seed"},
-    "step": {"type": float, "help": "grid margin override"},
-    "format": {"choices": ("csv", "json")},
-    "tolerance-hard": {"type": float},
-    "tolerance-soft": {"type": float},
-    "preset": {"choices": _PRESET_CHOICES},
+    "step": {"type": float, "help": "grid margin, (b - a)*1e-4 if not given"},
+    "format": {"choices": ("csv", "json"), "help": "output format"},
+    "tolerance-hard": {"type": float, "help": "tolerance of the hard checks"},
+    "tolerance-soft": {"type": float, "help": "relative tolerance of the soft checks"},
+    "preset": {"choices": _PRESET_CHOICES, "help": "one preset, both if not given"},
 }
 
 _GEOMETRY = {"n": 2, "a": 0.5, "b": 1.0}
@@ -402,31 +402,81 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toricext",
-        description="extremal toric metrics on blow-ups of CP^n: "
-        "derivation and numerical verification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (blurb, run, defaults) in _COMMANDS.items():
-        # no prefix spellings: a command takes its flags as written
-        command = sub.add_parser(name, help=blurb, allow_abbrev=False)
-        command.set_defaults(run=run, parser=command)
-        for flag, default in defaults.items():
-            command.add_argument(f"--{flag}", default=default, **_FLAGS[flag])
-    return parser
+_METAVAR = {flag: "{%s}" % ",".join(spec["choices"]) if "choices" in spec
+            else flag.upper().replace("-", "_") for flag, spec in _FLAGS.items()}
+
+
+def _usage(command: str | None) -> str:
+    """argparse's usage line of a command (None: the top level), unwrapped."""
+    if command is None:
+        return "usage: toricext [-h] {%s} ..." % ",".join(_COMMANDS)
+    return f"usage: toricext {command} [-h]" + "".join(
+        f" [--{flag} {_METAVAR[flag]}]" for flag in _COMMANDS[command][2])
+
+
+def _refuse(command: str | None, message: str, choices=()):
+    if choices:
+        message += f" (choose from {', '.join(map(repr, choices))})"
+    prog = "toricext" if command is None else f"toricext {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(command: str | None):
+    if command is None:
+        heading = "extremal toric metrics on blow-ups of CP^n\n\ncommands:"
+        rows = [(name, text) for name, (text, _, _) in _COMMANDS.items()]
+    else:
+        heading = _COMMANDS[command][0] + "\n\noptions:"
+        rows = [("-h, --help", "show this help message and exit")] + [
+            (f"--{flag} {_METAVAR[flag]}", _FLAGS[flag]["help"]
+             + ("" if default is None else f" (default: {default})"))
+            for flag, default in _COMMANDS[command][2].items()]
+    width = max(len(left) for left, _ in rows)
+    print(_usage(command), "", heading,
+          *(f"  {left:<{width}}  {text}" for left, text in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _parse(argv: list) -> types.SimpleNamespace:
+    """argv's run function and flag values, or argparse's refusal (exit 2)."""
+    k = next((k for k, word in enumerate(argv) if not word.startswith("-")), None)
+    unknown = argv[:k]
+    if {"-h", "--help"} & set(unknown):
+        _help(None)
+    if k is None:
+        _refuse(None, "the following arguments are required: command")
+    command, words = argv[k], iter(argv[k + 1:])
+    if command not in _COMMANDS:
+        _refuse(None, f"argument command: invalid choice: {command!r}", _COMMANDS)
+    run, values = _COMMANDS[command][1], dict(_COMMANDS[command][2])
+    for word in words:
+        if word in ("-h", "--help"):
+            _help(command)
+        flag, eq, value = word[2:].partition("=")
+        if word[:2] != "--" or flag not in values:
+            unknown += [word, *words] if word == "--" else [word]  # "--" ends flags
+            continue
+        if not eq:  # a word starting with "--" is never a value, but "-5" is
+            value = next(words, "--")
+            if value[:2] == "--" or value == "-h":
+                _refuse(command, f"argument --{flag}: expected one argument")
+        kind, choices = _FLAGS[flag].get("type", str), _FLAGS[flag].get("choices")
+        try:
+            values[flag] = kind(value)
+        except ValueError:
+            _refuse(command,
+                    f"argument --{flag}: invalid {kind.__name__} value: {value!r}")
+        if choices and value not in choices:
+            _refuse(command, f"argument --{flag}: invalid choice: {value!r}", choices)
+    if unknown:  # under the top-level usage if one came before the command
+        _refuse(None if k else command, "unrecognized arguments: " + " ".join(unknown))
+    return types.SimpleNamespace(
+        run=run, **{flag.replace("-", "_"): v for flag, v in values.items()})
 
 
 def main(argv: list | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    args, unknown = parser.parse_known_args(argv)
-    if unknown:
-        # every word before the command is one the top-level parser refused;
-        # after it, the command's own usage line names the refusal
-        refusing = parser if argv.index(args.command) else args.parser
-        refusing.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         out, code, err = args.run(args)
     except (InvalidParameters, DimensionMismatch) as exc:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -29,7 +31,7 @@ def run_cli(*args):
 
 def _args(*argv):
     """The namespace the CLI parses from argv, for calling a run_* directly."""
-    return cli._build_parser().parse_args(argv)
+    return cli._parse(list(argv))
 
 
 def test_derive_reference_case():
@@ -604,6 +606,132 @@ def test_a_prefix_of_a_flag_is_refused(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"usage: toricext {argv[0]} [-h] ")
+
+
+# --- the parser against the argparse parser it replaced ----------------------
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI built before it parsed argv itself."""
+    parser = argparse.ArgumentParser(
+        prog="toricext",
+        description="extremal toric metrics on blow-ups of CP^n: "
+        "derivation and numerical verification",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (blurb, run, defaults) in cli._COMMANDS.items():
+        # no prefix spellings: a command takes its flags as written
+        command = sub.add_parser(name, help=blurb, allow_abbrev=False)
+        command.set_defaults(run=run, parser=command)
+        for flag, default in defaults.items():
+            command.add_argument(f"--{flag}", default=default, **cli._FLAGS[flag])
+    return parser
+
+
+def _reference_parse(argv: list) -> dict:
+    """The reference's flag values and run function, refused as the CLI did."""
+    parser = _reference_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        refusing = parser if argv.index(args.command) else args.parser
+        refusing.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return {k: v for k, v in vars(args).items() if k not in ("command", "parser")}
+
+
+def _flag_value(flag: str):
+    """Values argparse reads as values: a negative number only in plain
+    decimal notation, since it takes "-1e-3" for a flag."""
+    spec = cli._FLAGS[flag]
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    ints = st.integers(-10**6, 10**6).map(str)
+    if spec["type"] is int:
+        return ints
+    return st.one_of(
+        ints,
+        st.floats(-1e6, 1e6).map(lambda x: f"{x:.6f}"),
+        st.floats(0.0, exclude_min=True).map(repr),
+        st.sampled_from(["nan", "inf", "1e-3", ".5", "-.5"]),
+    )
+
+
+@st.composite
+def _valid_argv(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = list(cli._COMMANDS[command][2])
+    argv = [command]
+    for _ in range(draw(st.integers(0, 8))):
+        flag = draw(st.sampled_from(flags))
+        value = draw(_flag_value(flag))
+        argv += [f"--{flag}={value}"] if draw(st.booleans()) else [f"--{flag}", value]
+    return argv
+
+
+@given(_valid_argv())
+@example(["derive", "--n", "-5", "--a=-0.5", "--n=3"])
+@example(["verify", "--seed", "-1", "--tolerance-soft", "-.5"])
+@settings(max_examples=300, deadline=None)
+def test_parse_reads_what_argparse_read(argv):
+    got = {k.replace("_", "-"): v for k, v in vars(cli._parse(argv)).items()}
+    want = _reference_parse(argv)
+    # repr: nan compares unequal to itself
+    assert repr(sorted(got.items())) == repr(
+        sorted((k.replace("_", "-"), v) for k, v in want.items()))
+
+
+def _refusal(parse, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--bogus"],
+        ["--bogus", "derive", "--n", "3"],
+        ["verify", "--points", "40", "--bogus", "7", "--x=1"],
+        ["verify", "--format", "json"],
+        ["profile", "--points", "3"],
+        ["bridge-check", "--tolerance-hard", "nan"],
+        ["verify", "--se", "3"],
+        ["bridge-check", "--tolerance", "1e-3"],
+        ["derive", "--n"],
+        ["verify", "--points", "--seed", "1"],
+        ["derive", "--n", "x"],
+        ["derive", "--n=2.5"],
+        ["profile", "--a", "half"],
+        ["bridge-check", "--tolerance-soft="],
+        ["profile", "--format", "xml"],
+        ["bridge-check", "--preset=fubini_study"],
+        [],
+        ["--bogus"],
+        ["frobnicate"],
+        ["--bogus", "frobnicate", "--n", "3"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no command",
+)
+def test_refusal_is_what_argparse_printed(argv, capsys, monkeypatch):
+    # argparse wrapped its usage line to the terminal; at 1000 columns it
+    # printed the one unwrapped line the CLI now always prints
+    monkeypatch.setenv("COLUMNS", "1000")
+    want = _refusal(_reference_parse, argv, capsys)
+    assert want[0] == 2 and want[1] == ""
+    assert _refusal(cli.main, argv, capsys) == want
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--format", "json"], ["bridge-check", "--help"]]
+)
+def test_output_does_not_depend_on_the_terminal_width(argv):
+    runs = [
+        subprocess.run(CMD + argv, capture_output=True, timeout=240,
+                       env=dict(os.environ, COLUMNS=columns))
+        for columns in ("40", "1000")
+    ]
+    narrow, wide = ((r.returncode, r.stdout, r.stderr) for r in runs)
+    assert narrow == wide
+    assert narrow[1] or narrow[2]
 
 
 def _readme_sessions():

@@ -69,16 +69,21 @@ def _startup_profile(command: str) -> dict:
 def test_startup_profile_reports_every_stage():
     rows = _startup_profile("bridge-check --samples 3")
     stages = list(rows)
-    assert stages[:2] == ["interpreter + site", "numpy"]
+    assert stages[:2] == ["interpreter + site", "floor"]
     assert stages[-5:] == [
-        "other imports", "command", "teardown", "total", "peak RSS (MB)"
+        "command", "teardown", "total", "program share", "peak RSS (MB)"
     ]
     assert {"toricext", "toricext.cli", "toricext.bridge"} <= set(stages)
     assert "toricext.calabi" not in stages
-    # no command loads numpy, so its stage reads 0 and guards that
-    assert rows["numpy"] == "0.00"
     ms = {stage: float(value) for stage, value in rows.items()}
     assert ms["total"] > ms["interpreter + site"] > 0
+    assert ms["floor"] > 0
+    # the three largest other imports, indented under the row they split
+    other = stages[stages.index("other imports") + 1:stages.index("command")]
+    assert len(other) == 3 and all(stage.startswith("  ") for stage in other)
+    assert sorted((ms[stage] for stage in other), reverse=True) == [
+        ms[stage] for stage in other]
+    assert sum(ms[stage] for stage in other) <= ms["other imports"] + 0.02
     # an interpreter holds well over 10 MB; under 1 GB rules out a unit slip
     # (bytes or KiB read as MB)
     assert 10.0 < ms["peak RSS (MB)"] < 1000.0
@@ -86,9 +91,12 @@ def test_startup_profile_reports_every_stage():
 
 def test_startup_profile_of_a_call_without_numpy():
     rows = _startup_profile("derive --n 3 --a 0.3 --b 1.2")
-    assert rows["numpy"] == "0.00"
     assert {"toricext", "toricext.cli", "toricext.exact"} <= set(rows)
     assert "toricext.calabi" not in rows
+    # fractions is derive's largest stdlib import; no command loads argparse
+    # or json, nor numpy, whose row this table once had
+    assert "  fractions" in rows
+    assert not {"  argparse", "  json", "numpy"} & set(rows)
 
 
 def _load_script(name: str):
