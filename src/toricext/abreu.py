@@ -15,8 +15,8 @@ central finite differences on the polytope interior.  Every corner of a
 point's stencil lies at t + k*h for k in {-2..2}, so a point costs five phi
 values, all read from one jet call of the profile, and O(n^2) entries of
 O(1) each.  Extremality of a metric means S is affine in x;
-``extremality_residual`` measures the distance to that.  Everything runs in
-plain floats.
+``extremality_residual`` fits given curvatures and measures the distance to
+that.  Everything runs in plain floats.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from .errors import (
     StencilExitsDomain,
 )
 from .numdiff import EPS, STEP_SECOND
-from .polytope import BlowupPolytope, interior_distance
+from .polytope import interior_distance
 from .radial import (
     TPotential,
     inverse_diagonal,
     inverse_off_diagonal,
     validity_factor,
 )
-from .record import Record
 
 # the dimensions verify is checked for; refuse anything bigger so a misuse
 # fails loudly instead of slowly
@@ -54,20 +53,6 @@ def _check_dimension(n: int) -> None:
             f"n must be at most {MAX_DIMENSION}, the range verify is checked "
             f"for; got {n}"
         )
-
-
-class AffineFit(Record):
-    """Least-squares affine model S(x) ~ <gradient, x> + constant.
-
-    ``S`` is the tuple of fitted curvatures, one per input point.
-    """
-
-    _fields = ("gradient", "constant", "max_residual", "S")
-
-    def __init__(
-        self, gradient: tuple, constant: float, max_residual: float, S: tuple
-    ) -> None:
-        super().__init__(gradient, constant, max_residual, S)
 
 
 def _points(points: Sequence, n: int) -> list[list[float]]:
@@ -122,8 +107,9 @@ def abreu_scalar_curvature(
 
     points is a sequence of points of n coordinates each, answered with a
     list of floats in their order.  The potential lives on the polytope
-    {x >= 0, t_min <= sum(x) <= t_max}, whose facets carry its log terms;
-    phi for every stencil of the call comes from one ``T.jet`` call.
+    {x >= 0, t_min <= sum(x) <= t_max} that T records, whose facets carry
+    its log terms; phi for every stencil of the call comes from one
+    ``T.jet`` call.
 
     Default step, per point: eps^(1/4)*t_max, the polytope's own length,
     clamped to dmin/3 (dmin the point's least facet value): a stencil corner
@@ -134,14 +120,13 @@ def abreu_scalar_curvature(
     n = T.n
     _check_dimension(n)
     pts = _points(points, n)
-    P = BlowupPolytope(n, T.t_min, T.t_max)
 
-    dmin = [interior_distance(P, p) for p in pts]
+    dmin = [interior_distance(T, p) for p in pts]
     for p, d in zip(pts, dmin):
         if d <= 0.0:
             raise NonInteriorPoint(f"{p} is not interior (min facet value {d})")
     if h is None:
-        steps = [min(STEP_SECOND * P.b, d / 3.0) for d in dmin]
+        steps = [min(STEP_SECOND * T.t_max, d / 3.0) for d in dmin]
     else:
         steps = [float(h)] * len(pts)
     for p, step, d in zip(pts, steps, dmin):
@@ -197,29 +182,23 @@ def _least_squares(design: list[list[float]], values: list[float]) -> list[float
     return [c / s for c, s in zip(coef, scale)]
 
 
-def extremality_residual(
-    T: TPotential,
-    points: Sequence,
-    h: float | None = None,
-) -> AffineFit:
-    """Fit S(x) by an affine function over the points; report the worst miss.
+def extremality_residual(points: Sequence, S: Sequence[float]) -> tuple:
+    """Fit curvatures S, one per point, by an affine function of x; return
+    (gradient, constant, max_residual), the fit and its worst miss.
 
     Ordinary least squares on the column-scaled design [X | 1]; needs at
-    least n+1 affinely independent points.
+    least n+1 affinely independent points of n coordinates each.
     """
-    n = T.n
-    pts = _points(points, n)
-    m = len(pts)
-    if m < n + 1:
-        raise DegeneratePointSet(f"need >= {n + 1} points, got {m}")
+    rows = list(points)
+    # a bare point's first entry is a number, which _points refuses
+    n = len(rows[0]) if rows and not isinstance(rows[0], numbers.Real) else 0
+    pts = _points(rows, n)
+    if len(S) != len(pts):
+        raise InvalidParameters(f"{len(S)} curvatures for {len(pts)} points")
+    if len(pts) < n + 1:
+        raise DegeneratePointSet(f"need >= {n + 1} points, got {len(pts)}")
 
-    S = abreu_scalar_curvature(T, pts, h)
     design = [[*x, 1.0] for x in pts]
     coef = _least_squares(design, S)
     predicted = [math.fsum(map(mul, row, coef)) for row in design]
-    return AffineFit(
-        gradient=tuple(coef[:n]),
-        constant=coef[n],
-        max_residual=max(abs(s - f) for s, f in zip(S, predicted)),
-        S=tuple(S),
-    )
+    return tuple(coef[:n]), coef[n], max(abs(s - f) for s, f in zip(S, predicted))

@@ -49,12 +49,10 @@ class KahlerPotential(Record):
     t = 2*s*f'(s) from one call, and inverse(t) is the s > 0 with t(s) = t;
     it raises DomainViolation, naming t, for a t outside the image."""
 
-    _fields = ("n", "moment", "inverse", "label")
+    _fields = ("n", "moment", "inverse")
 
-    def __init__(
-        self, n: int, moment: Callable, inverse: Callable, label: str = ""
-    ) -> None:
-        super().__init__(n, moment, inverse, label)
+    def __init__(self, n: int, moment: Callable, inverse: Callable) -> None:
+        super().__init__(n, moment, inverse)
 
 
 def _flat_inverse(t: float) -> float:
@@ -65,7 +63,7 @@ def _flat_inverse(t: float) -> float:
 
 def flat_potential(n: int) -> KahlerPotential:
     """f = s/2: the flat model (t = s, F'' = 0)."""
-    return KahlerPotential(n, lambda s: (s, s, s, s), _flat_inverse, "flat")
+    return KahlerPotential(n, lambda s: (s, s, s, s), _flat_inverse)
 
 
 def _fubini_study_moment(s: float) -> tuple[float, float, float, float]:
@@ -86,9 +84,7 @@ def _fubini_study_inverse(t: float) -> float:
 
 def fubini_study_potential(n: int) -> KahlerPotential:
     """f = ln(1+s)/2: Fubini-Study type (t = s/(1+s), S = n(n+1))."""
-    return KahlerPotential(
-        n, _fubini_study_moment, _fubini_study_inverse, "fubini-study"
-    )
+    return KahlerPotential(n, _fubini_study_moment, _fubini_study_inverse)
 
 
 PRESETS: dict[str, Callable[[int], KahlerPotential]] = {
@@ -155,8 +151,7 @@ class BridgeCheckReport(Record):
     """Per-sample columns (tuples) and their worst difference."""
 
     _fields = (
-        "preset", "n", "s", "t", "kahler_side", "polytope_side", "difference",
-        "max_discrepancy",
+        "s", "t", "kahler_side", "polytope_side", "difference", "max_discrepancy"
     )
 
 
@@ -180,6 +175,4 @@ def bridge_cross_check(
     difference = tuple(abs(k - p) for k, p in zip(kahler_side, polytope_side))
     # max() skips a NaN that is not first; the worst difference must show it
     worst = math.nan if any(d != d for d in difference) else max(difference)
-    return BridgeCheckReport(
-        K.label, K.n, s, t, kahler_side, polytope_side, difference, worst
-    )
+    return BridgeCheckReport(s, t, kahler_side, polytope_side, difference, worst)

@@ -1,5 +1,6 @@
 """The extremal metric ``verify`` checks, built from the polytope data, and the
-endpoint check of its h''.
+endpoint check of its h''.  The metric is a ``TPotential(n, a, b, jet)``,
+which is also its moment polytope {x_i >= 0, a <= sum(x) <= b}.
 
 The coefficients (A, B, C, D), their exact checks and the deflated (V, Q)
 come from ``exact``, in rational arithmetic; ``table`` evaluates the profile
@@ -17,7 +18,6 @@ from fractions import Fraction
 from functools import partial
 
 from . import exact, table
-from .polytope import BlowupPolytope, build_blowup_polytope
 from .radial import TPotential
 
 
@@ -46,14 +46,13 @@ def _endpoint_limits(
 
 def build_extremal_metric(
     n: int, a: float, b: float
-) -> tuple[BlowupPolytope, TPotential, exact.ExtremalCoefficients]:
-    """Polytope, extremal profile, and coefficients for one (n, a, b), after
+) -> tuple[TPotential, exact.ExtremalCoefficients]:
+    """Extremal profile and coefficients for one (n, a, b), after
+    ``solve_coefficients`` has checked the geometry and
     ``positivity_certificate`` has proved the metric valid.
 
     The profile's jet is ``table.jet`` on the record's coefficients.
     """
-    P = build_blowup_polytope(n, a, b)
     E = exact.solve_coefficients(n, a, b)
     exact.positivity_certificate(E)
-    T = TPotential(n, float(a), float(b), partial(table.jet, E))
-    return P, T, E
+    return TPotential(E.n, E.a, E.b, partial(table.jet, E)), E

@@ -211,7 +211,7 @@ _PROOF_CHECKS = {
 
 
 def _verify_battery(args: types.SimpleNamespace) -> dict:
-    from .abreu import _check_dimension, extremality_residual
+    from .abreu import _check_dimension, abreu_scalar_curvature, extremality_residual
     from .calabi import _endpoint_limits, build_extremal_metric
     from .exact import coefficient_cross_check, positivity_certificate
     from .polytope import sample_interior
@@ -226,18 +226,19 @@ def _verify_battery(args: types.SimpleNamespace) -> dict:
     _check_dimension(n)
 
     try:
-        P, T, E = build_extremal_metric(n, a, b)
+        T, E = build_extremal_metric(n, a, b)
     except (BoundaryIdentityViolation, PositivityViolation) as exc:
         # a failed proof prints no report; name the check it would have failed
         key = _PROOF_CHECKS[type(exc)]
         raise type(exc)(f"{key}: {exc}") from exc
     margin = _SAMPLING_MARGIN_FACTOR * (b - a)
-    pts = sample_interior(P, args.points, margin=margin, seed=args.seed)
-    fit = extremality_residual(T, pts)
+    pts = sample_interior(T, args.points, margin=margin, seed=args.seed)
+    S = abreu_scalar_curvature(T, pts)
+    gradient, constant, max_residual = extremality_residual(pts, S)
     rad = radial_scalar_curvature(T, [math.fsum(x) for x in pts])
     # both soft checks are relative to the curvature itself (|S| >= 2/b > 0)
-    curvature_disc = max(abs(s - r) / abs(r) for s, r in zip(fit.S, rad))
-    scaled_residual = fit.max_residual / max(map(abs, rad))
+    curvature_disc = max(abs(s - r) / abs(r) for s, r in zip(S, rad))
+    scaled_residual = max_residual / max(map(abs, rad))
 
     endpoints_ok, endpoints = _endpoint_limits(E, tolerance_hard)
 
@@ -269,9 +270,9 @@ def _verify_battery(args: types.SimpleNamespace) -> dict:
         "coefficients": {"p": E.p, "A": E.A, "B": E.B, "C": E.C, "D": E.D},
         "curvature": {"max_discrepancy": curvature_disc},
         "extremality": {
-            "gradient": list(fit.gradient),
-            "constant": fit.constant,
-            "max_residual": fit.max_residual,
+            "gradient": list(gradient),
+            "constant": constant,
+            "max_residual": max_residual,
             "scaled_residual": scaled_residual,
         },
         "validity": {"bernstein_margin": positivity_certificate(E)},

@@ -27,6 +27,7 @@ everything runs in plain floats.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import DegenerateMetric, DomainViolation, InvalidParameters
@@ -40,7 +41,8 @@ DEGENERACY_TOL = 1e-14
 
 
 class TPotential(Record):
-    """Radial metric on (t_min, t_max), given by its momentum profile.
+    """Radial metric on (t_min, t_max), given by its momentum profile; its
+    moment polytope is {x_i >= 0, t_min <= sum(x) <= t_max} (``polytope``).
 
     Affine additions to the potential never touch the Hessian, so F itself
     is not kept: ``jet(ts)`` is the lists (phi, phi', phi'') at the ts, all
@@ -60,8 +62,8 @@ class TPotential(Record):
             raise InvalidParameters("n must be >= 1")
         if t_min < 0.0:
             raise InvalidParameters("t_min must be >= 0")
-        if not t_max > t_min:
-            raise InvalidParameters("need t_min < t_max")
+        if not t_min < t_max < math.inf:
+            raise InvalidParameters("need t_min < t_max < inf")
         super().__init__(n, t_min, t_max, jet)
 
 

@@ -19,12 +19,7 @@ from toricext.errors import (
     NonInteriorPoint,
     StencilExitsDomain,
 )
-from toricext.polytope import (
-    BlowupPolytope,
-    build_blowup_polytope,
-    interior_distance,
-    sample_interior,
-)
+from toricext.polytope import interior_distance, sample_interior
 from toricext.numdiff import STEP_SECOND
 from toricext.radial import TPotential
 from util import F_profile, cpn_profile, flat_profile, profile, radial_hessian
@@ -51,7 +46,7 @@ def test_projective_space_curvature():
 
 
 def test_extremal_curvature_is_affine_in_t():
-    _, S, E = build_extremal_metric(2, 0.5, 1.0)
+    S, E = build_extremal_metric(2, 0.5, 1.0)
     for x in ([0.35, 0.40], [0.2, 0.55], [0.6, 0.15]):
         x = np.array(x)
         want = E.A * float(np.sum(x)) + E.B
@@ -60,7 +55,7 @@ def test_extremal_curvature_is_affine_in_t():
 
 
 def test_curvature_permutation_invariance():
-    _, S, _ = build_extremal_metric(2, 0.5, 1.0)
+    S, _ = build_extremal_metric(2, 0.5, 1.0)
     x = np.array([0.25, 0.45])
     [v1] = abreu_scalar_curvature(S, [x])
     [v2] = abreu_scalar_curvature(S, [x[::-1].copy()])
@@ -81,32 +76,31 @@ def test_explicit_step_must_fit():
 
 def test_default_step_clamped_at_the_facet_fits():
     # the clamp binds here and 3*(d/3) rounds above d = the facet distance
-    P = build_blowup_polytope(2, 0.5, 1.0)
     S = flat_profile(2, 0.5, 1.0)
     x = np.array([np.nextafter(1.1329e-4, 1.0), 0.6])
-    d = interior_distance(P, x)
+    d = interior_distance(S, x)
     assert 3.0 * (d / 3.0) > d
     [got] = abreu_scalar_curvature(S, [x])
     assert abs(got) <= 1e-6
 
 
 def test_extremality_residual_on_extremal_metric():
-    Pm, S, E = build_extremal_metric(2, 0.5, 1.0)
-    pts = sample_interior(Pm, 30, margin=0.025, seed=11)
-    fit = extremality_residual(S, pts)
+    T, E = build_extremal_metric(2, 0.5, 1.0)
+    pts = sample_interior(T, 30, margin=0.025, seed=11)
+    gradient, constant, max_residual = extremality_residual(
+        pts, abreu_scalar_curvature(T, pts)
+    )
     # S(x) = A t + B means gradient (A, A) and constant B
-    assert fit.gradient[0] == pytest.approx(E.A, abs=1e-4)
-    assert fit.gradient[1] == pytest.approx(E.A, abs=1e-4)
-    assert fit.constant == pytest.approx(E.B, abs=1e-4)
-    assert fit.max_residual <= 1e-5
-    # one curvature per point, in the order of the points, in a tuple
-    assert fit.S == tuple(abreu_scalar_curvature(S, pts))
+    assert gradient[0] == pytest.approx(E.A, abs=1e-4)
+    assert gradient[1] == pytest.approx(E.A, abs=1e-4)
+    assert constant == pytest.approx(E.B, abs=1e-4)
+    assert max_residual <= 1e-5
 
 
 def test_extremality_residual_detects_non_extremal_metric():
-    Pm, T, _ = build_extremal_metric(2, 0.5, 1.0)
-    pts = sample_interior(Pm, 30, margin=0.025, seed=11)
-    base = extremality_residual(T, pts).max_residual
+    T, _ = build_extremal_metric(2, 0.5, 1.0)
+    pts = sample_interior(T, 30, margin=0.025, seed=11)
+    base = extremality_residual(pts, abreu_scalar_curvature(T, pts))[2]
 
     def bumped_at(t):
         # phi*m with m = 1 + sin(10t)/10, by the product rule
@@ -115,21 +109,31 @@ def test_extremality_residual_detects_non_extremal_metric():
         return phi * m, dphi * m + phi * dm, d2phi * m + 2.0 * dphi * dm + phi * d2m
 
     bumped = profile(2, 0.5, 1.0, bumped_at)
-    assert extremality_residual(bumped, pts).max_residual > 10.0 * max(base, 1e-6)
+    worst = extremality_residual(pts, abreu_scalar_curvature(bumped, pts))[2]
+    assert worst > 10.0 * max(base, 1e-6)
 
 
 def test_extremality_residual_needs_enough_points():
-    _, S, _ = build_extremal_metric(2, 0.5, 1.0)
+    # n + 1 = 3 points at least, and so at least one point
+    with pytest.raises(DegeneratePointSet, match="need >= 3 points, got 2"):
+        extremality_residual(np.array([[0.3, 0.4], [0.35, 0.45]]), [5.0, 5.5])
     with pytest.raises(DegeneratePointSet):
-        extremality_residual(S, np.array([[0.3, 0.4], [0.35, 0.45]]))
+        extremality_residual([], [])
+
+
+def test_extremality_residual_needs_one_curvature_per_point():
+    pts = [[0.3, 0.4], [0.35, 0.45], [0.45, 0.3]]
+    for S in ([5.0, 5.5], [5.0, 5.5, 6.0, 6.5], []):
+        with pytest.raises(InvalidParameters, match=f"{len(S)} curvatures for 3 points"):
+            extremality_residual(pts, S)
 
 
 def test_extremality_residual_rejects_collinear_points():
-    _, S, _ = build_extremal_metric(2, 0.5, 1.0)
+    T, _ = build_extremal_metric(2, 0.5, 1.0)
     # all on the segment x1 = x0 + 0.05: affine fit is rank deficient
     pts = np.array([[0.3, 0.35], [0.33, 0.38], [0.36, 0.41], [0.39, 0.44]])
     with pytest.raises(DegeneratePointSet):
-        extremality_residual(S, pts)
+        extremality_residual(pts, abreu_scalar_curvature(T, pts))
 
 
 @given(
@@ -142,8 +146,8 @@ def test_extremality_residual_rejects_collinear_points():
 def test_qr_fit_matches_lstsq(n, extra, log_b, seed):
     # the design of verify: interior points of a size-b polytope, and a 1
     b = 10.0**log_b
-    P = build_blowup_polytope(n, 0.5 * b, b)
-    pts = np.array(sample_interior(P, n + 1 + extra, margin=0.05 * b, seed=seed % 1000))
+    T = flat_profile(n, 0.5 * b, b)
+    pts = np.array(sample_interior(T, n + 1 + extra, margin=0.05 * b, seed=seed % 1000))
     values = np.random.default_rng(seed).normal(size=len(pts)) / b
     design = np.hstack([pts, np.ones((len(pts), 1))])
     scale = np.max(np.abs(design), axis=0)
@@ -155,13 +159,13 @@ def test_qr_fit_matches_lstsq(n, extra, log_b, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_extremality_residual_rejects_affinely_dependent_points(n):
-    Pm, S, _ = build_extremal_metric(n, 0.5, 1.0)
-    pts = np.array(sample_interior(Pm, 3 * n + 3, margin=0.025, seed=n))
+    T, _ = build_extremal_metric(n, 0.5, 1.0)
+    pts = np.array(sample_interior(T, 3 * n + 3, margin=0.025, seed=n))
     # every point moved along its ray to t = 0.75: on one hyperplane
     flat = pts * (0.75 / np.sum(pts, axis=1, keepdims=True))
     with pytest.raises(DegeneratePointSet):
-        extremality_residual(S, flat)
-    extremality_residual(S, pts)  # the points themselves are fine
+        extremality_residual(flat, abreu_scalar_curvature(T, flat))
+    extremality_residual(pts, abreu_scalar_curvature(T, pts))  # these are fine
 
 
 # --- batched stencil against the per-point reference -----------------------
@@ -173,7 +177,7 @@ def _reference_abreu(T, hessian, x, h=None):
     reference the closed-form stencil must reproduce."""
     x = np.asarray(x, dtype=float)
     n = T.n
-    dmin = interior_distance(BlowupPolytope(n, T.t_min, T.t_max), x)
+    dmin = interior_distance(T, x)
     if h is None:
         h = min(STEP_SECOND * max(1.0, float(np.max(np.abs(x)))), dmin / 3.0, 1e-3)
 
@@ -223,7 +227,7 @@ def _guillemin_hessian(b):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_batched_stencil_matches_per_point_reference(n):
     a, b = 0.5, 1.0
-    _, radial, _ = build_extremal_metric(n, a, b)
+    radial, _ = build_extremal_metric(n, a, b)
     pts = _points_between(n, a, b, 10, seed=n)
     # the F'' = 1/phi - 1/t of the profile at each stencil point
     hessian = lambda y: radial_hessian(
@@ -251,7 +255,7 @@ def test_batched_stencil_matches_per_point_reference(n):
 )
 def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
     # the profile's functions live on (0.6, 1), its polytope is (0.5, 1)
-    _, T, _ = build_extremal_metric(2, 0.6, 1.0)
+    T, _ = build_extremal_metric(2, 0.6, 1.0)
     S = TPotential(2, 0.5, 1.0, T.jet)
     good = np.array([[0.35, 0.4], [0.3, 0.5], [0.45, 0.35]])
     with pytest.raises(error):
@@ -268,8 +272,10 @@ def test_point_shape_is_checked():
     for shape in [(2,), (3,), (4, 3), (2, 2, 2)]:
         with pytest.raises(InvalidParameters):
             abreu_scalar_curvature(S, np.full(shape, 0.3))
+    # the fit reads n off the first point: (4, 3) is four points of n = 3
+    for points in [np.full((2,), 0.3), np.full((2, 2, 2), 0.3), [[0.3, 0.4], [0.5]]]:
         with pytest.raises(InvalidParameters):
-            extremality_residual(S, np.full(shape, 0.3))
+            extremality_residual(points, [1.0] * len(points))
     with pytest.raises(InvalidParameters):
         abreu_scalar_curvature(S, [0.3, 0.4])
     with pytest.raises(InvalidParameters):

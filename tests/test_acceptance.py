@@ -30,14 +30,13 @@ from toricext.exact import (
     positivity_certificate,
     solve_coefficients,
 )
-from toricext.polytope import build_blowup_polytope, sample_interior
+from toricext.polytope import sample_interior
 from toricext.radial import radial_scalar_curvature
 from util import (
     cpn_profile,
     fd_curvature_reference,
     flat_profile,
     legendre_F,
-    simplex_polytope,
 )
 
 CMD = [sys.executable, "-m", "toricext"]
@@ -105,8 +104,8 @@ def test_criterion_04_three_curvature_routes_agree_at_interior_points():
     worst_fd, worst_radial = 0.0, 0.0
     for n in (2, 3):
         for a, b in ((0.5, 1.0), (0.25, 2.0)):
-            P, T, E = build_extremal_metric(n, a, b)
-            pts = sample_interior(P, 100, margin=0.05 * (b - a), seed=0)
+            T, E = build_extremal_metric(n, a, b)
+            pts = sample_interior(T, 100, margin=0.05 * (b - a), seed=0)
             ts = [float(np.sum(x)) for x in pts]
             abreu = abreu_scalar_curvature(T, pts)
             radial = radial_scalar_curvature(T, ts)
@@ -129,7 +128,7 @@ def test_criterion_05_projective_profile_gives_constant_curvature():
         want = n * (n + 1)
         for got in radial_scalar_curvature(T, np.linspace(0.05, 0.95, 25).tolist()):
             worst_radial = max(worst_radial, abs(got - want) / want)
-        pts = sample_interior(simplex_polytope(n), 10, margin=0.05, seed=1)
+        pts = sample_interior(T, 10, margin=0.05, seed=1)
         for got in abreu_scalar_curvature(T, pts):
             worst_fd = max(worst_fd, abs(got - want) / want)
     ok = worst_radial <= 1e-9 and worst_fd <= 1e-5
@@ -146,10 +145,9 @@ def test_criterion_06_flat_profile_gives_zero_curvature():
     ts = np.linspace(0.55, 0.95, 9).tolist()
     for t, got in zip(ts, radial_scalar_curvature(T, ts)):
         worst = max(worst, abs(got), abs(got - fd_curvature_reference(T, t)))
-    P = build_blowup_polytope(2, 0.5, 1.0)
     # h=1e-3: the default step's noise floor sits at ~1.1e-8, just over the
     # line; the coarser step is well inside it without losing truncation
-    pts = sample_interior(P, 10, margin=0.025, seed=2)
+    pts = sample_interior(T, 10, margin=0.025, seed=2)
     worst = max(worst, *map(abs, abreu_scalar_curvature(T, pts, h=1e-3)))
     _report("AC06", worst <= 1e-8, f"max |S| {worst:.3e} (tol 1e-8)")
 
@@ -201,7 +199,7 @@ def test_criterion_09_extremal_profiles_pass_validity_check():
     geometries += [(n, (1 - 1e-9) * b, b) for n in range(1, 6) for b in (1.0, 2.0)]
     worst = -1.0
     for n, a, b in geometries:
-        _, _, E = build_extremal_metric(n, a, b)
+        _, E = build_extremal_metric(n, a, b)
         worst = max(worst, positivity_certificate(E))
     _report("AC09", worst < 0.0, f"largest Bernstein margin {worst:.3e} (want < 0)")
 

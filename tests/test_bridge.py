@@ -38,7 +38,7 @@ def _sine_potential():
         t3 = 2.0 * s * (c - 7.0 * s * si - 6.0 * s * s * c + s**3 * si)
         return 2.0 * s * c, t1, t2, t3
 
-    return KahlerPotential(n=1, moment=moment, inverse=_no_inverse, label="sine")
+    return KahlerPotential(n=1, moment=moment, inverse=_no_inverse)
 
 
 def _invert(K, t):
@@ -150,7 +150,7 @@ def test_a_jet_off_by_one_percent_fails_its_test_and_the_bridge(preset, k):
     # the Kahler side reads t'' and t''' from the jet, the polytope side
     # differences t': a jet at odds with its own rate cannot pass bridge-check
     K = PRESETS[preset](2)
-    mutant = KahlerPotential(2, _scaled(K.moment, k), K.inverse, "mutant")
+    mutant = KahlerPotential(2, _scaled(K.moment, k), K.inverse)
     assert _jet_errors(mutant.moment)[k - 1] > 1e-7
     assert bridge_cross_check(mutant, grid(0.25, 4.0, 10)).max_discrepancy > 1e-5
 
@@ -289,7 +289,6 @@ def test_induced_second_derivative_is_the_jets_from_one_rate_per_t(preset, t_max
         n=3,
         moment=lambda s: calls.append(s) or model.moment(s),
         inverse=lambda t: inverted.append(t) or model.inverse(t),
-        label=f"counting {preset}",
     )
     T = induced_t_potential(K, 0.0, t_max)
     ts = np.random.default_rng(0).uniform(1e-3 * t_max, 0.999 * t_max, 500).tolist()
@@ -326,7 +325,6 @@ def test_cross_check_makes_seven_moment_calls_and_one_inverse_per_sample():
         n=2,
         moment=lambda s: calls.append(s) or model.moment(s),
         inverse=lambda t: inverted.append(t) or model.inverse(t),
-        label="counting fubini-study",
     )
     samples = np.geomspace(0.25, 4.0, 10).tolist()
     bridge_cross_check(K, samples)

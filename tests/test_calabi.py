@@ -31,7 +31,6 @@ from toricext.exact import (
     positivity_certificate,
     solve_coefficients,
 )
-from toricext.polytope import build_blowup_polytope
 from toricext.radial import radial_scalar_curvature
 from util import (
     array_h_second,
@@ -322,15 +321,15 @@ def test_closed_form_surface_values():
 
 
 def test_build_extremal_metric_roundtrip():
-    P, T, E = build_extremal_metric(2, 0.5, 1.0)
-    assert P == build_blowup_polytope(2, 0.5, 1.0)
-    assert T.t_min == 0.5 and T.t_max == 1.0
+    T, E = build_extremal_metric(2, 0.5, 1.0)
+    # the profile is its own polytope: n and the interval (a, b)
+    assert (T.n, T.t_min, T.t_max) == (E.n, E.a, E.b) == (2, 0.5, 1.0)
     [got] = radial_scalar_curvature(T, [0.6])
     assert got == pytest.approx(69.6 / 13, rel=1e-10)
 
 
 def test_build_extremal_metric_derivatives_match_differences():
-    _, T, E = build_extremal_metric(2, 0.5, 1.0)
+    T, E = build_extremal_metric(2, 0.5, 1.0)
     # the jet's phi' and phi'' consistent with finite differences of phi
     h = 1e-5
     t = 0.75
@@ -405,7 +404,7 @@ def test_invalid_construction_parameters():
         solve_coefficients(2, -0.1, 1.0)
 
 
-_BUILDERS = [solve_coefficients, closed_form_coefficients, build_blowup_polytope]
+_BUILDERS = [solve_coefficients, closed_form_coefficients]
 
 
 @pytest.mark.parametrize("build", _BUILDERS)
@@ -415,7 +414,7 @@ def test_dimension_must_be_an_integer(build, n):
         build(n, 0.5, 1.0)
 
 
-@pytest.mark.parametrize("build", [solve_coefficients, closed_form_coefficients])
+@pytest.mark.parametrize("build", _BUILDERS)
 def test_overflowing_coefficient_is_invalid_input(build):
     # A ~ 1/b^2 is past the float range; float(Fraction) would raise
     # OverflowError, which no caller handles
@@ -518,7 +517,7 @@ def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):
         return real(E, ts)
 
     monkeypatch.setattr(table, "jet", counting)
-    _, T, E = build_extremal_metric(2, 0.5, 1.0)
+    T, E = build_extremal_metric(2, 0.5, 1.0)
     ts = np.linspace(0.55, 0.95, 100).tolist()
     S = radial_scalar_curvature(T, ts)
     assert calls == [ts]  # one evaluation of the whole list serves the jet
@@ -531,7 +530,7 @@ def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):
 def test_shared_profile_derivatives_are_read_only():
     # each jet call builds new lists of floats, so a caller that writes into
     # one answer changes no later answer at the same ts
-    _, T, E = build_extremal_metric(2, 0.5, 1.0)
+    T, E = build_extremal_metric(2, 0.5, 1.0)
     ts = np.linspace(0.55, 0.95, 7).tolist()
     want = table.jet(E, ts)
     for _ in range(2):
@@ -609,8 +608,8 @@ def test_build_extremal_metric_in_a_thin_shell(n, b):
     # a/b = 1 - 1e-9: a float grid of 1 + t*F'' reads large negative values
     # here by cancellation, the exact certificate proves the metric valid
     a = (1.0 - 1e-9) * b
-    P, T, E = build_extremal_metric(n, a, b)
-    assert P.n == n and (T.t_min, T.t_max) == (a, b)
+    T, E = build_extremal_metric(n, a, b)
+    assert T.n == n and (T.t_min, T.t_max) == (a, b)
     assert positivity_certificate(E) < 0.0
 
 

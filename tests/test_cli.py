@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toricext import abreu as abreu_mod
 from toricext import cli
 from toricext import exact as exact_mod
 from toricext import table as table_mod
@@ -1080,6 +1081,23 @@ def test_verify_solves_the_exact_system_once(monkeypatch, capsys):
     code = cli.main(["verify", "--n", "2", "--points", "20"])
     assert code == 0 and json.loads(capsys.readouterr().out)["passed"] is True
     assert len(eliminations) == 1
+
+
+def test_verify_evaluates_abreu_once_for_both_soft_checks(monkeypatch, capsys):
+    # the fit and the curvature discrepancy read the same Abreu curvatures
+    real = abreu_mod.abreu_scalar_curvature
+    calls = []
+
+    def counting(T, points, h=None):
+        calls.append(len(points))
+        return real(T, points, h)
+
+    monkeypatch.setattr(abreu_mod, "abreu_scalar_curvature", counting)
+    code = cli.main(["verify", "--n", "3", "--points", "20"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["checks"]["extremality"] is True
+    assert doc["checks"]["curvature_agreement"] is True
+    assert calls == [20]
 
 
 # --- verdicts do not depend on the overall scale of (a, b) ------------------

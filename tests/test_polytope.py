@@ -6,14 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricext.calabi import build_extremal_metric
 from toricext.errors import DimensionMismatch, EmptyRegion, InvalidParameters
-from toricext.polytope import (
-    BlowupPolytope,
-    build_blowup_polytope,
-    facet_values,
-    interior_distance,
-    sample_interior,
-)
+from toricext.polytope import interior_distance, sample_interior
+from toricext.radial import TPotential
+from util import flat_profile
 
 # (n, a, b) triples used across the parameterized tests
 CONFIGS = [
@@ -32,44 +29,56 @@ params = st.tuples(
 ).map(lambda t: (t[0], t[1], t[1] + t[2]))
 
 
+def _no_jet(ts):
+    raise AssertionError("the polytope reads no profile values")
+
+
 def test_facet_count_and_normals():
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    assert P == BlowupPolytope(2, 0.5, 1.0)
-    # the facet functions are affine: l(0) is the offset, l(e_j) - l(0) the
-    # j-th normal entry
-    offsets = np.array(facet_values(P, [0.0, 0.0]))
-    normals = np.array([facet_values(P, e) for e in np.eye(2)]) - offsets
-    np.testing.assert_array_equal(offsets, [0.0, 0.0, -0.5, 1.0])
-    np.testing.assert_array_equal(normals.T, [[1, 0], [0, 1], [1, 1], [-1, -1]])
+    # each of the n + 2 facets is the nearest one at some point, and there
+    # interior_distance is that facet's affine function: 0.05 at the point,
+    # and a step d*e_j moves it by d times the facet's normal entry j
+    T = TPotential(2, 0.5, 1.0, _no_jet)
+    nearest = {
+        (1, 0): [0.05, 0.6],
+        (0, 1): [0.6, 0.05],
+        (1, 1): [0.27, 0.28],  # t - a
+        (-1, -1): [0.45, 0.5],  # b - t
+    }
+    d = 2.0**-10
+    for normal, x in nearest.items():
+        base = interior_distance(T, x)
+        assert base == pytest.approx(0.05, abs=1e-15)
+        for j, entry in enumerate(normal):
+            moved = [v + d * (k == j) for k, v in enumerate(x)]
+            assert interior_distance(T, moved) - base == pytest.approx(d * entry, abs=1e-15)
 
 
 def test_facet_values_square_point():
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    np.testing.assert_allclose(
-        facet_values(P, [0.3, 0.4]), [0.3, 0.4, 0.2, 0.3], atol=1e-15
-    )
+    # facet values (0.3, 0.4, 0.2, 0.3): t - a is the nearest
+    T = TPotential(2, 0.5, 1.0, _no_jet)
+    assert interior_distance(T, [0.3, 0.4]) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_facet_values_orthant_vertex_is_outside():
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    np.testing.assert_allclose(
-        facet_values(P, [0.0, 0.0]), [0.0, 0.0, -0.5, 1.0], atol=1e-15
-    )
+    # facet values (0, 0, -0.5, 1): below the truncating facet t = a
+    T = TPotential(2, 0.5, 1.0, _no_jet)
+    assert interior_distance(T, [0.0, 0.0]) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_facet_values_interval_midpoint():
-    P = build_blowup_polytope(1, 0.25, 0.75)
-    np.testing.assert_allclose(
-        facet_values(P, [0.5]), [0.5, 0.25, 0.25], atol=1e-15
-    )
+    # facet values (0.5, 0.25, 0.25)
+    T = TPotential(1, 0.25, 0.75, _no_jet)
+    assert interior_distance(T, [0.5]) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_facet_values_sum_is_correctly_rounded():
-    # t = 1e16 + 1 - 1e16 is exactly 1; a left-to-right float sum gives 0,
-    # and Python 3.12's compensated sum() gives 1, so the facet values (and
-    # every verify report) would depend on the interpreter's version
-    P = BlowupPolytope(3, 0.5, 1.0)
-    assert facet_values(P, [1e16, 1.0, -1e16])[3:] == [0.5, 0.0]
+    # t = 1 + 2^-53 + 2^-53 is exactly 1 + 2^-52 = t_max, so the point lies
+    # on the facet t = t_max; a left-to-right float sum gives t = 1 and the
+    # distance 2^-53, and Python 3.12's compensated sum() gives the exact t,
+    # so the distance (and every verify report) would depend on the
+    # interpreter's version
+    T = TPotential(3, 0.5, 1.0 + 2.0**-52, _no_jet)
+    assert interior_distance(T, [1.0, 2.0**-53, 2.0**-53]) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -77,64 +86,65 @@ def test_facet_values_sum_is_correctly_rounded():
     [(2, 1.0, 0.5), (2, 0.0, 1.0), (2, -0.5, 1.0), (0, 0.5, 1.0), (2, 0.5, 0.5)],
 )
 def test_invalid_parameters(n, a, b):
+    # the blow-up polytope of (n, a, b) is the extremal metric's TPotential,
+    # whose geometry the coefficient solve checks first
     with pytest.raises(InvalidParameters):
-        build_blowup_polytope(n, a, b)
+        build_extremal_metric(n, a, b)
 
 
 def test_non_finite_parameters_rejected():
-    with pytest.raises(InvalidParameters):
-        build_blowup_polytope(2, 0.5, float("nan"))
-    with pytest.raises(InvalidParameters):
-        build_blowup_polytope(2, 0.5, float("inf"))
+    # the TPotential is the polytope: a non-finite end is refused by the
+    # record itself, as no profile of (n, a, b) is built for one
+    for t_min, t_max in [(0.5, math.nan), (0.5, math.inf), (math.nan, 1.0)]:
+        with pytest.raises(InvalidParameters, match="t_max < inf"):
+            TPotential(2, t_min, t_max, _no_jet)
 
 
 def test_dimension_mismatch():
-    P = build_blowup_polytope(2, 0.5, 1.0)
+    T = TPotential(2, 0.5, 1.0, _no_jet)
     with pytest.raises(DimensionMismatch):
-        facet_values(P, [0.1, 0.2, 0.3])
+        interior_distance(T, [0.1, 0.2, 0.3])
 
 
 @given(params, st.lists(st.floats(-5, 5), min_size=1, max_size=5))
 def test_truncating_facets_sum_to_interval_length(nab, coords):
-    """l_{n+1} + l_{n+2} = b - a identically, for any x whatsoever."""
+    """(t - a) + (b - t) = b - a identically, for any x whatsoever, so no
+    point lies deeper than (b - a)/2."""
     n, a, b = nab
     x = np.resize(np.array(coords), n)
-    P = build_blowup_polytope(n, a, b)
-    vals = facet_values(P, x)
-    assert abs(vals[n] + vals[n + 1] - (b - a)) <= 1e-12 * max(1.0, b)
+    T = TPotential(n, a, b, _no_jet)
+    assert interior_distance(T, x) <= 0.5 * (b - a) + 1e-12 * max(1.0, b)
 
 
 @given(params, st.permutations(list(range(5))))
 def test_coordinate_permutation_matches_facet_permutation(nab, perm):
+    # coordinate facets permute along, the two truncating facets are
+    # invariant, and t is correctly rounded: the distance is the same bits
     n, a, b = nab
     sigma = [p for p in perm if p < n]
-    P = build_blowup_polytope(n, a, b)
+    T = TPotential(n, a, b, _no_jet)
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, b, size=n)
-    vals = np.array(facet_values(P, x))
-    vals_perm = np.array(facet_values(P, x[sigma]))
-    # coordinate facets permute along, the two truncating facets are invariant
-    np.testing.assert_allclose(vals_perm[:n], vals[sigma], atol=1e-12)
-    np.testing.assert_allclose(vals_perm[n:], vals[n:], atol=1e-12)
+    assert interior_distance(T, x[sigma]) == interior_distance(T, x)
 
 
 @pytest.mark.parametrize("n,a,b", CONFIGS)
 def test_sample_interior_postconditions(n, a, b):
-    P = build_blowup_polytope(n, a, b)
+    T = flat_profile(n, a, b)
     margin = 0.01 * (b - a)
-    pts = sample_interior(P, 25, margin=margin, seed=7)
+    pts = sample_interior(T, 25, margin=margin, seed=7)
     assert len(pts) == 25 and all(len(x) == n for x in pts)
     for x in pts:
-        assert min(facet_values(P, x)) >= margin
+        assert interior_distance(T, x) >= margin
         assert a < sum(x) < b
 
 
 def test_sample_interior_deterministic():
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    first = sample_interior(P, 10, margin=0.01, seed=7)
-    second = sample_interior(P, 10, margin=0.01, seed=7)
+    T = flat_profile(2, 0.5, 1.0)
+    first = sample_interior(T, 10, margin=0.01, seed=7)
+    second = sample_interior(T, 10, margin=0.01, seed=7)
     np.testing.assert_array_equal(first, second)
-    other = sample_interior(P, 10, margin=0.01, seed=8)
+    other = sample_interior(T, 10, margin=0.01, seed=8)
     assert not np.array_equal(first, other)
 
 
@@ -151,17 +161,17 @@ def test_sample_interior_is_the_documented_stream(n, a, b, seed):
         spacings = [-math.log1p(-rng.random()) for _ in range(n)]
         radius = hi * (r_n + rng.random() * (1.0 - r_n)) ** (1.0 / n)
         expected.append([m + radius * (s / sum(spacings)) for s in spacings])
-    got = sample_interior(build_blowup_polytope(n, a, b), count, m, seed=seed)
+    got = sample_interior(flat_profile(n, a, b), count, m, seed=seed)
     np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
 
 
-def _numpy_sample(P, count, margin, seed):
+def _numpy_sample(T, count, margin, seed):
     """The sampler's formula on numpy arrays, as the package evaluated it
     before it ran on lists: count*(n+1) draws fill a (count, n+1) array row
     by row."""
-    n = P.n
-    lo = max(P.a + margin - n * margin, 0.0)
-    hi = P.b - margin - n * margin
+    n = T.n
+    lo = max(T.t_min + margin - n * margin, 0.0)
+    hi = T.t_max - margin - n * margin
     draw = random.Random(seed).random
     u = np.array([draw() for _ in range(count * (n + 1))]).reshape(count, n + 1)
     spacings = -np.log1p(-u[:, :n])
@@ -184,17 +194,17 @@ def test_sample_interior_matches_the_numpy_formula(n, b, ratio, seed):
     # the products carry to ~4 ulp of a coordinate, and numpy sums a row of 8
     # or more with eight accumulators where the list is summed in order (6
     # ulp at most over 15 000 draws of these parameters)
-    P = build_blowup_polytope(n, ratio * b, b)
+    T = flat_profile(n, ratio * b, b)
     m = 0.05 * (b - ratio * b)
-    got = np.array(sample_interior(P, 20, margin=m, seed=seed))
-    want = _numpy_sample(P, 20, m, seed)
+    got = np.array(sample_interior(T, 20, margin=m, seed=seed))
+    want = _numpy_sample(T, 20, m, seed)
     assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
 
 
 def test_sample_interior_margin_exceeds_inradius():
-    P = build_blowup_polytope(2, 0.5, 1.0)
+    T = flat_profile(2, 0.5, 1.0)
     with pytest.raises(EmptyRegion):
-        sample_interior(P, 1, margin=0.5, seed=0)
+        sample_interior(T, 1, margin=0.5, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -205,8 +215,8 @@ def test_sample_interior_is_uniform(n, a, b, seed):
     """y = x - m is uniform on {y >= 0, lo <= sum(y) <= hi}: sum(y) has CDF
     (s^n - lo^n)/(hi^n - lo^n), and every coordinate takes a 1/n share."""
     count, m = 20_000, 0.05 * (b - a)
-    P = build_blowup_polytope(n, a, b)
-    y = np.array(sample_interior(P, count, margin=m, seed=seed)) - m
+    T = flat_profile(n, a, b)
+    y = np.array(sample_interior(T, count, margin=m, seed=seed)) - m
     lo, hi = max(a + m - n * m, 0.0), b - m - n * m
     s = np.sort(np.sum(y, axis=1))
     cdf = ((s / hi) ** n - (lo / hi) ** n) / (1.0 - (lo / hi) ** n)
@@ -218,16 +228,22 @@ def test_sample_interior_is_uniform(n, a, b, seed):
 
 
 def test_sample_interior_rejects_bad_arguments():
-    P = build_blowup_polytope(2, 0.5, 1.0)
+    T = flat_profile(2, 0.5, 1.0)
     with pytest.raises(InvalidParameters):
-        sample_interior(P, 0, margin=0.01)
+        sample_interior(T, 0, margin=0.01)
     with pytest.raises(InvalidParameters):
-        sample_interior(P, 5, margin=0.0)
+        sample_interior(T, 5, margin=0.0)
     with pytest.raises(InvalidParameters, match="seed must be >= 0"):
-        sample_interior(P, 5, margin=0.01, seed=-1)
+        sample_interior(T, 5, margin=0.01, seed=-1)
 
 
 def test_interior_distance_is_min_facet_value():
-    P = build_blowup_polytope(2, 0.5, 1.0)
-    assert interior_distance(P, [0.3, 0.4]) == pytest.approx(0.2, abs=1e-15)
-    assert interior_distance(P, [0.0, 0.0]) == pytest.approx(-0.5, abs=1e-15)
+    # the least of the n + 2 facet values x_i, t - a and b - t, inside the
+    # polytope or not: a coordinate, t - a, b - t and a point past t = b
+    for T, x, want in [
+        (TPotential(3, 0.25, 2.0, _no_jet), [0.5, 0.125, 1.0], 0.125),
+        (TPotential(3, 0.25, 2.0, _no_jet), [0.0625, 0.0625, 0.0625], -0.0625),
+        (TPotential(3, 0.25, 2.0, _no_jet), [0.5, 0.75, 0.5], 0.25),
+        (TPotential(3, 0.25, 2.0, _no_jet), [1.0, 1.5, 0.25], -0.75),
+    ]:
+        assert interior_distance(T, x) == want

@@ -102,8 +102,8 @@ def test_closed_form_inverse_equals_linalg_inverse(n, b, ratio, seed):
     form is LAPACK's inverse of the radial Hessian, refined once against the
     exact Hessian, relative to its largest entry."""
     a = ratio * b
-    P, T, _ = build_extremal_metric(n, a, b)
-    for x in sample_interior(P, 5, margin=0.05 * (b - a), seed=seed):
+    T, _ = build_extremal_metric(n, a, b)
+    for x in sample_interior(T, 5, margin=0.05 * (b - a), seed=seed):
         [phi] = T.jet([sum(x)])[0]
         # the F'' of that phi, exactly: the Hessian the closed form inverts
         f2 = 1 / Fraction(phi) - 1 / Fraction(sum(x))
@@ -220,7 +220,7 @@ _EXTREMAL_GEOMETRIES = [
 def test_hwang_singer_on_the_exact_jet_is_the_affine_curvature(n, a, b):
     # the reference itself: t^(n-1)*phi = (p*t^n - alpha)/p, so Hwang-Singer's
     # formula gives S = A*t + B exactly on the exact momentum profile
-    _, _, E = build_extremal_metric(n, a, b)
+    _, E = build_extremal_metric(n, a, b)
     A, B, _, _ = exact_mod._exact_solution(n, a, b)
     for tau in (0.05, 0.5, 0.95):
         t = Fraction(a + tau * (b - a))
@@ -231,7 +231,7 @@ def test_hwang_singer_on_the_exact_jet_is_the_affine_curvature(n, a, b):
 def test_radial_curvature_is_the_affine_curvature(n, a, b):
     """The radial route against Hwang-Singer's S = A*t + B, exact at the float
     t, over tau in [0.05, 0.95]: within 1e-13 relative, thin shells too."""
-    _, T, E = build_extremal_metric(n, a, b)
+    T, E = build_extremal_metric(n, a, b)
     A, B, _, _ = exact_mod._exact_solution(n, a, b)
     ts = [a + tau * (b - a) for tau in np.linspace(0.05, 0.95, 37).tolist()]
     for t, got in zip(ts, radial_scalar_curvature(T, ts)):

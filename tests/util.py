@@ -1,4 +1,4 @@
-"""Shared model potentials, polytopes, the radial curvature references, the
+"""Shared model potentials, which are their own polytopes, the radial curvature references, the
 references built from the package's parts (the Legendre F, the full inverse
 Hessian, Calabi's closed forms rounded to a record), the exact momentum
 profile of the extremal metric and the numpy array evaluation of h'', for
@@ -14,7 +14,6 @@ import numpy as np
 from toricext.errors import DomainViolation, PotentialPole
 from toricext.exact import _check_geometry, _closed_form, _exact_solution, _rounded
 from toricext.numdiff import STEP_SECOND, richardson
-from toricext.polytope import BlowupPolytope
 from toricext.radial import (
     TPotential,
     inverse_diagonal,
@@ -55,11 +54,6 @@ def cpn_profile(n: int, b: float = 1.0) -> TPotential:
 def flat_profile(n: int, t_min: float = 0.0, t_max: float = 10.0) -> TPotential:
     """phi = t (F'' = 0) on (t_min, t_max): the flat metric, S = 0."""
     return profile(n, t_min, t_max, lambda t: (t, 1.0, 0.0))
-
-
-def simplex_polytope(n: int) -> BlowupPolytope:
-    """The unit simplex {x_i >= 0, sum x <= 1}: moment polytope of CP^n."""
-    return BlowupPolytope(n, 0.0, 1.0)
 
 
 def radial_hessian(x, d2F_value) -> np.ndarray:
