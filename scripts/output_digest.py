@@ -17,10 +17,10 @@ The list covers every command; n in {1, 2, 3, 5, 8, 9, 12, 16}; a/b from
 a/b = 0.9999; failing tolerances and invalid input; profile's edge cases (one
 and two rows, a zero grid step, a margin that rounds away, 20 000 rows at
 n = 16, a/b = 1 - 1e-9); bridge-check at 5 000 samples and at n = 0;
-input whose floats overflow; and flags that only another command reads.  A
-call that ends in an uncaught exception is recorded as exit 1 with the
-exception's type and message on stderr, as a process would end (less the
-traceback).
+input whose floats overflow or underflow; and flags that only another
+command reads.  A call that ends in an uncaught exception is recorded as
+exit 1 with the exception's type and message on stderr, as a process would
+end (less the traceback).
 """
 
 from __future__ import annotations
@@ -95,6 +95,16 @@ def argv_list() -> list[list[str]]:
         ["verify", "--format", "json"],
         ["example", "--b", "2"],
         ["profile", "--points", "3"],
+    ]
+    # past the float range of the deflated Q, Abreu's h^2 and the jet's
+    # (t - a)(t - b)*Q, each refused with one line; these ended in a
+    # traceback, a false verdict or a degenerate phi of 0 or inf
+    calls += [
+        ["profile", "--n", "6", "--a", "1e-163", "--b", "1e-160", "--samples", "5"],
+        *(["verify", "--n", n, "--a", a, "--b", b, "--points", "20"]
+          for n, a, b in (("6", "1e-163", "1e-160"), ("1", "5e-161", "1e-160"),
+                          ("16", "5e-21", "1e-20"), ("4", "5e-101", "1e-100"),
+                          ("14", "5e21", "1e22"))),
     ]
     return calls
 

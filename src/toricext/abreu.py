@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections.abc import Sequence
 from operator import mul
 
@@ -115,7 +116,9 @@ def abreu_scalar_curvature(
     clamped to dmin/3 (dmin the point's least facet value): a stencil corner
     moves each facet value by at most 2h, so the clamp keeps every corner
     inside.  One length per geometry keeps the result covariant under
-    rescaling (a, b).  An explicit h past dmin/3 raises StencilExitsDomain.
+    rescaling (a, b).  An explicit h past dmin/3 raises StencilExitsDomain,
+    and any step whose square falls below the normal floats, where the
+    stencil divides by h^2, raises InvalidParameters.
     """
     n = T.n
     _check_dimension(n)
@@ -133,6 +136,10 @@ def abreu_scalar_curvature(
         if step > d / 3.0:
             raise StencilExitsDomain(
                 f"outer stencil with step {step:.3e} exits the domain at {p}"
+            )
+        if step * step < sys.float_info.min:
+            raise InvalidParameters(
+                f"outer stencil step {step:.3e} underflows a float when squared at {p}"
             )
 
     # every corner of a point's stencil lies at t + k*h for k in {-2..2}

@@ -44,21 +44,13 @@ class PotentialPole(GeometryError, ArithmeticError):
     p*t^n - alpha(t) = (t-a)(t-b)*Q(t), vanishes at the query point."""
 
 
-class ZeroDenominator(GeometryError, ArithmeticError):
-    """A closed-form expression has a vanishing shared denominator."""
-
-
-class SingularSystem(GeometryError, ArithmeticError):
-    """The boundary linear system is exactly singular.
-
-    Its determinant is a nonzero multiple of the closed forms' shared
-    denominator, which has no root for 0 < a < b (checked for n <= 16), so
-    valid geometries never raise this."""
-
-
 class BoundaryIdentityViolation(GeometryError, ArithmeticError):
     """Dividing p*t^n - alpha, or the numerator of h'', exactly by an endpoint
-    root leaves a remainder: the coefficients miss a boundary condition."""
+    root leaves a remainder: the coefficients miss a boundary condition.
+
+    For the exact solution of a correct ``exact._boundary_rows`` every
+    remainder is 0 for every input, so this guards the rows themselves (a
+    wrong residue or slope target), not bad input."""
 
 
 class StencilExitsDomain(GeometryError, ValueError):

@@ -39,8 +39,6 @@ from .errors import (
     InvalidParameters,
     PositivityViolation,
     PotentialPole,
-    SingularSystem,
-    ZeroDenominator,
 )
 from .record import Record
 
@@ -93,8 +91,16 @@ class ExtremalCoefficients(Record):
     # table's Horner loops read these
     @cached_property
     def _float_deflation(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The exact (V, Q) of h'', each coefficient rounded to float."""
-        return tuple(tuple(map(float, c)) for c in self._exact_deflation)
+        """The exact (V, Q) of h'', each coefficient rounded to float; one past
+        the float range, as at (n, a, b) = (6, 1e-163, 1e-160), is invalid
+        input, as in ``_rounded``."""
+        try:
+            return tuple(tuple(map(float, c)) for c in self._exact_deflation)
+        except OverflowError:
+            raise InvalidParameters(
+                f"a coefficient of V or Q overflows a float for"
+                f" (n={self.n}, a={self.a}, b={self.b})"
+            ) from None
 
     @cached_property
     def _bernstein(self) -> list:
@@ -127,24 +133,20 @@ def _exact_solution(n: int, a: float, b: float) -> tuple[Fraction, ...]:
     """(A, B, C, D) of the boundary system, exactly.
 
     The float (a, b) are exact rationals, so Gauss-Jordan elimination over
-    ``Fraction`` gives the exact solution.  Cached: ``solve_coefficients``
-    and the record's deflation both need it for the same geometry.
+    ``Fraction`` gives the exact solution, in the given row order: the
+    leading minors are n*a^(n+2), -n(n+2)*a^(2n+2) and
+    n^2(n+1)(n+2)^2 * a^(n+1) b^(n+2) * f(a/b), f(r) = (n+1)r - n - r^(n+1)
+    < 0 on (0, 1) as f(1) = 0 < f', and the determinant is
+    n(n+2)*p^2 * ``_calabi_denominator`` > 0, so no pivot is 0 for any n.
+    Cached: ``solve_coefficients`` and the record's deflation both need it
+    for the same geometry.
     """
-    rows = [
-        [Fraction(x) for x in row]
-        for row in _boundary_rows(n, Fraction(float(a)), Fraction(float(b)))
-    ]
-    for col in range(4):
-        pivot = next((r for r in range(col, 4) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystem(
-                f"boundary system singular for (n={n}, a={a}, b={b})"
-            )
-        rows[col], rows[pivot] = rows[pivot], rows[col]
+    rows = _boundary_rows(n, Fraction(float(a)), Fraction(float(b)))
+    for col, pivot in enumerate(rows):
         for r in range(4):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col] / rows[col][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+            if r != col:
+                f = rows[r][col] / pivot[col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
     return tuple(rows[k][4] / rows[k][k] for k in range(4))
 
 
@@ -175,6 +177,13 @@ def solve_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
     return _rounded(n, a, b, _exact_solution(n, a, b))
 
 
+def _calabi_denominator(n: int, a, b):
+    """The shared denominator of Calabi's closed forms, in the number type of
+    a and b; positive for 0 < a < b, since (b^(n+1) - a^(n+1))/(b - a) =
+    sum_k a^k b^(n-k) > (n+1)*(ab)^(n/2) by AM-GM."""
+    return (b ** (n + 1) - a ** (n + 1)) ** 2 - (n + 1) ** 2 * (a * b) ** n * (b - a) ** 2
+
+
 @lru_cache
 def _closed_form(n: int, a: float, b: float) -> tuple[Fraction, ...]:
     """Calabi's explicit (A, B, C, D), exactly.
@@ -183,16 +192,7 @@ def _closed_form(n: int, a: float, b: float) -> tuple[Fraction, ...]:
     root at a = b, so float evaluation drifts as a/b -> 1.
     """
     a, b = Fraction(float(a)), Fraction(float(b))
-
-    den = (
-        (a * b) ** n * (2 * n * (n + 2) * a * b - (a**2 + b**2) * (n + 1) ** 2)
-        + a ** (2 * (n + 1))
-        + b ** (2 * (n + 1))
-    )
-    if den == 0:
-        raise ZeroDenominator(
-            f"shared denominator vanishes for (n={n}, a={float(a)}, b={float(b)})"
-        )
+    den = _calabi_denominator(n, a, b)
 
     A = (
         (n + 1)

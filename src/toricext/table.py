@@ -16,9 +16,13 @@ evaluated by Horner's rule.
 
 from __future__ import annotations
 
-from .errors import DomainViolation, PotentialPole
+import sys
+
+from .errors import DomainViolation, InvalidParameters, PotentialPole
 from .exact import ExtremalCoefficients
 from .numdiff import power
+
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
 
 def _horner(coeffs: tuple[float, ...], t: float) -> float:
@@ -87,7 +91,9 @@ def jet(
     over Q by the product rule; phi = N/D with D = p*t^(n-1), whose
     logarithmic derivatives D'/D = (n-1)/t and D''/D = (n-1)(n-2)/t^2 give
     phi' and phi'' by the quotient rule.  Nothing divides by Q: a t where it
-    vanishes gives phi = 0, which the metric refuses as degenerate.
+    vanishes gives phi = 0, which the metric refuses as degenerate.  Any
+    other N that overflows, or falls below the normal floats and so has lost
+    its digits, is invalid input naming the t, as in ``numdiff.power``.
     """
     _check_domain(E, ts)
     n, p, a, b = E.n, E.p, E.a, E.b
@@ -99,8 +105,12 @@ def jet(
         ends, ends1 = (t - a) * (t - b), (t - a) + (t - b)
         num1 = ends1 * q + ends * q1
         num2 = 2.0 * (q + ends1 * q1) + ends * q2
+        N = ends * q
+        if q != 0.0 and not _NORMAL_MIN <= abs(N) <= _NORMAL_MAX:
+            way = "overflows" if abs(N) > 1.0 else "underflows"
+            raise InvalidParameters(f"(t - a)(t - b)*Q {way} a float at t = {t}")
         den = p * power(t, n - 1)
-        f = ends * q / den
+        f = N / den
         f1 = num1 / den - (n - 1) * f / t
         phi.append(f)
         dphi.append(f1)

@@ -62,6 +62,29 @@ def test_boundary_system_frozen_rows():
     assert all(len(row) == 5 for row in rows) and len(rows) == 4
 
 
+def test_boundary_system_is_nonsingular_for_every_n():
+    # _boundary_rows on a symbolic n, with a^n and b^n as symbols of their
+    # own, so that every entry is a polynomial: the determinant and the
+    # leading minors are identities in (n, a, b, a^n, b^n)
+    n, a, b, an, bn = sympy.symbols("n a b a_n b_n", positive=True)
+
+    def polynomial(entry):
+        entry = sympy.expand(entry, power_exp=True)
+        return sympy.expand(entry.subs({a**n: an, b**n: bn}))
+
+    M = sympy.Matrix([list(map(polynomial, row[:4])) for row in _boundary_rows(n, a, b)])
+    p = n * (n + 1) * (n + 2)
+    den = (b * bn - a * an) ** 2 - (n + 1) ** 2 * an * bn * (b - a) ** 2
+    assert polynomial(exact_mod._calabi_denominator(n, a, b) - den) == 0
+    assert sympy.expand(M.det(method="berkowitz") - n * (n + 2) * p**2 * den) == 0
+    # a^(n+1) b^(n+2) f(a/b) with f(r) = (n+1)r - n - r^(n+1), which is
+    # negative on (0, 1): f(1) = 0 and f' = (n+1)(1 - r^n) > 0 there
+    f = a * an * b * ((n + 1) * a * bn - n * b * bn - a * an)
+    minors = [n * a**2 * an, -n * (n + 2) * a**2 * an**2, n**2 * (n + 1) * (n + 2) ** 2 * f]
+    for k, minor in enumerate(minors, start=1):
+        assert sympy.expand(M[:k, :k].det(method="berkowitz") - minor) == 0
+
+
 @pytest.mark.parametrize("a", sorted(COEFFS_N2_B1))
 def test_solve_matches_reference(a):
     E = solve_coefficients(2, a, 1.0)

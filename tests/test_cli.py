@@ -95,9 +95,24 @@ _COEFFICIENT_OVERFLOW = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
          "t^3 underflows a float at t = 7.504178009755551e-111"),
         (["profile", "--n", "16", "--a", "5e-23", "--b", "1e-22", "--samples", "5"],
          "t^15 underflows a float at t = 5.0005e-23"),
+        # a coefficient of the deflated Q was rounded by a bare float(): an
+        # OverflowError (verify refuses Abreu's step here first)
+        (["profile", "--n", "6", "--a", "1e-163", "--b", "1e-160", "--samples", "5"],
+         "a coefficient of V or Q overflows a float for (n=6, a=1e-163, b=1e-160)"),
+        # Abreu's h = eps^(1/4)*b squared to 0: a ZeroDivisionError
+        (["verify", "--n", "1", "--a", "5e-161", "--b", "1e-160", "--points", "20"],
+         "outer stencil step 1.221e-164 underflows a float when squared at"
+         " [8.66079481323136e-161]"),
+        # N = (t - a)(t - b)*Q of the jet left the normal floats: verify failed
+        # curvature_agreement at 0.424 on a valid geometry, and phi read inf
+        (["verify", "--n", "16", "--a", "5e-21", "--b", "1e-20", "--points", "20"],
+         "(t - a)(t - b)*Q underflows a float at t = 9.713665754721092e-21"),
+        (["verify", "--n", "14", "--a", "5e21", "--b", "1e22", "--points", "20"],
+         "(t - a)(t - b)*Q overflows a float at t = 9.536615745150951e+21"),
     ],
     ids=["derive", "profile", "verify", "profile t^n", "verify t^3",
-         "verify t^3 underflow", "profile t^n underflow"],
+         "verify t^3 underflow", "profile t^n underflow", "profile float Q",
+         "verify h^2 underflow", "verify N underflow", "verify N overflow"],
 )
 def test_overflow_is_one_error_line(argv, message):
     # a process, so that a traceback or a numpy warning on stderr would show
@@ -266,6 +281,22 @@ def test_verify_passes_at_extreme_scales(b, capsys):
                      "--points", "40"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["passed"] is True
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_verify_gives_a_verdict_or_refuses_at_every_scale(n, capsys):
+    # a coarse slice of b = 1e-160 .. 1e160 in every dimension: each call
+    # passes or refuses its input (exit 2); a traceback or a failed verdict
+    # at a valid geometry, whose curvature is right by construction, is a
+    # defect of the float evaluation
+    for b in (1e-160, 1e-100, 1e-40, 1e-34, 1e-26, 1e-20, 1.0, 1e22, 1e40, 1e100, 1e160):
+        for ratio in (1e-3, 0.5, 0.999):
+            argv = ["verify", "--n", str(n), "--a", repr(ratio * b), "--b", repr(b),
+                    "--points", str(max(20, n + 2))]
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 2), (argv, err)
+            assert (json.loads(out)["passed"] is True) if code == 0 else out == "", argv
 
 
 def test_verify_is_byte_deterministic_at_the_largest_dimension(capsys):
