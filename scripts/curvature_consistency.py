@@ -42,7 +42,8 @@ def main() -> int:
 
     print(f"# n={args.n} a={args.a} b={args.b}  S = {E.A:.8f} t + {E.B:.8f}")
     print(f"points={args.points} seed={args.seed}")
-    print(f"radial vs affine : {worst(radial_scalar_curvature(T, ts)):.3e}")
+    radial = radial_scalar_curvature(T.n, ts, T.jet(ts))
+    print(f"radial vs affine : {worst(radial):.3e}")
     print(f"abreu  vs affine : {worst(abreu_scalar_curvature(T, pts)):.3e}"
           "   (default step)")
 

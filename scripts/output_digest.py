@@ -17,8 +17,8 @@ The list covers every command; n in {1, 2, 3, 5, 8, 9, 12, 16}; a/b from
 a/b = 0.9999; failing tolerances and invalid input; profile's edge cases (one
 and two rows, a zero grid step, a margin that rounds away, 20 000 rows at
 n = 16, a/b = 1 - 1e-9); bridge-check at 5 000 samples and at n = 0;
-input whose floats overflow or underflow; and flags that only another
-command reads.  A call that ends in an uncaught exception is recorded as
+input whose floats overflow or underflow, in the coefficients or in
+profile's F''; and flags that only another command reads.  A call that ends in an uncaught exception is recorded as
 exit 1 with the exception's type and message on stderr, as a process would
 end (less the traceback).
 """
@@ -85,6 +85,9 @@ def argv_list() -> list[list[str]]:
     overflow = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
     calls += [[command, *overflow] for command in ("derive", "profile", "verify")]
     calls.append(["profile", "--n", "400", "--a", "1", "--b", "10", "--samples", "5"])
+    # F'' overflows to inf in the table although its exact value is a float
+    calls.append(["profile", "--n", "1", "--a", "5e-201", "--b", "1e-200",
+                  "--samples", "3"])
     # every t lies in (1e150, 1e151); (p*t^n - alpha)^2 overflows in F'''
     calls.append(["verify", "--n", "2", "--a", "1e150", "--b", "1e151",
                   "--points", "10"])

@@ -16,70 +16,80 @@ must be positive),
 
 which this module evaluates from the closed-form jet (t, t', t'', t''') as a
 third, symplectic-free curvature oracle.  A potential is that jet as a
-function of s and the moment map's closed-form inverse; the flat (s = t) and
-Fubini-Study (s = t/(1 - t)) presets are built in.  The polytope side reads
-the induced momentum profile, phi(t) = t' as a function of t, and
+function of a list of s and the moment map's closed-form inverse; the flat
+(s = t) and Fubini-Study (s = t/(1 - t)) presets are built in.  The polytope
+side reads the induced momentum profile, phi(t) = t' as a function of t, and
 differentiates t' numerically instead, so a jet that disagrees with its own
-moment map fails the cross-check.  All of it runs on floats and the standard
-library.
+moment map fails the cross-check.  Every function takes lists and returns
+lists, in plain floats on the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from functools import partial
 
-from .errors import DomainViolation, NonpositiveDerivative
+from .errors import DomainViolation, InvalidParameters, NonpositiveDerivative
 from .numdiff import richardson
-from .radial import TPotential, radial_scalar_curvature
+from .radial import radial_scalar_curvature
 from .record import Record
 
 # the polytope side's difference step in s~: t' is smooth on logarithmic
 # scale, so a fat step plus one Richardson level beats a rounding-limited fine
 # step by several digits; a constant step does not depend on the units of s
 _LOG_STEP = 2.0**-6
-# the stencil's abscissae s*e^(k*h) but the centre s itself, as factors of s
-_STENCIL = tuple(math.exp(k * _LOG_STEP) for k in (-1.0, -0.5, 0.5, 1.0))
+# the stencil's abscissae s*e^(k*h), centre included, as factors of s
+_STENCIL = tuple(math.exp(k * _LOG_STEP) for k in (-1.0, -0.5, 0.0, 0.5, 1.0))
 
 
 class KahlerPotential(Record):
     """Radial Kahler potential f(s) on s > 0 as its moment map; the bridge
-    reads nothing of f itself.  moment(s) is the s~-jet (t, t', t'', t''') of
-    t = 2*s*f'(s) from one call, and inverse(t) is the s > 0 with t(s) = t;
-    it raises DomainViolation, naming t, for a t outside the image."""
+    reads nothing of f itself.  moment(ss) is the columns (t, t', t'', t''')
+    of the s~-jet of t = 2*s*f'(s) at a list of s, and inverse(ts) the list
+    of the s > 0 with t(s) = t; it raises DomainViolation, naming the t, for
+    a t outside the image."""
 
     _fields = ("n", "moment", "inverse")
 
     def __init__(self, n: int, moment: Callable, inverse: Callable) -> None:
+        if n < 1:
+            raise InvalidParameters("n must be >= 1")
         super().__init__(n, moment, inverse)
 
 
-def _flat_inverse(t: float) -> float:
-    if not t > 0.0:
-        raise DomainViolation(f"t must be positive, got {t}")
-    return t
+def _flat_moment(ss: Sequence[float]) -> tuple[list[float], ...]:
+    # t = s, and so is each of its s~-derivatives
+    return tuple(list(ss) for _ in range(4))
+
+
+def _flat_inverse(ts: Sequence[float]) -> list[float]:
+    for t in ts:
+        if not t > 0.0:
+            raise DomainViolation(f"t must be positive, got {t}")
+    return list(ts)
 
 
 def flat_potential(n: int) -> KahlerPotential:
     """f = s/2: the flat model (t = s, F'' = 0)."""
-    return KahlerPotential(n, lambda s: (s, s, s, s), _flat_inverse)
+    return KahlerPotential(n, _flat_moment, _flat_inverse)
 
 
-def _fubini_study_moment(s: float) -> tuple[float, float, float, float]:
-    df = 0.5 / (1.0 + s)
-    t = 2.0 * s * df
-    t1 = 2.0 * (s * df - s * s * (0.5 / (1.0 + s) ** 2))
+def _fubini_study_moment(ss: Sequence[float]) -> tuple[list[float], ...]:
+    # t = 2*s*f' with f' = 0.5/(1 + s), and t' = 2*(s*f' + s^2*f'')
+    t = [2.0 * s * (0.5 / (1.0 + s)) for s in ss]
+    t1 = [2.0 * (s * (0.5 / (1.0 + s)) - s * s * (0.5 / (1.0 + s) ** 2)) for s in ss]
     # t' = t*(1 - t), so each further s~-derivative is a product rule
-    t2 = t1 * (1.0 - 2.0 * t)
-    return t, t1, t2, t2 * (1.0 - 2.0 * t) - 2.0 * t1 * t1
+    t2 = [x1 * (1.0 - 2.0 * x) for x, x1 in zip(t, t1)]
+    t3 = [x2 * (1.0 - 2.0 * x) - 2.0 * x1 * x1 for x, x1, x2 in zip(t, t1, t2)]
+    return t, t1, t2, t3
 
 
-def _fubini_study_inverse(t: float) -> float:
-    # the image is (0, 1); t = 1 would divide by zero
-    if not 0.0 < t < 1.0:
-        raise DomainViolation(f"t must lie in (0, 1), got {t}")
-    return t / (1.0 - t)
+def _fubini_study_inverse(ts: Sequence[float]) -> list[float]:
+    for t in ts:
+        # the image is (0, 1); t = 1 would divide by zero
+        if not 0.0 < t < 1.0:
+            raise DomainViolation(f"t must lie in (0, 1), got {t}")
+    return [t / (1.0 - t) for t in ts]
 
 
 def fubini_study_potential(n: int) -> KahlerPotential:
@@ -93,58 +103,43 @@ PRESETS: dict[str, Callable[[int], KahlerPotential]] = {
 }
 
 
-def _moment(K: KahlerPotential, s: float) -> tuple[float, float, float, float]:
-    """The jet (t, t', t'', t''') at s, which must be positive."""
-    if not s > 0.0:
-        raise DomainViolation(f"s must be positive, got {s}")
-    return K.moment(s)
+def calabi_scalar_curvature(n: int, jet: Sequence[Sequence[float]]) -> list[float]:
+    """Curvature from the Kahler side at each point of the jet columns
+    (t, t', t'', t'''): S = (n-1)*v'/t + v''/t', with v' and v'' in closed
+    form."""
+    S = []
+    for t, t1, t2, t3 in zip(*jet, strict=True):
+        if t <= 0.0 or t1 <= 0.0:
+            raise NonpositiveDerivative(f"t = {t} and dt/ds~ = {t1} must be positive")
+        r, q = t1 / t, t2 / t1
+        v1 = n - (n - 1) * r - q
+        v2 = -(n - 1) * (t2 / t - r * r) - t3 / t1 + q * q
+        S.append((n - 1) * v1 / t + v2 / t1)
+    return S
 
 
-def calabi_scalar_curvature(K: KahlerPotential, s: float) -> float:
-    """Curvature from the Kahler side: S = (n-1)*v'/t + v''/t', with v' and
-    v'' in closed form from the jet at s."""
-    t, t1, t2, t3 = _moment(K, s)
-    if t <= 0.0 or t1 <= 0.0:
-        raise NonpositiveDerivative(
-            f"moment data not positive at s = {s}: t = {t}, dt/ds~ = {t1}"
-        )
-    n = K.n
-    r, q = t1 / t, t2 / t1
-    v1 = n - (n - 1) * r - q
-    v2 = -(n - 1) * (t2 / t - r * r) - t3 / t1 + q * q
-    return (n - 1) * v1 / t + v2 / t1
+def induced_jet(K: KahlerPotential, ts: Sequence[float]) -> tuple[list[float], ...]:
+    """The lists (phi, phi', phi'') of the momentum profile K induces at the
+    ts, phi = t'(s~(t)) exactly, read through the closed-form inverse (the
+    Legendre relation F''(t) = 1/t' - 1/t, from differentiating
+    F'(t) = ln s - ln t - 1).
 
-
-def _induced_jet(K: KahlerPotential, ts: Sequence[float]) -> tuple[list[float], ...]:
-    """The lists (phi, phi', phi'') of the induced profile at the ts, from
-    one inverse and one Richardson stencil of u = t' in s~ per t: phi = u,
-    phi' = du/u and phi'' = (ddu/u - phi'^2)/u, with du and ddu the first
-    two s~-derivatives of u."""
-    moment = K.moment
-    phi, dphi, d2phi = [], [], []
-    for t in ts:
-        s = K.inverse(t)
-        u = moment(s)[1]
+    One inverse call and one moment call on the five stencil abscissae of
+    each s give u = t' there, and one Richardson level its first two
+    s~-derivatives du and ddu: phi = u, phi' = du/u and
+    phi'' = (ddu/u - phi'^2)/u.
+    """
+    rates = K.moment([s * k for s in K.inverse(ts) for k in _STENCIL])[1]
+    # the five rates of each s in turn; phi is the centre one
+    phi, dphi, d2phi = rates[2::5], [], []
+    for t, lo, lo_half, u, hi_half, hi in zip(ts, *[iter(rates)] * 5, strict=True):
         if u <= 0.0:
             raise NonpositiveDerivative(f"dt/ds~ = {u} at t = {t}")
-        lo, lo_half, hi_half, hi = [moment(s * k)[1] for k in _STENCIL]
         du, ddu = richardson(lo, lo_half, u, hi_half, hi, _LOG_STEP)
         slope = du / u
-        phi.append(u)
         dphi.append(slope)
         d2phi.append((ddu / u - slope * slope) / u)
     return phi, dphi, d2phi
-
-
-def induced_t_potential(K: KahlerPotential, t_min: float, t_max: float) -> TPotential:
-    """The TPotential the bridge induces on (t_min, t_max).
-
-    Its momentum profile is phi(t) = t'(s~(t)) exactly, read through the
-    closed-form inverse (the Legendre relation F''(t) = 1/t' - 1/t, from
-    differentiating F'(t) = ln s - ln t - 1); phi' and phi'' then need only
-    s~-derivatives of t'(s~), taken by Richardson differences.
-    """
-    return TPotential(K.n, t_min, t_max, partial(_induced_jet, K))
 
 
 class BridgeCheckReport(Record):
@@ -160,18 +155,20 @@ def bridge_cross_check(
 ) -> BridgeCheckReport:
     """Compare the Kahler-side curvature against the radial pipeline.
 
-    Each sample s is pushed to its moment coordinate t; the radial curvature
-    formula runs on the ts and the induced TPotential's jet there, and
-    Calabi's formula on s.  Every t is below the end 2*max(t) + 1 of the
-    induced interval, and the radial formula refuses a t <= 0.
+    One moment call at the samples gives their moment coordinates t and
+    Calabi's formula its jet; the radial curvature formula runs on the ts
+    and the induced jet there.
     """
     s = tuple(map(float, s_samples))
     if not s:
         raise DomainViolation("need at least one sample")
-    t = tuple(_moment(K, x)[0] for x in s)
-    T = induced_t_potential(K, 0.0, 2.0 * max(t) + 1.0)
-    polytope_side = tuple(radial_scalar_curvature(T, t))
-    kahler_side = tuple(calabi_scalar_curvature(K, x) for x in s)
+    for x in s:
+        if not x > 0.0:
+            raise DomainViolation(f"s must be positive, got {x}")
+    jet = K.moment(s)
+    t = tuple(jet[0])
+    polytope_side = tuple(radial_scalar_curvature(K.n, t, induced_jet(K, t)))
+    kahler_side = tuple(calabi_scalar_curvature(K.n, jet))
     difference = tuple(abs(k - p) for k, p in zip(kahler_side, polytope_side))
     # max() skips a NaN that is not first; the worst difference must show it
     worst = math.nan if any(d != d for d in difference) else max(difference)

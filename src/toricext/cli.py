@@ -54,6 +54,7 @@ PRNG_NAME = "python-mt19937"
 # units relative to the interval length
 _SAMPLING_MARGIN_FACTOR = 0.05
 
+_PROFILE_KEYS = ("t", "F_second", "h_second", "S")
 _BRIDGE_COLUMNS = ("s", "t", "kahler_side", "polytope_side", "difference")
 # sorted(bridge.PRESETS), written out so that parsing does not import bridge;
 # a test keeps the two equal
@@ -187,9 +188,15 @@ def run_profile(args: types.SimpleNamespace) -> tuple[str, int, str]:
         )
     ts = grid(lo, hi, args.samples)
     columns = (ts, *profile_columns(E, ts), [E.A * t + E.B for t in ts])
+    # the grid's t are finite; name the first other value that is not, by
+    # its column and its t, where the renderer would name the value alone
+    if not all(map(math.isfinite, itertools.chain(*columns[1:]))):
+        bad = next(row for row in zip(*columns) if not all(map(math.isfinite, row)))
+        key, value = next(c for c in zip(_PROFILE_KEYS, bad) if not math.isfinite(c[1]))
+        raise InvalidParameters(f"non-finite {key} {value} at t = {bad[0]}")
     if args.format == "csv":
         row = ",".join([_FLOAT] * len(columns))
-        template = "\n".join(["t,F_second,h_second,S"] + [row] * args.samples)
+        template = "\n".join([",".join(_PROFILE_KEYS)] + [row] * args.samples)
         return _fill(template, list(itertools.chain.from_iterable(zip(*columns)))), 0, ""
     doc = {
         "schema": 1,
@@ -197,7 +204,7 @@ def run_profile(args: types.SimpleNamespace) -> tuple[str, int, str]:
         "n": E.n,
         "a": E.a,
         "b": E.b,
-        "columns": ["t", "F_second", "h_second", "S"],
+        "columns": _PROFILE_KEYS,
         "rows": _Table(None, columns),
     }
     return _render_json(doc), 0, ""
@@ -235,7 +242,8 @@ def _verify_battery(args: types.SimpleNamespace) -> dict:
     pts = sample_interior(T, args.points, margin=margin, seed=args.seed)
     S = abreu_scalar_curvature(T, pts)
     gradient, constant, max_residual = extremality_residual(pts, S)
-    rad = radial_scalar_curvature(T, [math.fsum(x) for x in pts])
+    ts = [math.fsum(x) for x in pts]
+    rad = radial_scalar_curvature(T.n, ts, T.jet(ts))
     # both soft checks are relative to the curvature itself (|S| >= 2/b > 0)
     curvature_disc = max(abs(s - r) / abs(r) for s, r in zip(S, rad))
     scaled_residual = max_residual / max(map(abs, rad))

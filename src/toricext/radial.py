@@ -21,16 +21,16 @@ expression
     S(t) = t^(1-n) * u''(t),    u(t) = t^(n+1) * W(t),    W = (t - phi)/t^2,
 
 which this module evaluates analytically through phi, phi' and phi''.  A
-profile is one function of a list of t, and the curvature takes a list of t;
-everything runs in plain floats.
+profile is one function of a list of t, and the curvature reads the lists
+it returns; everything runs in plain floats.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
-from .errors import DegenerateMetric, DomainViolation, InvalidParameters
+from .errors import DegenerateMetric, InvalidParameters
 from .numdiff import power
 from .record import Record
 
@@ -90,17 +90,15 @@ def inverse_off_diagonal(yi: float, yj: float, w: float) -> float:
     return -2.0 * w * yi * yj
 
 
-def radial_scalar_curvature(T: TPotential, ts: Iterable[float]) -> list[float]:
+def radial_scalar_curvature(
+    n: int, ts: Sequence[float], jet: Sequence[Sequence[float]]
+) -> list[float]:
     """Scalar curvature S(t) = t^(1-n) * u''(t) of the radial metric at each t
-    of ts, all in (t_min, t_max), from one jet of the profile, u
-    differentiated symbolically; refuses a t where the metric degenerates."""
-    ts = list(ts)  # read twice: by the domain check and by the jet
-    for t in ts:
-        if not T.t_min < t < T.t_max:
-            raise DomainViolation(f"t = {t} outside ({T.t_min}, {T.t_max})")
-    n = T.n
+    of ts, from the profile's jet columns (phi, phi', phi'') there, u
+    differentiated symbolically; refuses a t where the metric degenerates.
+    The jet's provider keeps the ts in its domain."""
     S = []
-    for t, phi, dphi, d2phi in zip(ts, *T.jet(ts)):
+    for t, phi, dphi, d2phi in zip(ts, *jet, strict=True):
         validity_factor(t, phi)
         t2, t3 = power(t, 2), power(t, 3)
         # W = (t - phi)/t^2 and its t-derivatives, W'' = -phi''/t^2

@@ -108,7 +108,7 @@ def test_criterion_04_three_curvature_routes_agree_at_interior_points():
             pts = sample_interior(T, 100, margin=0.05 * (b - a), seed=0)
             ts = [float(np.sum(x)) for x in pts]
             abreu = abreu_scalar_curvature(T, pts)
-            radial = radial_scalar_curvature(T, ts)
+            radial = radial_scalar_curvature(n, ts, T.jet(ts))
             for t, s_abreu, s_radial in zip(ts, abreu, radial):
                 want = E.A * t + E.B
                 scale = max(1.0, abs(want))
@@ -126,7 +126,8 @@ def test_criterion_05_projective_profile_gives_constant_curvature():
     for n in (1, 2, 3):
         T = cpn_profile(n)
         want = n * (n + 1)
-        for got in radial_scalar_curvature(T, np.linspace(0.05, 0.95, 25).tolist()):
+        ts = np.linspace(0.05, 0.95, 25).tolist()
+        for got in radial_scalar_curvature(n, ts, T.jet(ts)):
             worst_radial = max(worst_radial, abs(got - want) / want)
         pts = sample_interior(T, 10, margin=0.05, seed=1)
         for got in abreu_scalar_curvature(T, pts):
@@ -143,7 +144,7 @@ def test_criterion_06_flat_profile_gives_zero_curvature():
     # the flat profile on the polytope (2, 0.5, 1)
     T = flat_profile(2, 0.5, 1.0)
     ts = np.linspace(0.55, 0.95, 9).tolist()
-    for t, got in zip(ts, radial_scalar_curvature(T, ts)):
+    for t, got in zip(ts, radial_scalar_curvature(2, ts, T.jet(ts))):
         worst = max(worst, abs(got), abs(got - fd_curvature_reference(T, t)))
     # h=1e-3: the default step's noise floor sits at ~1.1e-8, just over the
     # line; the coarser step is well inside it without losing truncation
@@ -168,9 +169,8 @@ def test_criterion_07_legendre_bridge_matches_polytope_pipeline():
             worst_disc = max(worst_disc, r.max_discrepancy)
     worst_flat = 0.0
     for n in (1, 2, 3):
-        K = flat_potential(n)
-        for s in np.geomspace(0.25, 4.0, 10):
-            worst_flat = max(worst_flat, abs(calabi_scalar_curvature(K, float(s))))
+        jet = flat_potential(n).moment(np.geomspace(0.25, 4.0, 10).tolist())
+        worst_flat = max(worst_flat, *map(abs, calabi_scalar_curvature(n, jet)))
     ok = worst_F <= 1e-9 and worst_disc <= 1e-5 and worst_flat <= 1e-8
     _report(
         "AC07", ok,

@@ -347,7 +347,7 @@ def test_build_extremal_metric_roundtrip():
     T, E = build_extremal_metric(2, 0.5, 1.0)
     # the profile is its own polytope: n and the interval (a, b)
     assert (T.n, T.t_min, T.t_max) == (E.n, E.a, E.b) == (2, 0.5, 1.0)
-    [got] = radial_scalar_curvature(T, [0.6])
+    [got] = radial_scalar_curvature(2, [0.6], T.jet([0.6]))
     assert got == pytest.approx(69.6 / 13, rel=1e-10)
 
 
@@ -542,7 +542,7 @@ def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):
     monkeypatch.setattr(table, "jet", counting)
     T, E = build_extremal_metric(2, 0.5, 1.0)
     ts = np.linspace(0.55, 0.95, 100).tolist()
-    S = radial_scalar_curvature(T, ts)
+    S = radial_scalar_curvature(T.n, ts, T.jet(ts))
     assert calls == [ts]  # one evaluation of the whole list serves the jet
     np.testing.assert_allclose(S, [E.A * t + E.B for t in ts], rtol=1e-9)
     # the jet is that of one evaluation at the ts asked for

@@ -84,6 +84,10 @@ _COEFFICIENT_OVERFLOW = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
         # p*t^(n-1) of the F'' column
         (["profile", "--n", "400", "--a", "1", "--b", "10", "--samples", "5"],
          "t^399 overflows a float at t = 7.74955"),
+        # F'' = p*t^(n-1)/(t - a)/(t - b)/q overflows before the division by
+        # q brings it back: the renderer named the value alone
+        (["profile", "--n", "1", "--a", "5e-201", "--b", "1e-200", "--samples", "3"],
+         "non-finite F_second inf at t = 5.0005e-201"),
         # every t is in (1e150, 1e151): the radial curvature's t^3 overflows,
         # not t^2
         (["verify", "--n", "2", "--a", "1e150", "--b", "1e151", "--points", "10"],
@@ -110,14 +114,34 @@ _COEFFICIENT_OVERFLOW = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
         (["verify", "--n", "14", "--a", "5e21", "--b", "1e22", "--points", "20"],
          "(t - a)(t - b)*Q overflows a float at t = 9.536615745150951e+21"),
     ],
-    ids=["derive", "profile", "verify", "profile t^n", "verify t^3",
-         "verify t^3 underflow", "profile t^n underflow", "profile float Q",
-         "verify h^2 underflow", "verify N underflow", "verify N overflow"],
+    ids=["derive", "profile", "verify", "profile t^n", "profile F'' overflow",
+         "verify t^3", "verify t^3 underflow", "profile t^n underflow",
+         "profile float Q", "verify h^2 underflow", "verify N underflow",
+         "verify N overflow"],
 )
 def test_overflow_is_one_error_line(argv, message):
     # a process, so that a traceback or a numpy warning on stderr would show
     r = run_cli(*argv)
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_profile_names_the_first_non_finite_value_by_column_and_t(
+    format, monkeypatch, capsys
+):
+    # row by row: h'' is inf at the second t, before F'' turns nan at the
+    # third
+    real = table_mod.profile_columns
+
+    def broken(E, ts):
+        f2, h2 = real(E, ts)
+        return f2[:2] + [math.nan], h2[:1] + [math.inf, 0.0]
+
+    monkeypatch.setattr(table_mod, "profile_columns", broken)
+    ts = [0.5 + 0.5e-4, 0.75, 1.0 - 0.5e-4]
+    assert cli.main(["profile", "--samples", "3", "--format", format]) == 2
+    message = f"error: non-finite h_second inf at t = {ts[1]}\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_profile_csv():

@@ -129,7 +129,7 @@ def _generic_profile():
 
 @pytest.mark.parametrize("t", sorted(GENERIC_S))
 def test_generic_profile_analytic_matches_symbolic(t):
-    [got] = radial_scalar_curvature(_generic_profile(), [t])
+    [got] = radial_scalar_curvature(2, [t], _generic_profile().jet([t]))
     assert got == pytest.approx(GENERIC_S[t], rel=1e-13)
 
 
@@ -137,7 +137,7 @@ def test_generic_profile_analytic_matches_symbolic(t):
 def test_generic_profile_fd_matches_symbolic(t):
     reference = fd_curvature_reference(_generic_profile(), t)
     assert reference == pytest.approx(GENERIC_S[t], rel=1e-7)
-    [got] = radial_scalar_curvature(_generic_profile(), [t])
+    [got] = radial_scalar_curvature(2, [t], _generic_profile().jet([t]))
     assert got == pytest.approx(reference, rel=1e-7)
 
 
@@ -154,13 +154,22 @@ def test_constant_second_derivative_curvature():
     # F'' = 1 at n=1 gives S = 2/(1+t)^3 exactly
     T = F_profile(1, 0.0, 10.0, lambda t: 1.0, lambda t: 0.0, lambda t: 0.0)
     ts = [0.3, 1.0, 2.5]
-    for t, got in zip(ts, radial_scalar_curvature(T, ts)):
+    S = radial_scalar_curvature(1, ts, T.jet(ts))
+    for t, got in zip(ts, S):
         want = 2.0 / (1.0 + t) ** 3
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(fd_curvature_reference(T, t), rel=1e-6, abs=1e-9)
-    assert radial_scalar_curvature(T, [1.0]) == [pytest.approx(0.25, rel=1e-12)]
+    [at_one] = radial_scalar_curvature(1, [1.0], T.jet([1.0]))
+    assert at_one == pytest.approx(0.25, rel=1e-12)
     # any iterable of t, read once
-    assert radial_scalar_curvature(T, iter(ts)) == radial_scalar_curvature(T, ts)
+    assert radial_scalar_curvature(1, iter(ts), T.jet(ts)) == S
+
+
+def test_curvature_columns_must_have_one_length():
+    # a short column would drop points without a word
+    T = cpn_profile(2)
+    with pytest.raises(ValueError):
+        radial_scalar_curvature(2, [0.25, 0.5], T.jet([0.25]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -168,7 +177,7 @@ def test_fubini_study_curvature_is_constant(n):
     T = cpn_profile(n)
     want = n * (n + 1)
     ts = np.linspace(0.02, 0.98, 50).tolist()
-    for t, got in zip(ts, radial_scalar_curvature(T, ts)):
+    for t, got in zip(ts, radial_scalar_curvature(n, ts, T.jet(ts))):
         assert abs(got - want) <= 1e-9 * want
         assert abs(got - fd_curvature_reference(T, t)) <= 1e-6 * want
 
@@ -177,7 +186,7 @@ def test_fubini_study_curvature_is_constant(n):
 def test_flat_curvature_vanishes(n):
     T = flat_profile(n)
     ts = np.linspace(0.1, 5.0, 20).tolist()
-    for t, got in zip(ts, radial_scalar_curvature(T, ts)):
+    for t, got in zip(ts, radial_scalar_curvature(n, ts, T.jet(ts))):
         assert abs(got) <= 1e-12
         assert abs(got - fd_curvature_reference(T, t)) <= 1e-8
 
@@ -190,21 +199,22 @@ def test_curvature_refuses_a_degenerate_metric():
     steep = profile(2, 0.0, 4.0, lambda t: (1e20 * t, 1e20, 0.0))
     for T, ts in [(falling, [0.5, 1.0]), (falling, [0.5, 2.0]), (steep, [2.0])]:
         with pytest.raises(DegenerateMetric, match=f"at t = {ts[-1]}$"):
-            radial_scalar_curvature(T, ts)
+            radial_scalar_curvature(2, ts, T.jet(ts))
     with pytest.raises(DegenerateMetric, match=r"phi = 0\.000e\+00, at t = 1\.0$"):
-        radial_scalar_curvature(falling, [1.0])
+        radial_scalar_curvature(2, [1.0], falling.jet([1.0]))
     # Hwang-Singer at n = 2: S = 2/t - 2*phi'/t - phi'' = 4/t
-    assert radial_scalar_curvature(falling, [0.5]) == [pytest.approx(8.0, rel=1e-15)]
+    assert radial_scalar_curvature(2, [0.5], falling.jet([0.5])) == [
+        pytest.approx(8.0, rel=1e-15)]
 
 
 def test_curvature_rejects_exterior_t():
-    T = cpn_profile(2)
-    with pytest.raises(DomainViolation):
-        radial_scalar_curvature(T, [1.5])
-    with pytest.raises(DomainViolation):
-        radial_scalar_curvature(T, [-0.1])
-    with pytest.raises(DomainViolation, match=r"^t = 1\.0 outside \(0\.0, 1\.0\)$"):
-        radial_scalar_curvature(T, [0.5, 1.0])  # before F'' = 1/(1 - t) divides by 0
+    # the extremal jet refuses a t outside (a, b), naming it, before the
+    # formula reads anything; the formula itself keeps no interval
+    T, _ = build_extremal_metric(2, 0.5, 1.0)
+    for ts in ([1.5], [0.25], [0.75, 1.0]):
+        message = rf"^t = {ts[-1]} outside \(0\.5, 1\.0\)$"
+        with pytest.raises(DomainViolation, match=message):
+            radial_scalar_curvature(2, ts, T.jet(ts))
 
 
 # --- the extremal metric against Hwang-Singer's formula -----------------------
@@ -234,6 +244,6 @@ def test_radial_curvature_is_the_affine_curvature(n, a, b):
     T, E = build_extremal_metric(n, a, b)
     A, B, _, _ = exact_mod._exact_solution(n, a, b)
     ts = [a + tau * (b - a) for tau in np.linspace(0.05, 0.95, 37).tolist()]
-    for t, got in zip(ts, radial_scalar_curvature(T, ts)):
+    for t, got in zip(ts, radial_scalar_curvature(n, ts, T.jet(ts))):
         want = A * Fraction(t) + B
         assert abs(Fraction(got) - want) <= 1e-13 * abs(want)

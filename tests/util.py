@@ -82,7 +82,7 @@ def inverse_hessian(x, phi: float) -> list[list[float]]:
 def legendre_F(K, f, t: float) -> float:
     """The t-potential F(t) = t*ln(s(t)/t) - 2*f(s(t)) of the Kahler
     potential f whose moment map K holds, through that map's inverse."""
-    s = K.inverse(t)
+    [s] = K.inverse([t])
     return t * math.log(s / t) - 2.0 * f(s)
 
 
