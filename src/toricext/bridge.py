@@ -27,12 +27,12 @@ lists, in plain floats on the standard library.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .errors import DomainViolation, InvalidParameters, NonpositiveDerivative
 from .numdiff import richardson
 from .radial import radial_scalar_curvature
-from .record import Record
 
 # the polytope side's difference step in s~: t' is smooth on logarithmic
 # scale, so a fat step plus one Richardson level beats a rounding-limited fine
@@ -42,19 +42,19 @@ _LOG_STEP = 2.0**-6
 _STENCIL = tuple(math.exp(k * _LOG_STEP) for k in (-1.0, -0.5, 0.0, 0.5, 1.0))
 
 
-class KahlerPotential(Record):
+class KahlerPotential(namedtuple("KahlerPotential", "n moment inverse")):
     """Radial Kahler potential f(s) on s > 0 as its moment map; the bridge
     reads nothing of f itself.  moment(ss) is the columns (t, t', t'', t''')
     of the s~-jet of t = 2*s*f'(s) at a list of s, and inverse(ts) the list
     of the s > 0 with t(s) = t; it raises DomainViolation, naming the t, for
     a t outside the image."""
 
-    _fields = ("n", "moment", "inverse")
+    __slots__ = ()
 
-    def __init__(self, n: int, moment: Callable, inverse: Callable) -> None:
+    def __new__(cls, n: int, moment: Callable, inverse: Callable) -> KahlerPotential:
         if n < 1:
             raise InvalidParameters("n must be >= 1")
-        super().__init__(n, moment, inverse)
+        return super().__new__(cls, n, moment, inverse)
 
 
 def _flat_moment(ss: Sequence[float]) -> tuple[list[float], ...]:
@@ -142,12 +142,10 @@ def induced_jet(K: KahlerPotential, ts: Sequence[float]) -> tuple[list[float], .
     return phi, dphi, d2phi
 
 
-class BridgeCheckReport(Record):
-    """Per-sample columns (tuples) and their worst difference."""
-
-    _fields = (
-        "s", "t", "kahler_side", "polytope_side", "difference", "max_discrepancy"
-    )
+# per-sample columns (tuples), then their worst difference
+BridgeCheckReport = namedtuple(
+    "BridgeCheckReport", "s t kahler_side polytope_side difference max_discrepancy"
+)
 
 
 def bridge_cross_check(

@@ -27,8 +27,10 @@ those: derive and example load ``exact``; profile loads ``exact``,
 ``numdiff`` and ``table``, which tabulates in plain floats; verify loads
 every module but ``bridge``; bridge-check loads ``bridge``, ``radial`` and
 ``numdiff``.  Every module runs on the standard library, so no command loads
-numpy; the renderer takes Python scalars, and the records are plain classes,
-since ``dataclasses`` would load ``inspect``.
+numpy; the renderer takes Python scalars, and the records are
+``collections.namedtuple`` classes, which load nothing new (``functools``
+has imported ``collections`` already), where ``dataclasses`` would load
+``inspect``.
 """
 
 from __future__ import annotations
@@ -38,15 +40,14 @@ import math
 import sys
 import types
 from _json import encode_basestring_ascii as _quote  # json.dumps's own quoter
+from collections import namedtuple
 
 from .errors import (
     BoundaryIdentityViolation,
-    DimensionMismatch,
     GeometryError,
     InvalidParameters,
     PositivityViolation,
 )
-from .record import Record
 
 PRNG_NAME = "python-mt19937"
 
@@ -55,7 +56,6 @@ PRNG_NAME = "python-mt19937"
 _SAMPLING_MARGIN_FACTOR = 0.05
 
 _PROFILE_KEYS = ("t", "F_second", "h_second", "S")
-_BRIDGE_COLUMNS = ("s", "t", "kahler_side", "polytope_side", "difference")
 # sorted(bridge.PRESETS), written out so that parsing does not import bridge;
 # a test keeps the two equal
 _PRESET_CHOICES = ("flat", "fubini-study")
@@ -81,10 +81,8 @@ def _literal(text: str) -> str:
     return text.replace("%", "%%")
 
 
-class _Table(Record):
-    """Rows given as columns of floats: dicts of the keys, or lists if None."""
-
-    _fields = ("keys", "columns")
+# rows given as columns of floats: dicts of the keys, or lists if keys is None
+_Table = namedtuple("_Table", "keys columns")
 
 
 def _block(items: list, pad: str, brackets: str) -> str:
@@ -322,9 +320,8 @@ def run_bridge_check(args: types.SimpleNamespace) -> tuple[str, int, str]:
                 "preset": name,
                 "max_discrepancy": rep.max_discrepancy,
                 "passed": ok,
-                "rows": _Table(
-                    _BRIDGE_COLUMNS, [getattr(rep, key) for key in _BRIDGE_COLUMNS]
-                ),
+                # every field of the report but max_discrepancy is a column
+                "rows": _Table(rep._fields[:-1], rep[:-1]),
             }
         )
     doc = {
@@ -488,7 +485,7 @@ def main(argv: list | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         out, code, err = args.run(args)
-    except (InvalidParameters, DimensionMismatch) as exc:
+    except InvalidParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:

@@ -17,10 +17,6 @@ class InvalidParameters(GeometryError, ValueError):
     """Constructor arguments violate a documented precondition."""
 
 
-class DimensionMismatch(GeometryError, ValueError):
-    """A point or vector has the wrong length for the ambient dimension."""
-
-
 class EmptyRegion(GeometryError, RuntimeError):
     """The sampling margin leaves no interior region to draw points from."""
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -40,7 +41,6 @@ from .errors import (
     PositivityViolation,
     PotentialPole,
 )
-from .record import Record
 
 
 def _check_geometry(n: int, a: float, b: float) -> None:
@@ -59,20 +59,19 @@ def _check_geometry(n: int, a: float, b: float) -> None:
         raise InvalidParameters(f"need 0 < a < b, got a={a}, b={b}")
 
 
-class ExtremalCoefficients(Record):
+class ExtremalCoefficients(namedtuple("ExtremalCoefficients", "n a b A B C D")):
     """Coefficients (A, B, C, D) of alpha for the (n, a, b) blow-up family.
 
     The implied scalar curvature is S(t) = A*t + B; c = b - a and
-    p = n(n+1)(n+2) are derived.
+    p = n(n+1)(n+2) are derived.  No ``__slots__``: the cached properties
+    below keep their values in the instance ``__dict__``.
     """
 
-    _fields = ("n", "a", "b", "A", "B", "C", "D")
-
-    def __init__(
-        self, n: int, a: float, b: float, A: float, B: float, C: float, D: float
-    ) -> None:
+    def __new__(
+        cls, n: int, a: float, b: float, A: float, B: float, C: float, D: float
+    ) -> ExtremalCoefficients:
         _check_geometry(n, a, b)
-        super().__init__(n, a, b, A, B, C, D)
+        return super().__new__(cls, n, a, b, A, B, C, D)
 
     @property
     def c(self) -> float:

@@ -18,7 +18,7 @@ import math
 import random
 from collections.abc import Sequence
 
-from .errors import DimensionMismatch, EmptyRegion, InvalidParameters
+from .errors import EmptyRegion, InvalidParameters
 from .radial import TPotential
 
 
@@ -27,7 +27,7 @@ def interior_distance(T: TPotential, x: Sequence[float]) -> float:
     facet-value units: min(x_1, ..., x_n, t - t_min, t_max - t), t = sum(x)
     correctly rounded."""
     if len(x) != T.n:
-        raise DimensionMismatch(f"point has {len(x)} coordinates, expected {T.n}")
+        raise InvalidParameters(f"point has {len(x)} coordinates, expected {T.n}")
     t = math.fsum(x)
     return min(*x, t - T.t_min, T.t_max - t)
 

@@ -28,11 +28,11 @@ it returns; everything runs in plain floats.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .errors import DegenerateMetric, InvalidParameters
 from .numdiff import power
-from .record import Record
 
 # t/phi = 1 + t*F'' at or below this is treated as a degenerate metric: the
 # Hessian is singular there, and anything this small is cancellation noise
@@ -40,7 +40,7 @@ from .record import Record
 DEGENERACY_TOL = 1e-14
 
 
-class TPotential(Record):
+class TPotential(namedtuple("TPotential", "n t_min t_max jet")):
     """Radial metric on (t_min, t_max), given by its momentum profile; its
     moment polytope is {x_i >= 0, t_min <= sum(x) <= t_max} (``polytope``).
 
@@ -49,22 +49,22 @@ class TPotential(Record):
     in (t_min, t_max), which give the metric and its curvature.
     """
 
-    _fields = ("n", "t_min", "t_max", "jet")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         n: int,
         t_min: float,
         t_max: float,
         jet: Callable[[Sequence[float]], tuple[list[float], ...]],
-    ) -> None:
+    ) -> TPotential:
         if n < 1:
             raise InvalidParameters("n must be >= 1")
         if t_min < 0.0:
             raise InvalidParameters("t_min must be >= 0")
         if not t_min < t_max < math.inf:
             raise InvalidParameters("need t_min < t_max < inf")
-        super().__init__(n, t_min, t_max, jet)
+        return super().__new__(cls, n, t_min, t_max, jet)
 
 
 def validity_factor(t: float, phi: float) -> float:

@@ -440,6 +440,19 @@ def test_bridge_check_both_presets():
         assert len(p["rows"]) == 6
 
 
+def test_bridge_check_rows_are_keyed_by_the_report_columns(capsys):
+    # perfbench's reference check reads row["s"], row["t"] and each side;
+    # the rows are the report's fields but its max_discrepancy, in order
+    assert cli.main(["bridge-check", "--n", "2", "--samples", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [p["preset"] for p in doc["presets"]] == ["flat", "fubini-study"]
+    for preset in doc["presets"]:
+        assert len(preset["rows"]) == 3
+        for row in preset["rows"]:
+            assert list(row) == [
+                "s", "t", "kahler_side", "polytope_side", "difference"]
+
+
 def test_preset_choices_are_the_bridge_presets():
     from toricext import bridge as bridge_mod
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricext.calabi import build_extremal_metric
-from toricext.errors import DimensionMismatch, EmptyRegion, InvalidParameters
+from toricext.errors import EmptyRegion, InvalidParameters
 from toricext.polytope import interior_distance, sample_interior
 from toricext.radial import TPotential
 from util import flat_profile
@@ -102,7 +102,7 @@ def test_non_finite_parameters_rejected():
 
 def test_dimension_mismatch():
     T = TPotential(2, 0.5, 1.0, _no_jet)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParameters, match="^point has 3 coordinates, expected 2$"):
         interior_distance(T, [0.1, 0.2, 0.3])
 
 
