@@ -16,11 +16,11 @@ The list covers every command; n in {1, 2, 3, 5, 8, 9, 12, 16}; a/b from
 1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the thin shell
 a/b = 0.9999; failing tolerances and invalid input; profile's edge cases (one
 and two rows, a zero grid step, a margin that rounds away, 20 000 rows at
-n = 16, a/b = 1 - 1e-9); bridge-check at 5 000 samples and at n = 0;
-input whose floats overflow or underflow, in the coefficients or in
-profile's F''; and flags that only another command reads.  A call that ends in an uncaught exception is recorded as
-exit 1 with the exception's type and message on stderr, as a process would
-end (less the traceback).
+n = 16, a/b = 1 - 1e-9); bridge-check at 5 000 samples, at n = 400 and at
+n = 0; input whose floats overflow or underflow, in the coefficients or in
+profile's F''; and flags that only another command reads.  A call that ends
+in an uncaught exception is recorded as exit 1 with the exception's type
+and message on stderr, as a process would end (less the traceback).
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def argv_list() -> list[list[str]]:
         ["profile", *_geometry(4, 1 - 1e-9), "--samples", "9"],
     ]
     calls += [["bridge-check", "--n", str(n), "--samples", "5000"] for n in (1, 6, 16)]
-    calls.append(["bridge-check", "--n", "0"])
+    calls += [["bridge-check", "--n", "400", "--samples", "3"],
+              ["bridge-check", "--n", "0"]]
     # coefficient A ~ 1/b^2 overflows; t^400 overflows inside the grid
     overflow = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
     calls += [[command, *overflow] for command in ("derive", "profile", "verify")]

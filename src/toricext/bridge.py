@@ -15,13 +15,14 @@ must be positive),
     S = (n-1)*v'/t + v''/t',
 
 which this module evaluates from the closed-form jet (t, t', t'', t''') as a
-third, symplectic-free curvature oracle.  A potential is that jet as a
-function of a list of s and the moment map's closed-form inverse; the flat
-(s = t) and Fubini-Study (s = t/(1 - t)) presets are built in.  The polytope
-side reads the induced momentum profile, phi(t) = t' as a function of t, and
-differentiates t' numerically instead, so a jet that disagrees with its own
-moment map fails the cross-check.  Every function takes lists and returns
-lists, in plain floats on the standard library.
+third, symplectic-free curvature oracle.  A potential is its moment code:
+one function of s that returns (t, t', t'', t''') by arithmetic alone; the
+flat (t = s) and Fubini-Study (t = s/(1 + s)) presets are built in.  The
+polytope side reads the induced momentum profile, phi(t) = t' as a function
+of t, and differentiates the moment code's own t' on a Taylor jet instead of
+trusting t'' and t''', so a jet that disagrees with its own rate fails the
+cross-check.  The curvature formulas and the cross-check take lists and
+return lists, in plain floats on the standard library.
 """
 
 from __future__ import annotations
@@ -31,75 +32,81 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .errors import DomainViolation, InvalidParameters, NonpositiveDerivative
-from .numdiff import richardson
 from .radial import radial_scalar_curvature
 
-# the polytope side's difference step in s~: t' is smooth on logarithmic
-# scale, so a fat step plus one Richardson level beats a rounding-limited fine
-# step by several digits; a constant step does not depend on the units of s
-_LOG_STEP = 2.0**-6
-# the stencil's abscissae s*e^(k*h), centre included, as factors of s
-_STENCIL = tuple(math.exp(k * _LOG_STEP) for k in (-1.0, -0.5, 0.0, 0.5, 1.0))
 
-
-class KahlerPotential(namedtuple("KahlerPotential", "n moment inverse")):
-    """Radial Kahler potential f(s) on s > 0 as its moment map; the bridge
-    reads nothing of f itself.  moment(ss) is the columns (t, t', t'', t''')
-    of the s~-jet of t = 2*s*f'(s) at a list of s, and inverse(ts) the list
-    of the s > 0 with t(s) = t; it raises DomainViolation, naming the t, for
-    a t outside the image."""
+class _Jet(namedtuple("_Jet", "v d dd")):
+    """Second-order Taylor jets in s~ of one quantity at every sample, as
+    three columns: its values v and its first and second s~-derivatives d
+    and dd.  Moment code runs on it as written: + - * take a jet or a float
+    on either side, / a float over a jet and ** an int power, and each value
+    comes from the float operation the code spells (c/x, x**k), so the
+    values are that code's bits."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, moment: Callable, inverse: Callable) -> KahlerPotential:
-        if n < 1:
-            raise InvalidParameters("n must be >= 1")
-        return super().__new__(cls, n, moment, inverse)
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(*([x + y for x, y in zip(p, q)] for p, q in zip(self, other)))
+        return _Jet([x + other for x in self.v], self.d, self.dd)
+
+    # x - y is x + (-y) bit for bit, and -1.0*y is exact
+    __sub__ = lambda self, other: self + -1.0 * other
+    __rsub__ = lambda self, other: -1.0 * self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Jet):
+            return _Jet(*([other * x for x in column] for column in self))
+        # Leibniz: (xy)' = x'y + xy' and (xy)'' = x''y + 2x'y' + xy''
+        (xs, dxs, _), (ys, dys, _) = self, other
+        return _Jet(
+            [x * y for x, y in zip(xs, ys)],
+            [dx * y + x * dy for x, dx, y, dy in zip(xs, dxs, ys, dys)],
+            [ddx * y + 2.0 * dx * dy + x * ddy
+             for x, dx, ddx, y, dy, ddy in zip(*self, *other)])
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __rtruediv__(self, other):
+        # g = c/x from g*x = c: g' = -g*x'/x and g'' = -(2*g'*x' + g*x'')/x
+        g = [other / x for x in self.v]
+        g1 = [-y * dx / x for x, dx, y in zip(self.v, self.d, g)]
+        return _Jet(g, g1, [-(2.0 * dy * dx + y * ddx) / x
+                            for x, dx, ddx, y, dy in zip(*self, g, g1)])
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        # (x^k)' = k*x^(k-1)*x' and (x^k)'' = k*(x^(k-1)*x'' + (k-1)*x^(k-2)*x'^2)
+        return _Jet(
+            [x**k for x in self.v],
+            [k * x ** (k - 1) * dx for x, dx in zip(self.v, self.d)],
+            [k * (x ** (k - 1) * ddx + (k - 1) * x ** (k - 2) * dx * dx)
+             for x, dx, ddx in zip(*self)])
 
 
-def _flat_moment(ss: Sequence[float]) -> tuple[list[float], ...]:
-    # t = s, and so is each of its s~-derivatives
-    return tuple(list(ss) for _ in range(4))
+def _flat_moment(s):
+    """f = s/2: the flat model (t = s, F'' = 0); t equals each of its
+    s~-derivatives."""
+    return s, s, s, s
 
 
-def _flat_inverse(ts: Sequence[float]) -> list[float]:
-    for t in ts:
-        if not t > 0.0:
-            raise DomainViolation(f"t must be positive, got {t}")
-    return list(ts)
-
-
-def flat_potential(n: int) -> KahlerPotential:
-    """f = s/2: the flat model (t = s, F'' = 0)."""
-    return KahlerPotential(n, _flat_moment, _flat_inverse)
-
-
-def _fubini_study_moment(ss: Sequence[float]) -> tuple[list[float], ...]:
+def _fubini_study_moment(s):
+    """f = ln(1+s)/2: Fubini-Study type (t = s/(1+s), S = n(n+1))."""
     # t = 2*s*f' with f' = 0.5/(1 + s), and t' = 2*(s*f' + s^2*f'')
-    t = [2.0 * s * (0.5 / (1.0 + s)) for s in ss]
-    t1 = [2.0 * (s * (0.5 / (1.0 + s)) - s * s * (0.5 / (1.0 + s) ** 2)) for s in ss]
+    t = 2.0 * s * (0.5 / (1.0 + s))
+    t1 = 2.0 * (s * (0.5 / (1.0 + s)) - s * s * (0.5 / (1.0 + s) ** 2))
     # t' = t*(1 - t), so each further s~-derivative is a product rule
-    t2 = [x1 * (1.0 - 2.0 * x) for x, x1 in zip(t, t1)]
-    t3 = [x2 * (1.0 - 2.0 * x) - 2.0 * x1 * x1 for x, x1, x2 in zip(t, t1, t2)]
+    t2 = t1 * (1.0 - 2.0 * t)
+    t3 = t2 * (1.0 - 2.0 * t) - 2.0 * t1 * t1
     return t, t1, t2, t3
 
 
-def _fubini_study_inverse(ts: Sequence[float]) -> list[float]:
-    for t in ts:
-        # the image is (0, 1); t = 1 would divide by zero
-        if not 0.0 < t < 1.0:
-            raise DomainViolation(f"t must lie in (0, 1), got {t}")
-    return [t / (1.0 - t) for t in ts]
-
-
-def fubini_study_potential(n: int) -> KahlerPotential:
-    """f = ln(1+s)/2: Fubini-Study type (t = s/(1+s), S = n(n+1))."""
-    return KahlerPotential(n, _fubini_study_moment, _fubini_study_inverse)
-
-
-PRESETS: dict[str, Callable[[int], KahlerPotential]] = {
-    "flat": flat_potential,
-    "fubini-study": fubini_study_potential,
+# each preset's moment code: s, a float or a jet of the samples, to the
+# s~-jet (t, t', t'', t''') of t = 2*s*f'(s)
+PRESETS: dict[str, Callable] = {
+    "flat": _flat_moment,
+    "fubini-study": _fubini_study_moment,
 }
 
 
@@ -118,28 +125,17 @@ def calabi_scalar_curvature(n: int, jet: Sequence[Sequence[float]]) -> list[floa
     return S
 
 
-def induced_jet(K: KahlerPotential, ts: Sequence[float]) -> tuple[list[float], ...]:
-    """The lists (phi, phi', phi'') of the momentum profile K induces at the
-    ts, phi = t'(s~(t)) exactly, read through the closed-form inverse (the
-    Legendre relation F''(t) = 1/t' - 1/t, from differentiating
-    F'(t) = ln s - ln t - 1).
-
-    One inverse call and one moment call on the five stencil abscissae of
-    each s give u = t' there, and one Richardson level its first two
-    s~-derivatives du and ddu: phi = u, phi' = du/u and
-    phi'' = (ddu/u - phi'^2)/u.
-    """
-    rates = K.moment([s * k for s in K.inverse(ts) for k in _STENCIL])[1]
-    # the five rates of each s in turn; phi is the centre one
-    phi, dphi, d2phi = rates[2::5], [], []
-    for t, lo, lo_half, u, hi_half, hi in zip(ts, *[iter(rates)] * 5, strict=True):
-        if u <= 0.0:
-            raise NonpositiveDerivative(f"dt/ds~ = {u} at t = {t}")
-        du, ddu = richardson(lo, lo_half, u, hi_half, hi, _LOG_STEP)
-        slope = du / u
-        dphi.append(slope)
-        d2phi.append((ddu / u - slope * slope) / u)
-    return phi, dphi, d2phi
+def induced_jet(rate: _Jet) -> tuple[list[float], ...]:
+    """The lists (phi, phi', phi'') of the momentum profile induced at the
+    samples' t, phi = t'(s~(t)) (the Legendre relation F''(t) = 1/t' - 1/t,
+    from differentiating F'(t) = ln s - ln t - 1), from the Taylor jet
+    u = (t', t'', t''') of the moment code's own rate: phi = u,
+    phi' = du/u and phi'' = (ddu/u - phi'^2)/u, by the chain rule in
+    dt = u*ds~.  The rates must be positive, as the Kahler side checks."""
+    dphi = [du / u for u, du in zip(rate.v, rate.d)]
+    d2phi = [(ddu / u - slope * slope) / u
+             for u, ddu, slope in zip(rate.v, rate.dd, dphi)]
+    return rate.v, dphi, d2phi
 
 
 # per-sample columns (tuples), then their worst difference
@@ -149,24 +145,30 @@ BridgeCheckReport = namedtuple(
 
 
 def bridge_cross_check(
-    K: KahlerPotential, s_samples: Sequence[float]
+    n: int, moment: Callable, s_samples: Sequence[float]
 ) -> BridgeCheckReport:
-    """Compare the Kahler-side curvature against the radial pipeline.
+    """Compare the Kahler-side curvature of the n-dimensional metric whose
+    moment code is moment against the radial pipeline.
 
-    One moment call at the samples gives their moment coordinates t and
-    Calabi's formula its jet; the radial curvature formula runs on the ts
-    and the induced jet there.
+    One moment call, on the Taylor jet of the samples (s~ seeds s as
+    (s, s, s)), gives their moment coordinates t and Calabi's formula the
+    values of its jet; the radial curvature formula runs on the ts and the
+    momentum profile induced from the jet of t'.
     """
+    if n < 1:
+        raise InvalidParameters("n must be >= 1")
     s = tuple(map(float, s_samples))
     if not s:
         raise DomainViolation("need at least one sample")
     for x in s:
         if not x > 0.0:
             raise DomainViolation(f"s must be positive, got {x}")
-    jet = K.moment(s)
-    t = tuple(jet[0])
-    polytope_side = tuple(radial_scalar_curvature(K.n, t, induced_jet(K, t)))
-    kahler_side = tuple(calabi_scalar_curvature(K.n, jet))
+    seed = list(s)
+    jet = moment(_Jet(seed, seed, seed))
+    t = tuple(jet[0].v)
+    # the Kahler side refuses a t or t' <= 0 before the polytope side divides by t'
+    kahler_side = tuple(calabi_scalar_curvature(n, [column.v for column in jet]))
+    polytope_side = tuple(radial_scalar_curvature(n, t, induced_jet(jet[1])))
     difference = tuple(abs(k - p) for k, p in zip(kahler_side, polytope_side))
     # max() skips a NaN that is not first; the worst difference must show it
     worst = math.nan if any(d != d for d in difference) else max(difference)

@@ -310,8 +310,7 @@ def run_bridge_check(args: types.SimpleNamespace) -> tuple[str, int, str]:
     blocks = []
     failing = []
     for name in names:
-        K = PRESETS[name](args.n)
-        rep = bridge_cross_check(K, s_grid)
+        rep = bridge_cross_check(args.n, PRESETS[name], s_grid)
         ok = rep.max_discrepancy <= tolerance_soft
         if not ok:
             failing.append(name)

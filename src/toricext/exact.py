@@ -73,6 +73,9 @@ class ExtremalCoefficients(namedtuple("ExtremalCoefficients", "n a b A B C D")):
         _check_geometry(n, a, b)
         return super().__new__(cls, n, a, b, A, B, C, D)
 
+    # _replace builds through _make, so both refuse what the constructor does
+    _make = classmethod(lambda cls, values: cls(*values))
+
     @property
     def c(self) -> float:
         return self.b - self.a

@@ -1,6 +1,6 @@
-"""Difference steps, the Richardson combination of five stencil values, the
-evenly spaced grid of ``profile`` and ``bridge-check``, and a power of t
-that refuses to leave the normal floats, on the standard library alone."""
+"""The step of plain second differences, the evenly spaced grid of
+``profile`` and ``bridge-check``, and a power of t that refuses to leave
+the normal floats, on the standard library alone."""
 
 from __future__ import annotations
 
@@ -25,21 +25,6 @@ def power(t: float, k: int) -> float:
     if abs(value) < sys.float_info.min and t != 0.0:
         raise InvalidParameters(f"t^{k} underflows a float at t = {t}")
     return value
-
-
-def richardson(down, down_half, mid, up_half, up, h) -> tuple:
-    """f'(x) and f''(x) by one Richardson level on central differences
-    (O(h^4)), from f at x - h, x - h/2, x, x + h/2 and x + h.
-
-    Both derivatives combine the coarse (step h) and fine (step h/2)
-    centred differences as (4*fine - coarse)/3.
-    """
-    half = 0.5 * h
-    first = (4.0 * ((up_half - down_half) / (2.0 * half))
-             - (up - down) / (2.0 * h)) / 3.0
-    second = (4.0 * ((up_half - 2.0 * mid + down_half) / (half * half))
-              - (up - 2.0 * mid + down) / (h * h)) / 3.0
-    return first, second
 
 
 def grid(lo: float, hi: float, num: int) -> list[float]:

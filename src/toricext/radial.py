@@ -66,6 +66,9 @@ class TPotential(namedtuple("TPotential", "n t_min t_max jet")):
             raise InvalidParameters("need t_min < t_max < inf")
         return super().__new__(cls, n, t_min, t_max, jet)
 
+    # _replace builds through _make, so both refuse what the constructor does
+    _make = classmethod(lambda cls, values: cls(*values))
+
 
 def validity_factor(t: float, phi: float) -> float:
     """1 + t*F'' = t/phi at t, refused where phi <= 0 or t/phi is not safely

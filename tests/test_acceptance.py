@@ -15,12 +15,7 @@ import numpy as np
 
 from toricext import table
 from toricext.abreu import abreu_scalar_curvature
-from toricext.bridge import (
-    bridge_cross_check,
-    calabi_scalar_curvature,
-    flat_potential,
-    fubini_study_potential,
-)
+from toricext.bridge import PRESETS, _Jet, bridge_cross_check, calabi_scalar_curvature
 from toricext.calabi import build_extremal_metric
 from toricext.exact import (
     _boundary_rows,
@@ -155,21 +150,22 @@ def test_criterion_06_flat_profile_gives_zero_curvature():
 
 def test_criterion_07_legendre_bridge_matches_polytope_pipeline():
     worst_F = 0.0
-    f = lambda s: 0.5 * math.log1p(s)  # the Fubini-Study Kahler potential
-    for n in (1, 2, 3):
-        K = fubini_study_potential(n)
-        for t in np.linspace(0.02, 0.98, 50):
-            t = float(t)
-            want = (1.0 - t) * np.log(1.0 - t)
-            worst_F = max(worst_F, abs(legendre_F(K, f, t) - want))
+    # the Fubini-Study Kahler potential and the inverse of its moment map
+    f = lambda s: 0.5 * math.log1p(s)
+    s_of_t = lambda t: t / (1.0 - t)
+    for t in np.linspace(0.02, 0.98, 50):
+        t = float(t)
+        want = (1.0 - t) * np.log(1.0 - t)
+        worst_F = max(worst_F, abs(legendre_F(s_of_t, f, t) - want))
     worst_disc = 0.0
     for n in (1, 2, 3):
-        for make in (flat_potential, fubini_study_potential):
-            r = bridge_cross_check(make(n), np.geomspace(0.25, 4.0, 10))
+        for moment in PRESETS.values():
+            r = bridge_cross_check(n, moment, np.geomspace(0.25, 4.0, 10))
             worst_disc = max(worst_disc, r.max_discrepancy)
     worst_flat = 0.0
+    ss = np.geomspace(0.25, 4.0, 10).tolist()
+    jet = [column.v for column in PRESETS["flat"](_Jet(ss, ss, ss))]
     for n in (1, 2, 3):
-        jet = flat_potential(n).moment(np.geomspace(0.25, 4.0, 10).tolist())
         worst_flat = max(worst_flat, *map(abs, calabi_scalar_curvature(n, jet)))
     ok = worst_F <= 1e-9 and worst_disc <= 1e-5 and worst_flat <= 1e-8
     _report(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,133 +11,140 @@ from toricext import bridge as bridge_mod
 from toricext import exact as exact_mod
 from toricext.bridge import (
     PRESETS,
-    KahlerPotential,
+    _Jet,
     bridge_cross_check,
     calabi_scalar_curvature,
-    flat_potential,
-    fubini_study_potential,
     induced_jet,
 )
 from toricext.calabi import build_extremal_metric
 from toricext.errors import DomainViolation, InvalidParameters, NonpositiveDerivative
 from toricext.numdiff import grid
-from util import differences, legendre_F
-
-# the Kahler potentials of the two presets, which the bridge does not keep
-_FLAT_F = lambda s: 0.5 * s
-_FUBINI_STUDY_F = lambda s: 0.5 * math.log1p(s)
+from util import legendre_F
 
 
-def _no_inverse(ts):
-    raise AssertionError("the curvature never inverts the moment map")
+# the presets' Kahler potentials f(s), and the inverses s(t) of their moment
+# maps t = 2*s*f'(s), which the bridge keeps neither of: test references
+def flat_potential(s):
+    return 0.5 * s
 
 
-def _sine_potential():
+def fubini_study_potential(s):
+    return 0.5 * math.log1p(s)
+
+
+_PRESET_OF = {flat_potential: "flat", fubini_study_potential: "fubini-study"}
+_S_OF_T = {"flat": lambda t: t, "fubini-study": lambda t: t / (1.0 - t)}
+
+# s in [1e-3, 1e3], where Fubini-Study's t' runs from 1e-3 up to 1/4 and back
+_S = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+
+
+def _seed(ss):
+    # the Taylor jet in s~ = ln s of the samples themselves: s' = s'' = s
+    ss = list(ss)
+    return _Jet(ss, ss, ss)
+
+
+def _values(moment, ss):
+    # the columns (t, t', t'', t''') at the samples, as the Kahler side reads them
+    return [column.v for column in moment(_seed(ss))]
+
+
+def _sine_moment(s):
     # f = sin(s): t = 2*s*cos(s) rises, turns over near s = 0.86 and goes
-    # negative, so the map has no inverse; each s~-derivative is s*d/ds
-    def moment_at(s):
-        c, si = math.cos(s), math.sin(s)
-        t1 = 2.0 * s * (c - s * si)
-        t2 = 2.0 * s * (c - 3.0 * s * si - s * s * c)
-        t3 = 2.0 * s * (c - 7.0 * s * si - 6.0 * s * s * c + s**3 * si)
-        return 2.0 * s * c, t1, t2, t3
-
-    def moment(ss):
-        return tuple(map(list, zip(*map(moment_at, ss))))
-
-    return KahlerPotential(n=1, moment=moment, inverse=_no_inverse)
+    # negative; each s~-derivative is s*d/ds
+    c, si = math.cos(s), math.sin(s)
+    t1 = 2.0 * s * (c - s * si)
+    t2 = 2.0 * s * (c - 3.0 * s * si - s * s * c)
+    t3 = 2.0 * s * (c - 7.0 * s * si - 6.0 * s * s * c + s**3 * si)
+    return 2.0 * s * c, t1, t2, t3
 
 
-def _invert(K, t):
-    return K.inverse([t])
+def _cross_check_one(moment, s):
+    return bridge_cross_check(1, moment, [s])
 
 
-def _cross_check_one(K, s):
-    return bridge_cross_check(K, [s])
+def _curvature_at(moment, s):
+    return calabi_scalar_curvature(1, [[x] for x in moment(s)])
 
 
-def _curvature_at(K, s):
-    return calabi_scalar_curvature(K.n, K.moment([s]))
-
-
-def _jet_at(moment, s):
-    # the jet (t, t', t'', t''') at one s, from a one-element call
-    return [column[0] for column in moment([s])]
-
-
-def _jet_errors(moment, n_samples=200):
-    # the worst errors of t', t'' and t''' against Richardson derivatives in
-    # s~ at the constant step 2^-6 (t' of t; t'' and t''' of t'), relative
-    # to t', over s in [1e-3, 1e3]
-    worst = [0.0, 0.0, 0.0]
-    ss = np.geomspace(1e-3, 1e3, n_samples).tolist()
-    at = lambda st: _jet_at(moment, math.exp(st))  # the jet at s~ = st
-    for s, t, t1, t2, t3 in zip(ss, *moment(ss)):
-        dt, _ = differences(lambda st: at(st)[0], math.log(s), 2.0**-6)
-        dt1, ddt1 = differences(lambda st: at(st)[1], math.log(s), 2.0**-6)
-        for k, (got, want) in enumerate([(t1, dt), (t2, dt1), (t3, ddt1)]):
-            worst[k] = max(worst[k], abs(got - want) / abs(t1))
-    return worst
+def _jet_errors(moment, s):
+    # the hand-written t', t'' and t''' at s against the Taylor derivatives
+    # of the moment code's t and t' (t.d; t'.d and t'.dd), relative to t'
+    t, t1, t2, t3 = moment(_seed([s]))
+    pairs = [(t1.v, t.d), (t2.v, t1.d), (t3.v, t1.dd)]
+    return [abs(got[0] - want[0]) / t1.v[0] for got, want in pairs]
 
 
 def _scaled(moment, k):
-    # the jet with its k-th column off by 1 %
-    return lambda ss: tuple(
-        [1.01 * x for x in column] if j == k else column
-        for j, column in enumerate(moment(ss)))
+    # the moment code with its k-th column off by 1 %
+    return lambda s: tuple(
+        1.01 * column if j == k else column for j, column in enumerate(moment(s)))
 
 
 def test_flat_moment_map_is_identity():
-    K = flat_potential(1)
     ss = [0.1, 1.0, 7.5]
-    for s, t in zip(ss, K.moment(ss)[0]):
-        assert t == pytest.approx(s, rel=1e-14)
+    assert _values(PRESETS["flat"], ss) == [ss] * 4
+    assert PRESETS["flat"](7.5) == (7.5,) * 4
 
 
 def test_fubini_study_moment_map():
-    K = fubini_study_potential(1)
     # t = s/(1+s)
-    half, near_one = K.moment([1.0, 1e6])[0]
+    half, near_one = _values(PRESETS["fubini-study"], [1.0, 1e6])[0]
     assert half == pytest.approx(0.5, rel=1e-12)
     assert abs(near_one - 1.0) < 2e-6
 
 
 def test_moment_map_rejects_nonpositive_s():
-    # the t column refuses the sample before the moment map sees it
-    K = fubini_study_potential(1)
+    # the cross-check refuses the sample before the moment code sees it
+    moment = PRESETS["fubini-study"]
     with pytest.raises(DomainViolation):
-        bridge_cross_check(K, [0.0])
+        bridge_cross_check(1, moment, [0.0])
     with pytest.raises(DomainViolation):
-        bridge_cross_check(K, [1.0, -1.0])
+        bridge_cross_check(1, moment, [1.0, -1.0])
 
 
-@pytest.mark.parametrize("make", [flat_potential, fubini_study_potential])
-def test_moment_map_round_trip(make):
+@pytest.mark.parametrize("f", [flat_potential, fubini_study_potential])
+def test_moment_map_round_trip(f):
+    # the s(t) the Legendre references read inverts the preset's t = 2*s*f'
+    preset = _PRESET_OF[f]
     ss = np.geomspace(1e-3, 1e3, 500).tolist()
-    for n in (1, 2, 3):
-        K = make(n)
-        assert K.inverse(K.moment(ss)[0]) == pytest.approx(ss, rel=1e-12)
+    ts = _values(PRESETS[preset], ss)[0]
+    assert [_S_OF_T[preset](t) for t in ts] == pytest.approx(ss, rel=1e-12)
+    # and t is 2*s*f'(s), f' by a central difference
+    for s, t in zip(ss[::50], ts[::50]):
+        h = 1e-6 * s
+        assert t == pytest.approx(s * (f(s + h) - f(s - h)) / h, rel=1e-7)
 
 
 @given(st.floats(min_value=0.01, max_value=50.0))
 @settings(max_examples=60)
 def test_moment_map_round_trip_property(s):
-    K = fubini_study_potential(1)
-    assert K.inverse(K.moment([s])[0]) == [pytest.approx(s, rel=1e-9)]
+    [t] = _values(PRESETS["fubini-study"], [s])[0]
+    assert _S_OF_T["fubini-study"](t) == pytest.approx(s, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_rate_is_the_derivative_of_its_moment(preset, n):
-    # the two closed forms of a preset, t and dt/ds~, must agree; a t' off by
-    # 1 % must not pass the same check
-    K = PRESETS[preset](n)
-    assert _jet_errors(K.moment)[0] <= 1e-8
-    assert _jet_errors(_scaled(K.moment, 1))[0] > 1e-8
+    # the two closed forms of a preset, t and dt/ds~, must agree: the Taylor
+    # derivative of the moment code's t is its t' (exactly for flat); a t'
+    # off by 1 % fails the same check, and bridge-check at n
+    moment = PRESETS[preset]
+    mutant = _scaled(moment, 1)
+
+    @given(_S)
+    @settings(max_examples=100, deadline=None)
+    def check(s):
+        assert _jet_errors(moment, s)[0] <= (1e-10 if preset == "fubini-study" else 0.0)
+        assert _jet_errors(mutant, s)[0] > 1e-3
+
+    check()
+    assert bridge_cross_check(n, mutant, grid(0.25, 4.0, 10)).max_discrepancy > 1e-5
 
 
-# t and dt/ds~ of each preset as its moment map computed them before the
-# map returned the whole jet, and its closed-form inverse, one s or t each
+# t and dt/ds~ of each preset as its moment map computed them as plain
+# floats, one s at a time, before the map ran on jets
 _PRESET_T_AND_RATE = {
     "flat": lambda s: (s, s),
     "fubini-study": lambda s: (
@@ -144,145 +152,179 @@ _PRESET_T_AND_RATE = {
         2.0 * (s * (0.5 / (1.0 + s)) - s * s * (0.5 / (1.0 + s) ** 2)),
     ),
 }
-_PRESET_INVERSE = {"flat": lambda t: t, "fubini-study": lambda t: t / (1.0 - t)}
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_jet_keeps_the_moment_maps_t_and_rate(preset):
-    # the t column and the polytope side read t and t', so their bits stay
+    # the t column and the Kahler side read t and t', so their bits stay
     ss = np.geomspace(1e-3, 1e3, 500).tolist()
-    for n in (1, 3):
-        K = PRESETS[preset](n)
-        want = [_PRESET_T_AND_RATE[preset](s) for s in ss]
-        assert list(zip(*K.moment(ss)[:2])) == want
+    want = [_PRESET_T_AND_RATE[preset](s) for s in ss]
+    assert list(zip(*_values(PRESETS[preset], ss)[:2])) == want
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_columns_are_their_one_element_calls(preset):
-    # a list call is the elementwise arithmetic, bit for bit: its columns
-    # are four new lists of the one-element calls' values, and the inverse
-    # is the closed form at each t
-    K = PRESETS[preset](3)
+    # the moment code on a jet is the float code on each s, bit for bit: its
+    # value columns are lists of the float calls' values
+    moment = PRESETS[preset]
     ss = np.geomspace(1e-3, 1e3, 500).tolist()
-    jet = K.moment(ss)
-    assert len(jet) == 4 and all(type(column) is list for column in jet)
-    assert len({id(column) for column in [ss, *jet]}) == 5
-    assert list(map(list, zip(*jet))) == [_jet_at(K.moment, s) for s in ss]
-    ts = jet[0]
-    inverse = K.inverse(ts)
-    assert type(inverse) is list and inverse is not ts
-    assert inverse == [s for t in ts for s in K.inverse([t])]
-    assert inverse == [_PRESET_INVERSE[preset](t) for t in ts]
+    jet = moment(_seed(ss))
+    assert len(jet) == 4 and all(type(column) is _Jet for column in jet)
+    assert all(type(c) is list for column in jet for c in column)
+    assert list(map(list, zip(*_values(moment, ss)))) == [list(moment(s)) for s in ss]
 
 
 def test_potential_refuses_a_dimension_below_one():
-    flat = flat_potential(1)
-    with pytest.raises(InvalidParameters, match="^n must be >= 1$"):
-        KahlerPotential(0, flat.moment, flat.inverse)
-    for make in PRESETS.values():
+    for moment in PRESETS.values():
         with pytest.raises(InvalidParameters, match="^n must be >= 1$"):
-            make(0)
+            bridge_cross_check(0, moment, [1.0])
 
 
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_jet_is_the_derivative_of_its_rate(preset, n):
-    # t'' and t''' in closed form against Richardson differences of t'
-    _, second, third = _jet_errors(PRESETS[preset](n).moment)
-    assert second <= 1e-7
-    assert third <= 1e-7
+    # the hand-written t'' and t''' the Kahler side reads against the Taylor
+    # derivatives of t' the polytope side reads: equal to 1e-10*t' for
+    # Fubini-Study (t' cancels towards s = oo) and exactly for flat, so at n
+    # both sides of bridge-check are the preset's own curvature
+    moment = PRESETS[preset]
+
+    @given(_S)
+    @settings(max_examples=100, deadline=None)
+    def check(s):
+        _, second, third = _jet_errors(moment, s)
+        assert max(second, third) <= (1e-10 if preset == "fubini-study" else 0.0)
+
+    check()
+    exact = 0.0 if preset == "flat" else float(n * (n + 1))
+    report = bridge_cross_check(n, moment, grid(0.25, 4.0, 10))
+    for side in (report.kahler_side, report.polytope_side):
+        assert max(abs(got - exact) for got in side) <= 1e-13 * max(1.0, exact)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_a_jet_off_by_one_percent_fails_its_test_and_the_bridge(preset, k):
-    # the Kahler side reads t'' and t''' from the jet, the polytope side
-    # differences t': a jet at odds with its own rate cannot pass bridge-check
-    K = PRESETS[preset](2)
-    mutant = KahlerPotential(2, _scaled(K.moment, k), K.inverse)
-    assert _jet_errors(mutant.moment)[k - 1] > 1e-7
-    assert bridge_cross_check(mutant, grid(0.25, 4.0, 10)).max_discrepancy > 1e-5
+    # the Kahler side reads t'' and t''' as written, the polytope side
+    # differentiates t': a jet at odds with its own rate fails bridge-check
+    # at its default tolerance 1e-5 (the t'' mutant reads 4e-4 to 0.32 and
+    # the t''' mutant 0.02 to 0.04 at n = 1, 2 and 6)
+    mutant = _scaled(PRESETS[preset], k)
+    assert _jet_errors(mutant, 0.5)[k - 1] > 1e-3
+    for n in (1, 2, 6):
+        assert bridge_cross_check(n, mutant, grid(0.25, 4.0, 10)).max_discrepancy > 1e-5
 
 
-def test_inversion_outside_moment_image():
-    K = fubini_study_potential(1)  # image of t is (0, 1)
-    with pytest.raises(DomainViolation):
-        K.inverse([0.5, 1.5])
-    with pytest.raises(DomainViolation):
-        K.inverse([-0.1])
+# one rational expression in s through every operation the jet supports:
+# + - * with a jet or a float on either side, a float over a jet, ** an int
+def _rational(s):
+    return (
+        3.0 * (s + 0.5) * (2.0 - s) - s * s * s
+        + (1.5 + s) ** 3 - 0.75 / (1.0 + s**2) + (s - 0.25) * 0.5 - s
+    )
 
 
-@pytest.mark.parametrize(
-    "preset, t",
-    [("fubini-study", -0.1), ("fubini-study", 0.0), ("fubini-study", 1.0),
-     ("fubini-study", 1.5), ("flat", -0.1), ("flat", 0.0)],
-)
-def test_induced_profile_refuses_a_t_outside_the_image(preset, t):
-    # a named error naming t, not the ZeroDivisionError of t/(1 - t) at
-    # t = 1 or the ValueError of a logarithm
-    with pytest.raises(DomainViolation, match=f"got {t}$") as raised:
-        induced_jet(PRESETS[preset](2), [0.5, t])
-    assert type(raised.value) is DomainViolation
+def test_jet_arithmetic_is_the_derivative_of_a_rational_expression():
+    # the jet's columns against sympy's s~-derivatives s*d/ds of the same
+    # code run on a symbol; its values are the float code's bits
+    x = sympy.Symbol("s", positive=True)
+    expr = _rational(x)
+    d1 = x * sympy.diff(expr, x)
+    d2 = x * sympy.diff(d1, x)
+    ss = [1e-3, 0.1, 0.7, 1.0, 3.0, 250.0]
+    jet = _rational(_seed(ss))
+    assert jet.v == [_rational(s) for s in ss]
+    for s, v, d, dd in zip(ss, *jet):
+        at = {x: sympy.Rational(s)}
+        for got, want in ((v, expr), (d, d1), (dd, d2)):
+            assert got == pytest.approx(float(want.subs(at)), rel=1e-13, abs=1e-13)
+    # each jet operation on its own, against the same operation on floats
+    a, b = _seed([0.3, 2.0]), _Jet([1.5, -4.0], [0.25, 3.0], [-1.0, 0.5])
+    for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q,
+               lambda p, q: 0.5 * p - 2.0 * q, lambda p, q: 1.0 - p + q**2):
+        assert op(a, b).v == [op(p, q) for p, q in zip(a.v, b.v)]
+
+
+def test_jet_refuses_what_the_presets_do_not_use():
+    # no jet / jet, jet / float or function of math: each raises, none
+    # returns a wrong jet
+    s = _seed([0.5, 2.0])
+    for op in (lambda: s / s, lambda: s / 2.0, lambda: math.sqrt(s), lambda: s**0.5):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_flat_legendre_dual():
-    K = flat_potential(1)
     # f = s/2 gives F(t) = t ln(t/t) - t = -t
     for t in (0.2, 1.0, 3.0):
-        assert legendre_F(K, _FLAT_F, t) == pytest.approx(-t, rel=1e-12)
+        assert legendre_F(_S_OF_T["flat"], flat_potential, t) == pytest.approx(-t, rel=1e-12)
 
 
 def test_fubini_study_legendre_dual():
-    K = fubini_study_potential(2)
     for t in np.linspace(0.1, 0.9, 9):
         t = float(t)
         want = (1.0 - t) * math.log(1.0 - t)
-        got = legendre_F(K, _FUBINI_STUDY_F, t)
+        got = legendre_F(_S_OF_T["fubini-study"], fubini_study_potential, t)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_fubini_study_legendre_dual_fine_grid():
-    K = fubini_study_potential(1)
     for t in np.linspace(0.02, 0.98, 50):
         t = float(t)
         want = (1.0 - t) * math.log(1.0 - t)
-        assert abs(legendre_F(K, _FUBINI_STUDY_F, t) - want) <= 1e-9
+        got = legendre_F(_S_OF_T["fubini-study"], fubini_study_potential, t)
+        assert abs(got - want) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flat_curvature_vanishes(n):
-    for got in calabi_scalar_curvature(n, flat_potential(n).moment([0.3, 1.0, 4.0])):
+    for got in calabi_scalar_curvature(n, _values(PRESETS["flat"], [0.3, 1.0, 4.0])):
         assert abs(got) <= 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fubini_study_curvature_is_constant(n):
-    K = fubini_study_potential(n)
     want = n * (n + 1)
     ss = np.geomspace(0.25, 4.0, 10).tolist()
-    for got in calabi_scalar_curvature(n, K.moment(ss)):
+    for got in calabi_scalar_curvature(n, _values(PRESETS["fubini-study"], ss)):
         assert abs(got - want) <= 1e-5 * want
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 16])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_kahler_side_is_exact_to_rounding(preset, n):
-    K = PRESETS[preset](n)
+    moment = PRESETS[preset]
     exact = 0.0 if preset == "flat" else float(n * (n + 1))
     scale = max(1.0, exact)
-    for got in calabi_scalar_curvature(n, K.moment(grid(0.25, 4.0, 2000))):
+    for got in calabi_scalar_curvature(n, _values(moment, grid(0.25, 4.0, 2000))):
         assert abs(got - exact) <= 1e-13 * scale
     # towards s = 0 and s = oo, t' -> 0: Fubini-Study's (t''/t')^2 and
     # t'''/t' in v'' cancel down to 2*t', so the jet's rounding over t' sets
     # the floor (1.7e-13 relative at s = 1e-3)
-    jet = K.moment(np.geomspace(1e-3, 1e3, 2000).tolist())
+    jet = _values(moment, np.geomspace(1e-3, 1e3, 2000).tolist())
     for got, rate in zip(calabi_scalar_curvature(n, jet), jet[1]):
         assert abs(got - exact) <= 1e-15 * scale / rate
 
 
+@pytest.mark.parametrize("n", [1, 3, 6, 16])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_polytope_side_is_exact_to_rounding(preset, n):
+    # the induced profile's jet is exact, so only the radial formula's
+    # rounding is left: flat reads 0 exactly, and Fubini-Study's worst
+    # relative error over s in [1e-3, 1e3] is 8.1e-10, 1.3e-10, 3.8e-11 and
+    # 5.9e-12 at n = 1, 3, 6 and 16, at s near 1e3, where t -> 1 and t' ~ 1/s
+    # divides phi' and phi''
+    moment = PRESETS[preset]
+    exact = 0.0 if preset == "flat" else float(n * (n + 1))
+    ss = np.geomspace(1e-3, 1e3, 2000).tolist()
+    report = bridge_cross_check(n, moment, ss)
+    for got, rate in zip(report.polytope_side, _values(moment, ss)[1]):
+        assert abs(got - exact) <= 1e-14 * exact / (rate * rate)
+
+
 def test_fubini_study_curvature_frozen_value():
-    K = fubini_study_potential(2)
-    assert _curvature_at(K, 1.0) == [pytest.approx(6.0, abs=1e-9)]
+    jet = [[x] for x in PRESETS["fubini-study"](1.0)]
+    assert calabi_scalar_curvature(2, jet) == [pytest.approx(6.0, abs=1e-9)]
 
 
 def test_curvature_rejects_decreasing_potential():
@@ -364,134 +406,126 @@ def test_kahler_side_of_a_slope_off_by_one_percent_misses_the_affine_curvature(
 
 
 def test_cross_check_fubini_study():
-    r = bridge_cross_check(fubini_study_potential(2), np.geomspace(0.25, 4.0, 10))
-    assert r.max_discrepancy <= 1e-5
+    r = bridge_cross_check(2, PRESETS["fubini-study"], np.geomspace(0.25, 4.0, 10))
+    assert r.max_discrepancy <= 1e-12 * 6
     assert len(r.s) == 10
     for difference in r.difference:
-        assert difference <= r.max_discrepancy + 1e-15
+        assert difference <= r.max_discrepancy
 
 
 def test_cross_check_flat():
-    r = bridge_cross_check(flat_potential(2), [0.5, 1.0, 2.0, 4.0])
-    assert r.max_discrepancy <= 1e-8
-    for kahler_side, polytope_side in zip(r.kahler_side, r.polytope_side):
-        assert abs(kahler_side) <= 1e-8
-        assert abs(polytope_side) <= 1e-8
+    r = bridge_cross_check(2, PRESETS["flat"], [0.5, 1.0, 2.0, 4.0])
+    assert r.max_discrepancy == 0.0
+    assert r.kahler_side == r.polytope_side == (0.0,) * 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 16, 400])
+@pytest.mark.parametrize("samples", [10, 5000])
+def test_cross_check_agrees_to_rounding_on_its_grid(samples, n):
+    # both sides are exact but for rounding: on bridge-check's own grid the
+    # worst difference is at most 2.4e-14 in units of max(1, n(n+1)) (n = 1,
+    # 5 000 samples), where the Richardson stencil it replaced read 2.5e-12
+    # to 4.4e-10
+    scale = max(1, n * (n + 1))
+    for moment in PRESETS.values():
+        report = bridge_cross_check(n, moment, grid(0.25, 4.0, samples))
+        assert report.max_discrepancy <= 1e-12 * scale
+
+
+def _rate_at(preset, ts):
+    # the jet of t' at the s with t(s) = t, one per t
+    return PRESETS[preset](_seed(map(_S_OF_T[preset], ts)))[1]
 
 
 def test_induced_potential_matches_projective_profile():
     # phi = t*(1 - t), the momentum profile of F'' = 1/(1 - t)
     ts = np.linspace(0.05, 0.95, 19).tolist()
-    for t, phi in zip(ts, induced_jet(fubini_study_potential(2), ts)[0]):
+    for t, phi in zip(ts, induced_jet(_rate_at("fubini-study", ts))[0]):
         assert phi == pytest.approx(t * (1.0 - t), rel=1e-14)
 
 
 def test_induced_potential_higher_derivatives():
     # phi' = 1 - 2t and phi'' = -2 for the projective profile
     ts = [0.25, 0.5, 0.75]
-    _, dphi, d2phi = induced_jet(fubini_study_potential(2), ts)
+    _, dphi, d2phi = induced_jet(_rate_at("fubini-study", ts))
     for t, d1, d2 in zip(ts, dphi, d2phi):
-        assert d1 == pytest.approx(1.0 - 2.0 * t, rel=1e-9, abs=1e-9)
-        assert d2 == pytest.approx(-2.0, rel=1e-7)
-
-
-def _recording(model, calls, inverted):
-    # model's potential, recording the argument list of each call
-    return KahlerPotential(
-        n=model.n,
-        moment=lambda ss: calls.append(list(ss)) or model.moment(ss),
-        inverse=lambda ts: inverted.append(list(ts)) or model.inverse(ts),
-    )
+        assert d1 == pytest.approx(1.0 - 2.0 * t, rel=1e-14, abs=1e-15)
+        assert d2 == pytest.approx(-2.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("preset, t_max", [("flat", 10.0), ("fubini-study", 1.0)])
 def test_induced_second_derivative_is_the_jets_from_one_rate_per_t(preset, t_max):
-    # the induced momentum profile is the rate t'(s~) itself, to the bit:
-    # the stencil's centre is the inverse, so the jet inverts each t once,
-    # and one moment call serves the five stencil points of every t
-    calls, inverted = [], []
-    model = PRESETS[preset](3)
+    # the induced momentum profile is the rate t'(s~) itself, to the bit,
+    # and phi' and phi'' are the chain rule on that rate's jet alone
     ts = np.random.default_rng(0).uniform(1e-3 * t_max, 0.999 * t_max, 500).tolist()
-    phi = induced_jet(_recording(model, calls, inverted), ts)[0]
-    assert phi == model.moment(model.inverse(ts))[1]
-    assert [len(ss) for ss in calls] == [5 * len(ts)]
-    assert inverted == [ts]
+    rate = _rate_at(preset, ts)
+    phi, dphi, d2phi = induced_jet(rate)
+    assert phi == rate.v
+    assert dphi == [du / u for u, du in zip(rate.v, rate.d)]
+    assert d2phi == [(ddu / u - slope * slope) / u
+                     for u, ddu, slope in zip(rate.v, rate.dd, dphi)]
 
 
-def test_potential_needs_its_moment_and_inverse():
-    with pytest.raises(TypeError):
-        KahlerPotential(n=1, moment=fubini_study_potential(1).moment)
+def _recording(moment, calls):
+    # the moment code, recording the argument of each call
+    def recorded(s):
+        calls.append(s)
+        return moment(s)
 
-
-def test_cross_check_inverts_the_moment_map_once_per_sample():
-    # the jet inverts the moment map once per t, in the order of the ts
-    calls, inverted = [], []
-    K = _recording(fubini_study_potential(2), calls, inverted)
-    report = bridge_cross_check(K, np.geomspace(0.25, 4.0, 10).tolist())
-    assert inverted == [list(report.t)]
+    return recorded
 
 
 @pytest.mark.parametrize("count", [1, 10, 500])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_cross_check_makes_two_moment_calls_and_one_inverse(preset, count):
-    # the samples' jet serves the t column and the Kahler side; the polytope
-    # side inverts the ts once and reads t' at the stencil abscissae
-    # s*e^(k*h), k in {-1, -1/2, 0, 1/2, 1}, h = 2^-6, of every s in one call
-    calls, inverted = [], []
-    model = PRESETS[preset](2)
+def test_cross_check_makes_one_moment_call(preset, count):
+    # the samples' jet serves the t column, the Kahler side and, through the
+    # jet of t', the polytope side: one call at the samples, nothing inverted
+    calls = []
     samples = grid(0.25, 4.0, count)
-    report = bridge_cross_check(_recording(model, calls, inverted), samples)
-    assert len(calls) == 2 and len(inverted) == 1
-    assert calls[0] == samples
-    assert inverted == [list(report.t)]
-    factors = [math.exp(k * 2.0**-6) for k in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-    assert calls[1] == [s * k for s in model.inverse(report.t) for k in factors]
+    report = bridge_cross_check(2, _recording(PRESETS[preset], calls), samples)
+    assert calls == [_seed(samples)]
+    assert report == bridge_cross_check(2, PRESETS[preset], samples)
+
+
+def _cross_check_at_n(moment, n):
+    return bridge_cross_check(n, moment, [1.0])
 
 
 @pytest.mark.parametrize(
-    "fn, make, x, error, message",
+    "fn, moment, x, error, message",
     [
-        (_invert, lambda: fubini_study_potential(1), 1.5, DomainViolation,
-         "t must lie in (0, 1), got 1.5"),
-        (_invert, lambda: fubini_study_potential(1), -0.1, DomainViolation,
-         "t must lie in (0, 1), got -0.1"),
-        (_invert, lambda: flat_potential(1), 0.0, DomainViolation,
-         "t must be positive, got 0.0"),
-        (_cross_check_one, lambda: fubini_study_potential(1), 0.0, DomainViolation,
+        (_cross_check_one, PRESETS["fubini-study"], 0.0, DomainViolation,
          "s must be positive, got 0.0"),
-        (_curvature_at, _sine_potential, 2.0, NonpositiveDerivative,
+        (_curvature_at, _sine_moment, 2.0, NonpositiveDerivative,
          "t = -1.6645873461885696 and dt/ds~ = -8.938966760794024 must be positive"),
+        (_cross_check_at_n, PRESETS["flat"], 0, InvalidParameters, "n must be >= 1"),
     ],
-    ids=["above the image", "t <= 0", "below the image", "s <= 0",
-         "curvature of a falling t"],
+    ids=["s <= 0", "curvature of a falling t", "n < 1"],
 )
-def test_bad_value_raises_a_named_error(fn, make, x, error, message):
+def test_bad_value_raises_a_named_error(fn, moment, x, error, message):
     with pytest.raises(error) as raised:
-        fn(make(), x)
+        fn(moment, x)
     assert str(raised.value) == message
 
 
 def test_empty_sample_list_is_refused():
     with pytest.raises(DomainViolation, match="need at least one sample"):
-        bridge_cross_check(flat_potential(1), [])
+        bridge_cross_check(1, PRESETS["flat"], [])
 
 
 def test_nan_difference_is_the_worst_one():
     # a NaN difference past the first sample must not hide behind max()
     # the flat potential with a NaN dt/ds~ past s = 1.5
-    K = KahlerPotential(
-        n=2,
-        moment=lambda ss: (
-            list(ss), [math.nan if s > 1.5 else s for s in ss], list(ss), list(ss)),
-        inverse=flat_potential(2).inverse,
-    )
-    report = bridge_cross_check(K, [0.5, 2.0])
+    def moment(s):
+        return s, _Jet([math.nan if x > 1.5 else x for x in s.v], s.d, s.dd), s, s
+
+    report = bridge_cross_check(2, moment, [0.5, 2.0])
     assert math.isnan(report.difference[1])
     assert math.isnan(report.max_discrepancy)
 
 
 def test_report_columns_are_tuples_of_floats():
-    report = bridge_cross_check(fubini_study_potential(3), [0.5, 1.0, 2.0])
+    report = bridge_cross_check(3, PRESETS["fubini-study"], [0.5, 1.0, 2.0])
     for column in ("s", "t", "kahler_side", "polytope_side", "difference"):
         values = getattr(report, column)
         assert type(values) is tuple and len(values) == 3
@@ -507,11 +541,11 @@ def test_a_profile_slope_off_by_one_percent_fails_the_bridge(preset, monkeypatch
     # curvature no longer matches the Kahler side's
     real = bridge_mod.induced_jet
 
-    def mutant(K, ts):
-        phi, dphi, d2phi = real(K, ts)
+    def mutant(rate):
+        phi, dphi, d2phi = real(rate)
         return phi, [1.01 * d for d in dphi], d2phi
 
     samples = grid(0.25, 4.0, 10)
-    assert bridge_cross_check(PRESETS[preset](2), samples).max_discrepancy <= 1e-5
+    assert bridge_cross_check(2, PRESETS[preset], samples).max_discrepancy <= 1e-12 * 6
     monkeypatch.setattr(bridge_mod, "induced_jet", mutant)
-    assert bridge_cross_check(PRESETS[preset](2), samples).max_discrepancy > 1e-5
+    assert bridge_cross_check(2, PRESETS[preset], samples).max_discrepancy > 1e-5

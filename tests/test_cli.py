@@ -470,12 +470,13 @@ def test_bridge_check_one_preset(preset):
 
 
 # max_discrepancy per preset, bit for bit as the bridge prints it with the
-# presets' closed-form jets on the Kahler side and the induced momentum
-# profile on the polytope side; every verdict is a pass
+# presets' closed-form jets on the Kahler side and the momentum profile
+# induced from the Taylor jet of t' on the polytope side; every verdict is a
+# pass, and flat's two sides are exactly 0
 _BRIDGE_VERDICTS = {
-    (1, 5000): {"flat": 8.339022805614604e-10, "fubini-study": 8.824270203433571e-10},
-    (6, 5000): {"flat": 4.13507598033741e-09, "fubini-study": 6.736783575433947e-09},
-    (16, 10): {"flat": 1.4066605213969297e-08, "fubini-study": 1.2992984466109192e-08},
+    (1, 5000): {"flat": 0.0, "fubini-study": 4.75175454539567e-14},
+    (6, 5000): {"flat": 0.0, "fubini-study": 8.526512829121202e-14},
+    (16, 10): {"flat": 0.0, "fubini-study": 1.1368683772161603e-13},
 }
 
 
@@ -493,9 +494,16 @@ def test_bridge_check_verdicts_are_pinned(n, samples):
 def test_bridge_check_passes_at_n_400(capsys):
     # Richardson differences of v = n*s~ - ... in s~ lost digits in
     # proportion to n, so this call failed at 3.2e-5; the Kahler side now
-    # reads the closed-form jet and differences nothing
+    # reads the closed-form jet, the polytope side the Taylor jet of t', and
+    # neither differences anything
     assert cli.main(["bridge-check", "--n", "400", "--samples", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_bridge_check_refuses_a_dimension_below_one(capsys):
+    # the cross-check itself refuses n < 1, after the flags are read
+    assert cli.main(["bridge-check", "--n", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: n must be >= 1\n")
 
 
 def test_bridge_check_rejects_an_unknown_preset():

@@ -4,7 +4,8 @@ fields, a repr in field order, and equality and hash by value."""
 import pytest
 
 from toricext import cli
-from toricext.bridge import bridge_cross_check, flat_potential
+from toricext.bridge import PRESETS, bridge_cross_check
+from toricext.errors import InvalidParameters
 from toricext.exact import solve_coefficients
 from toricext.radial import TPotential
 
@@ -17,14 +18,19 @@ def _other(value):
     raise AssertionError("a stand-in that no record calls")
 
 
-# each record, built on valid input, and whether it refuses a new attribute:
-# ExtremalCoefficients keeps an instance __dict__ for its cached properties
+# each record, built on valid input, whether it refuses a new attribute
+# (ExtremalCoefficients keeps an instance __dict__ for its cached
+# properties), and for a record whose constructor refuses input, a _make or
+# _replace call on such input
 _RECORDS = {
-    "ExtremalCoefficients": (lambda: solve_coefficients(2, 0.5, 1.0), False),
-    "TPotential": (lambda: TPotential(2, 0.5, 1.0, _no_jet), True),
-    "KahlerPotential": (lambda: flat_potential(2), True),
-    "BridgeCheckReport": (lambda: bridge_cross_check(flat_potential(2), [0.5, 2.0]), True),
-    "_Table": (lambda: cli._Table(("s", "t"), [[0.5], [2.0]]), True),
+    "ExtremalCoefficients": (
+        lambda: solve_coefficients(2, 0.5, 1.0), False, lambda r: r._replace(a=-1.0)),
+    "TPotential": (
+        lambda: TPotential(2, 0.5, 1.0, _no_jet), True,
+        lambda r: type(r)._make((0, 2.0, 1.0, None))),
+    "BridgeCheckReport": (
+        lambda: bridge_cross_check(2, PRESETS["flat"], [0.5, 2.0]), True, None),
+    "_Table": (lambda: cli._Table(("s", "t"), [[0.5], [2.0]]), True, None),
 }
 
 # exact._deflation puts this text into its InvalidParameters and
@@ -37,9 +43,14 @@ _COEFFICIENTS_REPR = (
 
 @pytest.mark.parametrize("name", list(_RECORDS))
 def test_record_contract(name):
-    build, slotted = _RECORDS[name]
+    build, slotted, refused = _RECORDS[name]
     record = build()
     assert type(record).__name__ == name
+    assert record._replace() == type(record)._make(record) == record
+    # the constructor's refusals hold for every way to build one
+    if refused is not None:
+        with pytest.raises(InvalidParameters):
+            refused(record)
 
     for field in record._fields:
         with pytest.raises(AttributeError):
