@@ -13,8 +13,8 @@ stdout and stderr to ``DIR/<index>.txt``, to diff the calls whose digests
 differ.
 
 The list covers every command; n in {1, 2, 3, 5, 8, 9, 12, 16}; a/b from
-1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the thin shell
-a/b = 0.9999; failing tolerances and invalid input; profile's edge cases (one
+1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the thin shells
+a/b = 0.9999, 1 - 1e-10 and 1 - 1e-12; failing tolerances and invalid input; profile's edge cases (one
 and two rows, a zero grid step, a margin that rounds away, 20 000 rows at
 n = 16, a/b = 1 - 1e-9); bridge-check at 5 000 samples, at n = 400 and at
 n = 0; input whose floats overflow or underflow, in the coefficients or in
@@ -66,6 +66,10 @@ def argv_list() -> list[list[str]]:
         ["verify", "--n", "4", "--points", "5"],
         ["verify", "--n", "2", "--a", "1.0", "--b", "0.5"],
         *(["verify", *_geometry(n, 0.9999), "--points", "40"] for n in (1, 2, 8, 16)),
+        # so thin that the endpoint probes a + c*delta round onto a: the
+        # report names the failing soft checks
+        *(["verify", *_geometry(n, 1 - eps), "--points", "40"]
+          for n, eps in ((2, 1e-10), (16, 1e-12))),
         ["derive", "--n", "0"],
         ["example", "--n", "3"],
     ]

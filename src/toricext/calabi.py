@@ -14,6 +14,7 @@ imports this module.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -28,10 +29,14 @@ def _endpoint_limits(
     is right next to them.  Exact part: Q(a), Q(b) < 0 are the end Bernstein
     coefficients, so h'' = -V/Q - 1/t has finite limits.  Float part:
     ``table.h_second`` at a + c*delta and b - c*delta against the exact h'' at
-    the same float t, relative to the largest of those six |h''|.
+    the same float t, relative to the largest of those six |h''|.  Where
+    c*delta rounds away, in a shell thinner than about 2e-10*b, a probe is
+    the first float inside instead.
     """
     offsets = [1e-6, 5e-7, 2.5e-7]
-    ts = [E.a + E.c * d for d in offsets] + [E.b - E.c * d for d in offsets]
+    inner_a, inner_b = math.nextafter(E.a, E.b), math.nextafter(E.b, E.a)
+    ts = [max(E.a + E.c * d, inner_a) for d in offsets]
+    ts += [min(E.b - E.c * d, inner_b) for d in offsets]
     got = table.h_second(E, ts)
     want = [exact._h_second_exact(E, t) for t in map(Fraction, ts)]
     error = max(abs(Fraction(g) - w) for g, w in zip(got, want)) / max(map(abs, want))

@@ -44,9 +44,10 @@ class BoundaryIdentityViolation(GeometryError, ArithmeticError):
     """Dividing p*t^n - alpha, or the numerator of h'', exactly by an endpoint
     root leaves a remainder: the coefficients miss a boundary condition.
 
-    For the exact solution of a correct ``exact._boundary_rows`` every
-    remainder is 0 for every input, so this guards the rows themselves (a
-    wrong residue or slope target), not bad input."""
+    For the exact moment solve of ``exact._exact_solution`` (Donaldson's
+    functional) every remainder is 0 for every input, so this guards that
+    formula itself (a dropped facet term or point mass, a wrong moment), not
+    bad input."""
 
 
 class StencilExitsDomain(GeometryError, ValueError):

@@ -14,10 +14,15 @@ conditions at t = a and t = b,
 
 which say that p*t^n - alpha has simple roots at both endpoints with exactly
 the residues that cancel the Guillemin log singularities of the boundary
-facets.  That 4x4 system is solved exactly, in rational arithmetic, and the
-result rounded to float once; it is the only coefficient path.  Its checks
-are exact: Calabi's closed forms equal it as rationals
-(``coefficient_cross_check``), and Bernstein coefficients prove the metric
+facets.  The coefficients come from the moment polytope alone: Donaldson's
+functional, which vanishes on affine functions, gives (A, B) as a 2x2
+system of polytope moments, and at (t - c)_+ it is the extremal numerator
+p*c^n - alpha(c), whose lowest coefficients give C and D
+(``_exact_solution``).  Everything is exact, in rational arithmetic, and the
+result is rounded to float once; it is the only coefficient path.  Its
+checks are exact: Calabi's closed forms equal it as rationals
+(``coefficient_cross_check``), the four boundary conditions hold as exact
+deflations (``_deflation``), and Bernstein coefficients prove the metric
 valid on all of (a, b) (``positivity_certificate``).
 
 Everything here runs on the standard library (``fractions``, ``math``), so a
@@ -110,46 +115,37 @@ class ExtremalCoefficients(namedtuple("ExtremalCoefficients", "n a b A B C D")):
         return _bernstein_certificate(Q, Fraction(self.a), Fraction(self.b))
 
 
-def _boundary_rows(n: int, a, b) -> list:
-    """Augmented rows [coefficients of (A, B, C, D) | target] of the endpoint
-    conditions alpha(a), alpha'(a), alpha(b), alpha'(b), in the number type
-    of a and b."""
-    p = n * (n + 1) * (n + 2)
-
-    def value_row(e) -> list:
-        return [n * e ** (n + 2), (n + 2) * e ** (n + 1), p * e, p]
-
-    def slope_row(e) -> list:
-        return [n * (n + 2) * e ** (n + 1), (n + 1) * (n + 2) * e**n, p, 0]
-
-    return [
-        value_row(a) + [p * a**n],
-        slope_row(a) + [(n - 1) * p * a ** (n - 1)],
-        value_row(b) + [p * b**n],
-        slope_row(b) + [(n + 1) * p * b ** (n - 1)],
-    ]
-
-
 @lru_cache
 def _exact_solution(n: int, a: float, b: float) -> tuple[Fraction, ...]:
-    """(A, B, C, D) of the boundary system, exactly.
+    """(A, B, C, D) from moments of the polytope, exactly.
 
-    The float (a, b) are exact rationals, so Gauss-Jordan elimination over
-    ``Fraction`` gives the exact solution, in the given row order: the
-    leading minors are n*a^(n+2), -n(n+2)*a^(2n+2) and
-    n^2(n+1)(n+2)^2 * a^(n+1) b^(n+2) * f(a/b), f(r) = (n+1)r - n - r^(n+1)
-    < 0 on (0, 1) as f(1) = 0 < f', and the determinant is
-    n(n+2)*p^2 * ``_calabi_denominator`` > 0, so no pivot is 0 for any n.
-    Cached: ``solve_coefficients`` and the record's deflation both need it
-    for the same geometry.
+    Donaldson's functional L(f) = int_dP f dsigma - int_P (A*t + B)*f dx
+    vanishes on affine f.  Reduced to t, dx is t^(n-1)/(n-1)! dt, the n
+    facets x_i = 0 carry n*t^(n-2)/(n-2)! dt and the facets t = a, b the
+    point masses a^(n-1)/(n-1)! and b^(n-1)/(n-1)!.  So f = 1 and f = t give
+    two equations in the moments m_k = (b^(k+1) - a^(k+1))/(k+1) of t^k dt,
+
+        m_(n+j)*A + m_(n-1+j)*B = r_j,    j = 0, 1,
+
+    with the boundary measure r_j = n(n-1)*m_(n-2+j) + a^(n-1+j) + b^(n-1+j),
+    a polynomial for every n.  The determinant is the Gram determinant of
+    {1, t} in L^2([a, b], t^(n-1) dt), which is ``_calabi_denominator``
+    / (n(n+1)^2(n+2)), positive by Cauchy-Schwarz.  At f = (t - c)_+,
+    (n+2)!*L is the extremal numerator p*c^n - alpha(c), whose two lowest
+    coefficients give C and D.  The float (a, b) are exact rationals, so
+    every step is exact.  Cached: ``solve_coefficients`` and the record's
+    deflation both need it for the same geometry.
     """
-    rows = _boundary_rows(n, Fraction(float(a)), Fraction(float(b)))
-    for col, pivot in enumerate(rows):
-        for r in range(4):
-            if r != col:
-                f = rows[r][col] / pivot[col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
-    return tuple(rows[k][4] / rows[k][k] for k in range(4))
+    a, b = Fraction(float(a)), Fraction(float(b))
+    m0, m1, m2 = ((b**k - a**k) / k for k in (n, n + 1, n + 2))
+    r0 = (n + 1) * b ** (n - 1) - (n - 1) * a ** (n - 1)
+    r1 = n * b**n - (n - 2) * a**n
+    gram = m0 * m2 - m1**2
+    A = (m0 * r1 - m1 * r0) / gram
+    B = (m2 * r0 - m1 * r1) / gram
+    C = (n + 1) * b ** (n - 1) - A * b ** (n + 1) / (n + 1) - B * b**n / n
+    D = A * b ** (n + 2) / (n + 2) + B * b ** (n + 1) / (n + 1) - n * b**n
+    return A, B, C, D
 
 
 def _rounded(n: int, a: float, b: float, exact: tuple) -> ExtremalCoefficients:
@@ -170,9 +166,9 @@ def _rounded(n: int, a: float, b: float, exact: tuple) -> ExtremalCoefficients:
 
 
 def solve_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
-    """Authoritative coefficients: the boundary system solved exactly and
-    rounded to float once.  A float solve loses digits as a/b -> 1, where the
-    system degenerates.
+    """Authoritative coefficients: Donaldson's moment system solved exactly
+    and rounded to float once.  A float solve loses digits as a/b -> 1, where
+    the Gram determinant has a fourth-order root.
     """
     _check_geometry(n, a, b)
     n = int(n)
@@ -241,9 +237,8 @@ def _closed_form(n: int, a: float, b: float) -> tuple[Fraction, ...]:
 
 
 def coefficient_cross_check(solved: ExtremalCoefficients) -> bool:
-    """True when Calabi's closed forms and the solve of the boundary system
-    are the same four rationals at the record's (n, a, b), and the record is
-    their rounding."""
+    """True when Calabi's closed forms and the moment solve are the same four
+    rationals at the record's (n, a, b), and the record is their rounding."""
     closed = _closed_form(solved.n, solved.a, solved.b)
     return closed == _exact_solution(solved.n, solved.a, solved.b) and tuple(
         map(float, closed)
@@ -282,11 +277,10 @@ def _deflation(E: ExtremalCoefficients) -> tuple[list, list]:
         h''(t) = -V(t)/Q(t) - 1/t,
         V = P / ((t-a)^2 (t-b)^2),   Q = beta / ((t-a)(t-b)).
 
-    Built over ``Fraction`` from the exact solution of the boundary system,
-    which must round to the record's own (A, B, C, D), or
-    ``InvalidParameters`` is raised.  The six remainders are 0 exactly when
-    the boundary identities hold; any other value raises
-    ``BoundaryIdentityViolation``.
+    Built over ``Fraction`` from the exact moment solve, which must round to
+    the record's own (A, B, C, D), or ``InvalidParameters`` is raised.  The
+    six remainders are 0 exactly when the boundary identities hold; any
+    other value raises ``BoundaryIdentityViolation``.
     """
     n, p = E.n, E.n * (E.n + 1) * (E.n + 2)
     exact = _exact_solution(n, E.a, E.b)

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricext.abreu import (
@@ -20,9 +22,16 @@ from toricext.errors import (
     StencilExitsDomain,
 )
 from toricext.polytope import interior_distance, sample_interior
-from toricext.numdiff import STEP_SECOND
+from toricext.numdiff import EPS, STEP_SECOND
 from toricext.radial import TPotential
-from util import F_profile, cpn_profile, flat_profile, profile, radial_hessian
+from util import (
+    F_profile,
+    cpn_profile,
+    exact_least_squares,
+    flat_profile,
+    profile,
+    radial_hessian,
+)
 
 
 def test_flat_curvature_default_step():
@@ -142,19 +151,26 @@ def test_extremality_residual_rejects_collinear_points():
     log_b=st.floats(min_value=-3.0, max_value=3.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
+@example(n=16, extra=0, log_b=0.0, seed=9167224)  # kappa = 1.0e7
 def test_qr_fit_matches_lstsq(n, extra, log_b, seed):
-    # the design of verify: interior points of a size-b polytope, and a 1
+    # the design of verify: interior points of a size-b polytope, and a 1;
+    # the reference is the exact least-squares fit at the same floats
     b = 10.0**log_b
     T = flat_profile(n, 0.5 * b, b)
     pts = np.array(sample_interior(T, n + 1 + extra, margin=0.05 * b, seed=seed % 1000))
     values = np.random.default_rng(seed).normal(size=len(pts)) / b
     design = np.hstack([pts, np.ones((len(pts), 1))])
-    scale = np.max(np.abs(design), axis=0)
-    want = np.linalg.lstsq(design / scale, values, rcond=None)[0] / scale
+    kappa = np.linalg.cond(design / np.max(np.abs(design), axis=0))
     got = _least_squares(design.tolist(), values.tolist())
-    # the residuals, not the coefficients: those are what the fit reports
-    np.testing.assert_allclose(design @ got, design @ want, rtol=0, atol=1e-10 / b)
+    want = exact_least_squares(design.tolist(), values.tolist())
+    # the fitted values, not the coefficients: those are what the fit
+    # reports.  Householder QR is backward stable (Higham, ch. 20), so its
+    # fitted values miss the exact ones by O(kappa*eps) of |values| ~ 1/b
+    rows = [[Fraction(x) for x in row] for row in design.tolist()]
+    error = max(abs(sum(map(mul, row, map(Fraction, got))) - sum(map(mul, row, want)))
+                for row in rows)
+    assert error <= max(1e-10, 4.0 * kappa * EPS) / b
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])

@@ -18,7 +18,6 @@ from toricext.abreu import abreu_scalar_curvature
 from toricext.bridge import PRESETS, _Jet, bridge_cross_check, calabi_scalar_curvature
 from toricext.calabi import build_extremal_metric
 from toricext.exact import (
-    _boundary_rows,
     _closed_form,
     _exact_solution,
     coefficient_cross_check,
@@ -28,6 +27,7 @@ from toricext.exact import (
 from toricext.polytope import sample_interior
 from toricext.radial import radial_scalar_curvature
 from util import (
+    boundary_rows,
     cpn_profile,
     fd_curvature_reference,
     flat_profile,
@@ -86,7 +86,7 @@ def test_criterion_03_boundary_interpolation_identities():
             for b in (1.0, 2.0):
                 E = solve_coefficients(n, a, b)
                 exact = _exact_solution(n, a, b)
-                rows = _boundary_rows(n, Fraction(a), Fraction(b))
+                rows = boundary_rows(n, Fraction(a), Fraction(b))
                 if any(sum(m * x for m, x in zip(row, exact)) != row[4]
                        for row in rows):
                     failures.append((n, a, b))

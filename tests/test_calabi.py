@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import subprocess
 import sys
@@ -24,7 +25,6 @@ from toricext.exact import (
     ExtremalCoefficients,
     _alpha_coeffs,
     _bernstein_certificate,
-    _boundary_rows,
     _closed_form,
     _exact_solution,
     coefficient_cross_check,
@@ -34,9 +34,15 @@ from toricext.exact import (
 from toricext.radial import radial_scalar_curvature
 from util import (
     array_h_second,
+    boundary_rows,
+    boundary_solution,
     closed_form_coefficients,
+    donaldson_functional,
     exact_F_second,
     exact_phi_jet,
+    lowest_coefficients,
+    moment_solution,
+    moment_system,
 )
 
 nab = st.tuples(
@@ -55,7 +61,7 @@ COEFFS_N2_B1 = {
 
 
 def test_boundary_system_frozen_rows():
-    rows = _boundary_rows(2, Fraction(1, 2), Fraction(1))
+    rows = boundary_rows(2, Fraction(1, 2), Fraction(1))
     assert [row[4] for row in rows] == [6, 12, 24, 72]
     assert rows[0][:4] == [Fraction(1, 8), Fraction(1, 2), 12, 24]
     assert rows[2][:4] == [2, 4, 24, 24]
@@ -63,7 +69,7 @@ def test_boundary_system_frozen_rows():
 
 
 def test_boundary_system_is_nonsingular_for_every_n():
-    # _boundary_rows on a symbolic n, with a^n and b^n as symbols of their
+    # boundary_rows on a symbolic n, with a^n and b^n as symbols of their
     # own, so that every entry is a polynomial: the determinant and the
     # leading minors are identities in (n, a, b, a^n, b^n)
     n, a, b, an, bn = sympy.symbols("n a b a_n b_n", positive=True)
@@ -72,7 +78,7 @@ def test_boundary_system_is_nonsingular_for_every_n():
         entry = sympy.expand(entry, power_exp=True)
         return sympy.expand(entry.subs({a**n: an, b**n: bn}))
 
-    M = sympy.Matrix([list(map(polynomial, row[:4])) for row in _boundary_rows(n, a, b)])
+    M = sympy.Matrix([list(map(polynomial, row[:4])) for row in boundary_rows(n, a, b)])
     p = n * (n + 1) * (n + 2)
     den = (b * bn - a * an) ** 2 - (n + 1) ** 2 * an * bn * (b - a) ** 2
     assert polynomial(exact_mod._calabi_denominator(n, a, b) - den) == 0
@@ -83,6 +89,88 @@ def test_boundary_system_is_nonsingular_for_every_n():
     minors = [n * a**2 * an, -n * (n + 2) * a**2 * an**2, n**2 * (n + 1) * (n + 2) ** 2 * f]
     for k, minor in enumerate(minors, start=1):
         assert sympy.expand(M[:k, :k].det(method="berkowitz") - minor) == 0
+
+
+def test_moment_system_is_the_boundary_system_for_every_n():
+    # Donaldson's 2x2 system and the lines for (C, D) on a symbolic n, with
+    # a^(n-1) and b^(n-1) as symbols of their own, so that every moment is
+    # a polynomial: its Gram determinant is Calabi's denominator over
+    # n(n+1)^2(n+2), and the Cramer (A, B) with its (C, D) meet all four
+    # endpoint conditions, as identities in (n, a, b, a^(n-1), b^(n-1))
+    n, a, b, an, bn = sympy.symbols("n a b a_n b_n", positive=True)
+    A, B = sympy.symbols("A B")
+
+    def polynomial(entry):
+        entry = sympy.expand(entry, power_exp=True)
+        return sympy.expand(entry.subs({a**n: a * an, b**n: b * bn}))
+
+    (m0, m1, m2), (r0, r1) = (map(polynomial, x) for x in moment_system(n, a, b))
+    gram = m0 * m2 - m1 * m1
+    den = polynomial(exact_mod._calabi_denominator(n, a, b))
+    assert sympy.cancel(sympy.expand(gram * n * (n + 1) ** 2 * (n + 2)) - den) == 0
+    # alpha is linear in (A, B); times the Gram determinant, Cramer's rule
+    # makes each condition a polynomial identity
+    cramer = {A: m0 * r1 - m1 * r0, B: m2 * r0 - m1 * r1}
+    C, D = map(polynomial, lowest_coefficients(n, b, A, B))
+    p = n * (n + 1) * (n + 2)
+    for e, e_n, slope in ((a, an, n - 1), (b, bn, n + 1)):
+        alpha = n * A * e**3 * e_n + (n + 2) * B * e**2 * e_n + p * (C * e + D)
+        d_alpha = n * (n + 2) * A * e**2 * e_n + (n + 1) * (n + 2) * B * e * e_n + p * C
+        for residual in (alpha - p * e * e_n, d_alpha - slope * p * e_n):
+            residual = sympy.expand(residual)
+            constant = residual.subs({A: 0, B: 0})
+            homogeneous = sum(residual.coeff(x) * cramer[x] for x in (A, B))
+            assert sympy.cancel(sympy.expand(homogeneous + constant * gram)) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_donaldson_functional_is_the_extremal_numerator(n):
+    # (n+2)! * L((t - c)_+) = p*c^n - alpha(c), exactly, at rational c in
+    # (a, b)
+    rng = random.Random(n)
+    p = n * (n + 1) * (n + 2)
+    for a, b in ((0.5, 1.0), (0.25, 2.0), (1e-3, 1.0)):
+        A, B, C, D = _exact_solution(n, a, b)
+        alpha = _alpha_coeffs(n, A, B, C, D)
+        for _ in range(3):
+            c = Fraction(a) + Fraction(rng.randrange(1, 10**6), 10**6) * Fraction(b - a)
+            numerator = p * c**n - _horner(alpha, c)
+            assert donaldson_functional(n, Fraction(a), Fraction(b), A, B, c) == numerator
+        # (t - a)_+ is affine, so L vanishes there: the root of the numerator at a
+        assert donaldson_functional(n, Fraction(a), Fraction(b), A, B, Fraction(a)) == 0
+
+
+@given(
+    st.integers(min_value=1, max_value=64),
+    st.floats(min_value=1e-3, max_value=0.999),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+@settings(max_examples=60, deadline=None)
+@example(64, 0.999, 1.0)
+@example(1, 1e-3, 1e3)
+def test_three_coefficient_routes_are_one(n, ratio, b):
+    # Donaldson's moments, the 4x4 boundary system and Calabi's closed forms
+    a = ratio * b
+    exact = _exact_solution(n, a, b)
+    assert moment_solution(n, a, b) == exact
+    assert boundary_solution(n, a, b) == exact
+    assert _closed_form(n, a, b) == exact
+
+
+@pytest.mark.parametrize(
+    "weights, ns",
+    [({"facets": 0}, (2, 3, 8, 16)), ({"mass_at_a": 0}, (1, 2, 3, 8, 16))],
+)
+def test_moment_system_mutants_fail_the_closed_form(monkeypatch, weights, ns):
+    # the x_i-facet term is 0 at n = 1, so its mutant starts at n = 2
+    monkeypatch.setattr(
+        exact_mod, "_exact_solution", lambda n, a, b: moment_solution(n, a, b, **weights)
+    )
+    for n in ns:
+        E = solve_coefficients(n, 0.5, 1.0)
+        assert coefficient_cross_check(E) is False
+        with pytest.raises(BoundaryIdentityViolation):
+            positivity_certificate(E)
 
 
 @pytest.mark.parametrize("a", sorted(COEFFS_N2_B1))
@@ -119,7 +207,7 @@ def test_solved_coefficients_satisfy_boundary_system(params):
     # record is the rounding of that solution
     n, a, b = params
     exact = _exact_solution(n, a, b)
-    for row in _boundary_rows(n, Fraction(a), Fraction(b)):
+    for row in boundary_rows(n, Fraction(a), Fraction(b)):
         assert sum(m * x for m, x in zip(row, exact)) == row[4]
     assert _closed_form(n, a, b) == exact
     E = solve_coefficients(n, a, b)

@@ -1,12 +1,16 @@
 """Shared model potentials, which are their own polytopes, the radial curvature references, the
 references built from the package's parts (the Legendre F, the full inverse
-Hessian, Calabi's closed forms rounded to a record), the exact momentum
+Hessian, Calabi's closed forms rounded to a record), two independent
+routes to the extremal coefficients (the 4x4 boundary system and
+Donaldson's moment system, with mutants of the latter) and Donaldson's
+functional at (t - c)_+, the exact momentum
 profile of the extremal metric and the numpy array evaluation of h'', for
 the test suite."""
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +90,97 @@ def legendre_F(s_of_t, f, t: float) -> float:
     return t * math.log(s / t) - 2.0 * f(s)
 
 
+def boundary_rows(n: int, a, b) -> list:
+    """Augmented rows [coefficients of (A, B, C, D) | target] of the endpoint
+    conditions alpha(a), alpha'(a), alpha(b), alpha'(b), in the number type
+    of a and b: the 4x4 boundary system, an independent reference for the
+    package's moment solve."""
+    p = n * (n + 1) * (n + 2)
+
+    def value_row(e) -> list:
+        return [n * e ** (n + 2), (n + 2) * e ** (n + 1), p * e, p]
+
+    def slope_row(e) -> list:
+        return [n * (n + 2) * e ** (n + 1), (n + 1) * (n + 2) * e**n, p, 0]
+
+    return [
+        value_row(a) + [p * a**n],
+        slope_row(a) + [(n - 1) * p * a ** (n - 1)],
+        value_row(b) + [p * b**n],
+        slope_row(b) + [(n + 1) * p * b ** (n - 1)],
+    ]
+
+
+def gauss_jordan(rows: list) -> list:
+    """The solution of the augmented rows [matrix | target], by Gauss-Jordan
+    elimination in the given row order, in their number type: exact over
+    ``Fraction`` where no leading principal minor is 0."""
+    for col, pivot in enumerate(rows):
+        for r, row in enumerate(rows):
+            if r != col:
+                f = row[col] / pivot[col]
+                rows[r] = [x - f * y for x, y in zip(row, pivot)]
+    return [row[-1] / row[k] for k, row in enumerate(rows)]
+
+
+def boundary_solution(n: int, a: float, b: float) -> tuple[Fraction, ...]:
+    """(A, B, C, D) of the 4x4 boundary system, exactly: no leading minor is
+    0 for any n (``test_boundary_system_is_nonsingular_for_every_n``)."""
+    return tuple(gauss_jordan(boundary_rows(n, Fraction(float(a)), Fraction(float(b)))))
+
+
+def moment_system(n: int, a, b, facets=1, mass_at_a=1) -> tuple:
+    """The moments (m_(n-1), m_n, m_(n+1)), m_k = (b^(k+1) - a^(k+1))/(k+1),
+    and the boundary measures (r_0, r_1) of Donaldson's 2x2 system
+    m_(n+j)*A + m_(n-1+j)*B = r_j, in the number type of a and b.
+
+    r_j = facets*n(n-1)*m_(n-2+j) + mass_at_a*a^(n-1+j) + b^(n-1+j): the
+    weights 0 drop the x_i-facet term or the point mass at t = a."""
+
+    def moment(k):
+        return (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+
+    r0 = facets * n * (b ** (n - 1) - a ** (n - 1)) + mass_at_a * a ** (n - 1)
+    r1 = facets * (n - 1) * (b**n - a**n) + mass_at_a * a**n
+    r0, r1 = r0 + b ** (n - 1), r1 + b**n
+    return (moment(n - 1), moment(n), moment(n + 1)), (r0, r1)
+
+
+def lowest_coefficients(n: int, b, A, B) -> tuple:
+    """(C, D) of alpha from (A, B): the two conditions at t = b, solved."""
+    C = (n + 1) * b ** (n - 1) - A * b ** (n + 1) / (n + 1) - B * b**n / n
+    D = A * b ** (n + 2) / (n + 2) + B * b ** (n + 1) / (n + 1) - n * b**n
+    return C, D
+
+
+def moment_solution(n: int, a: float, b: float, **weights) -> tuple[Fraction, ...]:
+    """(A, B, C, D) of Donaldson's system by Cramer's rule over ``Fraction``,
+    with the weights of ``moment_system``."""
+    a, b = Fraction(float(a)), Fraction(float(b))
+    (m0, m1, m2), (r0, r1) = moment_system(n, a, b, **weights)
+    gram = m0 * m2 - m1 * m1
+    A, B = (m0 * r1 - m1 * r0) / gram, (m2 * r0 - m1 * r1) / gram
+    return (A, B, *lowest_coefficients(n, b, A, B))
+
+
+def donaldson_functional(n: int, a, b, A, B, c):
+    """(n+2)! * L((t - c)_+), L(f) = int_dP f dsigma - int_P (A*t + B)*f dx,
+    for a rational c in (a, b), by the U(n)-reduced measures: t^(n-1)/(n-1)!
+    dt inside, n*t^(n-2)/(n-2)! dt on the n facets x_i = 0, and the point
+    mass b^(n-1)/(n-1)! at t = b ((t - c)_+ is 0 at t = a)."""
+
+    def integral(k):  # int_c^b t^k dt
+        return (b ** (k + 1) - c ** (k + 1)) / (k + 1)
+
+    p = n * (n + 1) * (n + 2)
+    # (n-1)! times each measure; the facet term is absent at n = 1
+    facet = n * (n - 1) * (integral(n - 1) - c * integral(n - 2)) if n > 1 else 0
+    point = (b - c) * b ** (n - 1)
+    interior = (A * (integral(n + 1) - c * integral(n))
+                + B * (integral(n) - c * integral(n - 1)))
+    return p * (facet + point - interior)
+
+
 def closed_form_coefficients(n: int, a: float, b: float):
     """Calabi's explicit coefficient formulas, evaluated exactly and rounded
     to float once, as a record."""
@@ -130,6 +225,19 @@ def hwang_singer_curvature(n: int, t, phi, dphi, d2phi):
         - 2 * (n - 1) * dphi / t
         - d2phi
     )
+
+
+def exact_least_squares(design, values) -> list[Fraction]:
+    """c minimising |design @ c - values| exactly: the normal equations
+    design^T design c = design^T values over ``Fraction``, at the float
+    entries given (the Gram matrix of a design of full column rank is
+    positive definite, so no leading minor is 0)."""
+    cols = list(zip(*([Fraction(x) for x in row] for row in design)))
+    v = [Fraction(x) for x in values]
+    return gauss_jordan([
+        [sum(map(operator.mul, ci, cj)) for cj in cols] + [sum(map(operator.mul, ci, v))]
+        for ci in cols
+    ])
 
 
 # --- the extremal momentum profile in exact rationals -------------------------
