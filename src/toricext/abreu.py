@@ -9,14 +9,14 @@ with G^{ij} the entries of the inverse Hessian.  For the radial potentials of
 
     G^{-1} = 2 * (diag(x) - w * x x^T),    w = (t - phi)/t^2,
 
-exact up to rounding (``radial.inverse_diagonal`` and
-``radial.inverse_off_diagonal``), and the outer second derivatives are
-central finite differences on the polytope interior.  Every corner of a
-point's stencil lies at t + k*h for k in {-2..2}, so a point costs five phi
-values, all read from one jet call of the profile, and O(n^2) entries of
-O(1) each.  Extremality of a metric means S is affine in x;
-``extremality_residual`` fits given curvatures and measures the distance to
-that.  Everything runs in plain floats.
+exact up to rounding, and the outer second derivatives are central finite
+differences on the polytope interior.  Every corner of a point's stencil
+lies at t + k*h for k in {-2..2}, so a point costs five phi values, all read
+from one jet call of the profile, and O(n) work: three diagonal entries per
+coordinate, and one fsum for the mixed terms of all pairs at once.
+Extremality of a metric means S is affine in x; ``extremality_residual``
+fits given curvatures and measures the distance to that.  Everything runs
+in plain floats.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ from .errors import (
 )
 from .numdiff import EPS, STEP_SECOND
 from .polytope import interior_distance
-from .radial import (
-    TPotential,
-    inverse_diagonal,
-    inverse_off_diagonal,
-    validity_factor,
-)
+from .radial import TPotential, validity_factor
 
 # the dimensions verify is checked for; refuse anything bigger so a misuse
 # fails loudly instead of slowly
@@ -75,28 +70,30 @@ def _points(points: Sequence, n: int) -> list[list[float]]:
 def _curvature_at(x: list[float], h: float, ts: list[float], phi: list[float]) -> float:
     """The stencil at one point x with step h, on closed-form entries; ts and
     phi are t + k*h, t = sum(x), and the momentum profile there, indexed by
-    k + 2."""
-    t = ts[2]
-    w = [(s - f) / s / s for s, f in zip(ts, phi)]
+    k + 2.
+
+    The diagonal terms take one coordinate each.  The mixed ones are
+    G^{ij} = -2*w*y_i*y_j at the four corners x +- h*e_i +- h*e_j, with
+    w = (t - phi)/t^2 read at the corner's t, and sum over the pairs i != j
+    in closed form: with P = sum_i x_i*(t - x_i), X = 2h(n-1)t and
+    C = n(n-1)h^2, the products y_i*y_j at (+,+), at (+,-) and (-,+)
+    together, and at (-,-) sum to P + X + C, 2(P - C) and P - X + C.  P is
+    an fsum of positive terms, never t^2 - sum(x_i^2), which cancels.
+    """
+    n, t = len(x), ts[2]
+    w0, w2, w4 = [(s - f) / s / s for s, f in zip(ts[::2], phi[::2])]
     hh = h * h
     total = 0.0
-    for i, xi in enumerate(x):
+    for xi in x:
         rest = t - xi  # the same at x and at x +- h*e_i
-        plus = inverse_diagonal(xi + h, rest, ts[3], phi[3])
-        centre = inverse_diagonal(xi, rest, t, phi[2])
-        minus = inverse_diagonal(xi - h, rest, ts[1], phi[1])
+        # G^{ii} = 2*y*(rest + y*phi/t)/t at x_i = y: a sum of positive terms
+        plus = 2.0 * (xi + h) * (rest + (xi + h) * phi[3] / ts[3]) / ts[3]
+        centre = 2.0 * xi * (rest + xi * phi[2] / t) / t
+        minus = 2.0 * (xi - h) * (rest + (xi - h) * phi[1] / ts[1]) / ts[1]
         total += (plus - 2.0 * centre + minus) / hh
-    up = [xi + h for xi in x]
-    down = [xi - h for xi in x]
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            mixed = (
-                inverse_off_diagonal(up[i], up[j], w[4])
-                - inverse_off_diagonal(up[i], down[j], w[2])
-                - inverse_off_diagonal(down[i], up[j], w[2])
-                + inverse_off_diagonal(down[i], down[j], w[0])
-            ) / (4.0 * hh)
-            total += 2.0 * mixed  # (i,j) and (j,i) contribute equally
+    P = math.fsum(xi * (t - xi) for xi in x)
+    X, C = 2.0 * h * (n - 1) * t, n * (n - 1) * hh
+    total -= (w4 * (P + X + C) - 2.0 * w2 * (P - C) + w0 * (P - X + C)) / (2.0 * hh)
     return -0.5 * total
 
 

@@ -31,7 +31,7 @@ def _endpoint_limits(
     ``table.h_second`` at a + c*delta and b - c*delta against the exact h'' at
     the same float t, relative to the largest of those six |h''|.  Where
     c*delta rounds away, in a shell thinner than about 2e-10*b, a probe is
-    the first float inside instead.
+    the first float inside instead; the report lists the six t probed.
     """
     offsets = [1e-6, 5e-7, 2.5e-7]
     inner_a, inner_b = math.nextafter(E.a, E.b), math.nextafter(E.b, E.a)
@@ -42,6 +42,7 @@ def _endpoint_limits(
     error = max(abs(Fraction(g) - w) for g, w in zip(got, want)) / max(map(abs, want))
     return error <= tolerance, {
         "offsets": offsets,
+        "probes": ts,
         "near_a": got[:3],
         "near_b": got[3:],
         "denominator_at_ends": [float(E._bernstein[0]), float(E._bernstein[-1])],

@@ -80,19 +80,6 @@ def validity_factor(t: float, phi: float) -> float:
     return t / phi
 
 
-def inverse_diagonal(y: float, rest: float, t: float, phi: float) -> float:
-    """G^{ii} = 2*y*(t*rest + y*phi)/t^2 at a point with x_i = y, rest =
-    t - y and momentum profile phi at t, written as 2*y*(rest + y*phi/t)/t: a
-    sum of positive terms, and exact up to rounding at n = 1."""
-    return 2.0 * y * (rest + y * phi / t) / t
-
-
-def inverse_off_diagonal(yi: float, yj: float, w: float) -> float:
-    """G^{ij} = -2*w*y_i*y_j, i != j, at a point with x_i = yi, x_j = yj,
-    where w = (t - phi)/t^2."""
-    return -2.0 * w * yi * yj
-
-
 def radial_scalar_curvature(
     n: int, ts: Sequence[float], jet: Sequence[Sequence[float]]
 ) -> list[float]:

@@ -70,7 +70,7 @@ def profile_columns(
         q = _horner(Q, t)
         if q == 0.0:
             raise PotentialPole(f"deflated denominator vanishes at t = {t}")
-        f2.append(scale / (t - a) / (t - b) / q - 1.0 / t)
+        f2.append(scale / q / (t - a) / (t - b) - 1.0 / t)
         h2.append(-_horner(V, t) / q - 1.0 / t)
     return f2, h2
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricext.abreu import (
+    _curvature_at,
     _least_squares,
     abreu_scalar_curvature,
     extremality_residual,
@@ -29,6 +30,7 @@ from util import (
     cpn_profile,
     exact_least_squares,
     flat_profile,
+    pair_loop_curvature,
     profile,
     radial_hessian,
 )
@@ -240,7 +242,7 @@ def _guillemin_hessian(b):
     return hessian
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), 12, 16])
 def test_batched_stencil_matches_per_point_reference(n):
     a, b = 0.5, 1.0
     radial, _ = build_extremal_metric(n, a, b)
@@ -259,6 +261,32 @@ def test_batched_stencil_matches_per_point_reference(n):
     np.testing.assert_allclose(abreu_scalar_curvature(guillemin, pts), want, rtol=1e-8)
     # the Fubini-Study metric of the size-b simplex: S = n(n+1)/b
     np.testing.assert_allclose(want, n * (n + 1) / b, rtol=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
+@pytest.mark.parametrize("ratio", [1e-3, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("b", [1e-3, 1.0, 1e3])
+def test_closed_pair_sum_matches_the_pair_loop(n, ratio, b):
+    # the same stencil summed one pair at a time: the two differ by rounding
+    # amplified by 1/h^2, at most 6.1e-10 of S on this grid at 50 points each
+    T, _ = build_extremal_metric(n, ratio * b, b)
+    for x in sample_interior(T, 20, margin=0.05 * (b - ratio * b), seed=n):
+        h = min(STEP_SECOND * T.t_max, interior_distance(T, x) / 3.0)
+        ts = [math.fsum(x) + k * h for k in (-2, -1, 0, 1, 2)]
+        phi = T.jet(ts)[0]
+        want = pair_loop_curvature(x, h, ts, phi)
+        assert _curvature_at(x, h, ts, phi) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_thin_shell_curvature_is_affine_in_t(n):
+    # a/b = 1 - 1e-7: the stencil's h is clamped to a third of the shell, and
+    # S stays within verify's soft tolerance of A*t + B (2.0e-6 measured)
+    T, E = build_extremal_metric(n, 1.0 - 1e-7, 1.0)
+    pts = sample_interior(T, 100, margin=0.05 * (E.b - E.a), seed=0)
+    for x, got in zip(pts, abreu_scalar_curvature(T, pts)):
+        want = E.A * math.fsum(x) + E.B
+        assert abs(got - want) <= 1e-5 * abs(want)
 
 
 @pytest.mark.parametrize(

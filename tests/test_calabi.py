@@ -506,6 +506,33 @@ def test_jet_and_F_second_match_the_exact_momentum_profile(params, fractions):
         assert abs(got - exact_F_second(E, t)) <= 1e-14 * (1 / want + 1 / Fraction(t))
 
 
+@given(
+    st.floats(min_value=-300.0, max_value=300.0),
+    st.sampled_from([1e-3, 0.5, 0.999]),
+    st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        min_size=1,
+        max_size=9,
+    ),
+)
+@example(175.0, 0.5, [1e-4])  # read 2.0e-175 for 2.0e-171 before the fix
+@example(-200.0, 0.5, [1e-4])  # overflowed to inf, a refused call, likewise
+@settings(max_examples=100)
+def test_F_second_at_n_1_is_exact_for_every_scale(log_b, ratio, fractions):
+    # at n = 1 the F'' column divides p by q ~ -1/b first: dividing by
+    # (t - a) and (t - b) first left the normal floats at b = 1e175 and
+    # b = 1e-200 before q brought the quotient back
+    b = 10.0**log_b
+    E = solve_coefficients(1, ratio * b, b)
+    ts = [t for t in (E.a + (E.b - E.a) * f for f in fractions) if E.a < t < E.b]
+    # an F'' past the float range, next to an end, is refused by the renderer
+    wants = {t: exact_F_second(E, t) for t in ts}
+    ts = [t for t in ts if abs(wants[t]) <= sys.float_info.max]
+    assume(ts)
+    for t, got in zip(ts, _F_second(E, ts)):
+        assert abs(Fraction(got) - wants[t]) <= 1e-14 * abs(wants[t])
+
+
 def test_invalid_construction_parameters():
     with pytest.raises(InvalidParameters):
         solve_coefficients(0, 0.5, 1.0)
@@ -787,6 +814,21 @@ def test_endpoint_error_is_scale_free(n, a, b):
         assert _endpoint_limits(E, 1e-9)[1]["max_error"] == pytest.approx(
             base, rel=1e-12
         )
+
+
+def test_endpoint_probes_are_reported():
+    # in a shell this thin every a + c*delta and b - c*delta rounds onto an
+    # end, so each probe is the first float inside, whatever the offset says
+    E = solve_coefficients(2, 1 - 1e-10, 1.0)
+    report = _endpoint_limits(E, 1e-9)[1]
+    assert report["offsets"] == [1e-6, 5e-7, 2.5e-7]
+    inner_a, inner_b = math.nextafter(E.a, E.b), math.nextafter(E.b, E.a)
+    assert report["probes"] == [inner_a] * 3 + [inner_b] * 3
+    # in a wide one they are a + c*delta and b - c*delta themselves
+    E = solve_coefficients(2, 0.5, 1.0)
+    report = _endpoint_limits(E, 1e-9)[1]
+    assert report["probes"] == [0.5 + 0.5 * d for d in report["offsets"]] + [
+        1.0 - 0.5 * d for d in report["offsets"]]
 
 
 def test_endpoint_limits_refuse_a_relative_error_of_1e_7(monkeypatch):

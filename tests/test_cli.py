@@ -84,10 +84,6 @@ _COEFFICIENT_OVERFLOW = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
         # p*t^(n-1) of the F'' column
         (["profile", "--n", "400", "--a", "1", "--b", "10", "--samples", "5"],
          "t^399 overflows a float at t = 7.74955"),
-        # F'' = p*t^(n-1)/(t - a)/(t - b)/q overflows before the division by
-        # q brings it back: the renderer named the value alone
-        (["profile", "--n", "1", "--a", "5e-201", "--b", "1e-200", "--samples", "3"],
-         "non-finite F_second inf at t = 5.0005e-201"),
         # every t is in (1e150, 1e151): the radial curvature's t^3 overflows,
         # not t^2
         (["verify", "--n", "2", "--a", "1e150", "--b", "1e151", "--points", "10"],
@@ -114,7 +110,7 @@ _COEFFICIENT_OVERFLOW = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
         (["verify", "--n", "14", "--a", "5e21", "--b", "1e22", "--points", "20"],
          "(t - a)(t - b)*Q overflows a float at t = 9.536615745150951e+21"),
     ],
-    ids=["derive", "profile", "verify", "profile t^n", "profile F'' overflow",
+    ids=["derive", "profile", "verify", "profile t^n",
          "verify t^3", "verify t^3 underflow", "profile t^n underflow",
          "profile float Q", "verify h^2 underflow", "verify N underflow",
          "verify N overflow"],
@@ -305,6 +301,21 @@ def test_profile_F_second_is_the_exact_rational_value(n, ratio, capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 50
     E = exact_mod.solve_coefficients(n, ratio, 1.0)
+    for row in rows:
+        t, f2, _, _ = map(float, row.split(","))
+        want = exact_F_second(E, t)
+        assert abs(Fraction(f2) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("a, b", [(5e-201, 1e-200), (5e174, 1e175)])
+def test_profile_F_second_at_n_1_and_extreme_b(a, b, capsys):
+    # p*t^(n-1)/(t - a)/(t - b) left the normal floats before the division by
+    # q ~ -1/b brought it back: inf, a refused call, at b = 1e-200, and
+    # 2.0e-175 for 2.0e-171, with exit 0, at b = 1e175
+    argv = ["profile", "--n", "1", "--a", repr(a), "--b", repr(b), "--samples", "3"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    E = exact_mod.solve_coefficients(1, a, b)
     for row in rows:
         t, f2, _, _ = map(float, row.split(","))
         want = exact_F_second(E, t)

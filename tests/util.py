@@ -1,6 +1,7 @@
 """Shared model potentials, which are their own polytopes, the radial curvature references, the
 references built from the package's parts (the Legendre F, the full inverse
-Hessian, Calabi's closed forms rounded to a record), two independent
+Hessian, Abreu's stencil one pair of coordinates at a time, Calabi's closed
+forms rounded to a record), two independent
 routes to the extremal coefficients (the 4x4 boundary system and
 Donaldson's moment system, with mutants of the latter) and Donaldson's
 functional at (t - c)_+, the exact momentum
@@ -18,12 +19,7 @@ import numpy as np
 from toricext.errors import DomainViolation, PotentialPole
 from toricext.exact import _check_geometry, _closed_form, _exact_solution, _rounded
 from toricext.numdiff import STEP_SECOND
-from toricext.radial import (
-    TPotential,
-    inverse_diagonal,
-    inverse_off_diagonal,
-    validity_factor,
-)
+from toricext.radial import TPotential, validity_factor
 
 
 def profile(n: int, t_min: float, t_max: float, jet_at) -> TPotential:
@@ -69,18 +65,56 @@ def radial_hessian(x, d2F_value) -> np.ndarray:
 
 def inverse_hessian(x, phi: float) -> list[list[float]]:
     """G^{-1} = 2*(diag(x) - w*x x^T), w = (t - phi)/t^2, at one point x with
-    momentum profile phi at t = sum(x), assembled from the closed-form
-    entries Abreu's stencil reads; refuses a t where the metric degenerates."""
+    momentum profile phi at t = sum(x), entry by entry: the diagonal
+    2*x_i*(t - x_i + x_i*phi/t)/t and the rest -2*w*x_i*x_j; refuses a t
+    where the metric degenerates."""
     t = sum(x)
     validity_factor(t, phi)
     w = (t - phi) / t / t
     return [
         [
-            inverse_diagonal(xi, t - xi, t, phi) if i == j else inverse_off_diagonal(xi, xj, w)
+            2.0 * xi * (t - xi + xi * phi / t) / t if i == j else -2.0 * w * xi * xj
             for j, xj in enumerate(x)
         ]
         for i, xi in enumerate(x)
     ]
+
+
+def pair_loop_curvature(x, h: float, ts, phi) -> float:
+    """Abreu's stencil at one point x with step h, on the closed-form
+    entries of G^{-1} one pair of coordinates at a time: the four corners
+    x +- h*e_i +- h*e_j of every pair i < j, each read as -2*w*y_i*y_j at
+    the corner's t.  ts and phi are t + k*h and the momentum profile there,
+    indexed by k + 2, as the package's stencil reads them; the reference its
+    closed sum over the pairs must reproduce."""
+    t = ts[2]
+    w = [(s - f) / s / s for s, f in zip(ts, phi)]
+    hh = h * h
+
+    def diagonal(y, rest, s, f):  # G^{ii} at x_i = y, t - x_i = rest, t = s
+        return 2.0 * y * (rest + y * f / s) / s
+
+    def off_diagonal(yi, yj, wk):  # G^{ij}, i != j
+        return -2.0 * wk * yi * yj
+
+    total = 0.0
+    for xi in x:
+        rest = t - xi  # the same at x and at x +- h*e_i
+        plus = diagonal(xi + h, rest, ts[3], phi[3])
+        centre = diagonal(xi, rest, t, phi[2])
+        minus = diagonal(xi - h, rest, ts[1], phi[1])
+        total += (plus - 2.0 * centre + minus) / hh
+
+    for i, xi in enumerate(x):
+        for xj in x[i + 1:]:
+            mixed = (
+                off_diagonal(xi + h, xj + h, w[4])
+                - off_diagonal(xi + h, xj - h, w[2])
+                - off_diagonal(xi - h, xj + h, w[2])
+                + off_diagonal(xi - h, xj - h, w[0])
+            ) / (4.0 * hh)
+            total += 2.0 * mixed  # (i,j) and (j,i) contribute equally
+    return -0.5 * total
 
 
 def legendre_F(s_of_t, f, t: float) -> float:
