@@ -12,15 +12,17 @@ behaves byte for byte alike.  The calls run in this process through
 stdout and stderr to ``DIR/<index>.txt``, to diff the calls whose digests
 differ.
 
-The list covers every command; n in {1, 2, 3, 5, 8, 9, 12, 16}; a/b from
-1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the thin shells
-a/b = 0.9999, 1 - 1e-10 and 1 - 1e-12; failing tolerances and invalid input; profile's edge cases (one
-and two rows, a zero grid step, a margin that rounds away, 20 000 rows at
-n = 16, a/b = 1 - 1e-9); bridge-check at 5 000 samples, at n = 400 and at
-n = 0; input whose floats overflow or underflow, in the coefficients or in
-profile's F''; and flags that only another command reads.  A call that ends
-in an uncaught exception is recorded as exit 1 with the exception's type
-and message on stderr, as a process would end (less the traceback).
+The list of 174 calls covers every command; n in {1, 2, 3, 5, 8, 9, 12,
+16}; a/b from 1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the
+thin shells a/b = 0.9999, 1 - 1e-10 and 1 - 1e-12; failing tolerances and
+invalid input; profile's edge cases (one and two rows, a zero grid step, a
+margin that rounds away, 20 000 rows at n = 16, a/b = 1 - 1e-9);
+bridge-check at 5 000 samples, at n = 400 and at n = 0; input whose floats
+overflow or underflow, in the coefficients or in profile's F''; and flags
+that only another command reads, or that no command reads any more.  A call
+that ends in an uncaught exception is recorded as exit 1 with the
+exception's type and message on stderr, as a process would end (less the
+traceback).
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ def argv_list() -> list[list[str]]:
         ["verify", "--n", "4", "--points", "5"],
         ["verify", "--n", "2", "--a", "1.0", "--b", "0.5"],
         *(["verify", *_geometry(n, 0.9999), "--points", "40"] for n in (1, 2, 8, 16)),
-        # so thin that the endpoint probes a + c*delta round onto a: the
-        # report names the failing soft checks
+        # shells where Abreu's stencil fails its tolerance: the report
+        # names the failing soft checks (curvature_agreement, extremality)
         *(["verify", *_geometry(n, 1 - eps), "--points", "40"]
           for n, eps in ((2, 1e-10), (16, 1e-12))),
         ["derive", "--n", "0"],
@@ -96,10 +98,12 @@ def argv_list() -> list[list[str]]:
     # every t lies in (1e150, 1e151); (p*t^n - alpha)^2 overflows in F'''
     calls.append(["verify", "--n", "2", "--a", "1e150", "--b", "1e151",
                   "--points", "10"])
-    # a flag that only another command reads is refused
+    # a flag that only another command reads, or that no command reads any
+    # more, is refused
     calls += [
         ["derive", "--seed", "-5"],
         ["bridge-check", "--tolerance-hard", "nan"],
+        ["verify", "--tolerance-hard", "1e-9"],
         ["verify", "--format", "json"],
         ["example", "--b", "2"],
         ["profile", "--points", "3"],

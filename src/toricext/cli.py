@@ -217,12 +217,11 @@ _PROOF_CHECKS = {
 
 def _verify_battery(args: types.SimpleNamespace) -> dict:
     from .abreu import _check_dimension, abreu_scalar_curvature, extremality_residual
-    from .calabi import _endpoint_limits, build_extremal_metric
+    from .calabi import build_extremal_metric
     from .exact import coefficient_cross_check, positivity_certificate
     from .polytope import sample_interior
     from .radial import radial_scalar_curvature
 
-    tolerance_hard = _tolerance("--tolerance-hard", args.tolerance_hard)
     tolerance_soft = _tolerance("--tolerance-soft", args.tolerance_soft)
     n, a, b = args.n, args.a, args.b
     if args.points < n + 2:
@@ -246,8 +245,6 @@ def _verify_battery(args: types.SimpleNamespace) -> dict:
     curvature_disc = max(abs(s - r) / abs(r) for s, r in zip(S, rad))
     scaled_residual = max_residual / max(map(abs, rad))
 
-    endpoints_ok, endpoints = _endpoint_limits(E, tolerance_hard)
-
     # the exact deflation and the certificate raise instead of failing, so
     # these two are true in every report printed
     checks = {
@@ -256,11 +253,10 @@ def _verify_battery(args: types.SimpleNamespace) -> dict:
         "validity": True,
         "curvature_agreement": curvature_disc <= tolerance_soft,
         "extremality": scaled_residual <= tolerance_soft,
-        "endpoint_limits": endpoints_ok,
     }
 
     return {
-        "schema": 2,
+        "schema": 3,
         "command": "verify",
         "inputs": {
             "n": n,
@@ -269,12 +265,15 @@ def _verify_battery(args: types.SimpleNamespace) -> dict:
             "points": args.points,
             "seed": args.seed,
             "margin": margin,
-            "tolerance_hard": tolerance_hard,
             "tolerance_soft": tolerance_soft,
         },
         "prng": PRNG_NAME,
         "coefficients": {"p": E.p, "A": E.A, "B": E.B, "C": E.C, "D": E.D},
-        "curvature": {"max_discrepancy": curvature_disc},
+        "curvature": {
+            "max_discrepancy": curvature_disc,
+            # where the points lie in the shell, tau = (t - a)/(b - a)
+            "tau_range": [(min(ts) - a) / (b - a), (max(ts) - a) / (b - a)],
+        },
         "extremality": {
             "gradient": list(gradient),
             "constant": constant,
@@ -282,7 +281,6 @@ def _verify_battery(args: types.SimpleNamespace) -> dict:
             "scaled_residual": scaled_residual,
         },
         "validity": {"bernstein_margin": positivity_certificate(E)},
-        "endpoint_limits": endpoints,
         "checks": checks,
         "passed": all(checks.values()),
     }
@@ -377,7 +375,6 @@ _FLAGS = {
     "seed": {"type": int, "help": "sampling seed"},
     "step": {"type": float, "help": "grid margin, (b - a)*1e-4 if not given"},
     "format": {"choices": ("csv", "json"), "help": "output format"},
-    "tolerance-hard": {"type": float, "help": "tolerance of the hard checks"},
     "tolerance-soft": {"type": float, "help": "relative tolerance of the soft checks"},
     "preset": {"choices": _PRESET_CHOICES, "help": "one preset, both if not given"},
 }
@@ -395,8 +392,7 @@ _COMMANDS = {
     "verify": (
         "run the full cross-check battery",
         run_verify,
-        {**_GEOMETRY, "points": 100, "seed": 0,
-         "tolerance-hard": 1e-9, "tolerance-soft": 1e-5},
+        {**_GEOMETRY, "points": 100, "seed": 0, "tolerance-soft": 1e-5},
     ),
     "bridge-check": (
         "compare Kahler-side and radial curvature",

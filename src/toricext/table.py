@@ -75,12 +75,6 @@ def profile_columns(
     return f2, h2
 
 
-def h_second(E: ExtremalCoefficients, ts: list[float]) -> list[float]:
-    """h''(t) = -V(t)/Q(t) - 1/t at each t of ts: ``profile_columns``'s
-    second list."""
-    return profile_columns(E, ts)[1]
-
-
 def jet(
     E: ExtremalCoefficients, ts: list[float]
 ) -> tuple[list[float], list[float], list[float]]:

@@ -69,7 +69,7 @@ def test_criterion_02_h_second_matches_rational_profile_on_grid():
     for a in (0.3, 0.5, 0.7):
         E = solve_coefficients(2, a, 1.0)
         ts = np.linspace(a + 0.01 * (1 - a), 1.0 - 0.01 * (1 - a), 50).tolist()
-        for t, got in zip(ts, table.h_second(E, ts)):
+        for t, got in zip(ts, table.profile_columns(E, ts)[1]):
             den = 2 * a * t**2 + t - a**2 * t + 2 * a * t + 2 * a**2
             want = 2 * a * (1 - a) / den - 1.0 / t
             rel = abs(got - want) / max(1.0, abs(want))

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from toricext import exact as exact_mod
 from toricext import table
-from toricext.calabi import _endpoint_limits, build_extremal_metric
+from toricext.calabi import build_extremal_metric
 from toricext.errors import (
     BoundaryIdentityViolation,
     DomainViolation,
+    GeometryError,
     InvalidParameters,
     PositivityViolation,
     PotentialPole,
@@ -274,7 +275,7 @@ def test_F_second_outside_interval():
 
 def test_h_second_frozen_midpoint():
     E = solve_coefficients(2, 0.5, 1.0)
-    assert table.h_second(E, [0.75])[0] == pytest.approx(-64 / 57, rel=1e-12)
+    assert table.profile_columns(E, [0.75])[1][0] == pytest.approx(-64 / 57, rel=1e-12)
 
 
 def test_h_second_eliminates_prescribed_pole():
@@ -294,19 +295,27 @@ def test_h_second_eliminates_prescribed_pole():
 )
 def test_h_second_bounded_at_interval_ends(n, a, b):
     """h'' stays finite as t -> a, b even though F'' blows up there, and
-    table.h_second gets it right there."""
+    table.profile_columns gets it right there."""
     E = solve_coefficients(n, a, b)
     for base, sgn in ((a, +1.0), (b, -1.0)):
         for off in (1e-6, 5e-7, 2.5e-7, 1e-9):
             t = base + sgn * off * (b - a)
             want = _exact_h_second(n, a, b, t)
-            got = table.h_second(E, [t])[0]
+            got = table.profile_columns(E, [t])[1][0]
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def _h_second_error(E, ts):
+    """The largest |h'' - exact|/|exact| of ``profile_columns`` at the ts,
+    against the exact rational h'' of the sympy solve at the same float t."""
+    got = table.profile_columns(E, ts)[1]
+    want = [_exact_h_second(E.n, E.a, E.b, t) for t in ts]
+    return max(abs(g - w) / abs(w) for g, w in zip(got, want))
 
 
 @given(
     n=st.integers(min_value=1, max_value=16),
-    b=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+    b=st.floats(min_value=-100.0, max_value=100.0).map(lambda e: 10.0**e),
     ratio=st.one_of(
         st.floats(min_value=-8.0, max_value=-0.3).map(lambda e: 10.0**e),
         st.floats(min_value=-9.0, max_value=-0.3).map(lambda e: 1.0 - 10.0**e),
@@ -321,9 +330,13 @@ def test_h_second_matches_exact_rational_value(n, b, ratio, offset, near_a):
     a = ratio * b
     t = a + offset * (b - a) if near_a else b - offset * (b - a)
     assume(a < t < b)
-    want = _exact_h_second(n, a, b, t)
-    got = table.h_second(solve_coefficients(n, a, b), [t])[0]
-    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+    # relative to h'' itself, which scales like 1/b: a floor of 1 would pass
+    # any error once |h''| << 1
+    try:
+        error = _h_second_error(solve_coefficients(n, a, b), [t])
+    except GeometryError:  # past the float range of the coefficients or of Q
+        assume(False)
+    assert error <= 1e-13
 
 
 def test_h_second_refuses_a_non_extremal_record():
@@ -335,7 +348,7 @@ def test_h_second_refuses_a_non_extremal_record():
         E.n, E.a, E.b, E.A, E.B, E.C, math.nextafter(E.D, 1.0)
     )
     for record in (flat, off_by_one_ulp):
-        for evaluate in (table.h_second, table.profile_columns, table.jet):
+        for evaluate in (table.profile_columns, table.jet):
             with pytest.raises(InvalidParameters):
                 evaluate(record, [0.75])
 
@@ -345,7 +358,7 @@ def test_h_second_one_dimensional_case(a, b):
     # at n=1 the residual part of F'' is exactly the pole term, so h'' = -1/t
     E = solve_coefficients(1, a, b)
     ts = np.linspace(a + 0.01, b - 0.01, 15).tolist()
-    for t, h2 in zip(ts, table.h_second(E, ts)):
+    for t, h2 in zip(ts, table.profile_columns(E, ts)[1]):
         assert h2 == pytest.approx(-1.0 / t, rel=1e-11)
 
 
@@ -584,8 +597,8 @@ def _each(fn):
 _PAIRS = [
     (_each(table.profile_columns), table.profile_columns),
     (_each(table.jet), table.jet),
-    (array_h_second, lambda E, ts: table.h_second(E, ts)),
-    (array_h_second, lambda E, ts: [table.h_second(E, [t])[0] for t in ts]),
+    (array_h_second, lambda E, ts: table.profile_columns(E, ts)[1]),
+    (array_h_second, lambda E, ts: [table.profile_columns(E, [t])[1][0] for t in ts]),
 ]
 
 
@@ -635,8 +648,7 @@ def test_zero_deflated_denominator_raises_alike():
     E.__dict__["_float_deflation"] = ((1.0,), (1.0, -0.75))
     for fn, ts in [
         (array_h_second, np.array([0.6, 0.75])),
-        (table.h_second, [0.6, 0.75]),
-        (table.profile_columns, [0.6, 0.75]),  # the F'' column divides by Q too
+        (table.profile_columns, [0.6, 0.75]),  # both columns divide by Q
     ]:
         with pytest.raises(
             PotentialPole, match=r"^deflated denominator vanishes at t = 0\.75$"
@@ -771,7 +783,7 @@ def test_nonzero_deflation_remainder_raises(monkeypatch):
     with pytest.raises(BoundaryIdentityViolation):
         positivity_certificate(E)
     with pytest.raises(BoundaryIdentityViolation):
-        table.h_second(solve_coefficients(2, 0.5, 1.0), [0.75])
+        table.profile_columns(solve_coefficients(2, 0.5, 1.0), [0.75])
 
 
 _PERTURBED_CHILD = """
@@ -801,43 +813,61 @@ def test_nonzero_deflation_remainder_raises_under_optimize():
     assert r.stdout.split() == ["raised", "1"]
 
 
+def _end_probes(a, b):
+    """Three t next to each end, a + c*delta and b - c*delta, or the first
+    float inside where c*delta rounds away (a shell thinner than about
+    2e-10*b)."""
+    c, deltas = b - a, (1e-6, 5e-7, 2.5e-7)
+    inner_a, inner_b = math.nextafter(a, b), math.nextafter(b, a)
+    return ([max(a + c * d, inner_a) for d in deltas]
+            + [min(b - c * d, inner_b) for d in deltas])
+
+
 @pytest.mark.parametrize(
     "n,a,b", [(2, 0.5, 1.0), (3, 0.25, 2.0), (5, 1e-3, 1.0), (8, 0.999, 1.0),
               (2, 500.0, 1000.0), (16, 0.3, 1.0)],
 )
 def test_endpoint_error_is_scale_free(n, a, b):
-    # h'' scales like 1/t; an error relative to max(1, |h''|) would not
-    base = _endpoint_limits(solve_coefficients(n, a, b), 1e-9)[1]["max_error"]
+    # h'' scales like 1/t, and so does its float evaluation: at (2^k a, 2^k b)
+    # every probe and every h'' there is the k = 0 one times 2^k and 2^-k,
+    # bit for bit, so a relative error reads the same at every scale
+    ts = _end_probes(a, b)
+    base = table.profile_columns(solve_coefficients(n, a, b), ts)[1]
     for k in (-10, 10):
         lam = 2.0**k
+        assert _end_probes(lam * a, lam * b) == [lam * t for t in ts]
         E = solve_coefficients(n, lam * a, lam * b)
-        assert _endpoint_limits(E, 1e-9)[1]["max_error"] == pytest.approx(
-            base, rel=1e-12
-        )
+        got = table.profile_columns(E, [lam * t for t in ts])[1]
+        assert got == [h / lam for h in base]
 
 
-def test_endpoint_probes_are_reported():
-    # in a shell this thin every a + c*delta and b - c*delta rounds onto an
-    # end, so each probe is the first float inside, whatever the offset says
-    E = solve_coefficients(2, 1 - 1e-10, 1.0)
-    report = _endpoint_limits(E, 1e-9)[1]
-    assert report["offsets"] == [1e-6, 5e-7, 2.5e-7]
-    inner_a, inner_b = math.nextafter(E.a, E.b), math.nextafter(E.b, E.a)
-    assert report["probes"] == [inner_a] * 3 + [inner_b] * 3
-    # in a wide one they are a + c*delta and b - c*delta themselves
-    E = solve_coefficients(2, 0.5, 1.0)
-    report = _endpoint_limits(E, 1e-9)[1]
-    assert report["probes"] == [0.5 + 0.5 * d for d in report["offsets"]] + [
-        1.0 - 0.5 * d for d in report["offsets"]]
+def test_h_second_at_the_first_floats_inside_a_thin_shell():
+    # c*delta rounds away next to both ends here, so the probes nearest the
+    # ends are the first floats inside a and b
+    for n in (1, 2, 4, 8, 16):
+        for ratio in (1 - 1e-10, 1 - 1e-12):
+            E = solve_coefficients(n, ratio, 1.0)
+            ts = [math.nextafter(E.a, E.b), math.nextafter(E.b, E.a)]
+            assert _end_probes(E.a, E.b) == [ts[0]] * 3 + [ts[1]] * 3
+            assert _h_second_error(E, ts) <= 1e-13
 
 
 def test_endpoint_limits_refuse_a_relative_error_of_1e_7(monkeypatch):
-    # max |h''| = 1.7e-3 here: a floor of 1 would let a 1e-7 error pass
-    E = solve_coefficients(2, 500.0, 1000.0)
-    assert _endpoint_limits(E, 1e-9)[0] is True
-    real = table.h_second
-    monkeypatch.setattr(
-        table, "h_second", lambda E, ts: [h * (1 + 1e-7) for h in real(E, ts)]
-    )
-    ok, report = _endpoint_limits(E, 1e-9)
-    assert ok is False and report["max_error"] == pytest.approx(1e-7, rel=1e-6)
+    real = table.profile_columns
+
+    def off(E, ts):
+        f2, h2 = real(E, ts)
+        return f2, [h * (1 + 1e-7) for h in h2]
+
+    for a, b in ((500.0, 1000.0), (5e8, 1e9)):
+        E = solve_coefficients(2, a, b)
+        ts = _end_probes(a, b)
+        assert _h_second_error(E, ts) <= 1e-13
+        with monkeypatch.context() as m:
+            m.setattr(table, "profile_columns", off)
+            assert _h_second_error(E, ts) == pytest.approx(1e-7, rel=1e-6)
+            got = table.profile_columns(E, ts)[1]
+        # max |h''| is about 1e-9 at b = 1e9: a floor of 1 lets the error pass
+        want = [_exact_h_second(2, a, b, t) for t in ts]
+        floored = all(abs(g - w) <= 1e-13 * max(1.0, abs(w)) for g, w in zip(got, want))
+        assert floored is (b == 1e9)

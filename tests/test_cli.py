@@ -18,7 +18,9 @@ from toricext import abreu as abreu_mod
 from toricext import cli
 from toricext import exact as exact_mod
 from toricext import table as table_mod
+from toricext.calabi import build_extremal_metric
 from toricext.errors import GeometryError, InvalidParameters
+from toricext.polytope import sample_interior
 from util import array_h_second, exact_F_second
 
 CMD = [sys.executable, "-m", "toricext"]
@@ -183,10 +185,17 @@ def test_verify_reference_case():
     r = run_cli("verify", "--n", "2", "--a", "0.5", "--b", "1", "--points", "40")
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert list(doc) == [
         "schema", "command", "inputs", "prng", "coefficients", "curvature",
-        "extremality", "validity", "endpoint_limits", "checks", "passed",
+        "extremality", "validity", "checks", "passed",
+    ]
+    assert list(doc["inputs"]) == [
+        "n", "a", "b", "points", "seed", "margin", "tolerance_soft"]
+    assert list(doc["curvature"]) == ["max_discrepancy", "tau_range"]
+    assert list(doc["checks"]) == [
+        "boundary_identities", "closed_form", "validity",
+        "curvature_agreement", "extremality",
     ]
     assert "validity_samples" not in doc["inputs"]
     assert doc["prng"] == "python-mt19937"
@@ -196,10 +205,28 @@ def test_verify_reference_case():
     assert doc["checks"]["validity"] is True
     assert doc["checks"]["curvature_agreement"] is True
     assert doc["checks"]["extremality"] is True
-    assert doc["checks"]["endpoint_limits"] is True
     assert list(doc["validity"]) == ["bernstein_margin"]
     assert -1.0 <= doc["validity"]["bernstein_margin"] < 0.0
     assert "warnings" not in doc
+
+
+@pytest.mark.parametrize(
+    "n,a,b,seed",
+    [(1, 0.5, 1.0, 0), (2, 0.5, 1.0, 0), (16, 1e-3, 1.0, 0), (3, 0.25, 2.0, 7),
+     (8, 0.999, 1.0, 3), (4, 1e-3, 1e3, 1)],
+)
+def test_verify_reports_the_tau_range_it_sampled(n, a, b, seed, capsys):
+    # tau = (t - a)/(b - a) over the sample points, recomputed from the
+    # sampler on the same seed; the t-facet margin keeps it in [0.05, 0.95]
+    code = cli.main(["verify", "--n", str(n), "--a", repr(a), "--b", repr(b),
+                     "--seed", str(seed)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    T, _ = build_extremal_metric(n, a, b)
+    pts = sample_interior(T, 100, margin=doc["inputs"]["margin"], seed=seed)
+    taus = [(math.fsum(x) - a) / (b - a) for x in pts]
+    assert doc["curvature"]["tau_range"] == [min(taus), max(taus)]
+    assert 0.05 <= min(taus) <= max(taus) <= 0.95
 
 
 def test_verify_is_byte_deterministic():
@@ -231,17 +258,25 @@ def test_verify_second_geometry():
     + [(n, a, 1.0) for a in (1e-3, 1e-6) for n in range(1, 6)],
 )
 def test_verify_passes_where_h_second_is_right_at_the_ends(n, a, b, capsys):
-    # h'' next to the ends moves like its slope times the offset; only its
-    # error against the exact value counts
     code = cli.main(["verify", "--n", str(n), "--a", str(a), "--b", str(b)])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["passed"] is True
-    limits = doc["endpoint_limits"]
-    assert limits["max_error"] <= 1e-13
-    # Q(a) = -p*a^(n-1)/c and Q(b) = -p*b^(n-1)/c, nonzero
+    # h'' next to the ends moves like its slope times the offset; only its
+    # error against the exact value counts, relative to each |h''|
+    E = exact_mod.solve_coefficients(n, a, b)
+    c = b - a
+    ts = [a + c * d for d in (1e-6, 5e-7, 2.5e-7)]
+    ts += [b - c * d for d in (1e-6, 5e-7, 2.5e-7)]
+    got = table_mod.profile_columns(E, ts)[1]
+    for t, h2 in zip(ts, got):
+        want = exact_mod._h_second_exact(E, Fraction(t))
+        assert abs(Fraction(h2) - want) <= Fraction(1e-13) * abs(want)
+    # h'' has finite limits at both ends: Q(a) = -p*a^(n-1)/c and
+    # Q(b) = -p*b^(n-1)/c, nonzero, are the certificate's end coefficients
     p = n * (n + 1) * (n + 2)
-    want = [-p * a ** (n - 1) / (b - a), -p * b ** (n - 1) / (b - a)]
-    assert limits["denominator_at_ends"] == pytest.approx(want, rel=1e-14)
+    A, B, C = Fraction(E.a), Fraction(E.b), Fraction(E.b) - Fraction(E.a)
+    assert E._bernstein[0] == -p * A ** (n - 1) / C
+    assert E._bernstein[-1] == -p * B ** (n - 1) / C
 
 
 # the four (a, b) cover a/b -> 0, a/b -> 1 and b != 1; every dimension up to
@@ -279,16 +314,14 @@ def test_verify_passes_in_thin_shells(n, ratio, b, capsys):
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
 @pytest.mark.parametrize("ratio", [1 - 1e-10, 1 - 1e-12])
 def test_verify_reports_in_shells_thinner_than_its_endpoint_probes(n, ratio, capsys):
-    # c*delta rounds away next to both ends here; the endpoint probes ended
-    # in a DomainViolation at t = a, with no report and no check named
+    # c*delta rounds away next to both ends here; the report still prints,
+    # and it names the failing soft checks
     code = cli.main(["verify", "--n", str(n), "--a", repr(ratio), "--b", "1.0",
                      "--points", "40"])
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert code == 1 and doc["passed"] is False
     assert captured.err == "verification failed: curvature_agreement, extremality\n"
-    assert doc["checks"]["endpoint_limits"] is True
-    assert doc["endpoint_limits"]["max_error"] <= 2e-16
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 16])
@@ -389,7 +422,7 @@ def test_bad_tolerance_is_invalid_input(command, flag, value, capsys):
             f"error: {flag} must be finite and >= 0, got {float(value)}\n"
         )
         return
-    # bridge-check never reads --tolerance-hard, so the flag itself is refused
+    # no command reads --tolerance-hard, so the flag itself is refused
     with pytest.raises(SystemExit) as exc:
         cli.main([command, flag, value])
     assert exc.value.code == 2
@@ -621,16 +654,17 @@ def test_missing_command_shows_usage():
 
 # --- each command takes only the flags it reads -----------------------------
 
-# 21 settable values over the five commands, of 11 distinct flags
+# 20 settable values over the five commands, of 10 distinct flags
 _FLAGS_OF = {
     "derive": {"--n", "--a", "--b"},
     "profile": {"--n", "--a", "--b", "--samples", "--step", "--format"},
-    "verify": {"--n", "--a", "--b", "--points", "--seed",
-               "--tolerance-hard", "--tolerance-soft"},
+    "verify": {"--n", "--a", "--b", "--points", "--seed", "--tolerance-soft"},
     "bridge-check": {"--n", "--samples", "--tolerance-soft", "--preset"},
     "example": {"--a"},
 }
 _ALL_FLAGS = set().union(*_FLAGS_OF.values())
+# a flag no command reads any more, refused by all of them
+_REMOVED_FLAGS = {"--tolerance-hard"}
 # a value each flag's own command accepts, so a refusal is of the flag itself
 _VALUE = {"--format": "json", "--preset": "flat"}
 
@@ -646,7 +680,8 @@ def test_help_lists_exactly_the_flags_the_command_reads(command, capsys):
 
 @pytest.mark.parametrize(
     "command, flag",
-    [(c, f) for c in _FLAGS_OF for f in sorted(_ALL_FLAGS - _FLAGS_OF[c])],
+    [(c, f) for c in _FLAGS_OF
+     for f in sorted((_ALL_FLAGS - _FLAGS_OF[c]) | _REMOVED_FLAGS)],
 )
 def test_a_flag_of_another_command_is_refused(command, flag, capsys):
     value = _VALUE.get(flag, "1")
@@ -797,6 +832,7 @@ def _refusal(parse, argv, capsys) -> tuple:
         ["verify", "--format", "json"],
         ["profile", "--points", "3"],
         ["bridge-check", "--tolerance-hard", "nan"],
+        ["verify", "--tolerance-hard", "1e-9"],
         ["verify", "--se", "3"],
         ["bridge-check", "--tolerance", "1e-3"],
         ["derive", "--n"],
@@ -1047,9 +1083,9 @@ def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
     off = exact_mod.ExtremalCoefficients(
         E.n, E.a, E.b, E.A, E.B, E.C, math.nextafter(E.D, math.inf)
     )
-    assert _answer(table_mod.h_second, off, ts.tolist()) == _answer(array_h_second, off, ts)
-    assert _answer(table_mod.h_second, off, ts.tolist())[0] is InvalidParameters
-    assert _answer(table_mod.profile_columns, off, ts.tolist())[0] is InvalidParameters
+    h_second = _answer(lambda E, ts: table_mod.profile_columns(E, ts)[1], off, ts.tolist())
+    assert h_second == _answer(array_h_second, off, ts)
+    assert h_second[0] is InvalidParameters
 
 
 def test_renderer_names_the_first_non_finite_value():
