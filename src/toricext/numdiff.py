@@ -28,9 +28,10 @@ def power(t: float, k: int) -> float:
 
 
 def grid(lo: float, hi: float, num: int) -> list[float]:
-    """``np.linspace(lo, hi, num)``: i*step + lo, the last point set to hi.
+    """num evenly spaced points from lo to hi: i*step + lo with
+    step = (hi - lo)/(num - 1), the last point set to hi; one point is lo.
 
-    A step that underflows to 0 is taken as (i/div)*delta, as numpy does.
+    A step that underflows to 0 is taken as (i/(num - 1))*(hi - lo).
     """
     div = num - 1
     delta = hi - lo

@@ -1,8 +1,8 @@
 import math
+import random
 from fractions import Fraction
 from operator import mul
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,68 +27,67 @@ from toricext.numdiff import EPS, STEP_SECOND
 from toricext.radial import TPotential
 from util import (
     F_profile,
+    condition_number,
     cpn_profile,
     exact_least_squares,
     flat_profile,
     pair_loop_curvature,
     profile,
-    radial_hessian,
 )
 
 
 def test_flat_curvature_default_step():
     S = flat_profile(2, 0.5, 1.0)
     for x in ([0.3, 0.4], [0.2, 0.5], [0.45, 0.35]):
-        [got] = abreu_scalar_curvature(S, [np.array(x)])
+        [got] = abreu_scalar_curvature(S, [x])
         assert abs(got) <= 1e-7
 
 
 def test_flat_curvature_coarse_step_is_cleaner():
     # h=1e-3 sits at the flat-profile noise/truncation sweet spot
     S = flat_profile(2, 0.5, 1.0)
-    [got] = abreu_scalar_curvature(S, [np.array([0.3, 0.4])], h=1e-3)
+    [got] = abreu_scalar_curvature(S, [[0.3, 0.4]], h=1e-3)
     assert abs(got) <= 1e-9
 
 
 def test_projective_space_curvature():
     S = cpn_profile(2)
-    [got] = abreu_scalar_curvature(S, [np.array([0.2, 0.3])])
+    [got] = abreu_scalar_curvature(S, [[0.2, 0.3]])
     assert got == pytest.approx(6.0, abs=1e-5)
 
 
 def test_extremal_curvature_is_affine_in_t():
     S, E = build_extremal_metric(2, 0.5, 1.0)
     for x in ([0.35, 0.40], [0.2, 0.55], [0.6, 0.15]):
-        x = np.array(x)
-        want = E.A * float(np.sum(x)) + E.B
+        want = E.A * math.fsum(x) + E.B
         [got] = abreu_scalar_curvature(S, [x])
         assert got == pytest.approx(want, abs=1e-5)
 
 
 def test_curvature_permutation_invariance():
     S, _ = build_extremal_metric(2, 0.5, 1.0)
-    x = np.array([0.25, 0.45])
+    x = [0.25, 0.45]
     [v1] = abreu_scalar_curvature(S, [x])
-    [v2] = abreu_scalar_curvature(S, [x[::-1].copy()])
+    [v2] = abreu_scalar_curvature(S, [x[::-1]])
     assert abs(v1 - v2) <= 1e-8
 
 
 def test_dimension_cap():
     S = flat_profile(17, 0.5, 1.0)
     with pytest.raises(InvalidParameters):
-        abreu_scalar_curvature(S, np.full((1, 17), 0.5))
+        abreu_scalar_curvature(S, [[0.5] * 17])
 
 
 def test_explicit_step_must_fit():
     S = flat_profile(2, 0.5, 1.0)
     with pytest.raises(StencilExitsDomain):
-        abreu_scalar_curvature(S, [np.array([0.3, 0.4])], h=0.3)
+        abreu_scalar_curvature(S, [[0.3, 0.4]], h=0.3)
 
 
 def test_default_step_clamped_at_the_facet_fits():
     # the clamp binds here and 3*(d/3) rounds above d = the facet distance
     S = flat_profile(2, 0.5, 1.0)
-    x = np.array([np.nextafter(1.1329e-4, 1.0), 0.6])
+    x = [math.nextafter(1.1329e-4, 1.0), 0.6]
     d = interior_distance(S, x)
     assert 3.0 * (d / 3.0) > d
     [got] = abreu_scalar_curvature(S, [x])
@@ -127,7 +126,7 @@ def test_extremality_residual_detects_non_extremal_metric():
 def test_extremality_residual_needs_enough_points():
     # n + 1 = 3 points at least, and so at least one point
     with pytest.raises(DegeneratePointSet, match="need >= 3 points, got 2"):
-        extremality_residual(np.array([[0.3, 0.4], [0.35, 0.45]]), [5.0, 5.5])
+        extremality_residual([[0.3, 0.4], [0.35, 0.45]], [5.0, 5.5])
     with pytest.raises(DegeneratePointSet):
         extremality_residual([], [])
 
@@ -142,7 +141,7 @@ def test_extremality_residual_needs_one_curvature_per_point():
 def test_extremality_residual_rejects_collinear_points():
     T, _ = build_extremal_metric(2, 0.5, 1.0)
     # all on the segment x1 = x0 + 0.05: affine fit is rank deficient
-    pts = np.array([[0.3, 0.35], [0.33, 0.38], [0.36, 0.41], [0.39, 0.44]])
+    pts = [[0.3, 0.35], [0.33, 0.38], [0.36, 0.41], [0.39, 0.44]]
     with pytest.raises(DegeneratePointSet):
         extremality_residual(pts, abreu_scalar_curvature(T, pts))
 
@@ -160,16 +159,18 @@ def test_qr_fit_matches_lstsq(n, extra, log_b, seed):
     # the reference is the exact least-squares fit at the same floats
     b = 10.0**log_b
     T = flat_profile(n, 0.5 * b, b)
-    pts = np.array(sample_interior(T, n + 1 + extra, margin=0.05 * b, seed=seed % 1000))
-    values = np.random.default_rng(seed).normal(size=len(pts)) / b
-    design = np.hstack([pts, np.ones((len(pts), 1))])
-    kappa = np.linalg.cond(design / np.max(np.abs(design), axis=0))
-    got = _least_squares(design.tolist(), values.tolist())
-    want = exact_least_squares(design.tolist(), values.tolist())
+    pts = sample_interior(T, n + 1 + extra, margin=0.05 * b, seed=seed % 1000)
+    draw = random.Random(seed)
+    values = [draw.gauss(0.0, 1.0) / b for _ in pts]
+    design = [[*x, 1.0] for x in pts]
+    scale = [max(abs(v) for v in column) for column in zip(*design)]
+    kappa = condition_number([[v / s for v, s in zip(row, scale)] for row in design])
+    got = _least_squares(design, values)
+    want = exact_least_squares(design, values)
     # the fitted values, not the coefficients: those are what the fit
     # reports.  Householder QR is backward stable (Higham, ch. 20), so its
     # fitted values miss the exact ones by O(kappa*eps) of |values| ~ 1/b
-    rows = [[Fraction(x) for x in row] for row in design.tolist()]
+    rows = [[Fraction(x) for x in row] for row in design]
     error = max(abs(sum(map(mul, row, map(Fraction, got))) - sum(map(mul, row, want)))
                 for row in rows)
     assert error <= max(1e-10, 4.0 * kappa * EPS) / b
@@ -178,9 +179,9 @@ def test_qr_fit_matches_lstsq(n, extra, log_b, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_extremality_residual_rejects_affinely_dependent_points(n):
     T, _ = build_extremal_metric(n, 0.5, 1.0)
-    pts = np.array(sample_interior(T, 3 * n + 3, margin=0.025, seed=n))
+    pts = sample_interior(T, 3 * n + 3, margin=0.025, seed=n)
     # every point moved along its ray to t = 0.75: on one hyperplane
-    flat = pts * (0.75 / np.sum(pts, axis=1, keepdims=True))
+    flat = [[v * (0.75 / math.fsum(x)) for v in x] for x in pts]
     with pytest.raises(DegeneratePointSet):
         extremality_residual(flat, abreu_scalar_curvature(T, flat))
     extremality_residual(pts, abreu_scalar_curvature(T, pts))  # these are fine
@@ -189,57 +190,61 @@ def test_extremality_residual_rejects_affinely_dependent_points(n):
 # --- batched stencil against the per-point reference -----------------------
 
 
-def _reference_abreu(T, hessian, x, h=None):
-    """Abreu's stencil one point at a time on LAPACK inverses of the full
-    Hessian, hessian(y) at a point y, on the polytope of the profile T: the
-    reference the closed-form stencil must reproduce."""
-    x = np.asarray(x, dtype=float)
+def _reference_abreu(T, f_of_t, x, h=None):
+    """Abreu's stencil one point at a time on exact inverses of the full
+    Hessian G = (diag(1/y) + f*11^T)/2 at each corner y of the stencil, the
+    floats x +- h*e_i, with f = f_of_t(t) at t = sum(y) correctly rounded, on
+    the polytope of the profile T: the reference the closed-form stencil
+    must reproduce.  Each entry is Sherman-Morrison's
+    G^{ij} = 2*(y_i*delta_ij - f/(1 + f*t)*y_i*y_j) over ``Fraction`` at the
+    float y and f, one entry at a time (``exact_inverse_hessian`` forms all
+    n^2), and the differences are taken exactly, so only f is rounded."""
     n = T.n
     dmin = interior_distance(T, x)
     if h is None:
-        h = min(STEP_SECOND * max(1.0, float(np.max(np.abs(x)))), dmin / 3.0, 1e-3)
+        h = min(STEP_SECOND * max(1.0, max(map(abs, x))), dmin / 3.0, 1e-3)
+    exact = [Fraction(v) for v in x]
+    t = sum(exact)
 
-    def inv(y):
-        return np.linalg.inv(hessian(y))
+    def inv(moves, i, j):
+        # G^{ij} at the corner where x_k becomes the float x_k + s*h, for
+        # each (k, s) in moves
+        y = {k: Fraction(x[k] + s * h) for k, s in moves}
+        s_t = t + sum(v - exact[k] for k, v in y.items())
+        f = Fraction(f_of_t(float(s_t)))
+        yi, yj = y.get(i, exact[i]), y.get(j, exact[j])
+        return 2 * ((i == j) * yi - f / (1 + f * s_t) * yi * yj)
 
-    center = inv(x)
-    total = 0.0
+    total = Fraction(0)
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        total += (inv(x + ei)[i, i] - 2.0 * center[i, i] + inv(x - ei)[i, i]) / (h * h)
+        total += inv([(i, 1)], i, i) - 2 * inv([], i, i) + inv([(i, -1)], i, i)
+    mixed = Fraction(0)
     for i in range(n):
         for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            mixed = (
-                inv(x + ei + ej)[i, j]
-                - inv(x + ei - ej)[i, j]
-                - inv(x - ei + ej)[i, j]
-                + inv(x - ei - ej)[i, j]
-            ) / (4.0 * h * h)
-            total += 2.0 * mixed
-    return -0.5 * total
+            mixed += (
+                inv([(i, 1), (j, 1)], i, j)
+                - inv([(i, 1), (j, -1)], i, j)
+                - inv([(i, -1), (j, 1)], i, j)
+                + inv([(i, -1), (j, -1)], i, j)
+            )
+    # the mixed terms' 1/(4h^2), doubled for (i, j) and (j, i)
+    total = (total + mixed / 2) / (Fraction(h) * Fraction(h))
+    return float(-total / 2)
 
 
 def _points_between(n, a, b, m, seed):
     """m points well inside the (n, a, b) blow-up polytope, any dimension."""
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(a + 0.1 * (b - a), b - 0.1 * (b - a), m)
-    w = rng.uniform(0.5, 1.0, (m, n))
-    return t[:, None] * w / np.sum(w, axis=1, keepdims=True)
+    draw = random.Random(seed).uniform
+    points = []
+    for _ in range(m):
+        t = draw(a + 0.1 * (b - a), b - 0.1 * (b - a))
+        w = [draw(0.5, 1.0) for _ in range(n)]
+        points.append([t * v / math.fsum(w) for v in w])
+    return points
 
 
-def _guillemin_hessian(b):
-    """Hessian of Guillemin's potential on the size-b simplex,
-    G = (diag(1/x) + 11^T/(b - t))/2, written out in full."""
-
-    def hessian(x):
-        return 0.5 * (np.diag(1.0 / x) + 1.0 / (b - np.sum(x)))
-
-    return hessian
+def _worst_relative_error(got, want) -> float:
+    return max(abs(g - w) / abs(w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), 12, 16])
@@ -248,19 +253,17 @@ def test_batched_stencil_matches_per_point_reference(n):
     radial, _ = build_extremal_metric(n, a, b)
     pts = _points_between(n, a, b, 10, seed=n)
     # the F'' = 1/phi - 1/t of the profile at each stencil point
-    hessian = lambda y: radial_hessian(
-        y, 1.0 / radial.jet([float(np.sum(y))])[0][0] - 1.0 / float(np.sum(y))
-    )
-    want = [_reference_abreu(radial, hessian, x) for x in pts]
-    np.testing.assert_allclose(abreu_scalar_curvature(radial, pts), want, rtol=1e-8)
+    f_of_t = lambda t: 1.0 / radial.jet([t])[0][0] - 1.0 / t
+    want = [_reference_abreu(radial, f_of_t, x) for x in pts]
+    assert _worst_relative_error(abreu_scalar_curvature(radial, pts), want) <= 1e-8
 
     # Guillemin's potential is the radial one with F'' = 1/(b - t); its
     # polytope is the simplex, and every step is eps^(1/4)*b on both
     guillemin = cpn_profile(n, b)
-    want = [_reference_abreu(guillemin, _guillemin_hessian(b), x) for x in pts]
-    np.testing.assert_allclose(abreu_scalar_curvature(guillemin, pts), want, rtol=1e-8)
+    want = [_reference_abreu(guillemin, lambda t: 1.0 / (b - t), x) for x in pts]
+    assert _worst_relative_error(abreu_scalar_curvature(guillemin, pts), want) <= 1e-8
     # the Fubini-Study metric of the size-b simplex: S = n(n+1)/b
-    np.testing.assert_allclose(want, n * (n + 1) / b, rtol=1e-5)
+    assert _worst_relative_error(want, [n * (n + 1) / b] * len(want)) <= 1e-5
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
@@ -301,10 +304,10 @@ def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
     # the profile's functions live on (0.6, 1), its polytope is (0.5, 1)
     T, _ = build_extremal_metric(2, 0.6, 1.0)
     S = TPotential(2, 0.5, 1.0, T.jet)
-    good = np.array([[0.35, 0.4], [0.3, 0.5], [0.45, 0.35]])
+    good = [[0.35, 0.4], [0.3, 0.5], [0.45, 0.35]]
     with pytest.raises(error):
-        abreu_scalar_curvature(S, [np.array(bad)], h=h)
-    batch = np.insert(good, 1, bad, axis=0)
+        abreu_scalar_curvature(S, [bad], h=h)
+    batch = [good[0], bad, *good[1:]]
     with pytest.raises(error):
         abreu_scalar_curvature(S, batch, h=h)
     abreu_scalar_curvature(S, good, h=h)  # the rest of the batch is fine
@@ -313,17 +316,35 @@ def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
 def test_point_shape_is_checked():
     # a bare point, of the right length or not, is not a sequence of points
     S = flat_profile(2, 0.5, 1.0)
-    for shape in [(2,), (3,), (4, 3), (2, 2, 2)]:
+    for points in [[0.3] * 2, [0.3] * 3, [[0.3] * 3] * 4, [[[0.3] * 2] * 2] * 2]:
         with pytest.raises(InvalidParameters):
-            abreu_scalar_curvature(S, np.full(shape, 0.3))
-    # the fit reads n off the first point: (4, 3) is four points of n = 3
-    for points in [np.full((2,), 0.3), np.full((2, 2, 2), 0.3), [[0.3, 0.4], [0.5]]]:
+            abreu_scalar_curvature(S, points)
+    # the fit reads n off the first point: four points of 3 coordinates are
+    # four points of n = 3
+    for points in [[0.3] * 2, [[[0.3] * 2] * 2] * 2, [[0.3, 0.4], [0.5]]]:
         with pytest.raises(InvalidParameters):
             extremality_residual(points, [1.0] * len(points))
     with pytest.raises(InvalidParameters):
         abreu_scalar_curvature(S, [0.3, 0.4])
     with pytest.raises(InvalidParameters):
         abreu_scalar_curvature(flat_profile(1, 0.5, 1.0), [0.7])
+    # any real coordinate is taken as its float, a float subclass's too, and
+    # anything else is refused, in any row of a batch of float rows
+    class Real(float):
+        pass
+
+    [want] = abreu_scalar_curvature(S, [[0.25, 0.375]])
+    for x in ([Fraction(1, 4), 0.375], [0.25, Real(0.375)], [Fraction(1, 4), Fraction(3, 8)]):
+        assert abreu_scalar_curvature(S, [[0.3, 0.4], x]) == [
+            abreu_scalar_curvature(S, [[0.3, 0.4]])[0], want]
+    corners = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    assert extremality_residual([[1, 0], [0, 1], [1, 1]], [1.0, 2.0, 3.0]) == (
+        extremality_residual(corners, [1.0, 2.0, 3.0]))
+    for bad in ("0.3", None):
+        with pytest.raises(InvalidParameters, match="^points must be a sequence"):
+            abreu_scalar_curvature(S, [[0.3, 0.4], [bad, 0.4]])
+        with pytest.raises(InvalidParameters, match="^points must be a sequence"):
+            extremality_residual([[0.3, 0.4], [0.4, 0.3], [0.3, bad]], [1.0] * 3)
 
 
 def test_degenerate_metric_in_a_batch_names_its_t():

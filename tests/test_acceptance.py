@@ -11,8 +11,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from toricext import table
 from toricext.abreu import abreu_scalar_curvature
 from toricext.bridge import PRESETS, _Jet, bridge_cross_check, calabi_scalar_curvature
@@ -24,6 +22,7 @@ from toricext.exact import (
     positivity_certificate,
     solve_coefficients,
 )
+from toricext.numdiff import grid
 from toricext.polytope import sample_interior
 from toricext.radial import radial_scalar_curvature
 from util import (
@@ -31,6 +30,7 @@ from util import (
     cpn_profile,
     fd_curvature_reference,
     flat_profile,
+    geometric_grid,
     legendre_F,
 )
 
@@ -68,7 +68,7 @@ def test_criterion_02_h_second_matches_rational_profile_on_grid():
     worst = 0.0
     for a in (0.3, 0.5, 0.7):
         E = solve_coefficients(2, a, 1.0)
-        ts = np.linspace(a + 0.01 * (1 - a), 1.0 - 0.01 * (1 - a), 50).tolist()
+        ts = grid(a + 0.01 * (1 - a), 1.0 - 0.01 * (1 - a), 50)
         for t, got in zip(ts, table.profile_columns(E, ts)[1]):
             den = 2 * a * t**2 + t - a**2 * t + 2 * a * t + 2 * a**2
             want = 2 * a * (1 - a) / den - 1.0 / t
@@ -101,7 +101,7 @@ def test_criterion_04_three_curvature_routes_agree_at_interior_points():
         for a, b in ((0.5, 1.0), (0.25, 2.0)):
             T, E = build_extremal_metric(n, a, b)
             pts = sample_interior(T, 100, margin=0.05 * (b - a), seed=0)
-            ts = [float(np.sum(x)) for x in pts]
+            ts = [math.fsum(x) for x in pts]
             abreu = abreu_scalar_curvature(T, pts)
             radial = radial_scalar_curvature(n, ts, T.jet(ts))
             for t, s_abreu, s_radial in zip(ts, abreu, radial):
@@ -121,7 +121,7 @@ def test_criterion_05_projective_profile_gives_constant_curvature():
     for n in (1, 2, 3):
         T = cpn_profile(n)
         want = n * (n + 1)
-        ts = np.linspace(0.05, 0.95, 25).tolist()
+        ts = grid(0.05, 0.95, 25)
         for got in radial_scalar_curvature(n, ts, T.jet(ts)):
             worst_radial = max(worst_radial, abs(got - want) / want)
         pts = sample_interior(T, 10, margin=0.05, seed=1)
@@ -138,7 +138,7 @@ def test_criterion_06_flat_profile_gives_zero_curvature():
     worst = 0.0
     # the flat profile on the polytope (2, 0.5, 1)
     T = flat_profile(2, 0.5, 1.0)
-    ts = np.linspace(0.55, 0.95, 9).tolist()
+    ts = grid(0.55, 0.95, 9)
     for t, got in zip(ts, radial_scalar_curvature(2, ts, T.jet(ts))):
         worst = max(worst, abs(got), abs(got - fd_curvature_reference(T, t)))
     # h=1e-3: the default step's noise floor sits at ~1.1e-8, just over the
@@ -153,17 +153,16 @@ def test_criterion_07_legendre_bridge_matches_polytope_pipeline():
     # the Fubini-Study Kahler potential and the inverse of its moment map
     f = lambda s: 0.5 * math.log1p(s)
     s_of_t = lambda t: t / (1.0 - t)
-    for t in np.linspace(0.02, 0.98, 50):
-        t = float(t)
-        want = (1.0 - t) * np.log(1.0 - t)
+    for t in grid(0.02, 0.98, 50):
+        want = (1.0 - t) * math.log(1.0 - t)
         worst_F = max(worst_F, abs(legendre_F(s_of_t, f, t) - want))
     worst_disc = 0.0
     for n in (1, 2, 3):
         for moment in PRESETS.values():
-            r = bridge_cross_check(n, moment, np.geomspace(0.25, 4.0, 10))
+            r = bridge_cross_check(n, moment, geometric_grid(0.25, 4.0, 10))
             worst_disc = max(worst_disc, r.max_discrepancy)
     worst_flat = 0.0
-    ss = np.geomspace(0.25, 4.0, 10).tolist()
+    ss = geometric_grid(0.25, 4.0, 10)
     jet = [column.v for column in PRESETS["flat"](_Jet(ss, ss, ss))]
     for n in (1, 2, 3):
         worst_flat = max(worst_flat, *map(abs, calabi_scalar_curvature(n, jet)))

@@ -1,7 +1,7 @@
 import math
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -19,7 +19,7 @@ from toricext.bridge import (
 from toricext.calabi import build_extremal_metric
 from toricext.errors import DomainViolation, InvalidParameters, NonpositiveDerivative
 from toricext.numdiff import grid
-from util import legendre_F
+from util import geometric_grid, legendre_F
 
 
 # the presets' Kahler potentials f(s), and the inverses s(t) of their moment
@@ -108,7 +108,7 @@ def test_moment_map_rejects_nonpositive_s():
 def test_moment_map_round_trip(f):
     # the s(t) the Legendre references read inverts the preset's t = 2*s*f'
     preset = _PRESET_OF[f]
-    ss = np.geomspace(1e-3, 1e3, 500).tolist()
+    ss = geometric_grid(1e-3, 1e3, 500)
     ts = _values(PRESETS[preset], ss)[0]
     assert [_S_OF_T[preset](t) for t in ts] == pytest.approx(ss, rel=1e-12)
     # and t is 2*s*f'(s), f' by a central difference
@@ -157,7 +157,7 @@ _PRESET_T_AND_RATE = {
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_jet_keeps_the_moment_maps_t_and_rate(preset):
     # the t column and the Kahler side read t and t', so their bits stay
-    ss = np.geomspace(1e-3, 1e3, 500).tolist()
+    ss = geometric_grid(1e-3, 1e3, 500)
     want = [_PRESET_T_AND_RATE[preset](s) for s in ss]
     assert list(zip(*_values(PRESETS[preset], ss)[:2])) == want
 
@@ -167,7 +167,7 @@ def test_preset_columns_are_their_one_element_calls(preset):
     # the moment code on a jet is the float code on each s, bit for bit: its
     # value columns are lists of the float calls' values
     moment = PRESETS[preset]
-    ss = np.geomspace(1e-3, 1e3, 500).tolist()
+    ss = geometric_grid(1e-3, 1e3, 500)
     jet = moment(_seed(ss))
     assert len(jet) == 4 and all(type(column) is _Jet for column in jet)
     assert all(type(c) is list for column in jet for c in column)
@@ -261,16 +261,14 @@ def test_flat_legendre_dual():
 
 
 def test_fubini_study_legendre_dual():
-    for t in np.linspace(0.1, 0.9, 9):
-        t = float(t)
+    for t in grid(0.1, 0.9, 9):
         want = (1.0 - t) * math.log(1.0 - t)
         got = legendre_F(_S_OF_T["fubini-study"], fubini_study_potential, t)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_fubini_study_legendre_dual_fine_grid():
-    for t in np.linspace(0.02, 0.98, 50):
-        t = float(t)
+    for t in grid(0.02, 0.98, 50):
         want = (1.0 - t) * math.log(1.0 - t)
         got = legendre_F(_S_OF_T["fubini-study"], fubini_study_potential, t)
         assert abs(got - want) <= 1e-9
@@ -285,7 +283,7 @@ def test_flat_curvature_vanishes(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fubini_study_curvature_is_constant(n):
     want = n * (n + 1)
-    ss = np.geomspace(0.25, 4.0, 10).tolist()
+    ss = geometric_grid(0.25, 4.0, 10)
     for got in calabi_scalar_curvature(n, _values(PRESETS["fubini-study"], ss)):
         assert abs(got - want) <= 1e-5 * want
 
@@ -301,7 +299,7 @@ def test_kahler_side_is_exact_to_rounding(preset, n):
     # towards s = 0 and s = oo, t' -> 0: Fubini-Study's (t''/t')^2 and
     # t'''/t' in v'' cancel down to 2*t', so the jet's rounding over t' sets
     # the floor (1.7e-13 relative at s = 1e-3)
-    jet = _values(moment, np.geomspace(1e-3, 1e3, 2000).tolist())
+    jet = _values(moment, geometric_grid(1e-3, 1e3, 2000))
     for got, rate in zip(calabi_scalar_curvature(n, jet), jet[1]):
         assert abs(got - exact) <= 1e-15 * scale / rate
 
@@ -316,7 +314,7 @@ def test_polytope_side_is_exact_to_rounding(preset, n):
     # divides phi' and phi''
     moment = PRESETS[preset]
     exact = 0.0 if preset == "flat" else float(n * (n + 1))
-    ss = np.geomspace(1e-3, 1e3, 2000).tolist()
+    ss = geometric_grid(1e-3, 1e3, 2000)
     report = bridge_cross_check(n, moment, ss)
     for got, rate in zip(report.polytope_side, _values(moment, ss)[1]):
         assert abs(got - exact) <= 1e-14 * exact / (rate * rate)
@@ -398,7 +396,7 @@ def test_kahler_side_of_a_slope_off_by_one_percent_misses_the_affine_curvature(
     # curvature misses A*t + B by far more than the 1e-12 of the property
     # (0.7 % at (2, 0.5, 1); 1.3e-7 in the thin shell, where phi and with it
     # the phi' terms are small).  At n = 1, S = -phi'' reads no phi'
-    ts, got = _extremal_kahler_side(n, a, b, np.linspace(0.05, 0.95, 19).tolist(), 1.01)
+    ts, got = _extremal_kahler_side(n, a, b, grid(0.05, 0.95, 19), 1.01)
     assert _worst_relative_error(n, a, b, ts, got) > floor
 
 
@@ -406,7 +404,7 @@ def test_kahler_side_of_a_slope_off_by_one_percent_misses_the_affine_curvature(
 
 
 def test_cross_check_fubini_study():
-    r = bridge_cross_check(2, PRESETS["fubini-study"], np.geomspace(0.25, 4.0, 10))
+    r = bridge_cross_check(2, PRESETS["fubini-study"], geometric_grid(0.25, 4.0, 10))
     assert r.max_discrepancy <= 1e-12 * 6
     assert len(r.s) == 10
     for difference in r.difference:
@@ -439,7 +437,7 @@ def _rate_at(preset, ts):
 
 def test_induced_potential_matches_projective_profile():
     # phi = t*(1 - t), the momentum profile of F'' = 1/(1 - t)
-    ts = np.linspace(0.05, 0.95, 19).tolist()
+    ts = grid(0.05, 0.95, 19)
     for t, phi in zip(ts, induced_jet(_rate_at("fubini-study", ts))[0]):
         assert phi == pytest.approx(t * (1.0 - t), rel=1e-14)
 
@@ -457,7 +455,8 @@ def test_induced_potential_higher_derivatives():
 def test_induced_second_derivative_is_the_jets_from_one_rate_per_t(preset, t_max):
     # the induced momentum profile is the rate t'(s~) itself, to the bit,
     # and phi' and phi'' are the chain rule on that rate's jet alone
-    ts = np.random.default_rng(0).uniform(1e-3 * t_max, 0.999 * t_max, 500).tolist()
+    draw = random.Random(0).uniform
+    ts = [draw(1e-3 * t_max, 0.999 * t_max) for _ in range(500)]
     rate = _rate_at(preset, ts)
     phi, dphi, d2phi = induced_jet(rate)
     assert phi == rate.v

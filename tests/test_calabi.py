@@ -1,11 +1,11 @@
 import math
+import numbers
 import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
@@ -32,9 +32,9 @@ from toricext.exact import (
     positivity_certificate,
     solve_coefficients,
 )
+from toricext.numdiff import grid
 from toricext.radial import radial_scalar_curvature
 from util import (
-    array_h_second,
     boundary_rows,
     boundary_solution,
     closed_form_coefficients,
@@ -282,7 +282,7 @@ def test_h_second_eliminates_prescribed_pole():
     # F'' - h'' = c/((t-a)(b-t)) by construction
     E = solve_coefficients(2, 0.5, 1.0)
     a, b, c = E.a, E.b, E.c
-    ts = np.linspace(0.52, 0.98, 20).tolist()
+    ts = grid(0.52, 0.98, 20)
     for t, f2, h2 in zip(ts, *table.profile_columns(E, ts)):
         lhs = f2 - h2
         rhs = c / ((t - a) * (b - t))
@@ -357,7 +357,7 @@ def test_h_second_refuses_a_non_extremal_record():
 def test_h_second_one_dimensional_case(a, b):
     # at n=1 the residual part of F'' is exactly the pole term, so h'' = -1/t
     E = solve_coefficients(1, a, b)
-    ts = np.linspace(a + 0.01, b - 0.01, 15).tolist()
+    ts = grid(a + 0.01, b - 0.01, 15)
     for t, h2 in zip(ts, table.profile_columns(E, ts)[1]):
         assert h2 == pytest.approx(-1.0 / t, rel=1e-11)
 
@@ -576,14 +576,34 @@ def test_overflowing_coefficient_is_invalid_input(build):
         build(2, 1e-200, 2e-200)
 
 
+class _Integer:
+    """An integer type that is not int: a ``numbers.Integral`` by
+    registration, with the conversions and the comparison the coefficient
+    entry points use."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    __int__ = __index__
+
+    def __lt__(self, other) -> bool:
+        return self.value < other
+
+
+numbers.Integral.register(_Integer)
+
+
 @pytest.mark.parametrize("build", _BUILDERS)
-def test_dimension_may_be_a_numpy_integer(build):
-    E = build(np.int64(2), 0.5, 1.0)
+def test_dimension_may_be_any_integral(build):
+    E = build(_Integer(2), 0.5, 1.0)
     assert type(E.n) is int
     assert E == build(2, 0.5, 1.0)
 
 
-# --- list calls against elementwise calls, and h'' against numpy arrays -------
+# --- list calls against elementwise calls --------------------------------------
 
 
 def _each(fn):
@@ -592,13 +612,10 @@ def _each(fn):
         [column[0] for column in fn(E, [t])] for t in ts))]
 
 
-# (reference, plain-float evaluation): every list function of ``table``
-# against itself one t at a time, and h'' against the numpy array evaluation
+# (one t at a time, the list call): every list function of ``table``
 _PAIRS = [
     (_each(table.profile_columns), table.profile_columns),
     (_each(table.jet), table.jet),
-    (array_h_second, lambda E, ts: table.profile_columns(E, ts)[1]),
-    (array_h_second, lambda E, ts: [table.profile_columns(E, [t])[1][0] for t in ts]),
 ]
 
 
@@ -613,47 +630,40 @@ _PAIRS = [
 @settings(max_examples=80)
 def test_array_calls_equal_elementwise_scalar_calls(params, fractions):
     """Bit for bit: the columns (F'', h'') and the jet of a list of t are
-    those of one t at a time, and h'' in plain floats is the numpy array
-    evaluation; or both raise the same error."""
+    those of one t at a time; or both raise the same error."""
     n, a, b = params
     E = solve_coefficients(n, a, b)
-    ts = np.array([a + (b - a) * f for f in fractions])
-    ts = ts[(a < ts) & (ts < b)]  # rounding can land a fraction on an endpoint
-    assume(ts.size > 0)
-    for array_fn, float_fn in _PAIRS:
-        want = np.array(array_fn(E, ts.tolist()))
-        got = np.array(float_fn(E, ts.tolist()))
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+    ts = [a + (b - a) * f for f in fractions]
+    ts = [t for t in ts if a < t < b]  # rounding can land a fraction on an endpoint
+    assume(ts)
+    for each_fn, list_fn in _PAIRS:
+        assert list(list_fn(E, ts)) == each_fn(E, ts)
 
 
 @pytest.mark.parametrize("bad, error", [(0.4, DomainViolation), (1.0, DomainViolation)])
 def test_bad_t_in_an_array_raises_like_the_scalar_call(bad, error):
     E = solve_coefficients(2, 0.5, 1.0)
-    batch = np.array([0.6, bad, 0.75])
-    for array_fn, float_fn in _PAIRS:
+    batch = [0.6, bad, 0.75]
+    for each_fn, list_fn in _PAIRS:
         with pytest.raises(error):
-            float_fn(E, [bad])
+            list_fn(E, [bad])
         with pytest.raises(error) as raised:
-            array_fn(E, batch.tolist())
-        # the plain-float evaluation fails with the same message
+            each_fn(E, batch)
+        # the list call fails with the same message
         with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
-            float_fn(E, batch.tolist())
+            list_fn(E, batch)
 
 
 def test_zero_deflated_denominator_raises_alike():
     # a valid record has Q < 0 on [a, b] (the certificate); give one record a
-    # rounded (V, Q) with Q(0.75) = 0 to reach the guard on both paths
+    # rounded (V, Q) with Q(0.75) = 0 to reach the guard
     E = ExtremalCoefficients(n=1, a=0.5, b=1.0, A=1.0, B=2.0, C=3.0, D=4.0)
     E.__dict__["_float_deflation"] = ((1.0,), (1.0, -0.75))
-    for fn, ts in [
-        (array_h_second, np.array([0.6, 0.75])),
-        (table.profile_columns, [0.6, 0.75]),  # both columns divide by Q
-    ]:
-        with pytest.raises(
-            PotentialPole, match=r"^deflated denominator vanishes at t = 0\.75$"
-        ):
-            fn(E, ts)
+    # both columns divide by Q
+    with pytest.raises(
+        PotentialPole, match=r"^deflated denominator vanishes at t = 0\.75$"
+    ):
+        table.profile_columns(E, [0.6, 0.75])
     # the jet divides by no Q: phi = 0 there, which the metric refuses
     assert table.jet(E, [0.75])[0] == [0.0]
 
@@ -668,10 +678,13 @@ def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):
 
     monkeypatch.setattr(table, "jet", counting)
     T, E = build_extremal_metric(2, 0.5, 1.0)
-    ts = np.linspace(0.55, 0.95, 100).tolist()
+    ts = grid(0.55, 0.95, 100)
     S = radial_scalar_curvature(T.n, ts, T.jet(ts))
     assert calls == [ts]  # one evaluation of the whole list serves the jet
-    np.testing.assert_allclose(S, [E.A * t + E.B for t in ts], rtol=1e-9)
+    A, B, _, _ = _exact_solution(2, 0.5, 1.0)
+    for t, got in zip(ts, S):
+        want = A * Fraction(t) + B
+        assert abs(Fraction(got) - want) <= 1e-9 * abs(want)
     # the jet is that of one evaluation at the ts asked for
     assert T.jet(ts[3:5]) == real(E, ts[3:5])
     assert len(calls) == 2
@@ -681,7 +694,7 @@ def test_shared_profile_derivatives_are_read_only():
     # each jet call builds new lists of floats, so a caller that writes into
     # one answer changes no later answer at the same ts
     T, E = build_extremal_metric(2, 0.5, 1.0)
-    ts = np.linspace(0.55, 0.95, 7).tolist()
+    ts = grid(0.55, 0.95, 7)
     want = table.jet(E, ts)
     for _ in range(2):
         jet = T.jet(ts)

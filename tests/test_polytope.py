@@ -1,7 +1,7 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,7 +111,7 @@ def test_truncating_facets_sum_to_interval_length(nab, coords):
     """(t - a) + (b - t) = b - a identically, for any x whatsoever, so no
     point lies deeper than (b - a)/2."""
     n, a, b = nab
-    x = np.resize(np.array(coords), n)
+    x = (coords * n)[:n]  # coords repeated to length n
     T = TPotential(n, a, b, _no_jet)
     assert interior_distance(T, x) <= 0.5 * (b - a) + 1e-12 * max(1.0, b)
 
@@ -123,9 +123,9 @@ def test_coordinate_permutation_matches_facet_permutation(nab, perm):
     n, a, b = nab
     sigma = [p for p in perm if p < n]
     T = TPotential(n, a, b, _no_jet)
-    rng = np.random.default_rng(0)
-    x = rng.uniform(0.0, b, size=n)
-    assert interior_distance(T, x[sigma]) == interior_distance(T, x)
+    draw = random.Random(0).uniform
+    x = [draw(0.0, b) for _ in range(n)]
+    assert interior_distance(T, [x[i] for i in sigma]) == interior_distance(T, x)
 
 
 @pytest.mark.parametrize("n,a,b", CONFIGS)
@@ -143,9 +143,9 @@ def test_sample_interior_deterministic():
     T = flat_profile(2, 0.5, 1.0)
     first = sample_interior(T, 10, margin=0.01, seed=7)
     second = sample_interior(T, 10, margin=0.01, seed=7)
-    np.testing.assert_array_equal(first, second)
+    assert first == second
     other = sample_interior(T, 10, margin=0.01, seed=8)
-    assert not np.array_equal(first, other)
+    assert first != other
 
 
 @pytest.mark.parametrize("n,a,b,seed", [(1, 0.25, 0.75, 0), (3, 0.5, 1.0, 5)])
@@ -162,23 +162,28 @@ def test_sample_interior_is_the_documented_stream(n, a, b, seed):
         radius = hi * (r_n + rng.random() * (1.0 - r_n)) ** (1.0 / n)
         expected.append([m + radius * (s / sum(spacings)) for s in spacings])
     got = sample_interior(flat_profile(n, a, b), count, m, seed=seed)
-    np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+    assert all(abs(g - e) <= 1e-15 * abs(e)
+               for row_g, row_e in zip(got, expected) for g, e in zip(row_g, row_e))
 
 
-def _numpy_sample(T, count, margin, seed):
-    """The sampler's formula on numpy arrays, as the package evaluated it
-    before it ran on lists: count*(n+1) draws fill a (count, n+1) array row
-    by row."""
+def _decimal_sample(T, count, margin, seed):
+    """The sampler's formula at the same draws, evaluated in decimal at 40
+    digits from the floats lo, hi and margin the sampler forms: count*(n+1)
+    draws, row by row, n spacings -ln(1 - u) and then the radius variate."""
     n = T.n
     lo = max(T.t_min + margin - n * margin, 0.0)
     hi = T.t_max - margin - n * margin
     draw = random.Random(seed).random
-    u = np.array([draw() for _ in range(count * (n + 1))]).reshape(count, n + 1)
-    spacings = -np.log1p(-u[:, :n])
-    directions = spacings / np.sum(spacings, axis=1, keepdims=True)
-    r_n = (lo / hi) ** n
-    radii = hi * (r_n + u[:, n] * (1.0 - r_n)) ** (1.0 / n)
-    return margin + radii[:, None] * directions
+    with localcontext() as context:
+        context.prec = 40
+        r_n = (Decimal(lo) / Decimal(hi)) ** n
+        points = []
+        for _ in range(count):
+            spacings = [-(1 - Decimal(draw())).ln() for _ in range(n)]
+            total = sum(spacings)
+            radius = Decimal(hi) * (r_n + Decimal(draw()) * (1 - r_n)) ** (1 / Decimal(n))
+            points.append([Decimal(margin) + radius * s / total for s in spacings])
+    return points
 
 
 @given(
@@ -188,17 +193,18 @@ def _numpy_sample(T, count, margin, seed):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=100)
-def test_sample_interior_matches_the_numpy_formula(n, b, ratio, seed):
-    # the same draws in the same order and the same formula; math.log1p and
-    # float ** may each differ from numpy's by an ulp, which the quotient and
-    # the products carry to ~4 ulp of a coordinate, and numpy sums a row of 8
-    # or more with eight accumulators where the list is summed in order (6
-    # ulp at most over 15 000 draws of these parameters)
+def test_sample_interior_matches_the_decimal_formula(n, b, ratio, seed):
+    # the same draws in the same order and the same formula, to 40 digits:
+    # math.log1p and float ** are each within an ulp, which the quotient,
+    # the fsum and the products carry to a few ulp of a coordinate (3.0 ulp
+    # at most over 61 900 coordinates of these draws)
     T = flat_profile(n, ratio * b, b)
     m = 0.05 * (b - ratio * b)
-    got = np.array(sample_interior(T, 20, margin=m, seed=seed))
-    want = _numpy_sample(T, 20, m, seed)
-    assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
+    got = sample_interior(T, 20, margin=m, seed=seed)
+    want = _decimal_sample(T, 20, m, seed)
+    for row_g, row_w in zip(got, want):
+        for g, w in zip(row_g, row_w):
+            assert abs(Decimal(g) - w) <= 8 * Decimal(math.ulp(float(w)))
 
 
 def test_sample_interior_margin_exceeds_inradius():
@@ -216,15 +222,14 @@ def test_sample_interior_is_uniform(n, a, b, seed):
     (s^n - lo^n)/(hi^n - lo^n), and every coordinate takes a 1/n share."""
     count, m = 20_000, 0.05 * (b - a)
     T = flat_profile(n, a, b)
-    y = np.array(sample_interior(T, count, margin=m, seed=seed)) - m
+    y = [[v - m for v in x] for x in sample_interior(T, count, margin=m, seed=seed)]
     lo, hi = max(a + m - n * m, 0.0), b - m - n * m
-    s = np.sort(np.sum(y, axis=1))
-    cdf = ((s / hi) ** n - (lo / hi) ** n) / (1.0 - (lo / hi) ** n)
-    rank = np.arange(1, count + 1) / count
-    kolmogorov = max(np.max(rank - cdf), np.max(cdf - (rank - 1.0 / count)))
+    sums = [math.fsum(row) for row in y]
+    cdf = [((s / hi) ** n - (lo / hi) ** n) / (1.0 - (lo / hi) ** n) for s in sorted(sums)]
+    kolmogorov = max(max(k / count - c, c - (k - 1) / count) for k, c in enumerate(cdf, 1))
     assert kolmogorov <= 0.02
-    shares = np.mean(y / np.sum(y, axis=1, keepdims=True), axis=0)
-    np.testing.assert_allclose(shares, 1.0 / n, atol=0.01)
+    for share in zip(*([v / s for v in row] for row, s in zip(y, sums))):
+        assert abs(math.fsum(share) / count - 1.0 / n) <= 0.01
 
 
 def test_sample_interior_rejects_bad_arguments():

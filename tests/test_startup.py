@@ -1,6 +1,8 @@
 """What a CLI process pays for outside its command: the modules it loads, the
-exit status of a closed stdout, and the GC freeze at exit."""
+exit status of a closed stdout, and the GC freeze at exit; and that no source
+of the package, its tests or its scripts imports numpy."""
 
+import ast
 import gc
 import importlib
 import json
@@ -95,6 +97,26 @@ def test_import_footprint(argv, absent):
     assert not (absent | _NEVER) & loaded
     if argv is not None:
         assert "toricext.cli" in loaded
+
+
+def test_no_source_imports_numpy():
+    # the package and its scripts run on the standard library, and the tests
+    # on it, pytest, hypothesis and sympy.  perfbench/ is not read: its
+    # tracing imports numpy until the program times its own stages
+    # (ROADMAP item 20)
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted(p for d in ("src", "tests", "scripts") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
 
 
 def test_the_package_binds_no_name_but_its_version():

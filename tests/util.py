@@ -5,8 +5,9 @@ forms rounded to a record), two independent
 routes to the extremal coefficients (the 4x4 boundary system and
 Donaldson's moment system, with mutants of the latter) and Donaldson's
 functional at (t - c)_+, the exact momentum
-profile of the extremal metric and the numpy array evaluation of h'', for
-the test suite."""
+profile of the extremal metric, the exact inverse and inertia of the radial
+Hessian, a condition number and a geometric grid, for the test suite, on
+the standard library and sympy alone."""
 
 from __future__ import annotations
 
@@ -14,11 +15,8 @@ import math
 import operator
 from fractions import Fraction
 
-import numpy as np
-
-from toricext.errors import DomainViolation, PotentialPole
 from toricext.exact import _check_geometry, _closed_form, _exact_solution, _rounded
-from toricext.numdiff import STEP_SECOND
+from toricext.numdiff import EPS, STEP_SECOND
 from toricext.radial import TPotential, validity_factor
 
 
@@ -56,11 +54,58 @@ def flat_profile(n: int, t_min: float = 0.0, t_max: float = 10.0) -> TPotential:
     return profile(n, t_min, t_max, lambda t: (t, 1.0, 0.0))
 
 
-def radial_hessian(x, d2F_value) -> np.ndarray:
+def radial_hessian(x, d2F_value) -> list[list[Fraction]]:
     """The radial potential's Hessian G_ij = (delta_ij/x_i + F'')/2 at one
-    point x, written out in full: what the closed-form inverse inverts."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * (np.diag(1.0 / x) + d2F_value)
+    point x, written out in full and exactly at the numbers given: what the
+    closed-form inverse inverts."""
+    x, f = [Fraction(v) for v in x], Fraction(d2F_value)
+    return [[((i == j) / xi + f) / 2 for j in range(len(x))] for i, xi in enumerate(x)]
+
+
+def exact_inverse_hessian(x, d2F_value) -> list[list[Fraction]]:
+    """The inverse of ``radial_hessian(x, F'')``, exactly, by Sherman-Morrison:
+    G = (diag(1/x) + F'' 1 1^T)/2 gives G^{-1} = 2*(diag(x) - w*x x^T) with
+    w = F''/(1 + F''*t), t = sum(x)."""
+    x, f = [Fraction(v) for v in x], Fraction(d2F_value)
+    w = f / (1 + f * sum(x))
+    return [[2 * ((i == j) * xi - w * xi * xj) for j, xj in enumerate(x)]
+            for i, xi in enumerate(x)]
+
+
+def inertia(matrix) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of the symmetric matrix,
+    exactly: symmetric elimination L D L^T over ``Fraction`` keeps them
+    (Sylvester's law of inertia).  Each step pivots on the largest diagonal
+    entry left; where every one left is 0 but some entry c is not, on that
+    2x2 block [[0, c], [c, 0]], whose eigenvalues are +-|c|."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    left = list(range(len(a)))
+    counts = [0, 0, 0]
+    while left:
+        k = max(left, key=lambda i: abs(a[i][i]))
+        if a[k][k] != 0:
+            counts[a[k][k] < 0] += 1
+            left.remove(k)
+            for i in left:
+                f = a[i][k] / a[k][k]
+                for j in left:
+                    a[i][j] -= f * a[k][j]
+            continue
+        pair = next(((k, l) for k in left for l in left if a[k][l] != 0), None)
+        if pair is None:  # what is left is 0
+            counts[2] += len(left)
+            break
+        k, l = pair
+        counts[0] += 1
+        counts[1] += 1
+        left.remove(k)
+        left.remove(l)
+        c = a[k][l]
+        for i in left:
+            fk, fl = a[i][l] / c, a[i][k] / c  # the row of [a_ik, a_il] B^{-1}
+            for j in left:
+                a[i][j] -= fk * a[k][j] + fl * a[l][j]
+    return tuple(counts)
 
 
 def inverse_hessian(x, phi: float) -> list[list[float]]:
@@ -299,26 +344,41 @@ def exact_F_second(E, t) -> Fraction:
     return 1 / exact_phi_jet(E, t)[0] - 1 / t
 
 
-# --- h'' on numpy arrays ------------------------------------------------------
-# The evaluation the package ran on arrays before its float layer moved to
-# plain floats (``toricext.table``): the same formula in the same order, on
-# the record's float polynomials, with ``np.polyval``.  The plain-float
-# evaluation must give the same bits.
+# --- test inputs and a condition number --------------------------------------
 
 
-def _check_profile_domain(E, t: np.ndarray) -> None:
-    outside = ~((E.a < t) & (t < E.b))
-    if np.any(outside):
-        raise DomainViolation(f"t = {t[outside][0]} outside ({E.a}, {E.b})")
+def geometric_grid(lo: float, hi: float, num: int) -> list[float]:
+    """num >= 2 points from lo to hi > lo > 0 in geometric progression,
+    lo*(hi/lo)**(k/(num - 1)), the last point set to hi."""
+    ratio = hi / lo
+    return [lo * ratio ** (k / (num - 1)) for k in range(num - 1)] + [hi]
 
 
-def array_h_second(E, t):
-    """h''(t) = -V(t)/Q(t) - 1/t on an array of t, with the record's (V, Q)."""
-    t = np.asarray(t, dtype=float)
-    _check_profile_domain(E, t)
-    V, Q = (np.array(c, float) for c in E._float_deflation)
-    q_val = np.polyval(Q, t)
-    zero = q_val == 0.0
-    if np.any(zero):
-        raise PotentialPole(f"deflated denominator vanishes at t = {t[zero][0]}")
-    return -np.polyval(V, t) / q_val - 1.0 / t
+def condition_number(matrix) -> float:
+    """sigma_max/sigma_min, the 2-norm condition number of a matrix of full
+    column rank (a list of rows), by one-sided Jacobi (Hestenes): plane
+    rotations of pairs of columns until every pair is orthogonal to eps of
+    their norms; the column norms are then the singular values, each to a
+    small relative error of its own (Demmel and Veselic, SIAM J. Matrix
+    Anal. Appl. 13, 1992), the least one included."""
+    cols = [list(c) for c in zip(*matrix)]
+    for _ in range(50):
+        rotated = False
+        for i, ci in enumerate(cols):
+            for cj in cols[i + 1:]:
+                alpha = math.fsum(map(operator.mul, ci, ci))
+                beta = math.fsum(map(operator.mul, cj, cj))
+                gamma = math.fsum(map(operator.mul, ci, cj))
+                if abs(gamma) <= EPS * math.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                tan = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                cos = 1.0 / math.hypot(1.0, tan)
+                sin = cos * tan
+                ci[:], cj[:] = ([cos * x - sin * y for x, y in zip(ci, cj)],
+                                [sin * x + cos * y for x, y in zip(ci, cj)])
+        if not rotated:
+            norms = [math.hypot(*c) for c in cols]
+            return max(norms) / min(norms)
+    raise ArithmeticError("one-sided Jacobi did not converge in 50 sweeps")
