@@ -25,7 +25,6 @@ import math
 import numbers
 import sys
 from collections.abc import Sequence
-from itertools import repeat
 from operator import mul
 
 from .errors import (
@@ -57,13 +56,10 @@ def _points(points: Sequence, n: int) -> list[list[float]]:
     floats; a bare point, whose entries are numbers, is refused."""
     rows = list(points)
     for row in rows:
-        # isinstance(v, float) is a plain type check; only a row holding
-        # another type goes through the numbers.Real ABC
         if (
             isinstance(row, numbers.Real)
             or len(row) != n
-            or not (all(map(isinstance, row, repeat(float)))
-                    or all(isinstance(v, numbers.Real) for v in row))
+            or not all(isinstance(v, numbers.Real) for v in row)
         ):
             raise InvalidParameters(
                 f"points must be a sequence of points of {n} coordinates each"

@@ -20,7 +20,6 @@ from toricext import exact as exact_mod
 from toricext import table as table_mod
 from toricext.calabi import build_extremal_metric
 from toricext.errors import GeometryError, InvalidParameters
-from toricext.numdiff import grid
 from toricext.polytope import sample_interior
 from util import exact_F_second
 
@@ -1067,15 +1066,19 @@ _GRID_ULPS = 3
 @settings(max_examples=100, deadline=None)
 def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
     """profile's plain-float table, rendered one value at a time: its grid is
-    i*step + lo with the last point hi, within 3 ulp of the exact grid
-    lo + (hi - lo)*k/(N - 1) at its float ends, and its F'' and h'' columns
-    are ``table``'s, one t at a time; off the extremal solution both calls
-    raise alike."""
+    k*step + lo with step = (hi - lo)/(N - 1) and the last point hi, bit for
+    bit, within 3 ulp of the exact grid lo + (hi - lo)*k/(N - 1) at its float
+    ends, and its F'' and h'' columns are ``table``'s, one t at a time; off
+    the extremal solution both calls raise alike."""
     a = ratio * b
     E = exact_mod.solve_coefficients(n, a, b)
     margin = (b - a) * 1e-4
     lo, hi = a + margin, b - margin
-    ts = grid(lo, hi, samples)
+    if samples == 1:
+        ts = [lo]
+    else:
+        step = (hi - lo) / (samples - 1)
+        ts = [k * step + lo for k in range(samples - 1)] + [hi]
     for k, t in enumerate(ts):
         exact = Fraction(lo) + (Fraction(hi) - Fraction(lo)) * k / max(samples - 1, 1)
         assert abs(Fraction(t) - exact) <= _GRID_ULPS * Fraction(math.ulp(float(exact)))
