@@ -12,17 +12,18 @@ behaves byte for byte alike.  The calls run in this process through
 stdout and stderr to ``DIR/<index>.txt``, to diff the calls whose digests
 differ.
 
-The list of 174 calls covers every command; n in {1, 2, 3, 5, 8, 9, 12,
+The list of 179 calls covers every command; n in {1, 2, 3, 5, 8, 9, 12,
 16}; a/b from 1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the
-thin shells a/b = 0.9999, 1 - 1e-10 and 1 - 1e-12; failing tolerances and
-invalid input; profile's edge cases (one and two rows, a zero grid step, a
-margin that rounds away, 20 000 rows at n = 16, a/b = 1 - 1e-9);
-bridge-check at 5 000 samples, at n = 400 and at n = 0; input whose floats
-overflow or underflow, in the coefficients or in profile's F''; and flags
-that only another command reads, or that no command reads any more.  A call
-that ends in an uncaught exception is recorded as exit 1 with the
-exception's type and message on stderr, as a process would end (less the
-traceback).
+thin shells a/b = 0.9999, 1 - 1e-10, 1 - 1e-12 and 1 - 1e-14; failing
+tolerances and invalid input; profile's edge cases (one and two rows, a
+zero grid step, a margin that rounds away, 20 000 rows at n = 16, a/b =
+1 - 1e-9); bridge-check at 5 000 samples, at n = 400, at n = 0 and at
+n = 10^160; derive and profile past the exact layer's cap on n; input
+whose floats overflow or underflow, in the coefficients or in profile's
+F''; and flags that only another command reads, or that no command reads
+any more.  A call that ends in an uncaught exception is recorded as exit 1
+with the exception's type and message on stderr, as a process would end
+(less the traceback).
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ def argv_list() -> list[list[str]]:
         # names the failing soft checks (curvature_agreement, extremality)
         *(["verify", *_geometry(n, 1 - eps), "--points", "40"]
           for n, eps in ((2, 1e-10), (16, 1e-12))),
+        # a shell of about 45 ulps, where an affine fit of S in x found the
+        # points affinely dependent
+        *(["verify", *_geometry(n, 1 - 1e-14), "--points", "40"] for n in (2, 8)),
         ["derive", "--n", "0"],
         ["example", "--n", "3"],
     ]
@@ -87,7 +91,12 @@ def argv_list() -> list[list[str]]:
     ]
     calls += [["bridge-check", "--n", str(n), "--samples", "5000"] for n in (1, 6, 16)]
     calls += [["bridge-check", "--n", "400", "--samples", "3"],
-              ["bridge-check", "--n", "0"]]
+              ["bridge-check", "--n", "0"],
+              # n(n + 1) past the float range
+              ["bridge-check", "--n", str(10**160), "--samples", "2"]]
+    # past the exact layer's MAX_DIMENSION, refused before any exact work
+    calls += [[command, "--n", "513", "--a", "0.3", "--b", "1.7"]
+              for command in ("derive", "profile")]
     # coefficient A ~ 1/b^2 overflows; t^400 overflows inside the grid
     overflow = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
     calls += [[command, *overflow] for command in ("derive", "profile", "verify")]

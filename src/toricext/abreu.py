@@ -14,9 +14,7 @@ differences on the polytope interior.  Every corner of a point's stencil
 lies at t + k*h for k in {-2..2}, so a point costs five phi values, all read
 from one jet call of the profile, and O(n) work: three diagonal entries per
 coordinate, and one fsum for the mixed terms of all pairs at once.
-Extremality of a metric means S is affine in x; ``extremality_residual``
-fits given curvatures and measures the distance to that.  Everything runs
-in plain floats.
+Everything runs in plain floats.
 """
 
 from __future__ import annotations
@@ -25,15 +23,9 @@ import math
 import numbers
 import sys
 from collections.abc import Sequence
-from operator import mul
 
-from .errors import (
-    DegeneratePointSet,
-    InvalidParameters,
-    NonInteriorPoint,
-    StencilExitsDomain,
-)
-from .numdiff import EPS, STEP_SECOND
+from .errors import InvalidParameters, NonInteriorPoint, StencilExitsDomain
+from .numdiff import STEP_SECOND
 from .polytope import interior_distance
 from .radial import TPotential, validity_factor
 
@@ -148,61 +140,3 @@ def abreu_scalar_curvature(
         _curvature_at(p, step, ts[5 * i:5 * i + 5], phi[5 * i:5 * i + 5])
         for i, (p, step) in enumerate(zip(pts, steps))
     ]
-
-
-def _least_squares(design: list[list[float]], values: list[float]) -> list[float]:
-    """c minimising |design @ c - values|, by Householder QR on the
-    column-scaled design.
-
-    A column whose part orthogonal to the columns before it is below
-    max(m, k)*eps of its norm makes the design rank deficient, which raises
-    DegeneratePointSet.
-    """
-    m, k = len(design), len(design[0])
-    scale = [max(abs(row[j]) for row in design) or 1.0 for j in range(k)]
-    cols = [[row[j] / s for row in design] for j, s in enumerate(scale)]
-    rhs = list(values)
-    for j, col in enumerate(cols):
-        v = col[j:]
-        norm = math.hypot(*v)
-        # reflections keep the column's norm, so hypot(*col) is its own
-        if norm <= max(m, k) * EPS * math.hypot(*col):
-            raise DegeneratePointSet(
-                f"affine fit underdetermined: design rank < {k}"
-            )
-        # H = I - v v^T/(norm*(norm + |v_0|)) maps v to alpha*e_0
-        alpha = -math.copysign(norm, v[0])
-        denom = norm * (norm + abs(v[0]))
-        v[0] -= alpha
-        for target in (*cols[j + 1:], rhs):
-            tail = target[j:]
-            f = math.fsum(map(mul, v, tail)) / denom
-            target[j:] = [c - f * vi for c, vi in zip(tail, v)]
-        col[j] = alpha
-    coef = [0.0] * k
-    for j in reversed(range(k)):
-        known = math.fsum(cols[i][j] * coef[i] for i in range(j + 1, k))
-        coef[j] = (rhs[j] - known) / cols[j][j]
-    return [c / s for c, s in zip(coef, scale)]
-
-
-def extremality_residual(points: Sequence, S: Sequence[float]) -> tuple:
-    """Fit curvatures S, one per point, by an affine function of x; return
-    (gradient, constant, max_residual), the fit and its worst miss.
-
-    Ordinary least squares on the column-scaled design [X | 1]; needs at
-    least n+1 affinely independent points of n coordinates each.
-    """
-    rows = list(points)
-    # a bare point's first entry is a number, which _points refuses
-    n = len(rows[0]) if rows and not isinstance(rows[0], numbers.Real) else 0
-    pts = _points(rows, n)
-    if len(S) != len(pts):
-        raise InvalidParameters(f"{len(S)} curvatures for {len(pts)} points")
-    if len(pts) < n + 1:
-        raise DegeneratePointSet(f"need >= {n + 1} points, got {len(pts)}")
-
-    design = [[*x, 1.0] for x in pts]
-    coef = _least_squares(design, S)
-    predicted = [math.fsum(map(mul, row, coef)) for row in design]
-    return tuple(coef[:n]), coef[n], max(abs(s - f) for s, f in zip(S, predicted))

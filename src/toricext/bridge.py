@@ -28,6 +28,7 @@ return lists, in plain floats on the standard library.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
@@ -157,6 +158,9 @@ def bridge_cross_check(
     """
     if n < 1:
         raise InvalidParameters("n must be >= 1")
+    # n(n + 1), the largest integer the curvature formulas take into floats
+    if n * (n + 1) > sys.float_info.max:
+        raise InvalidParameters("n is past the float range: n(n + 1) overflows a float")
     s = tuple(map(float, s_samples))
     if not s:
         raise DomainViolation("need at least one sample")

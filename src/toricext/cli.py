@@ -216,7 +216,7 @@ _PROOF_CHECKS = {
 
 
 def _verify_battery(args: types.SimpleNamespace) -> dict:
-    from .abreu import _check_dimension, abreu_scalar_curvature, extremality_residual
+    from .abreu import _check_dimension, abreu_scalar_curvature
     from .calabi import build_extremal_metric
     from .exact import coefficient_cross_check, positivity_certificate
     from .polytope import sample_interior
@@ -238,11 +238,13 @@ def _verify_battery(args: types.SimpleNamespace) -> dict:
     margin = _SAMPLING_MARGIN_FACTOR * (b - a)
     pts = sample_interior(T, args.points, margin=margin, seed=args.seed)
     S = abreu_scalar_curvature(T, pts)
-    gradient, constant, max_residual = extremality_residual(pts, S)
     ts = [math.fsum(x) for x in pts]
     rad = radial_scalar_curvature(T.n, ts, T.jet(ts))
     # both soft checks are relative to the curvature itself (|S| >= 2/b > 0)
     curvature_disc = max(abs(s - r) / abs(r) for s, r in zip(S, rad))
+    # extremal means S is the one affine function of Donaldson's projection,
+    # A*t + B, not merely some affine function of x
+    max_residual = max(abs(s - (E.A * t + E.B)) for s, t in zip(S, ts))
     scaled_residual = max_residual / max(map(abs, rad))
 
     # the exact deflation and the certificate raise instead of failing, so
@@ -256,7 +258,7 @@ def _verify_battery(args: types.SimpleNamespace) -> dict:
     }
 
     return {
-        "schema": 3,
+        "schema": 4,
         "command": "verify",
         "inputs": {
             "n": n,
@@ -274,9 +276,10 @@ def _verify_battery(args: types.SimpleNamespace) -> dict:
             # where the points lie in the shell, tau = (t - a)/(b - a)
             "tau_range": [(min(ts) - a) / (b - a), (max(ts) - a) / (b - a)],
         },
+        # A*t + B written in x; gradient and constant repeat coefficients
         "extremality": {
-            "gradient": list(gradient),
-            "constant": constant,
+            "gradient": [E.A] * n,
+            "constant": E.B,
             "max_residual": max_residual,
             "scaled_residual": scaled_residual,
         },

@@ -54,10 +54,6 @@ class StencilExitsDomain(GeometryError, ValueError):
     """A finite-difference stencil would leave the polytope interior."""
 
 
-class DegeneratePointSet(GeometryError, ValueError):
-    """Too few (or affinely dependent) points for the requested fit."""
-
-
 class PositivityViolation(GeometryError, ArithmeticError):
     """A Bernstein coefficient of Q on [a, b] is not negative, where
     p*t^n - alpha(t) = (t-a)(t-b)*Q(t); no proof that the metric is valid."""

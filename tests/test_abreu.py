@@ -1,35 +1,24 @@
 import math
 import random
 from fractions import Fraction
-from operator import mul
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from toricext.abreu import (
-    _curvature_at,
-    _least_squares,
-    abreu_scalar_curvature,
-    extremality_residual,
-)
+from toricext.abreu import _curvature_at, abreu_scalar_curvature
 from toricext.calabi import build_extremal_metric
 from toricext.errors import (
     DegenerateMetric,
-    DegeneratePointSet,
     DomainViolation,
     InvalidParameters,
     NonInteriorPoint,
     StencilExitsDomain,
 )
 from toricext.polytope import interior_distance, sample_interior
-from toricext.numdiff import EPS, STEP_SECOND
+from toricext.numdiff import STEP_SECOND
 from toricext.radial import TPotential
 from util import (
     F_profile,
-    condition_number,
     cpn_profile,
-    exact_least_squares,
     flat_profile,
     pair_loop_curvature,
     profile,
@@ -92,99 +81,6 @@ def test_default_step_clamped_at_the_facet_fits():
     assert 3.0 * (d / 3.0) > d
     [got] = abreu_scalar_curvature(S, [x])
     assert abs(got) <= 1e-6
-
-
-def test_extremality_residual_on_extremal_metric():
-    T, E = build_extremal_metric(2, 0.5, 1.0)
-    pts = sample_interior(T, 30, margin=0.025, seed=11)
-    gradient, constant, max_residual = extremality_residual(
-        pts, abreu_scalar_curvature(T, pts)
-    )
-    # S(x) = A t + B means gradient (A, A) and constant B
-    assert gradient[0] == pytest.approx(E.A, abs=1e-4)
-    assert gradient[1] == pytest.approx(E.A, abs=1e-4)
-    assert constant == pytest.approx(E.B, abs=1e-4)
-    assert max_residual <= 1e-5
-
-
-def test_extremality_residual_detects_non_extremal_metric():
-    T, _ = build_extremal_metric(2, 0.5, 1.0)
-    pts = sample_interior(T, 30, margin=0.025, seed=11)
-    base = extremality_residual(pts, abreu_scalar_curvature(T, pts))[2]
-
-    def bumped_at(t):
-        # phi*m with m = 1 + sin(10t)/10, by the product rule
-        [phi], [dphi], [d2phi] = T.jet([t])
-        m, dm, d2m = 1.0 + 0.1 * math.sin(10.0 * t), math.cos(10.0 * t), -10.0 * math.sin(10.0 * t)
-        return phi * m, dphi * m + phi * dm, d2phi * m + 2.0 * dphi * dm + phi * d2m
-
-    bumped = profile(2, 0.5, 1.0, bumped_at)
-    worst = extremality_residual(pts, abreu_scalar_curvature(bumped, pts))[2]
-    assert worst > 10.0 * max(base, 1e-6)
-
-
-def test_extremality_residual_needs_enough_points():
-    # n + 1 = 3 points at least, and so at least one point
-    with pytest.raises(DegeneratePointSet, match="need >= 3 points, got 2"):
-        extremality_residual([[0.3, 0.4], [0.35, 0.45]], [5.0, 5.5])
-    with pytest.raises(DegeneratePointSet):
-        extremality_residual([], [])
-
-
-def test_extremality_residual_needs_one_curvature_per_point():
-    pts = [[0.3, 0.4], [0.35, 0.45], [0.45, 0.3]]
-    for S in ([5.0, 5.5], [5.0, 5.5, 6.0, 6.5], []):
-        with pytest.raises(InvalidParameters, match=f"{len(S)} curvatures for 3 points"):
-            extremality_residual(pts, S)
-
-
-def test_extremality_residual_rejects_collinear_points():
-    T, _ = build_extremal_metric(2, 0.5, 1.0)
-    # all on the segment x1 = x0 + 0.05: affine fit is rank deficient
-    pts = [[0.3, 0.35], [0.33, 0.38], [0.36, 0.41], [0.39, 0.44]]
-    with pytest.raises(DegeneratePointSet):
-        extremality_residual(pts, abreu_scalar_curvature(T, pts))
-
-
-@given(
-    n=st.integers(min_value=1, max_value=16),
-    extra=st.integers(min_value=0, max_value=40),
-    log_b=st.floats(min_value=-3.0, max_value=3.0),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=100, deadline=None)
-@example(n=16, extra=0, log_b=0.0, seed=9167224)  # kappa = 1.0e7
-def test_qr_fit_matches_lstsq(n, extra, log_b, seed):
-    # the design of verify: interior points of a size-b polytope, and a 1;
-    # the reference is the exact least-squares fit at the same floats
-    b = 10.0**log_b
-    T = flat_profile(n, 0.5 * b, b)
-    pts = sample_interior(T, n + 1 + extra, margin=0.05 * b, seed=seed % 1000)
-    draw = random.Random(seed)
-    values = [draw.gauss(0.0, 1.0) / b for _ in pts]
-    design = [[*x, 1.0] for x in pts]
-    scale = [max(abs(v) for v in column) for column in zip(*design)]
-    kappa = condition_number([[v / s for v, s in zip(row, scale)] for row in design])
-    got = _least_squares(design, values)
-    want = exact_least_squares(design, values)
-    # the fitted values, not the coefficients: those are what the fit
-    # reports.  Householder QR is backward stable (Higham, ch. 20), so its
-    # fitted values miss the exact ones by O(kappa*eps) of |values| ~ 1/b
-    rows = [[Fraction(x) for x in row] for row in design]
-    error = max(abs(sum(map(mul, row, map(Fraction, got))) - sum(map(mul, row, want)))
-                for row in rows)
-    assert error <= max(1e-10, 4.0 * kappa * EPS) / b
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 8])
-def test_extremality_residual_rejects_affinely_dependent_points(n):
-    T, _ = build_extremal_metric(n, 0.5, 1.0)
-    pts = sample_interior(T, 3 * n + 3, margin=0.025, seed=n)
-    # every point moved along its ray to t = 0.75: on one hyperplane
-    flat = [[v * (0.75 / math.fsum(x)) for v in x] for x in pts]
-    with pytest.raises(DegeneratePointSet):
-        extremality_residual(flat, abreu_scalar_curvature(T, flat))
-    extremality_residual(pts, abreu_scalar_curvature(T, pts))  # these are fine
 
 
 # --- batched stencil against the per-point reference -----------------------
@@ -319,11 +215,6 @@ def test_point_shape_is_checked():
     for points in [[0.3] * 2, [0.3] * 3, [[0.3] * 3] * 4, [[[0.3] * 2] * 2] * 2]:
         with pytest.raises(InvalidParameters):
             abreu_scalar_curvature(S, points)
-    # the fit reads n off the first point: four points of 3 coordinates are
-    # four points of n = 3
-    for points in [[0.3] * 2, [[[0.3] * 2] * 2] * 2, [[0.3, 0.4], [0.5]]]:
-        with pytest.raises(InvalidParameters):
-            extremality_residual(points, [1.0] * len(points))
     with pytest.raises(InvalidParameters):
         abreu_scalar_curvature(S, [0.3, 0.4])
     with pytest.raises(InvalidParameters):
@@ -337,14 +228,9 @@ def test_point_shape_is_checked():
     for x in ([Fraction(1, 4), 0.375], [0.25, Real(0.375)], [Fraction(1, 4), Fraction(3, 8)]):
         assert abreu_scalar_curvature(S, [[0.3, 0.4], x]) == [
             abreu_scalar_curvature(S, [[0.3, 0.4]])[0], want]
-    corners = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-    assert extremality_residual([[1, 0], [0, 1], [1, 1]], [1.0, 2.0, 3.0]) == (
-        extremality_residual(corners, [1.0, 2.0, 3.0]))
     for bad in ("0.3", None):
         with pytest.raises(InvalidParameters, match="^points must be a sequence"):
             abreu_scalar_curvature(S, [[0.3, 0.4], [bad, 0.4]])
-        with pytest.raises(InvalidParameters, match="^points must be a sequence"):
-            extremality_residual([[0.3, 0.4], [0.4, 0.3], [0.3, bad]], [1.0] * 3)
 
 
 def test_degenerate_metric_in_a_batch_names_its_t():

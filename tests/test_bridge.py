@@ -498,13 +498,23 @@ def _cross_check_at_n(moment, n):
         (_curvature_at, _sine_moment, 2.0, NonpositiveDerivative,
          "t = -1.6645873461885696 and dt/ds~ = -8.938966760794024 must be positive"),
         (_cross_check_at_n, PRESETS["flat"], 0, InvalidParameters, "n must be >= 1"),
+        # an OverflowError in the curvature formulas, read as a failed check
+        *((_cross_check_at_n, PRESETS["flat"], n, InvalidParameters,
+           "n is past the float range: n(n + 1) overflows a float")
+          for n in (10**160, 10**400)),
     ],
-    ids=["s <= 0", "curvature of a falling t", "n < 1"],
+    ids=["s <= 0", "curvature of a falling t", "n < 1", "n = 10^160", "n = 10^400"],
 )
 def test_bad_value_raises_a_named_error(fn, moment, x, error, message):
     with pytest.raises(error) as raised:
         fn(moment, x)
     assert str(raised.value) == message
+
+
+def test_a_dimension_whose_n_n_plus_1_is_a_float_runs():
+    # n(n + 1) is about 1e300, a float; the refusal starts near n = 1.34e154
+    report = bridge_cross_check(10**150, PRESETS["flat"], [0.5, 2.0])
+    assert len(report.kahler_side) == 2
 
 
 def test_empty_sample_list_is_refused():

@@ -566,6 +566,28 @@ def test_dimension_must_be_an_integer(build, n):
 
 
 @pytest.mark.parametrize("build", _BUILDERS)
+@pytest.mark.parametrize("n", [exact_mod.MAX_DIMENSION + 1, 10**48], ids=["513", "10^48"])
+def test_dimension_past_the_cap_is_refused_before_any_exact_work(build, n, monkeypatch):
+    # derive --n 10**48 never returned; the refusal comes before any solve
+    def no_exact_work(*args):
+        raise AssertionError("exact work before the refusal")
+
+    monkeypatch.setattr(exact_mod, "_exact_solution", no_exact_work)
+    monkeypatch.setattr(exact_mod, "_closed_form", no_exact_work)
+    with pytest.raises(InvalidParameters) as raised:
+        build(n, 0.5, 1.0)
+    assert str(raised.value) == (
+        f"n must be at most 512, the range the exact layer is sized for; got {n}")
+    with pytest.raises(InvalidParameters, match="^n must be at most 512"):
+        ExtremalCoefficients(n, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_the_largest_dimension_solves():
+    E = solve_coefficients(exact_mod.MAX_DIMENSION, 0.5, 1.0)
+    assert E.n == 512 and coefficient_cross_check(E)
+
+
+@pytest.mark.parametrize("build", _BUILDERS)
 def test_overflowing_coefficient_is_invalid_input(build):
     # A ~ 1/b^2 is past the float range; float(Fraction) would raise
     # OverflowError, which no caller handles

@@ -15,13 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricext import abreu as abreu_mod
+from toricext import calabi as calabi_mod
 from toricext import cli
 from toricext import exact as exact_mod
+from toricext import polytope as polytope_mod
+from toricext import radial as radial_mod
 from toricext import table as table_mod
 from toricext.calabi import build_extremal_metric
 from toricext.errors import GeometryError, InvalidParameters
 from toricext.polytope import sample_interior
-from util import exact_F_second
+from util import exact_F_second, profile
 
 CMD = [sys.executable, "-m", "toricext"]
 
@@ -185,7 +188,7 @@ def test_verify_reference_case():
     r = run_cli("verify", "--n", "2", "--a", "0.5", "--b", "1", "--points", "40")
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert list(doc) == [
         "schema", "command", "inputs", "prng", "coefficients", "curvature",
         "extremality", "validity", "checks", "passed",
@@ -193,6 +196,8 @@ def test_verify_reference_case():
     assert list(doc["inputs"]) == [
         "n", "a", "b", "points", "seed", "margin", "tolerance_soft"]
     assert list(doc["curvature"]) == ["max_discrepancy", "tau_range"]
+    assert list(doc["extremality"]) == [
+        "gradient", "constant", "max_residual", "scaled_residual"]
     assert list(doc["checks"]) == [
         "boundary_identities", "closed_form", "validity",
         "curvature_agreement", "extremality",
@@ -563,6 +568,24 @@ def test_bridge_check_refuses_a_dimension_below_one(capsys):
     # the cross-check itself refuses n < 1, after the flags are read
     assert cli.main(["bridge-check", "--n", "0"]) == 2
     assert capsys.readouterr() == ("", "error: n must be >= 1\n")
+
+
+@pytest.mark.parametrize("n", [10**160, 10**400], ids=["10^160", "10^400"])
+def test_bridge_check_refuses_a_dimension_past_the_float_range(n, capsys):
+    # n(n + 1) overflowed a float: a traceback and exit 1, read as a failed check
+    assert cli.main(["bridge-check", "--n", str(n), "--samples", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: n is past the float range: n(n + 1) overflows a float\n")
+
+
+@pytest.mark.parametrize("command", ["derive", "profile"])
+@pytest.mark.parametrize("n", [513, 10**48], ids=["513", "10^48"])
+def test_exact_commands_refuse_a_dimension_past_the_cap(command, n, capsys):
+    # derive --n 10**48 never returned, and profile at n = 600 spent 36 s in
+    # the exact layer before its t^599 underflowed
+    assert cli.main([command, "--n", str(n), "--a", "0.3", "--b", "1.7"]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: n must be at most 512, the range the exact layer is sized for; got {n}\n"))
 
 
 def test_bridge_check_rejects_an_unknown_preset():
@@ -1234,7 +1257,7 @@ def test_verify_solves_the_exact_system_once(capsys):
 
 
 def test_verify_evaluates_abreu_once_for_both_soft_checks(monkeypatch, capsys):
-    # the fit and the curvature discrepancy read the same Abreu curvatures
+    # extremality and the curvature discrepancy read the same Abreu curvatures
     real = abreu_mod.abreu_scalar_curvature
     calls = []
 
@@ -1248,6 +1271,102 @@ def test_verify_evaluates_abreu_once_for_both_soft_checks(monkeypatch, capsys):
     assert code == 0 and doc["checks"]["extremality"] is True
     assert doc["checks"]["curvature_agreement"] is True
     assert calls == [20]
+
+
+# --- extremality holds Abreu's S to the extremal affine function A*t + B ----
+
+
+@pytest.mark.parametrize("n,a,b", [(1, 0.5, 1.0), (3, 0.25, 2.0), (16, 0.999, 1.0)])
+def test_verify_extremality_is_the_distance_to_a_t_plus_b(n, a, b, capsys):
+    # the block writes A*t + B in x, and its residual is Abreu's worst miss
+    # of it at the sampled points, relative to the largest radial |S|
+    assert cli.main(["verify", "--n", str(n), "--a", repr(a), "--b", repr(b),
+                     "--points", "40"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    A, B = doc["coefficients"]["A"], doc["coefficients"]["B"]
+    assert doc["extremality"]["gradient"] == [A] * n
+    assert doc["extremality"]["constant"] == B
+    T, E = build_extremal_metric(n, a, b)
+    pts = sample_interior(T, 40, margin=doc["inputs"]["margin"], seed=0)
+    ts = [math.fsum(x) for x in pts]
+    S = abreu_mod.abreu_scalar_curvature(T, pts)
+    worst = max(abs(s - (E.A * t + E.B)) for s, t in zip(S, ts))
+    assert doc["extremality"]["max_residual"] == worst
+    rad = radial_mod.radial_scalar_curvature(n, ts, T.jet(ts))
+    assert doc["extremality"]["scaled_residual"] == worst / max(map(abs, rad))
+
+
+def _guillemin(n, a, b):
+    """The metric of Guillemin's canonical potential on the shell, with the
+    extremal coefficients of (n, a, b): phi = t*u/(u + t*c), u = (t - a)(b - t)
+    and c = b - a, a valid metric whose S is not affine."""
+    c = b - a
+
+    def jet_at(t):
+        u, du = (t - a) * (b - t), a + b - 2.0 * t
+        N, dN, d2N = t * u, u + t * du, 2.0 * du - 2.0 * t
+        D, dD = u + t * c, du + c
+        phi = N / D
+        dphi = (dN - phi * dD) / D
+        return phi, dphi, (d2N - 2.0 * dphi * dD + 2.0 * phi) / D
+
+    return profile(n, a, b, jet_at), exact_mod.solve_coefficients(n, a, b)
+
+
+def _neighbour(n, a, b):
+    """The extremal metric of the class (n, a*(1 - 1e-3), b), reported with
+    the coefficients of (n, a, b): its S is affine, but not A*t + B."""
+    T, _ = build_extremal_metric(n, a * (1.0 - 1e-3), b)
+    return T, exact_mod.solve_coefficients(n, a, b)
+
+
+@pytest.mark.parametrize(
+    "metric, n, a, b",
+    [(_guillemin, 2, 0.5, 1.0), (_guillemin, 4, 0.3, 1.0), (_guillemin, 8, 0.25, 2.0),
+     (_neighbour, 2, 0.5, 1.0), (_neighbour, 4, 0.3, 1.0)],
+    ids=["guillemin-2", "guillemin-4", "guillemin-8", "neighbour-2", "neighbour-4"],
+)
+def test_verify_extremality_fails_a_metric_that_is_not_extremal(
+    metric, n, a, b, monkeypatch, capsys
+):
+    # each metric is consistent, so Abreu's and the radial S agree; only
+    # extremality sees that S is not A*t + B.  An affine fit of S passed the
+    # neighbouring class (1.6e-7 and 2.2e-8 of max |S|)
+    monkeypatch.setattr(calabi_mod, "build_extremal_metric", metric)
+    code = cli.main(["verify", "--n", str(n), "--a", repr(a), "--b", repr(b)])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1 and captured.err == "verification failed: extremality\n"
+    assert doc["checks"]["curvature_agreement"] is True
+    assert doc["extremality"]["scaled_residual"] > 10.0 * doc["inputs"]["tolerance_soft"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_verify_needs_n_plus_2_points(n, capsys):
+    # fewer than n + 2 points are invalid input, refused before any work
+    assert cli.main(["verify", "--n", str(n), "--points", str(n + 1)]) == 2
+    assert capsys.readouterr() == ("", f"error: need points >= {n + 2}, got {n + 1}\n")
+    assert cli.main(["verify", "--n", str(n), "--points", str(n + 2)]) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_verify_measures_affinely_dependent_points(n, monkeypatch, capsys):
+    # every point moved along its ray to one t: the points span no affine
+    # basis of R^n, which an affine fit cannot take, but S is still held
+    # to A*t + B there
+    real = polytope_mod.sample_interior
+
+    def on_one_level(T, count, margin, seed):
+        level = 0.5 * (T.t_min + T.t_max)
+        return [[v * (level / math.fsum(x)) for v in x]
+                for x in real(T, count, margin=margin, seed=seed)]
+
+    monkeypatch.setattr(polytope_mod, "sample_interior", on_one_level)
+    assert cli.main(["verify", "--n", str(n), "--points", str(3 * n + 3)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert doc["curvature"]["tau_range"][0] == pytest.approx(0.5, abs=1e-15)
+    assert doc["curvature"]["tau_range"][1] == pytest.approx(0.5, abs=1e-15)
 
 
 # --- verdicts do not depend on the overall scale of (a, b) ------------------

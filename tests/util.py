@@ -6,17 +6,16 @@ routes to the extremal coefficients (the 4x4 boundary system and
 Donaldson's moment system, with mutants of the latter) and Donaldson's
 functional at (t - c)_+, the exact momentum
 profile of the extremal metric, the exact inverse and inertia of the radial
-Hessian, a condition number and a geometric grid, for the test suite, on
-the standard library and sympy alone."""
+Hessian and a geometric grid, for the test suite, on the standard library
+and sympy alone."""
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from toricext.exact import _check_geometry, _closed_form, _exact_solution, _rounded
-from toricext.numdiff import EPS, STEP_SECOND
+from toricext.numdiff import STEP_SECOND
 from toricext.radial import TPotential, validity_factor
 
 
@@ -306,19 +305,6 @@ def hwang_singer_curvature(n: int, t, phi, dphi, d2phi):
     )
 
 
-def exact_least_squares(design, values) -> list[Fraction]:
-    """c minimising |design @ c - values| exactly: the normal equations
-    design^T design c = design^T values over ``Fraction``, at the float
-    entries given (the Gram matrix of a design of full column rank is
-    positive definite, so no leading minor is 0)."""
-    cols = list(zip(*([Fraction(x) for x in row] for row in design)))
-    v = [Fraction(x) for x in values]
-    return gauss_jordan([
-        [sum(map(operator.mul, ci, cj)) for cj in cols] + [sum(map(operator.mul, ci, v))]
-        for ci in cols
-    ])
-
-
 # --- the extremal momentum profile in exact rationals -------------------------
 
 
@@ -344,7 +330,7 @@ def exact_F_second(E, t) -> Fraction:
     return 1 / exact_phi_jet(E, t)[0] - 1 / t
 
 
-# --- test inputs and a condition number --------------------------------------
+# --- test inputs ---------------------------------------------------------
 
 
 def geometric_grid(lo: float, hi: float, num: int) -> list[float]:
@@ -352,33 +338,3 @@ def geometric_grid(lo: float, hi: float, num: int) -> list[float]:
     lo*(hi/lo)**(k/(num - 1)), the last point set to hi."""
     ratio = hi / lo
     return [lo * ratio ** (k / (num - 1)) for k in range(num - 1)] + [hi]
-
-
-def condition_number(matrix) -> float:
-    """sigma_max/sigma_min, the 2-norm condition number of a matrix of full
-    column rank (a list of rows), by one-sided Jacobi (Hestenes): plane
-    rotations of pairs of columns until every pair is orthogonal to eps of
-    their norms; the column norms are then the singular values, each to a
-    small relative error of its own (Demmel and Veselic, SIAM J. Matrix
-    Anal. Appl. 13, 1992), the least one included."""
-    cols = [list(c) for c in zip(*matrix)]
-    for _ in range(50):
-        rotated = False
-        for i, ci in enumerate(cols):
-            for cj in cols[i + 1:]:
-                alpha = math.fsum(map(operator.mul, ci, ci))
-                beta = math.fsum(map(operator.mul, cj, cj))
-                gamma = math.fsum(map(operator.mul, ci, cj))
-                if abs(gamma) <= EPS * math.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                tan = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cos = 1.0 / math.hypot(1.0, tan)
-                sin = cos * tan
-                ci[:], cj[:] = ([cos * x - sin * y for x, y in zip(ci, cj)],
-                                [sin * x + cos * y for x, y in zip(ci, cj)])
-        if not rotated:
-            norms = [math.hypot(*c) for c in cols]
-            return max(norms) / min(norms)
-    raise ArithmeticError("one-sided Jacobi did not converge in 50 sweeps")
