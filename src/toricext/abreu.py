@@ -14,7 +14,7 @@ differences on the polytope interior.  Every corner of a point's stencil
 lies at t + k*h for k in {-2..2}, so a point costs five phi values, all read
 from one jet call of the profile, and O(n) work: three diagonal entries per
 coordinate, and one fsum for the mixed terms of all pairs at once.
-Everything runs in plain floats.
+Everything runs in plain floats, for any n.
 """
 
 from __future__ import annotations
@@ -28,20 +28,6 @@ from .errors import InvalidParameters, NonInteriorPoint, StencilExitsDomain
 from .numdiff import STEP_SECOND
 from .polytope import interior_distance
 from .radial import TPotential, validity_factor
-
-# the dimensions verify is checked for; refuse anything bigger so a misuse
-# fails loudly instead of slowly
-MAX_DIMENSION = 16
-
-
-def _check_dimension(n: int) -> None:
-    """Refuse an n past ``MAX_DIMENSION`` as invalid input."""
-    if n > MAX_DIMENSION:
-        raise InvalidParameters(
-            f"n must be at most {MAX_DIMENSION}, the range verify is checked "
-            f"for; got {n}"
-        )
-
 
 def _points(points: Sequence, n: int) -> list[list[float]]:
     """The points, a sequence of points of n coordinates each, as lists of
@@ -109,9 +95,7 @@ def abreu_scalar_curvature(
     and any step whose square falls below the normal floats, where the
     stencil divides by h^2, raises InvalidParameters.
     """
-    n = T.n
-    _check_dimension(n)
-    pts = _points(points, n)
+    pts = _points(points, T.n)
 
     dmin = [interior_distance(T, p) for p in pts]
     for p, d in zip(pts, dmin):

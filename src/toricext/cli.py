@@ -55,6 +55,10 @@ PRNG_NAME = "python-mt19937"
 # units relative to the interval length
 _SAMPLING_MARGIN_FACTOR = 0.05
 
+# the dimensions verify is checked for; refuse anything bigger so a misuse
+# fails loudly instead of slowly
+_VERIFY_MAX_DIMENSION = 16
+
 _PROFILE_KEYS = ("t", "F_second", "h_second", "S")
 # sorted(bridge.PRESETS), written out so that parsing does not import bridge;
 # a test keeps the two equal
@@ -216,7 +220,7 @@ _PROOF_CHECKS = {
 
 
 def _verify_battery(args: types.SimpleNamespace) -> dict:
-    from .abreu import _check_dimension, abreu_scalar_curvature
+    from .abreu import abreu_scalar_curvature
     from .calabi import build_extremal_metric
     from .exact import coefficient_cross_check, positivity_certificate
     from .polytope import sample_interior
@@ -227,7 +231,11 @@ def _verify_battery(args: types.SimpleNamespace) -> dict:
     if args.points < n + 2:
         raise InvalidParameters(f"need points >= {n + 2}, got {args.points}")
     # before the solve and the sampler, which can fail first at large n
-    _check_dimension(n)
+    if n > _VERIFY_MAX_DIMENSION:
+        raise InvalidParameters(
+            f"n must be at most {_VERIFY_MAX_DIMENSION}, the range verify is "
+            f"checked for; got {n}"
+        )
 
     try:
         T, E = build_extremal_metric(n, a, b)

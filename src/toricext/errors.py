@@ -41,8 +41,11 @@ class PotentialPole(GeometryError, ArithmeticError):
 
 
 class BoundaryIdentityViolation(GeometryError, ArithmeticError):
-    """Dividing p*t^n - alpha, or the numerator of h'', exactly by an endpoint
-    root leaves a remainder: the coefficients miss a boundary condition.
+    """Dividing p*t^n - alpha, or the numerator of h'' over (t-a)(t-b),
+    exactly by an endpoint root leaves a remainder: the coefficients miss the
+    boundary condition that division checks, alpha(a) = p*a^n,
+    alpha(b) = p*b^n, alpha'(a) = (n-1)*p*a^(n-1) or
+    alpha'(b) = (n+1)*p*b^(n-1), and the message names the first that fails.
 
     For the exact moment solve of ``exact._exact_solution`` (Donaldson's
     functional) every remainder is 0 for every input, so this guards that

@@ -22,8 +22,8 @@ p*c^n - alpha(c), whose lowest coefficients give C and D
 result is rounded to float once; it is the only coefficient path.  Its
 checks are exact: Calabi's closed forms equal it as rationals
 (``coefficient_cross_check``), the four boundary conditions hold as exact
-deflations (``_deflation``), and Bernstein coefficients prove the metric
-valid on all of (a, b) (``positivity_certificate``).
+deflations, one division each (``_deflation``), and Bernstein coefficients
+prove the metric valid on all of (a, b) (``positivity_certificate``).
 
 Everything here runs on the standard library (``fractions``, ``math``), so a
 command that needs only exact data loads no numpy.  The record also rounds
@@ -281,17 +281,23 @@ def _deflation(E: ExtremalCoefficients) -> tuple[list, list]:
     """Exact (V, Q) of the cancellation-free form of h''.
 
     h''(t) = F''(t) - (b-a)/((t-a)(b-t)) has exactly cancelling poles at the
-    endpoints.  By the boundary identities the combined numerator
-    P = p*t^(n-1)*(t-a)*(b-t) - (b-a)*beta, beta = p*t^n - alpha, has double
-    roots at both endpoints and beta has simple ones; dividing them out gives
+    endpoints.  With beta = p*t^n - alpha = (t-a)(t-b)*Q, the combined
+    numerator p*t^(n-1)*(t-a)*(b-t) - (b-a)*beta is -(t-a)(t-b)*R with
+    R = p*t^(n-1) + (b-a)*Q, and R has simple roots at both endpoints too;
+    dividing them out gives
 
         h''(t) = -V(t)/Q(t) - 1/t,
-        V = P / ((t-a)^2 (t-b)^2),   Q = beta / ((t-a)(t-b)).
+        Q = beta / ((t-a)(t-b)),   V = -R / ((t-a)(t-b)).
+
+    Each of the four divisions checks one boundary condition: its remainder
+    is 0 exactly when the condition holds, given the ones before it.  beta's
+    are alpha(a) = p*a^n and alpha(b) = p*b^n; R(a) = alpha'(a) -
+    (n-1)*p*a^(n-1) and R(b) = (n+1)*p*b^(n-1) - alpha'(b) are the slopes.
 
     Built over ``Fraction`` from the exact moment solve, which must round to
-    the record's own (A, B, C, D), or ``InvalidParameters`` is raised.  The
-    six remainders are 0 exactly when the boundary identities hold; any
-    other value raises ``BoundaryIdentityViolation``.
+    the record's own (A, B, C, D), or ``InvalidParameters`` is raised.  A
+    nonzero remainder raises ``BoundaryIdentityViolation`` naming the first
+    condition that fails.
     """
     n, p = E.n, E.n * (E.n + 1) * (E.n + 2)
     exact = _exact_solution(n, E.a, E.b)
@@ -299,24 +305,22 @@ def _deflation(E: ExtremalCoefficients) -> tuple[list, list]:
         raise InvalidParameters(f"not the extremal coefficients of {E}")
     a, b = Fraction(E.a), Fraction(E.b)
 
+    def divide(coeffs: list, conditions: tuple) -> list:
+        for root, condition in zip((a, b), conditions):
+            coeffs, rem = _deflate(coeffs, root)
+            if rem:
+                raise BoundaryIdentityViolation(
+                    f"boundary condition {condition} fails for {E}"
+                )
+        return coeffs
+
     beta = [-x for x in _alpha_coeffs(n, *exact)]  # p*t^n - alpha
     beta[2] += p  # the p*t^n term sits two slots below the leading one
-    P = [-(b - a) * x for x in beta]
-    P[1] -= p
-    P[2] += (a + b) * p
-    P[3] -= a * b * p
-
-    V, Q, rems = P, beta, []
-    for root in (a, a, b, b):
-        V, rem = _deflate(V, root)
-        rems.append(rem)
-    for root in (a, b):
-        Q, rem = _deflate(Q, root)
-        rems.append(rem)
-    if any(rems):
-        rems = [float(r) for r in rems]
-        raise BoundaryIdentityViolation(f"deflation remainders {rems} of {E}")
-    return V, Q
+    Q = divide(beta, ("alpha(a) = p*a^n", "alpha(b) = p*b^n"))
+    R = [(b - a) * q for q in Q]
+    R[1] += p  # p*t^(n-1), one slot below Q's leading degree n
+    V = divide(R, ("alpha'(a) = (n-1)*p*a^(n-1)", "alpha'(b) = (n+1)*p*b^(n-1)"))
+    return [-v for v in V], Q
 
 
 def _h_second_exact(E: ExtremalCoefficients, t: Fraction) -> Fraction:

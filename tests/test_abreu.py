@@ -61,10 +61,16 @@ def test_curvature_permutation_invariance():
     assert abs(v1 - v2) <= 1e-8
 
 
-def test_dimension_cap():
-    S = flat_profile(17, 0.5, 1.0)
-    with pytest.raises(InvalidParameters):
-        abreu_scalar_curvature(S, [[0.5] * 17])
+@pytest.mark.parametrize("n, a, b", [(24, 0.5, 1.0), (32, 0.25, 2.0), (64, 0.5, 1.0)])
+def test_curvature_past_verify_dimension_cap(n, a, b):
+    # verify stops at n = 16; the stencil itself takes any n.  A margin of
+    # 0.05*(b - a) would leave no region past n = 20 (the x-facets need
+    # (n + 1)*margin < b), hence b/n
+    T, E = build_extremal_metric(n, a, b)
+    pts = sample_interior(T, 40, margin=0.05 * min(b - a, b / n), seed=0)
+    for x, got in zip(pts, abreu_scalar_curvature(T, pts)):
+        want = E.A * math.fsum(x) + E.B
+        assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_explicit_step_must_fit():

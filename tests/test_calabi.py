@@ -821,6 +821,37 @@ def test_nonzero_deflation_remainder_raises(monkeypatch):
         table.profile_columns(solve_coefficients(2, 0.5, 1.0), [0.75])
 
 
+# alpha plus eps*(t - r1)(t - r2)... keeps every boundary condition but the
+# one named: a double root keeps value and slope, a simple root the value only
+_BOUNDARY_MUTANTS = {
+    "alpha(a) = p*a^n": "bb",
+    "alpha(b) = p*b^n": "aa",
+    "alpha'(a) = (n-1)*p*a^(n-1)": "abb",
+    "alpha'(b) = (n+1)*p*b^(n-1)": "aab",
+}
+
+
+@pytest.mark.parametrize("condition", list(_BOUNDARY_MUTANTS))
+@pytest.mark.parametrize("n, a, b", [(1, 0.5, 1.0), (2, 0.5, 1.0), (8, 0.25, 2.0)])
+def test_deflation_names_the_boundary_condition_that_fails(monkeypatch, condition, n, a, b):
+    roots = {"a": Fraction(a), "b": Fraction(b)}
+    added = [Fraction(1, 2**60)]  # descending coefficients
+    for r in _BOUNDARY_MUTANTS[condition]:
+        added = [x - roots[r] * y for x, y in zip(added + [0], [0] + added)]
+    real = exact_mod._alpha_coeffs
+
+    def mutant(*args):
+        coeffs = real(*args)
+        coeffs[-len(added):] = [x + y for x, y in zip(coeffs[-len(added):], added)]
+        return coeffs
+
+    monkeypatch.setattr(exact_mod, "_alpha_coeffs", mutant)
+    E = solve_coefficients(n, a, b)
+    with pytest.raises(BoundaryIdentityViolation) as info:
+        exact_mod._deflation(E)
+    assert str(info.value) == f"boundary condition {condition} fails for {E}"
+
+
 _PERTURBED_CHILD = """
 import sys
 from fractions import Fraction

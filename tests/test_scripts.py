@@ -1,4 +1,4 @@
-"""The experiment scripts run end to end at small sizes."""
+"""The scripts run end to end at small sizes."""
 
 import ast
 import hashlib
@@ -15,29 +15,49 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "script, args",
+    "table, header, inputs",
     [
-        ("curvature_consistency.py", "--n 2 --points 10 --step-scan"),
-        ("curvature_consistency.py", "--n 3 --a 0.25 --b 2 --points 10"),
-        ("curvature_consistency.py", "--n 8 --points 20"),
-        ("curvature_consistency.py", "--n 3 --a 2.5e-4 --b 1e-3 --step-scan"),
-        ("coefficient_sweep.py", "--n 3 --steps 5 --csv {tmp}/sweep.csv"),
+        ("coefficients", "| a | A | B | C | D |",
+         [f"{0.05 * k:.4f}" for k in range(1, 20)]),
+        ("steps", "| (n, a, b) | radial | Abreu, verify's step | h = 1.0e-05·b |",
+         ["(2, 0.5, 1)", "(3, 0.25, 2)", "(8, 0.5, 1)", "(3, 0.00025, 0.001)"]),
     ],
 )
-def test_script_exits_cleanly(script, args, tmp_path):
-    path = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    )
+def test_atlas_prints_a_row_per_input(table, header, inputs, capsys):
+    assert _load_script("atlas").main([table]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    columns = lines[0].count("|") - 1
+    assert lines[0].startswith(header)
+    assert lines[1] == "|---" * columns + "|"
+    rows = [line for line in lines[2:] if line.startswith("|")]
+    assert [row.split(" | ")[0] for row in rows] == [f"| {x}" for x in inputs]
+    assert all(row.count("|") == columns + 1 for row in rows)
+
+
+def test_atlas_coefficients_approach_the_blow_down():
+    lines = _load_script("atlas").coefficients()
+    assert "| 0.5000 | 7.38461538 | 0.92307692 | 0.07692308 | 0.15384615 |" in lines
+    assert lines[-1] == "Blow-down: B(0.05) = 5.212824 -> n(n + 1) = 6."
+
+
+@pytest.mark.parametrize("n", [1, 16])
+def test_atlas_b_range_rows_are_readme_rows(n):
+    # README's Numerical notes quote the whole table, indented under a bullet
+    row, codes = _load_script("atlas").b_range_row(n)
+    assert "  " + row in (ROOT / "README.md").read_text().splitlines()
+    assert sum(codes.values()) == 65 * 3 and set(codes) <= {0, 2}
+
+
+@pytest.mark.parametrize("argv", [[], ["b_range"], ["steps", "steps"], ["--help"]])
+def test_atlas_refuses_anything_but_one_table_name(argv):
     r = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)]
-        + args.format(tmp=tmp_path).split(),
-        capture_output=True,
-        text=True,
-        timeout=240,
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, str(ROOT / "scripts" / "atlas.py"), *argv],
+        capture_output=True, text=True, timeout=240,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.startswith("# n=")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "usage: atlas.py coefficients|steps|b-range\n"
 
 
 def test_bench_pairs_help():
