@@ -33,12 +33,17 @@ load counts as 0 ms in it.
 Nothing in the program is instrumented.  ``-X importtime`` adds its own
 small cost to the import rows.  The environment (``PYTHONDONTWRITEBYTECODE``,
 say) is the caller's; ``src/`` of this checkout is put first on
-``PYTHONPATH``.
+``PYTHONPATH``.  The header line says whether ``PYTHONDONTWRITEBYTECODE`` is
+set and how many of the package's modules have bytecode for the running
+interpreter in ``src/toricext/__pycache__``: a call that reads cached
+bytecode skips compiling the package's sources, several ms of a call, so two
+tables compare only at the same state.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import shlex
 import statistics
@@ -143,6 +148,17 @@ def profile_once(argv: list[str], env: dict) -> tuple[dict[str, float], float]:
     }, usage.ru_maxrss * 1024 / 1e6  # Linux reports KiB
 
 
+def _bytecode_state() -> str:
+    """Whether calls may write bytecode, and how much is cached already."""
+    writes = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
+    modules = list((ROOT / "src" / "toricext").glob("*.py"))
+    cached = sum(Path(importlib.util.cache_from_source(str(path))).is_file()
+                 for path in modules)
+    return (f"PYTHONDONTWRITEBYTECODE {writes}; {cached} of {len(modules)} modules "
+            f"cached as {sys.implementation.cache_tag} bytecode in "
+            "src/toricext/__pycache__")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--command", required=True,
@@ -166,7 +182,7 @@ def main(argv=None) -> int:
     k = stages.index("other imports") + 1
     stages[k:k] = sorted(other, key=ms, reverse=True)[:3]
 
-    print(f"# toricext {args.command}: median of {args.runs} runs")
+    print(f"# toricext {args.command}: median of {args.runs} runs; {_bytecode_state()}")
     print(f"{'stage':<24} {'ms':>8}")
     for stage in stages:
         print(f"{stage:<24} {ms(stage):8.2f}")

@@ -22,7 +22,8 @@ polytope side reads the induced momentum profile, phi(t) = t' as a function
 of t, and differentiates the moment code's own t' on a Taylor jet instead of
 trusting t'' and t''', so a jet that disagrees with its own rate fails the
 cross-check.  The curvature formulas and the cross-check take lists and
-return lists, in plain floats on the standard library.
+return lists, in plain floats on the standard library.  ``run_bridge_check``
+runs the ``bridge-check`` command.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .errors import DomainViolation, InvalidParameters, NonpositiveDerivative
+from .numdiff import grid
 from .radial import radial_scalar_curvature
 
 
@@ -177,3 +179,43 @@ def bridge_cross_check(
     # max() skips a NaN that is not first; the worst difference must show it
     worst = math.nan if any(d != d for d in difference) else max(difference)
     return BridgeCheckReport(s, t, kahler_side, polytope_side, difference, worst)
+
+
+def run_bridge_check(args) -> tuple[str, int, str]:
+    """``bridge-check``: the cross-check of one preset, or of each, over an
+    evenly spaced grid of s in [0.25, 4]."""
+    from .cli import _render_json, _Table, _tolerance
+
+    tolerance_soft = _tolerance("--tolerance-soft", args.tolerance_soft)
+    names = [args.preset] if args.preset else sorted(PRESETS)
+    if args.samples < 1:
+        raise InvalidParameters("samples must be >= 1")
+    s_grid = grid(0.25, 4.0, args.samples)
+
+    blocks = []
+    failing = []
+    for name in names:
+        rep = bridge_cross_check(args.n, PRESETS[name], s_grid)
+        ok = rep.max_discrepancy <= tolerance_soft
+        if not ok:
+            failing.append(name)
+        blocks.append(
+            {
+                "preset": name,
+                "max_discrepancy": rep.max_discrepancy,
+                "passed": ok,
+                # every field of the report but max_discrepancy is a column
+                "rows": _Table(rep._fields[:-1], rep[:-1]),
+            }
+        )
+    doc = {
+        "schema": 1,
+        "command": "bridge-check",
+        "n": args.n,
+        "samples": args.samples,
+        "tolerance_soft": tolerance_soft,
+        "presets": blocks,
+        "passed": not failing,
+    }
+    err = "" if not failing else "bridge-check failed: " + ", ".join(failing)
+    return _render_json(doc), 0 if not failing else 1, err

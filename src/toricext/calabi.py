@@ -1,28 +1,48 @@
-"""The extremal metric ``verify`` checks, built from the polytope data.  The
-metric is a ``TPotential(n, a, b, jet)``, which is also its moment polytope
-{x_i >= 0, a <= sum(x) <= b}.
+"""The extremal metric ``verify`` checks, built from the polytope data, and
+the ``verify`` command itself.  The metric is a ``TPotential(n, a, b, jet)``,
+which is also its moment polytope {x_i >= 0, a <= sum(x) <= b}.
 
 The coefficients (A, B, C, D), their exact checks and the deflated Q come
-from ``exact``, in rational arithmetic; ``table`` evaluates the momentum
+from ``exact``, in integer arithmetic; ``table`` evaluates the momentum
 profile they define in plain floats,
 
     phi(t) = (t-a)(t-b)*Q(t)/(p*t^(n-1)),
 
-with p*t^n - alpha = (t-a)(t-b)*Q.  Of the CLI commands only ``verify``
-imports this module.
+with p*t^n - alpha = (t-a)(t-b)*Q.  ``run_verify`` checks it against Abreu's
+curvature at sampled interior points.  Of the CLI commands only ``verify``
+imports this module.  The modules whose functions verify calls are read
+through their names at call time, so a wrapper set on one (a test's, a
+tracer's) is the one called.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
-from . import exact, table
-from .radial import TPotential
+from . import abreu, exact, polytope, radial, table
+from .errors import BoundaryIdentityViolation, InvalidParameters, PositivityViolation
+
+PRNG_NAME = "python-mt19937"
+
+# curvature points are sampled this deep into the polytope, in facet-value
+# units relative to the interval length
+_SAMPLING_MARGIN_FACTOR = 0.05
+
+# the dimensions verify is checked for; refuse anything bigger so a misuse
+# fails loudly instead of slowly
+_VERIFY_MAX_DIMENSION = 16
+
+# the report key of each proof that raises instead of failing
+_PROOF_CHECKS = {
+    BoundaryIdentityViolation: "boundary_identities",
+    PositivityViolation: "validity",
+}
 
 
 def build_extremal_metric(
     n: int, a: float, b: float
-) -> tuple[TPotential, exact.ExtremalCoefficients]:
+) -> tuple[radial.TPotential, exact.ExtremalCoefficients]:
     """Extremal profile and coefficients for one (n, a, b), after
     ``solve_coefficients`` has checked the geometry and
     ``positivity_certificate`` has proved the metric valid.
@@ -31,4 +51,91 @@ def build_extremal_metric(
     """
     E = exact.solve_coefficients(n, a, b)
     exact.positivity_certificate(E)
-    return TPotential(E.n, E.a, E.b, partial(table.jet, E)), E
+    return radial.TPotential(E.n, E.a, E.b, partial(table.jet, E)), E
+
+
+def _verify_battery(args) -> dict:
+    """The ``verify`` report of the parsed flags."""
+    from .cli import _tolerance
+
+    tolerance_soft = _tolerance("--tolerance-soft", args.tolerance_soft)
+    n, a, b = args.n, args.a, args.b
+    if args.points < n + 2:
+        raise InvalidParameters(f"need points >= {n + 2}, got {args.points}")
+    # before the solve and the sampler, which can fail first at large n
+    if n > _VERIFY_MAX_DIMENSION:
+        raise InvalidParameters(
+            f"n must be at most {_VERIFY_MAX_DIMENSION}, the range verify is "
+            f"checked for; got {n}"
+        )
+
+    try:
+        T, E = build_extremal_metric(n, a, b)
+    except (BoundaryIdentityViolation, PositivityViolation) as exc:
+        # a failed proof prints no report; name the check it would have failed
+        key = _PROOF_CHECKS[type(exc)]
+        raise type(exc)(f"{key}: {exc}") from exc
+    margin = _SAMPLING_MARGIN_FACTOR * (b - a)
+    pts = polytope.sample_interior(T, args.points, margin=margin, seed=args.seed)
+    S = abreu.abreu_scalar_curvature(T, pts)
+    ts = [math.fsum(x) for x in pts]
+    rad = radial.radial_scalar_curvature(T.n, ts, T.jet(ts))
+    # both soft checks are relative to the curvature itself (|S| >= 2/b > 0)
+    curvature_disc = max(abs(s - r) / abs(r) for s, r in zip(S, rad))
+    # extremal means S is the one affine function of Donaldson's projection,
+    # A*t + B, not merely some affine function of x
+    max_residual = max(abs(s - (E.A * t + E.B)) for s, t in zip(S, ts))
+    scaled_residual = max_residual / max(map(abs, rad))
+
+    # the exact deflation and the certificate raise instead of failing, so
+    # these two are true in every report printed
+    checks = {
+        "boundary_identities": True,
+        "closed_form": exact.coefficient_cross_check(E),
+        "validity": True,
+        "curvature_agreement": curvature_disc <= tolerance_soft,
+        "extremality": scaled_residual <= tolerance_soft,
+    }
+
+    return {
+        "schema": 4,
+        "command": "verify",
+        "inputs": {
+            "n": n,
+            "a": a,
+            "b": b,
+            "points": args.points,
+            "seed": args.seed,
+            "margin": margin,
+            "tolerance_soft": tolerance_soft,
+        },
+        "prng": PRNG_NAME,
+        "coefficients": {"p": E.p, "A": E.A, "B": E.B, "C": E.C, "D": E.D},
+        "curvature": {
+            "max_discrepancy": curvature_disc,
+            # where the points lie in the shell, tau = (t - a)/(b - a)
+            "tau_range": [(min(ts) - a) / (b - a), (max(ts) - a) / (b - a)],
+        },
+        # A*t + B written in x; gradient and constant repeat coefficients
+        "extremality": {
+            "gradient": [E.A] * n,
+            "constant": E.B,
+            "max_residual": max_residual,
+            "scaled_residual": scaled_residual,
+        },
+        "validity": {"bernstein_margin": exact.positivity_certificate(E)},
+        "checks": checks,
+        "passed": all(checks.values()),
+    }
+
+
+def run_verify(args) -> tuple[str, int, str]:
+    """``verify``: the report, and exit 1 naming each failed check."""
+    from .cli import _render_json
+
+    report = _verify_battery(args)
+    out = _render_json(report)
+    failing = [k for k, ok in report["checks"].items() if not ok]
+    if not failing:
+        return out, 0, ""
+    return out, 1, "verification failed: " + ", ".join(failing)

@@ -1,4 +1,5 @@
-"""Command-line front end: coefficient derivation, profiles, verification.
+"""Command-line front end: the parser, the usage, help and refusal text,
+and the renderer.
 
 Commands
 --------
@@ -8,12 +9,25 @@ verify        full cross-check battery with pass/fail per check
 bridge-check  Kahler-side vs radial curvature on the built-in presets
 example       the n=2, b=1 slice: closed forms and the quadratic h'' form
 
-``_COMMANDS`` is the one table of them: name -> (help, run function, the
-flags it reads with their defaults).  ``_parse`` reads argv off it as argparse
-did, without loading argparse: any other flag is refused (exit 2) with its
-message under that command's usage line, a word before the command under the
-top-level one, and never wrapped.  ``main`` calls the command's run function
-with the parsed namespace, and it returns (stdout, exit code, stderr).
+``_COMMANDS`` is the one table of them: name -> (help, the module that runs
+it, the flags it reads with their defaults).  ``_parse`` reads argv off it
+as argparse did, without loading argparse: any other flag is refused (exit
+2) with its message under that command's usage line, a word before the
+command under the top-level one, and never wrapped.  ``main`` imports the
+command's module when the command runs and calls its ``run_<command>``
+(``run_bridge_check`` for bridge-check) with the parsed namespace, which
+returns (stdout, exit code, stderr).
+
+Each command's run code lives in the module the command loads anyway:
+derive and example in ``exact``; profile in ``table``, which also loads
+``exact`` and ``numdiff``; verify in ``calabi``, which loads every module
+but ``bridge``; bridge-check in ``bridge``, which loads ``radial`` and
+``numdiff``.  So a call loads, and compiles, only its own command's code.
+Every module runs on the standard library, so no command loads numpy; the
+renderer takes Python scalars, and the records are
+``collections.namedtuple`` classes, which load nothing new (``functools``
+has imported ``collections`` already), where ``dataclasses`` would load
+``inspect``.
 
 All numeric output is rendered at 17 significant digits through a single
 formatter, so identical inputs produce identical bytes: a document becomes
@@ -21,16 +35,6 @@ one %-template, in which a table given as its columns (``_Table``) repeats
 one rendered row, and its floats are filled in with one % operation.  Exit
 codes: 0 pass, 1 tolerance/verification failure (the failing check is named
 on stderr), 2 invalid input.
-
-Each command imports the modules it runs when it runs, so a call loads only
-those: derive and example load ``exact``; profile loads ``exact``,
-``numdiff`` and ``table``, which tabulates in plain floats; verify loads
-every module but ``bridge``; bridge-check loads ``bridge``, ``radial`` and
-``numdiff``.  Every module runs on the standard library, so no command loads
-numpy; the renderer takes Python scalars, and the records are
-``collections.namedtuple`` classes, which load nothing new (``functools``
-has imported ``collections`` already), where ``dataclasses`` would load
-``inspect``.
 """
 
 from __future__ import annotations
@@ -42,24 +46,8 @@ import types
 from _json import encode_basestring_ascii as _quote  # json.dumps's own quoter
 from collections import namedtuple
 
-from .errors import (
-    BoundaryIdentityViolation,
-    GeometryError,
-    InvalidParameters,
-    PositivityViolation,
-)
+from .errors import GeometryError, InvalidParameters
 
-PRNG_NAME = "python-mt19937"
-
-# curvature points are sampled this deep into the polytope, in facet-value
-# units relative to the interval length
-_SAMPLING_MARGIN_FACTOR = 0.05
-
-# the dimensions verify is checked for; refuse anything bigger so a misuse
-# fails loudly instead of slowly
-_VERIFY_MAX_DIMENSION = 16
-
-_PROFILE_KEYS = ("t", "F_second", "h_second", "S")
 # sorted(bridge.PRESETS), written out so that parsing does not import bridge;
 # a test keeps the two equal
 _PRESET_CHOICES = ("flat", "fubini-study")
@@ -154,228 +142,6 @@ def _tolerance(flag: str, value: float) -> float:
     return value
 
 
-def run_derive(args: types.SimpleNamespace) -> tuple[str, int, str]:
-    from .exact import solve_coefficients
-
-    E = solve_coefficients(args.n, args.a, args.b)
-    doc = {
-        "n": E.n,
-        "a": E.a,
-        "b": E.b,
-        "p": E.p,
-        "A": E.A,
-        "B": E.B,
-        "C": E.C,
-        "D": E.D,
-        "S": "A*t+B",
-    }
-    return _render_json(doc), 0, ""
-
-
-def run_profile(args: types.SimpleNamespace) -> tuple[str, int, str]:
-    from .exact import solve_coefficients
-    from .numdiff import grid
-    from .table import profile_columns
-
-    E = solve_coefficients(args.n, args.a, args.b)
-    if args.samples < 1:
-        raise InvalidParameters("samples must be >= 1")
-    margin = args.step if args.step is not None else (args.b - args.a) * 1e-4
-    if not 0.0 < margin < 0.5 * (args.b - args.a):
-        raise InvalidParameters(f"margin {margin} leaves no interior grid")
-    lo, hi = args.a + margin, args.b - margin
-    if lo == args.a or hi == args.b:
-        raise InvalidParameters(
-            f"margin {margin} rounds away next to a = {args.a} or b = {args.b}"
-        )
-    ts = grid(lo, hi, args.samples)
-    columns = (ts, *profile_columns(E, ts), [E.A * t + E.B for t in ts])
-    # the grid's t are finite; name the first other value that is not, by
-    # its column and its t, where the renderer would name the value alone
-    if not all(map(math.isfinite, itertools.chain(*columns[1:]))):
-        bad = next(row for row in zip(*columns) if not all(map(math.isfinite, row)))
-        key, value = next(c for c in zip(_PROFILE_KEYS, bad) if not math.isfinite(c[1]))
-        raise InvalidParameters(f"non-finite {key} {value} at t = {bad[0]}")
-    if args.format == "csv":
-        row = ",".join([_FLOAT] * len(columns))
-        template = "\n".join([",".join(_PROFILE_KEYS)] + [row] * args.samples)
-        return _fill(template, list(itertools.chain.from_iterable(zip(*columns)))), 0, ""
-    doc = {
-        "schema": 1,
-        "command": "profile",
-        "n": E.n,
-        "a": E.a,
-        "b": E.b,
-        "columns": _PROFILE_KEYS,
-        "rows": _Table(None, columns),
-    }
-    return _render_json(doc), 0, ""
-
-
-# the report key of each proof that raises instead of failing
-_PROOF_CHECKS = {
-    BoundaryIdentityViolation: "boundary_identities",
-    PositivityViolation: "validity",
-}
-
-
-def _verify_battery(args: types.SimpleNamespace) -> dict:
-    from .abreu import abreu_scalar_curvature
-    from .calabi import build_extremal_metric
-    from .exact import coefficient_cross_check, positivity_certificate
-    from .polytope import sample_interior
-    from .radial import radial_scalar_curvature
-
-    tolerance_soft = _tolerance("--tolerance-soft", args.tolerance_soft)
-    n, a, b = args.n, args.a, args.b
-    if args.points < n + 2:
-        raise InvalidParameters(f"need points >= {n + 2}, got {args.points}")
-    # before the solve and the sampler, which can fail first at large n
-    if n > _VERIFY_MAX_DIMENSION:
-        raise InvalidParameters(
-            f"n must be at most {_VERIFY_MAX_DIMENSION}, the range verify is "
-            f"checked for; got {n}"
-        )
-
-    try:
-        T, E = build_extremal_metric(n, a, b)
-    except (BoundaryIdentityViolation, PositivityViolation) as exc:
-        # a failed proof prints no report; name the check it would have failed
-        key = _PROOF_CHECKS[type(exc)]
-        raise type(exc)(f"{key}: {exc}") from exc
-    margin = _SAMPLING_MARGIN_FACTOR * (b - a)
-    pts = sample_interior(T, args.points, margin=margin, seed=args.seed)
-    S = abreu_scalar_curvature(T, pts)
-    ts = [math.fsum(x) for x in pts]
-    rad = radial_scalar_curvature(T.n, ts, T.jet(ts))
-    # both soft checks are relative to the curvature itself (|S| >= 2/b > 0)
-    curvature_disc = max(abs(s - r) / abs(r) for s, r in zip(S, rad))
-    # extremal means S is the one affine function of Donaldson's projection,
-    # A*t + B, not merely some affine function of x
-    max_residual = max(abs(s - (E.A * t + E.B)) for s, t in zip(S, ts))
-    scaled_residual = max_residual / max(map(abs, rad))
-
-    # the exact deflation and the certificate raise instead of failing, so
-    # these two are true in every report printed
-    checks = {
-        "boundary_identities": True,
-        "closed_form": coefficient_cross_check(E),
-        "validity": True,
-        "curvature_agreement": curvature_disc <= tolerance_soft,
-        "extremality": scaled_residual <= tolerance_soft,
-    }
-
-    return {
-        "schema": 4,
-        "command": "verify",
-        "inputs": {
-            "n": n,
-            "a": a,
-            "b": b,
-            "points": args.points,
-            "seed": args.seed,
-            "margin": margin,
-            "tolerance_soft": tolerance_soft,
-        },
-        "prng": PRNG_NAME,
-        "coefficients": {"p": E.p, "A": E.A, "B": E.B, "C": E.C, "D": E.D},
-        "curvature": {
-            "max_discrepancy": curvature_disc,
-            # where the points lie in the shell, tau = (t - a)/(b - a)
-            "tau_range": [(min(ts) - a) / (b - a), (max(ts) - a) / (b - a)],
-        },
-        # A*t + B written in x; gradient and constant repeat coefficients
-        "extremality": {
-            "gradient": [E.A] * n,
-            "constant": E.B,
-            "max_residual": max_residual,
-            "scaled_residual": scaled_residual,
-        },
-        "validity": {"bernstein_margin": positivity_certificate(E)},
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-
-
-def run_verify(args: types.SimpleNamespace) -> tuple[str, int, str]:
-    report = _verify_battery(args)
-    out = _render_json(report)
-    failing = [k for k, ok in report["checks"].items() if not ok]
-    if not failing:
-        return out, 0, ""
-    return out, 1, "verification failed: " + ", ".join(failing)
-
-
-def run_bridge_check(args: types.SimpleNamespace) -> tuple[str, int, str]:
-    from .bridge import PRESETS, bridge_cross_check
-    from .numdiff import grid
-
-    tolerance_soft = _tolerance("--tolerance-soft", args.tolerance_soft)
-    names = [args.preset] if args.preset else _PRESET_CHOICES
-    if args.samples < 1:
-        raise InvalidParameters("samples must be >= 1")
-    s_grid = grid(0.25, 4.0, args.samples)
-
-    blocks = []
-    failing = []
-    for name in names:
-        rep = bridge_cross_check(args.n, PRESETS[name], s_grid)
-        ok = rep.max_discrepancy <= tolerance_soft
-        if not ok:
-            failing.append(name)
-        blocks.append(
-            {
-                "preset": name,
-                "max_discrepancy": rep.max_discrepancy,
-                "passed": ok,
-                # every field of the report but max_discrepancy is a column
-                "rows": _Table(rep._fields[:-1], rep[:-1]),
-            }
-        )
-    doc = {
-        "schema": 1,
-        "command": "bridge-check",
-        "n": args.n,
-        "samples": args.samples,
-        "tolerance_soft": tolerance_soft,
-        "presets": blocks,
-        "passed": not failing,
-    }
-    err = "" if not failing else "bridge-check failed: " + ", ".join(failing)
-    return _render_json(doc), 0 if not failing else 1, err
-
-
-def run_example(args: types.SimpleNamespace) -> tuple[str, int, str]:
-    from fractions import Fraction
-
-    from .exact import (
-        _h_second_exact,
-        _quadratic_form_identity,
-        coefficient_cross_check,
-        solve_coefficients,
-    )
-
-    a = args.a
-    E = solve_coefficients(2, a, 1.0)
-    midpoint = 0.5 * (a + 1.0)
-    checks = {
-        "closed_form": coefficient_cross_check(E),
-        "quadratic_form": _quadratic_form_identity(E),
-    }
-    doc = {
-        "schema": 3,
-        "command": "example",
-        "a": a,
-        "coefficients": {"A": E.A, "B": E.B, "C": E.C, "D": E.D},
-        "h_second_midpoint": float(_h_second_exact(E, Fraction(midpoint))),
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-    failing = [k for k, ok in checks.items() if not ok]
-    err = "" if not failing else "example check failed: " + ", ".join(failing)
-    return _render_json(doc), 0 if not failing else 1, err
-
-
 # each flag's add_argument keywords; its default is the command's
 _FLAGS = {
     "n": {"type": int, "help": "complex dimension n"},
@@ -392,25 +158,26 @@ _FLAGS = {
 
 _GEOMETRY = {"n": 2, "a": 0.5, "b": 1.0}
 
-# command -> (help, run function, {flag: default} of the flags it reads)
+# command -> (help, the module whose run_<command> runs it, {flag: default}
+# of the flags it reads)
 _COMMANDS = {
-    "derive": ("solve the boundary system for (A, B, C, D)", run_derive, _GEOMETRY),
+    "derive": ("solve the boundary system for (A, B, C, D)", "exact", _GEOMETRY),
     "profile": (
         "tabulate t, F'', h'', S over an interior grid",
-        run_profile,
+        "table",
         {**_GEOMETRY, "samples": 50, "step": None, "format": "csv"},
     ),
     "verify": (
         "run the full cross-check battery",
-        run_verify,
+        "calabi",
         {**_GEOMETRY, "points": 100, "seed": 0, "tolerance-soft": 1e-5},
     ),
     "bridge-check": (
         "compare Kahler-side and radial curvature",
-        run_bridge_check,
+        "bridge",
         {"n": 2, "samples": 10, "tolerance-soft": 1e-5, "preset": None},
     ),
-    "example": ("reproduce the n=2, b=1 closed forms", run_example, {"a": 0.5}),
+    "example": ("reproduce the n=2, b=1 closed forms", "exact", {"a": 0.5}),
 }
 
 
@@ -451,7 +218,7 @@ def _help(command: str | None):
 
 
 def _parse(argv: list) -> types.SimpleNamespace:
-    """argv's run function and flag values, or argparse's refusal (exit 2)."""
+    """argv's command and flag values, or argparse's refusal (exit 2)."""
     k = next((k for k, word in enumerate(argv) if not word.startswith("-")), None)
     unknown = argv[:k]
     if {"-h", "--help"} & set(unknown):
@@ -461,7 +228,7 @@ def _parse(argv: list) -> types.SimpleNamespace:
     command, words = argv[k], iter(argv[k + 1:])
     if command not in _COMMANDS:
         _refuse(None, f"argument command: invalid choice: {command!r}", _COMMANDS)
-    run, values = _COMMANDS[command][1], dict(_COMMANDS[command][2])
+    values = dict(_COMMANDS[command][2])
     for word in words:
         if word in ("-h", "--help"):
             _help(command)
@@ -484,13 +251,17 @@ def _parse(argv: list) -> types.SimpleNamespace:
     if unknown:  # under the top-level usage if one came before the command
         _refuse(None if k else command, "unrecognized arguments: " + " ".join(unknown))
     return types.SimpleNamespace(
-        run=run, **{flag.replace("-", "_"): v for flag, v in values.items()})
+        command=command, **{flag.replace("-", "_"): v for flag, v in values.items()})
 
 
 def main(argv: list | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
+    # the command's module, loaded now; __import__ returns the submodule
+    # itself when fromlist names something in it
+    run = "run_" + args.command.replace("-", "_")
+    module = __import__(f"{__package__}.{_COMMANDS[args.command][1]}", fromlist=[run])
     try:
-        out, code, err = args.run(args)
+        out, code, err = getattr(module, run)(args)
     except InvalidParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

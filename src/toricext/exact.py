@@ -1,4 +1,5 @@
-"""The exact layer of the extremal construction, in rational arithmetic only.
+"""The exact layer of the extremal construction, in integer arithmetic only,
+and the two commands that run on it alone, ``derive`` and ``example``.
 
 With p = n(n+1)(n+2) and the quartic family
 
@@ -18,26 +19,33 @@ facets.  The coefficients come from the moment polytope alone: Donaldson's
 functional, which vanishes on affine functions, gives (A, B) as a 2x2
 system of polytope moments, and at (t - c)_+ it is the extremal numerator
 p*c^n - alpha(c), whose lowest coefficients give C and D
-(``_exact_solution``).  Everything is exact, in rational arithmetic, and the
-result is rounded to float once; it is the only coefficient path.  Its
-checks are exact: Calabi's closed forms equal it as rationals
+(``_exact_solution``); it is the only coefficient path.  Its checks are
+exact: Calabi's closed forms equal it as rationals
 (``coefficient_cross_check``), the four boundary conditions hold as exact
 deflations, one division each (``_deflation``), and Bernstein coefficients
 prove the metric valid on all of (a, b) (``positivity_certificate``).
 
-Everything here runs on the standard library (``fractions``, ``math``), so a
-command that needs only exact data loads no numpy.  The record also rounds
-the polynomials of the profile, the deflated (V, Q) with
-p*t^n - alpha = (t-a)(t-b)*Q, to float once; ``table`` evaluates them in
-plain floats.
+Everything is exact, and in integers.  The floats a and b are dyadic, so
+a = a'/s and b = b'/s for integers a', b' and their common power-of-two
+denominator s = 2^e (``_scaled``), and every quantity is an integer over a
+known integer denominator: (A, B, C, D) are four numerators over one
+denominator, and a polynomial P of t is kept as the descending integer
+coefficients of P'(v) = K*P(v/s), a polynomial of v = s*t, with its scale K,
+so that dividing by t - a is integer synthetic division by v - a'.  No gcd
+is ever taken.  Each float is one int / int division, which Python rounds
+correctly (as ``Fraction.__float__`` does), so every result is the exact
+value rounded once.  The record rounds the polynomials of the profile, the
+deflated (V, Q) with p*t^n - alpha = (t-a)(t-b)*Q, to float once; ``table``
+evaluates them in plain floats.  Everything here runs on the standard
+library, so a command that needs only exact data loads neither numpy nor
+``fractions``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -48,23 +56,27 @@ from .errors import (
 )
 
 
-# the exact work grows like a power of n (profile's deflation took 3.3 s at
-# n = 256 and 16 s at 512 on a 2-core machine); refuse anything bigger so a
-# misuse fails loudly instead of slowly
+# the exact work grows like a power of n (profile --a 0.3 --b 1.7 --samples 5
+# took 0.02 s at n = 256 and 0.08 s at 512 in process, on a 2-core machine;
+# derive --n 10**48 would never return); refuse anything bigger so a misuse
+# fails loudly instead of slowly
 MAX_DIMENSION = 512
 
 
-def _check_geometry(n: int, a: float, b: float) -> None:
-    """The (n, a, b) preconditions shared by every coefficient entry point.
+def _check_geometry(n: int, a: float, b: float) -> int:
+    """The (n, a, b) preconditions shared by every coefficient entry point;
+    returns n as an int.
 
-    n is an integer (``numbers.Integral``, so numpy's integers too), never a
-    float, not even 2.0, and never a bool, from 1 to ``MAX_DIMENSION``.
+    n is an integer (anything with ``__index__``, so numpy's integers too),
+    never a float, not even 2.0, and never a bool, from 1 to
+    ``MAX_DIMENSION``.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
         raise InvalidParameters(f"n must be an integer, got {n!r}")
-    if n < 1:
+    k = operator.index(n)
+    if k < 1:
         raise InvalidParameters("n must be >= 1")
-    if int(n) > MAX_DIMENSION:
+    if k > MAX_DIMENSION:
         raise InvalidParameters(
             f"n must be at most {MAX_DIMENSION}, the range the exact layer is "
             f"sized for; got {n}"
@@ -73,6 +85,15 @@ def _check_geometry(n: int, a: float, b: float) -> None:
         raise InvalidParameters("a and b must be finite")
     if not 0.0 < a < b:
         raise InvalidParameters(f"need 0 < a < b, got a={a}, b={b}")
+    return k
+
+
+def _scaled(a: float, b: float) -> tuple:
+    """(e, a', b') with a = a'/2^e and b = b'/2^e: the floats over their
+    common power-of-two denominator s = 2^e."""
+    (pa, qa), (pb, qb) = float(a).as_integer_ratio(), float(b).as_integer_ratio()
+    s = max(qa, qb)
+    return s.bit_length() - 1, pa * (s // qa), pb * (s // qb)
 
 
 class ExtremalCoefficients(namedtuple("ExtremalCoefficients", "n a b A B C D")):
@@ -102,18 +123,24 @@ class ExtremalCoefficients(namedtuple("ExtremalCoefficients", "n a b A B C D")):
 
     # exact data of the profile, built once per coefficient set
     @cached_property
-    def _exact_deflation(self) -> tuple[list, list]:
+    def _exact_deflation(self) -> tuple:
         return _deflation(self)
 
     # the float polynomials of the profile, the only rounding of V and Q:
     # table's Horner loops read these
     @cached_property
-    def _float_deflation(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    def _float_deflation(self) -> tuple:
         """The exact (V, Q) of h'', each coefficient rounded to float; one past
         the float range, as at (n, a, b) = (6, 1e-163, 1e-160), is invalid
         input, as in ``_rounded``."""
+        *polynomials, K = self._exact_deflation
+        e = _scaled(self.a, self.b)[0]
         try:
-            return tuple(tuple(map(float, c)) for c in self._exact_deflation)
+            # the t^k coefficient of P'(s*t)/K is P'_k*s^k/K
+            return tuple(
+                tuple((x << e * (len(P) - 1 - i)) / K for i, x in enumerate(P))
+                for P in polynomials
+            )
         except OverflowError:
             raise InvalidParameters(
                 f"a coefficient of V or Q overflows a float for"
@@ -122,13 +149,13 @@ class ExtremalCoefficients(namedtuple("ExtremalCoefficients", "n a b A B C D")):
 
     @cached_property
     def _bernstein(self) -> list:
-        Q = self._exact_deflation[1]
-        return _bernstein_certificate(Q, Fraction(self.a), Fraction(self.b))
+        return _bernstein_certificate(self._exact_deflation[1], self.a, self.b)
 
 
 @lru_cache
-def _exact_solution(n: int, a: float, b: float) -> tuple[Fraction, ...]:
-    """(A, B, C, D) from moments of the polytope, exactly.
+def _exact_solution(n: int, a: float, b: float) -> tuple:
+    """(A, B, C, D) from moments of the polytope, exactly: their four integer
+    numerators over one positive integer denominator.
 
     Donaldson's functional L(f) = int_dP f dsigma - int_P (A*t + B)*f dx
     vanishes on affine f.  Reduced to t, dx is t^(n-1)/(n-1)! dt, the n
@@ -143,20 +170,37 @@ def _exact_solution(n: int, a: float, b: float) -> tuple[Fraction, ...]:
     {1, t} in L^2([a, b], t^(n-1) dt), which is ``_calabi_denominator``
     / (n(n+1)^2(n+2)), positive by Cauchy-Schwarz.  At f = (t - c)_+,
     (n+2)!*L is the extremal numerator p*c^n - alpha(c), whose two lowest
-    coefficients give C and D.  The float (a, b) are exact rationals, so
-    every step is exact.  Cached: ``solve_coefficients`` and the record's
+    coefficients give C and D.
+
+    In integers, with a = a'/s and b = b'/s: M_k = b'^k - a'^k gives the
+    moments, R_0 = (n+1)*b'^(n-1) - (n-1)*a'^(n-1) and R_1 = n*b'^n -
+    (n-2)*a'^n the measures, and G = (n+1)^2*M_n*M_(n+2) - n(n+2)*M_(n+1)^2
+    is Calabi's denominator at (a', b').  Cramer's rule gives
+    A = (n+1)(n+2)*A'*s^2/G and B = n(n+1)*B'*s/G with the integers A' and
+    B' (``A`` and ``B`` below), and the lines for (C, D) keep every
+    numerator over G*s^n, the one denominator.  Cached: ``solve_coefficients`` and the record's
     deflation both need it for the same geometry.
     """
-    a, b = Fraction(float(a)), Fraction(float(b))
-    m0, m1, m2 = ((b**k - a**k) / k for k in (n, n + 1, n + 2))
-    r0 = (n + 1) * b ** (n - 1) - (n - 1) * a ** (n - 1)
-    r1 = n * b**n - (n - 2) * a**n
-    gram = m0 * m2 - m1**2
-    A = (m0 * r1 - m1 * r0) / gram
-    B = (m2 * r0 - m1 * r1) / gram
-    C = (n + 1) * b ** (n - 1) - A * b ** (n + 1) / (n + 1) - B * b**n / n
-    D = A * b ** (n + 2) / (n + 2) + B * b ** (n + 1) / (n + 1) - n * b**n
-    return A, B, C, D
+    e, a, b = _scaled(a, b)
+    M0, M1, M2 = (b**k - a**k for k in (n, n + 1, n + 2))
+    R0 = (n + 1) * b ** (n - 1) - (n - 1) * a ** (n - 1)
+    R1 = n * b**n - (n - 2) * a**n
+    G = (n + 1) ** 2 * M0 * M2 - n * (n + 2) * M1**2
+    A = (n + 1) * M0 * R1 - n * M1 * R0
+    B = (n + 1) * M2 * R0 - (n + 2) * M1 * R1
+    C = (n + 1) * G * b ** (n - 1) - (n + 2) * A * b ** (n + 1) - (n + 1) * B * b**n
+    D = (n + 1) * A * b ** (n + 2) + n * B * b ** (n + 1) - n * G * b**n
+    # A*G*s^n, B*G*s^n, C*G*s^n and D*G*s^n
+    numerators = ((n + 1) * (n + 2) * A << e * (n + 2),
+                  n * (n + 1) * B << e * (n + 1), C << e, D)
+    return numerators, G << e * n
+
+
+def _floats(exact: tuple) -> tuple:
+    """Each numerator over the denominator, rounded once; an ``OverflowError``
+    past the float range."""
+    numerators, den = exact
+    return tuple(x / den for x in numerators)
 
 
 def _rounded(n: int, a: float, b: float, exact: tuple) -> ExtremalCoefficients:
@@ -166,9 +210,10 @@ def _rounded(n: int, a: float, b: float, exact: tuple) -> ExtremalCoefficients:
     where A ~ 1/b^2, is invalid input, not an ``OverflowError``.
     """
     coeffs = {}
-    for name, x in zip("ABCD", exact):
+    numerators, den = exact
+    for name, x in zip("ABCD", numerators):
         try:
-            coeffs[name] = float(x)
+            coeffs[name] = x / den
         except OverflowError:
             raise InvalidParameters(
                 f"coefficient {name} overflows a float for (n={n}, a={a}, b={b})"
@@ -181,8 +226,7 @@ def solve_coefficients(n: int, a: float, b: float) -> ExtremalCoefficients:
     and rounded to float once.  A float solve loses digits as a/b -> 1, where
     the Gram determinant has a fourth-order root.
     """
-    _check_geometry(n, a, b)
-    n = int(n)
+    n = _check_geometry(n, a, b)
     return _rounded(n, a, b, _exact_solution(n, a, b))
 
 
@@ -194,66 +238,55 @@ def _calabi_denominator(n: int, a, b):
 
 
 @lru_cache
-def _closed_form(n: int, a: float, b: float) -> tuple[Fraction, ...]:
-    """Calabi's explicit (A, B, C, D), exactly.
+def _closed_form(n: int, a: float, b: float) -> tuple:
+    """Calabi's explicit (A, B, C, D), exactly, as ``_exact_solution`` gives
+    them: numerators over one denominator.
 
-    Evaluated over ``Fraction``: the shared denominator has a fourth-order
-    root at a = b, so float evaluation drifts as a/b -> 1.
+    Evaluated in integers: the shared denominator has a fourth-order root at
+    a = b, so float evaluation drifts as a/b -> 1.  The numerators below are
+    homogeneous in (a, b) of degrees 2n, 2n+1, 3n+1 and 3n+2, the
+    denominator of degree 2n+2, so at (a', b') = s*(a, b) each becomes the
+    value over s^n times that denominator by a power of s.
     """
-    a, b = Fraction(float(a)), Fraction(float(b))
-    den = _calabi_denominator(n, a, b)
-
-    A = (
-        (n + 1)
-        * (n + 2)
-        * (
-            (a * b) ** (n - 1)
-            * (n * a**2 * (n + 1) + n * b**2 * (n - 1) - 2 * a * b * (n**2 - 1))
-            - 2 * a ** (2 * n)
-        )
-        / den
+    e, a, b = _scaled(a, b)
+    A = (n + 1) * (n + 2) * (
+        (a * b) ** (n - 1)
+        * (n * a**2 * (n + 1) + n * b**2 * (n - 1) - 2 * a * b * (n**2 - 1))
+        - 2 * a ** (2 * n)
     )
-    B = (
-        n
-        * (n + 1)
-        * (
-            (a * b) ** (n - 1)
-            * (
-                a**2 * (n * b * (n + 2) - a * (n + 1) ** 2)
-                + b**2 * (b * (1 - n**2) + a * (n**2 - 4))
-            )
-            + 3 * a ** (2 * n + 1)
-            + b ** (2 * n + 1)
-        )
-        / den
-    )
-    C = (
+    B = n * (n + 1) * (
         (a * b) ** (n - 1)
         * (
-            (n + 1) * (a ** (n + 3) - a * b ** (n + 2) - 3 * b * a ** (n + 2))
-            + ((n - 1) * b ** (n + 3) + 2 * (n + 2) * b**2 * a ** (n + 1))
+            a**2 * (n * b * (n + 2) - a * (n + 1) ** 2)
+            + b**2 * (b * (1 - n**2) + a * (n**2 - 4))
         )
-        / den
+        + 3 * a ** (2 * n + 1)
+        + b ** (2 * n + 1)
     )
-    D = (
-        (a * b) ** n
-        * (
-            b ** (n + 1) * (n * a - b * (n - 2))
-            - 2 * a**n * b**2 * (n + 1)
-            - n * a ** (n + 1) * (a - 3 * b)
-        )
-        / den
+    C = (a * b) ** (n - 1) * (
+        (n + 1) * (a ** (n + 3) - a * b ** (n + 2) - 3 * b * a ** (n + 2))
+        + ((n - 1) * b ** (n + 3) + 2 * (n + 2) * b**2 * a ** (n + 1))
     )
-    return A, B, C, D
+    D = (a * b) ** n * (
+        b ** (n + 1) * (n * a - b * (n - 2))
+        - 2 * a**n * b**2 * (n + 1)
+        - n * a ** (n + 1) * (a - 3 * b)
+    )
+    numerators = (A << e * (n + 2), B << e * (n + 1), C << e, D)
+    return numerators, _calabi_denominator(n, a, b) << e * n
 
 
 def coefficient_cross_check(solved: ExtremalCoefficients) -> bool:
     """True when Calabi's closed forms and the moment solve are the same four
-    rationals at the record's (n, a, b), and the record is their rounding."""
+    rationals at the record's (n, a, b), and the record is their rounding.
+
+    Both give their numerators over Calabi's denominator times s^n (the Gram
+    determinant of the moment solve is that denominator, as integers), so
+    the rationals are the same exactly when the integers are.
+    """
     closed = _closed_form(solved.n, solved.a, solved.b)
-    return closed == _exact_solution(solved.n, solved.a, solved.b) and tuple(
-        map(float, closed)
-    ) == (solved.A, solved.B, solved.C, solved.D)
+    return closed == _exact_solution(solved.n, solved.a, solved.b) and _floats(
+        closed) == (solved.A, solved.B, solved.C, solved.D)
 
 
 def _alpha_coeffs(n: int, A, B, C, D) -> list:
@@ -277,8 +310,8 @@ def _deflate(coeffs: list, root) -> tuple[list, object]:
     return quot[1:], acc
 
 
-def _deflation(E: ExtremalCoefficients) -> tuple[list, list]:
-    """Exact (V, Q) of the cancellation-free form of h''.
+def _deflation(E: ExtremalCoefficients) -> tuple:
+    """Exact (V, Q) of the cancellation-free form of h'', and their scale K.
 
     h''(t) = F''(t) - (b-a)/((t-a)(b-t)) has exactly cancelling poles at the
     endpoints.  With beta = p*t^n - alpha = (t-a)(t-b)*Q, the combined
@@ -294,16 +327,20 @@ def _deflation(E: ExtremalCoefficients) -> tuple[list, list]:
     are alpha(a) = p*a^n and alpha(b) = p*b^n; R(a) = alpha'(a) -
     (n-1)*p*a^(n-1) and R(b) = (n+1)*p*b^(n-1) - alpha'(b) are the slopes.
 
-    Built over ``Fraction`` from the exact moment solve, which must round to
-    the record's own (A, B, C, D), or ``InvalidParameters`` is raised.  A
-    nonzero remainder raises ``BoundaryIdentityViolation`` naming the first
-    condition that fails.
+    Built in integers from the exact moment solve, over its denominator d:
+    beta' = d*s^(n+2)*beta(v/s), so each division by (t - a)(t - b) is one
+    by (v - a')(v - b') and takes out s^2, and Q(t) = Q'(s*t)/K and
+    V(t) = V'(s*t)/K with K = d*s^n; the lists are Q' and V'.  The solve
+    must round to the record's own (A, B, C, D), or ``InvalidParameters`` is
+    raised.  A nonzero remainder raises ``BoundaryIdentityViolation`` naming
+    the first condition that fails.
     """
     n, p = E.n, E.n * (E.n + 1) * (E.n + 2)
     exact = _exact_solution(n, E.a, E.b)
-    if tuple(map(float, exact)) != (E.A, E.B, E.C, E.D):
+    if _floats(exact) != (E.A, E.B, E.C, E.D):
         raise InvalidParameters(f"not the extremal coefficients of {E}")
-    a, b = Fraction(E.a), Fraction(E.b)
+    numerators, den = exact
+    e, a, b = _scaled(E.a, E.b)
 
     def divide(coeffs: list, conditions: tuple) -> list:
         for root, condition in zip((a, b), conditions):
@@ -314,74 +351,89 @@ def _deflation(E: ExtremalCoefficients) -> tuple[list, list]:
                 )
         return coeffs
 
-    beta = [-x for x in _alpha_coeffs(n, *exact)]  # p*t^n - alpha
-    beta[2] += p  # the p*t^n term sits two slots below the leading one
+    beta = [-x for x in _alpha_coeffs(n, *numerators)]  # d*(p*t^n - alpha)
+    beta[2] += p * den  # the p*t^n term sits two slots below the leading one
+    # the v^k coefficient of d*s^(n+2)*beta(v/s) is s^(n+2-k) times that of t^k
+    beta = [x << e * i for i, x in enumerate(beta)]
     Q = divide(beta, ("alpha(a) = p*a^n", "alpha(b) = p*b^n"))
-    R = [(b - a) * q for q in Q]
-    R[1] += p  # p*t^(n-1), one slot below Q's leading degree n
+    R = [(b - a) * q for q in Q]  # d*s^(n+1)*R(v/s)
+    R[1] += (p * den) << 2 * e  # p*t^(n-1), one slot below Q's leading degree n
     V = divide(R, ("alpha'(a) = (n-1)*p*a^(n-1)", "alpha'(b) = (n+1)*p*b^(n-1)"))
-    return [-v for v in V], Q
+    return [-(v << e) for v in V], Q, den << e * n
 
 
-def _h_second_exact(E: ExtremalCoefficients, t: Fraction) -> Fraction:
-    """h''(t) = -V(t)/Q(t) - 1/t as an exact rational, at a rational t."""
-    V, Q = E._exact_deflation
-    q_val = _deflate(Q, t)[1]
-    if q_val == 0:
-        raise PotentialPole(f"deflated denominator vanishes at t = {float(t)}")
-    return -_deflate(V, t)[1] / q_val - 1 / t
+def _h_second_exact(E: ExtremalCoefficients, t: float) -> float:
+    """h''(t) = -V(t)/Q(t) - 1/t at the float t, exactly, rounded once.
+
+    With t = t'/m and v = s*t = N/m (N = s*t'), V(t)/Q(t) = V'(N/m)/Q'(N/m).
+    For P of degree d, m^d * P(N/m) is an integer: the remainder of the
+    division by v - N of the polynomial whose k-th descending coefficient is
+    P's times m^k.
+    """
+    V, Q, _ = E._exact_deflation
+    num, m = float(t).as_integer_ratio()
+    N = num << _scaled(E.a, E.b)[0]
+    hv, hq = (_deflate([c * m**k for k, c in enumerate(P)], N)[1] for P in (V, Q))
+    if hq == 0:
+        raise PotentialPole(f"deflated denominator vanishes at t = {t}")
+    # -V'/Q' - 1/t = -(hv*m^(deg Q - deg V)*t' + m*hq)/(hq*t')
+    return -(hv * m ** (len(Q) - len(V)) * num + m * hq) / (hq * num)
 
 
-def _quadratic_form(a) -> tuple:
-    """The n = 2, b = 1 closed form h''(t) = num/den(t) - 1/t at a rational
-    a: num and the descending coefficients of the quadratic den, exactly."""
-    return 2 * a * (1 - a), [2 * a, 1 - a**2 + 2 * a, 2 * a**2]
+def _quadratic_form(a: int, s: int) -> tuple:
+    """The n = 2, b = 1 closed form h''(t) = num/den(t) - 1/t at the rational
+    a/s, times s^2: num and the descending coefficients of the quadratic den,
+    integers for integer a and s."""
+    return 2 * a * (s - a), [2 * a * s, s * s - a * a + 2 * a * s, 2 * a * a]
 
 
 def _quadratic_form_identity(E: ExtremalCoefficients) -> bool:
     """Whether the h'' of an n = 2, b = 1 record is the closed form, exactly.
 
     h'' = -V/Q - 1/t and V is a constant at n = 2, so the closed form is h''
-    exactly when -V*den and num*Q are one polynomial.
+    exactly when -V*den and num*Q are one polynomial.  With V = v/K, the t^k
+    coefficient of Q equal to Q'_k*s^k/K, and num and den over s^2, that is
+    -v*den_k == num*Q'_k*s^k, both times K*s^2.
     """
-    (v,), Q = E._exact_deflation
-    num, den = _quadratic_form(Fraction(E.a))
-    return [-v * d for d in den] == [num * q for q in Q]
+    (v,), Q, _ = E._exact_deflation
+    e, a, _ = _scaled(E.a, E.b)
+    num, den = _quadratic_form(a, 1 << e)
+    return [-v * d for d in den] == [num * q << e * k for k, q in zip((2, 1, 0), Q)]
 
 
-def _bernstein_certificate(Q: list, a: Fraction, b: Fraction) -> list:
-    """The Bernstein coefficients b_k of Q (descending coefficients) on
-    [a, b], exactly: Q(a + c*u) by a Horner Taylor shift, then
+def _bernstein_certificate(Q: list, a: float, b: float) -> list:
+    """The Bernstein coefficients of Q on [a, b], each times the same
+    positive integer: Q(a + c*u) by a Taylor shift, whose coefficients are
+    the remainders of dividing by t - a again and again, then
     b_k = sum_j C(k, j)/C(d, j) * q_j.  Q on [a, b] lies in their convex hull
     (Farouki, CAGD 2012), so all b_k < 0 proves Q < 0 there; b_0 = Q(a) and
     b_d = Q(b).  Raises ``PositivityViolation`` at the first b_k >= 0.
 
-    Both steps run in integers over one positive scale: with s the common
-    denominator of a and b (a power of two for floats) and L that of Q,
-    s^d * L * Q(v/s) has integer coefficients, its Taylor shift by s*a and
-    the substitution v = s*c*u keep them integers, and d!/C(d, j) = j!(d-j)!
-    clears the Bernstein weights, so d! * s^d * L * b_k is an integer.
+    Q is given as the descending integer coefficients of Q'(v), v = s*t with
+    s the common denominator of the floats a and b, as the record keeps it
+    (any positive scale K of Q = Q'(s*t)/K leaves the signs alone).  On
+    [a', b'] = s*[a, b] the Taylor shift by a' and the substitution
+    v = a' + c'*u, c' = b' - a', keep the coefficients integers, and
+    d!/C(d, j) = j!(d-j)! clears the Bernstein weights, so the coefficients
+    returned are the integers d! * K * b_k.
     """
-    Q = [Fraction(x) for x in Q]
     d = len(Q) - 1
-    L = math.lcm(*(x.denominator for x in Q))
-    s = math.lcm(a.denominator, b.denominator)
-    shift, c = int(a * s), int((b - a) * s)
-    # ascending integer coefficients of s^d * L * Q(v/s)
-    q = [x.numerator * (L // x.denominator) * s**i for i, x in enumerate(Q)][::-1]
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            q[j] += shift * q[j + 1]
+    _, shift, end = _scaled(a, b)
+    c = end - shift
+    q = []  # ascending
+    while Q:
+        Q, rem = _deflate(Q, shift)
+        q.append(rem)
     w = [x * c**j * math.factorial(j) * math.factorial(d - j) for j, x in enumerate(q)]
-    scale = math.factorial(d) * s**d * L
     bern = [sum(math.comb(k, j) * w[j] for j in range(k + 1)) for k in range(d + 1)]
     for k, x in enumerate(bern):
         if x >= 0:
+            top = max(map(abs, bern)) or 1
             raise PositivityViolation(
-                f"Bernstein coefficient b_{k} = {x / scale:.3e} of Q on"
-                f" [{float(a)}, {float(b)}] is not negative; no valid metric"
+                f"Bernstein coefficient b_{k} of Q on [{a}, {b}] is not negative"
+                f" ({x / top:.3e} of the largest |b_j|); no valid metric"
             )
-    return [Fraction(x, scale) for x in bern]
+    return bern
 
 
 def positivity_certificate(E: ExtremalCoefficients) -> float:
@@ -393,4 +445,48 @@ def positivity_certificate(E: ExtremalCoefficients) -> float:
     otherwise.  The margin max b_k / max |b_k| is the only rounded part.
     """
     bern = E._bernstein
-    return float(max(bern) / max(map(abs, bern)))
+    return max(bern) / max(map(abs, bern))
+
+
+def run_derive(args) -> tuple[str, int, str]:
+    """``derive``: the coefficient record of (n, a, b)."""
+    from .cli import _render_json
+
+    E = solve_coefficients(args.n, args.a, args.b)
+    doc = {
+        "n": E.n,
+        "a": E.a,
+        "b": E.b,
+        "p": E.p,
+        "A": E.A,
+        "B": E.B,
+        "C": E.C,
+        "D": E.D,
+        "S": "A*t+B",
+    }
+    return _render_json(doc), 0, ""
+
+
+def run_example(args) -> tuple[str, int, str]:
+    """``example``: the n = 2, b = 1 slice, its closed forms and the
+    quadratic form of h''."""
+    from .cli import _render_json
+
+    a = args.a
+    E = solve_coefficients(2, a, 1.0)
+    checks = {
+        "closed_form": coefficient_cross_check(E),
+        "quadratic_form": _quadratic_form_identity(E),
+    }
+    doc = {
+        "schema": 3,
+        "command": "example",
+        "a": a,
+        "coefficients": {"A": E.A, "B": E.B, "C": E.C, "D": E.D},
+        "h_second_midpoint": _h_second_exact(E, 0.5 * (a + 1.0)),
+        "checks": checks,
+        "passed": all(checks.values()),
+    }
+    failing = [k for k, ok in checks.items() if not ok]
+    err = "" if not failing else "example check failed: " + ", ".join(failing)
+    return _render_json(doc), 0 if not failing else 1, err

@@ -11,16 +11,18 @@ profile of the metric is
 with no cancellation as a/b -> 1, where p*t^n and alpha agree to many digits.
 A call evaluates each polynomial at most tens of thousands of times, which
 costs less in Python floats than importing numpy does, so Q and V are
-evaluated by Horner's rule.
+evaluated by Horner's rule.  ``run_profile`` runs the ``profile`` command.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import sys
 
 from .errors import DomainViolation, InvalidParameters, PotentialPole
-from .exact import ExtremalCoefficients
-from .numdiff import power
+from .exact import ExtremalCoefficients, solve_coefficients
+from .numdiff import grid, power
 
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
@@ -110,3 +112,46 @@ def jet(
         dphi.append(f1)
         d2phi.append(num2 / den - (2.0 * (n - 1) * f1 + (n - 1) * (n - 2) * f / t) / t)
     return phi, dphi, d2phi
+
+
+_PROFILE_KEYS = ("t", "F_second", "h_second", "S")
+
+
+def run_profile(args) -> tuple[str, int, str]:
+    """``profile``: t, F'', h'' and S over an evenly spaced interior grid, as
+    CSV or JSON."""
+    from .cli import _FLOAT, _fill, _render_json, _Table
+
+    E = solve_coefficients(args.n, args.a, args.b)
+    if args.samples < 1:
+        raise InvalidParameters("samples must be >= 1")
+    margin = args.step if args.step is not None else (args.b - args.a) * 1e-4
+    if not 0.0 < margin < 0.5 * (args.b - args.a):
+        raise InvalidParameters(f"margin {margin} leaves no interior grid")
+    lo, hi = args.a + margin, args.b - margin
+    if lo == args.a or hi == args.b:
+        raise InvalidParameters(
+            f"margin {margin} rounds away next to a = {args.a} or b = {args.b}"
+        )
+    ts = grid(lo, hi, args.samples)
+    columns = (ts, *profile_columns(E, ts), [E.A * t + E.B for t in ts])
+    # the grid's t are finite; name the first other value that is not, by
+    # its column and its t, where the renderer would name the value alone
+    if not all(map(math.isfinite, itertools.chain(*columns[1:]))):
+        bad = next(row for row in zip(*columns) if not all(map(math.isfinite, row)))
+        key, value = next(c for c in zip(_PROFILE_KEYS, bad) if not math.isfinite(c[1]))
+        raise InvalidParameters(f"non-finite {key} {value} at t = {bad[0]}")
+    if args.format == "csv":
+        row = ",".join([_FLOAT] * len(columns))
+        template = "\n".join([",".join(_PROFILE_KEYS)] + [row] * args.samples)
+        return _fill(template, list(itertools.chain.from_iterable(zip(*columns)))), 0, ""
+    doc = {
+        "schema": 1,
+        "command": "profile",
+        "n": E.n,
+        "a": E.a,
+        "b": E.b,
+        "columns": _PROFILE_KEYS,
+        "rows": _Table(None, columns),
+    }
+    return _render_json(doc), 0, ""

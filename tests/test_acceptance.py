@@ -26,6 +26,7 @@ from toricext.numdiff import grid
 from toricext.polytope import sample_interior
 from toricext.radial import radial_scalar_curvature
 from util import (
+    as_fractions,
     boundary_rows,
     cpn_profile,
     fd_curvature_reference,
@@ -85,7 +86,7 @@ def test_criterion_03_boundary_interpolation_identities():
         for a in (0.25, 0.5, 0.75):
             for b in (1.0, 2.0):
                 E = solve_coefficients(n, a, b)
-                exact = _exact_solution(n, a, b)
+                exact = as_fractions(_exact_solution(n, a, b))
                 rows = boundary_rows(n, Fraction(a), Fraction(b))
                 if any(sum(m * x for m, x in zip(row, exact)) != row[4]
                        for row in rows):
@@ -205,7 +206,8 @@ def test_criterion_10_closed_form_cross_check_is_hard_in_every_dimension():
     for n in range(1, 17):
         for a, b in ((0.3, 1.0), (0.5, 1.0), (0.7, 1.0), (0.25, 2.0)):
             E = solve_coefficients(n, a, b)
-            if not (_closed_form(n, a, b) == _exact_solution(n, a, b)
+            if not (as_fractions(_closed_form(n, a, b))
+                    == as_fractions(_exact_solution(n, a, b))
                     and coefficient_cross_check(E) is True):
                 unequal.append((n, a, b))
     _report("AC10", not unequal, f"closed form != exact solve at {unequal} (want none)")

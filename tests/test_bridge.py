@@ -19,7 +19,7 @@ from toricext.bridge import (
 from toricext.calabi import build_extremal_metric
 from toricext.errors import DomainViolation, InvalidParameters, NonpositiveDerivative
 from toricext.numdiff import grid
-from util import geometric_grid, legendre_F
+from util import as_fractions, geometric_grid, legendre_F
 
 
 # the presets' Kahler potentials f(s), and the inverses s(t) of their moment
@@ -359,7 +359,7 @@ def _extremal_kahler_side(n, a, b, taus, slope=1.0):
 
 def _worst_relative_error(n, a, b, ts, got):
     # against S = A*t + B of the exact coefficients, exact at the float t
-    A, B, _, _ = exact_mod._exact_solution(n, a, b)
+    A, B, _, _ = as_fractions(exact_mod._exact_solution(n, a, b))
     return max(
         float(abs(Fraction(s) - (A * Fraction(t) + B)) / abs(A * Fraction(t) + B))
         for t, s in zip(ts, got)

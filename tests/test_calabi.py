@@ -1,5 +1,4 @@
 import math
-import numbers
 import random
 import re
 import subprocess
@@ -35,12 +34,19 @@ from toricext.exact import (
 from toricext.numdiff import grid
 from toricext.radial import radial_scalar_curvature
 from util import (
+    as_fractions,
+    as_integers,
     boundary_rows,
     boundary_solution,
     closed_form_coefficients,
+    deflation_fractions,
     donaldson_functional,
     exact_F_second,
     exact_phi_jet,
+    fraction_bernstein,
+    fraction_deflation,
+    fraction_h_second,
+    horner,
     lowest_coefficients,
     moment_solution,
     moment_system,
@@ -131,11 +137,11 @@ def test_donaldson_functional_is_the_extremal_numerator(n):
     rng = random.Random(n)
     p = n * (n + 1) * (n + 2)
     for a, b in ((0.5, 1.0), (0.25, 2.0), (1e-3, 1.0)):
-        A, B, C, D = _exact_solution(n, a, b)
+        A, B, C, D = as_fractions(_exact_solution(n, a, b))
         alpha = _alpha_coeffs(n, A, B, C, D)
         for _ in range(3):
             c = Fraction(a) + Fraction(rng.randrange(1, 10**6), 10**6) * Fraction(b - a)
-            numerator = p * c**n - _horner(alpha, c)
+            numerator = p * c**n - horner(alpha, c)
             assert donaldson_functional(n, Fraction(a), Fraction(b), A, B, c) == numerator
         # (t - a)_+ is affine, so L vanishes there: the root of the numerator at a
         assert donaldson_functional(n, Fraction(a), Fraction(b), A, B, Fraction(a)) == 0
@@ -152,10 +158,10 @@ def test_donaldson_functional_is_the_extremal_numerator(n):
 def test_three_coefficient_routes_are_one(n, ratio, b):
     # Donaldson's moments, the 4x4 boundary system and Calabi's closed forms
     a = ratio * b
-    exact = _exact_solution(n, a, b)
+    exact = as_fractions(_exact_solution(n, a, b))
     assert moment_solution(n, a, b) == exact
     assert boundary_solution(n, a, b) == exact
-    assert _closed_form(n, a, b) == exact
+    assert as_fractions(_closed_form(n, a, b)) == exact
 
 
 @pytest.mark.parametrize(
@@ -165,7 +171,8 @@ def test_three_coefficient_routes_are_one(n, ratio, b):
 def test_moment_system_mutants_fail_the_closed_form(monkeypatch, weights, ns):
     # the x_i-facet term is 0 at n = 1, so its mutant starts at n = 2
     monkeypatch.setattr(
-        exact_mod, "_exact_solution", lambda n, a, b: moment_solution(n, a, b, **weights)
+        exact_mod, "_exact_solution",
+        lambda n, a, b: as_integers(moment_solution(n, a, b, **weights)),
     )
     for n in ns:
         E = solve_coefficients(n, 0.5, 1.0)
@@ -207,30 +214,23 @@ def test_solved_coefficients_satisfy_boundary_system(params):
     # exactly: every row of the rational system has residual 0, and the
     # record is the rounding of that solution
     n, a, b = params
-    exact = _exact_solution(n, a, b)
+    exact = as_fractions(_exact_solution(n, a, b))
     for row in boundary_rows(n, Fraction(a), Fraction(b)):
         assert sum(m * x for m, x in zip(row, exact)) == row[4]
-    assert _closed_form(n, a, b) == exact
+    assert as_fractions(_closed_form(n, a, b)) == exact
     E = solve_coefficients(n, a, b)
     assert (E.A, E.B, E.C, E.D) == tuple(map(float, exact))
     assert coefficient_cross_check(E) is True
 
 
-def _horner(coeffs, t):
-    value = 0
-    for c in coeffs:
-        value = value * t + c
-    return value
-
-
 def test_alpha_eval_interpolates_boundary_data():
     # alpha and alpha' of the exact solution at the ends, in rationals
-    exact = _exact_solution(2, 0.5, 1.0)
+    exact = as_fractions(_exact_solution(2, 0.5, 1.0))
     alpha = _alpha_coeffs(2, *exact)
     d_alpha = [c * k for c, k in zip(alpha, range(len(alpha) - 1, 0, -1))]
     half = Fraction(1, 2)
-    assert (_horner(alpha, half), _horner(d_alpha, half)) == (6, 12)
-    assert (_horner(alpha, 1), _horner(d_alpha, 1)) == (24, 72)
+    assert (horner(alpha, half), horner(d_alpha, half)) == (6, 12)
+    assert (horner(alpha, 1), horner(d_alpha, 1)) == (24, 72)
 
 
 def _F_second(E, ts):
@@ -363,7 +363,7 @@ def test_h_second_one_dimensional_case(a, b):
 
 
 def test_cross_check_agrees_on_surface_case():
-    assert _closed_form(2, 0.5, 1.0) == tuple(
+    assert as_fractions(_closed_form(2, 0.5, 1.0)) == tuple(
         Fraction(k, 13) for k in (96, 12, 1, 2)
     )
     assert coefficient_cross_check(solve_coefficients(2, 0.5, 1.0)) is True
@@ -372,7 +372,7 @@ def test_cross_check_agrees_on_surface_case():
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("a,b", [(0.5, 1.0), (0.25, 2.0), (0.05, 0.1), (9.0, 10.0)])
 def test_cross_check_agrees_in_every_dimension(n, a, b):
-    assert _closed_form(n, a, b) == _exact_solution(n, a, b)
+    assert as_fractions(_closed_form(n, a, b)) == as_fractions(_exact_solution(n, a, b))
     assert coefficient_cross_check(solve_coefficients(n, a, b)) is True
 
 
@@ -388,7 +388,7 @@ def test_cross_check_refuses_a_record_that_is_not_the_rounding():
 @pytest.mark.parametrize("n", range(1, 17))
 def test_closed_form_equals_the_exact_solve_in_a_thin_shell(n):
     a = 1.0 - 1e-9
-    assert _closed_form(n, a, 1.0) == _exact_solution(n, a, 1.0)
+    assert as_fractions(_closed_form(n, a, 1.0)) == as_fractions(_exact_solution(n, a, 1.0))
     assert coefficient_cross_check(solve_coefficients(n, a, 1.0)) is True
 
 
@@ -599,9 +599,8 @@ def test_overflowing_coefficient_is_invalid_input(build):
 
 
 class _Integer:
-    """An integer type that is not int: a ``numbers.Integral`` by
-    registration, with the conversions and the comparison the coefficient
-    entry points use."""
+    """An integer type that is not int, with ``__index__``, through which the
+    coefficient entry points read n."""
 
     def __init__(self, value: int):
         self.value = value
@@ -614,8 +613,6 @@ class _Integer:
     def __lt__(self, other) -> bool:
         return self.value < other
 
-
-numbers.Integral.register(_Integer)
 
 
 @pytest.mark.parametrize("build", _BUILDERS)
@@ -703,7 +700,7 @@ def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):
     ts = grid(0.55, 0.95, 100)
     S = radial_scalar_curvature(T.n, ts, T.jet(ts))
     assert calls == [ts]  # one evaluation of the whole list serves the jet
-    A, B, _, _ = _exact_solution(2, 0.5, 1.0)
+    A, B, _, _ = as_fractions(_exact_solution(2, 0.5, 1.0))
     for t, got in zip(ts, S):
         want = A * Fraction(t) + B
         assert abs(Fraction(got) - want) <= 1e-9 * abs(want)
@@ -730,33 +727,28 @@ def test_shared_profile_derivatives_are_read_only():
 
 
 def test_bernstein_certificate_refuses_a_simple_interior_root():
-    # Q = t - 3/2 changes sign inside [1, 2]
+    # Q = 2t - 3 changes sign inside [1, 2]
     with pytest.raises(PositivityViolation, match="b_1"):
-        _bernstein_certificate([1, Fraction(-3, 2)], Fraction(1), Fraction(2))
+        _bernstein_certificate([2, -3], 1.0, 2.0)
 
 
 def test_bernstein_certificate_refuses_a_double_interior_root():
-    # Q = -(t - 3/2)^2 <= 0 on [1, 2] but touches 0 at 3/2
-    Q = [-1, 3, Fraction(-9, 4)]
+    # Q = -(2t - 3)^2 <= 0 on [1, 2] but touches 0 at 3/2
+    Q = [-4, 12, -9]
     with pytest.raises(PositivityViolation, match="b_1"):
-        _bernstein_certificate(Q, Fraction(1), Fraction(2))
+        _bernstein_certificate(Q, 1.0, 2.0)
 
 
 def test_bernstein_certificate_accepts_a_negative_constant():
-    assert _bernstein_certificate([-3], Fraction(1), Fraction(2)) == [-3]
+    assert _bernstein_certificate([-3], 1.0, 2.0) == [-3]
 
 
-def _reference_bernstein(Q, a, b):
-    """The Bernstein coefficients in ``Fraction`` throughout, as the package
-    computed them before the integer form: the reference it must equal."""
-    q = list(Q[::-1])
-    d = len(q) - 1
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            q[j] += a * q[j + 1]
-    c = b - a
-    w = [x * c**j / math.comb(d, j) for j, x in enumerate(q)]
-    return [sum(math.comb(k, j) * w[j] for j in range(k + 1)) for k in range(d + 1)]
+def _bernstein_fractions(E) -> list:
+    """The record's Bernstein coefficients as rationals: the certificate's
+    integers are d! * K * b_k, K the scale of the deflation."""
+    *_, Q, K = E._exact_deflation
+    scale = math.factorial(len(Q) - 1) * K
+    return [Fraction(x, scale) for x in E._bernstein]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16])
@@ -765,13 +757,12 @@ def _reference_bernstein(Q, a, b):
 )
 def test_integer_bernstein_equals_the_rational_reference(n, a, b):
     E = solve_coefficients(n, a, b)
-    Q = E._exact_deflation[1]
-    expected = _reference_bernstein(Q, Fraction(E.a), Fraction(E.b))
-    assert _bernstein_certificate(Q, Fraction(E.a), Fraction(E.b)) == expected
+    expected = fraction_bernstein(fraction_deflation(n, a, b)[1], a, b)
+    assert _bernstein_fractions(E) == expected
 
 
 def _q_value(E, t):
-    return _horner(E._exact_deflation[1], Fraction(t))
+    return horner(deflation_fractions(E)[1], Fraction(t))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
@@ -781,9 +772,58 @@ def test_certificate_ends_are_the_exact_endpoint_values(n, ratio, b):
     E = solve_coefficients(n, ratio * b, b)
     margin = positivity_certificate(E)
     assert -1.0 <= margin < 0.0
-    assert E._bernstein[0] == _q_value(E, E.a)
-    assert E._bernstein[-1] == _q_value(E, E.b)
-    assert all(x < 0 for x in E._bernstein)
+    bern = _bernstein_fractions(E)
+    assert bern[0] == _q_value(E, E.a)
+    assert bern[-1] == _q_value(E, E.b)
+    assert all(x < 0 for x in bern)
+
+
+def _bits(value) -> str:
+    """A float's bits (float.hex), or the name of the error that made none."""
+    try:
+        return float(value()).hex()
+    except (OverflowError, GeometryError) as exc:
+        return type(exc).__name__
+
+
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    b=st.floats(min_value=-100.0, max_value=100.0).map(lambda e: 10.0**e),
+    ratio=st.one_of(
+        st.floats(min_value=1e-6, max_value=0.999),
+        st.floats(min_value=-9.0, max_value=-3.0).map(lambda e: 1.0 - 10.0**e),
+    ),
+)
+@example(n=16, b=1.0, ratio=1 - 1e-9)
+@example(n=2, b=1e-100, ratio=0.5)
+@example(n=16, b=1e100, ratio=1e-6)
+@settings(max_examples=100, deadline=None)
+def test_integer_layer_floats_are_the_fraction_references(n, b, ratio):
+    # every float the integer layer emits is float() of the Fraction route,
+    # bit for bit: A to D, the V and Q coefficients, the Bernstein margin
+    # and h'' at the midpoint; past the float range both refuse
+    a = ratio * b
+    assume(0.0 < a < b)
+    want = [_bits(lambda: x) for x in moment_solution(n, a, b)]
+    if "OverflowError" in want:
+        with pytest.raises(InvalidParameters, match="overflows a float"):
+            solve_coefficients(n, a, b)
+        return
+    E = solve_coefficients(n, a, b)
+    assert [x.hex() for x in (E.A, E.B, E.C, E.D)] == want
+    V, Q = fraction_deflation(n, a, b)
+    want = [_bits(lambda: x) for x in V + Q]
+    if "OverflowError" in want:
+        with pytest.raises(InvalidParameters, match="overflows a float"):
+            E._float_deflation
+    else:
+        assert [x.hex() for x in E._float_deflation[0] + E._float_deflation[1]] == want
+    bern = fraction_bernstein(Q, a, b)
+    assert _bits(lambda: positivity_certificate(E)) == _bits(
+        lambda: max(bern) / max(map(abs, bern)))
+    t = 0.5 * (a + b)
+    assert _bits(lambda: exact_mod._h_second_exact(E, t)) == _bits(
+        lambda: fraction_h_second(n, a, b, t))
 
 
 @pytest.mark.parametrize(
@@ -803,8 +843,8 @@ def _perturb_D(monkeypatch):
     real = exact_mod._exact_solution
 
     def perturbed(n, a, b):
-        A, B, C, D = real(n, a, b)
-        return A, B, C, D + Fraction(1e-40)
+        A, B, C, D = as_fractions(real(n, a, b))
+        return as_integers((A, B, C, D + Fraction(1e-40)))
 
     monkeypatch.setattr(exact_mod, "_exact_solution", perturbed)
 
@@ -834,10 +874,14 @@ _BOUNDARY_MUTANTS = {
 @pytest.mark.parametrize("condition", list(_BOUNDARY_MUTANTS))
 @pytest.mark.parametrize("n, a, b", [(1, 0.5, 1.0), (2, 0.5, 1.0), (8, 0.25, 2.0)])
 def test_deflation_names_the_boundary_condition_that_fails(monkeypatch, condition, n, a, b):
+    # alpha's coefficients are integers over the solve's denominator: add
+    # the integer polynomial, descending, of the product of (q*t - r) over
+    # the roots r/q named
     roots = {"a": Fraction(a), "b": Fraction(b)}
-    added = [Fraction(1, 2**60)]  # descending coefficients
-    for r in _BOUNDARY_MUTANTS[condition]:
-        added = [x - roots[r] * y for x, y in zip(added + [0], [0] + added)]
+    added = [1]
+    for name in _BOUNDARY_MUTANTS[condition]:
+        q, r = roots[name].denominator, roots[name].numerator
+        added = [q * x - r * y for x, y in zip(added + [0], [0] + added)]
     real = exact_mod._alpha_coeffs
 
     def mutant(*args):
@@ -854,13 +898,13 @@ def test_deflation_names_the_boundary_condition_that_fails(monkeypatch, conditio
 
 _PERTURBED_CHILD = """
 import sys
-from fractions import Fraction
 from toricext import exact
 from toricext.errors import BoundaryIdentityViolation
 real = exact._exact_solution
 def perturbed(n, a, b):
-    A, B, C, D = real(n, a, b)
-    return A, B, C, D + Fraction(1e-40)
+    # D moves by 2^-140 of 1/den, far less than half an ulp
+    (A, B, C, D), den = real(n, a, b)
+    return (A << 140, B << 140, C << 140, (D << 140) + 1), den << 140
 exact._exact_solution = perturbed
 try:
     exact.positivity_certificate(exact.solve_coefficients(2, 0.5, 1.0))

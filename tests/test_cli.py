@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricext import abreu as abreu_mod
+from toricext import bridge as bridge_mod
 from toricext import calabi as calabi_mod
 from toricext import cli
 from toricext import exact as exact_mod
@@ -24,7 +25,7 @@ from toricext import table as table_mod
 from toricext.calabi import build_extremal_metric
 from toricext.errors import GeometryError, InvalidParameters
 from toricext.polytope import sample_interior
-from util import exact_F_second, profile
+from util import as_fractions, as_integers, exact_F_second, fraction_h_second, profile
 
 CMD = [sys.executable, "-m", "toricext"]
 
@@ -36,7 +37,8 @@ def run_cli(*args):
 
 
 def _args(*argv):
-    """The namespace the CLI parses from argv, for calling a run_* directly."""
+    """The namespace the CLI parses from argv, for calling a command's run_*
+    directly."""
     return cli._parse(list(argv))
 
 
@@ -274,14 +276,16 @@ def test_verify_passes_where_h_second_is_right_at_the_ends(n, a, b, capsys):
     ts += [b - c * d for d in (1e-6, 5e-7, 2.5e-7)]
     got = table_mod.profile_columns(E, ts)[1]
     for t, h2 in zip(ts, got):
-        want = exact_mod._h_second_exact(E, Fraction(t))
+        want = fraction_h_second(n, a, b, t)
         assert abs(Fraction(h2) - want) <= Fraction(1e-13) * abs(want)
     # h'' has finite limits at both ends: Q(a) = -p*a^(n-1)/c and
-    # Q(b) = -p*b^(n-1)/c, nonzero, are the certificate's end coefficients
+    # Q(b) = -p*b^(n-1)/c, nonzero, are the certificate's end coefficients,
+    # which it keeps times n! and the deflation's scale K
     p = n * (n + 1) * (n + 2)
     A, B, C = Fraction(E.a), Fraction(E.b), Fraction(E.b) - Fraction(E.a)
-    assert E._bernstein[0] == -p * A ** (n - 1) / C
-    assert E._bernstein[-1] == -p * B ** (n - 1) / C
+    scale = math.factorial(n) * E._exact_deflation[2]
+    assert Fraction(E._bernstein[0], scale) == -p * A ** (n - 1) / C
+    assert Fraction(E._bernstein[-1], scale) == -p * B ** (n - 1) / C
 
 
 # the four (a, b) cover a/b -> 0, a/b -> 1 and b != 1; every dimension up to
@@ -439,16 +443,16 @@ def test_bad_tolerance_is_invalid_input(command, flag, value, capsys):
 def _perturbed_D(real):
     # D moves by far less than half an ulp, so the record rounds as before
     def perturbed(n, a, b):
-        A, B, C, D = real(n, a, b)
-        return A, B, C, D + Fraction(1e-40)
+        A, B, C, D = as_fractions(real(n, a, b))
+        return as_integers((A, B, C, D + Fraction(1e-40)))
 
     return perturbed
 
 
 def _positive_Q(real):
     def deflation(E):
-        V, Q = real(E)
-        return V, [-q for q in Q]
+        V, Q, K = real(E)
+        return V, [-q for q in Q], K
 
     return deflation
 
@@ -518,8 +522,6 @@ def test_bridge_check_rows_are_keyed_by_the_report_columns(capsys):
 
 
 def test_preset_choices_are_the_bridge_presets():
-    from toricext import bridge as bridge_mod
-
     assert list(cli._PRESET_CHOICES) == sorted(bridge_mod.PRESETS)
 
 
@@ -547,7 +549,7 @@ _BRIDGE_VERDICTS = {
 @pytest.mark.parametrize("n, samples", list(_BRIDGE_VERDICTS))
 def test_bridge_check_verdicts_are_pinned(n, samples):
     args = _args("bridge-check", "--n", str(n), "--samples", str(samples))
-    out, code, err = cli.run_bridge_check(args)
+    out, code, err = bridge_mod.run_bridge_check(args)
     doc = json.loads(out)
     assert (code, err, doc["passed"]) == (0, "", True)
     got = {p["preset"]: (p["max_discrepancy"], p["passed"]) for p in doc["presets"]}
@@ -611,7 +613,7 @@ def test_example_command():
 
 
 def _example_doc(a):
-    out, code, err = cli.run_example(_args("example", "--a", repr(a)))
+    out, code, err = exact_mod.run_example(_args("example", "--a", repr(a)))
     return json.loads(out), code, err
 
 
@@ -634,10 +636,14 @@ def test_example_quadratic_form_is_an_identity(a):
 def test_example_refuses_a_form_one_ulp_off(monkeypatch, capsys, slot):
     real = exact_mod._quadratic_form
 
-    def nudged(a):
-        num, den = real(a)
-        den[slot] = Fraction(math.nextafter(float(den[slot]), math.inf))
-        return num, den
+    def nudged(a, s):
+        # the form at a/s times s^2: den[slot]/s^2 goes to the next float up,
+        # and the whole form is scaled so that it stays in integers
+        num, den = real(a, s)
+        up = Fraction(math.nextafter(den[slot] / (s * s), math.inf)) * s * s
+        den = [d * up.denominator for d in den]
+        den[slot] = up.numerator
+        return num * up.denominator, den
 
     monkeypatch.setattr(exact_mod, "_quadratic_form", nudged)
     assert cli.main(["example", "--a", "0.5"]) == 1
@@ -780,23 +786,23 @@ def _reference_parser() -> argparse.ArgumentParser:
         "derivation and numerical verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (blurb, run, defaults) in cli._COMMANDS.items():
+    for name, (blurb, _, defaults) in cli._COMMANDS.items():
         # no prefix spellings: a command takes its flags as written
         command = sub.add_parser(name, help=blurb, allow_abbrev=False)
-        command.set_defaults(run=run, parser=command)
+        command.set_defaults(parser=command)
         for flag, default in defaults.items():
             command.add_argument(f"--{flag}", default=default, **cli._FLAGS[flag])
     return parser
 
 
 def _reference_parse(argv: list) -> dict:
-    """The reference's flag values and run function, refused as the CLI did."""
+    """The reference's command and flag values, refused as the CLI did."""
     parser = _reference_parser()
     args, unknown = parser.parse_known_args(argv)
     if unknown:
         refusing = parser if argv.index(args.command) else args.parser
         refusing.error(f"unrecognized arguments: {' '.join(unknown)}")
-    return {k: v for k, v in vars(args).items() if k not in ("command", "parser")}
+    return {k: v for k, v in vars(args).items() if k != "parser"}
 
 
 def _flag_value(flag: str):
@@ -1121,7 +1127,7 @@ def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
         )
     args = _args("profile", "--n", str(n), "--a", repr(a), "--b", repr(b),
                  "--samples", str(samples), "--format", fmt)
-    assert cli.run_profile(args) == (want, 0, "")
+    assert table_mod.run_profile(args) == (want, 0, "")
 
     off = exact_mod.ExtremalCoefficients(
         E.n, E.a, E.b, E.A, E.B, E.C, math.nextafter(E.D, math.inf)
@@ -1229,7 +1235,7 @@ def test_verify_computes_the_certificate_once(monkeypatch, capsys):
     code = cli.main(["verify", "--n", "2", "--points", "20"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["passed"] is True
-    assert certificates == [(Fraction(1, 2), Fraction(1))]
+    assert certificates == [(0.5, 1.0)]
     assert doc["validity"]["bernstein_margin"] < 0.0
 
 
@@ -1375,7 +1381,7 @@ def test_verify_measures_affinely_dependent_points(n, monkeypatch, capsys):
 
 def _verify_doc(n, a, b, *extra):
     """The verify report for the given geometry and extra CLI options."""
-    return cli._verify_battery(
+    return calabi_mod._verify_battery(
         _args("verify", "--n", str(n), "--a", repr(a), "--b", repr(b), *extra)
     )
 

@@ -13,6 +13,7 @@ from toricext.polytope import sample_interior
 from toricext.radial import TPotential, radial_scalar_curvature
 from util import (
     F_profile,
+    as_fractions,
     cpn_profile,
     exact_inverse_hessian,
     exact_phi_jet,
@@ -220,7 +221,7 @@ def test_hwang_singer_on_the_exact_jet_is_the_affine_curvature(n, a, b):
     # the reference itself: t^(n-1)*phi = (p*t^n - alpha)/p, so Hwang-Singer's
     # formula gives S = A*t + B exactly on the exact momentum profile
     _, E = build_extremal_metric(n, a, b)
-    A, B, _, _ = exact_mod._exact_solution(n, a, b)
+    A, B, _, _ = as_fractions(exact_mod._exact_solution(n, a, b))
     for tau in (0.05, 0.5, 0.95):
         t = Fraction(a + tau * (b - a))
         assert hwang_singer_curvature(n, t, *exact_phi_jet(E, t)) == A * t + B
@@ -231,7 +232,7 @@ def test_radial_curvature_is_the_affine_curvature(n, a, b):
     """The radial route against Hwang-Singer's S = A*t + B, exact at the float
     t, over tau in [0.05, 0.95]: within 1e-13 relative, thin shells too."""
     T, E = build_extremal_metric(n, a, b)
-    A, B, _, _ = exact_mod._exact_solution(n, a, b)
+    A, B, _, _ = as_fractions(exact_mod._exact_solution(n, a, b))
     ts = [a + tau * (b - a) for tau in grid(0.05, 0.95, 37)]
     for t, got in zip(ts, radial_scalar_curvature(n, ts, T.jet(ts))):
         want = A * Fraction(t) + B

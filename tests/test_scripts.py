@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,10 +114,26 @@ def test_startup_profile_of_a_call_without_numpy():
     rows = _startup_profile("derive --n 3 --a 0.3 --b 1.2")
     assert {"toricext", "toricext.cli", "toricext.exact"} <= set(rows)
     assert "toricext.calabi" not in rows
-    # fractions is derive's largest stdlib import; no command loads argparse
-    # or json, nor numpy, whose row this table once had
-    assert "  fractions" in rows
-    assert not {"  argparse", "  json", "numpy"} & set(rows)
+    # no command loads argparse or json, nor numpy, whose row this table
+    # once had, nor fractions, since the exact layer runs on integers
+    assert not {"  argparse", "  json", "numpy", "  fractions"} & set(rows)
+
+
+def test_startup_profile_header_names_the_bytecode_state():
+    # a call that reads cached bytecode skips compiling the package, so the
+    # header says which state a table was taken in
+    header = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "startup_profile.py"),
+         "--command", "derive", "--runs", "1"],
+        capture_output=True, text=True, timeout=240,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    ).stdout.splitlines()[0]
+    tag = sys.implementation.cache_tag
+    assert re.fullmatch(
+        r"# toricext derive: median of 1 runs; PYTHONDONTWRITEBYTECODE set; "
+        rf"\d+ of \d+ modules cached as {tag} bytecode in src/toricext/__pycache__",
+        header,
+    ), header
 
 
 def _load_script(name: str):

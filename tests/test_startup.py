@@ -56,19 +56,21 @@ print("\\n" + " ".join(sorted(sys.modules)), file=sys.stderr)
 """
 
 # derive and example run on the exact layer alone, profile on it, numdiff
-# and table
+# and table; the exact layer runs on integers, so none of them loads numbers
+# (verify does, for abreu)
 _EXACT_ONLY = {
     "toricext.abreu", "toricext.bridge", "toricext.calabi", "toricext.polytope",
-    "toricext.radial",
+    "toricext.radial", "numbers",
 }
 # every module runs on the standard library: no command loads numpy, nor
 # dataclasses and the inspect it imports, nor the OpenSSL-backed hashing, nor
 # typing (annotations are postponed; the footprint runs under -S, since a
 # site hook may import typing before the package does), nor argparse and the
-# gettext and locale it imports, nor json
+# gettext and locale it imports, nor json, nor fractions and the decimal it
+# imports (the exact layer runs on integers)
 _NEVER = {
     "numpy", "inspect", "dataclasses", "secrets", "hashlib", "_hashlib", "typing",
-    "argparse", "gettext", "locale", "json",
+    "argparse", "gettext", "locale", "json", "fractions", "decimal",
 }
 
 
@@ -83,7 +85,7 @@ _NEVER = {
         (
             ["bridge-check", "--samples", "3"],
             {"toricext.calabi", "toricext.abreu", "toricext.polytope",
-             "toricext.exact", "toricext.table", "fractions"},
+             "toricext.exact", "toricext.table"},
         ),
         (["verify", "--points", "10"], {"toricext.bridge"}),
     ],
@@ -97,6 +99,19 @@ def test_import_footprint(argv, absent):
     assert not (absent | _NEVER) & loaded
     if argv is not None:
         assert "toricext.cli" in loaded
+
+
+def test_cli_defines_no_command_run_function():
+    # each command's run_<command> lives in the module the command loads
+    # anyway, so a call compiles no other command's code
+    from toricext import cli
+
+    for command, (_, module, _) in cli._COMMANDS.items():
+        run = "run_" + command.replace("-", "_")
+        assert not hasattr(cli, run)
+        assert callable(getattr(importlib.import_module(f"toricext.{module}"), run))
+    assert not [name for name in vars(cli) if name.startswith("run_")]
+    assert not hasattr(cli, "_verify_battery")
 
 
 def test_no_source_imports_numpy():

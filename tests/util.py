@@ -5,7 +5,9 @@ forms rounded to a record), two independent
 routes to the extremal coefficients (the 4x4 boundary system and
 Donaldson's moment system, with mutants of the latter) and Donaldson's
 functional at (t - c)_+, the exact momentum
-profile of the extremal metric, the exact inverse and inertia of the radial
+profile of the extremal metric, the exact layer's integers read as
+``Fraction`` and its ``Fraction`` references (the deflated (V, Q), h'' and
+the Bernstein coefficients), the exact inverse and inertia of the radial
 Hessian and a geometric grid, for the test suite, on the standard library
 and sympy alone."""
 
@@ -14,7 +16,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from toricext.exact import _check_geometry, _closed_form, _exact_solution, _rounded
+from toricext.exact import (
+    _alpha_coeffs,
+    _check_geometry,
+    _closed_form,
+    _exact_solution,
+    _rounded,
+    _scaled,
+)
 from toricext.numdiff import STEP_SECOND
 from toricext.radial import TPotential, validity_factor
 
@@ -262,8 +271,7 @@ def donaldson_functional(n: int, a, b, A, B, c):
 def closed_form_coefficients(n: int, a: float, b: float):
     """Calabi's explicit coefficient formulas, evaluated exactly and rounded
     to float once, as a record."""
-    _check_geometry(n, a, b)
-    n = int(n)
+    n = _check_geometry(n, a, b)
     return _rounded(n, a, b, _closed_form(n, a, b))
 
 
@@ -314,7 +322,7 @@ def exact_phi_jet(E, t) -> tuple[Fraction, Fraction, Fraction]:
     of the boundary system, differentiated term by term."""
     n = E.n
     p = n * (n + 1) * (n + 2)
-    A, B, C, D = _exact_solution(n, E.a, E.b)
+    A, B, C, D = as_fractions(_exact_solution(n, E.a, E.b))
     t = Fraction(t)
     # alpha/(p*t^(n-1)) as coefficients of powers of t
     terms = [(Fraction(n) * A / p, 3), (Fraction(n + 2) * B / p, 2), (C, 2 - n), (D, 1 - n)]
@@ -328,6 +336,91 @@ def exact_F_second(E, t) -> Fraction:
     """F'' = 1/phi - 1/t of the extremal metric, exactly, at the rational t."""
     t = Fraction(t)
     return 1 / exact_phi_jet(E, t)[0] - 1 / t
+
+
+# --- the exact layer's integers as rationals, and its Fraction references ----
+
+
+def as_fractions(exact) -> tuple[Fraction, ...]:
+    """The exact layer's (numerators, denominator) as Fractions."""
+    numerators, den = exact
+    return tuple(Fraction(x, den) for x in numerators)
+
+
+def as_integers(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as the exact layer keeps them: integer numerators over one
+    denominator, the lcm of theirs."""
+    values = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def deflation_fractions(E) -> tuple[list[Fraction], list[Fraction]]:
+    """The record's exact (V, Q) as descending Fraction coefficients of t:
+    each polynomial is P'(s*t)/K, so its t^k coefficient is P'_k*s^k/K."""
+    *polynomials, K = E._exact_deflation
+    s = 2 ** _scaled(E.a, E.b)[0]
+    return tuple(
+        [Fraction(x * s ** (len(P) - 1 - i), K) for i, x in enumerate(P)]
+        for P in polynomials
+    )
+
+
+def horner(coeffs, t):
+    """The polynomial of the descending coefficients at t, in their number type."""
+    value = 0
+    for c in coeffs:
+        value = value * t + c
+    return value
+
+
+def fraction_deflation(n: int, a: float, b: float) -> tuple[list, list]:
+    """(V, Q) of h'' = -V/Q - 1/t over ``Fraction``, from ``moment_solution``:
+    Q = (p*t^n - alpha)/((t-a)(t-b)) and V = -(p*t^(n-1) + (b-a)*Q)/((t-a)(t-b)),
+    each division exact.  The route the package took before it ran on
+    integers, and the reference its integer deflation must equal."""
+    p = n * (n + 1) * (n + 2)
+    A, B, C, D = moment_solution(n, a, b)
+    a, b = Fraction(a), Fraction(b)
+
+    def divide(coeffs: list) -> list:
+        for root in (a, b):
+            quot, acc = [], 0
+            for c in coeffs:
+                quot.append(acc)
+                acc = c + root * acc
+            assert acc == 0
+            coeffs = quot[1:]
+        return coeffs
+
+    beta = [-x for x in _alpha_coeffs(n, A, B, C, D)]
+    beta[2] += p
+    Q = divide(beta)
+    R = [(b - a) * q for q in Q]
+    R[1] += p
+    return [-v for v in divide(R)], Q
+
+
+def fraction_h_second(n: int, a: float, b: float, t) -> Fraction:
+    """h''(t) = -V(t)/Q(t) - 1/t of ``fraction_deflation`` at the rational t."""
+    V, Q = fraction_deflation(n, a, b)
+    t = Fraction(t)
+    return -horner(V, t) / horner(Q, t) - 1 / t
+
+
+def fraction_bernstein(Q, a, b) -> list[Fraction]:
+    """The Bernstein coefficients of Q (descending coefficients) on [a, b] in
+    ``Fraction`` throughout: a Horner Taylor shift to Q(a + c*u), then
+    b_k = sum_j C(k, j)/C(d, j) * q_j."""
+    q = [Fraction(x) for x in Q[::-1]]
+    a, b = Fraction(a), Fraction(b)
+    d = len(q) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            q[j] += a * q[j + 1]
+    c = b - a
+    w = [x * c**j / math.comb(d, j) for j, x in enumerate(q)]
+    return [sum(math.comb(k, j) * w[j] for j in range(k + 1)) for k in range(d + 1)]
 
 
 # --- test inputs ---------------------------------------------------------
