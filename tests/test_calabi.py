@@ -599,19 +599,14 @@ def test_overflowing_coefficient_is_invalid_input(build):
 
 
 class _Integer:
-    """An integer type that is not int, with ``__index__``, through which the
-    coefficient entry points read n."""
+    """An integer type that is not int and has nothing but ``__index__``,
+    through which the coefficient entry points read n."""
 
     def __init__(self, value: int):
         self.value = value
 
     def __index__(self) -> int:
         return self.value
-
-    __int__ = __index__
-
-    def __lt__(self, other) -> bool:
-        return self.value < other
 
 
 
