@@ -17,8 +17,6 @@ seed, is written to ``BENCH_<base short rev>_<workload>.json`` at the root of
 the repository.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

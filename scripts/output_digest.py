@@ -26,8 +26,6 @@ with the exception's type and message on stderr, as a process would end
 (less the traceback).
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import hashlib
@@ -73,8 +71,8 @@ def argv_list() -> list[list[str]]:
         # names the failing soft checks (curvature_agreement, extremality)
         *(["verify", *_geometry(n, 1 - eps), "--points", "40"]
           for n, eps in ((2, 1e-10), (16, 1e-12))),
-        # a shell of about 45 ulps, where an affine fit of S in x found the
-        # points affinely dependent
+        # a shell of about 45 ulps, where the report names the same two
+        # failing checks
         *(["verify", *_geometry(n, 1 - 1e-14), "--points", "40"] for n in (2, 8)),
         ["derive", "--n", "0"],
         ["example", "--n", "3"],
@@ -104,7 +102,8 @@ def argv_list() -> list[list[str]]:
     # F'' overflows to inf in the table although its exact value is a float
     calls.append(["profile", "--n", "1", "--a", "5e-201", "--b", "1e-200",
                   "--samples", "3"])
-    # every t lies in (1e150, 1e151); (p*t^n - alpha)^2 overflows in F'''
+    # every t lies in (1e150, 1e151); t^3 overflows in radial, and the call
+    # is refused
     calls.append(["verify", "--n", "2", "--a", "1e150", "--b", "1e151",
                   "--points", "10"])
     # a flag that only another command reads, or that no command reads any

@@ -15,8 +15,8 @@ between the two stamps, one call splits into:
                          environment, one run before each call
     toricext.*           each package module's own (self) import time
     other imports        the remaining imports: stdlib, and the wrapper's own
-      <module> x 3       the three largest of them, each with what it
-                         imported in turn
+      <module>           the largest of them, up to three, each with what
+                         it imported in turn
     command              the rest of the time until ``main`` returns
     teardown             ``main`` returning to the process being reaped
     total                spawn to reaped
@@ -39,8 +39,6 @@ interpreter in ``src/toricext/__pycache__``: a call that reads cached
 bytecode skips compiling the package's sources, several ms of a call, so two
 tables compare only at the same state.
 """
-
-from __future__ import annotations
 
 import argparse
 import importlib.util
@@ -175,7 +173,7 @@ def main(argv=None) -> int:
     def ms(stage: str) -> float:
         return 1e3 * statistics.median(run.get(stage, 0.0) for run in runs)
 
-    # the other imports' own rows are indented; only the three largest show
+    # the other imports' own rows are indented; the largest three at most show
     stages = list(dict.fromkeys(stage for run in runs for stage in run))
     other = [stage for stage in stages if stage.startswith("  ")]
     stages = [stage for stage in stages if stage not in other]

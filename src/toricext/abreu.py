@@ -17,10 +17,7 @@ coordinate, and one fsum for the mixed terms of all pairs at once.
 Everything runs in plain floats, for any n.
 """
 
-from __future__ import annotations
-
 import math
-import numbers
 import sys
 from collections.abc import Sequence
 
@@ -29,20 +26,24 @@ from .numdiff import STEP_SECOND
 from .polytope import interior_distance
 from .radial import TPotential, validity_factor
 
+
 def _points(points: Sequence, n: int) -> list[list[float]]:
     """The points, a sequence of points of n coordinates each, as lists of
-    floats; a bare point, whose entries are numbers, is refused."""
-    rows = list(points)
-    for row in rows:
-        if (
-            isinstance(row, numbers.Real)
-            or len(row) != n
-            or not all(isinstance(v, numbers.Real) for v in row)
-        ):
-            raise InvalidParameters(
-                f"points must be a sequence of points of {n} coordinates each"
-            )
-    return [[float(v) for v in row] for row in rows]
+    floats.  Each coordinate v is read as float(v + 0.0), a TypeError exactly
+    when v is not a real number (str, bytes, None, Decimal, complex), which
+    refuses its row; so is a row with no length, such as a bare number."""
+    rows = []
+    for row in points:
+        try:
+            if len(row) == n:
+                rows.append([float(v + 0.0) for v in row])
+                continue
+        except TypeError:
+            pass
+        raise InvalidParameters(
+            f"points must be a sequence of points of {n} coordinates each"
+        )
+    return rows
 
 
 def _curvature_at(x: list[float], h: float, ts: list[float], phi: list[float]) -> float:

@@ -26,8 +26,6 @@ return lists, in plain floats on the standard library.  ``run_bridge_check``
 runs the ``bridge-check`` command.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple

@@ -15,8 +15,6 @@ through their names at call time, so a wrapper set on one (a test's, a
 tracer's) is the one called.
 """
 
-from __future__ import annotations
-
 import math
 from functools import partial
 

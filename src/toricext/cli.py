@@ -37,8 +37,6 @@ codes: 0 pass, 1 tolerance/verification failure (the failing check is named
 on stderr), 2 invalid input.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import sys

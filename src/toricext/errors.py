@@ -6,8 +6,6 @@ so callers (and the CLI) can distinguish "the computation is refusing bad
 input or a degenerate configuration" from genuine bugs.
 """
 
-from __future__ import annotations
-
 
 class GeometryError(Exception):
     """Base class for every failure this package raises deliberately."""

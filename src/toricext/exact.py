@@ -41,8 +41,6 @@ library, so a command that needs only exact data loads neither numpy nor
 ``fractions``.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections import namedtuple
@@ -106,7 +104,7 @@ class ExtremalCoefficients(namedtuple("ExtremalCoefficients", "n a b A B C D")):
 
     def __new__(
         cls, n: int, a: float, b: float, A: float, B: float, C: float, D: float
-    ) -> ExtremalCoefficients:
+    ) -> "ExtremalCoefficients":
         _check_geometry(n, a, b)
         return super().__new__(cls, n, a, b, A, B, C, D)
 
@@ -237,7 +235,6 @@ def _calabi_denominator(n: int, a, b):
     return (b ** (n + 1) - a ** (n + 1)) ** 2 - (n + 1) ** 2 * (a * b) ** n * (b - a) ** 2
 
 
-@lru_cache
 def _closed_form(n: int, a: float, b: float) -> tuple:
     """Calabi's explicit (A, B, C, D), exactly, as ``_exact_solution`` gives
     them: numerators over one denominator.

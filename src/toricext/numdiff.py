@@ -2,8 +2,6 @@
 ``profile`` and ``bridge-check``, and a power of t that refuses to leave
 the normal floats, on the standard library alone."""
 
-from __future__ import annotations
-
 import sys
 
 from .errors import InvalidParameters

@@ -12,8 +12,6 @@ units", which is the natural gauge for the log singularities of the
 potentials.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from collections.abc import Sequence

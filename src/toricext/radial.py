@@ -25,8 +25,6 @@ profile is one function of a list of t, and the curvature reads the lists
 it returns; everything runs in plain floats.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
@@ -57,7 +55,7 @@ class TPotential(namedtuple("TPotential", "n t_min t_max jet")):
         t_min: float,
         t_max: float,
         jet: Callable[[Sequence[float]], tuple[list[float], ...]],
-    ) -> TPotential:
+    ) -> "TPotential":
         if n < 1:
             raise InvalidParameters("n must be >= 1")
         if t_min < 0.0:

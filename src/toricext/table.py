@@ -14,8 +14,6 @@ costs less in Python floats than importing numpy does, so Q and V are
 evaluated by Horner's rule.  ``run_profile`` runs the ``profile`` command.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import sys

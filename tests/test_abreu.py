@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -225,8 +226,9 @@ def test_point_shape_is_checked():
         abreu_scalar_curvature(S, [0.3, 0.4])
     with pytest.raises(InvalidParameters):
         abreu_scalar_curvature(flat_profile(1, 0.5, 1.0), [0.7])
-    # any real coordinate is taken as its float, a float subclass's too, and
-    # anything else is refused, in any row of a batch of float rows
+    # any real coordinate is taken as its float, a float subclass's, an
+    # int's and a bool's too, and anything else is refused, in any row of a
+    # batch of float rows
     class Real(float):
         pass
 
@@ -234,7 +236,13 @@ def test_point_shape_is_checked():
     for x in ([Fraction(1, 4), 0.375], [0.25, Real(0.375)], [Fraction(1, 4), Fraction(3, 8)]):
         assert abreu_scalar_curvature(S, [[0.3, 0.4], x]) == [
             abreu_scalar_curvature(S, [[0.3, 0.4]])[0], want]
-    for bad in ("0.3", None):
+    # an int or bool point has t >= 1, past this shell, so it sits in a
+    # wider one
+    wide = flat_profile(2, 0.5, 10.0)
+    [want] = abreu_scalar_curvature(wide, [[3.0, 1.0]])
+    for x in ([3, 1.0], [3.0, True], [3, True]):
+        assert abreu_scalar_curvature(wide, [x]) == [want]
+    for bad in ("0.3", None, b"0.3", Decimal("0.3"), 0.3 + 0j):
         with pytest.raises(InvalidParameters, match="^points must be a sequence"):
             abreu_scalar_curvature(S, [[0.3, 0.4], [bad, 0.4]])
 

@@ -99,9 +99,11 @@ def test_startup_profile_reports_every_stage():
     ms = {stage: float(value) for stage, value in rows.items()}
     assert ms["total"] > ms["interpreter + site"] > 0
     assert ms["floor"] > 0
-    # the three largest other imports, indented under the row they split
+    # the largest other imports, up to three, indented under the row they
+    # split; cli imports _json's string quoter, so that row is always there
     other = stages[stages.index("other imports") + 1:stages.index("command")]
-    assert len(other) == 3 and all(stage.startswith("  ") for stage in other)
+    assert 1 <= len(other) <= 3 and all(stage.startswith("  ") for stage in other)
+    assert "  _json" in other
     assert sorted((ms[stage] for stage in other), reverse=True) == [
         ms[stage] for stage in other]
     assert sum(ms[stage] for stage in other) <= ms["other imports"] + 0.02

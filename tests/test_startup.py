@@ -56,21 +56,23 @@ print("\\n" + " ".join(sorted(sys.modules)), file=sys.stderr)
 """
 
 # derive and example run on the exact layer alone, profile on it, numdiff
-# and table; the exact layer runs on integers, so none of them loads numbers
-# (verify does, for abreu)
+# and table
 _EXACT_ONLY = {
     "toricext.abreu", "toricext.bridge", "toricext.calabi", "toricext.polytope",
-    "toricext.radial", "numbers",
+    "toricext.radial",
 }
 # every module runs on the standard library: no command loads numpy, nor
 # dataclasses and the inspect it imports, nor the OpenSSL-backed hashing, nor
-# typing (annotations are postponed; the footprint runs under -S, since a
-# site hook may import typing before the package does), nor argparse and the
+# typing (annotations are evaluated and name nothing from it; the footprint
+# runs under -S, since a site hook may import typing before the package
+# does), nor __future__, nor argparse and the
 # gettext and locale it imports, nor json, nor fractions and the decimal it
-# imports (the exact layer runs on integers)
+# imports (the exact layer runs on integers), nor numbers (abreu reads a
+# coordinate as float(v + 0.0))
 _NEVER = {
     "numpy", "inspect", "dataclasses", "secrets", "hashlib", "_hashlib", "typing",
-    "argparse", "gettext", "locale", "json", "fractions", "decimal",
+    "__future__", "argparse", "gettext", "locale", "json", "fractions", "decimal",
+    "numbers",
 }
 
 

@@ -11,8 +11,6 @@ the Bernstein coefficients), the exact inverse and inertia of the radial
 Hessian and a geometric grid, for the test suite, on the standard library
 and sympy alone."""
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 
