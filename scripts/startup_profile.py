@@ -24,6 +24,12 @@ between the two stamps, one call splits into:
                          interpreter, ``-X importtime``'s own cost included
     peak RSS (MB)        the child's ``ru_maxrss``, read with ``os.wait4``
                          when it is reaped
+    compile (package sources)
+                         the summed ``compile()`` time, each the minimum
+                         of 20 in this process, of the sources of the
+                         package modules the calls loaded, as
+                         ``-X importtime`` names them: what a call pays
+                         when no bytecode is cached
 
 On Linux a child's maxrss also counts the parent's high-water mark from
 before the exec, so the peak RSS row is the larger of the call's own peak
@@ -48,6 +54,7 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,6 +153,19 @@ def profile_once(argv: list[str], env: dict) -> tuple[dict[str, float], float]:
     }, usage.ru_maxrss * 1024 / 1e6  # Linux reports KiB
 
 
+def _compile_s(modules: list[str]) -> float:
+    """The summed ``compile()`` time of the package modules' sources, each
+    the minimum of 20."""
+    total = 0.0
+    for name in modules:
+        path = ROOT / "src" / Path(*name.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        source = path.read_text()
+        total += min(timeit.repeat(lambda: compile(source, str(path), "exec"),
+                                   number=1, repeat=20))
+    return total
+
+
 def _bytecode_state() -> str:
     """Whether calls may write bytecode, and how much is cached already."""
     writes = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
@@ -181,10 +201,12 @@ def main(argv=None) -> int:
     stages[k:k] = sorted(other, key=ms, reverse=True)[:3]
 
     print(f"# toricext {args.command}: median of {args.runs} runs; {_bytecode_state()}")
-    print(f"{'stage':<24} {'ms':>8}")
+    print(f"{'stage':<25} {'ms':>8}")
     for stage in stages:
-        print(f"{stage:<24} {ms(stage):8.2f}")
-    print(f"{'peak RSS (MB)':<24} {statistics.median(peaks):8.2f}")
+        print(f"{stage:<25} {ms(stage):8.2f}")
+    print(f"{'peak RSS (MB)':<25} {statistics.median(peaks):8.2f}")
+    compiled = 1e3 * _compile_s([stage for stage in stages if _own(stage)])
+    print(f"{'compile (package sources)':<25} {compiled:8.2f}")
     return 0
 
 

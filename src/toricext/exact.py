@@ -21,9 +21,10 @@ system of polytope moments, and at (t - c)_+ it is the extremal numerator
 p*c^n - alpha(c), whose lowest coefficients give C and D
 (``_exact_solution``); it is the only coefficient path.  Its checks are
 exact: Calabi's closed forms equal it as rationals
-(``coefficient_cross_check``), the four boundary conditions hold as exact
-deflations, one division each (``_deflation``), and Bernstein coefficients
-prove the metric valid on all of (a, b) (``positivity_certificate``).
+(``coefficient_cross_check``), and the four boundary conditions hold as
+exact deflations, one division each (``_deflation``).  The proof that the
+metric is valid on all of (a, b) reads that deflation and lives with
+``verify``, the one command that runs it (``calabi.positivity_certificate``).
 
 Everything is exact, and in integers.  The floats a and b are dyadic, so
 a = a'/s and b = b'/s for integers a', b' and their common power-of-two
@@ -34,24 +35,19 @@ coefficients of P'(v) = K*P(v/s), a polynomial of v = s*t, with its scale K,
 so that dividing by t - a is integer synthetic division by v - a'.  No gcd
 is ever taken.  Each float is one int / int division, which Python rounds
 correctly (as ``Fraction.__float__`` does), so every result is the exact
-value rounded once.  The record rounds the polynomials of the profile, the
-deflated (V, Q) with p*t^n - alpha = (t-a)(t-b)*Q, to float once; ``table``
-evaluates them in plain floats.  Everything here runs on the standard
-library, so a command that needs only exact data loads neither numpy nor
-``fractions``.
+value rounded once.  Nothing is cached: the record is a plain value, and
+each call that reads an exact quantity computes it.  ``table`` rounds the
+polynomials of the profile, the deflated (V, Q) with
+p*t^n - alpha = (t-a)(t-b)*Q, to float once per call and evaluates them in
+plain floats.  Everything here runs on the standard library, so a command
+that needs only exact data loads neither numpy nor ``fractions``.
 """
 
 import math
 import operator
 from collections import namedtuple
-from functools import cached_property, lru_cache
 
-from .errors import (
-    BoundaryIdentityViolation,
-    InvalidParameters,
-    PositivityViolation,
-    PotentialPole,
-)
+from .errors import BoundaryIdentityViolation, InvalidParameters
 
 
 # the exact work grows like a power of n (profile --a 0.3 --b 1.7 --samples 5
@@ -98,9 +94,10 @@ class ExtremalCoefficients(namedtuple("ExtremalCoefficients", "n a b A B C D")):
     """Coefficients (A, B, C, D) of alpha for the (n, a, b) blow-up family.
 
     The implied scalar curvature is S(t) = A*t + B; c = b - a and
-    p = n(n+1)(n+2) are derived.  No ``__slots__``: the cached properties
-    below keep their values in the instance ``__dict__``.
+    p = n(n+1)(n+2) are derived.
     """
+
+    __slots__ = ()
 
     def __new__(
         cls, n: int, a: float, b: float, A: float, B: float, C: float, D: float
@@ -119,38 +116,7 @@ class ExtremalCoefficients(namedtuple("ExtremalCoefficients", "n a b A B C D")):
     def p(self) -> float:
         return float(self.n * (self.n + 1) * (self.n + 2))
 
-    # exact data of the profile, built once per coefficient set
-    @cached_property
-    def _exact_deflation(self) -> tuple:
-        return _deflation(self)
 
-    # the float polynomials of the profile, the only rounding of V and Q:
-    # table's Horner loops read these
-    @cached_property
-    def _float_deflation(self) -> tuple:
-        """The exact (V, Q) of h'', each coefficient rounded to float; one past
-        the float range, as at (n, a, b) = (6, 1e-163, 1e-160), is invalid
-        input, as in ``_rounded``."""
-        *polynomials, K = self._exact_deflation
-        e = _scaled(self.a, self.b)[0]
-        try:
-            # the t^k coefficient of P'(s*t)/K is P'_k*s^k/K
-            return tuple(
-                tuple((x << e * (len(P) - 1 - i)) / K for i, x in enumerate(P))
-                for P in polynomials
-            )
-        except OverflowError:
-            raise InvalidParameters(
-                f"a coefficient of V or Q overflows a float for"
-                f" (n={self.n}, a={self.a}, b={self.b})"
-            ) from None
-
-    @cached_property
-    def _bernstein(self) -> list:
-        return _bernstein_certificate(self._exact_deflation[1], self.a, self.b)
-
-
-@lru_cache
 def _exact_solution(n: int, a: float, b: float) -> tuple:
     """(A, B, C, D) from moments of the polytope, exactly: their four integer
     numerators over one positive integer denominator.
@@ -176,8 +142,7 @@ def _exact_solution(n: int, a: float, b: float) -> tuple:
     is Calabi's denominator at (a', b').  Cramer's rule gives
     A = (n+1)(n+2)*A'*s^2/G and B = n(n+1)*B'*s/G with the integers A' and
     B' (``A`` and ``B`` below), and the lines for (C, D) keep every
-    numerator over G*s^n, the one denominator.  Cached: ``solve_coefficients`` and the record's
-    deflation both need it for the same geometry.
+    numerator over G*s^n, the one denominator.
     """
     e, a, b = _scaled(a, b)
     M0, M1, M2 = (b**k - a**k for k in (n, n + 1, n + 2))
@@ -192,13 +157,6 @@ def _exact_solution(n: int, a: float, b: float) -> tuple:
     numerators = ((n + 1) * (n + 2) * A << e * (n + 2),
                   n * (n + 1) * B << e * (n + 1), C << e, D)
     return numerators, G << e * n
-
-
-def _floats(exact: tuple) -> tuple:
-    """Each numerator over the denominator, rounded once; an ``OverflowError``
-    past the float range."""
-    numerators, den = exact
-    return tuple(x / den for x in numerators)
 
 
 def _rounded(n: int, a: float, b: float, exact: tuple) -> ExtremalCoefficients:
@@ -281,9 +239,9 @@ def coefficient_cross_check(solved: ExtremalCoefficients) -> bool:
     determinant of the moment solve is that denominator, as integers), so
     the rationals are the same exactly when the integers are.
     """
-    closed = _closed_form(solved.n, solved.a, solved.b)
-    return closed == _exact_solution(solved.n, solved.a, solved.b) and _floats(
-        closed) == (solved.A, solved.B, solved.C, solved.D)
+    n, a, b = solved.n, solved.a, solved.b
+    closed = _closed_form(n, a, b)
+    return closed == _exact_solution(n, a, b) and _rounded(n, a, b, closed) == solved
 
 
 def _alpha_coeffs(n: int, A, B, C, D) -> list:
@@ -329,12 +287,13 @@ def _deflation(E: ExtremalCoefficients) -> tuple:
     by (v - a')(v - b') and takes out s^2, and Q(t) = Q'(s*t)/K and
     V(t) = V'(s*t)/K with K = d*s^n; the lists are Q' and V'.  The solve
     must round to the record's own (A, B, C, D), or ``InvalidParameters`` is
-    raised.  A nonzero remainder raises ``BoundaryIdentityViolation`` naming
-    the first condition that fails.
+    raised, as it is for a coefficient past the float range (``_rounded``).
+    A nonzero remainder raises ``BoundaryIdentityViolation`` naming the
+    first condition that fails.
     """
     n, p = E.n, E.n * (E.n + 1) * (E.n + 2)
     exact = _exact_solution(n, E.a, E.b)
-    if _floats(exact) != (E.A, E.B, E.C, E.D):
+    if _rounded(n, E.a, E.b, exact) != E:
         raise InvalidParameters(f"not the extremal coefficients of {E}")
     numerators, den = exact
     e, a, b = _scaled(E.a, E.b)
@@ -359,24 +318,6 @@ def _deflation(E: ExtremalCoefficients) -> tuple:
     return [-(v << e) for v in V], Q, den << e * n
 
 
-def _h_second_exact(E: ExtremalCoefficients, t: float) -> float:
-    """h''(t) = -V(t)/Q(t) - 1/t at the float t, exactly, rounded once.
-
-    With t = t'/m and v = s*t = N/m (N = s*t'), V(t)/Q(t) = V'(N/m)/Q'(N/m).
-    For P of degree d, m^d * P(N/m) is an integer: the remainder of the
-    division by v - N of the polynomial whose k-th descending coefficient is
-    P's times m^k.
-    """
-    V, Q, _ = E._exact_deflation
-    num, m = float(t).as_integer_ratio()
-    N = num << _scaled(E.a, E.b)[0]
-    hv, hq = (_deflate([c * m**k for k, c in enumerate(P)], N)[1] for P in (V, Q))
-    if hq == 0:
-        raise PotentialPole(f"deflated denominator vanishes at t = {t}")
-    # -V'/Q' - 1/t = -(hv*m^(deg Q - deg V)*t' + m*hq)/(hq*t')
-    return -(hv * m ** (len(Q) - len(V)) * num + m * hq) / (hq * num)
-
-
 def _quadratic_form(a: int, s: int) -> tuple:
     """The n = 2, b = 1 closed form h''(t) = num/den(t) - 1/t at the rational
     a/s, times s^2: num and the descending coefficients of the quadratic den,
@@ -392,57 +333,10 @@ def _quadratic_form_identity(E: ExtremalCoefficients) -> bool:
     coefficient of Q equal to Q'_k*s^k/K, and num and den over s^2, that is
     -v*den_k == num*Q'_k*s^k, both times K*s^2.
     """
-    (v,), Q, _ = E._exact_deflation
+    (v,), Q, _ = _deflation(E)
     e, a, _ = _scaled(E.a, E.b)
     num, den = _quadratic_form(a, 1 << e)
     return [-v * d for d in den] == [num * q << e * k for k, q in zip((2, 1, 0), Q)]
-
-
-def _bernstein_certificate(Q: list, a: float, b: float) -> list:
-    """The Bernstein coefficients of Q on [a, b], each times the same
-    positive integer: Q(a + c*u) by a Taylor shift, whose coefficients are
-    the remainders of dividing by t - a again and again, then
-    b_k = sum_j C(k, j)/C(d, j) * q_j.  Q on [a, b] lies in their convex hull
-    (Farouki, CAGD 2012), so all b_k < 0 proves Q < 0 there; b_0 = Q(a) and
-    b_d = Q(b).  Raises ``PositivityViolation`` at the first b_k >= 0.
-
-    Q is given as the descending integer coefficients of Q'(v), v = s*t with
-    s the common denominator of the floats a and b, as the record keeps it
-    (any positive scale K of Q = Q'(s*t)/K leaves the signs alone).  On
-    [a', b'] = s*[a, b] the Taylor shift by a' and the substitution
-    v = a' + c'*u, c' = b' - a', keep the coefficients integers, and
-    d!/C(d, j) = j!(d-j)! clears the Bernstein weights, so the coefficients
-    returned are the integers d! * K * b_k.
-    """
-    d = len(Q) - 1
-    _, shift, end = _scaled(a, b)
-    c = end - shift
-    q = []  # ascending
-    while Q:
-        Q, rem = _deflate(Q, shift)
-        q.append(rem)
-    w = [x * c**j * math.factorial(j) * math.factorial(d - j) for j, x in enumerate(q)]
-    bern = [sum(math.comb(k, j) * w[j] for j in range(k + 1)) for k in range(d + 1)]
-    for k, x in enumerate(bern):
-        if x >= 0:
-            top = max(map(abs, bern)) or 1
-            raise PositivityViolation(
-                f"Bernstein coefficient b_{k} of Q on [{a}, {b}] is not negative"
-                f" ({x / top:.3e} of the largest |b_j|); no valid metric"
-            )
-    return bern
-
-
-def positivity_certificate(E: ExtremalCoefficients) -> float:
-    """Prove 1 + t*F'' > 0 on all of (a, b); return the margin in [-1, 0).
-
-    p*t^n - alpha = (t-a)(t-b)*Q with the exact Q of the deflation, so Q < 0
-    on [a, b], proved by its Bernstein coefficients, makes 1 + t*F'' =
-    p*t^n/(p*t^n - alpha) positive at every t.  Raises ``PositivityViolation``
-    otherwise.  The margin max b_k / max |b_k| is the only rounded part.
-    """
-    bern = E._bernstein
-    return max(bern) / max(map(abs, bern))
 
 
 def run_derive(args) -> tuple[str, int, str]:
@@ -471,6 +365,12 @@ def run_example(args) -> tuple[str, int, str]:
 
     a = args.a
     E = solve_coefficients(2, a, 1.0)
+    # h'' of the form checked, exactly at the float midpoint t = N/m: there
+    # m^2*den(t) = D is an integer, so h'' = (num*m^2*N - m*D)/(D*N)
+    e, scaled_a, _ = _scaled(E.a, E.b)
+    num, den = _quadratic_form(scaled_a, 1 << e)
+    N, m = (0.5 * (a + 1.0)).as_integer_ratio()
+    D = (den[0] * N + den[1] * m) * N + den[2] * m * m
     checks = {
         "closed_form": coefficient_cross_check(E),
         "quadratic_form": _quadratic_form_identity(E),
@@ -480,7 +380,7 @@ def run_example(args) -> tuple[str, int, str]:
         "command": "example",
         "a": a,
         "coefficients": {"A": E.A, "B": E.B, "C": E.C, "D": E.D},
-        "h_second_midpoint": _h_second_exact(E, 0.5 * (a + 1.0)),
+        "h_second_midpoint": (num * m * m * N - m * D) / (D * N),
         "checks": checks,
         "passed": all(checks.values()),
     }

@@ -2,9 +2,9 @@
 the columns F'' and h'' over a grid for ``profile``, and the jet of the
 momentum profile over a list of t for the metric ``verify`` checks.
 
-Everything reads the record's float deflation (V, Q), rounded once in
-``exact``: p*t^n - alpha = (t - a)(t - b)*Q(t) exactly, so the momentum
-profile of the metric is
+Everything reads the float deflation (V, Q), the exact one of ``exact``
+rounded once per call (``_float_deflation``): p*t^n - alpha =
+(t - a)(t - b)*Q(t) exactly, so the momentum profile of the metric is
 
     phi(t) = (t - a)(t - b)*Q(t)/(p*t^(n-1)),        F'' = 1/phi - 1/t,
 
@@ -19,7 +19,7 @@ import math
 import sys
 
 from .errors import DomainViolation, InvalidParameters, PotentialPole
-from .exact import ExtremalCoefficients, solve_coefficients
+from .exact import ExtremalCoefficients, _deflation, _scaled, solve_coefficients
 from .numdiff import grid, power
 
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
@@ -40,6 +40,25 @@ def _horner_jet(coeffs: tuple[float, ...], t: float) -> tuple[float, float, floa
         d1 = d1 * t + value
         value = value * t + c
     return value, d1, 2.0 * half_d2
+
+
+def _float_deflation(E: ExtremalCoefficients) -> tuple:
+    """The exact (V, Q) of h'' (``exact._deflation``), each coefficient
+    rounded to float; one past the float range, as at (n, a, b) =
+    (6, 1e-163, 1e-160), is invalid input, as in ``exact._rounded``."""
+    *polynomials, K = _deflation(E)
+    e = _scaled(E.a, E.b)[0]
+    try:
+        # the t^k coefficient of P'(s*t)/K is P'_k*s^k/K
+        return tuple(
+            tuple((x << e * (len(P) - 1 - i)) / K for i, x in enumerate(P))
+            for P in polynomials
+        )
+    except OverflowError:
+        raise InvalidParameters(
+            f"a coefficient of V or Q overflows a float for"
+            f" (n={E.n}, a={E.a}, b={E.b})"
+        ) from None
 
 
 def _check_domain(E: ExtremalCoefficients, ts: list[float]) -> None:
@@ -63,7 +82,7 @@ def profile_columns(
     """
     _check_domain(E, ts)
     n, p, a, b = E.n, E.p, E.a, E.b
-    V, Q = E._float_deflation
+    V, Q = _float_deflation(E)
     f2, h2 = [], []
     for t in ts:
         scale = p * power(t, n - 1)
@@ -91,7 +110,7 @@ def jet(
     """
     _check_domain(E, ts)
     n, p, a, b = E.n, E.p, E.a, E.b
-    Q = E._float_deflation[1]
+    Q = _float_deflation(E)[1]
     phi, dphi, d2phi = [], [], []
     for t in ts:
         q, q1, q2 = _horner_jet(Q, t)

@@ -14,12 +14,11 @@ from fractions import Fraction
 from toricext import table
 from toricext.abreu import abreu_scalar_curvature
 from toricext.bridge import PRESETS, _Jet, bridge_cross_check, calabi_scalar_curvature
-from toricext.calabi import build_extremal_metric
+from toricext.calabi import build_extremal_metric, positivity_certificate
 from toricext.exact import (
     _closed_form,
     _exact_solution,
     coefficient_cross_check,
-    positivity_certificate,
     solve_coefficients,
 )
 from toricext.numdiff import grid

@@ -1,3 +1,5 @@
+import argparse
+import json
 import math
 import random
 import re
@@ -12,7 +14,11 @@ from hypothesis import strategies as st
 
 from toricext import exact as exact_mod
 from toricext import table
-from toricext.calabi import build_extremal_metric
+from toricext.calabi import (
+    _bernstein_certificate,
+    build_extremal_metric,
+    positivity_certificate,
+)
 from toricext.errors import (
     BoundaryIdentityViolation,
     DomainViolation,
@@ -24,11 +30,10 @@ from toricext.errors import (
 from toricext.exact import (
     ExtremalCoefficients,
     _alpha_coeffs,
-    _bernstein_certificate,
     _closed_form,
+    _deflation,
     _exact_solution,
     coefficient_cross_check,
-    positivity_certificate,
     solve_coefficients,
 )
 from toricext.numdiff import grid
@@ -668,11 +673,11 @@ def test_bad_t_in_an_array_raises_like_the_scalar_call(bad, error):
             list_fn(E, batch)
 
 
-def test_zero_deflated_denominator_raises_alike():
-    # a valid record has Q < 0 on [a, b] (the certificate); give one record a
-    # rounded (V, Q) with Q(0.75) = 0 to reach the guard
+def test_zero_deflated_denominator_raises_alike(monkeypatch):
+    # a valid record has Q < 0 on [a, b] (the certificate); round a record's
+    # (V, Q) to one with Q(0.75) = 0 to reach the guard
     E = ExtremalCoefficients(n=1, a=0.5, b=1.0, A=1.0, B=2.0, C=3.0, D=4.0)
-    E.__dict__["_float_deflation"] = ((1.0,), (1.0, -0.75))
+    monkeypatch.setattr(table, "_float_deflation", lambda E: ((1.0,), (1.0, -0.75)))
     # both columns divide by Q
     with pytest.raises(
         PotentialPole, match=r"^deflated denominator vanishes at t = 0\.75$"
@@ -680,6 +685,24 @@ def test_zero_deflated_denominator_raises_alike():
         table.profile_columns(E, [0.6, 0.75])
     # the jet divides by no Q: phi = 0 there, which the metric refuses
     assert table.jet(E, [0.75])[0] == [0.0]
+
+
+def test_a_record_past_the_float_range_is_invalid_input_to_every_reader():
+    # A ~ 1/b^2 overflows a float here; each reader of a hand-built record
+    # refuses it as the solve refuses its geometry, not with OverflowError
+    a, b = 1e-200, 2e-200
+    E = ExtremalCoefficients(2, a, b, 0.0, 0.0, 0.0, 0.0)
+    message = r"^coefficient A overflows a float for \(n=2, a=1e-200, b=2e-200\)$"
+    readers = [
+        lambda: solve_coefficients(2, a, b),
+        lambda: table.jet(E, [1.5e-200]),
+        lambda: table.profile_columns(E, [1.5e-200]),
+        lambda: positivity_certificate(E),
+        lambda: coefficient_cross_check(E),
+    ]
+    for read in readers:
+        with pytest.raises(InvalidParameters, match=message):
+            read()
 
 
 def test_radial_curvature_computes_the_profile_derivatives_once(monkeypatch):
@@ -741,9 +764,9 @@ def test_bernstein_certificate_accepts_a_negative_constant():
 def _bernstein_fractions(E) -> list:
     """The record's Bernstein coefficients as rationals: the certificate's
     integers are d! * K * b_k, K the scale of the deflation."""
-    *_, Q, K = E._exact_deflation
+    *_, Q, K = _deflation(E)
     scale = math.factorial(len(Q) - 1) * K
-    return [Fraction(x, scale) for x in E._bernstein]
+    return [Fraction(x, scale) for x in _bernstein_certificate(Q, E.a, E.b)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16])
@@ -796,7 +819,12 @@ def _bits(value) -> str:
 def test_integer_layer_floats_are_the_fraction_references(n, b, ratio):
     # every float the integer layer emits is float() of the Fraction route,
     # bit for bit: A to D, the V and Q coefficients, the Bernstein margin
-    # and h'' at the midpoint; past the float range both refuse
+    # and example's h'' at the midpoint; past the float range both refuse
+    # example's h'' comes from the closed form it checks, at n = 2, b = 1
+    t = 0.5 * (ratio + 1.0)
+    doc = json.loads(exact_mod.run_example(argparse.Namespace(a=ratio))[0])
+    assert _bits(lambda: doc["h_second_midpoint"]) == _bits(
+        lambda: fraction_h_second(2, ratio, 1.0, t))
     a = ratio * b
     assume(0.0 < a < b)
     want = [_bits(lambda: x) for x in moment_solution(n, a, b)]
@@ -810,15 +838,13 @@ def test_integer_layer_floats_are_the_fraction_references(n, b, ratio):
     want = [_bits(lambda: x) for x in V + Q]
     if "OverflowError" in want:
         with pytest.raises(InvalidParameters, match="overflows a float"):
-            E._float_deflation
+            table._float_deflation(E)
     else:
-        assert [x.hex() for x in E._float_deflation[0] + E._float_deflation[1]] == want
+        V_float, Q_float = table._float_deflation(E)
+        assert [x.hex() for x in V_float + Q_float] == want
     bern = fraction_bernstein(Q, a, b)
     assert _bits(lambda: positivity_certificate(E)) == _bits(
         lambda: max(bern) / max(map(abs, bern)))
-    t = 0.5 * (a + b)
-    assert _bits(lambda: exact_mod._h_second_exact(E, t)) == _bits(
-        lambda: fraction_h_second(n, a, b, t))
 
 
 @pytest.mark.parametrize(
@@ -893,7 +919,7 @@ def test_deflation_names_the_boundary_condition_that_fails(monkeypatch, conditio
 
 _PERTURBED_CHILD = """
 import sys
-from toricext import exact
+from toricext import calabi, exact
 from toricext.errors import BoundaryIdentityViolation
 real = exact._exact_solution
 def perturbed(n, a, b):
@@ -902,7 +928,7 @@ def perturbed(n, a, b):
     return (A << 140, B << 140, C << 140, (D << 140) + 1), den << 140
 exact._exact_solution = perturbed
 try:
-    exact.positivity_certificate(exact.solve_coefficients(2, 0.5, 1.0))
+    calabi.positivity_certificate(exact.solve_coefficients(2, 0.5, 1.0))
 except BoundaryIdentityViolation:
     print("raised", sys.flags.optimize)
 """

@@ -283,9 +283,11 @@ def test_verify_passes_where_h_second_is_right_at_the_ends(n, a, b, capsys):
     # which it keeps times n! and the deflation's scale K
     p = n * (n + 1) * (n + 2)
     A, B, C = Fraction(E.a), Fraction(E.b), Fraction(E.b) - Fraction(E.a)
-    scale = math.factorial(n) * E._exact_deflation[2]
-    assert Fraction(E._bernstein[0], scale) == -p * A ** (n - 1) / C
-    assert Fraction(E._bernstein[-1], scale) == -p * B ** (n - 1) / C
+    _, Q, K = exact_mod._deflation(E)
+    bern = calabi_mod._bernstein_certificate(Q, E.a, E.b)
+    scale = math.factorial(n) * K
+    assert Fraction(bern[0], scale) == -p * A ** (n - 1) / C
+    assert Fraction(bern[-1], scale) == -p * B ** (n - 1) / C
 
 
 # the four (a, b) cover a/b -> 0, a/b -> 1 and b != 1; every dimension up to
@@ -1224,14 +1226,14 @@ def test_table_refuses_a_non_float_or_a_ragged_column(keys, columns):
 
 
 def test_verify_computes_the_certificate_once(monkeypatch, capsys):
-    real = exact_mod._bernstein_certificate
+    real = calabi_mod._bernstein_certificate
     certificates = []
 
     def counting(Q, a, b):
         certificates.append((a, b))
         return real(Q, a, b)
 
-    monkeypatch.setattr(exact_mod, "_bernstein_certificate", counting)
+    monkeypatch.setattr(calabi_mod, "_bernstein_certificate", counting)
     code = cli.main(["verify", "--n", "2", "--points", "20"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["passed"] is True
@@ -1253,13 +1255,6 @@ def test_output_does_not_depend_on_assert_statements(argv):
     assert plain == optimized
     assert plain[2] == 0
 
-
-
-def test_verify_solves_the_exact_system_once(capsys):
-    exact_mod._exact_solution.cache_clear()
-    code = cli.main(["verify", "--n", "2", "--points", "20"])
-    assert code == 0 and json.loads(capsys.readouterr().out)["passed"] is True
-    assert exact_mod._exact_solution.cache_info().misses == 1
 
 
 def test_verify_evaluates_abreu_once_for_both_soft_checks(monkeypatch, capsys):

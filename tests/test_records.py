@@ -18,19 +18,17 @@ def _other(value):
     raise AssertionError("a stand-in that no record calls")
 
 
-# each record, built on valid input, whether it refuses a new attribute
-# (ExtremalCoefficients keeps an instance __dict__ for its cached
-# properties), and for a record whose constructor refuses input, a _make or
-# _replace call on such input
+# each record, built on valid input, and for a record whose constructor
+# refuses input, a _make or _replace call on such input
 _RECORDS = {
     "ExtremalCoefficients": (
-        lambda: solve_coefficients(2, 0.5, 1.0), False, lambda r: r._replace(a=-1.0)),
+        lambda: solve_coefficients(2, 0.5, 1.0), lambda r: r._replace(a=-1.0)),
     "TPotential": (
-        lambda: TPotential(2, 0.5, 1.0, _no_jet), True,
+        lambda: TPotential(2, 0.5, 1.0, _no_jet),
         lambda r: type(r)._make((0, 2.0, 1.0, None))),
     "BridgeCheckReport": (
-        lambda: bridge_cross_check(2, PRESETS["flat"], [0.5, 2.0]), True, None),
-    "_Table": (lambda: cli._Table(("s", "t"), [[0.5], [2.0]]), True, None),
+        lambda: bridge_cross_check(2, PRESETS["flat"], [0.5, 2.0]), None),
+    "_Table": (lambda: cli._Table(("s", "t"), [[0.5], [2.0]]), None),
 }
 
 # exact._deflation puts this text into its InvalidParameters and
@@ -43,7 +41,7 @@ _COEFFICIENTS_REPR = (
 
 @pytest.mark.parametrize("name", list(_RECORDS))
 def test_record_contract(name):
-    build, slotted, refused = _RECORDS[name]
+    build, refused = _RECORDS[name]
     record = build()
     assert type(record).__name__ == name
     assert record._replace() == type(record)._make(record) == record
@@ -75,9 +73,6 @@ def test_record_contract(name):
     last = record[-1] + 1.0 if name == "ExtremalCoefficients" else _other
     assert type(record)(*record[:-1], last) != record
 
-    if slotted:
-        with pytest.raises(AttributeError):
-            record.extra = 0.0
-    else:
-        # a cached property keeps its value there
-        assert record._float_deflation is vars(record)["_float_deflation"]
+    # every record is slotted: it refuses a new attribute
+    with pytest.raises(AttributeError):
+        record.extra = 0.0

@@ -91,8 +91,9 @@ def test_startup_profile_reports_every_stage():
     rows = _startup_profile("bridge-check --samples 3")
     stages = list(rows)
     assert stages[:2] == ["interpreter + site", "floor"]
-    assert stages[-5:] == [
-        "command", "teardown", "total", "program share", "peak RSS (MB)"
+    assert stages[-6:] == [
+        "command", "teardown", "total", "program share", "peak RSS (MB)",
+        "compile (package sources)",
     ]
     assert {"toricext", "toricext.cli", "toricext.bridge"} <= set(stages)
     assert "toricext.calabi" not in stages
@@ -110,6 +111,8 @@ def test_startup_profile_reports_every_stage():
     # an interpreter holds well over 10 MB; under 1 GB rules out a unit slip
     # (bytes or KiB read as MB)
     assert 10.0 < ms["peak RSS (MB)"] < 1000.0
+    # the sources of the package modules the call loaded take time to compile
+    assert ms["compile (package sources)"] > 0
 
 
 def test_startup_profile_of_a_call_without_numpy():

@@ -18,6 +18,7 @@ from toricext.exact import (
     _alpha_coeffs,
     _check_geometry,
     _closed_form,
+    _deflation,
     _exact_solution,
     _rounded,
     _scaled,
@@ -356,7 +357,7 @@ def as_integers(values) -> tuple[tuple[int, ...], int]:
 def deflation_fractions(E) -> tuple[list[Fraction], list[Fraction]]:
     """The record's exact (V, Q) as descending Fraction coefficients of t:
     each polynomial is P'(s*t)/K, so its t^k coefficient is P'_k*s^k/K."""
-    *polynomials, K = E._exact_deflation
+    *polynomials, K = _deflation(E)
     s = 2 ** _scaled(E.a, E.b)[0]
     return tuple(
         [Fraction(x * s ** (len(P) - 1 - i), K) for i, x in enumerate(P)]
