@@ -119,13 +119,16 @@ def inverse_hessian(x, phi: float) -> list[list[float]]:
     """G^{-1} = 2*(diag(x) - w*x x^T), w = (t - phi)/t^2, at one point x with
     momentum profile phi at t = sum(x), entry by entry: the diagonal
     2*x_i*(t - x_i + x_i*phi/t)/t and the rest -2*w*x_i*x_j; refuses a t
-    where the metric degenerates."""
+    where the metric degenerates.  t - x_i is summed from the other
+    coordinates: where x_i carries nearly all of t, the rounded t - x_i keeps
+    the rounding of t and loses all but a few digits of the diagonal entry."""
     t = sum(x)
     validity_factor(t, phi)
     w = (t - phi) / t / t
     return [
         [
-            2.0 * xi * (t - xi + xi * phi / t) / t if i == j else -2.0 * w * xi * xj
+            2.0 * xi * (math.fsum(x[:i] + x[i + 1:]) + xi * phi / t) / t
+            if i == j else -2.0 * w * xi * xj
             for j, xj in enumerate(x)
         ]
         for i, xi in enumerate(x)
