@@ -12,7 +12,7 @@ behaves byte for byte alike.  The calls run in this process through
 stdout and stderr to ``DIR/<index>.txt``, to diff the calls whose digests
 differ.
 
-The list of 179 calls covers every command; n in {1, 2, 3, 5, 8, 9, 12,
+The list of 187 calls covers every command; n in {1, 2, 3, 5, 8, 9, 12,
 16}; a/b from 1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the
 thin shells a/b = 0.9999, 1 - 1e-10, 1 - 1e-12 and 1 - 1e-14; failing
 tolerances and invalid input; profile's edge cases (one and two rows, a
@@ -20,10 +20,11 @@ zero grid step, a margin that rounds away, 20 000 rows at n = 16, a/b =
 1 - 1e-9); bridge-check at 5 000 samples, at n = 400, at n = 0 and at
 n = 10^160; derive and profile past the exact layer's cap on n; input
 whose floats overflow or underflow, in the coefficients or in profile's
-F''; and flags that only another command reads, or that no command reads
-any more.  A call that ends in an uncaught exception is recorded as exit 1
-with the exception's type and message on stderr, as a process would end
-(less the traceback).
+F''; flags that only another command reads, or that no command reads
+any more; and each command's help, a bad choice and a flag with no value.
+A call that ends in an uncaught exception is recorded as exit 1 with the
+exception's type and message on stderr, as a process would end (less the
+traceback).
 """
 
 import argparse
@@ -126,6 +127,13 @@ def argv_list() -> list[list[str]]:
                           ("16", "5e-21", "1e-20"), ("4", "5e-101", "1e-100"),
                           ("14", "5e21", "1e22"))),
     ]
+    # each command's help, and the parser's refusals of a bad choice and of
+    # a flag with no value, whose text must not depend on the terminal
+    calls += [[command, "--help"] for command in
+              ("derive", "profile", "verify", "bridge-check", "example")]
+    calls += [["profile", "--format", "xml"],
+              ["bridge-check", "--preset", "burns"],
+              ["derive", "--n"]]
     return calls
 
 

@@ -179,22 +179,19 @@ def bridge_cross_check(
     return BridgeCheckReport(s, t, kahler_side, polytope_side, difference, worst)
 
 
-def run_bridge_check(args) -> tuple[str, int, str]:
+def run_bridge_check(args) -> tuple[dict, str]:
     """``bridge-check``: the cross-check of one preset, or of each, over an
     evenly spaced grid of s in [0.25, 4]."""
-    from .cli import _render_json, _Table, _tolerance
+    from .cli import _Table
 
-    tolerance_soft = _tolerance("--tolerance-soft", args.tolerance_soft)
     names = [args.preset] if args.preset else sorted(PRESETS)
-    if args.samples < 1:
-        raise InvalidParameters("samples must be >= 1")
     s_grid = grid(0.25, 4.0, args.samples)
 
     blocks = []
     failing = []
     for name in names:
         rep = bridge_cross_check(args.n, PRESETS[name], s_grid)
-        ok = rep.max_discrepancy <= tolerance_soft
+        ok = rep.max_discrepancy <= args.tolerance_soft
         if not ok:
             failing.append(name)
         blocks.append(
@@ -211,9 +208,8 @@ def run_bridge_check(args) -> tuple[str, int, str]:
         "command": "bridge-check",
         "n": args.n,
         "samples": args.samples,
-        "tolerance_soft": tolerance_soft,
+        "tolerance_soft": args.tolerance_soft,
         "presets": blocks,
         "passed": not failing,
     }
-    err = "" if not failing else "bridge-check failed: " + ", ".join(failing)
-    return _render_json(doc), 0 if not failing else 1, err
+    return doc, "" if not failing else "bridge-check failed: " + ", ".join(failing)

@@ -103,10 +103,7 @@ def build_extremal_metric(
 
 def _verify_battery(args) -> dict:
     """The ``verify`` report of the parsed flags."""
-    from .cli import _tolerance
-
-    tolerance_soft = _tolerance("--tolerance-soft", args.tolerance_soft)
-    n, a, b = args.n, args.a, args.b
+    tolerance_soft, n, a, b = args.tolerance_soft, args.n, args.a, args.b
     if args.points < n + 2:
         raise InvalidParameters(f"need points >= {n + 2}, got {args.points}")
     # before the solve and the sampler, which can fail first at large n
@@ -177,13 +174,8 @@ def _verify_battery(args) -> dict:
     }
 
 
-def run_verify(args) -> tuple[str, int, str]:
-    """``verify``: the report, and exit 1 naming each failed check."""
-    from .cli import _render_json
-
+def run_verify(args) -> tuple[dict, str]:
+    """``verify``: the report, and the line naming each failed check."""
     report = _verify_battery(args)
-    out = _render_json(report)
     failing = [k for k, ok in report["checks"].items() if not ok]
-    if not failing:
-        return out, 0, ""
-    return out, 1, "verification failed: " + ", ".join(failing)
+    return report, "" if not failing else "verification failed: " + ", ".join(failing)

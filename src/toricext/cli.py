@@ -14,20 +14,28 @@ it, the flags it reads with their defaults).  ``_parse`` reads argv off it
 as argparse did, without loading argparse: any other flag is refused (exit
 2) with its message under that command's usage line, a word before the
 command under the top-level one, and never wrapped.  ``main`` imports the
-command's module when the command runs and calls its ``run_<command>``
-(``run_bridge_check`` for bridge-check) with the parsed namespace, which
-returns (stdout, exit code, stderr).
+command's module when the command runs, refuses the flag values that are
+wrong whatever the other flags say (a ``--tolerance-soft`` that is negative
+or not finite, a ``--samples`` below 1), and calls its ``run_<command>``
+(``run_bridge_check`` for bridge-check) with the parsed namespace.  That
+returns (document, failure): a dict, rendered as JSON, or a ``_Table``,
+rendered as CSV, and "" or the stderr line naming what failed.  ``main``
+alone renders and prints the document and turns the failure into the exit
+code.
 
 Each command's run code lives in the module the command loads anyway:
 derive and example in ``exact``; profile in ``table``, which also loads
 ``exact`` and ``numdiff``; verify in ``calabi``, which loads every module
 but ``bridge``; bridge-check in ``bridge``, which loads ``radial`` and
-``numdiff``.  So a call loads, and compiles, only its own command's code.
-Every module runs on the standard library, so no command loads numpy; the
-renderer takes Python scalars, and the records are
-``collections.namedtuple`` classes, which load nothing new (``functools``
-has imported ``collections`` already), where ``dataclasses`` would load
-``inspect``.
+``numdiff``.  So a call loads no module that only another command needs,
+but it compiles the whole of each module it loads: ``verify`` compiles
+``table``'s profile code and ``exact``'s derive and example code, and
+``profile`` compiles ``table.jet`` and ``exact``'s example, derive and
+closed-form code, none of which they run.  Every module runs on the
+standard library, so no command loads numpy; the renderer takes Python
+scalars, and the records are ``collections.namedtuple`` classes, which load
+nothing new (``functools`` has imported ``collections`` already), where
+``dataclasses`` would load ``inspect``.
 
 All numeric output is rendered at 17 significant digits through a single
 formatter, so identical inputs produce identical bytes: a document becomes
@@ -133,11 +141,19 @@ def _render_json(obj) -> str:
     return _fill(_template(obj, 0, values), values)
 
 
-def _tolerance(flag: str, value: float) -> float:
+def _render_csv(table: _Table) -> str:
+    """CSV: a header of the table's keys, then its rows at 17 significant
+    digits."""
+    row = ",".join([_FLOAT] * len(table.columns))
+    template = "\n".join([_literal(",".join(table.keys))]
+                         + [row] * len(table.columns[0]))
+    return _fill(template, list(itertools.chain.from_iterable(zip(*table.columns))))
+
+
+def _tolerance(flag: str, value: float) -> None:
     # a negative or non-finite tolerance would read as a failed verdict
     if not (math.isfinite(value) and value >= 0.0):
         raise InvalidParameters(f"{flag} must be finite and >= 0, got {value}")
-    return value
 
 
 # each flag's add_argument keywords; its default is the command's
@@ -258,8 +274,15 @@ def main(argv: list | None = None) -> int:
     # itself when fromlist names something in it
     run = "run_" + args.command.replace("-", "_")
     module = __import__(f"{__package__}.{_COMMANDS[args.command][1]}", fromlist=[run])
+    flags = _COMMANDS[args.command][2]
     try:
-        out, code, err = getattr(module, run)(args)
+        # the flag values that are wrong whatever the other flags say
+        if "tolerance-soft" in flags:
+            _tolerance("--tolerance-soft", args.tolerance_soft)
+        if "samples" in flags and args.samples < 1:
+            raise InvalidParameters("samples must be >= 1")
+        doc, failure = getattr(module, run)(args)
+        out = _render_csv(doc) if isinstance(doc, _Table) else _render_json(doc)
     except InvalidParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -267,6 +290,6 @@ def main(argv: list | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(out)
-    if err:
-        print(err, file=sys.stderr)
-    return code
+    if failure:
+        print(failure, file=sys.stderr)
+    return 1 if failure else 0

@@ -325,24 +325,8 @@ def _quadratic_form(a: int, s: int) -> tuple:
     return 2 * a * (s - a), [2 * a * s, s * s - a * a + 2 * a * s, 2 * a * a]
 
 
-def _quadratic_form_identity(E: ExtremalCoefficients) -> bool:
-    """Whether the h'' of an n = 2, b = 1 record is the closed form, exactly.
-
-    h'' = -V/Q - 1/t and V is a constant at n = 2, so the closed form is h''
-    exactly when -V*den and num*Q are one polynomial.  With V = v/K, the t^k
-    coefficient of Q equal to Q'_k*s^k/K, and num and den over s^2, that is
-    -v*den_k == num*Q'_k*s^k, both times K*s^2.
-    """
-    (v,), Q, _ = _deflation(E)
-    e, a, _ = _scaled(E.a, E.b)
-    num, den = _quadratic_form(a, 1 << e)
-    return [-v * d for d in den] == [num * q << e * k for k, q in zip((2, 1, 0), Q)]
-
-
-def run_derive(args) -> tuple[str, int, str]:
+def run_derive(args) -> tuple[dict, str]:
     """``derive``: the coefficient record of (n, a, b)."""
-    from .cli import _render_json
-
     E = solve_coefficients(args.n, args.a, args.b)
     doc = {
         "n": E.n,
@@ -355,14 +339,12 @@ def run_derive(args) -> tuple[str, int, str]:
         "D": E.D,
         "S": "A*t+B",
     }
-    return _render_json(doc), 0, ""
+    return doc, ""
 
 
-def run_example(args) -> tuple[str, int, str]:
+def run_example(args) -> tuple[dict, str]:
     """``example``: the n = 2, b = 1 slice, its closed forms and the
     quadratic form of h''."""
-    from .cli import _render_json
-
     a = args.a
     E = solve_coefficients(2, a, 1.0)
     # h'' of the form checked, exactly at the float midpoint t = N/m: there
@@ -371,9 +353,13 @@ def run_example(args) -> tuple[str, int, str]:
     num, den = _quadratic_form(scaled_a, 1 << e)
     N, m = (0.5 * (a + 1.0)).as_integer_ratio()
     D = (den[0] * N + den[1] * m) * N + den[2] * m * m
+    # h'' = -V/Q - 1/t with V = v/K a constant at n = 2, so the form is h''
+    # exactly when -v*den_k == num*Q'_k*s^k for each k, both times K*s^2
+    (v,), Q, _ = _deflation(E)
     checks = {
         "closed_form": coefficient_cross_check(E),
-        "quadratic_form": _quadratic_form_identity(E),
+        "quadratic_form": [-v * d for d in den]
+        == [num * q << e * k for k, q in zip((2, 1, 0), Q)],
     }
     doc = {
         "schema": 3,
@@ -385,5 +371,4 @@ def run_example(args) -> tuple[str, int, str]:
         "passed": all(checks.values()),
     }
     failing = [k for k, ok in checks.items() if not ok]
-    err = "" if not failing else "example check failed: " + ", ".join(failing)
-    return _render_json(doc), 0 if not failing else 1, err
+    return doc, "" if not failing else "example check failed: " + ", ".join(failing)

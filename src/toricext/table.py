@@ -134,14 +134,12 @@ def jet(
 _PROFILE_KEYS = ("t", "F_second", "h_second", "S")
 
 
-def run_profile(args) -> tuple[str, int, str]:
+def run_profile(args) -> tuple[dict | tuple, str]:
     """``profile``: t, F'', h'' and S over an evenly spaced interior grid, as
-    CSV or JSON."""
-    from .cli import _FLOAT, _fill, _render_json, _Table
+    a table (CSV) or a document (JSON)."""
+    from .cli import _Table
 
     E = solve_coefficients(args.n, args.a, args.b)
-    if args.samples < 1:
-        raise InvalidParameters("samples must be >= 1")
     margin = args.step if args.step is not None else (args.b - args.a) * 1e-4
     if not 0.0 < margin < 0.5 * (args.b - args.a):
         raise InvalidParameters(f"margin {margin} leaves no interior grid")
@@ -159,9 +157,7 @@ def run_profile(args) -> tuple[str, int, str]:
         key, value = next(c for c in zip(_PROFILE_KEYS, bad) if not math.isfinite(c[1]))
         raise InvalidParameters(f"non-finite {key} {value} at t = {bad[0]}")
     if args.format == "csv":
-        row = ",".join([_FLOAT] * len(columns))
-        template = "\n".join([",".join(_PROFILE_KEYS)] + [row] * args.samples)
-        return _fill(template, list(itertools.chain.from_iterable(zip(*columns)))), 0, ""
+        return _Table(_PROFILE_KEYS, columns), ""
     doc = {
         "schema": 1,
         "command": "profile",
@@ -171,4 +167,4 @@ def run_profile(args) -> tuple[str, int, str]:
         "columns": _PROFILE_KEYS,
         "rows": _Table(None, columns),
     }
-    return _render_json(doc), 0, ""
+    return doc, ""

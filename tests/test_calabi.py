@@ -1,5 +1,4 @@
 import argparse
-import json
 import math
 import random
 import re
@@ -822,7 +821,7 @@ def test_integer_layer_floats_are_the_fraction_references(n, b, ratio):
     # and example's h'' at the midpoint; past the float range both refuse
     # example's h'' comes from the closed form it checks, at n = 2, b = 1
     t = 0.5 * (ratio + 1.0)
-    doc = json.loads(exact_mod.run_example(argparse.Namespace(a=ratio))[0])
+    doc = exact_mod.run_example(argparse.Namespace(a=ratio))[0]
     assert _bits(lambda: doc["h_second_midpoint"]) == _bits(
         lambda: fraction_h_second(2, ratio, 1.0, t))
     a = ratio * b

@@ -551,9 +551,8 @@ _BRIDGE_VERDICTS = {
 @pytest.mark.parametrize("n, samples", list(_BRIDGE_VERDICTS))
 def test_bridge_check_verdicts_are_pinned(n, samples):
     args = _args("bridge-check", "--n", str(n), "--samples", str(samples))
-    out, code, err = bridge_mod.run_bridge_check(args)
-    doc = json.loads(out)
-    assert (code, err, doc["passed"]) == (0, "", True)
+    doc, failure = bridge_mod.run_bridge_check(args)
+    assert (failure, doc["passed"]) == ("", True)
     got = {p["preset"]: (p["max_discrepancy"], p["passed"]) for p in doc["presets"]}
     want = _BRIDGE_VERDICTS[(n, samples)]
     assert got == {name: (worst, True) for name, worst in want.items()}
@@ -614,19 +613,14 @@ def test_example_command():
     assert doc["checks"] == {"closed_form": True, "quadratic_form": True}
 
 
-def _example_doc(a):
-    out, code, err = exact_mod.run_example(_args("example", "--a", repr(a)))
-    return json.loads(out), code, err
-
-
 @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
 @example(1e-12)
 @example(1 - 1e-12)
 @example(0.5)
 @settings(max_examples=60, deadline=None)
 def test_example_quadratic_form_is_an_identity(a):
-    doc, code, err = _example_doc(a)
-    assert (code, err) == (0, "")
+    doc, failure = exact_mod.run_example(_args("example", "--a", repr(a)))
+    assert failure == ""
     assert doc["checks"] == {"closed_form": True, "quadratic_form": True}
     # the closed form itself at the midpoint, exactly, rounded once
     t, q = Fraction(0.5 * (a + 1.0)), Fraction(a)
@@ -1129,7 +1123,9 @@ def test_profile_matches_per_value_rendering(fmt, n, b, ratio, samples):
         )
     args = _args("profile", "--n", str(n), "--a", repr(a), "--b", repr(b),
                  "--samples", str(samples), "--format", fmt)
-    assert table_mod.run_profile(args) == (want, 0, "")
+    doc, failure = table_mod.run_profile(args)
+    render = cli._render_csv if fmt == "csv" else cli._render_json
+    assert (render(doc), failure) == (want, "")
 
     off = exact_mod.ExtremalCoefficients(
         E.n, E.a, E.b, E.A, E.B, E.C, math.nextafter(E.D, math.inf)

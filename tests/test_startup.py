@@ -105,7 +105,7 @@ def test_import_footprint(argv, absent):
 
 def test_cli_defines_no_command_run_function():
     # each command's run_<command> lives in the module the command loads
-    # anyway, so a call compiles no other command's code
+    # anyway, so a call loads no module that only another command needs
     from toricext import cli
 
     for command, (_, module, _) in cli._COMMANDS.items():
@@ -114,6 +114,29 @@ def test_cli_defines_no_command_run_function():
         assert callable(getattr(importlib.import_module(f"toricext.{module}"), run))
     assert not [name for name in vars(cli) if name.startswith("run_")]
     assert not hasattr(cli, "_verify_battery")
+
+
+def test_only_cli_renders_and_checks_flags():
+    # a command returns its document; cli alone renders it and checks the
+    # flag values, so no other module reads cli's renderer or flag check,
+    # and exact and calabi, whose documents hold no table, import nothing
+    # from cli
+    package = Path(toricext.__file__).parent
+    private = {"_render_json", "_fill", "_FLOAT", "_tolerance"}
+    found = []
+    for module in sorted(set(_MODULES) - {"cli"}):
+        for node in ast.walk(ast.parse((package / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if module in ("exact", "calabi") and (
+                    node.module in ("cli", "toricext.cli") or "cli" in names
+                ):
+                    found.append(f"{module}:{node.lineno} imports from cli")
+            else:
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if names & private:
+                found.append(f"{module}:{node.lineno} {sorted(names & private)}")
+    assert found == []
 
 
 def test_no_source_imports_numpy():
