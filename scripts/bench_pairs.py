@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired benchmark runs: a base revision against the working tree.
 
-    python3 scripts/bench_pairs.py --base HEAD~1 --workload tables --seeds 1-6
+    python3 scripts/bench_pairs.py --base HEAD~1 --workload tables --seeds 1-10
 
 Extracts the base revision with ``git archive`` into ``.bench_build/<rev>/``
 and copies the working tree's files (tracked or untracked, not ignored) into
@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _seeds(text: str) -> list[int]:
-    """'1-6' or '1,3,5' (or a mix) as a list of seeds."""
+    """'1-10' or '1,3,5' (or a mix) as a list of seeds."""
     seeds = []
     for part in text.split(","):
         first, _, last = part.partition("-")
@@ -133,7 +133,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
-    ap.add_argument("--seeds", default="1-6", help="e.g. 1-6 or 1,3,5 (default 1-6)")
+    ap.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,3,5 (default 1-10)")
     args = ap.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())

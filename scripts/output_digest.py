@@ -12,19 +12,21 @@ behaves byte for byte alike.  The calls run in this process through
 stdout and stderr to ``DIR/<index>.txt``, to diff the calls whose digests
 differ.
 
-The list of 187 calls covers every command; n in {1, 2, 3, 5, 8, 9, 12,
+The list of 204 calls covers every command; n in {1, 2, 3, 5, 8, 9, 12,
 16}; a/b from 1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the
-thin shells a/b = 0.9999, 1 - 1e-10, 1 - 1e-12 and 1 - 1e-14; failing
-tolerances and invalid input; profile's edge cases (one and two rows, a
-zero grid step, a margin that rounds away, 20 000 rows at n = 16, a/b =
-1 - 1e-9); bridge-check at 5 000 samples, at n = 400, at n = 0 and at
-n = 10^160; derive and profile past the exact layer's cap on n; input
-whose floats overflow or underflow, in the coefficients or in profile's
-F''; flags that only another command reads, or that no command reads
-any more; and each command's help, a bad choice and a flag with no value.
-A call that ends in an uncaught exception is recorded as exit 1 with the
-exception's type and message on stderr, as a process would end (less the
-traceback).
+thin shells a/b = 0.9999, 1 - 1e-10, 1 - 1e-12, 1 - 1e-14 and 1 - 1e-15;
+failing tolerances and invalid input; profile's edge cases (one and two
+rows, a zero grid step, a margin that rounds away, 20 000 rows at n = 16,
+a/b = 1 - 1e-9, a grid step that underflows); bridge-check at 5 000
+samples, at n = 400, at n = 0 and at n = 10^160; derive and profile past
+the exact layer's cap on n; input whose floats overflow or underflow, in
+the coefficients or in a power of t; profile at b = 1e-200, whose F''
+stays finite because the table divides one factor at a time; flags that
+only another command reads, or that no command reads any more; each
+command's help, a bad choice and a flag with no value; and every other
+exit path of the parser and of ``cli.main``.  A call that ends in an
+uncaught exception is recorded as exit 1 with the exception's type and
+message on stderr, as a process would end (less the traceback).
 """
 
 import argparse
@@ -100,7 +102,8 @@ def argv_list() -> list[list[str]]:
     overflow = ["--n", "2", "--a", "1e-200", "--b", "2e-200"]
     calls += [[command, *overflow] for command in ("derive", "profile", "verify")]
     calls.append(["profile", "--n", "400", "--a", "1", "--b", "10", "--samples", "5"])
-    # F'' overflows to inf in the table although its exact value is a float
+    # F'' ~ 1e204 is a float, though p/((t - a)(t - b)) is not: the table
+    # divides one factor at a time, by Q first, so the call exits 0
     calls.append(["profile", "--n", "1", "--a", "5e-201", "--b", "1e-200",
                   "--samples", "3"])
     # every t lies in (1e150, 1e151); t^3 overflows in radial, and the call
@@ -134,6 +137,37 @@ def argv_list() -> list[list[str]]:
     calls += [["profile", "--format", "xml"],
               ["bridge-check", "--preset", "burns"],
               ["derive", "--n"]]
+    # every other exit path of cli.main and its parser: no command, the
+    # top-level help, an unknown command and a value that is no int; a
+    # non-finite a; each flag-only refusal, and the one-point floor; a
+    # tolerance that fails bridge-check (exit 1); a negative seed; a margin
+    # past the middle of the interval
+    calls += [
+        [],
+        ["--help"],
+        ["frobnicate"],
+        ["verify", "--n", "x"],
+        ["derive", "--a", "nan"],
+        ["profile", "--samples", "0"],
+        ["verify", "--points", "0"],
+        ["verify", "--n", "4", "--points", "1"],
+        ["verify", "--tolerance-soft", "-1"],
+        ["bridge-check", "--tolerance-soft", "inf"],
+        ["bridge-check", "--tolerance-soft", "0"],
+        ["verify", "--seed", "-1"],
+        ["profile", "--step", "0.3"],
+        # a shell of about 4 ulps, where a sampled point is not interior:
+        # cli.main's one GeometryError exit (1)
+        ["verify", *_geometry(2, 1 - 1e-15), "--points", "40"],
+        # t^k below the normal floats, in verify's radial S and profile's
+        # table
+        ["verify", "--n", "2", "--a", "5e-111", "--b", "1e-110", "--points", "10"],
+        ["profile", "--n", "16", "--a", "5e-23", "--b", "1e-22", "--samples", "5"],
+        # a grid step that underflows, the one input on which numdiff.grid's
+        # second branch moves the output
+        ["profile", "--n", "1", "--a", "1e-305", "--b", "2e-305", "--step",
+         repr(math.nextafter(math.nextafter(5e-306, 0.0), 0.0)), "--samples", "2001"],
+    ]
     return calls
 
 

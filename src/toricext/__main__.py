@@ -33,7 +33,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return _BROKEN_PIPE
-    finally:  # also when argparse exits (--help, a bad argument)
+    finally:  # also when the parser exits (--help, a bad argument)
         gc.freeze()
 
 

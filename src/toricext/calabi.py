@@ -104,8 +104,6 @@ def build_extremal_metric(
 def _verify_battery(args) -> dict:
     """The ``verify`` report of the parsed flags."""
     tolerance_soft, n, a, b = args.tolerance_soft, args.n, args.a, args.b
-    if args.points < n + 2:
-        raise InvalidParameters(f"need points >= {n + 2}, got {args.points}")
     # before the solve and the sampler, which can fail first at large n
     if n > _VERIFY_MAX_DIMENSION:
         raise InvalidParameters(

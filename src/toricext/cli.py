@@ -16,12 +16,12 @@ as argparse did, without loading argparse: any other flag is refused (exit
 command under the top-level one, and never wrapped.  ``main`` imports the
 command's module when the command runs, refuses the flag values that are
 wrong whatever the other flags say (a ``--tolerance-soft`` that is negative
-or not finite, a ``--samples`` below 1), and calls its ``run_<command>``
-(``run_bridge_check`` for bridge-check) with the parsed namespace.  That
-returns (document, failure): a dict, rendered as JSON, or a ``_Table``,
-rendered as CSV, and "" or the stderr line naming what failed.  ``main``
-alone renders and prints the document and turns the failure into the exit
-code.
+or not finite, a ``--samples`` or ``--points`` below 1), and calls its
+``run_<command>`` (``run_bridge_check`` for bridge-check) with the parsed
+namespace.  That returns (document, failure): a dict, rendered as JSON, or a
+``_Table``, rendered as CSV, and "" or the stderr line naming what failed.
+``main`` alone renders and prints the document and turns the failure into
+the exit code.
 
 Each command's run code lives in the module the command loads anyway:
 derive and example in ``exact``; profile in ``table``, which also loads
@@ -150,12 +150,6 @@ def _render_csv(table: _Table) -> str:
     return _fill(template, list(itertools.chain.from_iterable(zip(*table.columns))))
 
 
-def _tolerance(flag: str, value: float) -> None:
-    # a negative or non-finite tolerance would read as a failed verdict
-    if not (math.isfinite(value) and value >= 0.0):
-        raise InvalidParameters(f"{flag} must be finite and >= 0, got {value}")
-
-
 # each flag's add_argument keywords; its default is the command's
 _FLAGS = {
     "n": {"type": int, "help": "complex dimension n"},
@@ -276,11 +270,16 @@ def main(argv: list | None = None) -> int:
     module = __import__(f"{__package__}.{_COMMANDS[args.command][1]}", fromlist=[run])
     flags = _COMMANDS[args.command][2]
     try:
-        # the flag values that are wrong whatever the other flags say
+        # the flag values that are wrong whatever the other flags say; a
+        # negative or non-finite tolerance would read as a failed verdict
         if "tolerance-soft" in flags:
-            _tolerance("--tolerance-soft", args.tolerance_soft)
-        if "samples" in flags and args.samples < 1:
-            raise InvalidParameters("samples must be >= 1")
+            tolerance = args.tolerance_soft
+            if not (math.isfinite(tolerance) and tolerance >= 0.0):
+                raise InvalidParameters(
+                    f"--tolerance-soft must be finite and >= 0, got {tolerance}")
+        for count in ("samples", "points"):
+            if count in flags and getattr(args, count) < 1:
+                raise InvalidParameters(f"{count} must be >= 1")
         doc, failure = getattr(module, run)(args)
         out = _render_csv(doc) if isinstance(doc, _Table) else _render_json(doc)
     except InvalidParameters as exc:

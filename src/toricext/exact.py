@@ -93,8 +93,8 @@ def _scaled(a: float, b: float) -> tuple:
 class ExtremalCoefficients(namedtuple("ExtremalCoefficients", "n a b A B C D")):
     """Coefficients (A, B, C, D) of alpha for the (n, a, b) blow-up family.
 
-    The implied scalar curvature is S(t) = A*t + B; c = b - a and
-    p = n(n+1)(n+2) are derived.
+    The implied scalar curvature is S(t) = A*t + B; p = n(n+1)(n+2) is
+    derived.
     """
 
     __slots__ = ()
@@ -107,10 +107,6 @@ class ExtremalCoefficients(namedtuple("ExtremalCoefficients", "n a b A B C D")):
 
     # _replace builds through _make, so both refuse what the constructor does
     _make = classmethod(lambda cls, values: cls(*values))
-
-    @property
-    def c(self) -> float:
-        return self.b - self.a
 
     @property
     def p(self) -> float:

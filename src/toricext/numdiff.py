@@ -6,10 +6,9 @@ import sys
 
 from .errors import InvalidParameters
 
-EPS = sys.float_info.epsilon
 # classic step exponent: h ~ eps^(1/4) balances rounding vs truncation for
 # plain second differences
-STEP_SECOND = EPS ** 0.25
+STEP_SECOND = sys.float_info.epsilon ** 0.25
 
 
 def power(t: float, k: int) -> float:

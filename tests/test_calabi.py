@@ -285,7 +285,7 @@ def test_h_second_frozen_midpoint():
 def test_h_second_eliminates_prescribed_pole():
     # F'' - h'' = c/((t-a)(b-t)) by construction
     E = solve_coefficients(2, 0.5, 1.0)
-    a, b, c = E.a, E.b, E.c
+    a, b, c = E.a, E.b, E.b - E.a
     ts = grid(0.52, 0.98, 20)
     for t, f2, h2 in zip(ts, *table.profile_columns(E, ts)):
         lhs = f2 - h2

@@ -386,7 +386,7 @@ def test_verify_gives_a_verdict_or_refuses_at_every_scale(n, capsys):
     for b in (1e-160, 1e-100, 1e-40, 1e-34, 1e-26, 1e-20, 1.0, 1e22, 1e40, 1e100, 1e160):
         for ratio in (1e-3, 0.5, 0.999):
             argv = ["verify", "--n", str(n), "--a", repr(ratio * b), "--b", repr(b),
-                    "--points", str(max(20, n + 2))]
+                    "--points", "20"]
             code = cli.main(argv)
             out, err = capsys.readouterr()
             assert code in (0, 2), (argv, err)
@@ -1338,12 +1338,15 @@ def test_verify_extremality_fails_a_metric_that_is_not_extremal(
     assert doc["extremality"]["scaled_residual"] > 10.0 * doc["inputs"]["tolerance_soft"]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8])
-def test_verify_needs_n_plus_2_points(n, capsys):
-    # fewer than n + 2 points are invalid input, refused before any work
-    assert cli.main(["verify", "--n", str(n), "--points", str(n + 1)]) == 2
-    assert capsys.readouterr() == ("", f"error: need points >= {n + 2}, got {n + 1}\n")
-    assert cli.main(["verify", "--n", str(n), "--points", str(n + 2)]) == 0
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_verify_needs_one_point(n, capsys):
+    # every check is pointwise, so one point is enough; no point is invalid
+    # input, refused before any work and before the dimension cap
+    for m in (n, 17):
+        assert cli.main(["verify", "--n", str(m), "--points", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: points must be >= 1\n")
+    assert cli.main(["verify", "--n", str(n), "--points", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])

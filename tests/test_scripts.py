@@ -193,11 +193,14 @@ def test_bench_pairs_summary_of_one_pair():
 
 def test_output_digest_covers_every_command_and_dimension():
     calls = _load_script("output_digest").argv_list()
-    assert {argv[0] for argv in calls} == {
-        "derive", "profile", "verify", "bridge-check", "example"}
-    verified = {int(argv[argv.index("--n") + 1]) for argv in calls
-                if argv[0] == "verify" and "--n" in argv}
-    assert {1, 2, 3, 5, 8, 9, 12, 16} <= verified
+    commands = {"derive", "profile", "verify", "bridge-check", "example"}
+    assert commands <= {argv[0] for argv in calls if argv}
+    # the parser's own exits: no command, the top-level help, an unknown one
+    assert [argv for argv in calls if not argv or argv[0] not in commands] == [
+        [], ["--help"], ["frobnicate"]]
+    verified = {argv[argv.index("--n") + 1] for argv in calls
+                if argv[:1] == ["verify"] and "--n" in argv}
+    assert {"1", "2", "3", "5", "8", "9", "12", "16"} <= verified
 
 
 def test_output_digest_records_what_the_cli_prints(tmp_path):
