@@ -16,8 +16,9 @@ The list of 204 calls covers every command; n in {1, 2, 3, 5, 8, 9, 12,
 16}; a/b from 1e-3 to 0.999 at b = 1, and b in {1e-3, 1e3}; verify in the
 thin shells a/b = 0.9999, 1 - 1e-10, 1 - 1e-12, 1 - 1e-14 and 1 - 1e-15;
 failing tolerances and invalid input; profile's edge cases (one and two
-rows, a zero grid step, a margin that rounds away, 20 000 rows at n = 16,
-a/b = 1 - 1e-9, a grid step that underflows); bridge-check at 5 000
+rows, a margin that rounds away next to a and b or next to b only, 20 000
+rows at n = 16, a/b = 1 - 1e-9, a c whose grid step would underflow at
+20 000 rows); bridge-check at 5 000
 samples, at n = 400, at n = 0 and at n = 10^160; derive and profile past
 the exact layer's cap on n; input whose floats overflow or underflow, in
 the coefficients or in a power of t; profile at b = 1e-200, whose F''
@@ -33,7 +34,6 @@ import argparse
 import contextlib
 import hashlib
 import io
-import math
 import sys
 from pathlib import Path
 
@@ -80,11 +80,12 @@ def argv_list() -> list[list[str]]:
         ["derive", "--n", "0"],
         ["example", "--n", "3"],
     ]
-    # a margin just under (b - a)/2 puts both grid ends on 0.75: a zero step
+    # the margin c*1e-4 rounds away next to a and b; --step, a flag no
+    # command reads any more
     calls += [
         ["profile", "--n", "3", "--samples", "1"],
         ["profile", "--n", "3", "--samples", "2", "--format", "json"],
-        ["profile", "--step", repr(math.nextafter(0.25, 0.0)), "--samples", "5"],
+        ["profile", "--a", "0.9999999999999", "--b", "1", "--samples", "3"],
         ["profile", "--step", "1e-20"],
         ["profile", *_geometry(16, 0.5), "--samples", "20000"],
         ["profile", *_geometry(16, 0.5), "--samples", "20000", "--format", "json"],
@@ -141,7 +142,7 @@ def argv_list() -> list[list[str]]:
     # top-level help, an unknown command and a value that is no int; a
     # non-finite a; each flag-only refusal, and the one-point floor; a
     # tolerance that fails bridge-check (exit 1); a negative seed; a margin
-    # past the middle of the interval
+    # that rounds away next to b only
     calls += [
         [],
         ["--help"],
@@ -155,7 +156,8 @@ def argv_list() -> list[list[str]]:
         ["bridge-check", "--tolerance-soft", "inf"],
         ["bridge-check", "--tolerance-soft", "0"],
         ["verify", "--seed", "-1"],
-        ["profile", "--step", "0.3"],
+        ["profile", "--a", "0.9999999999996", "--b", "1.0000000000004",
+         "--samples", "3"],
         # a shell of about 4 ulps, where a sampled point is not interior:
         # cli.main's one GeometryError exit (1)
         ["verify", *_geometry(2, 1 - 1e-15), "--points", "40"],
@@ -163,10 +165,11 @@ def argv_list() -> list[list[str]]:
         # table
         ["verify", "--n", "2", "--a", "5e-111", "--b", "1e-110", "--points", "10"],
         ["profile", "--n", "16", "--a", "5e-23", "--b", "1e-22", "--samples", "5"],
-        # a grid step that underflows, the one input on which numdiff.grid's
-        # second branch moves the output
-        ["profile", "--n", "1", "--a", "1e-305", "--b", "2e-305", "--step",
-         repr(math.nextafter(math.nextafter(5e-306, 0.0), 0.0)), "--samples", "2001"],
+        # a c so small that 20 000 rows would take a grid step that
+        # underflows, next to an a whose margin does not round away: the
+        # exact solve refuses it first (coefficient B overflows)
+        ["profile", "--n", "1", "--a", "1e-308", "--b", repr(1e-308 + 2.5e-320),
+         "--samples", "20000"],
     ]
     return calls
 

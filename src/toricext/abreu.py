@@ -117,7 +117,8 @@ def abreu_scalar_curvature(
             )
 
     # every corner of a point's stencil lies at t + k*h for k in {-2..2}
-    ts = [math.fsum(p) + k * step for p, step in zip(pts, steps) for k in (-2, -1, 0, 1, 2)]
+    ts = [t + k * step for t, step in zip(map(math.fsum, pts), steps)
+          for k in (-2, -1, 0, 1, 2)]
     phi = T.jet(ts)[0]
     for t, f in zip(ts, phi):
         validity_factor(t, f)

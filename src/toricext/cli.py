@@ -158,7 +158,6 @@ _FLAGS = {
     "points": {"type": int, "help": "interior sample count"},
     "samples": {"type": int, "help": "grid size"},
     "seed": {"type": int, "help": "sampling seed"},
-    "step": {"type": float, "help": "grid margin, (b - a)*1e-4 if not given"},
     "format": {"choices": ("csv", "json"), "help": "output format"},
     "tolerance-soft": {"type": float, "help": "relative tolerance of the soft checks"},
     "preset": {"choices": _PRESET_CHOICES, "help": "one preset, both if not given"},
@@ -173,7 +172,7 @@ _COMMANDS = {
     "profile": (
         "tabulate t, F'', h'', S over an interior grid",
         "table",
-        {**_GEOMETRY, "samples": 50, "step": None, "format": "csv"},
+        {**_GEOMETRY, "samples": 50, "format": "csv"},
     ),
     "verify": (
         "run the full cross-check battery",

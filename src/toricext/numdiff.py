@@ -26,18 +26,10 @@ def power(t: float, k: int) -> float:
 
 def grid(lo: float, hi: float, num: int) -> list[float]:
     """num evenly spaced points from lo to hi: i*step + lo with
-    step = (hi - lo)/(num - 1), the last point set to hi; one point is lo.
-
-    A step that underflows to 0 is taken as (i/(num - 1))*(hi - lo).
-    """
-    div = num - 1
-    delta = hi - lo
-    if div == 0:
-        return [0.0 * delta + lo]
-    step = delta / div
-    if step == 0:
-        ts = [i / div * delta + lo for i in range(num)]
-    else:
-        ts = [i * step + lo for i in range(num)]
+    step = (hi - lo)/(num - 1), the last point set to hi; one point is lo."""
+    if num == 1:
+        return [lo]
+    step = (hi - lo) / (num - 1)
+    ts = [i * step + lo for i in range(num)]
     ts[-1] = hi
     return ts

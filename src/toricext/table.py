@@ -135,14 +135,13 @@ _PROFILE_KEYS = ("t", "F_second", "h_second", "S")
 
 
 def run_profile(args) -> tuple[dict | tuple, str]:
-    """``profile``: t, F'', h'' and S over an evenly spaced interior grid, as
-    a table (CSV) or a document (JSON)."""
+    """``profile``: t, F'', h'' and S over an evenly spaced grid from
+    a + c*1e-4 to b - c*1e-4, c = b - a, as a table (CSV) or a document
+    (JSON).  A margin that rounds away next to a or b is invalid input."""
     from .cli import _Table
 
     E = solve_coefficients(args.n, args.a, args.b)
-    margin = args.step if args.step is not None else (args.b - args.a) * 1e-4
-    if not 0.0 < margin < 0.5 * (args.b - args.a):
-        raise InvalidParameters(f"margin {margin} leaves no interior grid")
+    margin = (args.b - args.a) * 1e-4
     lo, hi = args.a + margin, args.b - margin
     if lo == args.a or hi == args.b:
         raise InvalidParameters(

@@ -19,6 +19,7 @@ from toricext import bridge as bridge_mod
 from toricext import calabi as calabi_mod
 from toricext import cli
 from toricext import exact as exact_mod
+from toricext import numdiff
 from toricext import polytope as polytope_mod
 from toricext import radial as radial_mod
 from toricext import table as table_mod
@@ -162,14 +163,23 @@ def test_profile_csv():
         assert s == pytest.approx(96 / 13 * t + 12 / 13, rel=1e-12)
 
 
-@pytest.mark.parametrize("step", ["1e-20", "5e-17"])
-def test_profile_margin_that_rounds_away_is_invalid_input(step):
-    # 0.5 + 1e-20 == 0.5: the first grid point would sit on a itself, and
-    # 1.0 - 5e-17 == 1.0 puts the last one on b
-    r = run_cli("profile", "--step", step)
+@pytest.mark.parametrize(
+    "a, b, margin",
+    [
+        ("0.9999999999999", "1.0", "1.000310945187266e-17"),
+        ("0.9999999999996", "1.0000000000004", "7.999156892424253e-17"),
+    ],
+    ids=["next-to-a-and-b", "next-to-b-only"],
+)
+def test_profile_margin_that_rounds_away_is_invalid_input(a, b, margin):
+    # the margin c*1e-4 is under half an ulp of a and of b in the first
+    # case, so the first grid point would sit on a and the last on b; in the
+    # second a + margin moves off a (a < 1 has the finer ulp) but
+    # b - margin == b
+    r = run_cli("profile", "--a", a, "--b", b, "--samples", "3")
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == (
-        f"error: margin {float(step)} rounds away next to a = 0.5 or b = 1.0\n"
+        f"error: margin {margin} rounds away next to a = {a} or b = {b}\n"
     )
 
 
@@ -679,17 +689,17 @@ def test_missing_command_shows_usage():
 
 # --- each command takes only the flags it reads -----------------------------
 
-# 20 settable values over the five commands, of 10 distinct flags
+# 19 settable values over the five commands, of 9 distinct flags
 _FLAGS_OF = {
     "derive": {"--n", "--a", "--b"},
-    "profile": {"--n", "--a", "--b", "--samples", "--step", "--format"},
+    "profile": {"--n", "--a", "--b", "--samples", "--format"},
     "verify": {"--n", "--a", "--b", "--points", "--seed", "--tolerance-soft"},
     "bridge-check": {"--n", "--samples", "--tolerance-soft", "--preset"},
     "example": {"--a"},
 }
 _ALL_FLAGS = set().union(*_FLAGS_OF.values())
-# a flag no command reads any more, refused by all of them
-_REMOVED_FLAGS = {"--tolerance-hard"}
+# flags no command reads any more, refused by all of them
+_REMOVED_FLAGS = {"--tolerance-hard", "--step"}
 # a value each flag's own command accepts, so a refusal is of the flag itself
 _VALUE = {"--format": "json", "--preset": "flat"}
 
@@ -720,6 +730,13 @@ def test_a_flag_of_another_command_is_refused(command, flag, capsys):
     assert captured.err.endswith(
         f"\ntoricext {command}: error: unrecognized arguments: {flag} {value}\n"
     )
+
+
+def test_every_flag_is_read_by_some_command():
+    # a flag in the table that no command reads is refused by every
+    # command: an option in name only, left behind when its command let it go
+    read = set().union(*(flags for _, _, flags in cli._COMMANDS.values()))
+    assert set(cli._FLAGS) == read
 
 
 def test_a_refused_derive_flag_prints_the_derive_usage(capsys):
@@ -1069,6 +1086,27 @@ def _answer(fn, *args):
         return list(fn(*args))
     except GeometryError as exc:
         return type(exc), str(exc)
+
+
+@given(
+    lo=st.floats(0.0, 1e300, allow_subnormal=True),
+    width=st.floats(0.0, 1e300, allow_subnormal=True),
+    num=st.integers(1, 300),
+)
+@example(lo=0.75, width=0.0, num=5)
+# (hi - lo)/(num - 1) underflows to 0: every point but the last is lo
+@example(lo=1e-308, width=2.5e-320, num=20000)
+def test_grid_is_one_formula(lo, width, num):
+    """numdiff.grid: one point is lo, and a grid of zero width repeats it;
+    otherwise point i is i*((hi - lo)/(num - 1)) + lo bit for bit, but the
+    last, which is hi."""
+    hi = lo + width
+    got = list(map(float.hex, numdiff.grid(lo, hi, num)))
+    if num == 1 or hi == lo:
+        assert got == [lo.hex()] * num
+    if num > 1:
+        step = (hi - lo) / (num - 1)
+        assert got == [(i * step + lo).hex() for i in range(num - 1)] + [hi.hex()]
 
 
 # t_k = fl(fl(k*fl(fl(hi - lo)/(N - 1))) + lo) misses lo + (hi - lo)*k/(N - 1)
