@@ -16,7 +16,7 @@ from collections import Counter
 from toricext import cli
 from toricext.abreu import abreu_scalar_curvature
 from toricext.calabi import build_extremal_metric
-from toricext.errors import StencilExitsDomain
+from toricext.errors import DomainViolation
 from toricext.exact import solve_coefficients
 from toricext.numdiff import grid
 from toricext.polytope import sample_interior
@@ -58,7 +58,7 @@ def steps() -> list[str]:
         for scale in STEP_SCALES:
             try:
                 cells.append(_worst(abreu_scalar_curvature(T, pts, h=scale * b), want))
-            except StencilExitsDomain:
+            except DomainViolation:
                 cells.append("exits")
         lines.append(f"| ({n}, {a:g}, {b:g}) | " + " | ".join(cells) + " |")
     return lines

@@ -10,11 +10,15 @@ cached by earlier runs.  It then runs each copy's own ``perfbench/run.py
 --trace 0`` once per seed for ``BENCHMARK.json``'s ``run_seconds``,
 alternating which of the two goes first
 from one seed to the next so that a drift in machine load hits both sides
-alike.  Prints every seed's pair, the medians and quartiles of both sides,
-and per metric the number of seeds on which the working tree did better, as
-``BENCHMARK.json`` defines better.  The same summary, with ``failed`` per
-seed, is written to ``BENCH_<base short rev>_<workload>.json`` at the root of
-the repository.
+alike.  Before each run it times 15 ``python -c pass`` calls in the
+environment perfbench gives the CLI, and records their median as the run's
+interpreter floor ``floor_s``, so that ``call_s.p50 - floor_s`` sizes the
+program's own share of a call.  Prints every seed's pair, the medians and
+quartiles of both sides, and per metric the number of seeds on which the
+working tree did better, as ``BENCHMARK.json`` defines better
+(``call_s.p50 - floor_s`` is better lower).  The same summary, with
+``failed`` per seed, is written to ``BENCH_<base short rev>_<workload>.json``
+at the root of the repository.
 """
 
 import argparse
@@ -24,9 +28,12 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FLOOR_CALLS = 15
+PROGRAM_SHARE = "call_s.p50 - floor_s"
 
 
 def _seeds(text: str) -> list[int]:
@@ -74,8 +81,24 @@ def _snapshot() -> Path:
     return dest
 
 
+def _floor(checkout: Path) -> float:
+    """The median wall time of FLOOR_CALLS bare interpreter starts, in the
+    environment perfbench runs the CLI in: this interpreter, with
+    PYTHONPATH the checkout's src."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    times = []
+    for _ in range(FLOOR_CALLS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], env=env, check=True,
+                       capture_output=True)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run; its last stdout line is the JSON result."""
+    """One perfbench run, after the checkout's interpreter floor; its last
+    stdout line is the JSON result, to which the floor is added."""
+    floor = _floor(checkout)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -83,7 +106,7 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     if proc.returncode != 0:
         sys.exit(f"perfbench failed in {checkout}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]), "floor_s": floor}
 
 
 def _spread(values: list[float]) -> dict:
@@ -95,20 +118,24 @@ def _spread(values: list[float]) -> dict:
 
 def summarize(seeds: list[int], base: list[dict], change: list[dict],
               better: dict[str, str]) -> dict:
-    """The paired runs as one record: each seed's pair, and per metric both
-    sides' medians and quartiles and the number of seeds on which the change
-    did better (ties count for neither side)."""
+    """The paired runs as one record: each seed's pair with both sides'
+    floors, and per metric, ``call_s.p50 - floor_s`` last, both sides'
+    medians and quartiles and the number of seeds on which the change did
+    better (ties count for neither side)."""
     def values(run: dict) -> dict:
         return {name: run["metrics"][name]["value"] for name in better}
 
     pairs = [
         {"seed": seed,
-         "base": {**values(old), "failed": old["failed"]},
-         "change": {**values(new), "failed": new["failed"]}}
+         "base": {**values(old), "failed": old["failed"], "floor_s": old["floor_s"]},
+         "change": {**values(new), "failed": new["failed"], "floor_s": new["floor_s"]}}
         for seed, old, new in zip(seeds, base, change)
     ]
+    for pair in pairs:
+        for side in ("base", "change"):
+            pair[side][PROGRAM_SHARE] = pair[side]["call_s.p50"] - pair[side]["floor_s"]
     metrics = {}
-    for name, direction in better.items():
+    for name, direction in {**better, PROGRAM_SHARE: "lower"}.items():
         old = [pair["base"][name] for pair in pairs]
         new = [pair["change"][name] for pair in pairs]
         wins = sum((n < o) if direction == "lower" else (n > o)
@@ -153,7 +180,8 @@ def main() -> int:
             f"{name} {pair['base']['metrics'][name]['value']:.4g} -> "
             f"{pair['change']['metrics'][name]['value']:.4g}"
             for name in better
-        ), flush=True)
+        ) + f"  floor_s {pair['base']['floor_s']:.4g} -> "
+            f"{pair['change']['floor_s']:.4g}", flush=True)
 
     summary = summarize(seeds, results["base"], results["change"], better)
     out = ROOT / f"BENCH_{base.name}_{args.workload}.json"
@@ -163,10 +191,10 @@ def main() -> int:
 
     print(f"\n{args.workload}: base {args.base} ({base.name}) vs working tree, "
           f"seeds {args.seeds}, {seconds:g} s per run; written to {out.name}")
-    print(f"{'metric':<14} {'base median [q1, q3]':<30} "
+    print(f"{'metric':<21} {'base median [q1, q3]':<30} "
           f"{'change median [q1, q3]':<30} change better")
     for name, m in summary["metrics"].items():
-        print(f"{name:<14} {_text(m['base']):<30} {_text(m['change']):<30} "
+        print(f"{name:<21} {_text(m['base']):<30} {_text(m['change']):<30} "
               f"{m['wins']}/{m['pairs']}")
     for side in sides:
         print(f"{side}: failed per seed {summary['failed'][side]}, "

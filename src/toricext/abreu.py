@@ -21,10 +21,10 @@ import math
 import sys
 from collections.abc import Sequence
 
-from .errors import InvalidParameters, NonInteriorPoint, StencilExitsDomain
+from .errors import DomainViolation, InvalidParameters
 from .numdiff import STEP_SECOND
 from .polytope import interior_distance
-from .radial import TPotential, validity_factor
+from .radial import TPotential, check_validity
 
 
 def _points(points: Sequence, n: int) -> list[list[float]]:
@@ -92,23 +92,24 @@ def abreu_scalar_curvature(
     clamped to dmin/3 (dmin the point's least facet value): a stencil corner
     moves each facet value by at most 2h, so the clamp keeps every corner
     inside.  One length per geometry keeps the result covariant under
-    rescaling (a, b).  An explicit h past dmin/3 raises StencilExitsDomain,
-    and any step whose square falls below the normal floats, where the
-    stencil divides by h^2, raises InvalidParameters.
+    rescaling (a, b).  A point that is not interior, or an explicit h past
+    its dmin/3, raises DomainViolation; any step whose square falls below
+    the normal floats, where the stencil divides by h^2, InvalidParameters;
+    and a corner's t where the metric degenerates, DegenerateMetric.
     """
     pts = _points(points, T.n)
 
     dmin = [interior_distance(T, p) for p in pts]
     for p, d in zip(pts, dmin):
         if d <= 0.0:
-            raise NonInteriorPoint(f"{p} is not interior (min facet value {d})")
+            raise DomainViolation(f"{p} is not interior (min facet value {d})")
     if h is None:
         steps = [min(STEP_SECOND * T.t_max, d / 3.0) for d in dmin]
     else:
         steps = [float(h)] * len(pts)
     for p, step, d in zip(pts, steps, dmin):
         if step > d / 3.0:
-            raise StencilExitsDomain(
+            raise DomainViolation(
                 f"outer stencil with step {step:.3e} exits the domain at {p}"
             )
         if step * step < sys.float_info.min:
@@ -121,7 +122,7 @@ def abreu_scalar_curvature(
           for k in (-2, -1, 0, 1, 2)]
     phi = T.jet(ts)[0]
     for t, f in zip(ts, phi):
-        validity_factor(t, f)
+        check_validity(t, f)
     return [
         _curvature_at(p, step, ts[5 * i:5 * i + 5], phi[5 * i:5 * i + 5])
         for i, (p, step) in enumerate(zip(pts, steps))

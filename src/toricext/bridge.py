@@ -31,7 +31,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .errors import DomainViolation, InvalidParameters, NonpositiveDerivative
+from .errors import DegenerateMetric, DomainViolation, InvalidParameters
 from .numdiff import grid
 from .radial import radial_scalar_curvature
 
@@ -114,11 +114,11 @@ PRESETS: dict[str, Callable] = {
 def calabi_scalar_curvature(n: int, jet: Sequence[Sequence[float]]) -> list[float]:
     """Curvature from the Kahler side at each point of the jet columns
     (t, t', t'', t'''): S = (n-1)*v'/t + v''/t', with v' and v'' in closed
-    form."""
+    form; a t or t' = phi that is not positive raises DegenerateMetric."""
     S = []
     for t, t1, t2, t3 in zip(*jet, strict=True):
         if t <= 0.0 or t1 <= 0.0:
-            raise NonpositiveDerivative(f"t = {t} and dt/ds~ = {t1} must be positive")
+            raise DegenerateMetric(f"t = {t} and dt/ds~ = {t1} must be positive")
         r, q = t1 / t, t2 / t1
         v1 = n - (n - 1) * r - q
         v2 = -(n - 1) * (t2 / t - r * r) - t3 / t1 + q * q

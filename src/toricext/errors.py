@@ -19,23 +19,19 @@ class EmptyRegion(GeometryError, RuntimeError):
     """The sampling margin leaves no interior region to draw points from."""
 
 
-class NonInteriorPoint(GeometryError, ValueError):
-    """An evaluation point sits on or outside the polytope boundary."""
-
-
 class DomainViolation(GeometryError, ValueError):
-    """A scalar argument lies outside the open interval it must live in."""
+    """An evaluation point lies outside its open domain: a t outside (a, b),
+    an s that is not positive (or no s at all), a point x with a facet value
+    <= 0, or a stencil corner past the polytope, from an explicit step past
+    dmin/3."""
 
 
 class DegenerateMetric(GeometryError, ArithmeticError):
-    """The validity condition phi(t) > 0 on the momentum profile, that is
-    1 + t*F''(t) = t/phi > 0, fails at the query point, where the Hessian is
-    singular or indefinite."""
-
-
-class PotentialPole(GeometryError, ArithmeticError):
-    """The deflated denominator Q(t) of the profile, where
-    p*t^n - alpha(t) = (t-a)(t-b)*Q(t), vanishes at the query point."""
+    """The metric's positivity fails at the query point: the momentum
+    profile's phi(t) > 0, that is 1 + t*F''(t) = t/phi > 0, where the Hessian
+    is otherwise singular or indefinite; the Kahler side's t > 0 and
+    t' = phi > 0; or the float Q(t) of the profile, where
+    p*t^n - alpha(t) = (t-a)(t-b)*Q(t), vanishing, so phi = 0."""
 
 
 class BoundaryIdentityViolation(GeometryError, ArithmeticError):
@@ -51,14 +47,6 @@ class BoundaryIdentityViolation(GeometryError, ArithmeticError):
     bad input."""
 
 
-class StencilExitsDomain(GeometryError, ValueError):
-    """A finite-difference stencil would leave the polytope interior."""
-
-
 class PositivityViolation(GeometryError, ArithmeticError):
     """A Bernstein coefficient of Q on [a, b] is not negative, where
     p*t^n - alpha(t) = (t-a)(t-b)*Q(t); no proof that the metric is valid."""
-
-
-class NonpositiveDerivative(GeometryError, ArithmeticError):
-    """A logarithmand that must be positive (t or dt/ds~) is not."""

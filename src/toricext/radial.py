@@ -68,14 +68,13 @@ class TPotential(namedtuple("TPotential", "n t_min t_max jet")):
     _make = classmethod(lambda cls, values: cls(*values))
 
 
-def validity_factor(t: float, phi: float) -> float:
-    """1 + t*F'' = t/phi at t, refused where phi <= 0 or t/phi is not safely
-    positive."""
+def check_validity(t: float, phi: float) -> None:
+    """Refuse with DegenerateMetric a t where phi <= 0 or 1 + t*F'' = t/phi
+    is not safely positive."""
     if phi <= 0.0 or t / phi <= DEGENERACY_TOL:
         raise DegenerateMetric(
             f"1 + t*F'' = t/phi is not safely positive, phi = {phi:.3e}, at t = {t}"
         )
-    return t / phi
 
 
 def radial_scalar_curvature(
@@ -87,7 +86,7 @@ def radial_scalar_curvature(
     The jet's provider keeps the ts in its domain."""
     S = []
     for t, phi, dphi, d2phi in zip(ts, *jet, strict=True):
-        validity_factor(t, phi)
+        check_validity(t, phi)
         t2, t3 = power(t, 2), power(t, 3)
         # W = (t - phi)/t^2 and its t-derivatives, W'' = -phi''/t^2
         # - 4(1 - phi')/t^3 + 6(t - phi)/t^4 written through W and W'

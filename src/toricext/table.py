@@ -18,7 +18,7 @@ import itertools
 import math
 import sys
 
-from .errors import DomainViolation, InvalidParameters, PotentialPole
+from .errors import DegenerateMetric, DomainViolation, InvalidParameters
 from .exact import ExtremalCoefficients, _deflation, _scaled, solve_coefficients
 from .numdiff import grid, power
 
@@ -78,7 +78,7 @@ def profile_columns(
     F'' dividing by one factor at a time, so that no product of them
     underflows to 0.  A record that is not the extremal solution of its
     (n, a, b) raises ``InvalidParameters``, and a t where the float Q
-    vanishes ``PotentialPole``.
+    vanishes, so that phi = 0 as ``jet`` returns it, ``DegenerateMetric``.
     """
     _check_domain(E, ts)
     n, p, a, b = E.n, E.p, E.a, E.b
@@ -88,7 +88,7 @@ def profile_columns(
         scale = p * power(t, n - 1)
         q = _horner(Q, t)
         if q == 0.0:
-            raise PotentialPole(f"deflated denominator vanishes at t = {t}")
+            raise DegenerateMetric(f"deflated denominator vanishes at t = {t}")
         f2.append(scale / q / (t - a) / (t - b) - 1.0 / t)
         h2.append(-_horner(V, t) / q - 1.0 / t)
     return f2, h2

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,13 +8,7 @@ import pytest
 
 from toricext.abreu import _curvature_at, abreu_scalar_curvature
 from toricext.calabi import build_extremal_metric
-from toricext.errors import (
-    DegenerateMetric,
-    DomainViolation,
-    InvalidParameters,
-    NonInteriorPoint,
-    StencilExitsDomain,
-)
+from toricext.errors import DegenerateMetric, DomainViolation, InvalidParameters
 from toricext.polytope import interior_distance, sample_interior
 from toricext.numdiff import STEP_SECOND
 from toricext.radial import TPotential
@@ -76,7 +71,7 @@ def test_curvature_past_verify_dimension_cap(n, a, b):
 
 def test_explicit_step_must_fit():
     S = flat_profile(2, 0.5, 1.0)
-    with pytest.raises(StencilExitsDomain):
+    with pytest.raises(DomainViolation, match="exits the domain at"):
         abreu_scalar_curvature(S, [[0.3, 0.4]], h=0.3)
 
 
@@ -196,22 +191,23 @@ def test_thin_shell_curvature_is_affine_in_t(n):
 
 
 @pytest.mark.parametrize(
-    "bad, h, error",
+    "bad, h, message",
     [
-        ([0.0, 0.6], None, NonInteriorPoint),  # on a coordinate facet
-        ([0.002, 0.6], 1e-3, StencilExitsDomain),  # stencil reaches past x_0 = 0
-        ([0.27, 0.28], None, DomainViolation),  # t = 0.55 below the profile's a
+        ([0.0, 0.6], None, "is not interior (min facet value"),  # on a coordinate facet
+        ([0.002, 0.6], 1e-3, "exits the domain at"),  # stencil reaches past x_0 = 0
+        ([0.27, 0.28], None, "outside ("),  # t = 0.55 below the profile's a
     ],
+    ids=["point on a facet", "stencil past a facet", "t below the domain"],
 )
-def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, error):
+def test_bad_point_in_a_batch_raises_like_the_scalar_call(bad, h, message):
     # the profile's functions live on (0.6, 1), its polytope is (0.5, 1)
     T, _ = build_extremal_metric(2, 0.6, 1.0)
     S = TPotential(2, 0.5, 1.0, T.jet)
     good = [[0.35, 0.4], [0.3, 0.5], [0.45, 0.35]]
-    with pytest.raises(error):
+    with pytest.raises(DomainViolation, match=re.escape(message)):
         abreu_scalar_curvature(S, [bad], h=h)
     batch = [good[0], bad, *good[1:]]
-    with pytest.raises(error):
+    with pytest.raises(DomainViolation, match=re.escape(message)):
         abreu_scalar_curvature(S, batch, h=h)
     abreu_scalar_curvature(S, good, h=h)  # the rest of the batch is fine
 

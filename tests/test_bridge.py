@@ -17,7 +17,7 @@ from toricext.bridge import (
     induced_jet,
 )
 from toricext.calabi import build_extremal_metric
-from toricext.errors import DomainViolation, InvalidParameters, NonpositiveDerivative
+from toricext.errors import DegenerateMetric, DomainViolation, InvalidParameters
 from toricext.numdiff import grid
 from util import as_fractions, geometric_grid, legendre_F
 
@@ -327,7 +327,7 @@ def test_fubini_study_curvature_frozen_value():
 
 def test_curvature_rejects_decreasing_potential():
     # f = -s: t = dt/ds~ = -2*s
-    with pytest.raises(NonpositiveDerivative):
+    with pytest.raises(DegenerateMetric, match="must be positive"):
         calabi_scalar_curvature(1, ([-2.0], [-2.0], [-2.0], [-2.0]))
 
 
@@ -495,7 +495,7 @@ def _cross_check_at_n(moment, n):
     [
         (_cross_check_one, PRESETS["fubini-study"], 0.0, DomainViolation,
          "s must be positive, got 0.0"),
-        (_curvature_at, _sine_moment, 2.0, NonpositiveDerivative,
+        (_curvature_at, _sine_moment, 2.0, DegenerateMetric,
          "t = -1.6645873461885696 and dt/ds~ = -8.938966760794024 must be positive"),
         (_cross_check_at_n, PRESETS["flat"], 0, InvalidParameters, "n must be >= 1"),
         # an OverflowError in the curvature formulas, read as a failed check

@@ -20,11 +20,11 @@ from toricext.calabi import (
 )
 from toricext.errors import (
     BoundaryIdentityViolation,
+    DegenerateMetric,
     DomainViolation,
     GeometryError,
     InvalidParameters,
     PositivityViolation,
-    PotentialPole,
 )
 from toricext.exact import (
     ExtremalCoefficients,
@@ -54,6 +54,7 @@ from util import (
     lowest_coefficients,
     moment_solution,
     moment_system,
+    polytope_theta,
 )
 
 nab = st.tuples(
@@ -166,6 +167,27 @@ def test_three_coefficient_routes_are_one(n, ratio, b):
     assert moment_solution(n, a, b) == exact
     assert boundary_solution(n, a, b) == exact
     assert as_fractions(_closed_form(n, a, b)) == exact
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=1e-3, max_value=0.999),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+@settings(max_examples=40, deadline=None)
+@example(8, 0.5, 1.0)
+@example(8, 0.3 / 1.7, 1.7)
+@example(8, 1e-3, 1.0)
+@example(8, 0.999, 1.0)
+@example(8, 0.125, 2.0)
+def test_the_polytope_facets_give_the_extremal_affine_function(n, ratio, b):
+    # Donaldson's functional on the n-dimensional polytope, from its facets
+    # and Dirichlet's integrals, against the moment solve's reduced measures
+    a = ratio * b
+    A, B = as_fractions(_exact_solution(n, a, b))[:2]
+    assert polytope_theta(n, a, b) == (B,) + (A,) * n
+    # a half-weighted facet t = a is caught
+    assert polytope_theta(n, a, b, facet_at_a=Fraction(1, 2)) != (B,) + (A,) * n
 
 
 @pytest.mark.parametrize(
@@ -679,11 +701,15 @@ def test_zero_deflated_denominator_raises_alike(monkeypatch):
     monkeypatch.setattr(table, "_float_deflation", lambda E: ((1.0,), (1.0, -0.75)))
     # both columns divide by Q
     with pytest.raises(
-        PotentialPole, match=r"^deflated denominator vanishes at t = 0\.75$"
+        DegenerateMetric, match=r"^deflated denominator vanishes at t = 0\.75$"
     ):
         table.profile_columns(E, [0.6, 0.75])
-    # the jet divides by no Q: phi = 0 there, which the metric refuses
-    assert table.jet(E, [0.75])[0] == [0.0]
+    # the jet divides by no Q: phi = 0 there, which the metric refuses as
+    # the same class
+    jet = table.jet(E, [0.75])
+    assert jet[0] == [0.0]
+    with pytest.raises(DegenerateMetric, match=r"phi = -0\.000e\+00, at t = 0\.75$"):
+        radial_scalar_curvature(1, [0.75], jet)
 
 
 def test_a_record_past_the_float_range_is_invalid_input_to_every_reader():

@@ -18,6 +18,7 @@ from toricext import abreu as abreu_mod
 from toricext import bridge as bridge_mod
 from toricext import calabi as calabi_mod
 from toricext import cli
+from toricext import errors as errors_mod
 from toricext import exact as exact_mod
 from toricext import numdiff
 from toricext import polytope as polytope_mod
@@ -146,6 +147,35 @@ def test_profile_names_the_first_non_finite_value_by_column_and_t(
     assert cli.main(["profile", "--samples", "3", "--format", format]) == 2
     message = f"error: non-finite h_second inf at t = {ts[1]}\n"
     assert capsys.readouterr() == ("", message)
+
+
+def test_profile_refuses_a_vanishing_Q_as_a_degenerate_metric(monkeypatch, capsys):
+    # a valid record has Q < 0 on [a, b]; round it to a (V, Q) with Q = 0 at
+    # the grid's middle t = 0.75, where phi = 0, a GeometryError (exit 1)
+    monkeypatch.setattr(table_mod, "_float_deflation", lambda E: ((1.0,), (1.0, -0.75)))
+    assert cli.main(["profile", "--samples", "3"]) == 1
+    message = "error: deflated denominator vanishes at t = 0.75\n"
+    assert capsys.readouterr() == ("", message)
+
+
+def test_each_error_class_is_one_condition_with_its_builtin_base():
+    # cli.main exits 2 for InvalidParameters and 1 for any other GeometryError
+    bases = {
+        "InvalidParameters": ValueError,
+        "DomainViolation": ValueError,
+        "EmptyRegion": RuntimeError,
+        "DegenerateMetric": ArithmeticError,
+        "BoundaryIdentityViolation": ArithmeticError,
+        "PositivityViolation": ArithmeticError,
+    }
+    defined = {
+        name: cls for name, cls in vars(errors_mod).items()
+        if isinstance(cls, type) and cls.__module__ == errors_mod.__name__
+    }
+    assert set(defined) == {"GeometryError", *bases}
+    assert GeometryError.__bases__ == (Exception,)
+    for name, base in bases.items():
+        assert defined[name].__bases__ == (GeometryError, base)
 
 
 def test_profile_csv():

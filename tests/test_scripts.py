@@ -148,26 +148,30 @@ def _load_script(name: str):
     return module
 
 
-def _runs(p50s, rss, failed):
+def _runs(p50s, rss, failed, floors=None):
     return [
         {"metrics": {"call_s.p50": {"value": t}, "peak_rss_mb": {"value": m}},
-         "failed": f, "correct": True}
-        for t, m, f in zip(p50s, rss, failed)
+         "failed": f, "correct": True, "floor_s": floor}
+        for t, m, f, floor in zip(p50s, rss, failed, floors or [0.05] * len(p50s))
     ]
 
 
 def test_bench_pairs_summary():
     summarize = _load_script("bench_pairs").summarize
-    base = _runs([0.30, 0.20, 0.40, 0.50], [40.0, 41.0, 40.0, 40.0], [7, 6, 6, 7])
-    change = _runs([0.25, 0.20, 0.30, 0.60], [40.0, 40.5, 40.5, 39.0], [6, 6, 6, 7])
+    base = _runs([0.30, 0.20, 0.40, 0.50], [40.0, 41.0, 40.0, 40.0], [7, 6, 6, 7],
+                 [0.10, 0.05, 0.10, 0.20])
+    change = _runs([0.25, 0.20, 0.30, 0.60], [40.0, 40.5, 40.5, 39.0], [6, 6, 6, 7],
+                   [0.05, 0.10, 0.10, 0.20])
     change[2]["correct"] = False
     better = {"call_s.p50": "lower", "peak_rss_mb": "lower"}
     doc = summarize([1, 2, 3, 4], base, change, better)
 
     assert doc["pairs"][0] == {
         "seed": 1,
-        "base": {"call_s.p50": 0.30, "peak_rss_mb": 40.0, "failed": 7},
-        "change": {"call_s.p50": 0.25, "peak_rss_mb": 40.0, "failed": 6},
+        "base": {"call_s.p50": 0.30, "peak_rss_mb": 40.0, "failed": 7,
+                 "floor_s": 0.10, "call_s.p50 - floor_s": pytest.approx(0.20)},
+        "change": {"call_s.p50": 0.25, "peak_rss_mb": 40.0, "failed": 6,
+                   "floor_s": 0.05, "call_s.p50 - floor_s": pytest.approx(0.20)},
     }
     assert [pair["seed"] for pair in doc["pairs"]] == [1, 2, 3, 4]
     p50 = doc["metrics"]["call_s.p50"]
@@ -176,6 +180,13 @@ def test_bench_pairs_summary():
     assert p50["base"] == pytest.approx({"median": 0.35, "q1": 0.275, "q3": 0.425})
     assert p50["change"] == pytest.approx({"median": 0.275, "q1": 0.2375, "q3": 0.375})
     assert doc["metrics"]["peak_rss_mb"]["wins"] == 2
+    # the program's share of a call: 0.20, 0.15, 0.30, 0.30 against 0.20,
+    # 0.10, 0.20, 0.40; the floor is better neither way, so it is no metric
+    assert list(doc["metrics"]) == [*better, "call_s.p50 - floor_s"]
+    share = doc["metrics"]["call_s.p50 - floor_s"]
+    assert share["better"] == "lower" and share["wins"] == 2 and share["pairs"] == 4
+    assert share["base"] == pytest.approx({"median": 0.25, "q1": 0.1875, "q3": 0.3})
+    assert share["change"] == pytest.approx({"median": 0.2, "q1": 0.175, "q3": 0.25})
     assert doc["failed"] == {"base": [7, 6, 6, 7], "change": [6, 6, 6, 7]}
     assert doc["correct"] == {"base": True, "change": False}
     json.dumps(doc)  # written as the BENCH file as it is

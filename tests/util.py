@@ -3,7 +3,8 @@ references built from the package's parts (the Legendre F, the full inverse
 Hessian, Abreu's stencil one pair of coordinates at a time, Calabi's closed
 forms rounded to a record), two independent
 routes to the extremal coefficients (the 4x4 boundary system and
-Donaldson's moment system, with mutants of the latter) and Donaldson's
+Donaldson's moment system, with mutants of the latter), the extremal affine
+function from the polytope's own facets, Donaldson's
 functional at (t - c)_+, the exact momentum
 profile of the extremal metric, the exact layer's integers read as
 ``Fraction`` and its ``Fraction`` references (the deflated (V, Q), h'' and
@@ -24,7 +25,7 @@ from toricext.exact import (
     _scaled,
 )
 from toricext.numdiff import STEP_SECOND
-from toricext.radial import TPotential, validity_factor
+from toricext.radial import TPotential, check_validity
 
 
 def profile(n: int, t_min: float, t_max: float, jet_at) -> TPotential:
@@ -123,7 +124,7 @@ def inverse_hessian(x, phi: float) -> list[list[float]]:
     coordinates: where x_i carries nearly all of t, the rounded t - x_i keeps
     the rounding of t and loses all but a few digits of the diagonal entry."""
     t = sum(x)
-    validity_factor(t, phi)
+    check_validity(t, phi)
     w = (t - phi) / t / t
     return [
         [
@@ -250,6 +251,45 @@ def moment_solution(n: int, a: float, b: float, **weights) -> tuple[Fraction, ..
     gram = m0 * m2 - m1 * m1
     A, B = (m0 * r1 - m1 * r0) / gram, (m2 * r0 - m1 * r1) / gram
     return (A, B, *lowest_coefficients(n, b, A, B))
+
+
+def polytope_theta(n: int, a: float, b: float, facet_at_a=1) -> tuple[Fraction, ...]:
+    """(theta_0, theta_1, ..., theta_n) of the extremal affine function
+    theta_0 + sum_i theta_i*x_i of P = {x >= 0, a <= sum(x) <= b}, exactly,
+    on the polytope itself: no U(n) reduction, no symmetry assumed.
+
+    theta solves the Gram system int_P theta*f dx = int_dP f dsigma for f in
+    {1, x_1, ..., x_n}, with Donaldson's boundary measure, du ^ dsigma = dx
+    on each facet {u = 0}: u = x_k, t - a and b - t.  Every integral is
+    Dirichlet's int_{y >= 0, sum(y) <= L} y^alpha dy = L^(m+|alpha|) *
+    alpha!/(m+|alpha|)! over m coordinates, and on the facets t = L its slice
+    form, the L-derivative.  facet_at_a weighs the facet t = a (1, or a
+    mutant's other weight)."""
+    a, b = Fraction(float(a)), Fraction(float(b))
+
+    def dirichlet(alpha, L, derivative=0):
+        # over the simplex {y >= 0, sum(y) <= L} in len(alpha) coordinates,
+        # or its slice sum(y) = L
+        k = len(alpha) + sum(alpha) - derivative
+        return L**k * math.prod(map(math.factorial, alpha)) / math.factorial(k)
+
+    def inside(alpha):  # {a <= sum(y) <= b}, as the difference of two simplices
+        return dirichlet(alpha, b) - dirichlet(alpha, a)
+
+    def boundary(alpha):
+        # the facets x_k = 0, where x^alpha vanishes unless alpha_k = 0, are
+        # slabs in the other n - 1 coordinates
+        total = sum(inside(alpha[:k] + alpha[k + 1:]) for k in range(n) if alpha[k] == 0)
+        return total + facet_at_a * dirichlet(alpha, a, 1) + dirichlet(alpha, b, 1)
+
+    # the exponents of 1, x_1, ..., x_n
+    basis = [(0,) * n] + [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    rows = [
+        [inside(tuple(map(sum, zip(e, f)))) for f in basis] + [boundary(e)]
+        for e in basis
+    ]
+    # a Gram matrix is positive definite, so no leading minor is 0
+    return tuple(gauss_jordan(rows))
 
 
 def donaldson_functional(n: int, a, b, A, B, c):
